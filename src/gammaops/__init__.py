@@ -15,7 +15,6 @@ from .exceptions import (
     NotHermitian,
     NotIntertwining,
     NotInvertible,
-    NotNormal,
     NotPSD,
     NotPure,
     NumericalContractBreach,
@@ -105,7 +104,7 @@ from .invariant import (
 __all__ = [
     "__version__",
     "GammaOpsError", "DimensionMismatch", "NotHermitian", "NotPSD",
-    "NotNormal", "NotCommuting", "NotContraction", "NotPure",
+    "NotCommuting", "NotContraction", "NotPure",
     "SingularDenominator", "SingularResolvent", "NotInvertible",
     "OutsideLambdaP", "ReductionFailure", "TruncationCapExceeded",
     "NotIntertwining", "TriangularizationFailure", "NumericalContractBreach",

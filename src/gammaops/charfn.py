@@ -50,13 +50,12 @@ class CharFn:
         return self.defect_p_star.rank
 
 
-def theta_coeffs(p, n_coeffs: int,
-                 rel_tol: float = matcore.REL_RANK_TOL) -> CharFn:
+def theta_coeffs(p, n_coeffs: int) -> CharFn:
     """Characteristic function with the first ``n_coeffs`` Taylor coefficients."""
     if n_coeffs < 1:
         raise ValueError("n_coeffs must be at least 1")
     p = matcore.as_cmatrix(p, square=True, name="P")
-    dp, dps = defect_pair(p, rel_tol=rel_tol)
+    dp, dps = defect_pair(p)
     q, q_star = dp.basis.q, dps.basis.q
     left = matcore.dagger(q_star) @ dps.d      # r* x n
     right = dp.d @ q                           # n x r
@@ -160,8 +159,8 @@ class CoincidenceResult:
 
 
 def coincide_check(cf_a: CharFn, cf_b: CharFn, sigma: np.ndarray,
-                   sigma_star: np.ndarray, grid=None) -> CoincidenceResult:
-    """Max over the grid of |sigma_* Theta_A(z) - Theta_B(z) sigma|.
+                   sigma_star: np.ndarray) -> CoincidenceResult:
+    """Max over the default grid of |sigma_* Theta_A(z) - Theta_B(z) sigma|.
 
     The convention is sigma_* Theta_A(z) = Theta_B(z) sigma with sigma
     mapping the defect space of P_A to that of P_B (and sigma_* likewise on
@@ -175,10 +174,8 @@ def coincide_check(cf_a: CharFn, cf_b: CharFn, sigma: np.ndarray,
     if (sigma.shape != (cf_b.rank_p, cf_a.rank_p)
             or sigma_star.shape != (cf_b.rank_p_star, cf_a.rank_p_star)):
         return CoincidenceResult(max_residual=float("inf"), ranks_match=False)
-    if grid is None:
-        grid = default_coincidence_grid()
     worst = 0.0
-    for z in np.atleast_1d(grid):
+    for z in default_coincidence_grid():
         resid = matcore.op_norm(sigma_star @ theta_at(cf_a, z)
                                 - theta_at(cf_b, z) @ sigma)
         worst = max(worst, resid)

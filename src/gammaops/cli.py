@@ -37,7 +37,6 @@ from .exceptions import (
 )
 from .fundamental import check_pf_intertwining, solve_fundamental
 from .gamma_pair import (
-    is_pure,
     random_gamma_unitary,
     random_pure_gamma,
     validate,
@@ -212,7 +211,7 @@ def _tool_block() -> dict:
     return {"name": "gammaops", "version": __version__}
 
 
-def _flags_block(pair) -> dict:
+def _flags_block(pair, probe) -> dict:
     fl = pair.flags
     return {
         "commuting": fl.commuting,
@@ -220,7 +219,7 @@ def _flags_block(pair) -> dict:
         "s_bound": fl.s_bound,
         "spectrum_in_gamma": fl.spectrum_in_gamma,
         "pure": fl.pure,
-        "vn_probe_passed": fl.vn_probe_passed,
+        "vn_probe_passed": probe.passed,
         "necessary_ok": pair.necessary_ok,
     }
 
@@ -253,7 +252,7 @@ def cmd_analyze(args) -> int:
         "certificate": (matrix_to_json(probe.worst_coeffs)
                         if probe.certified_not_gamma else None),
     }
-    report["flags"] = _flags_block(pair)
+    report["flags"] = _flags_block(pair, probe)
     report["joint_spectrum"] = [
         {"s": [pt.s.real, pt.s.imag], "p": [pt.p.real, pt.p.imag]}
         for pt in pair.joint_spectrum]
@@ -262,7 +261,7 @@ def cmd_analyze(args) -> int:
     fp = None
     try:
         fp = solve_fundamental(pair)
-        pf_res = check_pf_intertwining(pair, fp)
+        pf_res = check_pf_intertwining(fp)
         scale = 1.0 + pair.norm_s
         report["fundamental"] = {
             "F": matrix_to_json(fp.f),
@@ -295,7 +294,7 @@ def cmd_analyze(args) -> int:
     if (fp is not None and pair.flags.pure and pair.necessary_ok
             and not probe.certified_not_gamma):
         try:
-            md = verify_model(pair, n_trunc=args.trunc, fp=fp)
+            md = verify_model(fp, n_trunc=args.trunc)
             report["model"] = {
                 "n_trunc": md.n_trunc,
                 "tail": md.tail,
@@ -373,13 +372,17 @@ def cmd_compare(args) -> int:
         fp_b = solve_fundamental(pair_b)
     except (NotCommuting, NotContraction, NumericalContractBreach) as exc:
         raise PairFileError(f"not a usable pair: {exc}") from exc
-    if not (is_pure(pair_a.p) and is_pure(pair_b.p)):
+    if not (pair_a.flags.pure and pair_b.flags.pure):
         report["verdict"] = "purity-violation"
         report["elapsed_s"] = time.perf_counter() - t0
         _emit(report, args.json)
         return EXIT_NOT_PURE
 
-    screen = trace_word_screen(fp_a, fp_b)
+    if args.witness:
+        screen = trace_word_screen(fp_a, fp_b)
+    else:
+        result = search_witness(fp_a, fp_b, restarts=args.search, seed=seed)
+        screen = result.screen
     report["screen"] = {
         "max_gap": screen.max_gap,
         "mismatch": screen.mismatch,
@@ -396,8 +399,7 @@ def cmd_compare(args) -> int:
         witness = load_witness_file(args.witness)
         report["witness_source"] = "file"
         try:
-            rep = verify_equivalence(pair_a, pair_b, witness,
-                                     fp_a=fp_a, fp_b=fp_b)
+            rep = verify_equivalence(fp_a, fp_b, witness)
         except DimensionMismatch as exc:
             raise PairFileError(f"witness does not fit the pairs: {exc}") from exc
         report["witness"] = _witness_block(witness)
@@ -410,7 +412,6 @@ def cmd_compare(args) -> int:
             return EXIT_OK
         return EXIT_DISTINCT if rep.conclusive else EXIT_INCONCLUSIVE
 
-    result = search_witness(pair_a, pair_b, restarts=args.search, seed=seed)
     report["witness_source"] = "search"
     report["search"] = {"status": result.status,
                         "restarts_used": result.restarts_used}

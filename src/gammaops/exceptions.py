@@ -17,10 +17,6 @@ class NotPSD(GammaOpsError):
     """A matrix required to be positive semidefinite has a genuinely negative eigenvalue."""
 
 
-class NotNormal(GammaOpsError):
-    """A matrix required to be normal does not commute with its adjoint."""
-
-
 class NotCommuting(GammaOpsError):
     """Two operators required to commute do not, beyond tolerance."""
 

@@ -46,8 +46,7 @@ class DefectData:
         return self.basis.rank
 
 
-def defect(p, which: str = "for_P",
-           rel_tol: float = matcore.REL_RANK_TOL) -> DefectData:
+def defect(p, which: str = "for_P") -> DefectData:
     """Defect operator and range basis for a contraction."""
     if which not in ("for_P", "for_P_star"):
         raise ValueError(f"which must be 'for_P' or 'for_P_star', got {which!r}")
@@ -61,14 +60,13 @@ def defect(p, which: str = "for_P",
     # Gramian (P close to unitary) cannot trip the relative check
     gram = 0.5 * (gram + matcore.dagger(gram))
     d = matcore.herm_sqrt_psd(gram, eig_clamp=DEFECT_EIG_CLAMP)
-    return DefectData(d=d, basis=matcore.range_onb(d, rel_tol=rel_tol), which=which)
+    return DefectData(d=d, basis=matcore.range_onb(d), which=which)
 
 
-def defect_pair(p, rel_tol: float = matcore.REL_RANK_TOL
-                ) -> tuple[DefectData, DefectData]:
+def defect_pair(p) -> tuple[DefectData, DefectData]:
     """Both defect operators, verifying the lift identity P D_P = D_P* P."""
-    dp = defect(p, "for_P", rel_tol)
-    dps = defect(p, "for_P_star", rel_tol)
+    dp = defect(p, "for_P")
+    dps = defect(p, "for_P_star")
     p = matcore.as_cmatrix(p, square=True, name="P")
     resid = matcore.fro_norm(p @ dp.d - dps.d @ p)
     if resid > DEFECT_INTERTWINE_TOL:
@@ -79,13 +77,16 @@ def defect_pair(p, rel_tol: float = matcore.REL_RANK_TOL
 
 @dataclass(frozen=True)
 class FundamentalPair:
-    """Fundamental operators of a pair, with solve residuals and radii.
+    """A pair with its fundamental operators, solve residuals and radii.
 
-    ``f`` is r x r on the basis of Ran D_P, ``f_star`` is r* x r* on the
-    basis of Ran D_P*.  Residuals are Frobenius norms of the defining
-    equations after reassembly; ``w_f`` and ``w_f_star`` are numerical radii.
+    This is the per-pair object everything downstream takes: ``pair`` is the
+    validated pair it was solved for, ``f`` is r x r on the basis of Ran D_P,
+    ``f_star`` is r* x r* on the basis of Ran D_P*.  Residuals are Frobenius
+    norms of the defining equations after reassembly; ``w_f`` and
+    ``w_f_star`` are numerical radii.
     """
 
+    pair: GammaPair
     f: np.ndarray
     f_star: np.ndarray
     residual_f: float
@@ -109,19 +110,18 @@ def _solve_side(s: np.ndarray, p: np.ndarray, dd: DefectData
     return f, resid
 
 
-def solve_fundamental(pair: GammaPair,
-                      rel_tol: float = matcore.REL_RANK_TOL) -> FundamentalPair:
+def solve_fundamental(pair: GammaPair) -> FundamentalPair:
     """Both fundamental operators of a validated pair.
 
     Rank-zero defects (P unitary) yield empty operators; the recorded
     residual is then the full norm of the left side, which must be about
     zero exactly when the pair has unitary structure.
     """
-    dp, dps = defect_pair(pair.p, rel_tol=rel_tol)
+    dp, dps = defect_pair(pair.p)
     f, res_f = _solve_side(pair.s, pair.p, dp)
     f_star, res_fs = _solve_side(matcore.dagger(pair.s), matcore.dagger(pair.p), dps)
     return FundamentalPair(
-        f=f, f_star=f_star,
+        pair=pair, f=f, f_star=f_star,
         residual_f=res_f, residual_f_star=res_fs,
         w_f=matcore.numerical_radius(f),
         w_f_star=matcore.numerical_radius(f_star),
@@ -129,7 +129,7 @@ def solve_fundamental(pair: GammaPair,
     )
 
 
-def check_pf_intertwining(pair: GammaPair, fp: FundamentalPair) -> float:
+def check_pf_intertwining(fp: FundamentalPair) -> float:
     """Residual of P F = F_*^adj P on the defect space of P, ambient lifted.
 
     Returns |P F^ Pi - F_*^adj P Pi|_F where F^ and F_*^ are the ambient
@@ -139,8 +139,9 @@ def check_pf_intertwining(pair: GammaPair, fp: FundamentalPair) -> float:
     fs_amb = matcore.lift(fp.defect_p_star.basis, fp.f_star)
     q = fp.defect_p.basis.q
     proj = q @ matcore.dagger(q)
-    left = pair.p @ f_amb @ proj
-    right = matcore.dagger(fs_amb) @ pair.p @ proj
+    p = fp.pair.p
+    left = p @ f_amb @ proj
+    right = matcore.dagger(fs_amb) @ p @ proj
     return matcore.fro_norm(left - right)
 
 

@@ -19,6 +19,9 @@ from .exceptions import SingularDenominator
 #: Default classification tolerance on root moduli.
 CLASSIFY_TOL = 1e-9
 
+#: Best grid points that the refined sup norm polishes locally.
+REFINE_STARTS = 3
+
 
 class Region(enum.Enum):
     """Position of a scalar point relative to the symmetrized bidisc."""
@@ -157,7 +160,7 @@ def sup_norm_on_gamma(coeffs, grid_n: int = 64) -> float:
     return float(_torus_values(coeffs, grid_n).max())
 
 
-def sup_norm_on_gamma_refined(coeffs, grid_n: int = 64, starts: int = 3) -> float:
+def sup_norm_on_gamma_refined(coeffs, grid_n: int = 64) -> float:
     """Grid estimate polished by local maximization on the torus.
 
     Still a lower bound for the true sup, but typically accurate to about
@@ -165,7 +168,7 @@ def sup_norm_on_gamma_refined(coeffs, grid_n: int = 64, starts: int = 3) -> floa
     """
     vals = _torus_values(coeffs, grid_n)
     best = float(vals.max())
-    flat = np.argsort(vals, axis=None)[::-1][:starts]
+    flat = np.argsort(vals, axis=None)[::-1][:REFINE_STARTS]
     step = 2.0 * np.pi / grid_n
 
     def neg_abs(theta):

@@ -46,8 +46,11 @@ PROBE_CERT_MARGIN = 1e-6
 #: directions when splitting off the unitary part.
 UNITARY_EIG_TOL = 1e-10
 
+#: Relative leak of S off the unitary subspace that still counts as reducing.
+REDUCING_LEAK_TOL = 1e-8
 
-@dataclass
+
+@dataclass(frozen=True)
 class PairFlags:
     """Outcome of the necessary-condition checks for one pair."""
 
@@ -56,7 +59,6 @@ class PairFlags:
     s_bound: bool
     spectrum_in_gamma: bool
     pure: bool
-    vn_probe_passed: bool | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +83,7 @@ class GammaPair:
         return f.commuting and f.contraction and f.s_bound and f.spectrum_in_gamma
 
 
-def validate(s, p, point_tol: float = POINT_TOL) -> GammaPair:
+def validate(s, p) -> GammaPair:
     """Build a GammaPair, checking the necessary conditions only.
 
     Commutation beyond tolerance is a hard error; the norm bounds and the
@@ -97,7 +99,7 @@ def validate(s, p, point_tol: float = POINT_TOL) -> GammaPair:
     norm_s, norm_p = matcore.op_norm(s), matcore.op_norm(p)
     rho_p = matcore.spectral_radius(p)
     points = tuple(SymPoint(*t) for t in matcore.joint_eigs_commuting(s, p))
-    in_gamma = all(classify_point(pt, tol=point_tol) is not Region.OUTSIDE
+    in_gamma = all(classify_point(pt, tol=POINT_TOL) is not Region.OUTSIDE
                    for pt in points)
     flags = PairFlags(
         commuting=True,
@@ -136,12 +138,13 @@ def is_pure(p) -> bool:
     return matcore.spectral_radius(p) < 1.0 - PURITY_TOL
 
 
-def is_gamma_unitary(pair: GammaPair, tol: float = POINT_TOL) -> bool:
+def is_gamma_unitary(pair: GammaPair) -> bool:
     """Commuting normal pair whose joint spectrum lies on the distinguished boundary."""
     if not (matcore.is_normal(pair.s) and matcore.is_normal(pair.p)):
         return False
-    points = matcore.joint_eigs_commuting_normals(pair.s, pair.p)
-    return all(classify_point(SymPoint(*t), tol=tol) is Region.DISTINGUISHED_BGAMMA
+    points = matcore.joint_eigs_commuting(pair.s, pair.p)
+    return all(classify_point(SymPoint(*t), tol=POINT_TOL)
+               is Region.DISTINGUISHED_BGAMMA
                for t in points)
 
 
@@ -170,7 +173,7 @@ def _random_poly(rng: np.random.Generator, max_deg: int) -> np.ndarray:
 
 
 def vn_probe(pair: GammaPair, trials: int = 200, max_deg: int = 4,
-             seed: int = 0, grid_n: int = 64) -> VnProbeReport:
+             seed: int = 0) -> VnProbeReport:
     """Compare |q(S, P)| with the sup of |q| over the domain for random q.
 
     The sup is estimated from below (grid plus local refinement), so a ratio
@@ -189,21 +192,19 @@ def vn_probe(pair: GammaPair, trials: int = 200, max_deg: int = 4,
     worst_ratio, worst_coeffs = 0.0, polys[0]
     for c in polys:
         val = matcore.op_norm(eval_matrix_sym_poly(c, pair.s, pair.p))
-        sup = sup_norm_on_gamma(c, grid_n=grid_n)
+        sup = sup_norm_on_gamma(c)
         if val > 0.98 * max(sup, 1e-300):
-            sup = max(sup, sup_norm_on_gamma_refined(c, grid_n=grid_n))
+            sup = max(sup, sup_norm_on_gamma_refined(c))
         ratio = val / max(sup, 1e-300)
         if ratio > worst_ratio:
             worst_ratio, worst_coeffs = ratio, c
-    report = VnProbeReport(
+    return VnProbeReport(
         worst_ratio=worst_ratio,
         certified_not_gamma=worst_ratio > 1.0 + PROBE_CERT_MARGIN,
         worst_coeffs=np.array(worst_coeffs),
         trials=trials,
         max_deg=max_deg,
     )
-    pair.flags.vn_probe_passed = report.passed
-    return report
 
 
 @dataclass(frozen=True)
@@ -234,7 +235,7 @@ def _intersect(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     return v[:, w <= 1e-10]
 
 
-def cnu_split(pair: GammaPair, tol: float = 1e-8) -> CnuSplit:
+def cnu_split(pair: GammaPair) -> CnuSplit:
     """Split off the largest reducing subspace on which P is unitary.
 
     Starts from the intersection of the eigenvalue-one spaces of P*P and
@@ -261,7 +262,7 @@ def cnu_split(pair: GammaPair, tol: float = 1e-8) -> CnuSplit:
         s_leak = matcore.fro_norm(s @ q - q @ (matcore.dagger(q) @ (s @ q)))
         s_leak = max(s_leak, matcore.fro_norm(
             matcore.dagger(s) @ q - q @ (matcore.dagger(q) @ (matcore.dagger(s) @ q))))
-        if s_leak > tol * (1.0 + pair.norm_s):
+        if s_leak > REDUCING_LEAK_TOL * (1.0 + pair.norm_s):
             raise ReductionFailure(
                 f"S leaks off the unitary subspace by {s_leak:.3e}")
 

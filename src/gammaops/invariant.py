@@ -19,8 +19,8 @@ import scipy.linalg
 from . import matcore
 from .charfn import CharFn, CoincidenceResult, coincide_check, theta_at, theta_coeffs
 from .exceptions import DimensionMismatch, NotIntertwining, NotPure
-from .fundamental import FundamentalPair, solve_fundamental
-from .gamma_pair import GammaPair, is_pure
+from .fundamental import FundamentalPair
+from .gamma_pair import GammaPair
 from .model import auto_truncation, model_operators, model_space
 
 WITNESS_UNITARY_TOL = 1e-10
@@ -29,6 +29,8 @@ FSTAR_MATCH_TOL = 1e-8
 MODEL_CONFIRM_TOL = 1e-7
 SCREEN_TOL = 1e-6
 SCREEN_MAX_LEN = 6
+#: Alternating polar iterations per search restart.
+SEARCH_ITERS = 150
 
 VERDICT_EQUIVALENT = "EQUIVALENT"
 VERDICT_NOT_EQUIVALENT = "NOT_EQUIVALENT"
@@ -81,12 +83,8 @@ class Witness:
             object.__setattr__(self, field, m)
 
 
-def induced_defect_unitary(u, pair_a: GammaPair, pair_b: GammaPair,
-                           which: str = "for_P",
-                           fp_a: FundamentalPair | None = None,
-                           fp_b: FundamentalPair | None = None,
-                           tol: float = AMBIENT_INTERTWINE_TOL,
-                           ) -> tuple[np.ndarray, dict]:
+def induced_defect_unitary(u, fp_a: FundamentalPair, fp_b: FundamentalPair,
+                           which: str = "for_P") -> tuple[np.ndarray, dict]:
     """Restrict an ambient intertwining unitary to a defect space.
 
     Given unitary u with u S_A = S_B u and u P_A = P_B u, the compression
@@ -96,6 +94,8 @@ def induced_defect_unitary(u, pair_a: GammaPair, pair_b: GammaPair,
     residuals rather than assumed.
     """
     u = matcore.as_cmatrix(u, square=True, name="U")
+    pair_a, pair_b = fp_a.pair, fp_b.pair
+    tol = AMBIENT_INTERTWINE_TOL
     if pair_a.n != pair_b.n or u.shape[0] != pair_a.n:
         raise DimensionMismatch(
             f"ambient sizes disagree: U is {u.shape[0]}, pairs are "
@@ -110,10 +110,6 @@ def induced_defect_unitary(u, pair_a: GammaPair, pair_b: GammaPair,
         raise NotIntertwining(
             f"|US - S'U| = {res_s:.3e}, |UP - P'U| = {res_p:.3e} "
             f"exceed tolerance {tol:.1e}")
-    if fp_a is None:
-        fp_a = solve_fundamental(pair_a)
-    if fp_b is None:
-        fp_b = solve_fundamental(pair_b)
     da = fp_a.defect_p if which == "for_P" else fp_a.defect_p_star
     db = fp_b.defect_p if which == "for_P" else fp_b.defect_p_star
     fa = fp_a.f if which == "for_P" else fp_a.f_star
@@ -132,23 +128,15 @@ def induced_defect_unitary(u, pair_a: GammaPair, pair_b: GammaPair,
     return v, residuals
 
 
-def witness_from_ambient(u, pair_a: GammaPair, pair_b: GammaPair,
-                         fp_a: FundamentalPair | None = None,
-                         fp_b: FundamentalPair | None = None,
+def witness_from_ambient(u, fp_a: FundamentalPair, fp_b: FundamentalPair
                          ) -> tuple[Witness, dict]:
     """Full witness induced by an ambient intertwining unitary.
 
     The adjoint-side restriction serves both as eta1 and as sigma_star;
     for ambient-induced witnesses these coincide exactly.
     """
-    if fp_a is None:
-        fp_a = solve_fundamental(pair_a)
-    if fp_b is None:
-        fp_b = solve_fundamental(pair_b)
-    sigma, res_p = induced_defect_unitary(
-        u, pair_a, pair_b, which="for_P", fp_a=fp_a, fp_b=fp_b)
-    eta1, res_ps = induced_defect_unitary(
-        u, pair_a, pair_b, which="for_P_star", fp_a=fp_a, fp_b=fp_b)
+    sigma, res_p = induced_defect_unitary(u, fp_a, fp_b, which="for_P")
+    eta1, res_ps = induced_defect_unitary(u, fp_a, fp_b, which="for_P_star")
     witness = Witness(eta1=eta1, sigma=sigma, sigma_star=eta1,
                       u_ambient=matcore.as_cmatrix(u, square=True, name="U"))
     return witness, {"for_P": res_p, "for_P_star": res_ps}
@@ -181,8 +169,7 @@ def _structural_report(reason: str) -> EquivalenceReport:
         fstar_residual=float("inf"), coincidence=None)
 
 
-def _model_confirmation(pair_a: GammaPair, pair_b: GammaPair,
-                        fp_a: FundamentalPair, fp_b: FundamentalPair,
+def _model_confirmation(fp_a: FundamentalPair, fp_b: FundamentalPair,
                         eta1: np.ndarray) -> dict:
     """Compression of I (x) eta1 between the two model spaces.
 
@@ -190,11 +177,10 @@ def _model_confirmation(pair_a: GammaPair, pair_b: GammaPair,
     operators of A onto those of B, so its unitarity defect and conjugation
     residual certify equivalence end to end, not only at the defect level.
     """
-    n_common = max(auto_truncation(pair_a.p), auto_truncation(pair_b.p))
-    md_a = model_operators(pair_a, fp_a,
-                           model_space(pair_a, n_common, complement=False))
-    md_b = model_operators(pair_b, fp_b,
-                           model_space(pair_b, n_common, complement=False))
+    n_common = max(auto_truncation(fp_a.pair.p), auto_truncation(fp_b.pair.p))
+    md_a, md_b = (model_operators(fp, model_space(fp.pair, n_common,
+                                                  complement=False))
+                  for fp in (fp_a, fp_b))
     eta_full = np.kron(np.eye(n_common, dtype=complex), eta1)
     u_hat = matcore.dagger(md_b.model_basis.q) @ eta_full @ md_a.model_basis.q
     conj = max(
@@ -207,10 +193,15 @@ def _model_confirmation(pair_a: GammaPair, pair_b: GammaPair,
     }
 
 
-def verify_equivalence(pair_a: GammaPair, pair_b: GammaPair, w: Witness,
-                       fp_a: FundamentalPair | None = None,
-                       fp_b: FundamentalPair | None = None,
-                       confirm_model: bool = True) -> EquivalenceReport:
+def _require_pure(fp_a: FundamentalPair, fp_b: FundamentalPair) -> None:
+    for label, fp in (("first", fp_a), ("second", fp_b)):
+        if not fp.pair.flags.pure:
+            raise NotPure(f"{label} pair is not pure; the invariant is "
+                          "stated for pure pairs only")
+
+
+def verify_equivalence(fp_a: FundamentalPair, fp_b: FundamentalPair,
+                       w: Witness) -> EquivalenceReport:
     """Check a witness against both halves of the complete invariant.
 
     Verdict is EQUIVALENT exactly when eta1 intertwines the adjoint-side
@@ -218,17 +209,11 @@ def verify_equivalence(pair_a: GammaPair, pair_b: GammaPair, w: Witness,
     under (sigma, sigma_star) to 1e-8.  On success the model-level unitary
     induced by eta1 is constructed and its conjugation residual reported.
     """
-    for label, pair in (("first", pair_a), ("second", pair_b)):
-        if not is_pure(pair.p):
-            raise NotPure(f"{label} pair is not pure; the invariant is "
-                          "stated for pure pairs only")
+    _require_pure(fp_a, fp_b)
+    pair_a, pair_b = fp_a.pair, fp_b.pair
     if pair_a.n != pair_b.n:
         return _structural_report(
             f"ambient dimensions differ: {pair_a.n} vs {pair_b.n}")
-    if fp_a is None:
-        fp_a = solve_fundamental(pair_a)
-    if fp_b is None:
-        fp_b = solve_fundamental(pair_b)
     ranks_a = (fp_a.defect_p.rank, fp_a.defect_p_star.rank)
     ranks_b = (fp_b.defect_p.rank, fp_b.defect_p_star.rank)
     if ranks_a != ranks_b:
@@ -246,15 +231,11 @@ def verify_equivalence(pair_a: GammaPair, pair_b: GammaPair, w: Witness,
     cf_b = theta_coeffs(pair_b.p, 1)
     coincidence = coincide_check(cf_a, cf_b, w.sigma, w.sigma_star)
     if fstar_ok and coincidence.coincide:
-        confirmation = None
-        if confirm_model:
-            confirmation = _model_confirmation(pair_a, pair_b,
-                                               fp_a, fp_b, w.eta1)
         return EquivalenceReport(
             verdict=VERDICT_EQUIVALENT, conclusive=True,
             reason="both invariant halves hold",
             fstar_residual=fstar_residual, coincidence=coincidence,
-            model_confirmation=confirmation)
+            model_confirmation=_model_confirmation(fp_a, fp_b, w.eta1))
     if not fstar_ok and not coincidence.coincide:
         reason = "fundamental operators and characteristic functions both fail"
     elif not fstar_ok:
@@ -294,12 +275,11 @@ class ScreenResult:
     worst_word: str
 
 
-def trace_word_screen(fp_a: FundamentalPair, fp_b: FundamentalPair,
-                      max_len: int = SCREEN_MAX_LEN,
-                      tol: float = SCREEN_TOL) -> ScreenResult:
+def trace_word_screen(fp_a: FundamentalPair, fp_b: FundamentalPair
+                      ) -> ScreenResult:
     """Compare unitary-invariant trace words of the fundamental operators.
 
-    Words in each operator and its adjoint up to ``max_len`` letters are
+    Words in each operator and its adjoint up to SCREEN_MAX_LEN letters are
     invariant under unitary conjugation, so any gap beyond tolerance rules
     out equivalence conclusively.  Agreement proves nothing.
     """
@@ -310,14 +290,14 @@ def trace_word_screen(fp_a: FundamentalPair, fp_b: FundamentalPair,
     max_gap, worst = 0.0, ""
     for tag, ma, mb in (("f:", fp_a.f, fp_b.f),
                         ("f_star:", fp_a.f_star, fp_b.f_star)):
-        words_a = _trace_words(ma, max_len)
-        words_b = _trace_words(mb, max_len)
+        words_a = _trace_words(ma, SCREEN_MAX_LEN)
+        words_b = _trace_words(mb, SCREEN_MAX_LEN)
         for word, ta in words_a.items():
             tb = words_b[word]
             gap = abs(ta - tb) / max(1.0, abs(ta), abs(tb))
             if gap > max_gap:
                 max_gap, worst = gap, tag + word
-    return ScreenResult(max_gap=max_gap, mismatch=max_gap > tol,
+    return ScreenResult(max_gap=max_gap, mismatch=max_gap > SCREEN_TOL,
                         worst_word=worst)
 
 
@@ -358,14 +338,14 @@ def _intertwiner_starts(pair_a: GammaPair, pair_b: GammaPair,
 
 
 def _ambient_procrustes(pair_a: GammaPair, pair_b: GammaPair,
-                        u0: np.ndarray, iters: int) -> np.ndarray:
+                        u0: np.ndarray) -> np.ndarray:
     """Alternating polar iteration toward u S_A = S_B u, u P_A = P_B u."""
     sa, pa, sb, pb = pair_a.s, pair_a.p, pair_b.s, pair_b.p
     sa_h, pa_h = matcore.dagger(sa), matcore.dagger(pa)
     sb_h, pb_h = matcore.dagger(sb), matcore.dagger(pb)
     scale = 1.0 + matcore.op_norm(sa) + matcore.op_norm(pa)
     u = u0
-    for _ in range(iters):
+    for _ in range(SEARCH_ITERS):
         m = (sb @ u @ sa_h + sb_h @ u @ sa
              + pb @ u @ pa_h + pb_h @ u @ pa)
         u_next = matcore.polar_unitary(m)
@@ -377,8 +357,7 @@ def _ambient_procrustes(pair_a: GammaPair, pair_b: GammaPair,
 
 def _defect_alternation(fp_a: FundamentalPair, fp_b: FundamentalPair,
                         cf_a: CharFn, cf_b: CharFn,
-                        sigma0: np.ndarray, eta0: np.ndarray,
-                        iters: int, zs: np.ndarray,
+                        sigma0: np.ndarray, eta0: np.ndarray, zs: np.ndarray,
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Alternating polar updates for (sigma, eta1) with sigma_star tied to eta1.
 
@@ -391,7 +370,7 @@ def _defect_alternation(fp_a: FundamentalPair, fp_b: FundamentalPair,
     fa, fb = fp_a.f, fp_b.f
     fas, fbs = fp_a.f_star, fp_b.f_star
     sigma, eta = sigma0, eta0
-    for _ in range(iters):
+    for _ in range(SEARCH_ITERS):
         m_eta = (fbs @ eta @ matcore.dagger(fas)
                  + matcore.dagger(fbs) @ eta @ fas)
         for ta, tb in zip(th_a, th_b):
@@ -411,13 +390,14 @@ class SearchResult:
 
     FOUND carries a witness that passed full verification.  DISTINCT means
     the trace screen or a structural mismatch ruled equivalence out, which
-    is conclusive.  NOT_FOUND is inconclusive by design.
+    is conclusive.  NOT_FOUND is inconclusive by design.  ``screen`` is
+    always the trace-word screen of the two pairs.
     """
 
     status: str
     witness: Witness | None
     report: EquivalenceReport | None
-    screen: ScreenResult | None
+    screen: ScreenResult
     restarts_used: int
 
 
@@ -428,9 +408,8 @@ def _search_grid() -> np.ndarray:
     return np.outer(radii, angles).ravel()
 
 
-def search_witness(pair_a: GammaPair, pair_b: GammaPair,
-                   restarts: int = 20, iters: int = 150,
-                   seed: int = 0) -> SearchResult:
+def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
+                   restarts: int = 20, seed: int = 0) -> SearchResult:
     """Heuristic search for an equivalence witness.
 
     The conclusive trace screen runs first.  Candidates then come from two
@@ -439,37 +418,22 @@ def search_witness(pair_a: GammaPair, pair_b: GammaPair,
     Every candidate must pass verify_equivalence before it is returned;
     restart order is deterministic for a given seed.
     """
-    for label, pair in (("first", pair_a), ("second", pair_b)):
-        if not is_pure(pair.p):
-            raise NotPure(f"{label} pair is not pure; the invariant is "
-                          "stated for pure pairs only")
-    if pair_a.n != pair_b.n:
-        return SearchResult(status=SEARCH_DISTINCT, witness=None, report=None,
-                            screen=None, restarts_used=0)
-    fp_a = solve_fundamental(pair_a)
-    fp_b = solve_fundamental(pair_b)
+    _require_pure(fp_a, fp_b)
+    pair_a, pair_b = fp_a.pair, fp_b.pair
+    # a mismatch includes any difference in defect ranks
     screen = trace_word_screen(fp_a, fp_b)
-    if screen.mismatch:
-        return SearchResult(status=SEARCH_DISTINCT, witness=None, report=None,
-                            screen=screen, restarts_used=0)
-    ranks_a = (fp_a.defect_p.rank, fp_a.defect_p_star.rank)
-    ranks_b = (fp_b.defect_p.rank, fp_b.defect_p_star.rank)
-    if ranks_a != ranks_b:
+    if screen.mismatch or pair_a.n != pair_b.n:
         return SearchResult(status=SEARCH_DISTINCT, witness=None, report=None,
                             screen=screen, restarts_used=0)
 
     rng = np.random.default_rng(seed)
     n = pair_a.n
-    r, r_star = ranks_a
+    r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
     cf_a = theta_coeffs(pair_a.p, 1)
     cf_b = theta_coeffs(pair_b.p, 1)
     zs = _search_grid()
     best_report: EquivalenceReport | None = None
     used = 0
-
-    def gate(witness: Witness) -> EquivalenceReport:
-        return verify_equivalence(pair_a, pair_b, witness,
-                                  fp_a=fp_a, fp_b=fp_b, confirm_model=False)
 
     total = max(1, restarts)
     warm = _intertwiner_starts(pair_a, pair_b, min(4, total), rng)
@@ -477,19 +441,16 @@ def search_witness(pair_a: GammaPair, pair_b: GammaPair,
     for k in range(total):
         used = k + 1
         u0 = starts[k] if k < len(starts) else matcore.haar_unitary(n, rng)
-        u = _ambient_procrustes(pair_a, pair_b, u0, iters)
+        u = _ambient_procrustes(pair_a, pair_b, u0)
         try:
-            witness, _ = witness_from_ambient(u, pair_a, pair_b,
-                                              fp_a=fp_a, fp_b=fp_b)
+            witness, _ = witness_from_ambient(u, fp_a, fp_b)
         except (NotIntertwining, ValueError):
             witness = None
         if witness is not None:
-            report = gate(witness)
+            report = verify_equivalence(fp_a, fp_b, witness)
             if report.equivalent:
-                final = verify_equivalence(pair_a, pair_b, witness,
-                                           fp_a=fp_a, fp_b=fp_b)
                 return SearchResult(status=SEARCH_FOUND, witness=witness,
-                                    report=final, screen=screen,
+                                    report=report, screen=screen,
                                     restarts_used=used)
             best_report = report
 
@@ -502,17 +463,15 @@ def search_witness(pair_a: GammaPair, pair_b: GammaPair,
             sigma0 = matcore.haar_unitary(r, rng)
             eta0 = matcore.haar_unitary(r_star, rng)
         sigma, eta = _defect_alternation(fp_a, fp_b, cf_a, cf_b,
-                                         sigma0, eta0, iters, zs)
+                                         sigma0, eta0, zs)
         try:
             witness = Witness(eta1=eta, sigma=sigma, sigma_star=eta)
         except ValueError:
             continue
-        report = gate(witness)
+        report = verify_equivalence(fp_a, fp_b, witness)
         if report.equivalent:
-            final = verify_equivalence(pair_a, pair_b, witness,
-                                       fp_a=fp_a, fp_b=fp_b)
             return SearchResult(status=SEARCH_FOUND, witness=witness,
-                                report=final, screen=screen,
+                                report=report, screen=screen,
                                 restarts_used=used)
         if best_report is None:
             best_report = report

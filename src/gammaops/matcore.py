@@ -18,7 +18,6 @@ from .exceptions import (
     DimensionMismatch,
     NotCommuting,
     NotHermitian,
-    NotNormal,
     NotPSD,
     TriangularizationFailure,
 )
@@ -35,6 +34,13 @@ HERM_REL_TOL = 1e-10
 
 #: Absolute accuracy target of :func:`numerical_radius`.
 RADIUS_TOL = 1e-10
+
+#: Uniform angle samples that locate the maxima in :func:`numerical_radius`.
+RADIUS_SAMPLES = 256
+
+#: Power iterations and start-vector seed of :func:`op_norm_hermitian`.
+POWER_ITERS = 60
+POWER_SEED = 7
 
 #: Scale factor of the commutation tolerance, see :func:`comm_tol`.
 COMM_REL_TOL = 1e-10
@@ -96,9 +102,8 @@ def commutation_defect(s: np.ndarray, p: np.ndarray) -> float:
     return fro_norm(s @ p - p @ s)
 
 
-def require_commuting(s: np.ndarray, p: np.ndarray, tol: float | None = None) -> None:
-    if tol is None:
-        tol = comm_tol(s, p)
+def require_commuting(s: np.ndarray, p: np.ndarray) -> None:
+    tol = comm_tol(s, p)
     defect = commutation_defect(s, p)
     if defect > tol:
         raise NotCommuting(f"commutator norm {defect:.3e} exceeds tolerance {tol:.3e}")
@@ -108,15 +113,15 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return fro_norm(a - dagger(a))
 
 
-def is_hermitian(a: np.ndarray, rel_tol: float = HERM_REL_TOL) -> bool:
-    return hermiticity_defect(a) <= rel_tol * max(fro_norm(a), 1e-300)
+def is_hermitian(a: np.ndarray) -> bool:
+    return hermiticity_defect(a) <= HERM_REL_TOL * max(fro_norm(a), 1e-300)
 
 
-def is_normal(a: np.ndarray, rel_tol: float = HERM_REL_TOL) -> bool:
+def is_normal(a: np.ndarray) -> bool:
     if a.size == 0:
         return True
     defect = fro_norm(a @ dagger(a) - dagger(a) @ a)
-    return defect <= rel_tol * (1.0 + fro_norm(a) ** 2)
+    return defect <= HERM_REL_TOL * (1.0 + fro_norm(a) ** 2)
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -161,11 +166,10 @@ def restrict(basis: RangeBasis, m: np.ndarray) -> np.ndarray:
     return dagger(basis.q) @ m @ basis.q
 
 
-def herm_sqrt_psd(a, herm_tol: float = HERM_REL_TOL,
-                  eig_clamp: float = EIG_CLAMP_TOL) -> np.ndarray:
+def herm_sqrt_psd(a, eig_clamp: float = EIG_CLAMP_TOL) -> np.ndarray:
     """Hermitian PSD square root via eigendecomposition.
 
-    Raises NotHermitian when ``|A - A*|_F > herm_tol * |A|_F`` and NotPSD
+    Raises NotHermitian when ``|A - A*|_F > HERM_REL_TOL * |A|_F`` and NotPSD
     when an eigenvalue falls below the clamp window; eigenvalues within
     ``eig_clamp * scale`` of zero on either side are treated as noise and
     zeroed, so the square root of a noise-level matrix is exactly zero.
@@ -174,10 +178,10 @@ def herm_sqrt_psd(a, herm_tol: float = HERM_REL_TOL,
     if a.size == 0:
         return a.copy()
     na = fro_norm(a)
-    if hermiticity_defect(a) > herm_tol * max(na, 1e-300):
+    if hermiticity_defect(a) > HERM_REL_TOL * max(na, 1e-300):
         raise NotHermitian(
             f"Hermiticity defect {hermiticity_defect(a):.3e} exceeds "
-            f"{herm_tol:.1e} * |A|_F")
+            f"{HERM_REL_TOL:.1e} * |A|_F")
     h = 0.5 * (a + dagger(a))
     w, v = np.linalg.eigh(h)
     scale = max(1.0, float(np.abs(w).max()))
@@ -188,22 +192,20 @@ def herm_sqrt_psd(a, herm_tol: float = HERM_REL_TOL,
     return 0.5 * (b + dagger(b))
 
 
-def range_onb(d, rel_tol: float = REL_RANK_TOL) -> RangeBasis:
+def range_onb(d) -> RangeBasis:
     """Orthonormal basis of the numerical range of a square matrix.
 
     Columns of an SVD left factor are kept while the singular value exceeds
-    ``rel_tol`` times the largest one.  The zero matrix has rank 0.
+    REL_RANK_TOL times the largest one.  The zero matrix has rank 0.
     """
     d = as_cmatrix(d, square=True, name="D")
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     n = d.shape[0]
     if n == 0:
         return RangeBasis(q=np.zeros((0, 0), dtype=complex), rank=0,
                           sigma_min_kept=0.0, sigma_max_dropped=0.0)
     u, s, _ = np.linalg.svd(d)
     smax = float(s[0])
-    r = 0 if smax == 0.0 else int(np.count_nonzero(s > rel_tol * smax))
+    r = 0 if smax == 0.0 else int(np.count_nonzero(s > REL_RANK_TOL * smax))
     return RangeBasis(
         q=u[:, :r].copy(),
         rank=r,
@@ -217,12 +219,13 @@ def _top_eig_herm_part(a: np.ndarray, ah: np.ndarray, theta: float) -> float:
     return float(np.linalg.eigvalsh(h)[-1])
 
 
-def numerical_radius(a, tol: float = RADIUS_TOL, samples: int = 256) -> float:
+def numerical_radius(a) -> float:
     """Numerical radius max_theta lambda_max(Re(e^{i theta} A)).
 
-    A uniform sample of ``samples`` angles locates candidate maxima; every
-    competitive bracket is then polished by bounded scalar maximization so
-    the returned value is accurate to about ``tol`` absolutely.
+    A uniform sample of RADIUS_SAMPLES angles locates candidate maxima;
+    every competitive bracket is then polished by bounded scalar
+    maximization so the returned value is accurate to about RADIUS_TOL
+    absolutely.
     """
     a = as_cmatrix(a, square=True, name="A")
     if a.size == 0:
@@ -230,16 +233,16 @@ def numerical_radius(a, tol: float = RADIUS_TOL, samples: int = 256) -> float:
     if a.shape == (1, 1):
         return float(abs(a[0, 0]))
     ah = dagger(a)
-    thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * np.pi, RADIUS_SAMPLES, endpoint=False)
     vals = np.array([_top_eig_herm_part(a, ah, t) for t in thetas])
-    span = 2.0 * np.pi / samples
+    span = 2.0 * np.pi / RADIUS_SAMPLES
     vmax = float(vals.max())
     # Any grid-local maximum within the curvature margin of the best value
     # can hide the true peak; refine them all.
-    margin = 4.0 * op_norm(a) * span * span + 10.0 * tol
+    margin = 4.0 * op_norm(a) * span * span + 10.0 * RADIUS_TOL
     best = vmax
-    for k in range(samples):
-        left, right = vals[k - 1], vals[(k + 1) % samples]
+    for k in range(RADIUS_SAMPLES):
+        left, right = vals[k - 1], vals[(k + 1) % RADIUS_SAMPLES]
         if vals[k] < max(left, right) or vals[k] < vmax - margin:
             continue
         t0 = thetas[k]
@@ -255,24 +258,19 @@ def _conj_by(z: np.ndarray, m: np.ndarray) -> np.ndarray:
     return dagger(z) @ m @ z
 
 
-def _common_schur(s: np.ndarray, p: np.ndarray, full_offdiag: bool):
+def _common_schur(s: np.ndarray, p: np.ndarray):
     """Common unitary (near-)triangularization of a commuting pair.
 
     Returns (Ms, Mp, residual) where Ms = Z* S Z and Mp = Z* P Z for the
-    best mixing coefficient tried.  ``full_offdiag`` measures the residual
-    over all off-diagonal entries (normal case) instead of the strict lower
-    triangle.
+    best mixing coefficient tried; the residual is measured on the strict
+    lower triangles.
     """
     scale = 1.0 + fro_norm(s) + fro_norm(p)
     best = None
     for gamma in _MIX_GAMMAS:
         _, z = scipy.linalg.schur(s + gamma * p, output="complex")
         ms, mp = _conj_by(z, s), _conj_by(z, p)
-        if full_offdiag:
-            resid = (fro_norm(ms - np.diag(np.diagonal(ms)))
-                     + fro_norm(mp - np.diag(np.diagonal(mp))))
-        else:
-            resid = (fro_norm(np.tril(ms, -1)) + fro_norm(np.tril(mp, -1)))
+        resid = fro_norm(np.tril(ms, -1)) + fro_norm(np.tril(mp, -1))
         if best is None or resid < best[2]:
             best = (ms, mp, resid)
         if resid <= 1e-11 * scale:
@@ -301,40 +299,13 @@ def joint_eigs_commuting(s, p) -> list[tuple[complex, complex]]:
     require_commuting(s, p)
     if n == 1:
         return [(complex(s[0, 0]), complex(p[0, 0]))]
-    ms, mp, _ = _common_schur(s, p, full_offdiag=False)
+    ms, mp, _ = _common_schur(s, p)
     pairs = [(complex(ms[k, k]), complex(mp[k, k])) for k in range(n)]
     pairs.sort(key=lambda t: (t[0].real, t[0].imag, t[1].real, t[1].imag))
     return pairs
 
 
-def joint_eigs_commuting_normals(s, p) -> list[tuple[complex, complex]]:
-    """Paired joint eigenvalues of two commuting normal matrices.
-
-    A common unitary diagonalizer is obtained from the Schur form of a
-    generic combination; normality makes the triangular factors diagonal.
-    Raises NotNormal or NotCommuting when the preconditions fail.
-    """
-    s = as_cmatrix(s, square=True, name="S")
-    p = as_cmatrix(p, square=True, name="P")
-    if s.shape != p.shape:
-        raise DimensionMismatch(f"shape mismatch {s.shape} vs {p.shape}")
-    if not is_normal(s):
-        raise NotNormal("S is not normal within tolerance")
-    if not is_normal(p):
-        raise NotNormal("P is not normal within tolerance")
-    n = s.shape[0]
-    if n == 0:
-        return []
-    require_commuting(s, p)
-    if n == 1:
-        return [(complex(s[0, 0]), complex(p[0, 0]))]
-    ms, mp, _ = _common_schur(s, p, full_offdiag=True)
-    pairs = [(complex(ms[k, k]), complex(mp[k, k])) for k in range(n)]
-    pairs.sort(key=lambda t: (t[0].real, t[0].imag, t[1].real, t[1].imag))
-    return pairs
-
-
-def op_norm_hermitian(matvec, dim: int, iters: int = 60, seed: int = 7) -> float:
+def op_norm_hermitian(matvec, dim: int) -> float:
     """Largest |eigenvalue| of a Hermitian operator given only its action.
 
     Power iteration on the square of the operator; adequate for the
@@ -342,11 +313,11 @@ def op_norm_hermitian(matvec, dim: int, iters: int = 60, seed: int = 7) -> float
     """
     if dim == 0:
         return 0.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(POWER_SEED)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     best = 0.0
-    for _ in range(iters):
+    for _ in range(POWER_ITERS):
         w = matvec(np.asarray(matvec(v)))
         nw = float(np.linalg.norm(w))
         if nw == 0.0:

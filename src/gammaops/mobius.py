@@ -98,16 +98,14 @@ class TransportResult:
     u_unitarity_defect: float
 
 
-def transport_crosscheck(pair: GammaPair, m: DiscAutomorphism,
-                         fp: FundamentalPair | None = None) -> TransportResult:
+def transport_crosscheck(pair: GammaPair, m: DiscAutomorphism) -> TransportResult:
     """Transport a pair both ways and compare the fundamental operators.
 
     The intertwining map X = (1-|a|^2)^(1/2) G^(1/2) D_P (I - conj(a) S
     + conj(a)^2 P)^(-1) satisfies X*X = D_{P_tau}^2 and induces the unitary
     U between the defect spaces that the closed form needs.
     """
-    if fp is None:
-        fp = solve_fundamental(pair)
+    fp = solve_fundamental(pair)
     a = complex(m.a)
     pair_tau = transport_pair(pair, m)
     fp_tau = solve_fundamental(pair_tau)

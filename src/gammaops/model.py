@@ -19,10 +19,10 @@ import numpy as np
 from . import matcore
 from .charfn import CharFn, theta_coeffs, toeplitz_mult
 from .exceptions import NotPure, TruncationCapExceeded
-from .fundamental import FundamentalPair, solve_fundamental
+from .fundamental import FundamentalPair
 from .gamma_pair import GammaPair, PURITY_TOL
 
-#: Default operator-norm target for |P^N| when choosing N automatically.
+#: Operator-norm target for |P^N| when choosing N automatically.
 AUTO_TAIL_TARGET = 1e-12
 
 #: Hard cap on the truncation order.
@@ -53,19 +53,18 @@ class ModelData:
     residuals: dict = None
 
 
-def auto_truncation(p, target: float = AUTO_TAIL_TARGET,
-                    cap: int = TRUNCATION_CAP) -> int:
-    """Smallest N with |P^N| at most ``target``."""
+def auto_truncation(p, cap: int = TRUNCATION_CAP) -> int:
+    """Smallest N with |P^N| at most AUTO_TAIL_TARGET."""
     p = matcore.as_cmatrix(p, square=True, name="P")
     if matcore.spectral_radius(p) >= 1.0 - PURITY_TOL:
         raise NotPure("spectral radius of P is not strictly below 1")
     power = p.copy()
     for n in range(1, cap + 1):
-        if matcore.op_norm(power) <= target:
+        if matcore.op_norm(power) <= AUTO_TAIL_TARGET:
             return n
         power = power @ p
     raise TruncationCapExceeded(
-        f"|P^N| did not reach {target:.1e} for N <= {cap}")
+        f"|P^N| did not reach {AUTO_TAIL_TARGET:.1e} for N <= {cap}")
 
 
 def _resolve_trunc(pair: GammaPair, n_trunc) -> int:
@@ -83,12 +82,9 @@ def _resolve_trunc(pair: GammaPair, n_trunc) -> int:
     return n
 
 
-def embed_w(pair: GammaPair, n_trunc="auto",
-            cf: CharFn | None = None) -> np.ndarray:
+def embed_w(pair: GammaPair, n_trunc, cf: CharFn) -> np.ndarray:
     """Stacked embedding blocks D_P* P*^k on the defect basis, k < N."""
     n_trunc = _resolve_trunc(pair, n_trunc)
-    if cf is None:
-        cf = theta_coeffs(pair.p, 1)
     left = matcore.dagger(cf.basis_p_star.q) @ cf.defect_p_star.d
     blocks, cur = [], np.eye(pair.n, dtype=complex)
     p_star = matcore.dagger(pair.p)
@@ -123,7 +119,7 @@ def _complement_identity_residual(b: np.ndarray, t_theta: np.ndarray) -> float:
 
 
 def model_space(pair: GammaPair, n_trunc="auto",
-                cf: CharFn | None = None, complement: bool = True) -> ModelData:
+                complement: bool = True) -> ModelData:
     """Embedding, orthonormal model basis and space-level residuals.
 
     ``complement=False`` skips the block-Toeplitz complement check, whose
@@ -131,10 +127,8 @@ def model_space(pair: GammaPair, n_trunc="auto",
     operators (the equivalence confirmation) take that path.
     """
     n_val = _resolve_trunc(pair, n_trunc)
-    n_need = n_val if complement else 1
-    if cf is None or len(cf.coeffs) < n_need:
-        cf = theta_coeffs(pair.p, n_need)
-    w = embed_w(pair, n_val, cf=cf)
+    cf = theta_coeffs(pair.p, n_val if complement else 1)
+    w = embed_w(pair, n_val, cf)
     basis = _polar_onb(w)
     tail = matcore.op_norm(np.linalg.matrix_power(pair.p, n_val))
     iso = matcore.op_norm(matcore.dagger(w) @ w - np.eye(pair.n, dtype=complex))
@@ -148,9 +142,9 @@ def model_space(pair: GammaPair, n_trunc="auto",
     )
 
 
-def model_operators(pair: GammaPair, fp: FundamentalPair,
-                    md: ModelData) -> ModelData:
+def model_operators(fp: FundamentalPair, md: ModelData) -> ModelData:
     """Complete a model with the shifted operators and their compressions."""
+    pair = fp.pair
     n_val = md.n_trunc
     f_star = fp.f_star
     r_star = f_star.shape[0]
@@ -176,8 +170,9 @@ def model_operators(pair: GammaPair, fp: FundamentalPair,
     return replace(md, s1=s1, p1=p1, t=t, v=v, residuals=residuals)
 
 
-def fstar_defect_identity_residual(pair: GammaPair, fp: FundamentalPair) -> float:
+def fstar_defect_identity_residual(fp: FundamentalPair) -> float:
     """Residual of D_P* F_*^adj + P D_P* F_* = S D_P* with ambient lifts."""
+    pair = fp.pair
     fs_amb = matcore.lift(fp.defect_p_star.basis, fp.f_star)
     d_star = fp.defect_p_star.d
     h = (d_star @ matcore.dagger(fs_amb) + pair.p @ d_star @ fs_amb
@@ -185,18 +180,14 @@ def fstar_defect_identity_residual(pair: GammaPair, fp: FundamentalPair) -> floa
     return matcore.fro_norm(h)
 
 
-def verify_model(pair: GammaPair, n_trunc="auto",
-                 fp: FundamentalPair | None = None) -> ModelData:
+def verify_model(fp: FundamentalPair, n_trunc="auto") -> ModelData:
     """Full pipeline returning a model whose residual ledger is complete.
 
     Ledger keys: isometry_defect, complement_identity, intertwine_s,
     intertwine_p, fstar_defect_identity.  For genuine pure pairs all of
     them sit at the truncation-tail or rounding level.
     """
-    if fp is None:
-        fp = solve_fundamental(pair)
-    md = model_space(pair, n_trunc)
-    md = model_operators(pair, fp, md)
+    md = model_operators(fp, model_space(fp.pair, n_trunc))
     residuals = dict(md.residuals)
-    residuals["fstar_defect_identity"] = fstar_defect_identity_residual(pair, fp)
+    residuals["fstar_defect_identity"] = fstar_defect_identity_residual(fp)
     return replace(md, residuals=residuals)

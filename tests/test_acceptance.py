@@ -59,7 +59,7 @@ def test_criterion_03_numerical_radius_bound(announce, corpus500):
 
 def test_criterion_04_pf_intertwining(announce, corpus500):
     for pair, fp in corpus500:
-        assert g.check_pf_intertwining(pair, fp) <= 1e-8 * (1.0 + pair.norm_s)
+        assert g.check_pf_intertwining(fp) <= 1e-8 * (1.0 + pair.norm_s)
     announce(4, "P F = F_star-adjoint P on the defect space across the corpus")
 
 
@@ -104,13 +104,13 @@ def test_criterion_07_kernel_and_complement(announce, pure100):
 def test_criterion_08_model_equivalence(announce, pure100):
     for pair in pure100:
         fp = g.solve_fundamental(pair)
-        md = g.model_operators(pair, fp, g.model_space(pair))
+        md = g.model_operators(fp, g.model_space(pair))
         bound = 1e-8 * (1.0 + pair.norm_s)
         assert md.residuals["intertwine_s"] <= bound
         assert md.residuals["intertwine_p"] <= bound
         assert matcore.fro_norm(md.s1 - pair.s) <= 1e-7
         assert matcore.fro_norm(md.p1 - pair.p) <= 1e-7
-        assert g.fstar_defect_identity_residual(pair, fp) <= 1e-9
+        assert g.fstar_defect_identity_residual(fp) <= 1e-9
     announce(8, "functional model reproduces each pair through its basis")
 
 
@@ -121,12 +121,13 @@ def test_criterion_09_equivalence_round_trip(announce):
         u = matcore.haar_unitary(n, np.random.default_rng(5000 + k))
         ud = matcore.dagger(u)
         pair_b = g.validate(u @ pair_a.s @ ud, u @ pair_a.p @ ud)
-        witness, res = g.witness_from_ambient(u, pair_a, pair_b)
+        fp_a, fp_b = g.solve_fundamental(pair_a), g.solve_fundamental(pair_b)
+        witness, res = g.witness_from_ambient(u, fp_a, fp_b)
         for side in ("for_P", "for_P_star"):
             assert res[side]["unitarity"] <= 1e-8
             assert res[side]["defect_intertwine"] <= 1e-8
             assert res[side]["conjugation"] <= 1e-8
-        rep = g.verify_equivalence(pair_a, pair_b, witness)
+        rep = g.verify_equivalence(fp_a, fp_b, witness)
         assert rep.equivalent
         assert rep.model_confirmation["conjugation"] <= 1e-7
 
@@ -135,13 +136,15 @@ def test_criterion_09_equivalence_round_trip(announce):
         u = matcore.haar_unitary(n, np.random.default_rng(5300 + n))
         ud = matcore.dagger(u)
         pair_b = g.validate(u @ pair_a.s @ ud, u @ pair_a.p @ ud)
-        out = g.search_witness(pair_a, pair_b, restarts=8, seed=n)
+        out = g.search_witness(g.solve_fundamental(pair_a),
+                               g.solve_fundamental(pair_b), restarts=8, seed=n)
         assert out.status == "FOUND"
         assert out.report is not None and out.report.equivalent
 
     pair_x = g.validate(np.array([[1.0]]), np.array([[0.25]]))
     pair_y = g.validate(np.array([[1.0]]), np.array([[0.5]]))
-    out = g.search_witness(pair_x, pair_y, restarts=4, seed=0)
+    out = g.search_witness(g.solve_fundamental(pair_x),
+                           g.solve_fundamental(pair_y), restarts=4, seed=0)
     assert out.status == "DISTINCT"
     assert out.screen is not None and out.screen.mismatch
     # fundamental operators are 0.8 and 2/3; the word gap peaks at length 3
@@ -160,7 +163,7 @@ def test_criterion_10_truncation_convergence(announce):
     fp = g.solve_fundamental(pair)
     worst = []
     for n_val in (16, 32, 64, 128):
-        md = g.model_operators(pair, fp, g.model_space(pair, n_val))
+        md = g.model_operators(fp, g.model_space(pair, n_val))
         worst.append(max(md.residuals.values()))
     for prev, nxt in zip(worst, worst[1:]):
         assert prev <= 1e-12 or nxt <= prev / 10.0

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -147,6 +148,49 @@ def test_compare_search_self_equivalent(tmp_path, capsys):
     assert "eta1" in report["witness"]
 
 
+def _count_calls(monkeypatch, fn):
+    """Count calls of a package function at every module attribute bound to it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is None or not name.startswith("gammaops"):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_compare_search_solves_and_screens_each_pair_once(
+        tmp_path, capsys, monkeypatch):
+    pair_a = g.random_pure_gamma(3, seed=40, max_norm=0.8)
+    u = matcore.haar_unitary(3, np.random.default_rng(41))
+    ud = matcore.dagger(u)
+    a = _write(tmp_path, "a.json", _pair_doc(pair_a))
+    b = _write(tmp_path, "b.json", cli.pair_file_doc(
+        u @ pair_a.s @ ud, u @ pair_a.p @ ud))
+    solves = _count_calls(monkeypatch, g.solve_fundamental)
+    screens = _count_calls(monkeypatch, g.trace_word_screen)
+    assert cli.main(["compare", a, b, "--search", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "EQUIVALENT"
+    assert len(solves) == 2
+    assert len(screens) == 1
+
+
+def test_compare_dimension_mismatch_is_distinct(tmp_path, capsys):
+    a = _write(tmp_path, "n2.json", _pair_doc(g.random_pure_gamma(2, seed=42)))
+    b = _write(tmp_path, "n3.json", _pair_doc(g.random_pure_gamma(3, seed=43)))
+    assert cli.main(["compare", a, b]) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "NOT_EQUIVALENT"
+    assert report["conclusive"] is True
+    assert report["screen"]["mismatch"] is True
+
+
 def test_compare_screen_distinct(tmp_path, capsys):
     a = _write(tmp_path, "a.json", {"schema_version": "1",
                                     "S": [[[1.0, 0.0]]], "P": [[[0.25, 0.0]]]})
@@ -163,7 +207,8 @@ def test_compare_with_witness_file(tmp_path, capsys):
     u = matcore.haar_unitary(3, np.random.default_rng(35))
     ud = matcore.dagger(u)
     pair_b = g.validate(u @ pair_a.s @ ud, u @ pair_a.p @ ud)
-    w, _ = g.witness_from_ambient(u, pair_a, pair_b)
+    w, _ = g.witness_from_ambient(u, g.solve_fundamental(pair_a),
+                                  g.solve_fundamental(pair_b))
     a = _write(tmp_path, "wa.json", _pair_doc(pair_a))
     b = _write(tmp_path, "wb.json", _pair_doc(pair_b))
     wfile = _write(tmp_path, "w.json", {

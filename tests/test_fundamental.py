@@ -81,7 +81,7 @@ def test_gamma_unitary_has_empty_defect():
 
 def test_pf_intertwining(corpus500):
     for pair, fp in corpus500[:80]:
-        assert g.check_pf_intertwining(pair, fp) <= 1e-8 * (1.0 + pair.norm_s)
+        assert g.check_pf_intertwining(fp) <= 1e-8 * (1.0 + pair.norm_s)
 
 
 def test_partial_isometry_defect_rank_drop():

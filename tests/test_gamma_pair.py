@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,10 @@ def test_is_pure_and_gamma_unitary():
     assert g.is_gamma_unitary(gu)
     assert not gu.flags.pure
     assert not g.is_gamma_unitary(g.random_pure_gamma(3, seed=7))
+    # a Jordan block at the torus point (2, 1): boundary spectrum, not normal
+    jordan = g.validate(np.array([[2.0, 1.0], [0.0, 2.0]]),
+                        np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert not g.is_gamma_unitary(jordan)
 
 
 def test_vn_probe_accepts_gamma_and_rejects_outside():
@@ -55,13 +61,22 @@ def test_vn_probe_accepts_gamma_and_rejects_outside():
     rep = g.vn_probe(pair, trials=60, seed=1)
     assert rep.passed
     assert rep.worst_ratio <= 1.0 + 1e-6
-    assert pair.flags.vn_probe_passed is True
 
     bad = g.validate(3.0 * np.eye(1), np.eye(1))
     rep_bad = g.vn_probe(bad, trials=10, seed=1)
     # the monomial s alone gives ratio 3/2
     assert rep_bad.certified_not_gamma
     assert rep_bad.worst_ratio >= 1.4
+
+
+def test_vn_probe_leaves_pair_flags_unchanged():
+    for pair in (g.random_pure_gamma(3, seed=3),
+                 g.validate(3.0 * np.eye(1), np.eye(1))):
+        before = dataclasses.replace(pair.flags)
+        g.vn_probe(pair, trials=10, seed=1)
+        assert pair.flags == before
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pair.flags.pure = not pair.flags.pure
 
 
 def test_vn_probe_deterministic_in_seed():

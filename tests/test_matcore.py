@@ -114,13 +114,6 @@ def test_joint_eigs_commuting_diagonal_oracle():
         assert abs(gp - wp) <= 1e-9
 
 
-def test_joint_eigs_commuting_normals_checks_normality():
-    from gammaops.exceptions import NotNormal
-    with pytest.raises(NotNormal):
-        matcore.joint_eigs_commuting_normals(np.array([[0.0, 1.0], [0.0, 0.0]]),
-                                             np.zeros((2, 2)))
-
-
 def test_op_norm_hermitian_matches_dense():
     rng = np.random.default_rng(7)
     b = crandn(rng, 30, 30)

@@ -24,7 +24,7 @@ def test_embed_w_gram_identity():
     for k in range(12):
         pair = g.random_pure_gamma(1 + k % 4, seed=900 + k)
         n_val = 12
-        w = g.embed_w(pair, n_val)
+        w = g.embed_w(pair, n_val, g.theta_coeffs(pair.p, 1))
         pn = np.linalg.matrix_power(pair.p, n_val)
         want = np.eye(pair.n) - pn @ matcore.dagger(pn)
         assert matcore.fro_norm(matcore.dagger(w) @ w - want) <= 1e-12
@@ -50,7 +50,7 @@ def test_model_space_light_path_skips_complement():
 def test_model_operator_structure():
     pair = g.random_pure_gamma(3, seed=911)
     fp = g.solve_fundamental(pair)
-    md = g.model_operators(pair, fp, g.model_space(pair, 6))
+    md = g.model_operators(fp, g.model_space(pair, 6))
     r_star = fp.f_star.shape[0]
     shift = np.eye(6, k=-1)
     t_want = (np.kron(np.eye(6), matcore.dagger(fp.f_star))
@@ -63,7 +63,7 @@ def test_model_operator_structure():
 def test_compressions_recover_pair(pure100):
     for pair in pure100[:20]:
         fp = g.solve_fundamental(pair)
-        md = g.model_operators(pair, fp, g.model_space(pair))
+        md = g.model_operators(fp, g.model_space(pair))
         scale = 1.0 + pair.norm_s
         assert matcore.fro_norm(md.s1 - pair.s) <= 1e-9 * scale
         assert matcore.fro_norm(md.p1 - pair.p) <= 1e-9 * scale
@@ -73,12 +73,12 @@ def test_compressions_recover_pair(pure100):
 
 def test_fstar_defect_identity(corpus500):
     for pair, fp in corpus500[:60]:
-        assert g.fstar_defect_identity_residual(pair, fp) <= 1e-9 * (1.0 + pair.norm_s)
+        assert g.fstar_defect_identity_residual(fp) <= 1e-9 * (1.0 + pair.norm_s)
 
 
 def test_verify_model_ledger_complete():
     pair = g.random_pure_gamma(4, seed=912, max_norm=0.8)
-    md = g.verify_model(pair)
+    md = g.verify_model(g.solve_fundamental(pair))
     for key in ("isometry_defect", "complement_identity",
                 "intertwine_s", "intertwine_p", "fstar_defect_identity"):
         assert key in md.residuals
@@ -92,7 +92,7 @@ def test_shallow_truncation_dominated_by_tail():
     fp = g.solve_fundamental(pair)
     defects = []
     for n_val in (8, 16, 32):
-        md = g.model_operators(pair, fp, g.model_space(pair, n_val))
+        md = g.model_operators(fp, g.model_space(pair, n_val))
         defects.append(md.residuals["intertwine_s"])
     # tail is 0.8^N, so each extra 8 levels shrinks the defect by ~0.17
     assert defects[1] <= 0.25 * defects[0]
