@@ -10,12 +10,15 @@ the defect spaces satisfy sigma_* Theta_A(z) = Theta_B(z) sigma on the disc.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import matcore
 from .exceptions import OutsideLambdaP
-from .fundamental import DefectData, defect_pair
+
+if TYPE_CHECKING:
+    from .fundamental import FundamentalPair
 
 #: sigma_min floor for I - z P* at evaluation points.
 EVAL_FLOOR = 1e-12
@@ -26,36 +29,17 @@ COINCIDE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class CharFn:
-    """Characteristic function data of a single contraction P."""
+    """Characteristic function of the P of a solved pair, with its coefficients."""
 
-    p: np.ndarray
-    defect_p: DefectData
-    defect_p_star: DefectData
+    fp: FundamentalPair
     coeffs: tuple[np.ndarray, ...]
 
-    @property
-    def basis_p(self) -> matcore.RangeBasis:
-        return self.defect_p.basis
 
-    @property
-    def basis_p_star(self) -> matcore.RangeBasis:
-        return self.defect_p_star.basis
-
-    @property
-    def rank_p(self) -> int:
-        return self.defect_p.rank
-
-    @property
-    def rank_p_star(self) -> int:
-        return self.defect_p_star.rank
-
-
-def theta_coeffs(p, n_coeffs: int) -> CharFn:
+def theta_coeffs(fp: FundamentalPair, n_coeffs: int) -> CharFn:
     """Characteristic function with the first ``n_coeffs`` Taylor coefficients."""
     if n_coeffs < 1:
         raise ValueError("n_coeffs must be at least 1")
-    p = matcore.as_cmatrix(p, square=True, name="P")
-    dp, dps = defect_pair(p)
+    p, dp, dps = fp.pair.p, fp.defect_p, fp.defect_p_star
     q, q_star = dp.basis.q, dps.basis.q
     left = matcore.dagger(q_star) @ dps.d      # r* x n
     right = dp.d @ q                           # n x r
@@ -64,8 +48,7 @@ def theta_coeffs(p, n_coeffs: int) -> CharFn:
     for _ in range(1, n_coeffs):
         coeffs.append(left @ p_star_pow @ right)
         p_star_pow = p_star_pow @ matcore.dagger(p)
-    return CharFn(p=p, defect_p=dp, defect_p_star=dps,
-                  coeffs=tuple(coeffs))
+    return CharFn(fp=fp, coeffs=tuple(coeffs))
 
 
 def theta_at(cf: CharFn, z: complex) -> np.ndarray:
@@ -75,20 +58,21 @@ def theta_at(cf: CharFn, z: complex) -> np.ndarray:
     the closed disc whenever the spectrum of P permits.
     """
     z = complex(z)
-    p = cf.p
+    fp = cf.fp
+    p = fp.pair.p
     n = p.shape[0]
     m = np.eye(n, dtype=complex) - z * matcore.dagger(p)
     smin = float(np.linalg.svd(m, compute_uv=False)[-1]) if n else 1.0
     if smin <= EVAL_FLOOR:
         raise OutsideLambdaP(f"I - z P* has sigma_min = {smin:.3e} at z = {z}")
-    core = -p + z * (cf.defect_p_star.d @ np.linalg.solve(m, cf.defect_p.d))
-    return matcore.dagger(cf.basis_p_star.q) @ core @ cf.basis_p.q
+    core = -p + z * (fp.defect_p_star.d @ np.linalg.solve(m, fp.defect_p.d))
+    return matcore.dagger(fp.defect_p_star.basis.q) @ core @ fp.defect_p.basis.q
 
 
 def theta_series_at(cf: CharFn, z: complex) -> np.ndarray:
     """Partial Taylor sum at z, for resummation checks against theta_at."""
     z = complex(z)
-    total = np.zeros((cf.rank_p_star, cf.rank_p), dtype=complex)
+    total = np.zeros(cf.coeffs[0].shape, dtype=complex)
     for k, c in enumerate(cf.coeffs):
         total += (z ** k) * c
     return total
@@ -106,7 +90,7 @@ def toeplitz_mult(cf: CharFn, n_blocks: int) -> np.ndarray:
     if len(cf.coeffs) < n_blocks:
         raise ValueError(
             f"need {n_blocks} coefficients, have {len(cf.coeffs)}")
-    r_star, r = cf.rank_p_star, cf.rank_p
+    r_star, r = cf.coeffs[0].shape
     out = np.zeros((n_blocks * r_star, n_blocks * r), dtype=complex)
     for i in range(n_blocks):
         for j in range(i + 1):
@@ -120,10 +104,10 @@ def kernel_identity_residual(cf: CharFn, zs, ws) -> float:
     I - Theta(w) Theta(z)* = (1 - w conj(z)) D_P* (I - w P*)^(-1)
     (I - conj(z) P)^(-1) D_P*, compressed to the defect basis of P*.
     """
-    p = cf.p
+    p = cf.fp.pair.p
     n = p.shape[0]
-    q_star = cf.basis_p_star.q
-    d_star = cf.defect_p_star.d
+    q_star = cf.fp.defect_p_star.basis.q
+    d_star = cf.fp.defect_p_star.d
     eye = np.eye(n, dtype=complex)
     worst = 0.0
     for z in np.atleast_1d(zs):
@@ -131,7 +115,7 @@ def kernel_identity_residual(cf: CharFn, zs, ws) -> float:
         th_z = theta_at(cf, z)
         for w in np.atleast_1d(ws):
             rw = np.linalg.inv(eye - complex(w) * matcore.dagger(p))
-            lhs = (np.eye(cf.rank_p_star, dtype=complex)
+            lhs = (np.eye(q_star.shape[1], dtype=complex)
                    - theta_at(cf, w) @ matcore.dagger(th_z))
             rhs = ((1.0 - complex(w) * np.conj(complex(z)))
                    * matcore.dagger(q_star) @ d_star @ rw @ rz @ d_star @ q_star)
@@ -158,7 +142,7 @@ class CoincidenceResult:
         return self.ranks_match and self.max_residual <= COINCIDE_TOL
 
 
-def coincide_check(cf_a: CharFn, cf_b: CharFn, sigma: np.ndarray,
+def coincide_check(fp_a: FundamentalPair, fp_b: FundamentalPair, sigma: np.ndarray,
                    sigma_star: np.ndarray) -> CoincidenceResult:
     """Max over the default grid of |sigma_* Theta_A(z) - Theta_B(z) sigma|.
 
@@ -167,16 +151,15 @@ def coincide_check(cf_a: CharFn, cf_b: CharFn, sigma: np.ndarray,
     the adjoint side).  Mismatched defect ranks give an infinite residual
     with the flag cleared rather than an exception.
     """
-    if cf_a.rank_p != cf_b.rank_p or cf_a.rank_p_star != cf_b.rank_p_star:
+    r_a, rs_a = fp_a.defect_p.rank, fp_a.defect_p_star.rank
+    r_b, rs_b = fp_b.defect_p.rank, fp_b.defect_p_star.rank
+    if r_a != r_b or rs_a != rs_b:
         return CoincidenceResult(max_residual=float("inf"), ranks_match=False)
     sigma = matcore.as_cmatrix(sigma, name="sigma")
     sigma_star = matcore.as_cmatrix(sigma_star, name="sigma_star")
-    if (sigma.shape != (cf_b.rank_p, cf_a.rank_p)
-            or sigma_star.shape != (cf_b.rank_p_star, cf_a.rank_p_star)):
+    if sigma.shape != (r_b, r_a) or sigma_star.shape != (rs_b, rs_a):
         return CoincidenceResult(max_residual=float("inf"), ranks_match=False)
     worst = 0.0
-    for z in default_coincidence_grid():
-        resid = matcore.op_norm(sigma_star @ theta_at(cf_a, z)
-                                - theta_at(cf_b, z) @ sigma)
-        worst = max(worst, resid)
+    for th_a, th_b in zip(fp_a.theta_grid, fp_b.theta_grid):
+        worst = max(worst, matcore.op_norm(sigma_star @ th_a - th_b @ sigma))
     return CoincidenceResult(max_residual=worst, ranks_match=True)

@@ -9,6 +9,7 @@ schema_version "1".  Exit codes are a total function of the verdicts:
               6 purity violation, 1 malformed input
     generate  0 written, 1 bad parameters or unwritable path
 
+Usage errors (bad options or arguments) are malformed input and exit 1.
 The environment variable GAMMAOPS_SEED overrides the built-in default seed
 wherever no explicit --seed is given.
 """
@@ -459,14 +460,19 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _trunc_arg(value: str):
-    if value == "auto":
-        return "auto"
+def _int_at_least(value: str, low: int) -> int:
     try:
-        return int(value)
+        n = int(value)
     except ValueError:
+        n = low - 1
+    if n < low:
         raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {value!r}")
+            f"expected an integer >= {low}, got {value!r}")
+    return n
+
+
+def _trunc_arg(value: str):
+    return "auto" if value == "auto" else _int_at_least(value, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -482,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("input", help="pair file (JSON)")
     pa.add_argument("--trunc", type=_trunc_arg, default="auto",
                     help="model truncation: block count or 'auto'")
-    pa.add_argument("--vn-trials", type=int, default=200,
+    pa.add_argument("--vn-trials", type=lambda v: _int_at_least(v, 0),
+                    default=200,
                     help="random polynomials in the spectral-set probe")
     pa.add_argument("--seed", type=int, default=None,
                     help="probe seed (default: GAMMAOPS_SEED or 0)")
@@ -518,7 +525,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help or --version and 2 on a usage error
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     except PairFileError as exc:

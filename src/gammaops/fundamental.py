@@ -13,11 +13,13 @@ defect space and has numerical radius at most one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matcore
+from .charfn import default_coincidence_grid, theta_at, theta_coeffs
 from .exceptions import NotContraction, NumericalContractBreach
 from .gamma_pair import CONTRACTION_TOL, GammaPair
 
@@ -95,6 +97,12 @@ class FundamentalPair:
     w_f_star: float
     defect_p: DefectData
     defect_p_star: DefectData
+
+    @functools.cached_property
+    def theta_grid(self) -> np.ndarray:
+        """Theta on ``default_coincidence_grid()``, stacked; built on first read."""
+        cf = theta_coeffs(self, 1)
+        return np.stack([theta_at(cf, z) for z in default_coincidence_grid()])
 
 
 def _solve_side(s: np.ndarray, p: np.ndarray, dd: DefectData

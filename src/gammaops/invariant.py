@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from . import matcore
-from .charfn import CharFn, CoincidenceResult, coincide_check, theta_at, theta_coeffs
+from .charfn import COINCIDE_TOL, CoincidenceResult, coincide_check, theta_at, theta_coeffs
 from .exceptions import DimensionMismatch, NotIntertwining, NotPure
 from .fundamental import FundamentalPair
 from .gamma_pair import GammaPair
@@ -178,7 +178,7 @@ def _model_confirmation(fp_a: FundamentalPair, fp_b: FundamentalPair,
     residual certify equivalence end to end, not only at the defect level.
     """
     n_common = max(auto_truncation(fp_a.pair.p), auto_truncation(fp_b.pair.p))
-    md_a, md_b = (model_operators(fp, model_space(fp.pair, n_common,
+    md_a, md_b = (model_operators(fp, model_space(fp, n_common,
                                                   complement=False))
                   for fp in (fp_a, fp_b))
     eta_full = np.kron(np.eye(n_common, dtype=complex), eta1)
@@ -227,9 +227,7 @@ def verify_equivalence(fp_a: FundamentalPair, fp_b: FundamentalPair,
         w.eta1 @ fp_a.f_star - fp_b.f_star @ w.eta1)
     fstar_ok = fstar_residual <= FSTAR_MATCH_TOL * (
         1.0 + matcore.op_norm(fp_a.f_star))
-    cf_a = theta_coeffs(pair_a.p, 1)
-    cf_b = theta_coeffs(pair_b.p, 1)
-    coincidence = coincide_check(cf_a, cf_b, w.sigma, w.sigma_star)
+    coincidence = coincide_check(fp_a, fp_b, w.sigma, w.sigma_star)
     if fstar_ok and coincidence.coincide:
         return EquivalenceReport(
             verdict=VERDICT_EQUIVALENT, conclusive=True,
@@ -356,8 +354,8 @@ def _ambient_procrustes(pair_a: GammaPair, pair_b: GammaPair,
 
 
 def _defect_alternation(fp_a: FundamentalPair, fp_b: FundamentalPair,
-                        cf_a: CharFn, cf_b: CharFn,
-                        sigma0: np.ndarray, eta0: np.ndarray, zs: np.ndarray,
+                        samples: list[tuple[np.ndarray, np.ndarray]],
+                        sigma0: np.ndarray, eta0: np.ndarray,
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Alternating polar updates for (sigma, eta1) with sigma_star tied to eta1.
 
@@ -365,20 +363,18 @@ def _defect_alternation(fp_a: FundamentalPair, fp_b: FundamentalPair,
     and of the characteristic-function samples, holding the other unknown
     fixed; both updates keep the iterates exactly unitary.
     """
-    th_a = [theta_at(cf_a, z) for z in zs]
-    th_b = [theta_at(cf_b, z) for z in zs]
     fa, fb = fp_a.f, fp_b.f
     fas, fbs = fp_a.f_star, fp_b.f_star
     sigma, eta = sigma0, eta0
     for _ in range(SEARCH_ITERS):
         m_eta = (fbs @ eta @ matcore.dagger(fas)
                  + matcore.dagger(fbs) @ eta @ fas)
-        for ta, tb in zip(th_a, th_b):
+        for ta, tb in samples:
             m_eta = m_eta + tb @ sigma @ matcore.dagger(ta)
         eta = matcore.polar_unitary(m_eta)
         m_sig = (fb @ sigma @ matcore.dagger(fa)
                  + matcore.dagger(fb) @ sigma @ fa)
-        for ta, tb in zip(th_a, th_b):
+        for ta, tb in samples:
             m_sig = m_sig + matcore.dagger(tb) @ eta @ ta
         sigma = matcore.polar_unitary(m_sig)
     return sigma, eta
@@ -416,7 +412,9 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
     families: ambient alternating Procrustes iterations compressed to the
     defect spaces, and defect-level alternation on (sigma, eta1) directly.
     Every candidate must pass verify_equivalence before it is returned;
-    restart order is deterministic for a given seed.
+    restart order is deterministic for a given seed.  NOT_FOUND reports the
+    candidate with the smallest miss, the larger of its two residuals over
+    their tolerances.
     """
     _require_pure(fp_a, fp_b)
     pair_a, pair_b = fp_a.pair, fp_b.pair
@@ -429,10 +427,7 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
     rng = np.random.default_rng(seed)
     n = pair_a.n
     r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
-    cf_a = theta_coeffs(pair_a.p, 1)
-    cf_b = theta_coeffs(pair_b.p, 1)
-    zs = _search_grid()
-    best_report: EquivalenceReport | None = None
+    misses: list[EquivalenceReport] = []
     used = 0
 
     total = max(1, restarts)
@@ -452,9 +447,11 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
                 return SearchResult(status=SEARCH_FOUND, witness=witness,
                                     report=report, screen=screen,
                                     restarts_used=used)
-            best_report = report
+            misses.append(report)
 
-    for k in range(max(1, restarts)):
+    cf_a, cf_b = theta_coeffs(fp_a, 1), theta_coeffs(fp_b, 1)
+    samples = [(theta_at(cf_a, z), theta_at(cf_b, z)) for z in _search_grid()]
+    for k in range(total):
         used += 1
         if k == 0:
             sigma0 = np.eye(r, dtype=complex)
@@ -462,8 +459,7 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
         else:
             sigma0 = matcore.haar_unitary(r, rng)
             eta0 = matcore.haar_unitary(r_star, rng)
-        sigma, eta = _defect_alternation(fp_a, fp_b, cf_a, cf_b,
-                                         sigma0, eta0, zs)
+        sigma, eta = _defect_alternation(fp_a, fp_b, samples, sigma0, eta0)
         try:
             witness = Witness(eta1=eta, sigma=sigma, sigma_star=eta)
         except ValueError:
@@ -473,8 +469,14 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
             return SearchResult(status=SEARCH_FOUND, witness=witness,
                                 report=report, screen=screen,
                                 restarts_used=used)
-        if best_report is None:
-            best_report = report
+        misses.append(report)
+
+    fstar_bound = FSTAR_MATCH_TOL * (1.0 + matcore.op_norm(fp_a.f_star))
+
+    def miss(rep: EquivalenceReport) -> float:
+        return max(rep.fstar_residual / fstar_bound,
+                   rep.coincidence.max_residual / COINCIDE_TOL)
 
     return SearchResult(status=SEARCH_NOT_FOUND, witness=None,
-                        report=best_report, screen=screen, restarts_used=used)
+                        report=min(misses, key=miss, default=None),
+                        screen=screen, restarts_used=used)

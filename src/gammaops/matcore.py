@@ -89,10 +89,6 @@ def spectral_radius(a: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
-def identity_like(a: np.ndarray) -> np.ndarray:
-    return np.eye(a.shape[0], dtype=np.complex128)
-
-
 def comm_tol(s: np.ndarray, p: np.ndarray) -> float:
     """Commutation tolerance 1e-10 * (1 + |S| |P|), operator norms."""
     return COMM_REL_TOL * (1.0 + op_norm(s) * op_norm(p))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import matcore
-from .charfn import CharFn, theta_coeffs, toeplitz_mult
+from .charfn import theta_coeffs, toeplitz_mult
 from .exceptions import NotPure, TruncationCapExceeded
 from .fundamental import FundamentalPair
 from .gamma_pair import GammaPair, PURITY_TOL
@@ -45,7 +45,6 @@ class ModelData:
     w: np.ndarray
     model_basis: matcore.RangeBasis
     tail: float
-    char_fn: CharFn
     s1: np.ndarray | None = None
     p1: np.ndarray | None = None
     t: np.ndarray | None = None
@@ -82,10 +81,11 @@ def _resolve_trunc(pair: GammaPair, n_trunc) -> int:
     return n
 
 
-def embed_w(pair: GammaPair, n_trunc, cf: CharFn) -> np.ndarray:
+def embed_w(fp: FundamentalPair, n_trunc) -> np.ndarray:
     """Stacked embedding blocks D_P* P*^k on the defect basis, k < N."""
+    pair = fp.pair
     n_trunc = _resolve_trunc(pair, n_trunc)
-    left = matcore.dagger(cf.basis_p_star.q) @ cf.defect_p_star.d
+    left = matcore.dagger(fp.defect_p_star.basis.q) @ fp.defect_p_star.d
     blocks, cur = [], np.eye(pair.n, dtype=complex)
     p_star = matcore.dagger(pair.p)
     for _ in range(n_trunc):
@@ -118,7 +118,7 @@ def _complement_identity_residual(b: np.ndarray, t_theta: np.ndarray) -> float:
     return matcore.op_norm_hermitian(matvec, m)
 
 
-def model_space(pair: GammaPair, n_trunc="auto",
+def model_space(fp: FundamentalPair, n_trunc="auto",
                 complement: bool = True) -> ModelData:
     """Embedding, orthonormal model basis and space-level residuals.
 
@@ -126,18 +126,18 @@ def model_space(pair: GammaPair, n_trunc="auto",
     cost dominates everything else; callers that only need the compressed
     operators (the equivalence confirmation) take that path.
     """
+    pair = fp.pair
     n_val = _resolve_trunc(pair, n_trunc)
-    cf = theta_coeffs(pair.p, n_val if complement else 1)
-    w = embed_w(pair, n_val, cf)
+    w = embed_w(fp, n_val)
     basis = _polar_onb(w)
     tail = matcore.op_norm(np.linalg.matrix_power(pair.p, n_val))
     iso = matcore.op_norm(matcore.dagger(w) @ w - np.eye(pair.n, dtype=complex))
     residuals = {"isometry_defect": iso}
     if complement:
         residuals["complement_identity"] = _complement_identity_residual(
-            basis.q, toeplitz_mult(cf, n_val))
+            basis.q, toeplitz_mult(theta_coeffs(fp, n_val), n_val))
     return ModelData(
-        n_trunc=n_val, w=w, model_basis=basis, tail=tail, char_fn=cf,
+        n_trunc=n_val, w=w, model_basis=basis, tail=tail,
         residuals=residuals,
     )
 
@@ -187,7 +187,7 @@ def verify_model(fp: FundamentalPair, n_trunc="auto") -> ModelData:
     intertwine_p, fstar_defect_identity.  For genuine pure pairs all of
     them sit at the truncation-tail or rounding level.
     """
-    md = model_operators(fp, model_space(fp.pair, n_trunc))
+    md = model_operators(fp, model_space(fp, n_trunc))
     residuals = dict(md.residuals)
     residuals["fstar_defect_identity"] = fstar_defect_identity_residual(fp)
     return replace(md, residuals=residuals)

@@ -6,8 +6,14 @@ from gammaops import matcore
 from gammaops.exceptions import OutsideLambdaP
 
 
+def _bare(p):
+    """Solved pair (0, P) for a characteristic function given by P alone."""
+    p = np.asarray(p, dtype=complex)
+    return g.solve_fundamental(g.validate(np.zeros_like(p), p))
+
+
 def test_scalar_blaschke_frozen():
-    cf = g.theta_coeffs(np.array([[0.25]]), 8)
+    cf = g.theta_coeffs(_bare([[0.25]]), 8)
     # (z - p) / (1 - conj(p) z) at p = 0.25, z = 0.5 is 2/7
     val = g.theta_at(cf, 0.5)
     assert val.shape == (1, 1)
@@ -19,7 +25,7 @@ def test_scalar_matches_blaschke_on_disc():
     for _ in range(60):
         p = 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         z = 0.98 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        cf = g.theta_coeffs(np.array([[p]]), 1)
+        cf = g.theta_coeffs(_bare([[p]]), 1)
         want = (z - p) / (1.0 - np.conj(p) * z)
         got = g.theta_at(cf, z)[0, 0]
         # defect-basis phases cancel, the scalar value is basis free
@@ -30,7 +36,7 @@ def test_taylor_series_resums_to_resolvent():
     rng = np.random.default_rng(16)
     for k in range(20):
         pair = g.random_pure_gamma(1 + k % 4, seed=600 + k, max_norm=0.7)
-        cf = g.theta_coeffs(pair.p, 120)
+        cf = g.theta_coeffs(g.solve_fundamental(pair), 120)
         for z in (0.2, -0.35 + 0.1j, 0.45j):
             direct = g.theta_at(cf, z)
             summed = g.theta_series_at(cf, z)
@@ -41,23 +47,24 @@ def test_theta_contractive_on_disc():
     rng = np.random.default_rng(17)
     for k in range(15):
         pair = g.random_pure_gamma(1 + k % 5, seed=700 + k)
-        cf = g.theta_coeffs(pair.p, 1)
+        cf = g.theta_coeffs(g.solve_fundamental(pair), 1)
         for _ in range(8):
             z = np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
             assert matcore.op_norm(g.theta_at(cf, z)) <= 1.0 + 1e-10
 
 
 def test_eval_outside_resolvent_set_raises():
-    cf = g.theta_coeffs(np.array([[1.0]]), 1)
+    cf = g.theta_coeffs(_bare([[1.0]]), 1)
     with pytest.raises(OutsideLambdaP):
         g.theta_at(cf, 1.0)
 
 
 def test_toeplitz_block_layout():
     pair = g.random_pure_gamma(3, seed=55)
-    cf = g.theta_coeffs(pair.p, 4)
+    fp = g.solve_fundamental(pair)
+    cf = g.theta_coeffs(fp, 4)
     t = g.toeplitz_mult(cf, 4)
-    r, rs = cf.rank_p, cf.rank_p_star
+    r, rs = fp.defect_p.rank, fp.defect_p_star.rank
     assert t.shape == (4 * rs, 4 * r)
     for i in range(4):
         for j in range(4):
@@ -70,35 +77,33 @@ def test_toeplitz_block_layout():
 
 def test_kernel_identity(corpus500):
     zs = np.array([0.1, 0.4 + 0.2j, -0.6j, 0.8])
-    for pair, _ in corpus500[:25]:
-        cf = g.theta_coeffs(pair.p, 1)
+    for _, fp in corpus500[:25]:
+        cf = g.theta_coeffs(fp, 1)
         assert g.kernel_identity_residual(cf, zs, zs) <= 1e-9
 
 
 def test_coincide_self_with_identity():
-    pair = g.random_pure_gamma(4, seed=66)
-    cf = g.theta_coeffs(pair.p, 1)
-    res = g.coincide_check(cf, cf, np.eye(cf.rank_p), np.eye(cf.rank_p_star))
+    fp = g.solve_fundamental(g.random_pure_gamma(4, seed=66))
+    res = g.coincide_check(fp, fp, np.eye(fp.defect_p.rank),
+                           np.eye(fp.defect_p_star.rank))
     assert res.coincide
     assert res.max_residual <= 1e-12
 
 
 def test_coincide_detects_distinct_scalars():
-    cf_a = g.theta_coeffs(np.array([[0.25]]), 1)
-    cf_b = g.theta_coeffs(np.array([[0.5]]), 1)
+    fp_a, fp_b = _bare([[0.25]]), _bare([[0.5]])
     # best unimodular sigma pair cannot align two different Blaschke factors
     worst_best = min(
-        g.coincide_check(cf_a, cf_b, np.array([[u]]), np.array([[v]])).max_residual
+        g.coincide_check(fp_a, fp_b, np.array([[u]]), np.array([[v]])).max_residual
         for u in np.exp(2j * np.pi * np.arange(16) / 16)
         for v in np.exp(2j * np.pi * np.arange(16) / 16))
     assert worst_best > 1e-3
 
 
 def test_coincide_rank_mismatch_flagged():
-    cf_a = g.theta_coeffs(np.array([[0.25]]), 1)
-    pair = g.random_pure_gamma(3, seed=77)
-    cf_b = g.theta_coeffs(pair.p, 1)
-    res = g.coincide_check(cf_a, cf_b, np.eye(1), np.eye(1))
+    fp_a = _bare([[0.25]])
+    fp_b = g.solve_fundamental(g.random_pure_gamma(3, seed=77))
+    res = g.coincide_check(fp_a, fp_b, np.eye(1), np.eye(1))
     assert not res.ranks_match and not res.coincide
     assert res.max_residual == float("inf")
 
@@ -110,10 +115,22 @@ def test_coincide_under_planted_conjugation():
         u = matcore.haar_unitary(pair.n, rng)
         ud = matcore.dagger(u)
         pair_b = g.validate(u @ pair.s @ ud, u @ pair.p @ ud)
-        cf_a = g.theta_coeffs(pair.p, 1)
-        cf_b = g.theta_coeffs(pair_b.p, 1)
-        sigma = matcore.dagger(cf_b.basis_p.q) @ u @ cf_a.basis_p.q
-        sigma_star = matcore.dagger(cf_b.basis_p_star.q) @ u @ cf_a.basis_p_star.q
-        res = g.coincide_check(cf_a, cf_b, sigma, sigma_star)
+        fp_a, fp_b = g.solve_fundamental(pair), g.solve_fundamental(pair_b)
+        q_a, q_b = fp_a.defect_p.basis.q, fp_b.defect_p.basis.q
+        qs_a, qs_b = fp_a.defect_p_star.basis.q, fp_b.defect_p_star.basis.q
+        sigma = matcore.dagger(q_b) @ u @ q_a
+        sigma_star = matcore.dagger(qs_b) @ u @ qs_a
+        res = g.coincide_check(fp_a, fp_b, sigma, sigma_star)
         assert res.coincide
         assert res.max_residual <= 1e-9
+
+
+def test_theta_grid_built_once_per_pair():
+    fp = g.solve_fundamental(g.random_pure_gamma(3, seed=67))
+    grid = fp.theta_grid
+    cf = g.theta_coeffs(fp, 1)
+    zs = g.default_coincidence_grid()
+    assert grid.shape == (len(zs), fp.defect_p_star.rank, fp.defect_p.rank)
+    for z, th in zip(zs, grid):
+        assert np.array_equal(th, g.theta_at(cf, z))
+    assert fp.theta_grid is grid

@@ -6,6 +6,7 @@ import pytest
 
 import gammaops as g
 from gammaops import cli, matcore
+from gammaops.invariant import MODEL_CONFIRM_TOL
 
 
 def _write(tmp_path, name, doc):
@@ -175,10 +176,12 @@ def test_compare_search_solves_and_screens_each_pair_once(
         u @ pair_a.s @ ud, u @ pair_a.p @ ud))
     solves = _count_calls(monkeypatch, g.solve_fundamental)
     screens = _count_calls(monkeypatch, g.trace_word_screen)
+    defects = _count_calls(monkeypatch, g.defect_pair)
     assert cli.main(["compare", a, b, "--search", "4"]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "EQUIVALENT"
     assert len(solves) == 2
     assert len(screens) == 1
+    assert len(defects) == 2
 
 
 def test_compare_dimension_mismatch_is_distinct(tmp_path, capsys):
@@ -219,7 +222,8 @@ def test_compare_with_witness_file(tmp_path, capsys):
     assert cli.main(["compare", a, b, "--witness", wfile]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["equivalence"]["verdict"] == "EQUIVALENT"
-    assert report["equivalence"]["model_confirmation"]["conjugation"] <= 1e-7
+    assert (report["equivalence"]["model_confirmation"]["conjugation"]
+            <= MODEL_CONFIRM_TOL)
 
     # an unrelated unitary witness fails both halves without being conclusive
     r = w.sigma.shape[0]
@@ -267,3 +271,24 @@ def test_analyze_explicit_truncation(tmp_path, capsys):
     assert cli.main(["analyze", path, "--trunc", "6", "--vn-trials", "8"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["model"]["n_trunc"] == 6
+
+
+def test_analyze_rejects_bad_counts_as_malformed_input(tmp_path, capsys):
+    path = _write(tmp_path, "p.json",
+                  _pair_doc(g.random_pure_gamma(2, seed=44, max_norm=0.8)))
+    for extra in (["--trunc", "0"], ["--trunc", "-3"], ["--trunc", "x"],
+                  ["--vn-trials", "-1"], ["--vn-trials", "abc"]):
+        assert cli.main(["analyze", path] + extra) == cli.EXIT_INPUT, extra
+        err = capsys.readouterr().err
+        assert extra[0] in err and "Traceback" not in err
+
+
+def test_usage_errors_exit_input_help_exits_ok(capsys):
+    assert cli.main([]) == cli.EXIT_INPUT
+    assert cli.main(["analyze"]) == cli.EXIT_INPUT
+    assert (cli.main(["compare", "a.json", "b.json", "--search", "x"])
+            == cli.EXIT_INPUT)
+    assert cli.main(["--help"]) == cli.EXIT_OK
+    assert cli.main(["analyze", "--help"]) == cli.EXIT_OK
+    assert cli.main(["--version"]) == cli.EXIT_OK
+    assert "gammaops" in capsys.readouterr().out

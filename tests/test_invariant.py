@@ -4,8 +4,12 @@ import pytest
 import gammaops as g
 from gammaops import matcore
 from gammaops.exceptions import DimensionMismatch, NotIntertwining, NotPure
-from gammaops.invariant import (SEARCH_DISTINCT, SEARCH_FOUND, SEARCH_NOT_FOUND,
-                                VERDICT_EQUIVALENT, VERDICT_NOT_EQUIVALENT)
+from gammaops import invariant
+from gammaops.charfn import COINCIDE_TOL
+from gammaops.invariant import (FSTAR_MATCH_TOL, MODEL_CONFIRM_TOL,
+                                SCREEN_TOL, SEARCH_DISTINCT, SEARCH_FOUND,
+                                SEARCH_NOT_FOUND, VERDICT_EQUIVALENT,
+                                VERDICT_NOT_EQUIVALENT)
 
 
 def _planted(n, seed, haar_seed, max_norm=0.75):
@@ -71,7 +75,7 @@ def test_verify_equivalence_planted():
         assert rep.coincidence.coincide
         assert rep.coincidence.max_residual <= 1e-8
         assert rep.model_confirmation is not None
-        assert rep.model_confirmation["conjugation"] <= 1e-7
+        assert rep.model_confirmation["conjugation"] <= MODEL_CONFIRM_TOL
         assert rep.model_confirmation["unitarity"] <= 1e-10
 
 
@@ -175,3 +179,37 @@ def test_search_witness_screen_blind_pair_not_found():
     out = g.search_witness(*_solved(pair_a, pair_b), restarts=3, seed=1)
     assert out.status in (SEARCH_DISTINCT, SEARCH_NOT_FOUND)
     assert out.report is None or not out.report.equivalent
+
+
+def test_search_not_found_reports_closest_candidate(monkeypatch):
+    # conjugate of (S + eps P, P): the screen passes, no witness exists
+    pair = g.random_pure_gamma(3, seed=5102, max_norm=0.8)
+    u = matcore.haar_unitary(3, np.random.default_rng(5103))
+    ud = matcore.dagger(u)
+    fp_a = g.solve_fundamental(pair)
+
+    def near(eps):
+        return g.solve_fundamental(
+            g.validate(u @ (pair.s + eps * pair.p) @ ud, u @ pair.p @ ud))
+
+    gap = g.trace_word_screen(fp_a, near(1e-6)).max_gap
+    fp_b = near(1e-6 * 0.4 * SCREEN_TOL / gap)
+    reports = []
+
+    def recorded(*args):
+        rep = verify(*args)
+        reports.append(rep)
+        return rep
+
+    verify = invariant.verify_equivalence
+    monkeypatch.setattr(invariant, "verify_equivalence", recorded)
+    out = g.search_witness(fp_a, fp_b, restarts=4, seed=0)
+    assert out.status == SEARCH_NOT_FOUND
+    fstar_bound = FSTAR_MATCH_TOL * (1.0 + matcore.op_norm(fp_a.f_star))
+
+    def miss(rep):
+        return max(rep.fstar_residual / fstar_bound,
+                   rep.coincidence.max_residual / COINCIDE_TOL)
+
+    assert len(reports) > 1
+    assert miss(out.report) == min(miss(rep) for rep in reports)

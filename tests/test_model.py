@@ -24,7 +24,7 @@ def test_embed_w_gram_identity():
     for k in range(12):
         pair = g.random_pure_gamma(1 + k % 4, seed=900 + k)
         n_val = 12
-        w = g.embed_w(pair, n_val, g.theta_coeffs(pair.p, 1))
+        w = g.embed_w(g.solve_fundamental(pair), n_val)
         pn = np.linalg.matrix_power(pair.p, n_val)
         want = np.eye(pair.n) - pn @ matcore.dagger(pn)
         assert matcore.fro_norm(matcore.dagger(w) @ w - want) <= 1e-12
@@ -32,7 +32,7 @@ def test_embed_w_gram_identity():
 
 def test_model_space_auto_residuals(pure100):
     for pair in pure100[:30]:
-        md = g.model_space(pair)
+        md = g.model_space(g.solve_fundamental(pair))
         assert md.residuals["isometry_defect"] <= 1e-10
         assert md.residuals["complement_identity"] <= 1e-8
         b = md.model_basis.q
@@ -42,7 +42,7 @@ def test_model_space_auto_residuals(pure100):
 
 def test_model_space_light_path_skips_complement():
     pair = g.random_pure_gamma(3, seed=910)
-    md = g.model_space(pair, complement=False)
+    md = g.model_space(g.solve_fundamental(pair), complement=False)
     assert "complement_identity" not in md.residuals
     assert "isometry_defect" in md.residuals
 
@@ -50,7 +50,7 @@ def test_model_space_light_path_skips_complement():
 def test_model_operator_structure():
     pair = g.random_pure_gamma(3, seed=911)
     fp = g.solve_fundamental(pair)
-    md = g.model_operators(fp, g.model_space(pair, 6))
+    md = g.model_operators(fp, g.model_space(fp, 6))
     r_star = fp.f_star.shape[0]
     shift = np.eye(6, k=-1)
     t_want = (np.kron(np.eye(6), matcore.dagger(fp.f_star))
@@ -63,7 +63,7 @@ def test_model_operator_structure():
 def test_compressions_recover_pair(pure100):
     for pair in pure100[:20]:
         fp = g.solve_fundamental(pair)
-        md = g.model_operators(fp, g.model_space(pair))
+        md = g.model_operators(fp, g.model_space(fp))
         scale = 1.0 + pair.norm_s
         assert matcore.fro_norm(md.s1 - pair.s) <= 1e-9 * scale
         assert matcore.fro_norm(md.p1 - pair.p) <= 1e-9 * scale
@@ -92,7 +92,7 @@ def test_shallow_truncation_dominated_by_tail():
     fp = g.solve_fundamental(pair)
     defects = []
     for n_val in (8, 16, 32):
-        md = g.model_operators(fp, g.model_space(pair, n_val))
+        md = g.model_operators(fp, g.model_space(fp, n_val))
         defects.append(md.residuals["intertwine_s"])
     # tail is 0.8^N, so each extra 8 levels shrinks the defect by ~0.17
     assert defects[1] <= 0.25 * defects[0]
@@ -102,6 +102,7 @@ def test_shallow_truncation_dominated_by_tail():
 def test_model_requires_pure():
     gu = g.random_gamma_unitary(3, seed=913)
     with pytest.raises(NotPure):
-        g.model_space(gu, 8)
+        g.model_space(g.solve_fundamental(gu), 8)
     with pytest.raises(TruncationCapExceeded):
-        g.model_space(g.random_pure_gamma(2, seed=914), 5000)
+        g.model_space(g.solve_fundamental(g.random_pure_gamma(2, seed=914)),
+                      5000)

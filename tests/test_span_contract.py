@@ -3,9 +3,16 @@
 import ast
 import importlib
 import inspect
+import json
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+import numpy as np
+
+import gammaops as g
+from gammaops import cli, matcore
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+TRACING = BENCHMARKS / "tracing.py"
 
 
 def _layers() -> dict:
@@ -27,3 +34,30 @@ def test_traced_spans_resolve_to_package_functions():
             fn = getattr(module, fn_name, None)
             assert inspect.isfunction(fn), f"{mod_name}.{fn_name}"
             assert fn.__module__ == module.__name__, f"{mod_name}.{fn_name}"
+
+
+def test_traced_compare_search_covers_its_spans(tmp_path, capsys, monkeypatch):
+    # the traced compare-search run fails when a refactor drops a span
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    pair = g.random_pure_gamma(3, seed=45, max_norm=0.8)
+    u = matcore.haar_unitary(3, np.random.default_rng(46))
+    ud = matcore.dagger(u)
+    paths = []
+    for name, (s, p) in (("a.json", (pair.s, pair.p)),
+                         ("b.json", (u @ pair.s @ ud, u @ pair.p @ ud))):
+        path = tmp_path / name
+        path.write_text(json.dumps(cli.pair_file_doc(s, p)))
+        paths.append(str(path))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op("compare")
+        code = cli.main(["compare", *paths, "--search", "2"])
+    finally:
+        tracer.uninstall()
+    assert code == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["verdict"] == "EQUIVALENT"
+    tracer.check_coverage(workloads._COMMON_SPANS + (
+        "charfn.theta_at", "charfn.coincide_check"), range(1))
