@@ -105,19 +105,19 @@ def kernel_identity_residual(cf: CharFn, zs, ws) -> float:
     (I - conj(z) P)^(-1) D_P*, compressed to the defect basis of P*.
     """
     p = cf.fp.pair.p
-    n = p.shape[0]
     q_star = cf.fp.defect_p_star.basis.q
     d_star = cf.fp.defect_p_star.d
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(p.shape[0], dtype=complex)
+    w_side = [(w, theta_at(cf, w), np.linalg.inv(eye - w * matcore.dagger(p)))
+              for w in map(complex, np.atleast_1d(ws))]
     worst = 0.0
     for z in np.atleast_1d(zs):
         rz = np.linalg.inv(eye - np.conj(complex(z)) * p)
         th_z = theta_at(cf, z)
-        for w in np.atleast_1d(ws):
-            rw = np.linalg.inv(eye - complex(w) * matcore.dagger(p))
+        for w, th_w, rw in w_side:
             lhs = (np.eye(q_star.shape[1], dtype=complex)
-                   - theta_at(cf, w) @ matcore.dagger(th_z))
-            rhs = ((1.0 - complex(w) * np.conj(complex(z)))
+                   - th_w @ matcore.dagger(th_z))
+            rhs = ((1.0 - w * np.conj(complex(z)))
                    * matcore.dagger(q_star) @ d_star @ rw @ rz @ d_star @ q_star)
             worst = max(worst, matcore.fro_norm(lhs - rhs))
     return worst

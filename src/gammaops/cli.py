@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from . import __version__, matcore
+from . import __version__
 from .exceptions import (
     DimensionMismatch,
     GammaOpsError,
@@ -53,7 +53,7 @@ from .invariant import (
     trace_word_screen,
     verify_equivalence,
 )
-from .model import verify_model
+from .model import TRUNCATION_CAP, verify_model
 
 SCHEMA_VERSION = "1"
 DEFAULT_SEED = 0
@@ -472,7 +472,13 @@ def _int_at_least(value: str, low: int) -> int:
 
 
 def _trunc_arg(value: str):
-    return "auto" if value == "auto" else _int_at_least(value, 1)
+    if value == "auto":
+        return value
+    n = _int_at_least(value, 1)
+    if n > TRUNCATION_CAP:
+        raise argparse.ArgumentTypeError(
+            f"expected at most {TRUNCATION_CAP} blocks, got {value!r}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -503,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = pc.add_mutually_exclusive_group()
     group.add_argument("--witness", default=None, metavar="PATH",
                        help="witness file with eta1/sigma/sigma_star")
-    group.add_argument("--search", type=int, default=20, metavar="RESTARTS",
+    group.add_argument("--search", type=lambda v: _int_at_least(v, 1),
+                       default=20, metavar="RESTARTS",
                        help="heuristic witness search restarts (default 20)")
     pc.add_argument("--seed", type=int, default=None,
                     help="search seed (default: GAMMAOPS_SEED or 0)")

@@ -181,8 +181,10 @@ def _model_confirmation(fp_a: FundamentalPair, fp_b: FundamentalPair,
     md_a, md_b = (model_operators(fp, model_space(fp, n_common,
                                                   complement=False))
                   for fp in (fp_a, fp_b))
-    eta_full = np.kron(np.eye(n_common, dtype=complex), eta1)
-    u_hat = matcore.dagger(md_b.model_basis.q) @ eta_full @ md_a.model_basis.q
+    # (I (x) eta1) B_a applies eta1 to each of the N row blocks of B_a
+    q_a = md_a.model_basis.q
+    eta_q_a = eta1 @ q_a.reshape(n_common, eta1.shape[1], q_a.shape[1])
+    u_hat = matcore.dagger(md_b.model_basis.q) @ eta_q_a.reshape(q_a.shape)
     conj = max(
         matcore.fro_norm(u_hat @ md_a.s1 @ matcore.dagger(u_hat) - md_b.s1),
         matcore.fro_norm(u_hat @ md_a.p1 @ matcore.dagger(u_hat) - md_b.p1))
@@ -416,6 +418,8 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
     candidate with the smallest miss, the larger of its two residuals over
     their tolerances.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     _require_pure(fp_a, fp_b)
     pair_a, pair_b = fp_a.pair, fp_b.pair
     # a mismatch includes any difference in defect ranks
@@ -430,10 +434,9 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
     misses: list[EquivalenceReport] = []
     used = 0
 
-    total = max(1, restarts)
-    warm = _intertwiner_starts(pair_a, pair_b, min(4, total), rng)
-    starts = warm[:total - 1] + [np.eye(n, dtype=complex)]
-    for k in range(total):
+    warm = _intertwiner_starts(pair_a, pair_b, min(4, restarts), rng)
+    starts = warm[:restarts - 1] + [np.eye(n, dtype=complex)]
+    for k in range(restarts):
         used = k + 1
         u0 = starts[k] if k < len(starts) else matcore.haar_unitary(n, rng)
         u = _ambient_procrustes(pair_a, pair_b, u0)
@@ -451,7 +454,7 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
 
     cf_a, cf_b = theta_coeffs(fp_a, 1), theta_coeffs(fp_b, 1)
     samples = [(theta_at(cf_a, z), theta_at(cf_b, z)) for z in _search_grid()]
-    for k in range(total):
+    for k in range(restarts):
         used += 1
         if k == 0:
             sigma0 = np.eye(r, dtype=complex)

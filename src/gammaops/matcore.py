@@ -109,10 +109,6 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return fro_norm(a - dagger(a))
 
 
-def is_hermitian(a: np.ndarray) -> bool:
-    return hermiticity_defect(a) <= HERM_REL_TOL * max(fro_norm(a), 1e-300)
-
-
 def is_normal(a: np.ndarray) -> bool:
     if a.size == 0:
         return True

@@ -37,7 +37,7 @@ class ModelData:
     """Truncated model of one pure pair.
 
     ``w`` is the embedding, ``model_basis`` its orthonormalization (rank n),
-    ``s1``/``p1`` the compressions of ``t``/``v`` to the model space, and
+    ``s1``/``p1`` the compressions of T/V to the model space, and
     ``residuals`` collects the verification ledger.
     """
 
@@ -47,8 +47,6 @@ class ModelData:
     tail: float
     s1: np.ndarray | None = None
     p1: np.ndarray | None = None
-    t: np.ndarray | None = None
-    v: np.ndarray | None = None
     residuals: dict = None
 
 
@@ -111,8 +109,9 @@ def _complement_identity_residual(b: np.ndarray, t_theta: np.ndarray) -> float:
         return matcore.op_norm(full)
 
     def matvec(x):
+        # conj(conj(x) T_Theta) applies T_Theta* without copying it
         y = b @ (matcore.dagger(b) @ x)
-        y += t_theta @ (matcore.dagger(t_theta) @ x)
+        y += t_theta @ np.conj(np.conj(x) @ t_theta)
         return y - x
 
     return matcore.op_norm_hermitian(matvec, m)
@@ -136,38 +135,33 @@ def model_space(fp: FundamentalPair, n_trunc="auto",
     if complement:
         residuals["complement_identity"] = _complement_identity_residual(
             basis.q, toeplitz_mult(theta_coeffs(fp, n_val), n_val))
-    return ModelData(
-        n_trunc=n_val, w=w, model_basis=basis, tail=tail,
-        residuals=residuals,
-    )
+    return ModelData(n_trunc=n_val, w=w, model_basis=basis, tail=tail,
+                     residuals=residuals)
 
 
 def model_operators(fp: FundamentalPair, md: ModelData) -> ModelData:
-    """Complete a model with the shifted operators and their compressions."""
-    pair = fp.pair
-    n_val = md.n_trunc
-    f_star = fp.f_star
-    r_star = f_star.shape[0]
-    m = n_val * r_star
-    # I (x) F_*^adj + shift (x) F_* and shift (x) I, assembled blockwise to
-    # keep one allocation per operator at large truncations.
-    t = np.zeros((m, m), dtype=complex)
+    """Complete a model with the compressions of T and V and their residuals.
+
+    T and V act on the N row blocks of B and W without being formed:
+    (T B)_k = F_*^adj B_k + F_* B_{k-1}, (V B)_k = B_{k-1},
+    (T* W)_k = F_* W_k + F_*^adj W_{k+1} and (V* W)_k = W_{k+1}, W_N = 0.
+    """
+    pair, f_star = fp.pair, fp.f_star
     f_star_adj = matcore.dagger(f_star)
-    for i in range(n_val):
-        t[i * r_star:(i + 1) * r_star, i * r_star:(i + 1) * r_star] = f_star_adj
-        if i:
-            t[i * r_star:(i + 1) * r_star, (i - 1) * r_star:i * r_star] = f_star
-    v = np.eye(m, k=-r_star, dtype=complex)
-    b = md.model_basis.q
-    s1 = matcore.dagger(b) @ t @ b
-    p1 = matcore.dagger(b) @ v @ b
-    w = md.w
+    b, w, r_star = md.model_basis.q, md.w, f_star.shape[0]
+    blocks = (md.n_trunc, r_star, pair.n)
+    t_b = f_star_adj @ b.reshape(blocks)
+    t_b[1:] += f_star @ b.reshape(blocks)[:-1]
+    t_adj_w = f_star @ w.reshape(blocks)
+    t_adj_w[:-1] += f_star_adj @ w.reshape(blocks)[1:]
+    res_p = w @ matcore.dagger(pair.p)
+    res_p[:-r_star] -= w[r_star:]
     residuals = dict(md.residuals)
     residuals["intertwine_s"] = matcore.fro_norm(
-        w @ matcore.dagger(pair.s) - matcore.dagger(t) @ w)
-    residuals["intertwine_p"] = matcore.fro_norm(
-        w @ matcore.dagger(pair.p) - matcore.dagger(v) @ w)
-    return replace(md, s1=s1, p1=p1, t=t, v=v, residuals=residuals)
+        w @ matcore.dagger(pair.s) - t_adj_w.reshape(w.shape))
+    residuals["intertwine_p"] = matcore.fro_norm(res_p)
+    return replace(md, s1=matcore.dagger(b) @ t_b.reshape(b.shape),
+                   p1=matcore.dagger(b[r_star:]) @ b[:-r_star], residuals=residuals)
 
 
 def fstar_defect_identity_residual(fp: FundamentalPair) -> float:

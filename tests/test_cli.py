@@ -283,6 +283,29 @@ def test_analyze_rejects_bad_counts_as_malformed_input(tmp_path, capsys):
         assert extra[0] in err and "Traceback" not in err
 
 
+def test_analyze_truncation_above_cap_is_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, "p.json",
+                  _pair_doc(g.random_pure_gamma(2, seed=45, max_norm=0.8)))
+    assert cli.main(["analyze", path, "--trunc", "5000"]) == cli.EXIT_INPUT
+    assert "--trunc" in capsys.readouterr().err
+    # auto truncation that misses its target below the cap stays a breach
+    slow = _write(tmp_path, "slow.json", _pair_doc(g.symmetrized_pair(
+        np.array([[0.999]]), np.array([[0.996]]))))
+    assert cli.main(["analyze", slow, "--vn-trials", "8"]) == cli.EXIT_BREACH
+    report = json.loads(capsys.readouterr().out)
+    assert report["breaches"] == [
+        f"|P^N| did not reach 1.0e-12 for N <= {cli.TRUNCATION_CAP}"]
+
+
+def test_compare_search_rejects_restarts_below_one(tmp_path, capsys):
+    path = _write(tmp_path, "p.json",
+                  _pair_doc(g.random_pure_gamma(2, seed=46, max_norm=0.8)))
+    for restarts in ("0", "-3"):
+        assert (cli.main(["compare", path, path, "--search", restarts])
+                == cli.EXIT_INPUT)
+        assert "--search" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_input_help_exits_ok(capsys):
     assert cli.main([]) == cli.EXIT_INPUT
     assert cli.main(["analyze"]) == cli.EXIT_INPUT

@@ -213,3 +213,10 @@ def test_search_not_found_reports_closest_candidate(monkeypatch):
 
     assert len(reports) > 1
     assert miss(out.report) == min(miss(rep) for rep in reports)
+
+
+def test_search_witness_rejects_restarts_below_one():
+    fp = g.solve_fundamental(g.random_pure_gamma(2, seed=4103))
+    for restarts in (0, -3):
+        with pytest.raises(ValueError):
+            g.search_witness(fp, fp, restarts=restarts, seed=0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gammaops as g
-from gammaops import matcore
+from gammaops import invariant, matcore, model
 from gammaops.exceptions import NotPure, TruncationCapExceeded
 
 
@@ -47,17 +47,74 @@ def test_model_space_light_path_skips_complement():
     assert "isometry_defect" in md.residuals
 
 
+def _dense_t_v(fp, n_val):
+    """Oracle: T = I (x) F_*^adj + shift (x) F_* and V = shift (x) I as arrays."""
+    shift = np.eye(n_val, k=-1)
+    t = (np.kron(np.eye(n_val), matcore.dagger(fp.f_star))
+         + np.kron(shift, fp.f_star))
+    return t, np.kron(shift, np.eye(fp.f_star.shape[0]))
+
+
 def test_model_operator_structure():
-    pair = g.random_pure_gamma(3, seed=911)
+    # blockwise compressions and residuals against the dense Kronecker forms
+    for n_val, seed in ((1, 911), (6, 911), (9, 915)):
+        pair = g.random_pure_gamma(3, seed=seed)
+        fp = g.solve_fundamental(pair)
+        md = g.model_operators(fp, g.model_space(fp, n_val))
+        t, v = _dense_t_v(fp, n_val)
+        b, w = md.model_basis.q, md.w
+        bh = matcore.dagger(b)
+        assert matcore.fro_norm(md.s1 - bh @ t @ b) <= 1e-13
+        assert matcore.fro_norm(md.p1 - bh @ v @ b) <= 1e-13
+        want_s = matcore.fro_norm(
+            w @ matcore.dagger(pair.s) - matcore.dagger(t) @ w)
+        want_p = matcore.fro_norm(
+            w @ matcore.dagger(pair.p) - matcore.dagger(v) @ w)
+        assert abs(md.residuals["intertwine_s"] - want_s) <= 1e-13
+        assert abs(md.residuals["intertwine_p"] - want_p) <= 1e-13
+        assert not hasattr(md, "t") and not hasattr(md, "v")
+
+
+def test_model_confirmation_matches_kronecker_form():
+    # u_hat = B_b* (I (x) eta1) B_a; a non-witness eta1 keeps both residuals O(1)
+    fp_a, fp_b = (g.solve_fundamental(g.random_pure_gamma(3, seed=s))
+                  for s in (917, 918))
+    r_star = fp_a.f_star.shape[0]
+    assert fp_b.f_star.shape[0] == r_star
+    eta1 = matcore.haar_unitary(r_star, np.random.default_rng(919))
+    got = invariant._model_confirmation(fp_a, fp_b, eta1)
+    n_val = int(got["n_trunc"])
+    compressed = []
+    for fp in (fp_a, fp_b):
+        b = g.model_space(fp, n_val, complement=False).model_basis.q
+        bh = matcore.dagger(b)
+        t, v = _dense_t_v(fp, n_val)
+        compressed.append((b, bh @ t @ b, bh @ v @ b))
+    (b_a, s_a, p_a), (b_b, s_b, p_b) = compressed
+    u_hat = matcore.dagger(b_b) @ np.kron(np.eye(n_val), eta1) @ b_a
+    uh = matcore.dagger(u_hat)
+    want_conj = max(matcore.fro_norm(u_hat @ s_a @ uh - s_b),
+                    matcore.fro_norm(u_hat @ p_a @ uh - p_b))
+    assert want_conj >= 1e-3
+    assert abs(got["unitarity"] - invariant.unitarity_defect(u_hat)) <= 1e-13
+    assert abs(got["conjugation"] - want_conj) <= 1e-13
+
+
+def test_complement_power_branch_matches_dense():
+    # above the dense limit the residual comes from power iteration; a
+    # stretched basis column puts it far above rounding
+    pair = g.random_pure_gamma(2, seed=916)
     fp = g.solve_fundamental(pair)
-    md = g.model_operators(fp, g.model_space(fp, 6))
-    r_star = fp.f_star.shape[0]
-    shift = np.eye(6, k=-1)
-    t_want = (np.kron(np.eye(6), matcore.dagger(fp.f_star))
-              + np.kron(shift, fp.f_star))
-    v_want = np.kron(shift, np.eye(r_star))
-    assert np.array_equal(md.t, t_want)
-    assert np.array_equal(md.v, v_want)
+    n_val = model._DENSE_LIMIT // fp.f_star.shape[0] + 1
+    b = g.model_space(fp, n_val, complement=False).model_basis.q.copy()
+    b[:, 0] *= 1.05
+    t_theta = g.toeplitz_mult(g.theta_coeffs(fp, n_val), n_val)
+    m = b.shape[0]
+    assert m > model._DENSE_LIMIT and np.iscomplexobj(pair.p)
+    dense = matcore.op_norm(b @ matcore.dagger(b)
+                            + t_theta @ matcore.dagger(t_theta) - np.eye(m))
+    assert dense >= 0.05
+    assert abs(model._complement_identity_residual(b, t_theta) - dense) <= 1e-9 * dense
 
 
 def test_compressions_recover_pair(pure100):
