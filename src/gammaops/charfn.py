@@ -20,12 +20,6 @@ from .exceptions import OutsideLambdaP
 if TYPE_CHECKING:
     from .fundamental import FundamentalPair
 
-#: sigma_min floor for I - z P* at evaluation points.
-EVAL_FLOOR = 1e-12
-
-#: Residual level declaring two characteristic functions coincident.
-COINCIDE_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class CharFn:
@@ -63,7 +57,7 @@ def theta_at(cf: CharFn, z: complex) -> np.ndarray:
     n = p.shape[0]
     m = np.eye(n, dtype=complex) - z * matcore.dagger(p)
     smin = float(np.linalg.svd(m, compute_uv=False)[-1]) if n else 1.0
-    if smin <= EVAL_FLOOR:
+    if smin <= matcore.EVAL_FLOOR:
         raise OutsideLambdaP(f"I - z P* has sigma_min = {smin:.3e} at z = {z}")
     core = -p + z * (fp.defect_p_star.d @ np.linalg.solve(m, fp.defect_p.d))
     return matcore.dagger(fp.defect_p_star.basis.q) @ core @ fp.defect_p.basis.q
@@ -139,7 +133,7 @@ class CoincidenceResult:
 
     @property
     def coincide(self) -> bool:
-        return self.ranks_match and self.max_residual <= COINCIDE_TOL
+        return self.ranks_match and self.max_residual <= matcore.COINCIDE_TOL
 
 
 def coincide_check(fp_a: FundamentalPair, fp_b: FundamentalPair, sigma: np.ndarray,

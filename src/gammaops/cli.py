@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, matcore
 from .exceptions import (
     DimensionMismatch,
     GammaOpsError,
@@ -53,7 +53,7 @@ from .invariant import (
     trace_word_screen,
     verify_equivalence,
 )
-from .model import TRUNCATION_CAP, verify_model
+from .model import verify_model
 
 SCHEMA_VERSION = "1"
 DEFAULT_SEED = 0
@@ -65,10 +65,6 @@ EXIT_BREACH = 3
 EXIT_DISTINCT = 4
 EXIT_INCONCLUSIVE = 5
 EXIT_NOT_PURE = 6
-
-RESIDUAL_BREACH_TOL = 1e-8
-RADIUS_BREACH_TOL = 1e-8
-MODEL_BREACH_TOL = 1e-7
 
 VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
 
@@ -189,10 +185,9 @@ def _resolve_seed(explicit: int | None) -> int:
     env = os.environ.get("GAMMAOPS_SEED")
     if env is not None:
         try:
-            return int(env)
-        except ValueError as exc:
-            raise PairFileError(
-                f"GAMMAOPS_SEED: expected an integer, got {env!r}") from exc
+            return _int_at_least(env, 0)
+        except argparse.ArgumentTypeError as exc:
+            raise PairFileError(f"GAMMAOPS_SEED: {exc}") from exc
     return DEFAULT_SEED
 
 
@@ -206,6 +201,13 @@ def _emit(report: dict, json_path: str | None) -> None:
             raise PairFileError(f"{json_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _finish(report: dict, args, t0: float, code: int) -> int:
+    """Stamp the elapsed time, emit the report and return the exit code."""
+    report["elapsed_s"] = time.perf_counter() - t0
+    _emit(report, args.json)
+    return code
 
 
 def _tool_block() -> dict:
@@ -240,9 +242,7 @@ def cmd_analyze(args) -> int:
     except NotCommuting as exc:
         report["error"] = str(exc)
         report["verdict"] = "not-gamma-contraction"
-        report["elapsed_s"] = time.perf_counter() - t0
-        _emit(report, args.json)
-        return EXIT_NOT_GAMMA
+        return _finish(report, args, t0, EXIT_NOT_GAMMA)
 
     probe = vn_probe(pair, trials=args.vn_trials, seed=seed)
     report["probe"] = {
@@ -273,16 +273,16 @@ def cmd_analyze(args) -> int:
             "w_f_star": fp.w_f_star,
             "pf_intertwine": pf_res,
         }
-        if fp.residual_f > RESIDUAL_BREACH_TOL * scale:
+        if fp.residual_f > matcore.RESIDUAL_BREACH_TOL * scale:
             breaches.append(f"fundamental equation residual {fp.residual_f:.3e}")
-        if fp.residual_f_star > RESIDUAL_BREACH_TOL * scale:
+        if fp.residual_f_star > matcore.RESIDUAL_BREACH_TOL * scale:
             breaches.append(
                 f"adjoint fundamental equation residual {fp.residual_f_star:.3e}")
-        if fp.w_f > 1.0 + RADIUS_BREACH_TOL:
+        if fp.w_f > 1.0 + matcore.RADIUS_BREACH_TOL:
             breaches.append(f"numerical radius of F is {fp.w_f:.12g}")
-        if fp.w_f_star > 1.0 + RADIUS_BREACH_TOL:
+        if fp.w_f_star > 1.0 + matcore.RADIUS_BREACH_TOL:
             breaches.append(f"numerical radius of F_star is {fp.w_f_star:.12g}")
-        if pf_res > RESIDUAL_BREACH_TOL * scale:
+        if pf_res > matcore.RESIDUAL_BREACH_TOL * scale:
             breaches.append(f"PF intertwining residual {pf_res:.3e}")
     except NotContraction as exc:
         report["fundamental"] = None
@@ -303,7 +303,8 @@ def cmd_analyze(args) -> int:
             }
             # explicit shallow truncations legitimately carry O(tail) error
             scale = 1.0 + pair.norm_s
-            limit = MODEL_BREACH_TOL * scale + 10.0 * md.tail * scale
+            limit = (matcore.MODEL_BREACH_TOL * scale
+                     + matcore.TAIL_SLACK * md.tail * scale)
             for key, value in md.residuals.items():
                 if value > limit:
                     breaches.append(f"model residual {key} = {value:.3e}")
@@ -320,9 +321,7 @@ def cmd_analyze(args) -> int:
     else:
         report["verdict"] = "ok"
         code = EXIT_OK
-    report["elapsed_s"] = time.perf_counter() - t0
-    _emit(report, args.json)
-    return code
+    return _finish(report, args, t0, code)
 
 
 def _witness_block(w: Witness) -> dict:
@@ -358,6 +357,7 @@ def cmd_compare(args) -> int:
     seed = _resolve_seed(args.seed)
     s_a, p_a, meta_a = load_pair_file(args.input_a)
     s_b, p_b, meta_b = load_pair_file(args.input_b)
+    witness = load_witness_file(args.witness) if args.witness else None
     report = {
         "tool": _tool_block(),
         "inputs": [
@@ -375,11 +375,9 @@ def cmd_compare(args) -> int:
         raise PairFileError(f"not a usable pair: {exc}") from exc
     if not (pair_a.flags.pure and pair_b.flags.pure):
         report["verdict"] = "purity-violation"
-        report["elapsed_s"] = time.perf_counter() - t0
-        _emit(report, args.json)
-        return EXIT_NOT_PURE
+        return _finish(report, args, t0, EXIT_NOT_PURE)
 
-    if args.witness:
+    if witness is not None:
         screen = trace_word_screen(fp_a, fp_b)
     else:
         result = search_witness(fp_a, fp_b, restarts=args.search, seed=seed)
@@ -392,12 +390,9 @@ def cmd_compare(args) -> int:
     if screen.mismatch:
         report["verdict"] = VERDICT_NOT_EQUIVALENT
         report["conclusive"] = True
-        report["elapsed_s"] = time.perf_counter() - t0
-        _emit(report, args.json)
-        return EXIT_DISTINCT
+        return _finish(report, args, t0, EXIT_DISTINCT)
 
-    if args.witness:
-        witness = load_witness_file(args.witness)
+    if witness is not None:
         report["witness_source"] = "file"
         try:
             rep = verify_equivalence(fp_a, fp_b, witness)
@@ -407,11 +402,9 @@ def cmd_compare(args) -> int:
         report["equivalence"] = _equivalence_block(rep)
         report["verdict"] = (rep.verdict if rep.equivalent or rep.conclusive
                              else VERDICT_INCONCLUSIVE)
-        report["elapsed_s"] = time.perf_counter() - t0
-        _emit(report, args.json)
-        if rep.equivalent:
-            return EXIT_OK
-        return EXIT_DISTINCT if rep.conclusive else EXIT_INCONCLUSIVE
+        code = (EXIT_OK if rep.equivalent
+                else EXIT_DISTINCT if rep.conclusive else EXIT_INCONCLUSIVE)
+        return _finish(report, args, t0, code)
 
     report["witness_source"] = "search"
     report["search"] = {"status": result.status,
@@ -429,9 +422,7 @@ def cmd_compare(args) -> int:
     else:
         report["verdict"] = VERDICT_INCONCLUSIVE
         code = EXIT_INCONCLUSIVE
-    report["elapsed_s"] = time.perf_counter() - t0
-    _emit(report, args.json)
-    return code
+    return _finish(report, args, t0, code)
 
 
 def cmd_generate(args) -> int:
@@ -440,8 +431,7 @@ def cmd_generate(args) -> int:
         return EXIT_INPUT
     seed = _resolve_seed(args.seed)
     if args.kind == "symmetrized":
-        # 0.85 keeps rho(P) <= 0.7225 so auto truncation stays desk-sized
-        pair = random_pure_gamma(args.dim, seed, max_norm=0.85)
+        pair = random_pure_gamma(args.dim, seed, max_norm=matcore.GENERATE_MAX_NORM)
     else:
         pair = random_gamma_unitary(args.dim, seed)
     metadata = {"kind": args.kind, "seed": seed,
@@ -475,9 +465,9 @@ def _trunc_arg(value: str):
     if value == "auto":
         return value
     n = _int_at_least(value, 1)
-    if n > TRUNCATION_CAP:
+    if n > matcore.TRUNCATION_CAP:
         raise argparse.ArgumentTypeError(
-            f"expected at most {TRUNCATION_CAP} blocks, got {value!r}")
+            f"expected at most {matcore.TRUNCATION_CAP} blocks, got {value!r}")
     return n
 
 
@@ -495,9 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--trunc", type=_trunc_arg, default="auto",
                     help="model truncation: block count or 'auto'")
     pa.add_argument("--vn-trials", type=lambda v: _int_at_least(v, 0),
-                    default=200,
+                    default=matcore.PROBE_TRIALS,
                     help="random polynomials in the spectral-set probe")
-    pa.add_argument("--seed", type=int, default=None,
+    pa.add_argument("--seed", type=lambda v: _int_at_least(v, 0), default=None,
                     help="probe seed (default: GAMMAOPS_SEED or 0)")
     pa.add_argument("--json", default=None, metavar="PATH",
                     help="write the report here instead of stdout")
@@ -510,9 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--witness", default=None, metavar="PATH",
                        help="witness file with eta1/sigma/sigma_star")
     group.add_argument("--search", type=lambda v: _int_at_least(v, 1),
-                       default=20, metavar="RESTARTS",
-                       help="heuristic witness search restarts (default 20)")
-    pc.add_argument("--seed", type=int, default=None,
+                       default=matcore.SEARCH_RESTARTS, metavar="RESTARTS",
+                       help="heuristic witness search restarts (default %(default)s)")
+    pc.add_argument("--seed", type=lambda v: _int_at_least(v, 0), default=None,
                     help="search seed (default: GAMMAOPS_SEED or 0)")
     pc.add_argument("--json", default=None, metavar="PATH",
                     help="write the report here instead of stdout")
@@ -520,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("generate", help="write a random pair file")
     pg.add_argument("--dim", type=int, required=True, help="matrix size")
-    pg.add_argument("--seed", type=int, default=None,
+    pg.add_argument("--seed", type=lambda v: _int_at_least(v, 0), default=None,
                     help="generator seed (default: GAMMAOPS_SEED or 0)")
     pg.add_argument("--kind", choices=("symmetrized", "gamma-unitary"),
                     default="symmetrized")

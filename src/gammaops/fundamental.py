@@ -21,27 +21,18 @@ import numpy as np
 from . import matcore
 from .charfn import default_coincidence_grid, theta_at, theta_coeffs
 from .exceptions import NotContraction, NumericalContractBreach
-from .gamma_pair import CONTRACTION_TOL, GammaPair
-
-#: Eigenvalue clamp used when forming defect Gramians; looser than the
-#: global default because |P| may legitimately reach 1 + 1e-10.
-DEFECT_EIG_CLAMP = 1e-9
-
-#: The commuting-lift identity P D_P = D_P* P must hold to this accuracy.
-DEFECT_INTERTWINE_TOL = 1e-9
+from .gamma_pair import GammaPair
 
 
 @dataclass(frozen=True)
 class DefectData:
     """Defect operator with an orthonormal basis of its range.
 
-    ``which`` records the side: "for_P" carries D_P = (I - P*P)^(1/2),
-    "for_P_star" carries D_P* = (I - PP*)^(1/2).
+    ``d`` is D_P = (I - P*P)^(1/2) or D_P* = (I - PP*)^(1/2), see :func:`defect`.
     """
 
     d: np.ndarray
     basis: matcore.RangeBasis
-    which: str
 
     @property
     def rank(self) -> int:
@@ -49,20 +40,20 @@ class DefectData:
 
 
 def defect(p, which: str = "for_P") -> DefectData:
-    """Defect operator and range basis for a contraction."""
+    """Defect operator and range basis of a contraction on the side ``which``."""
     if which not in ("for_P", "for_P_star"):
         raise ValueError(f"which must be 'for_P' or 'for_P_star', got {which!r}")
     p = matcore.as_cmatrix(p, square=True, name="P")
     norm_p = matcore.op_norm(p)
-    if norm_p > 1.0 + CONTRACTION_TOL:
+    if norm_p > 1.0 + matcore.CONTRACTION_TOL:
         raise NotContraction(f"|P| = {norm_p:.12g} exceeds 1")
     gram = (np.eye(p.shape[0]) - matcore.dagger(p) @ p if which == "for_P"
             else np.eye(p.shape[0]) - p @ matcore.dagger(p))
     # exact-arithmetic Hermitian; symmetrize so roundoff in a near-zero
     # Gramian (P close to unitary) cannot trip the relative check
     gram = 0.5 * (gram + matcore.dagger(gram))
-    d = matcore.herm_sqrt_psd(gram, eig_clamp=DEFECT_EIG_CLAMP)
-    return DefectData(d=d, basis=matcore.range_onb(d), which=which)
+    d = matcore.herm_sqrt_psd(gram, eig_clamp=matcore.DEFECT_EIG_CLAMP)
+    return DefectData(d=d, basis=matcore.range_onb(d))
 
 
 def defect_pair(p) -> tuple[DefectData, DefectData]:
@@ -71,9 +62,10 @@ def defect_pair(p) -> tuple[DefectData, DefectData]:
     dps = defect(p, "for_P_star")
     p = matcore.as_cmatrix(p, square=True, name="P")
     resid = matcore.fro_norm(p @ dp.d - dps.d @ p)
-    if resid > DEFECT_INTERTWINE_TOL:
+    if resid > matcore.DEFECT_INTERTWINE_TOL:
         raise NumericalContractBreach(
-            f"|P D_P - D_P* P| = {resid:.3e} exceeds {DEFECT_INTERTWINE_TOL:.1e}")
+            f"|P D_P - D_P* P| = {resid:.3e} exceeds "
+            f"{matcore.DEFECT_INTERTWINE_TOL:.1e}")
     return dp, dps
 
 

@@ -14,13 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from . import matcore
 from .exceptions import SingularDenominator
-
-#: Default classification tolerance on root moduli.
-CLASSIFY_TOL = 1e-9
-
-#: Best grid points that the refined sup norm polishes locally.
-REFINE_STARTS = 3
 
 
 class Region(enum.Enum):
@@ -44,16 +39,16 @@ class SymPoint:
 class DiscAutomorphism:
     """Disc automorphism z -> beta (z - a) / (1 - conj(a) z).
 
-    Requires |a| < 1 (with a small safety margin) and |beta| = 1.
+    Requires |a| < 1 and |beta| = 1, both with the margin DISC_MARGIN.
     """
 
     a: complex
     beta: complex
 
     def __post_init__(self):
-        if abs(self.a) >= 1.0 - 1e-12:
+        if abs(self.a) >= 1.0 - matcore.DISC_MARGIN:
             raise ValueError(f"|a| = {abs(self.a):.6g} must be < 1")
-        if abs(abs(self.beta) - 1.0) > 1e-12:
+        if abs(abs(self.beta) - 1.0) > matcore.DISC_MARGIN:
             raise ValueError(f"|beta| = {abs(self.beta):.6g} must equal 1")
 
     def apply(self, z: complex) -> complex:
@@ -78,16 +73,16 @@ def roots_of_sym_point(pt: SymPoint) -> tuple[complex, complex]:
     return complex(z1), complex(z2)
 
 
-def classify_point(pt: SymPoint, tol: float = CLASSIFY_TOL) -> Region:
-    """Classify a symmetrized point by the moduli of its roots."""
+def classify_point(pt: SymPoint) -> Region:
+    """Classify a symmetrized point by the moduli of its roots, to POINT_TOL."""
     z1, z2 = roots_of_sym_point(pt)
     big, small = max(abs(z1), abs(z2)), min(abs(z1), abs(z2))
-    if big > 1.0 + tol:
+    if big > 1.0 + matcore.POINT_TOL:
         return Region.OUTSIDE
-    if big < 1.0 - tol:
+    if big < 1.0 - matcore.POINT_TOL:
         return Region.INTERIOR_G
     # big is on the unit circle within tolerance
-    if small >= 1.0 - tol:
+    if small >= 1.0 - matcore.POINT_TOL:
         return Region.DISTINGUISHED_BGAMMA
     return Region.BOUNDARY_GAMMA
 
@@ -102,7 +97,7 @@ def mobius_point(pt: SymPoint, m: DiscAutomorphism) -> SymPoint:
     a, beta = complex(m.a), complex(m.beta)
     ac = np.conj(a)
     q = 1.0 - ac * s + ac * ac * p
-    if abs(q) < 1e-14:
+    if abs(q) < matcore.RESOLVENT_FLOOR:
         raise SingularDenominator(f"denominator {abs(q):.3e} at (s, p) = ({s}, {p})")
     s_new = beta * ((1.0 + abs(a) ** 2) * s - 2.0 * ac * p - 2.0 * a) / q
     p_new = beta * beta * (p - a * s + a * a) / q
@@ -142,34 +137,32 @@ def eval_matrix_sym_poly(coeffs, s_mat: np.ndarray, p_mat: np.ndarray) -> np.nda
     return out
 
 
-def _torus_values(coeffs, grid_n: int) -> np.ndarray:
-    z = np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
+def _torus_values(coeffs) -> np.ndarray:
+    z = np.exp(2j * np.pi * np.arange(matcore.SUP_GRID_N) / matcore.SUP_GRID_N)
     z1, z2 = np.meshgrid(z, z)
     return np.abs(eval_sym_poly(coeffs, z1 + z2, z1 * z2))
 
 
-def sup_norm_on_gamma(coeffs, grid_n: int = 64) -> float:
-    """Max of |poly(z1 + z2, z1 z2)| over the grid z_j = e^{2 pi i k / grid_n}.
+def sup_norm_on_gamma(coeffs) -> float:
+    """Max of |poly(z1 + z2, z1 z2)| over the grid z_j = e^{2 pi i k / SUP_GRID_N}.
 
     The maximum principle puts the sup over the whole domain on the
     distinguished boundary, so this is a lower estimate converging from
-    below as ``grid_n`` grows.
+    below as the grid grows.
     """
-    if grid_n < 8:
-        raise ValueError("grid_n must be at least 8")
-    return float(_torus_values(coeffs, grid_n).max())
+    return float(_torus_values(coeffs).max())
 
 
-def sup_norm_on_gamma_refined(coeffs, grid_n: int = 64) -> float:
+def sup_norm_on_gamma_refined(coeffs) -> float:
     """Grid estimate polished by local maximization on the torus.
 
     Still a lower bound for the true sup, but typically accurate to about
     1e-10 relative for the low-degree polynomials used by the probes.
     """
-    vals = _torus_values(coeffs, grid_n)
+    vals = _torus_values(coeffs)
     best = float(vals.max())
-    flat = np.argsort(vals, axis=None)[::-1][:REFINE_STARTS]
-    step = 2.0 * np.pi / grid_n
+    flat = np.argsort(vals, axis=None)[::-1][:matcore.REFINE_STARTS]
+    step = 2.0 * np.pi / matcore.SUP_GRID_N
 
     def neg_abs(theta):
         w1, w2 = np.exp(1j * theta[0]), np.exp(1j * theta[1])
@@ -179,6 +172,6 @@ def sup_norm_on_gamma_refined(coeffs, grid_n: int = 64) -> float:
         i, j = np.unravel_index(idx, vals.shape)
         x0 = np.array([step * j, step * i])
         res = minimize(neg_abs, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 400})
+                       options=matcore.REFINE_OPTIONS)
         best = max(best, float(-res.fun))
     return best

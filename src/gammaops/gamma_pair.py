@@ -27,28 +27,6 @@ from .gamma_domain import (
     sup_norm_on_gamma_refined,
 )
 
-#: Spectral-radius margin below one for purity.
-PURITY_TOL = 1e-10
-
-#: Operator-norm slack on the contraction bound for P.
-CONTRACTION_TOL = 1e-10
-
-#: Absolute slack on the bound |S| <= 2.
-S_BOUND_TOL = 1e-9
-
-#: Classification tolerance used on joint eigenvalues of validated pairs.
-POINT_TOL = 1e-8
-
-#: A probe ratio above 1 + this margin certifies a von Neumann violation.
-PROBE_CERT_MARGIN = 1e-6
-
-#: Eigenvalues of P*P and PP* within this window of 1 count as unitary
-#: directions when splitting off the unitary part.
-UNITARY_EIG_TOL = 1e-10
-
-#: Relative leak of S off the unitary subspace that still counts as reducing.
-REDUCING_LEAK_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class PairFlags:
@@ -99,14 +77,13 @@ def validate(s, p) -> GammaPair:
     norm_s, norm_p = matcore.op_norm(s), matcore.op_norm(p)
     rho_p = matcore.spectral_radius(p)
     points = tuple(SymPoint(*t) for t in matcore.joint_eigs_commuting(s, p))
-    in_gamma = all(classify_point(pt, tol=POINT_TOL) is not Region.OUTSIDE
-                   for pt in points)
+    in_gamma = all(classify_point(pt) is not Region.OUTSIDE for pt in points)
     flags = PairFlags(
         commuting=True,
-        contraction=norm_p <= 1.0 + CONTRACTION_TOL,
-        s_bound=norm_s <= 2.0 + S_BOUND_TOL,
+        contraction=norm_p <= 1.0 + matcore.CONTRACTION_TOL,
+        s_bound=norm_s <= 2.0 + matcore.S_BOUND_TOL,
         spectrum_in_gamma=in_gamma,
-        pure=rho_p < 1.0 - PURITY_TOL,
+        pure=rho_p < 1.0 - matcore.PURITY_TOL,
     )
     s.setflags(write=False)
     p.setflags(write=False)
@@ -127,7 +104,7 @@ def symmetrized_pair(t1, t2) -> GammaPair:
     matcore.require_commuting(t1, t2)
     for name, t in (("T1", t1), ("T2", t2)):
         nt = matcore.op_norm(t)
-        if nt > 1.0 + CONTRACTION_TOL:
+        if nt > 1.0 + matcore.CONTRACTION_TOL:
             raise NotContraction(f"|{name}| = {nt:.12g} exceeds 1")
     return validate(t1 + t2, t1 @ t2)
 
@@ -135,7 +112,7 @@ def symmetrized_pair(t1, t2) -> GammaPair:
 def is_pure(p) -> bool:
     """Whether the spectral radius of P sits strictly inside the disc."""
     p = matcore.as_cmatrix(p, square=True, name="P")
-    return matcore.spectral_radius(p) < 1.0 - PURITY_TOL
+    return matcore.spectral_radius(p) < 1.0 - matcore.PURITY_TOL
 
 
 def is_gamma_unitary(pair: GammaPair) -> bool:
@@ -143,8 +120,7 @@ def is_gamma_unitary(pair: GammaPair) -> bool:
     if not (matcore.is_normal(pair.s) and matcore.is_normal(pair.p)):
         return False
     points = matcore.joint_eigs_commuting(pair.s, pair.p)
-    return all(classify_point(SymPoint(*t), tol=POINT_TOL)
-               is Region.DISTINGUISHED_BGAMMA
+    return all(classify_point(SymPoint(*t)) is Region.DISTINGUISHED_BGAMMA
                for t in points)
 
 
@@ -172,38 +148,38 @@ def _random_poly(rng: np.random.Generator, max_deg: int) -> np.ndarray:
     return c
 
 
-def vn_probe(pair: GammaPair, trials: int = 200, max_deg: int = 4,
+def vn_probe(pair: GammaPair, trials: int = matcore.PROBE_TRIALS,
              seed: int = 0) -> VnProbeReport:
     """Compare |q(S, P)| with the sup of |q| over the domain for random q.
 
     The sup is estimated from below (grid plus local refinement), so a ratio
-    above 1 + 1e-6 certifies the pair is not attached to the domain, while
-    small ratios are evidence only.  The monomials s and p and the constant
-    are always probed before the random draws; the draw sequence is
-    deterministic in ``seed``.
+    above 1 + PROBE_CERT_MARGIN certifies the pair is not attached to the
+    domain, while small ratios are evidence only.  The monomials s and p and
+    the constant are always probed before the random draws; the draw
+    sequence is deterministic in ``seed``.
     """
     rng = np.random.default_rng(seed)
     mono_s = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     mono_p = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     const = np.array([[1.0]], dtype=complex)
     polys = [mono_s, mono_p, const]
-    polys += [_random_poly(rng, max_deg) for _ in range(trials)]
+    polys += [_random_poly(rng, matcore.PROBE_MAX_DEG) for _ in range(trials)]
 
     worst_ratio, worst_coeffs = 0.0, polys[0]
     for c in polys:
         val = matcore.op_norm(eval_matrix_sym_poly(c, pair.s, pair.p))
         sup = sup_norm_on_gamma(c)
-        if val > 0.98 * max(sup, 1e-300):
+        if val > matcore.PROBE_REFINE_RATIO * max(sup, 1e-300):
             sup = max(sup, sup_norm_on_gamma_refined(c))
         ratio = val / max(sup, 1e-300)
         if ratio > worst_ratio:
             worst_ratio, worst_coeffs = ratio, c
     return VnProbeReport(
         worst_ratio=worst_ratio,
-        certified_not_gamma=worst_ratio > 1.0 + PROBE_CERT_MARGIN,
+        certified_not_gamma=worst_ratio > 1.0 + matcore.PROBE_CERT_MARGIN,
         worst_coeffs=np.array(worst_coeffs),
         trials=trials,
-        max_deg=max_deg,
+        max_deg=matcore.PROBE_MAX_DEG,
     )
 
 
@@ -221,9 +197,9 @@ class CnuSplit:
     dim_unitary: int
 
 
-def _eig_one_space(g: np.ndarray, tol: float) -> np.ndarray:
+def _eig_one_space(g: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(0.5 * (g + matcore.dagger(g)))
-    return v[:, w >= 1.0 - tol]
+    return v[:, w >= 1.0 - matcore.UNITARY_EIG_TOL]
 
 
 def _intersect(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
@@ -232,7 +208,7 @@ def _intersect(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     eye = np.eye(n, dtype=complex)
     defect = (eye - q1 @ matcore.dagger(q1)) + (eye - q2 @ matcore.dagger(q2))
     w, v = np.linalg.eigh(defect)
-    return v[:, w <= 1e-10]
+    return v[:, w <= matcore.UNITARY_EIG_TOL]
 
 
 def cnu_split(pair: GammaPair) -> CnuSplit:
@@ -244,9 +220,9 @@ def cnu_split(pair: GammaPair) -> CnuSplit:
     """
     p, s = pair.p, pair.s
     n = pair.n
-    q = _intersect(_eig_one_space(matcore.dagger(p) @ p, UNITARY_EIG_TOL),
-                   _eig_one_space(p @ matcore.dagger(p), UNITARY_EIG_TOL))
-    cut = 1e-10 * (1.0 + pair.norm_p)
+    q = _intersect(_eig_one_space(matcore.dagger(p) @ p),
+                   _eig_one_space(p @ matcore.dagger(p)))
+    cut = matcore.UNITARY_EIG_TOL * (1.0 + pair.norm_p)
     while q.shape[1] > 0:
         proj_out = np.eye(n, dtype=complex) - q @ matcore.dagger(q)
         k = np.vstack([proj_out @ (p @ q), proj_out @ (matcore.dagger(p) @ q)])
@@ -262,7 +238,7 @@ def cnu_split(pair: GammaPair) -> CnuSplit:
         s_leak = matcore.fro_norm(s @ q - q @ (matcore.dagger(q) @ (s @ q)))
         s_leak = max(s_leak, matcore.fro_norm(
             matcore.dagger(s) @ q - q @ (matcore.dagger(q) @ (matcore.dagger(s) @ q))))
-        if s_leak > REDUCING_LEAK_TOL * (1.0 + pair.norm_s):
+        if s_leak > matcore.REDUCING_LEAK_TOL * (1.0 + pair.norm_s):
             raise ReductionFailure(
                 f"S leaks off the unitary subspace by {s_leak:.3e}")
 

@@ -17,20 +17,11 @@ import numpy as np
 import scipy.linalg
 
 from . import matcore
-from .charfn import COINCIDE_TOL, CoincidenceResult, coincide_check, theta_at, theta_coeffs
+from .charfn import CoincidenceResult, coincide_check, theta_at, theta_coeffs
 from .exceptions import DimensionMismatch, NotIntertwining, NotPure
 from .fundamental import FundamentalPair
 from .gamma_pair import GammaPair
 from .model import auto_truncation, model_operators, model_space
-
-WITNESS_UNITARY_TOL = 1e-10
-AMBIENT_INTERTWINE_TOL = 1e-8
-FSTAR_MATCH_TOL = 1e-8
-MODEL_CONFIRM_TOL = 1e-7
-SCREEN_TOL = 1e-6
-SCREEN_MAX_LEN = 6
-#: Alternating polar iterations per search restart.
-SEARCH_ITERS = 150
 
 VERDICT_EQUIVALENT = "EQUIVALENT"
 VERDICT_NOT_EQUIVALENT = "NOT_EQUIVALENT"
@@ -75,10 +66,10 @@ class Witness:
                 continue
             m = matcore.as_cmatrix(m, name=field)
             defect = unitarity_defect(m)
-            if defect > WITNESS_UNITARY_TOL:
+            if defect > matcore.WITNESS_UNITARY_TOL:
                 raise ValueError(
                     f"witness matrix {field} is not unitary "
-                    f"(defect {defect:.3e} > {WITNESS_UNITARY_TOL:.1e})")
+                    f"(defect {defect:.3e} > {matcore.WITNESS_UNITARY_TOL:.1e})")
             m.flags.writeable = False
             object.__setattr__(self, field, m)
 
@@ -95,7 +86,7 @@ def induced_defect_unitary(u, fp_a: FundamentalPair, fp_b: FundamentalPair,
     """
     u = matcore.as_cmatrix(u, square=True, name="U")
     pair_a, pair_b = fp_a.pair, fp_b.pair
-    tol = AMBIENT_INTERTWINE_TOL
+    tol = matcore.AMBIENT_INTERTWINE_TOL
     if pair_a.n != pair_b.n or u.shape[0] != pair_a.n:
         raise DimensionMismatch(
             f"ambient sizes disagree: U is {u.shape[0]}, pairs are "
@@ -207,9 +198,10 @@ def verify_equivalence(fp_a: FundamentalPair, fp_b: FundamentalPair,
     """Check a witness against both halves of the complete invariant.
 
     Verdict is EQUIVALENT exactly when eta1 intertwines the adjoint-side
-    fundamental operators to 1e-8 and the characteristic functions coincide
-    under (sigma, sigma_star) to 1e-8.  On success the model-level unitary
-    induced by eta1 is constructed and its conjugation residual reported.
+    fundamental operators to FSTAR_MATCH_TOL and the characteristic
+    functions coincide under (sigma, sigma_star) to COINCIDE_TOL.  On
+    success the model-level unitary induced by eta1 is constructed and its
+    conjugation residual reported.
     """
     _require_pure(fp_a, fp_b)
     pair_a, pair_b = fp_a.pair, fp_b.pair
@@ -227,7 +219,7 @@ def verify_equivalence(fp_a: FundamentalPair, fp_b: FundamentalPair,
             f"{(ranks_b[1], ranks_a[1])}")
     fstar_residual = matcore.fro_norm(
         w.eta1 @ fp_a.f_star - fp_b.f_star @ w.eta1)
-    fstar_ok = fstar_residual <= FSTAR_MATCH_TOL * (
+    fstar_ok = fstar_residual <= matcore.FSTAR_MATCH_TOL * (
         1.0 + matcore.op_norm(fp_a.f_star))
     coincidence = coincide_check(fp_a, fp_b, w.sigma, w.sigma_star)
     if fstar_ok and coincidence.coincide:
@@ -290,14 +282,14 @@ def trace_word_screen(fp_a: FundamentalPair, fp_b: FundamentalPair
     max_gap, worst = 0.0, ""
     for tag, ma, mb in (("f:", fp_a.f, fp_b.f),
                         ("f_star:", fp_a.f_star, fp_b.f_star)):
-        words_a = _trace_words(ma, SCREEN_MAX_LEN)
-        words_b = _trace_words(mb, SCREEN_MAX_LEN)
+        words_a = _trace_words(ma, matcore.SCREEN_MAX_LEN)
+        words_b = _trace_words(mb, matcore.SCREEN_MAX_LEN)
         for word, ta in words_a.items():
             tb = words_b[word]
             gap = abs(ta - tb) / max(1.0, abs(ta), abs(tb))
             if gap > max_gap:
                 max_gap, worst = gap, tag + word
-    return ScreenResult(max_gap=max_gap, mismatch=max_gap > SCREEN_TOL,
+    return ScreenResult(max_gap=max_gap, mismatch=max_gap > matcore.SCREEN_TOL,
                         worst_word=worst)
 
 
@@ -318,7 +310,7 @@ def _intertwiner_starts(pair_a: GammaPair, pair_b: GammaPair,
                      (matcore.dagger(pair_a.s), matcore.dagger(pair_b.s)),
                      (matcore.dagger(pair_a.p), matcore.dagger(pair_b.p))):
         blocks.append(np.kron(x_b, eye) - np.kron(eye, x_a.T))
-    basis = scipy.linalg.null_space(np.vstack(blocks), rcond=1e-10)
+    basis = scipy.linalg.null_space(np.vstack(blocks), rcond=matcore.REL_RANK_TOL)
     if basis.size == 0:
         return []
     dim = basis.shape[1]
@@ -331,7 +323,7 @@ def _intertwiner_starts(pair_a: GammaPair, pair_b: GammaPair,
                            + 1j * rng.standard_normal(dim))
         k_mat = vec.reshape(n, n)
         sv = np.linalg.svd(k_mat, compute_uv=False)
-        if sv[-1] <= 1e-8 * max(float(sv[0]), 1e-300):
+        if sv[-1] <= matcore.START_SINGULAR_TOL * max(float(sv[0]), 1e-300):
             continue
         out.append(matcore.polar_unitary(k_mat))
     return out
@@ -345,11 +337,11 @@ def _ambient_procrustes(pair_a: GammaPair, pair_b: GammaPair,
     sb_h, pb_h = matcore.dagger(sb), matcore.dagger(pb)
     scale = 1.0 + matcore.op_norm(sa) + matcore.op_norm(pa)
     u = u0
-    for _ in range(SEARCH_ITERS):
+    for _ in range(matcore.SEARCH_ITERS):
         m = (sb @ u @ sa_h + sb_h @ u @ sa
              + pb @ u @ pa_h + pb_h @ u @ pa)
         u_next = matcore.polar_unitary(m)
-        if matcore.fro_norm(u_next - u) <= 1e-14 * scale:
+        if matcore.fro_norm(u_next - u) <= matcore.PROCRUSTES_STOP_TOL * scale:
             return u_next
         u = u_next
     return u
@@ -368,7 +360,7 @@ def _defect_alternation(fp_a: FundamentalPair, fp_b: FundamentalPair,
     fa, fb = fp_a.f, fp_b.f
     fas, fbs = fp_a.f_star, fp_b.f_star
     sigma, eta = sigma0, eta0
-    for _ in range(SEARCH_ITERS):
+    for _ in range(matcore.SEARCH_ITERS):
         m_eta = (fbs @ eta @ matcore.dagger(fas)
                  + matcore.dagger(fbs) @ eta @ fas)
         for ta, tb in samples:
@@ -407,7 +399,8 @@ def _search_grid() -> np.ndarray:
 
 
 def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
-                   restarts: int = 20, seed: int = 0) -> SearchResult:
+                   restarts: int = matcore.SEARCH_RESTARTS, seed: int = 0
+                   ) -> SearchResult:
     """Heuristic search for an equivalence witness.
 
     The conclusive trace screen runs first.  Candidates then come from two
@@ -474,11 +467,11 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
                                 restarts_used=used)
         misses.append(report)
 
-    fstar_bound = FSTAR_MATCH_TOL * (1.0 + matcore.op_norm(fp_a.f_star))
+    fstar_bound = matcore.FSTAR_MATCH_TOL * (1.0 + matcore.op_norm(fp_a.f_star))
 
     def miss(rep: EquivalenceReport) -> float:
         return max(rep.fstar_residual / fstar_bound,
-                   rep.coincidence.max_residual / COINCIDE_TOL)
+                   rep.coincidence.max_residual / matcore.COINCIDE_TOL)
 
     return SearchResult(status=SEARCH_NOT_FOUND, witness=None,
                         report=min(misses, key=miss, default=None),

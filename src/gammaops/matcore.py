@@ -1,9 +1,9 @@
-"""Dense complex linear-algebra primitives used throughout the package.
+"""Dense complex linear-algebra primitives and the package's numerical policy.
 
 Operators are plain ``numpy.ndarray`` values with ``complex128`` entries.
-This module owns the numerical policy knobs (rank cuts, Hermiticity and
-commutation tolerances, the numerical-radius accuracy target) so every
-higher-level module applies the same rules.
+The constant block below is the package's one numerical-policy table: each
+tolerance, floor, cap, limit, sample and iteration count is defined there
+once, and every module reads it as ``matcore.NAME``.
 """
 
 from __future__ import annotations
@@ -22,28 +22,111 @@ from .exceptions import (
     TriangularizationFailure,
 )
 
-#: Relative singular-value cut for defect-range rank decisions.
+# Linear algebra (this module).
+#: Relative singular-value cut for rank decisions and nullspaces.
 REL_RANK_TOL = 1e-10
-
-#: Negative eigenvalues of nominally PSD matrices above this magnitude are
-#: rounding noise and get clamped to zero.
+#: PSD eigenvalues within this times max(1, |lambda|max) of zero are noise.
 EIG_CLAMP_TOL = 1e-12
-
 #: Relative Frobenius tolerance for Hermiticity and normality tests.
 HERM_REL_TOL = 1e-10
-
-#: Absolute accuracy target of :func:`numerical_radius`.
-RADIUS_TOL = 1e-10
-
-#: Uniform angle samples that locate the maxima in :func:`numerical_radius`.
-RADIUS_SAMPLES = 256
-
-#: Power iterations and start-vector seed of :func:`op_norm_hermitian`.
-POWER_ITERS = 60
-POWER_SEED = 7
-
 #: Scale factor of the commutation tolerance, see :func:`comm_tol`.
 COMM_REL_TOL = 1e-10
+#: Common triangularization stops trying mixes at this relative residual.
+SCHUR_EXIT_TOL = 1e-11
+#: Common triangularization fails above this relative residual.
+SCHUR_FAIL_TOL = 1e-8
+#: Absolute accuracy target of :func:`numerical_radius`.
+RADIUS_TOL = 1e-10
+#: Uniform angle samples that locate the maxima in :func:`numerical_radius`.
+RADIUS_SAMPLES = 256
+#: Angle tolerance of each bounded polish in :func:`numerical_radius`.
+RADIUS_XATOL = 1e-9
+#: Power iterations of :func:`op_norm_hermitian`.
+POWER_ITERS = 60
+#: Start-vector seed of :func:`op_norm_hermitian`.
+POWER_SEED = 7
+
+# Scalar geometry (gamma_domain) and pair validation (gamma_pair).
+#: Root moduli within this of 1 lie on the circle in ``classify_point``.
+POINT_TOL = 1e-8
+#: A disc automorphism needs |a| < 1 - this and ||beta| - 1| <= this.
+DISC_MARGIN = 1e-12
+#: Grid points per circle of the torus grid behind the sup-norm estimates.
+SUP_GRID_N = 64
+#: Best grid points that the refined sup norm polishes locally.
+REFINE_STARTS = 3
+#: Nelder-Mead options of that local polish.
+REFINE_OPTIONS = {"xatol": 1e-10, "fatol": 1e-13, "maxiter": 400}
+#: Spectral-radius margin below one for purity.
+PURITY_TOL = 1e-10
+#: Operator-norm slack on the contraction bound for P.
+CONTRACTION_TOL = 1e-10
+#: Absolute slack on the bound |S| <= 2.
+S_BOUND_TOL = 1e-9
+#: Random polynomials drawn by the von Neumann probe.
+PROBE_TRIALS = 200
+#: Total degree bound in (s, p) of each probe polynomial.
+PROBE_MAX_DEG = 4
+#: A probe value above this share of the grid sup triggers the refined sup.
+PROBE_REFINE_RATIO = 0.98
+#: A probe ratio above 1 + this margin certifies a von Neumann violation.
+PROBE_CERT_MARGIN = 1e-6
+#: Cut for unitary directions in cnu_split: eigenvalue, intersection, leak.
+UNITARY_EIG_TOL = 1e-10
+#: Relative leak of S off the unitary subspace that still counts as reducing.
+REDUCING_LEAK_TOL = 1e-8
+
+# Defects, transport, characteristic function and model.
+#: Eigenvalue clamp of the defect Gramians; |P| may reach 1 + CONTRACTION_TOL.
+DEFECT_EIG_CLAMP = 1e-9
+#: The commuting-lift identity P D_P = D_P* P must hold to this accuracy.
+DEFECT_INTERTWINE_TOL = 1e-9
+#: Smallest |1 - conj(a) s + conj(a)^2 p|, or sigma_min of its operator form.
+RESOLVENT_FLOOR = 1e-12
+#: sigma_min floor for I - z P* at evaluation points of Theta.
+EVAL_FLOOR = 1e-12
+#: Residual level declaring two characteristic functions coincident.
+COINCIDE_TOL = 1e-8
+#: Operator-norm target for |P^N| when choosing N automatically.
+AUTO_TAIL_TARGET = 1e-12
+#: Hard cap on the truncation order N.
+TRUNCATION_CAP = 4096
+#: Complement-identity checks switch to power iteration above this size m.
+DENSE_LIMIT = 600
+
+# Equivalence verdict and witness search (invariant).
+#: Largest unitarity defect of a witness matrix.
+WITNESS_UNITARY_TOL = 1e-10
+#: Unitarity defect and relative intertwining residual of an ambient unitary.
+AMBIENT_INTERTWINE_TOL = 1e-8
+#: Relative residual of eta1 F_*A = F_*B eta1 that the verdict accepts.
+FSTAR_MATCH_TOL = 1e-8
+#: Bound on the reported model-level confirmation residuals of a witness.
+MODEL_CONFIRM_TOL = 1e-7
+#: Relative trace-word gap that rules out equivalence conclusively.
+SCREEN_TOL = 1e-6
+#: Longest word in an operator and its adjoint that the screen compares.
+SCREEN_MAX_LEN = 6
+#: Restarts of each candidate family of the witness search.
+SEARCH_RESTARTS = 20
+#: Alternating polar iterations per search restart.
+SEARCH_ITERS = 150
+#: Intertwiner starts with sigma_min at most this times sigma_max are skipped.
+START_SINGULAR_TOL = 1e-8
+#: Ambient Procrustes stops once a step moves u by at most this times scale.
+PROCRUSTES_STOP_TOL = 1e-14
+
+# Command-line verdicts (cli).
+#: analyze: fundamental and intertwining residual bound, times 1 + |S|.
+RESIDUAL_BREACH_TOL = 1e-8
+#: analyze: slack of the numerical radii of F and F_* above 1.
+RADIUS_BREACH_TOL = 1e-8
+#: analyze: model residual bound, times 1 + |S|, before the tail slack.
+MODEL_BREACH_TOL = 1e-7
+#: analyze: multiple of the truncation tail, times 1 + |S|, added to that bound.
+TAIL_SLACK = 10.0
+#: generate: norm bound of T1 and T2; rho(P) <= 0.7225 keeps auto N desk-sized.
+GENERATE_MAX_NORM = 0.85
 
 # Fixed generic mixing coefficients for common triangularization.  Any value
 # that avoids eigenvalue collisions of S + gamma*P for distinct joint
@@ -90,7 +173,7 @@ def spectral_radius(a: np.ndarray) -> float:
 
 
 def comm_tol(s: np.ndarray, p: np.ndarray) -> float:
-    """Commutation tolerance 1e-10 * (1 + |S| |P|), operator norms."""
+    """Commutation tolerance COMM_REL_TOL * (1 + |S| |P|), operator norms."""
     return COMM_REL_TOL * (1.0 + op_norm(s) * op_norm(p))
 
 
@@ -137,15 +220,12 @@ def polar_unitary(m: np.ndarray) -> np.ndarray:
 class RangeBasis:
     """Orthonormal basis of a numerically determined range.
 
-    ``q`` has orthonormal columns spanning the kept range, ``rank`` is the
-    number of columns, and the two sigma fields record the singular values
-    on either side of the cut (0.0 when the corresponding side is empty).
+    ``q`` has orthonormal columns spanning the kept range and ``rank`` is
+    the number of columns.
     """
 
     q: np.ndarray
     rank: int
-    sigma_min_kept: float
-    sigma_max_dropped: float
 
 
 def lift(basis: RangeBasis, m: np.ndarray) -> np.ndarray:
@@ -191,19 +271,12 @@ def range_onb(d) -> RangeBasis:
     REL_RANK_TOL times the largest one.  The zero matrix has rank 0.
     """
     d = as_cmatrix(d, square=True, name="D")
-    n = d.shape[0]
-    if n == 0:
-        return RangeBasis(q=np.zeros((0, 0), dtype=complex), rank=0,
-                          sigma_min_kept=0.0, sigma_max_dropped=0.0)
+    if d.shape[0] == 0:
+        return RangeBasis(q=np.zeros((0, 0), dtype=complex), rank=0)
     u, s, _ = np.linalg.svd(d)
     smax = float(s[0])
     r = 0 if smax == 0.0 else int(np.count_nonzero(s > REL_RANK_TOL * smax))
-    return RangeBasis(
-        q=u[:, :r].copy(),
-        rank=r,
-        sigma_min_kept=float(s[r - 1]) if r > 0 else 0.0,
-        sigma_max_dropped=float(s[r]) if r < n else 0.0,
-    )
+    return RangeBasis(q=u[:, :r].copy(), rank=r)
 
 
 def _top_eig_herm_part(a: np.ndarray, ah: np.ndarray, theta: float) -> float:
@@ -241,7 +314,7 @@ def numerical_radius(a) -> float:
         res = minimize_scalar(
             lambda t: -_top_eig_herm_part(a, ah, t),
             bounds=(t0 - span, t0 + span), method="bounded",
-            options={"xatol": 1e-9})
+            options={"xatol": RADIUS_XATOL})
         best = max(best, float(-res.fun))
     return best
 
@@ -265,9 +338,9 @@ def _common_schur(s: np.ndarray, p: np.ndarray):
         resid = fro_norm(np.tril(ms, -1)) + fro_norm(np.tril(mp, -1))
         if best is None or resid < best[2]:
             best = (ms, mp, resid)
-        if resid <= 1e-11 * scale:
+        if resid <= SCHUR_EXIT_TOL * scale:
             break
-    if best[2] > 1e-8 * scale:
+    if best[2] > SCHUR_FAIL_TOL * scale:
         raise TriangularizationFailure(
             f"no common triangularization within tolerance, best residual "
             f"{best[2]:.3e} at scale {scale:.3e}")

@@ -18,9 +18,6 @@ from .fundamental import FundamentalPair, solve_fundamental
 from .gamma_domain import DiscAutomorphism
 from .gamma_pair import GammaPair, validate
 
-#: Smallest singular value of I - conj(a) S + conj(a)^2 P accepted.
-RESOLVENT_FLOOR = 1e-12
-
 
 def _resolvent_matrix(pair: GammaPair, m: DiscAutomorphism) -> np.ndarray:
     ac = np.conj(m.a)
@@ -37,8 +34,9 @@ def transport_pair(pair: GammaPair, m: DiscAutomorphism) -> GammaPair:
     ac = np.conj(a)
     q = _resolvent_matrix(pair, m)
     smin = float(np.linalg.svd(q, compute_uv=False)[-1])
-    if smin < RESOLVENT_FLOOR:
-        raise SingularResolvent(f"sigma_min = {smin:.3e} below {RESOLVENT_FLOOR:.1e}")
+    if smin < matcore.RESOLVENT_FLOOR:
+        raise SingularResolvent(
+            f"sigma_min = {smin:.3e} below {matcore.RESOLVENT_FLOOR:.1e}")
     eye = np.eye(pair.n, dtype=complex)
     num_s = beta * ((1.0 + abs(a) ** 2) * pair.s - 2.0 * ac * pair.p - 2.0 * a * eye)
     num_p = beta * beta * (pair.p - a * pair.s + a * a * eye)
@@ -71,7 +69,7 @@ def transport_fundamental(f: np.ndarray, m: DiscAutomorphism,
     fh = matcore.dagger(f)
     g = (1.0 + abs(a) ** 2) * np.eye(r, dtype=complex) - np.conj(a) * f - a * fh
     w, v = np.linalg.eigh(0.5 * (g + matcore.dagger(g)))
-    if w.min() <= 1e-12 * max(1.0, float(w.max())):
+    if w.min() <= matcore.EIG_CLAMP_TOL * max(1.0, float(w.max())):
         raise NotInvertible(f"G has eigenvalue {w.min():.3e}, not positive definite")
     g_inv_half = (v / np.sqrt(w)) @ matcore.dagger(v)
     core = beta * (f + a * a * fh - 2.0 * a * np.eye(r, dtype=complex))

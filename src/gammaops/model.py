@@ -20,16 +20,7 @@ from . import matcore
 from .charfn import theta_coeffs, toeplitz_mult
 from .exceptions import NotPure, TruncationCapExceeded
 from .fundamental import FundamentalPair
-from .gamma_pair import GammaPair, PURITY_TOL
-
-#: Operator-norm target for |P^N| when choosing N automatically.
-AUTO_TAIL_TARGET = 1e-12
-
-#: Hard cap on the truncation order.
-TRUNCATION_CAP = 4096
-
-#: Dense complement-identity checks switch to power iteration above this size.
-_DENSE_LIMIT = 600
+from .gamma_pair import GammaPair, is_pure
 
 
 @dataclass(frozen=True)
@@ -50,18 +41,19 @@ class ModelData:
     residuals: dict = None
 
 
-def auto_truncation(p, cap: int = TRUNCATION_CAP) -> int:
-    """Smallest N with |P^N| at most AUTO_TAIL_TARGET."""
+def auto_truncation(p) -> int:
+    """Smallest N with |P^N| at most AUTO_TAIL_TARGET, N <= TRUNCATION_CAP."""
     p = matcore.as_cmatrix(p, square=True, name="P")
-    if matcore.spectral_radius(p) >= 1.0 - PURITY_TOL:
+    if not is_pure(p):
         raise NotPure("spectral radius of P is not strictly below 1")
     power = p.copy()
-    for n in range(1, cap + 1):
-        if matcore.op_norm(power) <= AUTO_TAIL_TARGET:
+    for n in range(1, matcore.TRUNCATION_CAP + 1):
+        if matcore.op_norm(power) <= matcore.AUTO_TAIL_TARGET:
             return n
         power = power @ p
     raise TruncationCapExceeded(
-        f"|P^N| did not reach {AUTO_TAIL_TARGET:.1e} for N <= {cap}")
+        f"|P^N| did not reach {matcore.AUTO_TAIL_TARGET:.1e} "
+        f"for N <= {matcore.TRUNCATION_CAP}")
 
 
 def _resolve_trunc(pair: GammaPair, n_trunc) -> int:
@@ -72,8 +64,9 @@ def _resolve_trunc(pair: GammaPair, n_trunc) -> int:
     n = int(n_trunc)
     if n < 1:
         raise ValueError("n_trunc must be at least 1")
-    if n > TRUNCATION_CAP:
-        raise TruncationCapExceeded(f"requested N = {n} exceeds cap {TRUNCATION_CAP}")
+    if n > matcore.TRUNCATION_CAP:
+        raise TruncationCapExceeded(
+            f"requested N = {n} exceeds cap {matcore.TRUNCATION_CAP}")
     if not pair.flags.pure:
         raise NotPure("the model requires a pure P")
     return n
@@ -94,16 +87,14 @@ def embed_w(fp: FundamentalPair, n_trunc) -> np.ndarray:
 
 def _polar_onb(w: np.ndarray) -> matcore.RangeBasis:
     """Symmetric (Loewdin) orthonormalization of the columns of W."""
-    u, s, vh = np.linalg.svd(w, full_matrices=False)
-    return matcore.RangeBasis(q=u @ vh, rank=w.shape[1],
-                              sigma_min_kept=float(s[-1]) if s.size else 0.0,
-                              sigma_max_dropped=0.0)
+    u, _, vh = np.linalg.svd(w, full_matrices=False)
+    return matcore.RangeBasis(q=u @ vh, rank=w.shape[1])
 
 
 def _complement_identity_residual(b: np.ndarray, t_theta: np.ndarray) -> float:
     """Operator norm of B B* + T_Theta T_Theta* - I on the truncated space."""
     m = b.shape[0]
-    if m <= _DENSE_LIMIT:
+    if m <= matcore.DENSE_LIMIT:
         full = b @ matcore.dagger(b) + t_theta @ matcore.dagger(t_theta)
         full -= np.eye(m, dtype=complex)
         return matcore.op_norm(full)

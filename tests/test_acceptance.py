@@ -82,7 +82,7 @@ def test_criterion_06_transported_probe(announce):
         m = g.DiscAutomorphism(a=_rand_disc(rng, 0.9),
                                beta=np.exp(2j * np.pi * rng.uniform()))
         tau = g.transport_pair(pair, m)
-        rep = g.vn_probe(tau, trials=200, max_deg=4, seed=7200 + k)
+        rep = g.vn_probe(tau, trials=200, seed=7200 + k)
         assert rep.worst_ratio <= 1.0 + 1e-6
     announce(6, "transported pairs pass the polynomial spectral-set probe")
 

@@ -6,7 +6,7 @@ import pytest
 
 import gammaops as g
 from gammaops import cli, matcore
-from gammaops.invariant import MODEL_CONFIRM_TOL
+from gammaops.matcore import MODEL_CONFIRM_TOL
 
 
 def _write(tmp_path, name, doc):
@@ -294,7 +294,7 @@ def test_analyze_truncation_above_cap_is_usage_error(tmp_path, capsys):
     assert cli.main(["analyze", slow, "--vn-trials", "8"]) == cli.EXIT_BREACH
     report = json.loads(capsys.readouterr().out)
     assert report["breaches"] == [
-        f"|P^N| did not reach 1.0e-12 for N <= {cli.TRUNCATION_CAP}"]
+        f"|P^N| did not reach 1.0e-12 for N <= {matcore.TRUNCATION_CAP}"]
 
 
 def test_compare_search_rejects_restarts_below_one(tmp_path, capsys):
@@ -315,3 +315,36 @@ def test_usage_errors_exit_input_help_exits_ok(capsys):
     assert cli.main(["analyze", "--help"]) == cli.EXIT_OK
     assert cli.main(["--version"]) == cli.EXIT_OK
     assert "gammaops" in capsys.readouterr().out
+
+
+def test_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys):
+    path = _write(tmp_path, "p.json",
+                  _pair_doc(g.random_pure_gamma(2, seed=47, max_norm=0.8)))
+    for argv in (["generate", "--dim", "2"], ["analyze", path],
+                 ["compare", path, path]):
+        assert cli.main([*argv, "--seed", "-1"]) == cli.EXIT_INPUT
+        assert "--seed" in capsys.readouterr().err
+        monkeypatch.setenv("GAMMAOPS_SEED", "-3")
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert "GAMMAOPS_SEED" in capsys.readouterr().err
+        monkeypatch.delenv("GAMMAOPS_SEED")
+
+
+def test_compare_bad_witness_file_is_malformed_input(tmp_path, capsys):
+    # the trace screen separates these pairs, so a late witness check
+    # would report them NOT_EQUIVALENT instead of rejecting the file
+    a = _write(tmp_path, "a.json",
+               _pair_doc(g.random_pure_gamma(2, seed=48, max_norm=0.8)))
+    b = _write(tmp_path, "b.json",
+               _pair_doc(g.random_pure_gamma(2, seed=49, max_norm=0.8)))
+    assert cli.main(["compare", a, b]) == cli.EXIT_DISTINCT
+    capsys.readouterr()
+    missing = str(tmp_path / "missing.json")
+    not_unitary = _write(tmp_path, "w.json", {
+        "eta1": cli.matrix_to_json(2.0 * np.eye(2)),
+        "sigma": cli.matrix_to_json(np.eye(2))})
+    for wfile in (missing, not_unitary):
+        assert cli.main(["compare", a, b, "--witness", wfile]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert wfile in captured.err

@@ -110,11 +110,6 @@ def test_refined_sup_dominates_grid():
     rng = np.random.default_rng(4)
     for _ in range(10):
         c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        grid = g.sup_norm_on_gamma(c, grid_n=32)
-        refined = g.sup_norm_on_gamma_refined(c, grid_n=32)
+        grid = g.sup_norm_on_gamma(c)
+        refined = g.sup_norm_on_gamma_refined(c)
         assert refined >= grid - 1e-12
-
-
-def test_sup_norm_grid_floor():
-    with pytest.raises(ValueError):
-        g.sup_norm_on_gamma(np.array([[1.0]]), grid_n=4)

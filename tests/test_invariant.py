@@ -5,11 +5,11 @@ import gammaops as g
 from gammaops import matcore
 from gammaops.exceptions import DimensionMismatch, NotIntertwining, NotPure
 from gammaops import invariant
-from gammaops.charfn import COINCIDE_TOL
-from gammaops.invariant import (FSTAR_MATCH_TOL, MODEL_CONFIRM_TOL,
-                                SCREEN_TOL, SEARCH_DISTINCT, SEARCH_FOUND,
+from gammaops.invariant import (SEARCH_DISTINCT, SEARCH_FOUND,
                                 SEARCH_NOT_FOUND, VERDICT_EQUIVALENT,
                                 VERDICT_NOT_EQUIVALENT)
+from gammaops.matcore import (COINCIDE_TOL, FSTAR_MATCH_TOL,
+                              MODEL_CONFIRM_TOL, SCREEN_TOL)
 
 
 def _planted(n, seed, haar_seed, max_norm=0.75):

@@ -3,7 +3,7 @@ import pytest
 
 import gammaops as g
 from gammaops import matcore
-from gammaops.exceptions import SingularResolvent
+from gammaops.exceptions import SingularDenominator, SingularResolvent
 from gammaops.gamma_domain import SymPoint
 
 
@@ -67,6 +67,17 @@ def test_singular_resolvent_raises():
     s = np.array([[2.0 + 0.1]]); p = np.array([[0.2]])
     with pytest.raises(SingularResolvent):
         g.transport_pair(g.validate(s, p), g.DiscAutomorphism(a=a, beta=1.0))
+
+
+def test_scalar_and_operator_denominators_share_one_floor():
+    # q = 1 - conj(a) s + conj(a)^2 p is about -1e-13 here, below RESOLVENT_FLOOR
+    m = g.DiscAutomorphism(a=0.5, beta=1.0)
+    s, p = 2.0 + 2e-13, 0.0
+    assert abs(1.0 - 0.5 * s) < matcore.RESOLVENT_FLOOR
+    with pytest.raises(SingularDenominator):
+        g.mobius_point(SymPoint(s, p), m)
+    with pytest.raises(SingularResolvent):
+        g.transport_pair(g.validate(np.array([[s]]), np.array([[p]])), m)
 
 
 def test_crosscheck_residuals_small():

@@ -16,7 +16,8 @@ def test_auto_truncation_guards():
     with pytest.raises(NotPure):
         g.auto_truncation(np.eye(2))
     with pytest.raises(TruncationCapExceeded):
-        g.auto_truncation(np.array([[0.5]]), cap=10)
+        # |0.9999^4096| is about 0.66, far above the tail target
+        g.auto_truncation(np.array([[0.9999]]))
 
 
 def test_embed_w_gram_identity():
@@ -105,12 +106,12 @@ def test_complement_power_branch_matches_dense():
     # stretched basis column puts it far above rounding
     pair = g.random_pure_gamma(2, seed=916)
     fp = g.solve_fundamental(pair)
-    n_val = model._DENSE_LIMIT // fp.f_star.shape[0] + 1
+    n_val = matcore.DENSE_LIMIT // fp.f_star.shape[0] + 1
     b = g.model_space(fp, n_val, complement=False).model_basis.q.copy()
     b[:, 0] *= 1.05
     t_theta = g.toeplitz_mult(g.theta_coeffs(fp, n_val), n_val)
     m = b.shape[0]
-    assert m > model._DENSE_LIMIT and np.iscomplexobj(pair.p)
+    assert m > matcore.DENSE_LIMIT and np.iscomplexobj(pair.p)
     dense = matcore.op_norm(b @ matcore.dagger(b)
                             + t_theta @ matcore.dagger(t_theta) - np.eye(m))
     assert dense >= 0.05
