@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator
 
 from . import matcore
 from .exceptions import OutsideLambdaP
@@ -72,12 +73,16 @@ def theta_series_at(cf: CharFn, z: complex) -> np.ndarray:
     return total
 
 
-def toeplitz_mult(cf: CharFn, n_blocks: int) -> np.ndarray:
-    """Truncated multiplication operator of Theta as a lower block Toeplitz matrix.
+def toeplitz_mult(cf: CharFn, n_blocks: int) -> LinearOperator:
+    """Truncated multiplication operator of Theta, applied by FFT.
 
-    Block (i, j) is Theta_{i-j} for i >= j, zero above, so column block j
-    carries Theta_0 ... Theta_{n_blocks-1-j}.  Needs at least ``n_blocks``
-    stored coefficients.
+    The operator is lower block Toeplitz: block (i, j) is Theta_{i-j} for
+    i >= j, zero above.  It is the leading block of the block circulant of
+    length 2 N whose first block column is Theta_0 ... Theta_{N-1} followed
+    by N zero blocks, so T_Theta and T_Theta* act as products with the
+    discrete Fourier transforms of the coefficients (Chan & Jin, An
+    Introduction to Iterative Toeplitz Solvers, SIAM 2007).  Needs at least
+    ``n_blocks`` stored coefficients.
     """
     if n_blocks < 1:
         raise ValueError("n_blocks must be at least 1")
@@ -85,11 +90,18 @@ def toeplitz_mult(cf: CharFn, n_blocks: int) -> np.ndarray:
         raise ValueError(
             f"need {n_blocks} coefficients, have {len(cf.coeffs)}")
     r_star, r = cf.coeffs[0].shape
-    out = np.zeros((n_blocks * r_star, n_blocks * r), dtype=complex)
-    for i in range(n_blocks):
-        for j in range(i + 1):
-            out[i * r_star:(i + 1) * r_star, j * r:(j + 1) * r] = cf.coeffs[i - j]
-    return out
+    hat = np.fft.fft(np.array(cf.coeffs[:n_blocks]), n=2 * n_blocks, axis=0)
+    hat_adj = hat.conj().transpose(0, 2, 1)
+
+    def apply(blocks_hat, x, width):
+        # one circular convolution of length 2 N, then the first N blocks
+        x_hat = np.fft.fft(x.reshape(n_blocks, width, -1), n=2 * n_blocks, axis=0)
+        y = np.fft.ifft(blocks_hat @ x_hat, axis=0)[:n_blocks]
+        return y.reshape(-1, x_hat.shape[-1])
+
+    return LinearOperator((n_blocks * r_star, n_blocks * r), dtype=complex,
+                          matvec=lambda x: apply(hat, x, r),
+                          rmatvec=lambda y: apply(hat_adj, y, r_star))
 
 
 def kernel_identity_residual(cf: CharFn, zs, ws) -> float:

@@ -369,6 +369,10 @@ def cmd_compare(args) -> int:
     try:
         pair_a = validate(s_a, p_a)
         pair_b = validate(s_b, p_b)
+        for pair in (pair_a, pair_b):
+            if not pair.flags.s_bound:
+                raise PairFileError(
+                    f"not a usable pair: |S| = {pair.norm_s:.12g} exceeds 2")
         fp_a = solve_fundamental(pair_a)
         fp_b = solve_fundamental(pair_b)
     except (NotCommuting, NotContraction, NumericalContractBreach) as exc:

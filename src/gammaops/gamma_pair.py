@@ -156,7 +156,8 @@ def vn_probe(pair: GammaPair, trials: int = matcore.PROBE_TRIALS,
     above 1 + PROBE_CERT_MARGIN certifies the pair is not attached to the
     domain, while small ratios are evidence only.  The monomials s and p and
     the constant are always probed before the random draws; the draw
-    sequence is deterministic in ``seed``.
+    sequence is deterministic in ``seed``.  A value q(S, P) that overflows
+    certifies at once, with an infinite ratio.
     """
     rng = np.random.default_rng(seed)
     mono_s = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -167,7 +168,12 @@ def vn_probe(pair: GammaPair, trials: int = matcore.PROBE_TRIALS,
 
     worst_ratio, worst_coeffs = 0.0, polys[0]
     for c in polys:
-        val = matcore.op_norm(eval_matrix_sym_poly(c, pair.s, pair.p))
+        value = eval_matrix_sym_poly(c, pair.s, pair.p)
+        if not np.isfinite(value).all():
+            # q is bounded on the domain, so an overflowing q(S, P) certifies
+            worst_ratio, worst_coeffs = float("inf"), c
+            break
+        val = matcore.op_norm(value)
         sup = sup_norm_on_gamma(c)
         if val > matcore.PROBE_REFINE_RATIO * max(sup, 1e-300):
             sup = max(sup, sup_norm_on_gamma_refined(c))

@@ -169,8 +169,7 @@ def _model_confirmation(fp_a: FundamentalPair, fp_b: FundamentalPair,
     residual certify equivalence end to end, not only at the defect level.
     """
     n_common = max(auto_truncation(fp_a.pair.p), auto_truncation(fp_b.pair.p))
-    md_a, md_b = (model_operators(fp, model_space(fp, n_common,
-                                                  complement=False))
+    md_a, md_b = (model_operators(fp, model_space(fp, n_common))
                   for fp in (fp_a, fp_b))
     # (I (x) eta1) B_a applies eta1 to each of the N row blocks of B_a
     q_a = md_a.model_basis.q
@@ -198,10 +197,11 @@ def verify_equivalence(fp_a: FundamentalPair, fp_b: FundamentalPair,
     """Check a witness against both halves of the complete invariant.
 
     Verdict is EQUIVALENT exactly when eta1 intertwines the adjoint-side
-    fundamental operators to FSTAR_MATCH_TOL and the characteristic
-    functions coincide under (sigma, sigma_star) to COINCIDE_TOL.  On
-    success the model-level unitary induced by eta1 is constructed and its
-    conjugation residual reported.
+    fundamental operators to FSTAR_MATCH_TOL, the characteristic functions
+    coincide under (sigma, sigma_star) to COINCIDE_TOL, and the model-level
+    unitary induced by eta1 has unitarity defect and conjugation residual
+    at most MODEL_CONFIRM_TOL.  A confirmation above that bound gives an
+    inconclusive NOT_EQUIVALENT that still carries the confirmation.
     """
     _require_pure(fp_a, fp_b)
     pair_a, pair_b = fp_a.pair, fp_b.pair
@@ -223,11 +223,18 @@ def verify_equivalence(fp_a: FundamentalPair, fp_b: FundamentalPair,
         1.0 + matcore.op_norm(fp_a.f_star))
     coincidence = coincide_check(fp_a, fp_b, w.sigma, w.sigma_star)
     if fstar_ok and coincidence.coincide:
+        confirmation = _model_confirmation(fp_a, fp_b, w.eta1)
+        worst = max(confirmation["unitarity"], confirmation["conjugation"])
+        confirmed = worst <= matcore.MODEL_CONFIRM_TOL
         return EquivalenceReport(
-            verdict=VERDICT_EQUIVALENT, conclusive=True,
-            reason="both invariant halves hold",
+            verdict=VERDICT_EQUIVALENT if confirmed else VERDICT_NOT_EQUIVALENT,
+            conclusive=confirmed,
+            reason=("both invariant halves hold" if confirmed else
+                    f"both invariant halves hold, but the model confirmation "
+                    f"{worst:.3e} exceeds MODEL_CONFIRM_TOL = "
+                    f"{matcore.MODEL_CONFIRM_TOL:.1e}"),
             fstar_residual=fstar_residual, coincidence=coincidence,
-            model_confirmation=_model_confirmation(fp_a, fp_b, w.eta1))
+            model_confirmation=confirmation)
     if not fstar_ok and not coincidence.coincide:
         reason = "fundamental operators and characteristic functions both fail"
     elif not fstar_ok:

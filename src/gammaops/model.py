@@ -91,43 +91,27 @@ def _polar_onb(w: np.ndarray) -> matcore.RangeBasis:
     return matcore.RangeBasis(q=u @ vh, rank=w.shape[1])
 
 
-def _complement_identity_residual(b: np.ndarray, t_theta: np.ndarray) -> float:
+def _complement_identity_residual(b: np.ndarray, t_theta) -> float:
     """Operator norm of B B* + T_Theta T_Theta* - I on the truncated space."""
-    m = b.shape[0]
-    if m <= matcore.DENSE_LIMIT:
-        full = b @ matcore.dagger(b) + t_theta @ matcore.dagger(t_theta)
-        full -= np.eye(m, dtype=complex)
-        return matcore.op_norm(full)
-
     def matvec(x):
-        # conj(conj(x) T_Theta) applies T_Theta* without copying it
-        y = b @ (matcore.dagger(b) @ x)
-        y += t_theta @ np.conj(np.conj(x) @ t_theta)
-        return y - x
+        return b @ (matcore.dagger(b) @ x) + t_theta.matvec(t_theta.rmatvec(x)) - x
 
-    return matcore.op_norm_hermitian(matvec, m)
+    return matcore.op_norm_hermitian(matvec, b.shape[0])
 
 
-def model_space(fp: FundamentalPair, n_trunc="auto",
-                complement: bool = True) -> ModelData:
-    """Embedding, orthonormal model basis and space-level residuals.
-
-    ``complement=False`` skips the block-Toeplitz complement check, whose
-    cost dominates everything else; callers that only need the compressed
-    operators (the equivalence confirmation) take that path.
-    """
+def model_space(fp: FundamentalPair, n_trunc="auto") -> ModelData:
+    """Embedding, orthonormal model basis and space-level residuals."""
     pair = fp.pair
     n_val = _resolve_trunc(pair, n_trunc)
     w = embed_w(fp, n_val)
     basis = _polar_onb(w)
     tail = matcore.op_norm(np.linalg.matrix_power(pair.p, n_val))
     iso = matcore.op_norm(matcore.dagger(w) @ w - np.eye(pair.n, dtype=complex))
-    residuals = {"isometry_defect": iso}
-    if complement:
-        residuals["complement_identity"] = _complement_identity_residual(
-            basis.q, toeplitz_mult(theta_coeffs(fp, n_val), n_val))
+    complement = _complement_identity_residual(
+        basis.q, toeplitz_mult(theta_coeffs(fp, n_val), n_val))
     return ModelData(n_trunc=n_val, w=w, model_basis=basis, tail=tail,
-                     residuals=residuals)
+                     residuals={"isometry_defect": iso,
+                                "complement_identity": complement})
 
 
 def model_operators(fp: FundamentalPair, md: ModelData) -> ModelData:

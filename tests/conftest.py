@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import gammaops as g
@@ -22,3 +23,19 @@ def pure100():
     """100 small pure pairs kept light enough for auto-truncated models."""
     return [g.random_pure_gamma(1 + k % 6, seed=9000 + k, max_norm=0.8)
             for k in range(100)]
+
+
+def _dense_toeplitz(cf, n_blocks):
+    """Oracle: the lower block Toeplitz array with block (i, j) = Theta_{i-j}."""
+    r_star, r = cf.coeffs[0].shape
+    out = np.zeros((n_blocks * r_star, n_blocks * r), dtype=complex)
+    for i in range(n_blocks):
+        for j in range(i + 1):
+            out[i * r_star:(i + 1) * r_star, j * r:(j + 1) * r] = cf.coeffs[i - j]
+    return out
+
+
+@pytest.fixture(scope="session")
+def dense_toeplitz():
+    """The dense block layout of ``toeplitz_mult``, built entry by entry."""
+    return _dense_toeplitz

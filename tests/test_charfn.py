@@ -59,20 +59,26 @@ def test_eval_outside_resolvent_set_raises():
         g.theta_at(cf, 1.0)
 
 
-def test_toeplitz_block_layout():
+def test_toeplitz_block_layout(dense_toeplitz):
+    # the FFT operator and its adjoint, applied to the identity, give the
+    # dense lower block Toeplitz array and its conjugate transpose
     pair = g.random_pure_gamma(3, seed=55)
     fp = g.solve_fundamental(pair)
     cf = g.theta_coeffs(fp, 4)
-    t = g.toeplitz_mult(cf, 4)
     r, rs = fp.defect_p.rank, fp.defect_p_star.rank
-    assert t.shape == (4 * rs, 4 * r)
-    for i in range(4):
-        for j in range(4):
-            block = t[i * rs:(i + 1) * rs, j * r:(j + 1) * r]
-            want = cf.coeffs[i - j] if i >= j else np.zeros((rs, r))
-            assert np.array_equal(block, want)
+    for n_blocks in (1, 3, 4):
+        t = g.toeplitz_mult(cf, n_blocks)
+        dense = dense_toeplitz(cf, n_blocks)
+        assert t.shape == dense.shape == (n_blocks * rs, n_blocks * r)
+        assert np.abs(t @ np.eye(n_blocks * r) - dense).max() <= 1e-14
+        assert np.abs(t.H @ np.eye(n_blocks * rs)
+                      - matcore.dagger(dense)).max() <= 1e-14
+        x = np.arange(n_blocks * r) * (1.0 - 0.5j)
+        assert np.abs(t.matvec(x) - dense @ x).max() <= 1e-13
     with pytest.raises(ValueError):
         g.toeplitz_mult(cf, 5)
+    with pytest.raises(ValueError):
+        g.toeplitz_mult(cf, 0)
 
 
 def test_kernel_identity(corpus500):

@@ -265,12 +265,43 @@ def test_compare_rejects_unusable_pair(tmp_path, capsys):
     assert "not a usable pair" in capsys.readouterr().err
 
 
+def test_overflowing_pair_ends_in_a_documented_code(tmp_path, capsys):
+    # |S| = 1e300 fails |S| <= 2; q(S, P) overflows, which certifies it
+    path = _write(tmp_path, "huge.json", {"schema_version": "1",
+                                          "S": [[[1e300, 0.0]]],
+                                          "P": [[[0.5, 0.0]]]})
+    assert cli.main(["analyze", path]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "not-gamma-contraction"
+    assert report["flags"]["s_bound"] is False
+    assert report["probe"]["certified_not_gamma"] is True
+    assert report["probe"]["certificate"] is not None
+    assert cli.main(["compare", path, path]) == 1
+    err = capsys.readouterr().err
+    assert "not a usable pair" in err and "exceeds 2" in err
+
+
 def test_analyze_explicit_truncation(tmp_path, capsys):
     pair = g.random_pure_gamma(2, seed=39, max_norm=0.8)
     path = _write(tmp_path, "p.json", _pair_doc(pair))
     assert cli.main(["analyze", path, "--trunc", "6", "--vn-trials", "8"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["model"]["n_trunc"] == 6
+
+
+def test_analyze_deep_truncation_rho_099(tmp_path, capsys):
+    # normal P with rho(P) = 0.99 needs N = 2750 blocks, m = 5500: the
+    # complement check must not build T_Theta or an m x m array
+    rng = np.random.default_rng(40)
+    u = matcore.haar_unitary(2, rng)
+    t1 = u @ np.diag([0.995, -0.5j]) @ matcore.dagger(u)
+    t2 = u @ np.diag([0.99 / 0.995, 0.6]) @ matcore.dagger(u)
+    pair = g.symmetrized_pair(t1, t2)
+    path = _write(tmp_path, "deep.json", _pair_doc(pair))
+    assert cli.main(["analyze", path, "--vn-trials", "0"]) == 0
+    model = json.loads(capsys.readouterr().out)["model"]
+    assert model["n_trunc"] == 2750
+    assert model["residuals"]["complement_identity"] <= 1e-12
 
 
 def test_analyze_rejects_bad_counts_as_malformed_input(tmp_path, capsys):

@@ -79,6 +79,21 @@ def test_verify_equivalence_planted():
         assert rep.model_confirmation["unitarity"] <= 1e-10
 
 
+def test_verify_equivalence_gates_on_model_confirmation(monkeypatch):
+    # both invariant halves hold, but a confirmation above its bound (here
+    # zero) makes the verdict inconclusive, with the bound named
+    fp_a, fp_b, u = _planted(3, 4310, 5310)
+    w, _ = g.witness_from_ambient(u, fp_a, fp_b)
+    monkeypatch.setattr(matcore, "MODEL_CONFIRM_TOL", 0.0)
+    rep = g.verify_equivalence(fp_a, fp_b, w)
+    assert rep.fstar_residual <= 1e-8 and rep.coincidence.coincide
+    assert rep.verdict == VERDICT_NOT_EQUIVALENT
+    assert not rep.equivalent and not rep.conclusive
+    assert "MODEL_CONFIRM_TOL" in rep.reason
+    assert max(rep.model_confirmation["unitarity"],
+               rep.model_confirmation["conjugation"]) > 0.0
+
+
 def test_verify_equivalence_rejects_bad_witness():
     fp_a, fp_b, _ = _planted(3, 4400, 5400)
     r_star = fp_a.f_star.shape[0]

@@ -115,11 +115,15 @@ def test_joint_eigs_commuting_diagonal_oracle():
 
 
 def test_op_norm_hermitian_matches_dense():
+    # at dim <= POWER_ITERS the Krylov space is exhausted: exact to rounding
     rng = np.random.default_rng(7)
-    b = crandn(rng, 30, 30)
-    h = b + matcore.dagger(b)
-    got = matcore.op_norm_hermitian(lambda x: h @ x, 30)
-    assert got == pytest.approx(matcore.op_norm(h), rel=1e-6)
+    for dim in (1, 2, 30):
+        b = crandn(rng, dim, dim)
+        h = b + matcore.dagger(b)
+        got = matcore.op_norm_hermitian(lambda x: h @ x, dim)
+        assert got == pytest.approx(matcore.op_norm(h), rel=1e-12)
+    assert matcore.op_norm_hermitian(lambda x: 0.0 * x, 5) == 0.0
+    assert matcore.op_norm_hermitian(lambda x: x, 0) == 0.0
 
 
 def test_lift_restrict_roundtrip():

@@ -41,13 +41,6 @@ def test_model_space_auto_residuals(pure100):
         assert md.tail <= 1e-12
 
 
-def test_model_space_light_path_skips_complement():
-    pair = g.random_pure_gamma(3, seed=910)
-    md = g.model_space(g.solve_fundamental(pair), complement=False)
-    assert "complement_identity" not in md.residuals
-    assert "isometry_defect" in md.residuals
-
-
 def _dense_t_v(fp, n_val):
     """Oracle: T = I (x) F_*^adj + shift (x) F_* and V = shift (x) I as arrays."""
     shift = np.eye(n_val, k=-1)
@@ -87,7 +80,7 @@ def test_model_confirmation_matches_kronecker_form():
     n_val = int(got["n_trunc"])
     compressed = []
     for fp in (fp_a, fp_b):
-        b = g.model_space(fp, n_val, complement=False).model_basis.q
+        b = g.model_space(fp, n_val).model_basis.q
         bh = matcore.dagger(b)
         t, v = _dense_t_v(fp, n_val)
         compressed.append((b, bh @ t @ b, bh @ v @ b))
@@ -101,21 +94,24 @@ def test_model_confirmation_matches_kronecker_form():
     assert abs(got["conjugation"] - want_conj) <= 1e-13
 
 
-def test_complement_power_branch_matches_dense():
-    # above the dense limit the residual comes from power iteration; a
-    # stretched basis column puts it far above rounding
-    pair = g.random_pure_gamma(2, seed=916)
-    fp = g.solve_fundamental(pair)
-    n_val = matcore.DENSE_LIMIT // fp.f_star.shape[0] + 1
-    b = g.model_space(fp, n_val, complement=False).model_basis.q.copy()
-    b[:, 0] *= 1.05
-    t_theta = g.toeplitz_mult(g.theta_coeffs(fp, n_val), n_val)
-    m = b.shape[0]
-    assert m > matcore.DENSE_LIMIT and np.iscomplexobj(pair.p)
-    dense = matcore.op_norm(b @ matcore.dagger(b)
-                            + t_theta @ matcore.dagger(t_theta) - np.eye(m))
-    assert dense >= 0.05
-    assert abs(model._complement_identity_residual(b, t_theta) - dense) <= 1e-9 * dense
+def test_complement_residual_matches_dense(dense_toeplitz):
+    # FFT Toeplitz products and Lanczos against a dense SVD; a stretched
+    # basis column puts the residual far above rounding.  m = 40 exhausts
+    # the Krylov space, m = 602 and m = 100 (an n = 1 pair) do not.
+    for n, n_val, seed in ((2, 20, 916), (2, 301, 916), (1, 100, 920)):
+        pair = g.random_pure_gamma(n, seed=seed)
+        fp = g.solve_fundamental(pair)
+        b = g.model_space(fp, n_val).model_basis.q.copy()
+        b[:, 0] *= 1.05
+        cf = g.theta_coeffs(fp, n_val)
+        t_theta = dense_toeplitz(cf, n_val)
+        m = b.shape[0]
+        assert m == n_val * fp.f_star.shape[0] and np.iscomplexobj(pair.p)
+        dense = matcore.op_norm(b @ matcore.dagger(b)
+                                + t_theta @ matcore.dagger(t_theta) - np.eye(m))
+        assert dense >= 0.05
+        got = model._complement_identity_residual(b, g.toeplitz_mult(cf, n_val))
+        assert abs(got - dense) <= 1e-12 * dense
 
 
 def test_compressions_recover_pair(pure100):

@@ -5,11 +5,15 @@ there, with a ``#:`` line, and read elsewhere as ``matcore.NAME``.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
+from gammaops import matcore
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "gammaops"
 TESTS = Path(__file__).resolve().parent
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 POLICY_SUFFIX = re.compile(
     r"_(TOL|FLOOR|CAP|LIMIT|ITERS|SAMPLES|STARTS|TARGET|MARGIN|CLAMP)$")
 PUBLIC_CONSTANT = re.compile(r"^[A-Z][A-Z0-9_]*$")
@@ -71,7 +75,7 @@ def _other_modules():
 def test_table_is_documented_and_assigned_once():
     table = _table()
     assert {"PURITY_TOL", "POINT_TOL", "TRUNCATION_CAP", "SEARCH_ITERS",
-            "RESOLVENT_FLOOR", "COINCIDE_TOL", "DENSE_LIMIT"} <= set(table)
+            "RESOLVENT_FLOOR", "COINCIDE_TOL", "POWER_ITERS"} <= set(table)
     # the table is one block: no code between its first and last entry
     first, last = min(table.values()), max(table.values())
     tree = _parse(SRC / "matcore.py")
@@ -115,3 +119,30 @@ def test_tests_import_policy_from_matcore():
             if name in table and module != "gammaops.matcore":
                 found.append(f"{path.name}:{line} imports {name} from {module}")
     assert not found, found
+
+
+#: The benchmark's own copy of each policy value, and the entry it copies.
+BENCHMARK_COPIES = {
+    "RESIDUAL_TOL": "RESIDUAL_BREACH_TOL",
+    "RADIUS_TOL": "RADIUS_BREACH_TOL",
+    "MODEL_TOL": "MODEL_BREACH_TOL",
+    "COINCIDE_TOL": "COINCIDE_TOL",
+    "FSTAR_TOL": "FSTAR_MATCH_TOL",
+    "CONFIRM_TOL": "MODEL_CONFIRM_TOL",
+    "SCREEN_TOL": "SCREEN_TOL",
+    "AUTO_TAIL_TARGET": "AUTO_TAIL_TARGET",
+    "SEARCH_RESTARTS": "SEARCH_RESTARTS",
+}
+
+
+def test_benchmark_policy_copies_match_the_table(monkeypatch):
+    # the benchmark keeps its own copies so that a change to the table
+    # cannot loosen its checks; this makes any change happen in both places
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    workloads = importlib.import_module("workloads")
+    numeric = {name for name, value in vars(workloads).items()
+               if PUBLIC_CONSTANT.match(name)
+               and isinstance(value, (int, float)) and not isinstance(value, bool)}
+    assert numeric == set(BENCHMARK_COPIES)
+    for copy, entry in BENCHMARK_COPIES.items():
+        assert getattr(workloads, copy) == getattr(matcore, entry), copy
