@@ -69,7 +69,6 @@ from .mobius import (
     transport_pair,
 )
 from .charfn import (
-    CharFn,
     CoincidenceResult,
     coincide_check,
     default_coincidence_grid,
@@ -119,7 +118,7 @@ __all__ = [
     "solve_fundamental", "check_pf_intertwining", "scalar_fundamental",
     "TransportResult", "transport_pair", "transport_fundamental",
     "transport_crosscheck", "resolvent_condition",
-    "CharFn", "CoincidenceResult", "theta_coeffs", "theta_at",
+    "CoincidenceResult", "theta_coeffs", "theta_at",
     "theta_series_at", "toeplitz_mult", "kernel_identity_residual",
     "coincide_check", "default_coincidence_grid",
     "ModelData", "auto_truncation", "embed_w", "model_space",

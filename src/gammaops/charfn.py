@@ -22,16 +22,8 @@ if TYPE_CHECKING:
     from .fundamental import FundamentalPair
 
 
-@dataclass(frozen=True)
-class CharFn:
-    """Characteristic function of the P of a solved pair, with its coefficients."""
-
-    fp: FundamentalPair
-    coeffs: tuple[np.ndarray, ...]
-
-
-def theta_coeffs(fp: FundamentalPair, n_coeffs: int) -> CharFn:
-    """Characteristic function with the first ``n_coeffs`` Taylor coefficients."""
+def theta_coeffs(fp: FundamentalPair, n_coeffs: int) -> np.ndarray:
+    """First ``n_coeffs`` Taylor coefficients of Theta, stacked as (n, r*, r)."""
     if n_coeffs < 1:
         raise ValueError("n_coeffs must be at least 1")
     p, dp, dps = fp.pair.p, fp.defect_p, fp.defect_p_star
@@ -43,17 +35,16 @@ def theta_coeffs(fp: FundamentalPair, n_coeffs: int) -> CharFn:
     for _ in range(1, n_coeffs):
         coeffs.append(left @ p_star_pow @ right)
         p_star_pow = p_star_pow @ matcore.dagger(p)
-    return CharFn(fp=fp, coeffs=tuple(coeffs))
+    return np.stack(coeffs)
 
 
-def theta_at(cf: CharFn, z: complex) -> np.ndarray:
+def theta_at(fp: FundamentalPair, z: complex) -> np.ndarray:
     """Evaluate Theta at z by a direct resolvent solve.
 
     Valid wherever I - z P* is numerically invertible, which extends past
     the closed disc whenever the spectrum of P permits.
     """
     z = complex(z)
-    fp = cf.fp
     p = fp.pair.p
     n = p.shape[0]
     m = np.eye(n, dtype=complex) - z * matcore.dagger(p)
@@ -64,16 +55,16 @@ def theta_at(cf: CharFn, z: complex) -> np.ndarray:
     return matcore.dagger(fp.defect_p_star.basis.q) @ core @ fp.defect_p.basis.q
 
 
-def theta_series_at(cf: CharFn, z: complex) -> np.ndarray:
+def theta_series_at(coeffs: np.ndarray, z: complex) -> np.ndarray:
     """Partial Taylor sum at z, for resummation checks against theta_at."""
     z = complex(z)
-    total = np.zeros(cf.coeffs[0].shape, dtype=complex)
-    for k, c in enumerate(cf.coeffs):
+    total = np.zeros(coeffs.shape[1:], dtype=complex)
+    for k, c in enumerate(coeffs):
         total += (z ** k) * c
     return total
 
 
-def toeplitz_mult(cf: CharFn, n_blocks: int) -> LinearOperator:
+def toeplitz_mult(coeffs: np.ndarray) -> LinearOperator:
     """Truncated multiplication operator of Theta, applied by FFT.
 
     The operator is lower block Toeplitz: block (i, j) is Theta_{i-j} for
@@ -81,16 +72,11 @@ def toeplitz_mult(cf: CharFn, n_blocks: int) -> LinearOperator:
     length 2 N whose first block column is Theta_0 ... Theta_{N-1} followed
     by N zero blocks, so T_Theta and T_Theta* act as products with the
     discrete Fourier transforms of the coefficients (Chan & Jin, An
-    Introduction to Iterative Toeplitz Solvers, SIAM 2007).  Needs at least
-    ``n_blocks`` stored coefficients.
+    Introduction to Iterative Toeplitz Solvers, SIAM 2007).  N is the number
+    of stacked coefficients.
     """
-    if n_blocks < 1:
-        raise ValueError("n_blocks must be at least 1")
-    if len(cf.coeffs) < n_blocks:
-        raise ValueError(
-            f"need {n_blocks} coefficients, have {len(cf.coeffs)}")
-    r_star, r = cf.coeffs[0].shape
-    hat = np.fft.fft(np.array(cf.coeffs[:n_blocks]), n=2 * n_blocks, axis=0)
+    n_blocks, r_star, r = coeffs.shape
+    hat = np.fft.fft(coeffs, n=2 * n_blocks, axis=0)
     hat_adj = hat.conj().transpose(0, 2, 1)
 
     def apply(blocks_hat, x, width):
@@ -104,22 +90,22 @@ def toeplitz_mult(cf: CharFn, n_blocks: int) -> LinearOperator:
                           rmatvec=lambda y: apply(hat_adj, y, r_star))
 
 
-def kernel_identity_residual(cf: CharFn, zs, ws) -> float:
+def kernel_identity_residual(fp: FundamentalPair, zs, ws) -> float:
     """Max residual of the reproducing identity on given disc points.
 
     I - Theta(w) Theta(z)* = (1 - w conj(z)) D_P* (I - w P*)^(-1)
     (I - conj(z) P)^(-1) D_P*, compressed to the defect basis of P*.
     """
-    p = cf.fp.pair.p
-    q_star = cf.fp.defect_p_star.basis.q
-    d_star = cf.fp.defect_p_star.d
+    p = fp.pair.p
+    q_star = fp.defect_p_star.basis.q
+    d_star = fp.defect_p_star.d
     eye = np.eye(p.shape[0], dtype=complex)
-    w_side = [(w, theta_at(cf, w), np.linalg.inv(eye - w * matcore.dagger(p)))
+    w_side = [(w, theta_at(fp, w), np.linalg.inv(eye - w * matcore.dagger(p)))
               for w in map(complex, np.atleast_1d(ws))]
     worst = 0.0
     for z in np.atleast_1d(zs):
         rz = np.linalg.inv(eye - np.conj(complex(z)) * p)
-        th_z = theta_at(cf, z)
+        th_z = theta_at(fp, z)
         for w, th_w, rw in w_side:
             lhs = (np.eye(q_star.shape[1], dtype=complex)
                    - th_w @ matcore.dagger(th_z))

@@ -10,6 +10,7 @@ schema_version "1".  Exit codes are a total function of the verdicts:
     generate  0 written, 1 bad parameters or unwritable path
 
 Usage errors (bad options or arguments) are malformed input and exit 1.
+Reports are strict JSON: a non-finite value is written as null.
 The environment variable GAMMAOPS_SEED overrides the built-in default seed
 wherever no explicit --seed is given.
 """
@@ -67,6 +68,21 @@ EXIT_INCONCLUSIVE = 5
 EXIT_NOT_PURE = 6
 
 VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
+
+#: The exit code of each report verdict, the only place one is chosen.
+EXIT_BY_VERDICT = {
+    "ok": EXIT_OK,
+    "not-gamma-contraction": EXIT_NOT_GAMMA,
+    "numerical-contract-breach": EXIT_BREACH,
+    VERDICT_EQUIVALENT: EXIT_OK,
+    VERDICT_NOT_EQUIVALENT: EXIT_DISTINCT,
+    VERDICT_INCONCLUSIVE: EXIT_INCONCLUSIVE,
+    "purity-violation": EXIT_NOT_PURE,
+}
+
+#: The exit code of an error that ends a run; the first matching class wins.
+EXIT_BY_ERROR = ((NotPure, EXIT_NOT_PURE), (NumericalContractBreach, EXIT_BREACH),
+                 (GammaOpsError, EXIT_INPUT))
 
 
 def _num(x, path: str) -> float:
@@ -191,8 +207,20 @@ def _resolve_seed(explicit: int | None) -> int:
     return DEFAULT_SEED
 
 
+def _finite_or_null(node):
+    """A copy of a JSON tree with every non-finite float replaced by None."""
+    if isinstance(node, float):
+        return node if math.isfinite(node) else None
+    if isinstance(node, dict):
+        return {key: _finite_or_null(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_finite_or_null(value) for value in node]
+    return node
+
+
 def _emit(report: dict, json_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_finite_or_null(report), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
     if json_path:
         try:
             with open(json_path, "w", encoding="utf-8") as fh:
@@ -203,11 +231,11 @@ def _emit(report: dict, json_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _finish(report: dict, args, t0: float, code: int) -> int:
-    """Stamp the elapsed time, emit the report and return the exit code."""
+def _finish(report: dict, args, t0: float) -> int:
+    """Stamp the elapsed time, emit the report and return its verdict's code."""
     report["elapsed_s"] = time.perf_counter() - t0
     _emit(report, args.json)
-    return code
+    return EXIT_BY_VERDICT[report["verdict"]]
 
 
 def _tool_block() -> dict:
@@ -242,7 +270,7 @@ def cmd_analyze(args) -> int:
     except NotCommuting as exc:
         report["error"] = str(exc)
         report["verdict"] = "not-gamma-contraction"
-        return _finish(report, args, t0, EXIT_NOT_GAMMA)
+        return _finish(report, args, t0)
 
     probe = vn_probe(pair, trials=args.vn_trials, seed=seed)
     report["probe"] = {
@@ -314,14 +342,11 @@ def cmd_analyze(args) -> int:
     report["breaches"] = breaches
     if not pair.necessary_ok or probe.certified_not_gamma:
         report["verdict"] = "not-gamma-contraction"
-        code = EXIT_NOT_GAMMA
     elif breaches:
         report["verdict"] = "numerical-contract-breach"
-        code = EXIT_BREACH
     else:
         report["verdict"] = "ok"
-        code = EXIT_OK
-    return _finish(report, args, t0, code)
+    return _finish(report, args, t0)
 
 
 def _witness_block(w: Witness) -> dict:
@@ -379,7 +404,7 @@ def cmd_compare(args) -> int:
         raise PairFileError(f"not a usable pair: {exc}") from exc
     if not (pair_a.flags.pure and pair_b.flags.pure):
         report["verdict"] = "purity-violation"
-        return _finish(report, args, t0, EXIT_NOT_PURE)
+        return _finish(report, args, t0)
 
     if witness is not None:
         screen = trace_word_screen(fp_a, fp_b)
@@ -394,7 +419,7 @@ def cmd_compare(args) -> int:
     if screen.mismatch:
         report["verdict"] = VERDICT_NOT_EQUIVALENT
         report["conclusive"] = True
-        return _finish(report, args, t0, EXIT_DISTINCT)
+        return _finish(report, args, t0)
 
     if witness is not None:
         report["witness_source"] = "file"
@@ -406,9 +431,7 @@ def cmd_compare(args) -> int:
         report["equivalence"] = _equivalence_block(rep)
         report["verdict"] = (rep.verdict if rep.equivalent or rep.conclusive
                              else VERDICT_INCONCLUSIVE)
-        code = (EXIT_OK if rep.equivalent
-                else EXIT_DISTINCT if rep.conclusive else EXIT_INCONCLUSIVE)
-        return _finish(report, args, t0, code)
+        return _finish(report, args, t0)
 
     report["witness_source"] = "search"
     report["search"] = {"status": result.status,
@@ -418,21 +441,15 @@ def cmd_compare(args) -> int:
     if result.status == SEARCH_FOUND:
         report["witness"] = _witness_block(result.witness)
         report["verdict"] = VERDICT_EQUIVALENT
-        code = EXIT_OK
     elif result.status == SEARCH_DISTINCT:
         report["verdict"] = VERDICT_NOT_EQUIVALENT
         report["conclusive"] = True
-        code = EXIT_DISTINCT
     else:
         report["verdict"] = VERDICT_INCONCLUSIVE
-        code = EXIT_INCONCLUSIVE
-    return _finish(report, args, t0, code)
+    return _finish(report, args, t0)
 
 
 def cmd_generate(args) -> int:
-    if args.dim < 1:
-        print("error: --dim must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
     seed = _resolve_seed(args.seed)
     if args.kind == "symmetrized":
         pair = random_pure_gamma(args.dim, seed, max_norm=matcore.GENERATE_MAX_NORM)
@@ -440,17 +457,7 @@ def cmd_generate(args) -> int:
         pair = random_gamma_unitary(args.dim, seed)
     metadata = {"kind": args.kind, "seed": seed,
                 "label": f"{args.kind}-n{args.dim}-seed{seed}"}
-    doc = pair_file_doc(pair.s, pair.p, metadata)
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {args.out}: {exc.strerror or exc}", file=sys.stderr)
-            return EXIT_INPUT
-    else:
-        sys.stdout.write(text)
+    _emit(pair_file_doc(pair.s, pair.p, metadata), args.out)
     return EXIT_OK
 
 
@@ -513,7 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=cmd_compare)
 
     pg = sub.add_parser("generate", help="write a random pair file")
-    pg.add_argument("--dim", type=int, required=True, help="matrix size")
+    pg.add_argument("--dim", type=lambda v: _int_at_least(v, 1), required=True,
+                    help="matrix size")
     pg.add_argument("--seed", type=lambda v: _int_at_least(v, 0), default=None,
                     help="generator seed (default: GAMMAOPS_SEED or 0)")
     pg.add_argument("--kind", choices=("symmetrized", "gamma-unitary"),
@@ -533,18 +541,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except PairFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NotPure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_PURE
-    except NumericalContractBreach as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BREACH
     except GammaOpsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(code for cls, code in EXIT_BY_ERROR if isinstance(exc, cls))
 
 
 def console_main() -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .charfn import default_coincidence_grid, theta_at, theta_coeffs
+from .charfn import default_coincidence_grid, theta_at
 from .exceptions import NotContraction, NumericalContractBreach
 from .gamma_pair import GammaPair
 
@@ -93,8 +93,7 @@ class FundamentalPair:
     @functools.cached_property
     def theta_grid(self) -> np.ndarray:
         """Theta on ``default_coincidence_grid()``, stacked; built on first read."""
-        cf = theta_coeffs(self, 1)
-        return np.stack([theta_at(cf, z) for z in default_coincidence_grid()])
+        return np.stack([theta_at(self, z) for z in default_coincidence_grid()])
 
 
 def _solve_side(s: np.ndarray, p: np.ndarray, dd: DefectData

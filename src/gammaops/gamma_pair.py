@@ -139,12 +139,17 @@ class VnProbeReport:
         return not self.certified_not_gamma
 
 
-def _random_poly(rng: np.random.Generator, max_deg: int) -> np.ndarray:
-    c = np.zeros((max_deg + 1, max_deg + 1), dtype=complex)
-    for j in range(max_deg + 1):
-        for k in range(max_deg + 1 - j):
-            r = np.sqrt(rng.uniform())
-            c[j, k] = r * np.exp(2j * np.pi * rng.uniform())
+def _random_polys(rng: np.random.Generator, trials: int,
+                  max_deg: int) -> np.ndarray:
+    """``trials`` arrays with c[j, k] = sqrt(u) e^(2 pi i v) for j + k <= max_deg.
+
+    The uniforms (u, v) are drawn entry by entry in row-major order.
+    """
+    deg = np.arange(max_deg + 1)
+    j, k = np.nonzero(deg[:, None] + deg[None, :] <= max_deg)
+    u = rng.uniform(size=(trials, len(j), 2))
+    c = np.zeros((trials, max_deg + 1, max_deg + 1), dtype=complex)
+    c[:, j, k] = np.sqrt(u[..., 0]) * np.exp(2j * np.pi * u[..., 1])
     return c
 
 
@@ -164,7 +169,7 @@ def vn_probe(pair: GammaPair, trials: int = matcore.PROBE_TRIALS,
     mono_p = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     const = np.array([[1.0]], dtype=complex)
     polys = [mono_s, mono_p, const]
-    polys += [_random_poly(rng, matcore.PROBE_MAX_DEG) for _ in range(trials)]
+    polys += list(_random_polys(rng, trials, matcore.PROBE_MAX_DEG))
 
     worst_ratio, worst_coeffs = 0.0, polys[0]
     for c in polys:

@@ -17,11 +17,11 @@ import numpy as np
 import scipy.linalg
 
 from . import matcore
-from .charfn import CoincidenceResult, coincide_check, theta_at, theta_coeffs
+from .charfn import CoincidenceResult, coincide_check, theta_at
 from .exceptions import DimensionMismatch, NotIntertwining, NotPure
 from .fundamental import FundamentalPair
 from .gamma_pair import GammaPair
-from .model import auto_truncation, model_operators, model_space
+from .model import auto_truncation, model_space
 
 VERDICT_EQUIVALENT = "EQUIVALENT"
 VERDICT_NOT_EQUIVALENT = "NOT_EQUIVALENT"
@@ -169,8 +169,7 @@ def _model_confirmation(fp_a: FundamentalPair, fp_b: FundamentalPair,
     residual certify equivalence end to end, not only at the defect level.
     """
     n_common = max(auto_truncation(fp_a.pair.p), auto_truncation(fp_b.pair.p))
-    md_a, md_b = (model_operators(fp, model_space(fp, n_common))
-                  for fp in (fp_a, fp_b))
+    md_a, md_b = (model_space(fp, n_common) for fp in (fp_a, fp_b))
     # (I (x) eta1) B_a applies eta1 to each of the N row blocks of B_a
     q_a = md_a.model_basis.q
     eta_q_a = eta1 @ q_a.reshape(n_common, eta1.shape[1], q_a.shape[1])
@@ -452,8 +451,7 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
                                     restarts_used=used)
             misses.append(report)
 
-    cf_a, cf_b = theta_coeffs(fp_a, 1), theta_coeffs(fp_b, 1)
-    samples = [(theta_at(cf_a, z), theta_at(cf_b, z)) for z in _search_grid()]
+    samples = [(theta_at(fp_a, z), theta_at(fp_b, z)) for z in _search_grid()]
     for k in range(restarts):
         used += 1
         if k == 0:

@@ -12,7 +12,7 @@ to the embedded copy.  Truncation at N leaves tails of order |P^N|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +36,9 @@ class ModelData:
     w: np.ndarray
     model_basis: matcore.RangeBasis
     tail: float
-    s1: np.ndarray | None = None
-    p1: np.ndarray | None = None
-    residuals: dict = None
+    s1: np.ndarray
+    p1: np.ndarray
+    residuals: dict
 
 
 def auto_truncation(p) -> int:
@@ -46,9 +46,12 @@ def auto_truncation(p) -> int:
     p = matcore.as_cmatrix(p, square=True, name="P")
     if not is_pure(p):
         raise NotPure("spectral radius of P is not strictly below 1")
+    # |A| >= |A|_F / sqrt(n), so no SVD runs while |P^N|_F is above this
+    fro_bound = np.sqrt(p.shape[0]) * matcore.AUTO_TAIL_TARGET
     power = p.copy()
     for n in range(1, matcore.TRUNCATION_CAP + 1):
-        if matcore.op_norm(power) <= matcore.AUTO_TAIL_TARGET:
+        if (matcore.fro_norm(power) <= fro_bound
+                and matcore.op_norm(power) <= matcore.AUTO_TAIL_TARGET):
             return n
         power = power @ p
     raise TruncationCapExceeded(
@@ -72,10 +75,9 @@ def _resolve_trunc(pair: GammaPair, n_trunc) -> int:
     return n
 
 
-def embed_w(fp: FundamentalPair, n_trunc) -> np.ndarray:
+def embed_w(fp: FundamentalPair, n_trunc: int) -> np.ndarray:
     """Stacked embedding blocks D_P* P*^k on the defect basis, k < N."""
     pair = fp.pair
-    n_trunc = _resolve_trunc(pair, n_trunc)
     left = matcore.dagger(fp.defect_p_star.basis.q) @ fp.defect_p_star.d
     blocks, cur = [], np.eye(pair.n, dtype=complex)
     p_star = matcore.dagger(pair.p)
@@ -100,7 +102,7 @@ def _complement_identity_residual(b: np.ndarray, t_theta) -> float:
 
 
 def model_space(fp: FundamentalPair, n_trunc="auto") -> ModelData:
-    """Embedding, orthonormal model basis and space-level residuals."""
+    """Embedding, orthonormal model basis, compressions and residual ledger."""
     pair = fp.pair
     n_val = _resolve_trunc(pair, n_trunc)
     w = embed_w(fp, n_val)
@@ -108,14 +110,17 @@ def model_space(fp: FundamentalPair, n_trunc="auto") -> ModelData:
     tail = matcore.op_norm(np.linalg.matrix_power(pair.p, n_val))
     iso = matcore.op_norm(matcore.dagger(w) @ w - np.eye(pair.n, dtype=complex))
     complement = _complement_identity_residual(
-        basis.q, toeplitz_mult(theta_coeffs(fp, n_val), n_val))
-    return ModelData(n_trunc=n_val, w=w, model_basis=basis, tail=tail,
-                     residuals={"isometry_defect": iso,
-                                "complement_identity": complement})
+        basis.q, toeplitz_mult(theta_coeffs(fp, n_val)))
+    s1, p1, intertwine = model_operators(fp, w, basis.q)
+    return ModelData(n_trunc=n_val, w=w, model_basis=basis, tail=tail, s1=s1,
+                     p1=p1, residuals={"isometry_defect": iso,
+                                       "complement_identity": complement,
+                                       **intertwine})
 
 
-def model_operators(fp: FundamentalPair, md: ModelData) -> ModelData:
-    """Complete a model with the compressions of T and V and their residuals.
+def model_operators(fp: FundamentalPair, w: np.ndarray, b: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Compressions s1 = B* T B, p1 = B* V B and the intertwining residuals.
 
     T and V act on the N row blocks of B and W without being formed:
     (T B)_k = F_*^adj B_k + F_* B_{k-1}, (V B)_k = B_{k-1},
@@ -123,20 +128,21 @@ def model_operators(fp: FundamentalPair, md: ModelData) -> ModelData:
     """
     pair, f_star = fp.pair, fp.f_star
     f_star_adj = matcore.dagger(f_star)
-    b, w, r_star = md.model_basis.q, md.w, f_star.shape[0]
-    blocks = (md.n_trunc, r_star, pair.n)
+    r_star = f_star.shape[0]
+    blocks = (w.shape[0] // r_star, r_star, pair.n)
     t_b = f_star_adj @ b.reshape(blocks)
     t_b[1:] += f_star @ b.reshape(blocks)[:-1]
     t_adj_w = f_star @ w.reshape(blocks)
     t_adj_w[:-1] += f_star_adj @ w.reshape(blocks)[1:]
     res_p = w @ matcore.dagger(pair.p)
     res_p[:-r_star] -= w[r_star:]
-    residuals = dict(md.residuals)
-    residuals["intertwine_s"] = matcore.fro_norm(
-        w @ matcore.dagger(pair.s) - t_adj_w.reshape(w.shape))
-    residuals["intertwine_p"] = matcore.fro_norm(res_p)
-    return replace(md, s1=matcore.dagger(b) @ t_b.reshape(b.shape),
-                   p1=matcore.dagger(b[r_star:]) @ b[:-r_star], residuals=residuals)
+    residuals = {
+        "intertwine_s": matcore.fro_norm(
+            w @ matcore.dagger(pair.s) - t_adj_w.reshape(w.shape)),
+        "intertwine_p": matcore.fro_norm(res_p),
+    }
+    return (matcore.dagger(b) @ t_b.reshape(b.shape),
+            matcore.dagger(b[r_star:]) @ b[:-r_star], residuals)
 
 
 def fstar_defect_identity_residual(fp: FundamentalPair) -> float:
@@ -150,13 +156,11 @@ def fstar_defect_identity_residual(fp: FundamentalPair) -> float:
 
 
 def verify_model(fp: FundamentalPair, n_trunc="auto") -> ModelData:
-    """Full pipeline returning a model whose residual ledger is complete.
+    """The model of ``model_space`` with fstar_defect_identity added to its ledger.
 
-    Ledger keys: isometry_defect, complement_identity, intertwine_s,
-    intertwine_p, fstar_defect_identity.  For genuine pure pairs all of
-    them sit at the truncation-tail or rounding level.
+    For genuine pure pairs every residual sits at the truncation-tail or
+    rounding level.
     """
-    md = model_operators(fp, model_space(fp, n_trunc))
-    residuals = dict(md.residuals)
-    residuals["fstar_defect_identity"] = fstar_defect_identity_residual(fp)
-    return replace(md, residuals=residuals)
+    md = model_space(fp, n_trunc)
+    md.residuals["fstar_defect_identity"] = fstar_defect_identity_residual(fp)
+    return md

@@ -25,13 +25,13 @@ def pure100():
             for k in range(100)]
 
 
-def _dense_toeplitz(cf, n_blocks):
+def _dense_toeplitz(coeffs):
     """Oracle: the lower block Toeplitz array with block (i, j) = Theta_{i-j}."""
-    r_star, r = cf.coeffs[0].shape
+    n_blocks, r_star, r = coeffs.shape
     out = np.zeros((n_blocks * r_star, n_blocks * r), dtype=complex)
     for i in range(n_blocks):
         for j in range(i + 1):
-            out[i * r_star:(i + 1) * r_star, j * r:(j + 1) * r] = cf.coeffs[i - j]
+            out[i * r_star:(i + 1) * r_star, j * r:(j + 1) * r] = coeffs[i - j]
     return out
 
 

@@ -93,8 +93,8 @@ def test_criterion_07_kernel_and_complement(announce, pure100):
     grid = np.outer(radii, angles).ravel()
     for k in range(10):
         pair = g.random_pure_gamma(1 + k % 5, seed=7300 + k)
-        cf = g.theta_coeffs(g.solve_fundamental(pair), 1)
-        assert g.kernel_identity_residual(cf, grid, grid) <= 1e-9
+        fp = g.solve_fundamental(pair)
+        assert g.kernel_identity_residual(fp, grid, grid) <= 1e-9
     for pair in pure100:
         md = g.model_space(g.solve_fundamental(pair))
         assert md.residuals["complement_identity"] <= 1e-8
@@ -104,7 +104,7 @@ def test_criterion_07_kernel_and_complement(announce, pure100):
 def test_criterion_08_model_equivalence(announce, pure100):
     for pair in pure100:
         fp = g.solve_fundamental(pair)
-        md = g.model_operators(fp, g.model_space(fp))
+        md = g.model_space(fp)
         bound = 1e-8 * (1.0 + pair.norm_s)
         assert md.residuals["intertwine_s"] <= bound
         assert md.residuals["intertwine_p"] <= bound
@@ -163,7 +163,7 @@ def test_criterion_10_truncation_convergence(announce):
     fp = g.solve_fundamental(pair)
     worst = []
     for n_val in (16, 32, 64, 128):
-        md = g.model_operators(fp, g.model_space(fp, n_val))
+        md = g.model_space(fp, n_val)
         worst.append(max(md.residuals.values()))
     for prev, nxt in zip(worst, worst[1:]):
         assert prev <= 1e-12 or nxt <= prev / 10.0

@@ -13,9 +13,10 @@ def _bare(p):
 
 
 def test_scalar_blaschke_frozen():
-    cf = g.theta_coeffs(_bare([[0.25]]), 8)
+    fp = _bare([[0.25]])
+    assert g.theta_coeffs(fp, 8).shape == (8, 1, 1)
     # (z - p) / (1 - conj(p) z) at p = 0.25, z = 0.5 is 2/7
-    val = g.theta_at(cf, 0.5)
+    val = g.theta_at(fp, 0.5)
     assert val.shape == (1, 1)
     assert val[0, 0] == pytest.approx(2.0 / 7.0, abs=1e-14)
 
@@ -25,9 +26,8 @@ def test_scalar_matches_blaschke_on_disc():
     for _ in range(60):
         p = 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         z = 0.98 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        cf = g.theta_coeffs(_bare([[p]]), 1)
         want = (z - p) / (1.0 - np.conj(p) * z)
-        got = g.theta_at(cf, z)[0, 0]
+        got = g.theta_at(_bare([[p]]), z)[0, 0]
         # defect-basis phases cancel, the scalar value is basis free
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -36,10 +36,11 @@ def test_taylor_series_resums_to_resolvent():
     rng = np.random.default_rng(16)
     for k in range(20):
         pair = g.random_pure_gamma(1 + k % 4, seed=600 + k, max_norm=0.7)
-        cf = g.theta_coeffs(g.solve_fundamental(pair), 120)
+        fp = g.solve_fundamental(pair)
+        coeffs = g.theta_coeffs(fp, 120)
         for z in (0.2, -0.35 + 0.1j, 0.45j):
-            direct = g.theta_at(cf, z)
-            summed = g.theta_series_at(cf, z)
+            direct = g.theta_at(fp, z)
+            summed = g.theta_series_at(coeffs, z)
             assert matcore.fro_norm(direct - summed) <= 1e-10
 
 
@@ -47,16 +48,15 @@ def test_theta_contractive_on_disc():
     rng = np.random.default_rng(17)
     for k in range(15):
         pair = g.random_pure_gamma(1 + k % 5, seed=700 + k)
-        cf = g.theta_coeffs(g.solve_fundamental(pair), 1)
+        fp = g.solve_fundamental(pair)
         for _ in range(8):
             z = np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            assert matcore.op_norm(g.theta_at(cf, z)) <= 1.0 + 1e-10
+            assert matcore.op_norm(g.theta_at(fp, z)) <= 1.0 + 1e-10
 
 
 def test_eval_outside_resolvent_set_raises():
-    cf = g.theta_coeffs(_bare([[1.0]]), 1)
     with pytest.raises(OutsideLambdaP):
-        g.theta_at(cf, 1.0)
+        g.theta_at(_bare([[1.0]]), 1.0)
 
 
 def test_toeplitz_block_layout(dense_toeplitz):
@@ -64,28 +64,23 @@ def test_toeplitz_block_layout(dense_toeplitz):
     # dense lower block Toeplitz array and its conjugate transpose
     pair = g.random_pure_gamma(3, seed=55)
     fp = g.solve_fundamental(pair)
-    cf = g.theta_coeffs(fp, 4)
+    coeffs = g.theta_coeffs(fp, 4)
     r, rs = fp.defect_p.rank, fp.defect_p_star.rank
     for n_blocks in (1, 3, 4):
-        t = g.toeplitz_mult(cf, n_blocks)
-        dense = dense_toeplitz(cf, n_blocks)
+        t = g.toeplitz_mult(coeffs[:n_blocks])
+        dense = dense_toeplitz(coeffs[:n_blocks])
         assert t.shape == dense.shape == (n_blocks * rs, n_blocks * r)
         assert np.abs(t @ np.eye(n_blocks * r) - dense).max() <= 1e-14
         assert np.abs(t.H @ np.eye(n_blocks * rs)
                       - matcore.dagger(dense)).max() <= 1e-14
         x = np.arange(n_blocks * r) * (1.0 - 0.5j)
         assert np.abs(t.matvec(x) - dense @ x).max() <= 1e-13
-    with pytest.raises(ValueError):
-        g.toeplitz_mult(cf, 5)
-    with pytest.raises(ValueError):
-        g.toeplitz_mult(cf, 0)
 
 
 def test_kernel_identity(corpus500):
     zs = np.array([0.1, 0.4 + 0.2j, -0.6j, 0.8])
     for _, fp in corpus500[:25]:
-        cf = g.theta_coeffs(fp, 1)
-        assert g.kernel_identity_residual(cf, zs, zs) <= 1e-9
+        assert g.kernel_identity_residual(fp, zs, zs) <= 1e-9
 
 
 def test_coincide_self_with_identity():
@@ -134,9 +129,8 @@ def test_coincide_under_planted_conjugation():
 def test_theta_grid_built_once_per_pair():
     fp = g.solve_fundamental(g.random_pure_gamma(3, seed=67))
     grid = fp.theta_grid
-    cf = g.theta_coeffs(fp, 1)
     zs = g.default_coincidence_grid()
     assert grid.shape == (len(zs), fp.defect_p_star.rank, fp.defect_p.rank)
     for z, th in zip(zs, grid):
-        assert np.array_equal(th, g.theta_at(cf, z))
+        assert np.array_equal(th, g.theta_at(fp, z))
     assert fp.theta_grid is grid

@@ -15,6 +15,15 @@ def _write(tmp_path, name, doc):
     return str(path)
 
 
+def _reject_constant(name):
+    raise ValueError(f"report is not strict JSON: it contains {name}")
+
+
+def _report(text: str) -> dict:
+    """Parse a report, refusing the non-standard Infinity, -Infinity and NaN."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def _pair_doc(pair, **meta):
     return cli.pair_file_doc(pair.s, pair.p, meta or None)
 
@@ -56,6 +65,13 @@ def test_generate_rejects_bad_dim(capsys):
     assert "dim" in capsys.readouterr().err
 
 
+def test_generate_unwritable_out_is_input_error(tmp_path, capsys):
+    out = str(tmp_path / "absent-dir" / "pair.json")
+    assert cli.main(["generate", "--dim", "2", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and out in captured.err
+
+
 def test_env_seed_used_and_validated(monkeypatch, capsys):
     monkeypatch.setenv("GAMMAOPS_SEED", "7")
     assert cli.main(["generate", "--dim", "2"]) == 0
@@ -75,7 +91,7 @@ def test_analyze_ok_report(tmp_path, capsys):
     out = str(tmp_path / "report.json")
     code = cli.main(["analyze", path, "--vn-trials", "16", "--json", out])
     assert code == 0
-    report = json.loads(open(out).read())
+    report = _report(open(out).read())
     assert report["verdict"] == "ok"
     assert report["flags"]["necessary_ok"] is True
     assert report["probe"]["certificate"] is None
@@ -90,7 +106,7 @@ def test_analyze_gamma_unitary_skips_model(tmp_path, capsys):
     gu = g.random_gamma_unitary(3, seed=32)
     path = _write(tmp_path, "gu.json", _pair_doc(gu))
     assert cli.main(["analyze", path, "--vn-trials", "8"]) == 0
-    report = json.loads(capsys.readouterr().out)
+    report = _report(capsys.readouterr().out)
     assert report["model"] is None
     assert report["flags"]["pure"] is False
 
@@ -100,7 +116,7 @@ def test_analyze_outside_domain_certified(tmp_path, capsys):
            "S": [[[3.0, 0.0]]], "P": [[[1.0, 0.0]]]}
     path = _write(tmp_path, "out.json", doc)
     assert cli.main(["analyze", path, "--vn-trials", "8"]) == 2
-    report = json.loads(capsys.readouterr().out)
+    report = _report(capsys.readouterr().out)
     assert report["verdict"] == "not-gamma-contraction"
     assert report["probe"]["certified_not_gamma"] is True
     assert report["probe"]["certificate"] is not None
@@ -143,7 +159,7 @@ def test_compare_search_self_equivalent(tmp_path, capsys):
     pair = g.random_pure_gamma(3, seed=33, max_norm=0.8)
     path = _write(tmp_path, "self.json", _pair_doc(pair))
     assert cli.main(["compare", path, path, "--search", "4"]) == 0
-    report = json.loads(capsys.readouterr().out)
+    report = _report(capsys.readouterr().out)
     assert report["verdict"] == "EQUIVALENT"
     assert report["search"]["status"] == "FOUND"
     assert "eta1" in report["witness"]
@@ -178,7 +194,7 @@ def test_compare_search_solves_and_screens_each_pair_once(
     screens = _count_calls(monkeypatch, g.trace_word_screen)
     defects = _count_calls(monkeypatch, g.defect_pair)
     assert cli.main(["compare", a, b, "--search", "4"]) == 0
-    assert json.loads(capsys.readouterr().out)["verdict"] == "EQUIVALENT"
+    assert _report(capsys.readouterr().out)["verdict"] == "EQUIVALENT"
     assert len(solves) == 2
     assert len(screens) == 1
     assert len(defects) == 2
@@ -188,7 +204,7 @@ def test_compare_dimension_mismatch_is_distinct(tmp_path, capsys):
     a = _write(tmp_path, "n2.json", _pair_doc(g.random_pure_gamma(2, seed=42)))
     b = _write(tmp_path, "n3.json", _pair_doc(g.random_pure_gamma(3, seed=43)))
     assert cli.main(["compare", a, b]) == 4
-    report = json.loads(capsys.readouterr().out)
+    report = _report(capsys.readouterr().out)
     assert report["verdict"] == "NOT_EQUIVALENT"
     assert report["conclusive"] is True
     assert report["screen"]["mismatch"] is True
@@ -200,7 +216,7 @@ def test_compare_screen_distinct(tmp_path, capsys):
     b = _write(tmp_path, "b.json", {"schema_version": "1",
                                     "S": [[[1.0, 0.0]]], "P": [[[0.5, 0.0]]]})
     assert cli.main(["compare", a, b]) == 4
-    report = json.loads(capsys.readouterr().out)
+    report = _report(capsys.readouterr().out)
     assert report["screen"]["mismatch"] is True
     assert report["conclusive"] is True
 
@@ -220,7 +236,7 @@ def test_compare_with_witness_file(tmp_path, capsys):
         "sigma_star": cli.matrix_to_json(w.sigma_star),
     })
     assert cli.main(["compare", a, b, "--witness", wfile]) == 0
-    report = json.loads(capsys.readouterr().out)
+    report = _report(capsys.readouterr().out)
     assert report["equivalence"]["verdict"] == "EQUIVALENT"
     assert (report["equivalence"]["model_confirmation"]["conjugation"]
             <= MODEL_CONFIRM_TOL)
@@ -233,7 +249,7 @@ def test_compare_with_witness_file(tmp_path, capsys):
         "sigma": cli.matrix_to_json(np.eye(r)),
     })
     assert cli.main(["compare", a, b, "--witness", bogus]) == 5
-    report = json.loads(capsys.readouterr().out)
+    report = _report(capsys.readouterr().out)
     assert report["verdict"] == "INCONCLUSIVE"
 
     shrunk = _write(tmp_path, "shrunk.json", {
@@ -250,7 +266,7 @@ def test_compare_purity_gate(tmp_path, capsys):
     a = _write(tmp_path, "gu.json", _pair_doc(gu))
     b = _write(tmp_path, "pure.json", _pair_doc(pure))
     assert cli.main(["compare", a, b]) == 6
-    report = json.loads(capsys.readouterr().out)
+    report = _report(capsys.readouterr().out)
     assert report["verdict"] == "purity-violation"
 
 
@@ -271,21 +287,80 @@ def test_overflowing_pair_ends_in_a_documented_code(tmp_path, capsys):
                                           "S": [[[1e300, 0.0]]],
                                           "P": [[[0.5, 0.0]]]})
     assert cli.main(["analyze", path]) == 2
-    report = json.loads(capsys.readouterr().out)
+    report = _report(capsys.readouterr().out)
     assert report["verdict"] == "not-gamma-contraction"
     assert report["flags"]["s_bound"] is False
     assert report["probe"]["certified_not_gamma"] is True
     assert report["probe"]["certificate"] is not None
+    # the overflowing values are reported as null, not as Infinity
+    assert report["probe"]["worst_ratio"] is None
+    assert report["fundamental"]["residual_f"] is None
+    assert report["fundamental"]["residual_f_star"] is None
     assert cli.main(["compare", path, path]) == 1
     err = capsys.readouterr().err
     assert "not a usable pair" in err and "exceeds 2" in err
+
+
+def test_rank_mismatch_gap_is_null(tmp_path, capsys):
+    # defect ranks (0, 0) against (1, 1): the screen gap is infinite
+    a = _write(tmp_path, "a.json", cli.pair_file_doc(
+        np.zeros((2, 2)), np.diag([0.5, 0.5])))
+    b = _write(tmp_path, "b.json", cli.pair_file_doc(
+        np.zeros((2, 2)), np.array([[0.0, 1.0], [0.0, 0.0]])))
+    assert cli.main(["compare", a, b]) == cli.EXIT_DISTINCT
+    report = _report(capsys.readouterr().out)
+    assert report["screen"] == {"max_gap": None, "mismatch": True,
+                                "worst_word": "rank"}
+
+
+#: The exit code of each verdict, as the README and the cli docstring give it.
+DOCUMENTED_EXIT = {
+    "ok": 0, "not-gamma-contraction": 2, "numerical-contract-breach": 3,
+    "EQUIVALENT": 0, "NOT_EQUIVALENT": 4, "INCONCLUSIVE": 5,
+    "purity-violation": 6,
+}
+
+
+def test_exit_code_is_the_documented_code_of_the_verdict(tmp_path, capsys):
+    pair = g.random_pure_gamma(2, seed=50, max_norm=0.8)
+    pure = _write(tmp_path, "pure.json", _pair_doc(pair))
+    outside = _write(tmp_path, "outside.json", {
+        "schema_version": "1", "S": [[[3.0, 0.0]]], "P": [[[1.0, 0.0]]]})
+    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+    breach = _write(tmp_path, "breach.json",
+                    cli.pair_file_doc(nilpotent, 0.9 * nilpotent))
+    scalar = _write(tmp_path, "scalar.json", {
+        "schema_version": "1", "S": [[[1.0, 0.0]]], "P": [[[0.25, 0.0]]]})
+    other = _write(tmp_path, "other.json", {
+        "schema_version": "1", "S": [[[1.0, 0.0]]], "P": [[[0.5, 0.0]]]})
+    unitary = _write(tmp_path, "gu.json",
+                     _pair_doc(g.random_gamma_unitary(2, seed=51)))
+    r_star = g.solve_fundamental(pair).f_star.shape[0]
+    wrong = _write(tmp_path, "wrong.json", {
+        "eta1": cli.matrix_to_json(matcore.haar_unitary(
+            r_star, np.random.default_rng(52))),
+        "sigma": cli.matrix_to_json(np.eye(r_star))})
+    runs = (["analyze", pure, "--vn-trials", "8"],
+            ["analyze", outside, "--vn-trials", "8"],
+            ["analyze", breach, "--vn-trials", "0"],
+            ["compare", pure, pure, "--search", "4"],
+            ["compare", scalar, other],
+            ["compare", pure, pure, "--witness", wrong],
+            ["compare", unitary, pure])
+    seen = set()
+    for argv in runs:
+        code = cli.main(argv)
+        verdict = _report(capsys.readouterr().out)["verdict"]
+        assert code == DOCUMENTED_EXIT[verdict], (argv, verdict, code)
+        seen.add(verdict)
+    assert seen == set(DOCUMENTED_EXIT)
 
 
 def test_analyze_explicit_truncation(tmp_path, capsys):
     pair = g.random_pure_gamma(2, seed=39, max_norm=0.8)
     path = _write(tmp_path, "p.json", _pair_doc(pair))
     assert cli.main(["analyze", path, "--trunc", "6", "--vn-trials", "8"]) == 0
-    report = json.loads(capsys.readouterr().out)
+    report = _report(capsys.readouterr().out)
     assert report["model"]["n_trunc"] == 6
 
 
@@ -299,7 +374,7 @@ def test_analyze_deep_truncation_rho_099(tmp_path, capsys):
     pair = g.symmetrized_pair(t1, t2)
     path = _write(tmp_path, "deep.json", _pair_doc(pair))
     assert cli.main(["analyze", path, "--vn-trials", "0"]) == 0
-    model = json.loads(capsys.readouterr().out)["model"]
+    model = _report(capsys.readouterr().out)["model"]
     assert model["n_trunc"] == 2750
     assert model["residuals"]["complement_identity"] <= 1e-12
 
@@ -323,7 +398,7 @@ def test_analyze_truncation_above_cap_is_usage_error(tmp_path, capsys):
     slow = _write(tmp_path, "slow.json", _pair_doc(g.symmetrized_pair(
         np.array([[0.999]]), np.array([[0.996]]))))
     assert cli.main(["analyze", slow, "--vn-trials", "8"]) == cli.EXIT_BREACH
-    report = json.loads(capsys.readouterr().out)
+    report = _report(capsys.readouterr().out)
     assert report["breaches"] == [
         f"|P^N| did not reach 1.0e-12 for N <= {matcore.TRUNCATION_CAP}"]
 

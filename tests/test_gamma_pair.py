@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gammaops as g
-from gammaops import matcore
+from gammaops import gamma_pair, matcore
 from gammaops.exceptions import NotCommuting, NotContraction
 
 
@@ -85,6 +85,30 @@ def test_vn_probe_deterministic_in_seed():
     r2 = g.vn_probe(pair, trials=25, seed=42)
     assert r1.worst_ratio == r2.worst_ratio
     assert np.array_equal(r1.worst_coeffs, r2.worst_coeffs)
+
+
+def _random_poly_oracle(rng, max_deg):
+    """Oracle: one polynomial, two scalar uniforms per entry in row-major order."""
+    c = np.zeros((max_deg + 1, max_deg + 1), dtype=complex)
+    for j in range(max_deg + 1):
+        for k in range(max_deg + 1 - j):
+            r = np.sqrt(rng.uniform())
+            c[j, k] = r * np.exp(2j * np.pi * rng.uniform())
+    return c
+
+
+def test_probe_polynomials_drawn_in_one_call_match_scalar_draws():
+    for seed in (0, 1, 42, 7919):
+        rng = np.random.default_rng(seed)
+        want = [_random_poly_oracle(rng, matcore.PROBE_MAX_DEG)
+                for _ in range(50)]
+        got = gamma_pair._random_polys(np.random.default_rng(seed), 50,
+                                       matcore.PROBE_MAX_DEG)
+        assert got.shape == (50,) + want[0].shape
+        for a, b in zip(want, got):
+            assert a.tobytes() == b.tobytes()
+    assert gamma_pair._random_polys(np.random.default_rng(0), 0, 4).shape == (
+        0, 5, 5)
 
 
 def test_cnu_split_block_diagonal_mix():

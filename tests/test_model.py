@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,33 @@ def test_auto_truncation_frozen_scalar():
     # |0.5^N| first reaches 1e-12 at N = 40
     assert g.auto_truncation(np.array([[0.5]])) == 40
     assert g.auto_truncation(np.zeros((2, 2))) == 1
+
+
+def _auto_truncation_oracle(p):
+    """Oracle: one SVD per power of P until |P^N| reaches the tail target."""
+    power = p.copy()
+    for n in range(1, matcore.TRUNCATION_CAP + 1):
+        if np.linalg.norm(power, 2) <= matcore.AUTO_TAIL_TARGET:
+            return n
+        power = power @ p
+    raise AssertionError("oracle reached the cap")
+
+
+def test_auto_truncation_matches_one_svd_per_power():
+    rng = np.random.default_rng(921)
+    cases = [np.zeros((3, 3), dtype=complex),
+             np.array([[0.9, 50.0], [0.0, 0.9]], dtype=complex)]
+    for rho in (0.72, 0.9, 0.99):
+        for n in (2, 6, 12):
+            u = matcore.haar_unitary(n, rng)
+            spec = rho * np.exp(2j * np.pi * rng.uniform(size=n))
+            spec[1:] *= rng.uniform(0.1, 1.0, size=n - 1)
+            cases.append(u @ np.diag(spec) @ matcore.dagger(u))
+    cases += [g.random_pure_gamma(1 + k % 12, seed=930 + k).p
+              for k in range(24)]
+    for p in cases:
+        assert g.auto_truncation(p) == _auto_truncation_oracle(p)
+    assert g.auto_truncation(cases[1]) == 357
 
 
 def test_auto_truncation_guards():
@@ -41,6 +70,26 @@ def test_model_space_auto_residuals(pure100):
         assert md.tail <= 1e-12
 
 
+def test_model_space_returns_complete_model():
+    assert all(f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING
+               for f in dataclasses.fields(g.ModelData))
+    pair = g.random_pure_gamma(3, seed=922, max_norm=0.8)
+    fp = g.solve_fundamental(pair)
+    md = g.model_space(fp, 10)
+    assert md.n_trunc == 10 and md.w.shape == (10 * fp.f_star.shape[0], 3)
+    assert md.s1.shape == md.p1.shape == (3, 3)
+    assert list(md.residuals) == ["isometry_defect", "complement_identity",
+                                  "intertwine_s", "intertwine_p"]
+    s1, p1, intertwine = g.model_operators(fp, md.w, md.model_basis.q)
+    assert np.array_equal(s1, md.s1) and np.array_equal(p1, md.p1)
+    assert intertwine == {k: md.residuals[k]
+                          for k in ("intertwine_s", "intertwine_p")}
+    full = g.verify_model(fp, 10)
+    assert list(full.residuals) == list(md.residuals) + ["fstar_defect_identity"]
+    assert np.array_equal(full.s1, md.s1)
+
+
 def _dense_t_v(fp, n_val):
     """Oracle: T = I (x) F_*^adj + shift (x) F_* and V = shift (x) I as arrays."""
     shift = np.eye(n_val, k=-1)
@@ -54,7 +103,7 @@ def test_model_operator_structure():
     for n_val, seed in ((1, 911), (6, 911), (9, 915)):
         pair = g.random_pure_gamma(3, seed=seed)
         fp = g.solve_fundamental(pair)
-        md = g.model_operators(fp, g.model_space(fp, n_val))
+        md = g.model_space(fp, n_val)
         t, v = _dense_t_v(fp, n_val)
         b, w = md.model_basis.q, md.w
         bh = matcore.dagger(b)
@@ -103,21 +152,20 @@ def test_complement_residual_matches_dense(dense_toeplitz):
         fp = g.solve_fundamental(pair)
         b = g.model_space(fp, n_val).model_basis.q.copy()
         b[:, 0] *= 1.05
-        cf = g.theta_coeffs(fp, n_val)
-        t_theta = dense_toeplitz(cf, n_val)
+        coeffs = g.theta_coeffs(fp, n_val)
+        t_theta = dense_toeplitz(coeffs)
         m = b.shape[0]
         assert m == n_val * fp.f_star.shape[0] and np.iscomplexobj(pair.p)
         dense = matcore.op_norm(b @ matcore.dagger(b)
                                 + t_theta @ matcore.dagger(t_theta) - np.eye(m))
         assert dense >= 0.05
-        got = model._complement_identity_residual(b, g.toeplitz_mult(cf, n_val))
+        got = model._complement_identity_residual(b, g.toeplitz_mult(coeffs))
         assert abs(got - dense) <= 1e-12 * dense
 
 
 def test_compressions_recover_pair(pure100):
     for pair in pure100[:20]:
-        fp = g.solve_fundamental(pair)
-        md = g.model_operators(fp, g.model_space(fp))
+        md = g.model_space(g.solve_fundamental(pair))
         scale = 1.0 + pair.norm_s
         assert matcore.fro_norm(md.s1 - pair.s) <= 1e-9 * scale
         assert matcore.fro_norm(md.p1 - pair.p) <= 1e-9 * scale
@@ -146,7 +194,7 @@ def test_shallow_truncation_dominated_by_tail():
     fp = g.solve_fundamental(pair)
     defects = []
     for n_val in (8, 16, 32):
-        md = g.model_operators(fp, g.model_space(fp, n_val))
+        md = g.model_space(fp, n_val)
         defects.append(md.residuals["intertwine_s"])
     # tail is 0.8^N, so each extra 8 levels shrinks the defect by ~0.17
     assert defects[1] <= 0.25 * defects[0]
