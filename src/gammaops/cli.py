@@ -10,6 +10,8 @@ schema_version "1".  Exit codes are a total function of the verdicts:
     generate  0 written, 1 bad parameters or unwritable path
 
 Usage errors (bad options or arguments) are malformed input and exit 1.
+A LAPACK routine that does not converge ends any command with 3, running
+out of memory with 1.
 Reports are strict JSON: a non-finite value is written as null.
 The environment variable GAMMAOPS_SEED overrides the built-in default seed
 wherever no explicit --seed is given.
@@ -81,8 +83,10 @@ EXIT_BY_VERDICT = {
 }
 
 #: The exit code of an error that ends a run; the first matching class wins.
+#: A LAPACK routine that does not converge breaks the numerical contract.
 EXIT_BY_ERROR = ((NotPure, EXIT_NOT_PURE), (NumericalContractBreach, EXIT_BREACH),
-                 (GammaOpsError, EXIT_INPUT))
+                 (np.linalg.LinAlgError, EXIT_BREACH), (GammaOpsError, EXIT_INPUT),
+                 (MemoryError, EXIT_INPUT))
 
 
 def _num(x, path: str) -> float:
@@ -541,8 +545,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except GammaOpsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except tuple(cls for cls, _ in EXIT_BY_ERROR) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for cls, code in EXIT_BY_ERROR if isinstance(exc, cls))
 
 

@@ -162,35 +162,45 @@ def vn_probe(pair: GammaPair, trials: int = matcore.PROBE_TRIALS,
     domain, while small ratios are evidence only.  The monomials s and p and
     the constant are always probed before the random draws; the draw
     sequence is deterministic in ``seed``.  A value q(S, P) that overflows
-    certifies at once, with an infinite ratio.
+    certifies at once, with an infinite ratio.  All polynomials are
+    evaluated as one stack; the worst is the first of the largest ratio.
     """
     rng = np.random.default_rng(seed)
-    mono_s = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-    mono_p = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    const = np.array([[1.0]], dtype=complex)
-    polys = [mono_s, mono_p, const]
-    polys += list(_random_polys(rng, trials, matcore.PROBE_MAX_DEG))
+    deg = matcore.PROBE_MAX_DEG
+    fixed = [np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex),  # s
+             np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),  # p
+             np.array([[1.0]], dtype=complex)]
+    polys = np.zeros((len(fixed) + trials, deg + 1, deg + 1), dtype=complex)
+    for c, f in zip(polys, fixed):
+        c[:f.shape[0], :f.shape[1]] = f
+    polys[len(fixed):] = _random_polys(rng, trials, deg)
 
-    worst_ratio, worst_coeffs = 0.0, polys[0]
-    for c in polys:
-        value = eval_matrix_sym_poly(c, pair.s, pair.p)
-        if not np.isfinite(value).all():
-            # q is bounded on the domain, so an overflowing q(S, P) certifies
-            worst_ratio, worst_coeffs = float("inf"), c
-            break
-        val = matcore.op_norm(value)
-        sup = sup_norm_on_gamma(c)
-        if val > matcore.PROBE_REFINE_RATIO * max(sup, 1e-300):
-            sup = max(sup, sup_norm_on_gamma_refined(c))
-        ratio = val / max(sup, 1e-300)
-        if ratio > worst_ratio:
-            worst_ratio, worst_coeffs = ratio, c
+    def unpadded(i):
+        return fixed[i] if i < len(fixed) else polys[i]
+
+    values = eval_matrix_sym_poly(polys, pair.s, pair.p)
+    finite = np.isfinite(values).all(axis=(1, 2))
+    # q is bounded on the domain, so an overflowing q(S, P) certifies
+    first_bad = len(polys) if finite.all() else int(np.argmin(finite))
+    vals = np.linalg.norm(values[:first_bad], 2, axis=(1, 2))
+    del values  # freed before the grid blocks, to keep the peak low
+    sups = sup_norm_on_gamma(polys[:first_bad])
+    refine = vals > matcore.PROBE_REFINE_RATIO * np.maximum(sups, 1e-300)
+    for i in np.flatnonzero(refine):
+        sups[i] = max(sups[i], sup_norm_on_gamma_refined(unpadded(i)))
+    ratios = vals / np.maximum(sups, 1e-300)
+
+    if first_bad < len(polys):
+        worst, worst_ratio = first_bad, float("inf")
+    else:
+        worst = int(np.argmax(ratios))
+        worst_ratio = float(ratios[worst])
     return VnProbeReport(
         worst_ratio=worst_ratio,
         certified_not_gamma=worst_ratio > 1.0 + matcore.PROBE_CERT_MARGIN,
-        worst_coeffs=np.array(worst_coeffs),
+        worst_coeffs=np.array(unpadded(worst)),
         trials=trials,
-        max_deg=matcore.PROBE_MAX_DEG,
+        max_deg=deg,
     )
 
 

@@ -45,6 +45,8 @@ RADIUS_XATOL = 1e-9
 POWER_ITERS = 60
 #: Start-vector seed of :func:`op_norm_hermitian`.
 POWER_SEED = 7
+#: Byte budget of one block of a stacked kernel, see :func:`batches`.
+BATCH_BYTES = 2 ** 17
 
 # Scalar geometry (gamma_domain) and pair validation (gamma_pair).
 #: Root moduli within this of 1 lie on the circle in ``classify_point``.
@@ -164,6 +166,17 @@ def fro_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def batches(count: int, item_bytes: int) -> list[slice]:
+    """Consecutive slices of range(count), each of at most BATCH_BYTES of items.
+
+    A stacked kernel builds its temporaries one slice at a time, so its
+    working memory stays bounded however many items the stack holds; a
+    slice holds at least one item.
+    """
+    step = max(1, BATCH_BYTES // max(1, item_bytes))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
 def spectral_radius(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
@@ -277,9 +290,11 @@ def range_onb(d) -> RangeBasis:
     return RangeBasis(q=u[:, :r].copy(), rank=r)
 
 
-def _top_eig_herm_part(a: np.ndarray, ah: np.ndarray, theta: float) -> float:
-    h = 0.5 * (np.exp(1j * theta) * a + np.exp(-1j * theta) * ah)
-    return float(np.linalg.eigvalsh(h)[-1])
+def _top_eig_herm_part(a: np.ndarray, ah: np.ndarray, theta) -> np.ndarray:
+    """lambda_max(Re(e^{i theta} A)) for a scalar angle or an array of angles."""
+    t = np.asarray(theta)[..., None, None]
+    h = 0.5 * (np.exp(1j * t) * a + np.exp(-1j * t) * ah)
+    return np.linalg.eigvalsh(h)[..., -1]
 
 
 def numerical_radius(a) -> float:
@@ -297,20 +312,20 @@ def numerical_radius(a) -> float:
         return float(abs(a[0, 0]))
     ah = dagger(a)
     thetas = np.linspace(0.0, 2.0 * np.pi, RADIUS_SAMPLES, endpoint=False)
-    vals = np.array([_top_eig_herm_part(a, ah, t) for t in thetas])
+    vals = np.empty(RADIUS_SAMPLES)
+    for blk in batches(RADIUS_SAMPLES, a.nbytes):
+        vals[blk] = _top_eig_herm_part(a, ah, thetas[blk])
     span = 2.0 * np.pi / RADIUS_SAMPLES
     vmax = float(vals.max())
     # Any grid-local maximum within the curvature margin of the best value
     # can hide the true peak; refine them all.
     margin = 4.0 * op_norm(a) * span * span + 10.0 * RADIUS_TOL
+    peaks = ((vals >= np.maximum(np.roll(vals, 1), np.roll(vals, -1)))
+             & (vals >= vmax - margin))
     best = vmax
-    for k in range(RADIUS_SAMPLES):
-        left, right = vals[k - 1], vals[(k + 1) % RADIUS_SAMPLES]
-        if vals[k] < max(left, right) or vals[k] < vmax - margin:
-            continue
-        t0 = thetas[k]
+    for t0 in thetas[peaks]:
         res = minimize_scalar(
-            lambda t: -_top_eig_herm_part(a, ah, t),
+            lambda t: -float(_top_eig_herm_part(a, ah, t)),
             bounds=(t0 - span, t0 + span), method="bounded",
             options={"xatol": RADIUS_XATOL})
         best = max(best, float(-res.fun))

@@ -301,6 +301,30 @@ def test_overflowing_pair_ends_in_a_documented_code(tmp_path, capsys):
     assert "not a usable pair" in err and "exceeds 2" in err
 
 
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def test_lapack_and_memory_failures_end_in_documented_codes(
+        tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "pair.json",
+                  _pair_doc(g.random_pure_gamma(2, seed=51, max_norm=0.8)))
+    monkeypatch.setattr(cli, "vn_probe",
+                        _raise(np.linalg.LinAlgError("SVD did not converge")))
+    assert cli.main(["analyze", path]) == cli.EXIT_BREACH
+    err = capsys.readouterr().err
+    assert err == "error: SVD did not converge\n"
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "solve_fundamental", _raise(MemoryError()))
+    assert cli.main(["analyze", path]) == cli.EXIT_INPUT
+    assert cli.main(["compare", path, path]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "error: MemoryError\n" * 2
+    assert "Traceback" not in err
+
+
 def test_rank_mismatch_gap_is_null(tmp_path, capsys):
     # defect ranks (0, 0) against (1, 1): the screen gap is infinite
     a = _write(tmp_path, "a.json", cli.pair_file_doc(

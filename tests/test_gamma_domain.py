@@ -113,3 +113,78 @@ def test_refined_sup_dominates_grid():
         grid = g.sup_norm_on_gamma(c)
         refined = g.sup_norm_on_gamma_refined(c)
         assert refined >= grid - 1e-12
+
+
+def test_huge_point_with_nan_roots_is_outside():
+    # s * s overflows to nan here; the roots are not finite
+    pt = SymPoint(1e300 + 1e300j, 0.5)
+    assert not np.isfinite(g.roots_of_sym_point(pt)[0])
+    assert g.classify_point(pt) is Region.OUTSIDE
+
+
+def _naive(c, s, p):
+    """Oracle: the double sum of c[j, k] s^j p^k, term by term."""
+    return sum(c[j, k] * s**j * p**k
+               for j in range(c.shape[0]) for k in range(c.shape[1]))
+
+
+def test_eval_sym_poly_stack_matches_each_polynomial():
+    rng = np.random.default_rng(12)
+    stack = rng.standard_normal((6, 4, 3)) + 1j * rng.standard_normal((6, 4, 3))
+    s = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+    p = 0.7 + 0.1j
+    got = g.eval_sym_poly(stack, s, p)
+    assert got.shape == (6, 2, 5)
+    for c, vals in zip(stack, got):
+        assert np.allclose(vals, _naive(c, s, p), rtol=1e-13, atol=1e-13)
+        assert np.array_equal(vals, g.eval_sym_poly(c, s, p))
+    assert isinstance(g.eval_sym_poly(stack[0], 0.1, 0.2), complex)
+
+
+def test_eval_matrix_sym_poly_stack_matches_each_polynomial():
+    rng = np.random.default_rng(13)
+    stack = rng.standard_normal((5, 3, 4)) + 1j * rng.standard_normal((5, 3, 4))
+    pair = g.random_pure_gamma(4, seed=13)
+    got = g.eval_matrix_sym_poly(stack, pair.s, pair.p)
+    assert got.shape == (5, 4, 4)
+    for c, value in zip(stack, got):
+        want = sum(c[j, k] * np.linalg.matrix_power(pair.s, j)
+                   @ np.linalg.matrix_power(pair.p, k)
+                   for j in range(3) for k in range(4))
+        assert np.allclose(value, want, atol=1e-13)
+        assert np.allclose(value, g.eval_matrix_sym_poly(c, pair.s, pair.p),
+                           rtol=0.0, atol=1e-14)
+
+
+def test_overflow_reaches_only_polynomials_that_use_it():
+    s_mat, p_mat = np.array([[0.5]]), np.array([[1e200]])
+    stack = np.zeros((3, 3, 3), dtype=complex)
+    stack[0, 0, 2] = 1.0  # p^2 overflows
+    stack[1, 1, 0] = 1.0  # s: a zero coefficient meets p^2
+    stack[2, 0, 1] = 1.0  # p: finite
+    got = g.eval_matrix_sym_poly(stack, s_mat, p_mat)
+    assert not np.isfinite(got[0]).any()
+    assert got[1, 0, 0] == 0.5 and got[2, 0, 0] == 1e200
+
+
+def test_empty_stacks_give_empty_results():
+    c = np.zeros((0, 5, 5), dtype=complex)
+    assert g.eval_sym_poly(c, np.ones(7), np.ones(7)).shape == (0, 7)
+    assert g.eval_matrix_sym_poly(c, np.eye(3), np.eye(3)).shape == (0, 3, 3)
+    assert g.sup_norm_on_gamma(c).shape == (0,)
+
+
+def test_half_grid_sup_equals_full_grid_sup_bitwise():
+    # (z1, z2) and (z2, z1) give the same (s, p), so half the grid finds
+    # the max; checked here against all SUP_GRID_N^2 points
+    n = matcore.SUP_GRID_N
+    z = np.exp(2j * np.pi * np.arange(n) / n)
+    j, k = np.indices((n, n))
+    s, p = z[j] + z[k], z[(j + k) % n]
+    rng = np.random.default_rng(14)
+    stack = rng.standard_normal((50, 5, 5)) + 1j * rng.standard_normal((50, 5, 5))
+    sups = g.sup_norm_on_gamma(stack)
+    for c, sup in zip(stack, sups):
+        full = float(np.abs(g.eval_sym_poly(c, s, p)).max())
+        assert sup == full
+        assert g.sup_norm_on_gamma(c) == full

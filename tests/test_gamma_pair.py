@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,83 @@ def test_probe_polynomials_drawn_in_one_call_match_scalar_draws():
             assert a.tobytes() == b.tobytes()
     assert gamma_pair._random_polys(np.random.default_rng(0), 0, 4).shape == (
         0, 5, 5)
+
+
+def _probe_loop(pair, trials, seed):
+    """Oracle: the probe one polynomial at a time, as a Python loop.
+
+    Returns (worst_ratio, worst_coeffs) with the first polynomial of the
+    largest ratio, stopping at the first overflowing value.
+    """
+    rng = np.random.default_rng(seed)
+    polys = [np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex),
+             np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
+             np.array([[1.0]], dtype=complex)]
+    polys += list(gamma_pair._random_polys(rng, trials, matcore.PROBE_MAX_DEG))
+    worst_ratio, worst_coeffs = 0.0, polys[0]
+    for c in polys:
+        value = g.eval_matrix_sym_poly(c, pair.s, pair.p)
+        if not np.isfinite(value).all():
+            return float("inf"), c
+        val = matcore.op_norm(value)
+        sup = g.sup_norm_on_gamma(c)
+        if val > matcore.PROBE_REFINE_RATIO * max(sup, 1e-300):
+            sup = max(sup, g.sup_norm_on_gamma_refined(c))
+        ratio = val / max(sup, 1e-300)
+        if ratio > worst_ratio:
+            worst_ratio, worst_coeffs = ratio, c
+    return worst_ratio, worst_coeffs
+
+
+def test_batched_probe_matches_the_per_polynomial_loop():
+    cases = []
+    for seed in (0, 1, 42, 7919):
+        pair = g.random_pure_gamma(1 + seed % 5, seed=seed)
+        rng = np.random.default_rng(seed)
+        m = g.DiscAutomorphism(a=0.6 * np.exp(2j * np.pi * rng.uniform()),
+                               beta=np.exp(2j * np.pi * rng.uniform()))
+        cases += [(pair, seed), (g.random_gamma_unitary(3, seed=seed), seed),
+                  (g.transport_pair(pair, m), seed)]
+    cases += [(g.validate(3.0 * np.eye(1), np.eye(1)), 5),
+              (g.validate(np.array([[1e300]]), np.array([[0.5]])), 5)]
+    for pair, seed in cases:
+        rep = g.vn_probe(pair, trials=40, seed=seed)
+        ratio, coeffs = _probe_loop(pair, 40, seed)
+        assert rep.worst_ratio == pytest.approx(ratio, rel=1e-14, abs=0.0)
+        assert np.array_equal(rep.worst_coeffs, coeffs)
+
+
+def test_fixed_probes_keep_their_certificate_shapes():
+    for s, p, shape in ((3.0, 1.0, (2, 2)), (0.0, 3.0, (2, 2)), (0.0, 0.0, (1, 1))):
+        rep = g.vn_probe(g.validate([[s]], [[p]]), trials=0)
+        assert rep.worst_coeffs.shape == shape
+    # the constant wins ties with the random draws: it comes first
+    rep = g.vn_probe(g.validate([[0.0]], [[0.0]]), trials=5)
+    assert rep.worst_ratio == 1.0 and rep.worst_coeffs.shape == (1, 1)
+
+
+def test_first_polynomial_overflow_certifies(monkeypatch):
+    def overflow_first(polys, s, p):
+        values = g.eval_matrix_sym_poly(polys, s, p)
+        values[0] = np.inf
+        return values
+
+    monkeypatch.setattr(gamma_pair, "eval_matrix_sym_poly", overflow_first)
+    rep = g.vn_probe(g.random_pure_gamma(2, seed=3), trials=4)
+    assert rep.certified_not_gamma and rep.worst_ratio == float("inf")
+    assert np.array_equal(rep.worst_coeffs, [[0.0, 0.0], [1.0, 0.0]])
+
+
+def test_probe_peak_memory_is_bounded():
+    pair = g.random_pure_gamma(12, seed=8)
+    g.vn_probe(pair)
+    tracemalloc.start()
+    try:
+        g.vn_probe(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 def test_cnu_split_block_diagonal_mix():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import minimize_scalar
 
 from gammaops import matcore
 from gammaops.exceptions import NotCommuting, NotHermitian, NotPSD
@@ -69,6 +70,54 @@ def test_numerical_radius_bounds():
         w = matcore.numerical_radius(a)
         nrm = matcore.op_norm(a)
         assert nrm / 2 - 1e-9 <= w <= nrm + 1e-9
+
+
+def _radius_per_angle(a):
+    """Oracle: the numerical radius with one eigvalsh call per angle."""
+    ah = matcore.dagger(a)
+
+    def top(t):
+        h = 0.5 * (np.exp(1j * t) * a + np.exp(-1j * t) * ah)
+        return float(np.linalg.eigvalsh(h)[-1])
+
+    thetas = np.linspace(0.0, 2.0 * np.pi, matcore.RADIUS_SAMPLES, endpoint=False)
+    vals = np.array([top(t) for t in thetas])
+    span = 2.0 * np.pi / matcore.RADIUS_SAMPLES
+    vmax = float(vals.max())
+    margin = 4.0 * matcore.op_norm(a) * span * span + 10.0 * matcore.RADIUS_TOL
+    best = vmax
+    for k in range(matcore.RADIUS_SAMPLES):
+        left, right = vals[k - 1], vals[(k + 1) % matcore.RADIUS_SAMPLES]
+        if vals[k] < max(left, right) or vals[k] < vmax - margin:
+            continue
+        res = minimize_scalar(lambda t: -top(t),
+                              bounds=(thetas[k] - span, thetas[k] + span),
+                              method="bounded",
+                              options={"xatol": matcore.RADIUS_XATOL})
+        best = max(best, float(-res.fun))
+    return vals, best
+
+
+def test_radius_angle_grid_matches_per_angle_eigvalsh_bitwise():
+    rng = np.random.default_rng(8)
+    thetas = np.linspace(0.0, 2.0 * np.pi, matcore.RADIUS_SAMPLES, endpoint=False)
+    for n in (2, 6, 12, 40):
+        a = crandn(rng, n, n)
+        vals, radius = _radius_per_angle(a)
+        grid = np.concatenate([
+            matcore._top_eig_herm_part(a, matcore.dagger(a), thetas[blk])
+            for blk in matcore.batches(len(thetas), a.nbytes)])
+        assert grid.tobytes() == vals.tobytes()
+        assert matcore.numerical_radius(a) == radius
+
+
+def test_batches_cover_the_range_within_the_budget():
+    for count, item in ((0, 8), (1, 10**9), (256, 64), (256, 2304), (203, 33280)):
+        blocks = matcore.batches(count, item)
+        assert [i for b in blocks for i in range(count)[b]] == list(range(count))
+        for b in blocks:
+            size = b.stop - b.start
+            assert size >= 1 and (size == 1 or size * item <= matcore.BATCH_BYTES)
 
 
 def test_haar_unitary_is_unitary_and_seeded():
