@@ -151,7 +151,6 @@ def coincide_check(fp_a: FundamentalPair, fp_b: FundamentalPair, sigma: np.ndarr
     sigma_star = matcore.as_cmatrix(sigma_star, name="sigma_star")
     if sigma.shape != (r_b, r_a) or sigma_star.shape != (rs_b, rs_a):
         return CoincidenceResult(max_residual=float("inf"), ranks_match=False)
-    worst = 0.0
-    for th_a, th_b in zip(fp_a.theta_grid, fp_b.theta_grid):
-        worst = max(worst, matcore.op_norm(sigma_star @ th_a - th_b @ sigma))
+    gaps = sigma_star @ fp_a.theta_grid - fp_b.theta_grid @ sigma
+    worst = float(np.linalg.norm(gaps, 2, axis=(1, 2)).max()) if gaps.size else 0.0
     return CoincidenceResult(max_residual=worst, ranks_match=True)

@@ -5,7 +5,9 @@ fundamental operators are unitarily equivalent and their characteristic
 functions coincide.  This module is verification-first: a Witness carrying
 the defect unitaries is checked against both halves of the invariant, and a
 model-level confirmation is reported on success.  The witness search is a
-labeled heuristic whose only conclusive negative is the trace-word screen.
+labeled heuristic whose only conclusive negative is the trace-word screen;
+its restarts run as stacks, one batched polar step per iteration for a
+whole block of starts.
 """
 
 from __future__ import annotations
@@ -337,45 +339,61 @@ def _intertwiner_starts(pair_a: GammaPair, pair_b: GammaPair,
 
 def _ambient_procrustes(pair_a: GammaPair, pair_b: GammaPair,
                         u0: np.ndarray) -> np.ndarray:
-    """Alternating polar iteration toward u S_A = S_B u, u P_A = P_B u."""
+    """Alternating polar iteration toward u S_A = S_B u, u P_A = P_B u.
+
+    ``u0`` is a stack (s, n, n) of starts, iterated together by one batched
+    polar step per iteration.  Each start stops on its own step size, so it
+    follows exactly the iterates it follows alone.
+    """
     sa, pa, sb, pb = pair_a.s, pair_a.p, pair_b.s, pair_b.p
     sa_h, pa_h = matcore.dagger(sa), matcore.dagger(pa)
     sb_h, pb_h = matcore.dagger(sb), matcore.dagger(pb)
-    scale = 1.0 + matcore.op_norm(sa) + matcore.op_norm(pa)
-    u = u0
+    stop = matcore.PROCRUSTES_STOP_TOL * (
+        1.0 + matcore.op_norm(sa) + matcore.op_norm(pa))
+    u = u0.copy()
+    live = np.arange(len(u))
     for _ in range(matcore.SEARCH_ITERS):
-        m = (sb @ u @ sa_h + sb_h @ u @ sa
-             + pb @ u @ pa_h + pb_h @ u @ pa)
+        cur = u[live]
+        m = (sb @ cur @ sa_h + sb_h @ cur @ sa
+             + pb @ cur @ pa_h + pb_h @ cur @ pa)
         u_next = matcore.polar_unitary(m)
-        if matcore.fro_norm(u_next - u) <= matcore.PROCRUSTES_STOP_TOL * scale:
-            return u_next
-        u = u_next
+        u[live] = u_next
+        live = live[[matcore.fro_norm(a - b) > stop
+                     for a, b in zip(u_next, cur)]]
+        if not live.size:
+            break
     return u
 
 
 def _defect_alternation(fp_a: FundamentalPair, fp_b: FundamentalPair,
-                        samples: list[tuple[np.ndarray, np.ndarray]],
+                        samples: tuple[np.ndarray, np.ndarray],
                         sigma0: np.ndarray, eta0: np.ndarray,
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Alternating polar updates for (sigma, eta1) with sigma_star tied to eta1.
 
     Each step maximizes alignment of the fundamental-operator conjugation
     and of the characteristic-function samples, holding the other unknown
-    fixed; both updates keep the iterates exactly unitary.
+    fixed; both updates keep the iterates exactly unitary.  ``samples`` is
+    the pair of stacks (Theta_A(z_j), Theta_B(z_j)), and ``sigma0``, ``eta0``
+    are stacks of starts, iterated together by one batched polar step per
+    update.  Each sum adds the two fundamental-operator terms, then the
+    samples in order, as for one start alone.
     """
     fa, fb = fp_a.f, fp_b.f
     fas, fbs = fp_a.f_star, fp_b.f_star
+    ta, tb = samples
+    ta_h, tb_h = matcore.dagger(ta), matcore.dagger(tb)
     sigma, eta = sigma0, eta0
     for _ in range(matcore.SEARCH_ITERS):
         m_eta = (fbs @ eta @ matcore.dagger(fas)
                  + matcore.dagger(fbs) @ eta @ fas)
-        for ta, tb in samples:
-            m_eta = m_eta + tb @ sigma @ matcore.dagger(ta)
+        for a_h, b in zip(ta_h, tb):
+            m_eta += b @ sigma @ a_h
         eta = matcore.polar_unitary(m_eta)
         m_sig = (fb @ sigma @ matcore.dagger(fa)
                  + matcore.dagger(fb) @ sigma @ fa)
-        for ta, tb in samples:
-            m_sig = m_sig + matcore.dagger(tb) @ eta @ ta
+        for a, b_h in zip(ta, tb_h):
+            m_sig += b_h @ eta @ a
         sigma = matcore.polar_unitary(m_sig)
     return sigma, eta
 
@@ -416,6 +434,13 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
     restart order is deterministic for a given seed.  NOT_FOUND reports the
     candidate with the smallest miss, the larger of its two residuals over
     their tolerances.
+
+    In each family the first start runs alone, since a conjugate is usually
+    found there; the remaining starts run as stacks, in blocks of at most
+    BATCH_BYTES of iterates, so memory stays bounded for any ``restarts``.
+    Each start follows exactly the iterates it follows alone, Haar starts
+    are drawn block by block in restart order, and candidates are verified
+    in restart order, so the result does not depend on the blocks.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -430,40 +455,50 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
     rng = np.random.default_rng(seed)
     n = pair_a.n
     r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
+
+    def blocks(item_bytes: int) -> list[range]:
+        # the first start alone, then the rest in blocks of BATCH_BYTES
+        return [range(1)] + [range(b.start + 1, b.stop + 1) for b in
+                             matcore.batches(restarts - 1, item_bytes)]
+
+    def ambient_candidates():
+        # one restart leaves no room for a warm start: skip the nullspace
+        warm = (_intertwiner_starts(pair_a, pair_b, min(4, restarts), rng)
+                if restarts > 1 else [])
+        starts = warm[:restarts - 1] + [np.eye(n, dtype=complex)]
+        for block in blocks(16 * n * n):
+            u0 = np.stack([starts[k] if k < len(starts)
+                           else matcore.haar_unitary(n, rng) for k in block])
+            for u in _ambient_procrustes(pair_a, pair_b, u0):
+                try:
+                    witness, _ = witness_from_ambient(u, fp_a, fp_b)
+                except (NotIntertwining, ValueError):
+                    witness = None
+                yield witness
+
+    def defect_candidates():
+        samples = tuple(np.stack([theta_at(fp, z) for z in _search_grid()])
+                        for fp in (fp_a, fp_b))
+        for block in blocks(16 * (r * r + r_star * r_star)):
+            pairs = [(np.eye(r, dtype=complex), np.eye(r_star, dtype=complex))
+                     if k == 0 else (matcore.haar_unitary(r, rng),
+                                     matcore.haar_unitary(r_star, rng))
+                     for k in block]
+            sigmas, etas = _defect_alternation(
+                fp_a, fp_b, samples, np.stack([s for s, _ in pairs]),
+                np.stack([e for _, e in pairs]))
+            for sigma, eta in zip(sigmas, etas):
+                try:
+                    witness = Witness(eta1=eta, sigma=sigma, sigma_star=eta)
+                except ValueError:
+                    witness = None
+                yield witness
+
     misses: list[EquivalenceReport] = []
     used = 0
-
-    warm = _intertwiner_starts(pair_a, pair_b, min(4, restarts), rng)
-    starts = warm[:restarts - 1] + [np.eye(n, dtype=complex)]
-    for k in range(restarts):
-        used = k + 1
-        u0 = starts[k] if k < len(starts) else matcore.haar_unitary(n, rng)
-        u = _ambient_procrustes(pair_a, pair_b, u0)
-        try:
-            witness, _ = witness_from_ambient(u, fp_a, fp_b)
-        except (NotIntertwining, ValueError):
-            witness = None
-        if witness is not None:
-            report = verify_equivalence(fp_a, fp_b, witness)
-            if report.equivalent:
-                return SearchResult(status=SEARCH_FOUND, witness=witness,
-                                    report=report, screen=screen,
-                                    restarts_used=used)
-            misses.append(report)
-
-    samples = [(theta_at(fp_a, z), theta_at(fp_b, z)) for z in _search_grid()]
-    for k in range(restarts):
+    for witness in itertools.chain(ambient_candidates(), defect_candidates()):
         used += 1
-        if k == 0:
-            sigma0 = np.eye(r, dtype=complex)
-            eta0 = np.eye(r_star, dtype=complex)
-        else:
-            sigma0 = matcore.haar_unitary(r, rng)
-            eta0 = matcore.haar_unitary(r_star, rng)
-        sigma, eta = _defect_alternation(fp_a, fp_b, samples, sigma0, eta0)
-        try:
-            witness = Witness(eta1=eta, sigma=sigma, sigma_star=eta)
-        except ValueError:
+        if witness is None:
             continue
         report = verify_equivalence(fp_a, fp_b, witness)
         if report.equivalent:

@@ -155,7 +155,8 @@ def as_cmatrix(a, square: bool = False, allow_empty: bool = True,
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Adjoint of a matrix, or of each matrix of a stack (s, m, k)."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def op_norm(a: np.ndarray) -> float:
@@ -220,7 +221,12 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def polar_unitary(m: np.ndarray) -> np.ndarray:
-    """Unitary factor of the polar decomposition (closest unitary to m)."""
+    """Unitary factor of the polar decomposition (closest unitary to m).
+
+    ``m`` is one (k, k) matrix or a stack (s, k, k); a stack gives the stack
+    of factors, each bitwise the factor of its matrix alone, from one
+    batched SVD.
+    """
     if m.size == 0:
         return m.copy()
     u, _, vh = np.linalg.svd(m)

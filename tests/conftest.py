@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gammaops as g
+from gammaops import matcore
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +40,51 @@ def _dense_toeplitz(coeffs):
 def dense_toeplitz():
     """The dense block layout of ``toeplitz_mult``, built entry by entry."""
     return _dense_toeplitz
+
+
+def _ambient_procrustes(pair_a, pair_b, u0):
+    """Oracle: the ambient Procrustes iteration for one start (n, n)."""
+    sa, pa, sb, pb = pair_a.s, pair_a.p, pair_b.s, pair_b.p
+    sa_h, pa_h = matcore.dagger(sa), matcore.dagger(pa)
+    sb_h, pb_h = matcore.dagger(sb), matcore.dagger(pb)
+    scale = 1.0 + matcore.op_norm(sa) + matcore.op_norm(pa)
+    u = u0
+    for _ in range(matcore.SEARCH_ITERS):
+        m = (sb @ u @ sa_h + sb_h @ u @ sa
+             + pb @ u @ pa_h + pb_h @ u @ pa)
+        u_next = matcore.polar_unitary(m)
+        if matcore.fro_norm(u_next - u) <= matcore.PROCRUSTES_STOP_TOL * scale:
+            return u_next
+        u = u_next
+    return u
+
+
+def _defect_alternation(fp_a, fp_b, samples, sigma0, eta0):
+    """Oracle: the defect alternation for one start, samples as (Theta_A, Theta_B) pairs."""
+    fa, fb = fp_a.f, fp_b.f
+    fas, fbs = fp_a.f_star, fp_b.f_star
+    sigma, eta = sigma0, eta0
+    for _ in range(matcore.SEARCH_ITERS):
+        m_eta = (fbs @ eta @ matcore.dagger(fas)
+                 + matcore.dagger(fbs) @ eta @ fas)
+        for ta, tb in samples:
+            m_eta = m_eta + tb @ sigma @ matcore.dagger(ta)
+        eta = matcore.polar_unitary(m_eta)
+        m_sig = (fb @ sigma @ matcore.dagger(fa)
+                 + matcore.dagger(fb) @ sigma @ fa)
+        for ta, tb in samples:
+            m_sig = m_sig + matcore.dagger(tb) @ eta @ ta
+        sigma = matcore.polar_unitary(m_sig)
+    return sigma, eta
+
+
+@pytest.fixture(scope="session")
+def procrustes_oracle():
+    """The witness search's ambient iteration, one start at a time."""
+    return _ambient_procrustes
+
+
+@pytest.fixture(scope="session")
+def alternation_oracle():
+    """The witness search's defect alternation, one start at a time."""
+    return _defect_alternation

@@ -126,6 +126,25 @@ def test_coincide_under_planted_conjugation():
         assert res.max_residual <= 1e-9
 
 
+def test_coincide_residual_matches_the_per_point_loop():
+    # the stacked residual is bitwise the largest per-point operator norm
+    rng = np.random.default_rng(19)
+    for k in range(6):
+        n = (1, 2, 3, 6, 9, 12)[k]
+        pair = g.random_pure_gamma(n, seed=820 + k)
+        u = matcore.haar_unitary(n, rng)
+        ud = matcore.dagger(u)
+        fp_a = g.solve_fundamental(pair)
+        fp_b = g.solve_fundamental(g.validate(u @ pair.s @ ud, u @ pair.p @ ud))
+        r, r_star = fp_a.defect_p.rank, fp_a.defect_p_star.rank
+        sigma = matcore.haar_unitary(r, rng)
+        sigma_star = matcore.haar_unitary(r_star, rng)
+        loop = max(matcore.op_norm(sigma_star @ th_a - th_b @ sigma)
+                   for th_a, th_b in zip(fp_a.theta_grid, fp_b.theta_grid))
+        res = g.coincide_check(fp_a, fp_b, sigma, sigma_star)
+        assert res.max_residual == loop
+
+
 def test_theta_grid_built_once_per_pair():
     fp = g.solve_fundamental(g.random_pure_gamma(3, seed=67))
     grid = fp.theta_grid

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -196,10 +198,10 @@ def test_search_witness_screen_blind_pair_not_found():
     assert out.report is None or not out.report.equivalent
 
 
-def test_search_not_found_reports_closest_candidate(monkeypatch):
-    # conjugate of (S + eps P, P): the screen passes, no witness exists
-    pair = g.random_pure_gamma(3, seed=5102, max_norm=0.8)
-    u = matcore.haar_unitary(3, np.random.default_rng(5103))
+def _near(n, seed):
+    """Conjugate of (S + eps P, P): the screen passes, no witness exists."""
+    pair = g.random_pure_gamma(n, seed=seed, max_norm=0.8)
+    u = matcore.haar_unitary(n, np.random.default_rng(seed + 1))
     ud = matcore.dagger(u)
     fp_a = g.solve_fundamental(pair)
 
@@ -208,7 +210,11 @@ def test_search_not_found_reports_closest_candidate(monkeypatch):
             g.validate(u @ (pair.s + eps * pair.p) @ ud, u @ pair.p @ ud))
 
     gap = g.trace_word_screen(fp_a, near(1e-6)).max_gap
-    fp_b = near(1e-6 * 0.4 * SCREEN_TOL / gap)
+    return fp_a, near(1e-6 * 0.4 * SCREEN_TOL / gap)
+
+
+def test_search_not_found_reports_closest_candidate(monkeypatch):
+    fp_a, fp_b = _near(3, 5102)
     reports = []
 
     def recorded(*args):
@@ -235,3 +241,133 @@ def test_search_witness_rejects_restarts_below_one():
     for restarts in (0, -3):
         with pytest.raises(ValueError):
             g.search_witness(fp, fp, restarts=restarts, seed=0)
+
+
+def _record_stacks(monkeypatch):
+    """Record the stack size each search iteration receives."""
+    sizes = {"ambient": [], "defect": []}
+    ambient, defect = invariant._ambient_procrustes, invariant._defect_alternation
+
+    def ambient_rec(pair_a, pair_b, u0):
+        sizes["ambient"].append(len(u0))
+        return ambient(pair_a, pair_b, u0)
+
+    def defect_rec(fp_a, fp_b, samples, sigma0, eta0):
+        sizes["defect"].append(len(sigma0))
+        return defect(fp_a, fp_b, samples, sigma0, eta0)
+
+    monkeypatch.setattr(invariant, "_ambient_procrustes", ambient_rec)
+    monkeypatch.setattr(invariant, "_defect_alternation", defect_rec)
+    return sizes
+
+
+def _starts(n, count, rng):
+    return np.stack([np.eye(n, dtype=complex)]
+                    + [matcore.haar_unitary(n, rng) for _ in range(count - 1)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_stacked_iterations_match_the_per_start_oracle(
+        n, procrustes_oracle, alternation_oracle):
+    planted = _planted(n, 6000 + n, 6100 + n)[:2]
+    for fp_a, fp_b in (planted, _near(n, 6200 + n)):
+        rng = np.random.default_rng(n)
+        u0 = _starts(n, 4, rng)
+        stacked = invariant._ambient_procrustes(fp_a.pair, fp_b.pair, u0)
+        for k in range(len(u0)):
+            assert np.array_equal(
+                stacked[k], procrustes_oracle(fp_a.pair, fp_b.pair, u0[k]))
+        r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
+        sigma0, eta0 = _starts(r, 3, rng), _starts(r_star, 3, rng)
+        samples = [(g.theta_at(fp_a, z), g.theta_at(fp_b, z))
+                   for z in invariant._search_grid()]
+        sigmas, etas = invariant._defect_alternation(
+            fp_a, fp_b, tuple(np.stack(t) for t in zip(*samples)),
+            sigma0, eta0)
+        for k in range(len(sigma0)):
+            sigma, eta = alternation_oracle(fp_a, fp_b, samples,
+                                            sigma0[k], eta0[k])
+            assert np.array_equal(sigmas[k], sigma)
+            assert np.array_equal(etas[k], eta)
+
+
+def _outcome(out):
+    rep, wit = out.report, out.witness
+    return (out.status, out.restarts_used,
+            None if wit is None else (wit.eta1.tobytes(), wit.sigma.tobytes()),
+            None if rep is None else (rep.verdict, rep.reason, rep.fstar_residual,
+                                      rep.coincidence.max_residual))
+
+
+def test_search_result_does_not_depend_on_the_blocks(monkeypatch):
+    # blocks of 1 to 3 starts give bitwise the default result, on a
+    # NOT_FOUND search and on a FOUND one whose first two candidates are
+    # turned away, so the witness comes from a later restart
+    fp_near = _near(3, 6300)
+    fp_planted = _planted(3, 6310, 6320)[:2]
+    verify = invariant.verify_equivalence
+    calls = []
+
+    def late_verify(fp_a, fp_b, w):
+        calls.append(1)
+        rep = verify(fp_a, fp_b, w)
+        if len(calls) > 2:
+            return rep
+        return dataclasses.replace(rep, verdict=VERDICT_NOT_EQUIVALENT)
+
+    def run():
+        out = [_outcome(g.search_witness(*fp_near, restarts=7, seed=3))]
+        calls.clear()
+        return out + [_outcome(g.search_witness(*fp_planted, restarts=8, seed=3))]
+
+    monkeypatch.setattr(invariant, "verify_equivalence", late_verify)
+    default = run()
+    assert default[0][:2] == (SEARCH_NOT_FOUND, 14)
+    assert default[1][:2] == (SEARCH_FOUND, 3)
+    sizes = _record_stacks(monkeypatch)
+    item = 16 * 3 * 3
+    for budget, largest in ((1, 1), (2 * item, 2), (3 * item, 3)):
+        monkeypatch.setattr(matcore, "BATCH_BYTES", budget)
+        for family in sizes.values():
+            family.clear()
+        assert run() == default
+        assert max(sizes["ambient"]) == largest
+
+
+def test_planted_conjugate_runs_one_start(monkeypatch):
+    sizes = _record_stacks(monkeypatch)
+    fp_a, fp_b, _ = _planted(6, 6400, 6410)
+    out = g.search_witness(fp_a, fp_b, restarts=20, seed=0)
+    assert (out.status, out.restarts_used) == (SEARCH_FOUND, 1)
+    assert sizes == {"ambient": [1], "defect": []}
+
+
+def test_search_holds_one_block_of_starts(monkeypatch):
+    # however many restarts are asked for, no stack outgrows one block
+    sizes = _record_stacks(monkeypatch)
+    fp_a, fp_b = _near(2, 6500)
+    r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
+    monkeypatch.setattr(matcore, "BATCH_BYTES", 2 ** 9)
+    out = g.search_witness(fp_a, fp_b, restarts=40, seed=0)
+    assert (out.status, out.restarts_used) == (SEARCH_NOT_FOUND, 80)
+    # one block holds BATCH_BYTES of iterates: u, or sigma and eta
+    for family, item in (("ambient", 16 * 2 * 2),
+                         ("defect", 16 * (r * r + r_star * r_star))):
+        block = matcore.batches(39, item)[0].stop
+        assert 1 < block < 39
+        assert sizes[family][0] == 1 and sum(sizes[family]) == 40
+        assert max(sizes[family]) == block
+
+
+def test_single_restart_skips_the_intertwiner_nullspace(monkeypatch):
+    # one restart leaves no room for a warm start, so the nullspace of the
+    # intertwining system is never computed
+    def refuse(*args):
+        raise AssertionError("no warm start fits in one restart")
+
+    monkeypatch.setattr(invariant, "_intertwiner_starts", refuse)
+    fp = g.solve_fundamental(g.random_pure_gamma(3, seed=6600))
+    found = g.search_witness(fp, fp, restarts=1, seed=0)
+    assert (found.status, found.restarts_used) == (SEARCH_FOUND, 1)
+    missed = g.search_witness(*_near(3, 6620), restarts=1, seed=0)
+    assert (missed.status, missed.restarts_used) == (SEARCH_NOT_FOUND, 2)

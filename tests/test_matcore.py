@@ -181,3 +181,16 @@ def test_lift_restrict_roundtrip():
     basis = matcore.range_onb(b @ matcore.dagger(b))
     m = crandn(rng, basis.rank, basis.rank)
     assert np.allclose(matcore.restrict(basis, matcore.lift(basis, m)), m, atol=1e-12)
+
+
+def test_polar_unitary_of_a_stack_is_bitwise_per_matrix():
+    rng = np.random.default_rng(5)
+    for k in (1, 2, 6, 12):
+        stack = crandn(rng, 7, k, k)
+        polar = matcore.polar_unitary(stack)
+        adj = matcore.dagger(stack)
+        assert polar.shape == stack.shape
+        for m, u, m_h in zip(stack, polar, adj):
+            assert np.array_equal(u, matcore.polar_unitary(m))
+            assert np.array_equal(m_h, matcore.dagger(m))
+    assert matcore.polar_unitary(np.zeros((3, 0, 0), dtype=complex)).shape == (3, 0, 0)
