@@ -56,7 +56,6 @@ from .fundamental import (
     DefectData,
     FundamentalPair,
     check_pf_intertwining,
-    defect,
     defect_pair,
     scalar_fundamental,
     solve_fundamental,
@@ -92,7 +91,6 @@ from .invariant import (
     ScreenResult,
     SearchResult,
     Witness,
-    induced_defect_unitary,
     search_witness,
     trace_word_screen,
     unitarity_defect,
@@ -114,7 +112,7 @@ __all__ = [
     "GammaPair", "PairFlags", "VnProbeReport", "CnuSplit", "validate",
     "symmetrized_pair", "is_pure", "is_gamma_unitary", "vn_probe",
     "cnu_split", "random_pure_gamma", "random_gamma_unitary",
-    "DefectData", "FundamentalPair", "defect", "defect_pair",
+    "DefectData", "FundamentalPair", "defect_pair",
     "solve_fundamental", "check_pf_intertwining", "scalar_fundamental",
     "TransportResult", "transport_pair", "transport_fundamental",
     "transport_crosscheck", "resolvent_condition",
@@ -124,6 +122,6 @@ __all__ = [
     "ModelData", "auto_truncation", "embed_w", "model_space",
     "model_operators", "verify_model", "fstar_defect_identity_residual",
     "Witness", "EquivalenceReport", "ScreenResult", "SearchResult",
-    "induced_defect_unitary", "witness_from_ambient", "verify_equivalence",
+    "witness_from_ambient", "verify_equivalence",
     "trace_word_screen", "search_witness", "unitarity_defect",
 ]

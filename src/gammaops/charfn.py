@@ -116,10 +116,14 @@ def kernel_identity_residual(fp: FundamentalPair, zs, ws) -> float:
 
 
 def default_coincidence_grid() -> np.ndarray:
-    """Default evaluation grid: radii 0, 0.3, 0.6, 0.9 by 16 angles."""
-    radii = np.array([0.0, 0.3, 0.6, 0.9])
+    """Default evaluation grid: the origin, then radii 0.3, 0.6, 0.9 by 16 angles.
+
+    Radius-major, so ``grid[1::2]`` is the radii by eight angles 2 pi k / 8,
+    the witness search's samples.
+    """
+    radii = np.array([0.3, 0.6, 0.9])
     angles = np.exp(2j * np.pi * np.arange(16) / 16)
-    return np.unique(np.outer(radii, angles).ravel())
+    return np.concatenate([[0j], np.outer(radii, angles).ravel()])
 
 
 @dataclass(frozen=True)

@@ -476,9 +476,9 @@ def _int_at_least(value: str, low: int) -> int:
     return n
 
 
-def _trunc_arg(value: str):
+def _trunc_arg(value: str) -> int | None:
     if value == "auto":
-        return value
+        return None
     n = _int_at_least(value, 1)
     if n > matcore.TRUNCATION_CAP:
         raise argparse.ArgumentTypeError(

@@ -28,7 +28,8 @@ from .gamma_pair import GammaPair
 class DefectData:
     """Defect operator with an orthonormal basis of its range.
 
-    ``d`` is D_P = (I - P*P)^(1/2) or D_P* = (I - PP*)^(1/2), see :func:`defect`.
+    ``d`` is D_P = (I - P*P)^(1/2) or D_P* = (I - PP*)^(1/2), see
+    :func:`defect_pair`.
     """
 
     d: np.ndarray
@@ -39,28 +40,21 @@ class DefectData:
         return self.basis.rank
 
 
-def defect(p, which: str = "for_P") -> DefectData:
-    """Defect operator and range basis of a contraction on the side ``which``."""
-    if which not in ("for_P", "for_P_star"):
-        raise ValueError(f"which must be 'for_P' or 'for_P_star', got {which!r}")
+def defect_pair(p) -> tuple[DefectData, DefectData]:
+    """Defect operators D_P and D_P* with range bases, verifying P D_P = D_P* P."""
     p = matcore.as_cmatrix(p, square=True, name="P")
     norm_p = matcore.op_norm(p)
     if norm_p > 1.0 + matcore.CONTRACTION_TOL:
         raise NotContraction(f"|P| = {norm_p:.12g} exceeds 1")
-    gram = (np.eye(p.shape[0]) - matcore.dagger(p) @ p if which == "for_P"
-            else np.eye(p.shape[0]) - p @ matcore.dagger(p))
-    # exact-arithmetic Hermitian; symmetrize so roundoff in a near-zero
-    # Gramian (P close to unitary) cannot trip the relative check
-    gram = 0.5 * (gram + matcore.dagger(gram))
-    d = matcore.herm_sqrt_psd(gram, eig_clamp=matcore.DEFECT_EIG_CLAMP)
-    return DefectData(d=d, basis=matcore.range_onb(d))
-
-
-def defect_pair(p) -> tuple[DefectData, DefectData]:
-    """Both defect operators, verifying the lift identity P D_P = D_P* P."""
-    dp = defect(p, "for_P")
-    dps = defect(p, "for_P_star")
-    p = matcore.as_cmatrix(p, square=True, name="P")
+    eye, p_h = np.eye(p.shape[0]), matcore.dagger(p)
+    sides = []
+    for gram in (eye - p_h @ p, eye - p @ p_h):
+        # exact-arithmetic Hermitian; symmetrize so roundoff in a near-zero
+        # Gramian (P close to unitary) cannot trip the relative check
+        gram = 0.5 * (gram + matcore.dagger(gram))
+        d = matcore.herm_sqrt_psd(gram, eig_clamp=matcore.DEFECT_EIG_CLAMP)
+        sides.append(DefectData(d=d, basis=matcore.range_onb(d)))
+    dp, dps = sides
     resid = matcore.fro_norm(p @ dp.d - dps.d @ p)
     if resid > matcore.DEFECT_INTERTWINE_TOL:
         raise NumericalContractBreach(

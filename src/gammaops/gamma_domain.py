@@ -225,19 +225,26 @@ def sup_norm_on_gamma_refined(coeffs) -> float:
 
     Still a lower bound for the true sup, but typically accurate to about
     1e-10 relative for the low-degree polynomials used by the probes.  The
-    local searches start from the best points of the full grid.
+    local searches start from the best points of the full grid; a start
+    whose mirror (k, j) has run is skipped, since the polynomial is
+    symmetric in (z1, z2).  A constant c has sup |c|, with no search.
     """
+    flat_c = np.asarray(coeffs, dtype=complex).ravel()
+    if not flat_c[1:].any():
+        return float(abs(flat_c[0])) if flat_c.size else 0.0
     vals = np.abs(eval_sym_poly(coeffs, *_torus_grid(half=False)))
     best = float(vals.max())
-    flat = np.argsort(vals)[::-1][:matcore.REFINE_STARTS]
+    starts = [divmod(int(idx), matcore.SUP_GRID_N)
+              for idx in np.argsort(vals)[::-1][:matcore.REFINE_STARTS]]
     step = 2.0 * np.pi / matcore.SUP_GRID_N
 
     def neg_abs(theta):
         w1, w2 = np.exp(1j * theta[0]), np.exp(1j * theta[1])
         return -abs(eval_sym_poly(coeffs, w1 + w2, w1 * w2))
 
-    for idx in flat:
-        j, k = divmod(int(idx), matcore.SUP_GRID_N)
+    for i, (j, k) in enumerate(starts):
+        if (k, j) in starts[:i]:
+            continue
         x0 = np.array([step * j, step * k])
         res = minimize(neg_abs, x0, method="Nelder-Mead",
                        options=matcore.REFINE_OPTIONS)

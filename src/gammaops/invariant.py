@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from . import matcore
-from .charfn import CoincidenceResult, coincide_check, theta_at
+from .charfn import CoincidenceResult, coincide_check
 from .exceptions import DimensionMismatch, NotIntertwining, NotPure
 from .fundamental import FundamentalPair
 from .gamma_pair import GammaPair
@@ -76,15 +76,17 @@ class Witness:
             object.__setattr__(self, field, m)
 
 
-def induced_defect_unitary(u, fp_a: FundamentalPair, fp_b: FundamentalPair,
-                           which: str = "for_P") -> tuple[np.ndarray, dict]:
-    """Restrict an ambient intertwining unitary to a defect space.
+def witness_from_ambient(u, fp_a: FundamentalPair, fp_b: FundamentalPair
+                         ) -> tuple[Witness, dict]:
+    """Full witness induced by an ambient intertwining unitary.
 
     Given unitary u with u S_A = S_B u and u P_A = P_B u, the compression
-    V = Q_B* u Q_A to the chosen defect bases is again unitary, intertwines
-    the defect operators, and conjugates the corresponding fundamental
-    operator of A onto that of B.  All three facts are returned as measured
-    residuals rather than assumed.
+    V = Q_B* u Q_A to the defect bases of either side is again unitary,
+    intertwines the defect operators, and conjugates that side's
+    fundamental operator of A onto that of B.  All three facts are returned
+    as measured residuals per side, ``"for_P"`` and ``"for_P_star"``, rather
+    than assumed.  The adjoint-side compression serves both as eta1 and as
+    sigma_star; for ambient-induced witnesses these coincide exactly.
     """
     u = matcore.as_cmatrix(u, square=True, name="U")
     pair_a, pair_b = fp_a.pair, fp_b.pair
@@ -98,41 +100,30 @@ def induced_defect_unitary(u, fp_a: FundamentalPair, fp_b: FundamentalPair,
         raise ValueError(f"ambient map is not unitary (defect {u_defect:.3e})")
     res_s = matcore.op_norm(u @ pair_a.s - pair_b.s @ u)
     res_p = matcore.op_norm(u @ pair_a.p - pair_b.p @ u)
-    if (res_s > tol * (1.0 + matcore.op_norm(pair_a.s))
-            or res_p > tol * (1.0 + matcore.op_norm(pair_a.p))):
+    if (res_s > tol * (1.0 + pair_a.norm_s)
+            or res_p > tol * (1.0 + pair_a.norm_p)):
         raise NotIntertwining(
             f"|US - S'U| = {res_s:.3e}, |UP - P'U| = {res_p:.3e} "
             f"exceed tolerance {tol:.1e}")
-    da = fp_a.defect_p if which == "for_P" else fp_a.defect_p_star
-    db = fp_b.defect_p if which == "for_P" else fp_b.defect_p_star
-    fa = fp_a.f if which == "for_P" else fp_a.f_star
-    fb = fp_b.f if which == "for_P" else fp_b.f_star
-    v = matcore.dagger(db.basis.q) @ u @ da.basis.q
-    rep_a = matcore.restrict(da.basis, da.d)
-    rep_b = matcore.restrict(db.basis, db.d)
-    conj = (matcore.fro_norm(v @ fa @ matcore.dagger(v) - fb)
-            if v.shape[0] == v.shape[1] else float("inf"))
-    residuals = {
-        "unitarity": unitarity_defect(v),
-        "defect_intertwine": (matcore.fro_norm(v @ rep_a - rep_b @ v)
-                              if v.shape[0] == v.shape[1] else float("inf")),
-        "conjugation": conj,
-    }
-    return v, residuals
-
-
-def witness_from_ambient(u, fp_a: FundamentalPair, fp_b: FundamentalPair
-                         ) -> tuple[Witness, dict]:
-    """Full witness induced by an ambient intertwining unitary.
-
-    The adjoint-side restriction serves both as eta1 and as sigma_star;
-    for ambient-induced witnesses these coincide exactly.
-    """
-    sigma, res_p = induced_defect_unitary(u, fp_a, fp_b, which="for_P")
-    eta1, res_ps = induced_defect_unitary(u, fp_a, fp_b, which="for_P_star")
-    witness = Witness(eta1=eta1, sigma=sigma, sigma_star=eta1,
-                      u_ambient=matcore.as_cmatrix(u, square=True, name="U"))
-    return witness, {"for_P": res_p, "for_P_star": res_ps}
+    blocks, residuals = [], {}
+    for side, da, db, fa, fb in (
+            ("for_P", fp_a.defect_p, fp_b.defect_p, fp_a.f, fp_b.f),
+            ("for_P_star", fp_a.defect_p_star, fp_b.defect_p_star,
+             fp_a.f_star, fp_b.f_star)):
+        v = matcore.dagger(db.basis.q) @ u @ da.basis.q
+        square = v.shape[0] == v.shape[1]
+        rep_a, rep_b = (matcore.restrict(d.basis, d.d) for d in (da, db))
+        blocks.append(v)
+        residuals[side] = {
+            "unitarity": unitarity_defect(v),
+            "defect_intertwine": (matcore.fro_norm(v @ rep_a - rep_b @ v)
+                                  if square else float("inf")),
+            "conjugation": (matcore.fro_norm(v @ fa @ matcore.dagger(v) - fb)
+                            if square else float("inf")),
+        }
+    sigma, eta1 = blocks
+    return (Witness(eta1=eta1, sigma=sigma, sigma_star=eta1, u_ambient=u),
+            residuals)
 
 
 @dataclass(frozen=True)
@@ -203,6 +194,7 @@ def verify_equivalence(fp_a: FundamentalPair, fp_b: FundamentalPair,
     unitary induced by eta1 has unitarity defect and conjugation residual
     at most MODEL_CONFIRM_TOL.  A confirmation above that bound gives an
     inconclusive NOT_EQUIVALENT that still carries the confirmation.
+    Witness matrices that do not fit the defect ranks raise DimensionMismatch.
     """
     _require_pure(fp_a, fp_b)
     pair_a, pair_b = fp_a.pair, fp_b.pair
@@ -214,10 +206,12 @@ def verify_equivalence(fp_a: FundamentalPair, fp_b: FundamentalPair,
     if ranks_a != ranks_b:
         return _structural_report(
             f"defect ranks differ: {ranks_a} vs {ranks_b}")
-    if w.eta1.shape != (ranks_b[1], ranks_a[1]):
-        raise DimensionMismatch(
-            f"eta1 has shape {w.eta1.shape}, expected "
-            f"{(ranks_b[1], ranks_a[1])}")
+    for field, side in (("eta1", 1), ("sigma", 0), ("sigma_star", 1)):
+        shape = getattr(w, field).shape
+        if shape != (ranks_b[side], ranks_a[side]):
+            raise DimensionMismatch(
+                f"{field} has shape {shape}, expected "
+                f"{(ranks_b[side], ranks_a[side])}")
     fstar_residual = matcore.fro_norm(
         w.eta1 @ fp_a.f_star - fp_b.f_star @ w.eta1)
     fstar_ok = fstar_residual <= matcore.FSTAR_MATCH_TOL * (
@@ -248,17 +242,21 @@ def verify_equivalence(fp_a: FundamentalPair, fp_b: FundamentalPair,
         fstar_residual=fstar_residual, coincidence=coincidence)
 
 
-def _trace_words(m: np.ndarray, max_len: int) -> dict[str, complex]:
-    """Traces of all words in m and its adjoint up to the given length."""
-    letters = (m, matcore.dagger(m))
-    out: dict[str, complex] = {}
-    for length in range(1, max_len + 1):
-        for word in itertools.product((0, 1), repeat=length):
-            prod = letters[word[0]]
-            for k in word[1:]:
-                prod = prod @ letters[k]
-            out["".join("ab"[k] for k in word)] = complex(np.trace(prod))
-    return out
+def _trace_words(m: np.ndarray, max_len: int) -> np.ndarray:
+    """Traces of all words in m and its adjoint up to max_len letters.
+
+    Words run by length, then in ``itertools.product`` order over (m, m*).
+    A word of length L + 1 is its prefix times one letter, so one stacked
+    product per length builds them all.
+    """
+    r = m.shape[0]
+    letters = np.stack([m, matcore.dagger(m)])
+    prods, traces = letters, [np.trace(letters, axis1=1, axis2=2)]
+    for length in range(2, max_len + 1):
+        # explicit shape: a rank-zero m has no -1 to infer
+        prods = (prods[:, None] @ letters[None]).reshape(2 ** length, r, r)
+        traces.append(np.trace(prods, axis1=1, axis2=2))
+    return np.concatenate(traces)
 
 
 @dataclass(frozen=True)
@@ -287,18 +285,20 @@ def trace_word_screen(fp_a: FundamentalPair, fp_b: FundamentalPair
             or fp_a.f_star.shape != fp_b.f_star.shape):
         return ScreenResult(max_gap=float("inf"), mismatch=True,
                             worst_word="rank")
-    max_gap, worst = 0.0, ""
-    for tag, ma, mb in (("f:", fp_a.f, fp_b.f),
-                        ("f_star:", fp_a.f_star, fp_b.f_star)):
-        words_a = _trace_words(ma, matcore.SCREEN_MAX_LEN)
-        words_b = _trace_words(mb, matcore.SCREEN_MAX_LEN)
-        for word, ta in words_a.items():
-            tb = words_b[word]
-            gap = abs(ta - tb) / max(1.0, abs(ta), abs(tb))
-            if gap > max_gap:
-                max_gap, worst = gap, tag + word
+    max_len = matcore.SCREEN_MAX_LEN
+    words = [tag + "".join(w) for tag in ("f:", "f_star:")
+             for length in range(1, max_len + 1)
+             for w in itertools.product("ab", repeat=length)]
+    ta, tb = (np.concatenate([_trace_words(fp.f, max_len),
+                              _trace_words(fp.f_star, max_len)])
+              for fp in (fp_a, fp_b))
+    # hypot is Python's complex abs to the last bit; np.abs is not
+    mod_a, mod_b, mod_d = (np.hypot(t.real, t.imag) for t in (ta, tb, ta - tb))
+    gaps = mod_d / np.maximum(1.0, np.maximum(mod_a, mod_b))
+    k = int(np.argmax(gaps))  # the first largest gap, in word order
+    max_gap = float(gaps[k])
     return ScreenResult(max_gap=max_gap, mismatch=max_gap > matcore.SCREEN_TOL,
-                        worst_word=worst)
+                        worst_word=words[k] if max_gap > 0.0 else "")
 
 
 def _intertwiner_starts(pair_a: GammaPair, pair_b: GammaPair,
@@ -349,7 +349,7 @@ def _ambient_procrustes(pair_a: GammaPair, pair_b: GammaPair,
     sa_h, pa_h = matcore.dagger(sa), matcore.dagger(pa)
     sb_h, pb_h = matcore.dagger(sb), matcore.dagger(pb)
     stop = matcore.PROCRUSTES_STOP_TOL * (
-        1.0 + matcore.op_norm(sa) + matcore.op_norm(pa))
+        1.0 + pair_a.norm_s + pair_a.norm_p)
     u = u0.copy()
     live = np.arange(len(u))
     for _ in range(matcore.SEARCH_ITERS):
@@ -415,13 +415,6 @@ class SearchResult:
     restarts_used: int
 
 
-def _search_grid() -> np.ndarray:
-    """Sample points for the coincidence alignment, radii by eight angles."""
-    radii = np.array([0.3, 0.6, 0.9])
-    angles = np.exp(2j * np.pi * np.arange(8) / 8)
-    return np.outer(radii, angles).ravel()
-
-
 def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
                    restarts: int = matcore.SEARCH_RESTARTS, seed: int = 0
                    ) -> SearchResult:
@@ -477,8 +470,9 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
                 yield witness
 
     def defect_candidates():
-        samples = tuple(np.stack([theta_at(fp, z) for z in _search_grid()])
-                        for fp in (fp_a, fp_b))
+        # every other point of the coincidence grid: radii 0.3, 0.6, 0.9
+        # by eight angles
+        samples = (fp_a.theta_grid[1::2], fp_b.theta_grid[1::2])
         for block in blocks(16 * (r * r + r_star * r_star)):
             pairs = [(np.eye(r, dtype=complex), np.eye(r_star, dtype=complex))
                      if k == 0 else (matcore.haar_unitary(r, rng),

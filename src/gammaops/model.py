@@ -59,10 +59,8 @@ def auto_truncation(p) -> int:
         f"for N <= {matcore.TRUNCATION_CAP}")
 
 
-def _resolve_trunc(pair: GammaPair, n_trunc) -> int:
-    if isinstance(n_trunc, str):
-        if n_trunc != "auto":
-            raise ValueError(f"n_trunc must be an int or 'auto', got {n_trunc!r}")
+def _resolve_trunc(pair: GammaPair, n_trunc: int | None) -> int:
+    if n_trunc is None:
         return auto_truncation(pair.p)
     n = int(n_trunc)
     if n < 1:
@@ -101,8 +99,11 @@ def _complement_identity_residual(b: np.ndarray, t_theta) -> float:
     return matcore.op_norm_hermitian(matvec, b.shape[0])
 
 
-def model_space(fp: FundamentalPair, n_trunc="auto") -> ModelData:
-    """Embedding, orthonormal model basis, compressions and residual ledger."""
+def model_space(fp: FundamentalPair, n_trunc: int | None = None) -> ModelData:
+    """Embedding, orthonormal model basis, compressions and residual ledger.
+
+    ``n_trunc`` None takes the block count N from ``auto_truncation``.
+    """
     pair = fp.pair
     n_val = _resolve_trunc(pair, n_trunc)
     w = embed_w(fp, n_val)
@@ -155,7 +156,7 @@ def fstar_defect_identity_residual(fp: FundamentalPair) -> float:
     return matcore.fro_norm(h)
 
 
-def verify_model(fp: FundamentalPair, n_trunc="auto") -> ModelData:
+def verify_model(fp: FundamentalPair, n_trunc: int | None = None) -> ModelData:
     """The model of ``model_space`` with fstar_defect_identity added to its ledger.
 
     For genuine pure pairs every residual sits at the truncation-tail or

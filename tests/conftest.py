@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import gammaops as g
-from gammaops import matcore
+from gammaops import gamma_domain, matcore
 
 
 @pytest.fixture(scope="session")
@@ -88,3 +91,61 @@ def procrustes_oracle():
 def alternation_oracle():
     """The witness search's defect alternation, one start at a time."""
     return _defect_alternation
+
+
+def _trace_word_screen(fp_a, fp_b):
+    """Oracle: the trace-word screen, one word and one Python abs at a time."""
+    def words(m):
+        letters = (m, matcore.dagger(m))
+        out = {}
+        for length in range(1, matcore.SCREEN_MAX_LEN + 1):
+            for word in itertools.product((0, 1), repeat=length):
+                prod = letters[word[0]]
+                for k in word[1:]:
+                    prod = prod @ letters[k]
+                out["".join("ab"[k] for k in word)] = complex(np.trace(prod))
+        return out
+
+    if fp_a.f.shape != fp_b.f.shape or fp_a.f_star.shape != fp_b.f_star.shape:
+        return g.ScreenResult(max_gap=float("inf"), mismatch=True, worst_word="rank")
+    max_gap, worst = 0.0, ""
+    for tag, ma, mb in (("f:", fp_a.f, fp_b.f),
+                        ("f_star:", fp_a.f_star, fp_b.f_star)):
+        words_b = words(mb)
+        for word, ta in words(ma).items():
+            tb = words_b[word]
+            gap = abs(ta - tb) / max(1.0, abs(ta), abs(tb))
+            if gap > max_gap:
+                max_gap, worst = gap, tag + word
+    return g.ScreenResult(max_gap=max_gap, mismatch=max_gap > matcore.SCREEN_TOL,
+                          worst_word=worst)
+
+
+@pytest.fixture(scope="session")
+def screen_oracle():
+    """The trace-word screen, word by word."""
+    return _trace_word_screen
+
+
+def _refined_sup(coeffs):
+    """Oracle: grid sup polished by a Nelder-Mead run from each of the best starts."""
+    vals = np.abs(g.eval_sym_poly(coeffs, *gamma_domain._torus_grid(half=False)))
+    best = float(vals.max())
+    step = 2.0 * np.pi / matcore.SUP_GRID_N
+
+    def neg_abs(theta):
+        w1, w2 = np.exp(1j * theta[0]), np.exp(1j * theta[1])
+        return -abs(g.eval_sym_poly(coeffs, w1 + w2, w1 * w2))
+
+    for idx in np.argsort(vals)[::-1][:matcore.REFINE_STARTS]:
+        j, k = divmod(int(idx), matcore.SUP_GRID_N)
+        res = minimize(neg_abs, np.array([step * j, step * k]),
+                       method="Nelder-Mead", options=matcore.REFINE_OPTIONS)
+        best = max(best, float(-res.fun))
+    return best
+
+
+@pytest.fixture(scope="session")
+def refined_sup_oracle():
+    """The refined sup with every start run, mirrors included."""
+    return _refined_sup

@@ -259,6 +259,15 @@ def test_compare_with_witness_file(tmp_path, capsys):
     assert cli.main(["compare", a, b, "--witness", shrunk]) == 1
     assert "witness" in capsys.readouterr().err
 
+    # a sigma or sigma_star one size too large does not fit either
+    for field, size in (("sigma", r + 1), ("sigma_star", r_star + 1)):
+        grown = _write(tmp_path, f"grown-{field}.json", {
+            "eta1": cli.matrix_to_json(w.eta1),
+            "sigma": cli.matrix_to_json(w.sigma),
+            field: cli.matrix_to_json(np.eye(size))})
+        assert cli.main(["compare", a, b, "--witness", grown]) == 1
+        assert f"{field} has shape" in capsys.readouterr().err
+
 
 def test_compare_purity_gate(tmp_path, capsys):
     gu = g.random_gamma_unitary(2, seed=36)

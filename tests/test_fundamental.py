@@ -12,16 +12,18 @@ def _solve_residual_scale(pair):
 
 def test_defect_basics():
     p = np.diag([0.6, 0.0]).astype(complex)
-    dd = g.defect(p, "for_P")
+    dd, _ = g.defect_pair(p)
     assert np.allclose(dd.d, np.diag([0.8, 1.0]), atol=1e-12)
     assert dd.rank == 2
-    unit = g.defect(np.eye(3, dtype=complex), "for_P")
-    assert unit.rank == 0
+    # a weighted shift has different defects on the two sides
+    dp, dps = g.defect_pair(np.array([[0, 0.0], [0.5, 0]], dtype=complex))
+    assert np.allclose(dp.d, np.diag([np.sqrt(0.75), 1.0]), atol=1e-12)
+    assert np.allclose(dps.d, np.diag([1.0, np.sqrt(0.75)]), atol=1e-12)
+    unit, unit_star = g.defect_pair(np.eye(3, dtype=complex))
+    assert unit.rank == 0 and unit_star.rank == 0
     assert matcore.fro_norm(unit.d) <= 1e-6
-    with pytest.raises(ValueError):
-        g.defect(p, "sideways")
     with pytest.raises(NotContraction):
-        g.defect(1.2 * np.eye(2), "for_P")
+        g.defect_pair(1.2 * np.eye(2))
 
 
 def test_defect_pair_lift_identity():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gammaops as g
-from gammaops import matcore
+from gammaops import gamma_domain, matcore
 from gammaops.exceptions import SingularDenominator
 from gammaops.gamma_domain import Region, SymPoint
 
@@ -113,6 +113,45 @@ def test_refined_sup_dominates_grid():
         grid = g.sup_norm_on_gamma(c)
         refined = g.sup_norm_on_gamma_refined(c)
         assert refined >= grid - 1e-12
+
+
+def test_refined_sup_of_a_constant_runs_no_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a constant needs no local search")
+
+    monkeypatch.setattr(gamma_domain, "minimize", refuse)
+    for c in (1.0, 0.3 - 0.4j, 1e-3j, 0.0):
+        coeffs = np.zeros((3, 3), dtype=complex)
+        coeffs[0, 0] = c
+        assert g.sup_norm_on_gamma_refined(coeffs) == abs(c)
+    assert g.sup_norm_on_gamma_refined(np.array([[2j]])) == 2.0
+
+
+def test_refined_sup_skips_mirror_starts(monkeypatch, refined_sup_oracle):
+    # q(z1, z2) = q(z2, z1), so a start (k, j) repeats the search from (j, k)
+    rng = np.random.default_rng(12)
+    polys = [rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+             for _ in range(12)]
+    runs = []
+    minimize = gamma_domain.minimize
+
+    def counted(fun, x0, **kwargs):
+        runs.append(tuple(x0))
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(gamma_domain, "minimize", counted)
+    grid = gamma_domain._torus_grid(half=False)
+    mirrored = 0
+    for c in polys:
+        vals = np.abs(g.eval_sym_poly(c, *grid))
+        top = [divmod(int(i), matcore.SUP_GRID_N)
+               for i in np.argsort(vals)[::-1][:matcore.REFINE_STARTS]]
+        mirrors = sum((k, j) in top[:i] for i, (j, k) in enumerate(top))
+        runs.clear()
+        assert g.sup_norm_on_gamma_refined(c) == refined_sup_oracle(c)
+        assert len(runs) == len(top) - mirrors
+        mirrored += mirrors > 0
+    assert mirrored > 0
 
 
 def test_huge_point_with_nan_roots_is_outside():

@@ -36,25 +36,26 @@ def test_witness_rejects_non_unitary_blocks():
         w.eta1[0, 0] = 3.0
 
 
-def test_induced_defect_unitary_planted():
+def test_witness_from_ambient_residuals_planted():
     for k in range(25):
         fp_a, fp_b, u = _planted(1 + k % 5, 4000 + k, 5000 + k)
-        for which in ("for_P", "for_P_star"):
-            v, res = g.induced_defect_unitary(u, fp_a, fp_b, which=which)
+        _, residuals = g.witness_from_ambient(u, fp_a, fp_b)
+        assert set(residuals) == {"for_P", "for_P_star"}
+        for res in residuals.values():
             assert res["unitarity"] <= 1e-10
             assert res["defect_intertwine"] <= 1e-8
             assert res["conjugation"] <= 1e-8
 
 
-def test_induced_defect_unitary_rejects_wrong_map():
+def test_witness_from_ambient_rejects_wrong_map():
     fp_a, fp_b, _ = _planted(3, 4100, 5100)
     rogue = matcore.haar_unitary(3, np.random.default_rng(99))
     with pytest.raises(NotIntertwining):
-        g.induced_defect_unitary(rogue, fp_a, fp_b)
+        g.witness_from_ambient(rogue, fp_a, fp_b)
     with pytest.raises(DimensionMismatch):
-        g.induced_defect_unitary(np.eye(2), fp_a, fp_b)
+        g.witness_from_ambient(np.eye(2), fp_a, fp_b)
     with pytest.raises(ValueError):
-        g.induced_defect_unitary(1.5 * np.eye(3), fp_a, fp_b)
+        g.witness_from_ambient(1.5 * np.eye(3), fp_a, fp_b)
 
 
 def test_witness_from_ambient_coherent():
@@ -157,6 +158,23 @@ def test_trace_screen_rank_mismatch():
     res = g.trace_word_screen(fp_a, fp_b)
     assert res.mismatch and res.max_gap == float("inf")
     assert res.worst_word == "rank"
+
+
+def test_trace_screen_matches_the_per_word_oracle(screen_oracle):
+    # planted, independent, identical, near and rank-zero pairs: the
+    # screen's gap and worst word are exactly those of the word-by-word loop
+    for n in range(1, 13):
+        fp = g.solve_fundamental(g.random_pure_gamma(n, seed=7000 + n))
+        other = g.solve_fundamental(g.random_pure_gamma(n, seed=7100 + n))
+        unitary = _solved(g.random_gamma_unitary(n, seed=7200 + n),
+                          g.random_gamma_unitary(n, seed=7300 + n))
+        cases = [_planted(n, 7400 + n, 7500 + n)[:2], (fp, other), (fp, fp),
+                 _near(n, 7600 + n), unitary]
+        for fp_a, fp_b in cases:
+            assert g.trace_word_screen(fp_a, fp_b) == screen_oracle(fp_a, fp_b)
+        assert g.trace_word_screen(fp, fp).worst_word == ""
+        assert unitary[0].f.shape == (0, 0)
+        assert g.trace_word_screen(*unitary).worst_word == ""
 
 
 def test_search_witness_planted_and_self():
@@ -280,7 +298,7 @@ def test_stacked_iterations_match_the_per_start_oracle(
         r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
         sigma0, eta0 = _starts(r, 3, rng), _starts(r_star, 3, rng)
         samples = [(g.theta_at(fp_a, z), g.theta_at(fp_b, z))
-                   for z in invariant._search_grid()]
+                   for z in g.default_coincidence_grid()[1::2]]
         sigmas, etas = invariant._defect_alternation(
             fp_a, fp_b, tuple(np.stack(t) for t in zip(*samples)),
             sigma0, eta0)
