@@ -39,6 +39,11 @@ class DefectData:
     def rank(self) -> int:
         return self.basis.rank
 
+    @functools.cached_property
+    def compressed(self) -> np.ndarray:
+        """The defect operator compressed to its range, Q* D Q; built on first read."""
+        return matcore.restrict(self.basis, self.d)
+
 
 def defect_pair(p) -> tuple[DefectData, DefectData]:
     """Defect operators D_P and D_P* with range bases, verifying P D_P = D_P* P."""
@@ -83,6 +88,11 @@ class FundamentalPair:
     w_f_star: float
     defect_p: DefectData
     defect_p_star: DefectData
+
+    @functools.cached_property
+    def norm_f_star(self) -> float:
+        """|F_*|, the scale of its match tolerance; built on first read."""
+        return matcore.op_norm(self.f_star)
 
     @functools.cached_property
     def theta_grid(self) -> np.ndarray:

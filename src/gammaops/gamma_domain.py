@@ -9,10 +9,10 @@ on the distinguished boundary, the image of the torus.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import matcore
 from .exceptions import SingularDenominator
@@ -220,33 +220,127 @@ def sup_norm_on_gamma(coeffs):
     return float(sups[0]) if single else sups
 
 
-def sup_norm_on_gamma_refined(coeffs) -> float:
-    """Grid estimate polished by local maximization on the torus.
+def _z_coeffs(stack: np.ndarray) -> np.ndarray:
+    """Coefficients (m, d, d) in (z1, z2), d = a + b - 1, of a stack (m, a, b).
 
-    Still a lower bound for the true sup, but typically accurate to about
-    1e-10 relative for the low-degree polynomials used by the probes.  The
-    local searches start from the best points of the full grid; a start
-    whose mirror (k, j) has run is skipped, since the polynomial is
-    symmetric in (z1, z2).  A constant c has sup |c|, with no search.
+    Each monomial s^j p^k expands as sum_l C(j, l) z1^(l + k) z2^(j - l + k);
+    the terms are added elementwise, so a polynomial's coefficients do not
+    depend on the rest of the stack.
     """
-    flat_c = np.asarray(coeffs, dtype=complex).ravel()
-    if not flat_c[1:].any():
-        return float(abs(flat_c[0])) if flat_c.size else 0.0
-    vals = np.abs(eval_sym_poly(coeffs, *_torus_grid(half=False)))
-    best = float(vals.max())
-    starts = [divmod(int(idx), matcore.SUP_GRID_N)
-              for idx in np.argsort(vals)[::-1][:matcore.REFINE_STARTS]]
-    step = 2.0 * np.pi / matcore.SUP_GRID_N
+    m, a, b = stack.shape
+    zc = np.zeros((m, a + b - 1, a + b - 1), dtype=complex)
+    k = np.arange(b)
+    for j in range(a):
+        for l in range(j + 1):
+            zc[:, l + k, j - l + k] += math.comb(j, l) * stack[:, j]
+    return zc
 
-    def neg_abs(theta):
-        w1, w2 = np.exp(1j * theta[0]), np.exp(1j * theta[1])
-        return -abs(eval_sym_poly(coeffs, w1 + w2, w1 * w2))
 
-    for i, (j, k) in enumerate(starts):
-        if (k, j) in starts[:i]:
-            continue
-        x0 = np.array([step * j, step * k])
-        res = minimize(neg_abs, x0, method="Nelder-Mead",
-                       options=matcore.REFINE_OPTIONS)
-        best = max(best, float(-res.fun))
+def _torus_jets(zc: np.ndarray, theta: np.ndarray):
+    """q, the gradient and the Hessian of |q|^2 at torus angles theta (m, r, 2).
+
+    On the torus q = sum C[alpha, beta] e^{i (alpha t1 + beta t2)}, so each
+    derivative of q is the same sum with powers of i alpha and i beta; one
+    product per start gives all of them.  Returns q (m, r), the gradient
+    (m, r, 2) and the Hessian entries h11, h12, h22, each (m, r).
+    """
+    deg = np.arange(zc.shape[-1])
+    waves = np.exp(1j * theta[..., None] * deg)          # (m, r, 2, d)
+    jets = waves[..., None, :] * (deg ** np.arange(3)[:, None])  # (m, r, 2, 3, d)
+    # M[a, b] = (alpha^a e1)^T C (beta^b e2)
+    mom = jets[:, :, 0] @ zc[:, None] @ jets[:, :, 1].swapaxes(-1, -2)
+    q = mom[..., 0, 0]
+    qc = q.conj()
+    dq = 1j * np.stack([mom[..., 1, 0], mom[..., 0, 1]], axis=-1)
+    grad = 2.0 * (qc[..., None] * dq).real
+    h11 = 2.0 * (abs(dq[..., 0]) ** 2 - (qc * mom[..., 2, 0]).real)
+    h12 = 2.0 * ((dq[..., 1].conj() * dq[..., 0]).real - (qc * mom[..., 1, 1]).real)
+    h22 = 2.0 * (abs(dq[..., 1]) ** 2 - (qc * mom[..., 0, 2]).real)
+    return q, grad, h11, h12, h22
+
+
+def _ascent_step(grad, h11, h12, h22, trust: float) -> np.ndarray:
+    """Newton step where the Hessian is negative definite, else a gradient step.
+
+    The gradient step goes to the maximum of the quadratic model along the
+    gradient when that lies within ``trust``, else to ``trust``; every step
+    is capped at ``trust``.
+    """
+    g1, g2 = grad[..., 0], grad[..., 1]
+    det = h11 * h22 - h12 * h12
+    newton = (h11 < 0.0) & (det > 0.0)
+    step = (np.stack([h12 * g2 - h22 * g1, h12 * g1 - h11 * g2], axis=-1)
+            / np.where(newton, det, 1.0)[..., None])
+    norm = np.hypot(g1, g2)
+    curv = g1 * g1 * h11 + 2.0 * g1 * g2 * h12 + g2 * g2 * h22
+    inside = -curv * trust > norm ** 3
+    dist = np.where(inside, norm ** 3 / np.where(inside, -curv, 1.0), trust)
+    unit = grad / np.where(norm > 0.0, norm, 1.0)[..., None]
+    step = np.where(newton[..., None], step, unit * dist[..., None])
+    size = np.hypot(step[..., 0], step[..., 1])
+    over = size > trust
+    step[over] *= (trust / size[over])[:, None]
+    return step
+
+
+def _refine(stack: np.ndarray) -> np.ndarray:
+    """Refined sups of a stack of non-constant polynomials, see below."""
+    n, r = matcore.SUP_GRID_N, matcore.REFINE_STARTS
+    s, p = _torus_grid(half=True)
+    j, k = np.triu_indices(n)
+    p_pows = _powers(p, stack.shape[2])
+    best = np.empty(len(stack))
+    starts = np.empty((len(stack), r), dtype=int)
+    for blk in matcore.batches(len(stack), stack.shape[1] * s.nbytes):
+        vals = np.abs(_horner(stack[blk], s, p_pows))
+        best[blk] = vals.max(axis=1)
+        starts[blk] = np.argpartition(vals, -r, axis=1)[:, -r:]
+    spacing = 2.0 * np.pi / n
+    trust = 0.5 * spacing
+    stop = np.sqrt(np.finfo(float).eps)
+    d = sum(stack.shape[1:]) - 1
+    for blk in matcore.batches(len(stack), 16 * r * d * d):
+        # dividing by a power of two near the grid sup is exact and keeps
+        # |q|^2 and its derivatives in range for any size of coefficients
+        scale = np.ldexp(1.0, np.frexp(best[blk])[1])
+        zc = _z_coeffs(stack[blk]) / scale[:, None, None]
+        theta = spacing * np.stack([j[starts[blk]], k[starts[blk]]], axis=-1)
+        active = np.ones(theta.shape[:2], dtype=bool)
+        for it in range(matcore.REFINE_ITERS + 1):
+            q, grad, h11, h12, h22 = _torus_jets(zc, theta)
+            best[blk] = np.maximum(best[blk], np.abs(q).max(axis=1) * scale)
+            if it == matcore.REFINE_ITERS or not active.any():
+                break
+            step = _ascent_step(grad, h11, h12, h22, trust)
+            step[~active] = 0.0
+            theta = theta + step
+            active &= np.hypot(step[..., 0], step[..., 1]) > stop
     return best
+
+
+def sup_norm_on_gamma_refined(coeffs):
+    """Grid estimate polished by a stacked Newton iteration on the torus.
+
+    Still a lower bound for the true sup: the result is the largest of the
+    grid value and |q| at the torus points the iteration visits.  The
+    iteration runs on |q|^2 as a function of the angles (t1, t2), from the
+    REFINE_STARTS best points of the half grid (z1 <= z2, so no start is the
+    mirror of another), every start of every polynomial at once: a Newton
+    step where the Hessian is negative definite, otherwise a step along the
+    gradient, each capped at half the grid spacing.  A start stops once its
+    step falls below sqrt(eps), where |q|^2 changes only at rounding level,
+    or after REFINE_ITERS steps.  A constant c has sup |c|, with no
+    iteration.  One (a, b) array gives a float, a stack (m, a, b) an array
+    of m sups.
+    """
+    stack, single = _as_stack(coeffs)
+    m, a, b = stack.shape
+    flat = stack.reshape(m, a * b)
+    const = ~flat[:, 1:].any(axis=1)
+    sups = np.zeros(m)
+    if flat.shape[1]:
+        sups[const] = np.hypot(flat[const, 0].real, flat[const, 0].imag)
+    live = np.flatnonzero(~const)
+    if live.size:
+        sups[live] = _refine(stack[live])
+    return float(sups[0]) if single else sups

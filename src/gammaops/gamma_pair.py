@@ -163,7 +163,10 @@ def vn_probe(pair: GammaPair, trials: int = matcore.PROBE_TRIALS,
     the constant are always probed before the random draws; the draw
     sequence is deterministic in ``seed``.  A value q(S, P) that overflows
     certifies at once, with an infinite ratio.  All polynomials are
-    evaluated as one stack; the worst is the first of the largest ratio.
+    evaluated as one stack, and the grid sups as one stack; the polynomials
+    whose value exceeds PROBE_REFINE_RATIO times their grid sup go to one
+    call of the stacked Newton refinement.  The worst is the first of the
+    largest ratio.
     """
     rng = np.random.default_rng(seed)
     deg = matcore.PROBE_MAX_DEG
@@ -186,8 +189,8 @@ def vn_probe(pair: GammaPair, trials: int = matcore.PROBE_TRIALS,
     del values  # freed before the grid blocks, to keep the peak low
     sups = sup_norm_on_gamma(polys[:first_bad])
     refine = vals > matcore.PROBE_REFINE_RATIO * np.maximum(sups, 1e-300)
-    for i in np.flatnonzero(refine):
-        sups[i] = max(sups[i], sup_norm_on_gamma_refined(unpadded(i)))
+    sups[refine] = np.maximum(sups[refine],
+                              sup_norm_on_gamma_refined(polys[:first_bad][refine]))
     ratios = vals / np.maximum(sups, 1e-300)
 
     if first_bad < len(polys):

@@ -112,11 +112,11 @@ def witness_from_ambient(u, fp_a: FundamentalPair, fp_b: FundamentalPair
              fp_a.f_star, fp_b.f_star)):
         v = matcore.dagger(db.basis.q) @ u @ da.basis.q
         square = v.shape[0] == v.shape[1]
-        rep_a, rep_b = (matcore.restrict(d.basis, d.d) for d in (da, db))
         blocks.append(v)
         residuals[side] = {
             "unitarity": unitarity_defect(v),
-            "defect_intertwine": (matcore.fro_norm(v @ rep_a - rep_b @ v)
+            "defect_intertwine": (matcore.fro_norm(v @ da.compressed
+                                                   - db.compressed @ v)
                                   if square else float("inf")),
             "conjugation": (matcore.fro_norm(v @ fa @ matcore.dagger(v) - fb)
                             if square else float("inf")),
@@ -214,8 +214,7 @@ def verify_equivalence(fp_a: FundamentalPair, fp_b: FundamentalPair,
                 f"{(ranks_b[side], ranks_a[side])}")
     fstar_residual = matcore.fro_norm(
         w.eta1 @ fp_a.f_star - fp_b.f_star @ w.eta1)
-    fstar_ok = fstar_residual <= matcore.FSTAR_MATCH_TOL * (
-        1.0 + matcore.op_norm(fp_a.f_star))
+    fstar_ok = fstar_residual <= matcore.FSTAR_MATCH_TOL * (1.0 + fp_a.norm_f_star)
     coincidence = coincide_check(fp_a, fp_b, w.sigma, w.sigma_star)
     if fstar_ok and coincidence.coincide:
         confirmation = _model_confirmation(fp_a, fp_b, w.eta1)
@@ -501,7 +500,7 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
                                 restarts_used=used)
         misses.append(report)
 
-    fstar_bound = matcore.FSTAR_MATCH_TOL * (1.0 + matcore.op_norm(fp_a.f_star))
+    fstar_bound = matcore.FSTAR_MATCH_TOL * (1.0 + fp_a.norm_f_star)
 
     def miss(rep: EquivalenceReport) -> float:
         return max(rep.fstar_residual / fstar_bound,

@@ -55,10 +55,10 @@ POINT_TOL = 1e-8
 DISC_MARGIN = 1e-12
 #: Grid points per circle of the torus grid behind the sup-norm estimates.
 SUP_GRID_N = 64
-#: Best grid points that the refined sup norm polishes locally.
+#: Best half-grid points that the refined sup norm polishes locally.
 REFINE_STARTS = 3
-#: Nelder-Mead options of that local polish.
-REFINE_OPTIONS = {"xatol": 1e-10, "fatol": 1e-13, "maxiter": 400}
+#: Most Newton steps of that polish from each start.
+REFINE_ITERS = 40
 #: Spectral-radius margin below one for purity.
 PURITY_TOL = 1e-10
 #: Operator-norm slack on the contraction bound for P.

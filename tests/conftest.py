@@ -127,6 +127,10 @@ def screen_oracle():
     return _trace_word_screen
 
 
+#: Options of the oracle's Nelder-Mead polish.
+_NELDER_MEAD = {"xatol": 1e-10, "fatol": 1e-13, "maxiter": 400}
+
+
 def _refined_sup(coeffs):
     """Oracle: grid sup polished by a Nelder-Mead run from each of the best starts."""
     vals = np.abs(g.eval_sym_poly(coeffs, *gamma_domain._torus_grid(half=False)))
@@ -140,7 +144,7 @@ def _refined_sup(coeffs):
     for idx in np.argsort(vals)[::-1][:matcore.REFINE_STARTS]:
         j, k = divmod(int(idx), matcore.SUP_GRID_N)
         res = minimize(neg_abs, np.array([step * j, step * k]),
-                       method="Nelder-Mead", options=matcore.REFINE_OPTIONS)
+                       method="Nelder-Mead", options=_NELDER_MEAD)
         best = max(best, float(-res.fun))
     return best
 

@@ -200,6 +200,38 @@ def test_compare_search_solves_and_screens_each_pair_once(
     assert len(defects) == 2
 
 
+def test_compare_search_takes_one_f_star_norm_per_pair(
+        tmp_path, capsys, monkeypatch):
+    # (S + eps P, P) conjugated passes the screen but has no witness, so
+    # the search verifies every candidate against the F_* bound
+    pair = g.random_pure_gamma(3, seed=42, max_norm=0.8)
+    u = matcore.haar_unitary(3, np.random.default_rng(43))
+    ud = matcore.dagger(u)
+    a = _write(tmp_path, "a.json", _pair_doc(pair))
+    b = _write(tmp_path, "b.json", cli.pair_file_doc(
+        u @ (pair.s + 1e-7 * pair.p) @ ud, u @ pair.p @ ud))
+    solved, normed = [], []
+    solve, op_norm = g.solve_fundamental, matcore.op_norm
+
+    def recorded_solve(pair):
+        solved.append(solve(pair))
+        return solved[-1]
+
+    def recorded_norm(m):
+        normed.append(m)
+        return op_norm(m)
+
+    monkeypatch.setattr(cli, "solve_fundamental", recorded_solve)
+    monkeypatch.setattr(matcore, "op_norm", recorded_norm)
+    verifies = _count_calls(monkeypatch, g.verify_equivalence)
+    assert cli.main(["compare", a, b, "--search", "4"]) == 5
+    assert _report(capsys.readouterr().out)["search"]["status"] == "NOT_FOUND"
+    assert len(solved) == 2 and len(verifies) > 2
+    fp_a, fp_b = solved
+    assert sum(m is fp_a.f_star for m in normed) == 1
+    assert sum(m is fp_b.f_star for m in normed) <= 1
+
+
 def test_compare_dimension_mismatch_is_distinct(tmp_path, capsys):
     a = _write(tmp_path, "n2.json", _pair_doc(g.random_pure_gamma(2, seed=42)))
     b = _write(tmp_path, "n3.json", _pair_doc(g.random_pure_gamma(3, seed=43)))

@@ -115,43 +115,105 @@ def test_refined_sup_dominates_grid():
         assert refined >= grid - 1e-12
 
 
-def test_refined_sup_of_a_constant_runs_no_search(monkeypatch):
+def test_refined_sup_of_a_constant_runs_no_iteration(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a constant needs no local search")
+        raise AssertionError("a constant needs no iteration")
 
-    monkeypatch.setattr(gamma_domain, "minimize", refuse)
-    for c in (1.0, 0.3 - 0.4j, 1e-3j, 0.0):
-        coeffs = np.zeros((3, 3), dtype=complex)
+    monkeypatch.setattr(gamma_domain, "_torus_jets", refuse)
+    consts = (1.0, 0.3 - 0.4j, 1e-3j, 0.0)
+    stack = np.zeros((len(consts), 3, 3), dtype=complex)
+    for coeffs, c in zip(stack, consts):
         coeffs[0, 0] = c
         assert g.sup_norm_on_gamma_refined(coeffs) == abs(c)
+    assert list(g.sup_norm_on_gamma_refined(stack)) == [abs(c) for c in consts]
     assert g.sup_norm_on_gamma_refined(np.array([[2j]])) == 2.0
+    assert g.sup_norm_on_gamma_refined(np.zeros((0, 5, 5))).shape == (0,)
 
 
-def test_refined_sup_skips_mirror_starts(monkeypatch, refined_sup_oracle):
-    # q(z1, z2) = q(z2, z1), so a start (k, j) repeats the search from (j, k)
+def test_refined_sup_starts_at_distinct_half_grid_points(monkeypatch,
+                                                         refined_sup_oracle):
+    # q(z1, z2) = q(z2, z1): the half grid z1 <= z2 holds no mirror pairs,
+    # and its best points include every start the full grid gave up to mirrors
     rng = np.random.default_rng(12)
     polys = [rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
              for _ in range(12)]
-    runs = []
-    minimize = gamma_domain.minimize
+    n, r = matcore.SUP_GRID_N, matcore.REFINE_STARTS
+    spacing = 2.0 * np.pi / n
+    full = gamma_domain._torus_grid(half=False)
+    iterates = []
+    jets = gamma_domain._torus_jets
 
-    def counted(fun, x0, **kwargs):
-        runs.append(tuple(x0))
-        return minimize(fun, x0, **kwargs)
+    def recorded(zc, theta):
+        iterates.append(theta.copy())
+        return jets(zc, theta)
 
-    monkeypatch.setattr(gamma_domain, "minimize", counted)
-    grid = gamma_domain._torus_grid(half=False)
+    monkeypatch.setattr(gamma_domain, "_torus_jets", recorded)
     mirrored = 0
     for c in polys:
-        vals = np.abs(g.eval_sym_poly(c, *grid))
-        top = [divmod(int(i), matcore.SUP_GRID_N)
-               for i in np.argsort(vals)[::-1][:matcore.REFINE_STARTS]]
-        mirrors = sum((k, j) in top[:i] for i, (j, k) in enumerate(top))
-        runs.clear()
-        assert g.sup_norm_on_gamma_refined(c) == refined_sup_oracle(c)
-        assert len(runs) == len(top) - mirrors
-        mirrored += mirrors > 0
+        iterates.clear()
+        sup = g.sup_norm_on_gamma_refined(c)
+        assert sup >= refined_sup_oracle(c) * (1.0 - 1e-12)
+        theta = iterates[0][0] / spacing
+        idx = np.rint(theta).astype(int)
+        assert np.allclose(idx, theta, rtol=0.0, atol=1e-12)
+        assert idx.shape == (r, 2)
+        assert (idx[:, 0] <= idx[:, 1]).all()
+        got = {tuple(x) for x in idx}
+        assert len(got) == r
+        vals = np.abs(g.eval_sym_poly(c, *full))
+        old = [divmod(int(i), n) for i in np.argsort(vals)[::-1][:r]]
+        distinct = {(min(j, k), max(j, k)) for j, k in old}
+        assert distinct <= got
+        mirrored += len(distinct) < r
     assert mirrored > 0
+
+
+def test_refined_sup_is_never_below_the_nelder_mead_oracle(refined_sup_oracle):
+    polys = g.gamma_pair._random_polys(np.random.default_rng(21), 100,
+                                       matcore.PROBE_MAX_DEG)
+    sups = g.sup_norm_on_gamma_refined(polys)
+    for c, sup in zip(polys, sups):
+        assert sup >= refined_sup_oracle(c) * (1.0 - 1e-12)
+
+
+def test_refined_sup_is_never_below_a_fine_torus_grid():
+    n = 256
+    z = np.exp(2j * np.pi * np.arange(n) / n)
+    j, k = np.triu_indices(n)
+    s, p = z[j] + z[k], z[j] * z[k]
+    polys = g.gamma_pair._random_polys(np.random.default_rng(22), 60,
+                                       matcore.PROBE_MAX_DEG)
+    sups = g.sup_norm_on_gamma_refined(polys)
+    for c, sup in zip(polys, sups):
+        assert sup >= np.abs(g.eval_sym_poly(c, s, p)).max()
+
+
+def test_refined_sup_scales_exactly_with_the_coefficients():
+    # |q|^2 of coefficients near 2^600 overflows and near 2^-600 underflows;
+    # the iteration runs on coefficients scaled by a power of two
+    polys = g.gamma_pair._random_polys(np.random.default_rng(24), 20,
+                                       matcore.PROBE_MAX_DEG)
+    sups = g.sup_norm_on_gamma_refined(polys)
+    for k in (600, -600):
+        assert np.array_equal(g.sup_norm_on_gamma_refined(polys * 2.0 ** k),
+                              sups * 2.0 ** k)
+
+
+def test_refined_sup_stack_is_bitwise_the_per_polynomial_results(monkeypatch):
+    rng = np.random.default_rng(23)
+    stack = g.gamma_pair._random_polys(rng, 40, matcore.PROBE_MAX_DEG)
+    stack[3] = 0.0
+    stack[3, 0, 0] = 0.5j                     # a constant amid the rest
+    stack[7] = 0.0
+    stack[7, 1, 0] = 1.0                      # s, padded
+    stack[11] = 0.0
+    stack[11, 0, 1] = 1.0                     # p, padded
+    each = [g.sup_norm_on_gamma_refined(c) for c in stack]
+    assert list(g.sup_norm_on_gamma_refined(stack)) == each
+    for budget in (1, 4096):
+        # blocks of one and of a few polynomials in both stages
+        monkeypatch.setattr(matcore, "BATCH_BYTES", budget)
+        assert list(g.sup_norm_on_gamma_refined(stack)) == each
 
 
 def test_huge_point_with_nan_roots_is_outside():

@@ -165,6 +165,27 @@ def test_fixed_probes_keep_their_certificate_shapes():
     assert rep.worst_ratio == 1.0 and rep.worst_coeffs.shape == (1, 1)
 
 
+def test_probe_refines_with_one_call(monkeypatch):
+    calls = []
+    refined = gamma_pair.sup_norm_on_gamma_refined
+
+    def counted(coeffs):
+        calls.append(len(coeffs))
+        return refined(coeffs)
+
+    monkeypatch.setattr(gamma_pair, "sup_norm_on_gamma_refined", counted)
+    # a pure pair refines little beyond the constant, a gamma-unitary one more
+    for pair in (g.random_pure_gamma(4, seed=3), g.random_gamma_unitary(3, seed=4)):
+        calls.clear()
+        g.vn_probe(pair, trials=40, seed=1)
+        assert len(calls) == 1
+    assert calls[0] > 1
+    # at S = P = 0 every q(S, P) is q(0, 0): only the constant reaches its sup
+    calls.clear()
+    g.vn_probe(g.validate([[0.0]], [[0.0]]), trials=40, seed=1)
+    assert calls == [1]
+
+
 def test_first_polynomial_overflow_certifies(monkeypatch):
     def overflow_first(polys, s, p):
         values = g.eval_matrix_sym_poly(polys, s, p)

@@ -47,6 +47,25 @@ def test_witness_from_ambient_residuals_planted():
             assert res["conjugation"] <= 1e-8
 
 
+def test_witness_from_ambient_compresses_each_defect_once(monkeypatch):
+    fp_a, fp_b, u = _planted(3, 4130, 4131)
+    calls = []
+    restrict = matcore.restrict
+
+    def counted(basis, m):
+        calls.append(m)
+        return restrict(basis, m)
+
+    monkeypatch.setattr(matcore, "restrict", counted)
+    first = g.witness_from_ambient(u, fp_a, fp_b)[1]
+    assert len(calls) == 4
+    assert g.witness_from_ambient(u, fp_a, fp_b)[1] == first
+    assert len(calls) == 4
+    for fp in (fp_a, fp_b):
+        for d in (fp.defect_p, fp.defect_p_star):
+            assert sum(m is d.d for m in calls) == 1
+
+
 def test_witness_from_ambient_rejects_wrong_map():
     fp_a, fp_b, _ = _planted(3, 4100, 5100)
     rogue = matcore.haar_unitary(3, np.random.default_rng(99))
