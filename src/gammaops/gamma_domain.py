@@ -112,7 +112,7 @@ def _as_stack(coeffs) -> tuple[np.ndarray, bool]:
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim not in (2, 3):
         raise ValueError("coefficients must form a 2-D array or a stack of them")
-    return c.reshape((-1,) + c.shape[-2:]), c.ndim == 2
+    return (c[None] if c.ndim == 2 else c), c.ndim == 2
 
 
 def _powers(p: np.ndarray, count: int) -> np.ndarray:
@@ -167,14 +167,14 @@ def eval_matrix_sym_poly(coeffs, s_mat: np.ndarray, p_mat: np.ndarray) -> np.nda
     The a*b products S^j P^k are formed once and contracted with the
     coefficients.  A polynomial whose nonzero coefficient meets an
     overflowing product gets an infinite value; a zero coefficient never
-    multiplies one.
+    multiplies one.  An array without coefficients is the zero polynomial.
     """
     stack, single = _as_stack(coeffs)
     m, a, b = stack.shape
     n = s_mat.shape[0]
     table = np.empty((a, b, n, n), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(a):
+        for j in range(a if b else 0):  # b = 0 leaves no product to form
             table[j, 0] = np.eye(n) if j == 0 else table[j - 1, 0] @ s_mat
             for k in range(1, b):
                 table[j, k] = table[j, k - 1] @ p_mat
@@ -188,52 +188,52 @@ def eval_matrix_sym_poly(coeffs, s_mat: np.ndarray, p_mat: np.ndarray) -> np.nda
     return out[0] if single else out
 
 
-def _torus_grid(half: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Points (z_j + z_k, z_j z_k) of the grid z_j = e^{2 pi i j / SUP_GRID_N}.
-
-    The product is read off the grid as z_{(j + k) mod SUP_GRID_N}, so the
-    points (j, k) and (k, j) agree bitwise; ``half`` keeps those with j <= k,
-    otherwise the point (j, k) sits at index j * SUP_GRID_N + k.
-    """
-    n = matcore.SUP_GRID_N
-    z = np.exp(2j * np.pi * np.arange(n) / n)
-    j, k = np.triu_indices(n) if half else np.indices((n, n)).reshape(2, -1)
-    return z[j] + z[k], z[(j + k) % n]
-
-
-def sup_norm_on_gamma(coeffs):
-    """Max of |poly(z1 + z2, z1 z2)| over the grid z_j = e^{2 pi i k / SUP_GRID_N}.
-
-    The maximum principle puts the sup over the whole domain on the
-    distinguished boundary, so this is a lower estimate converging from
-    below as the grid grows.  A symmetric polynomial of (z1, z2) takes the
-    same value at (z1, z2) and (z2, z1), so half the grid gives the
-    maximum.  One (a, b) array gives a float, a stack (m, a, b) an array of
-    m sups, evaluated a block of polynomials at a time.
-    """
-    stack, single = _as_stack(coeffs)
-    s, p = _torus_grid(half=True)
-    p_pows = _powers(p, stack.shape[2])
-    sups = np.empty(len(stack))
-    for blk in matcore.batches(len(stack), stack.shape[1] * s.nbytes):
-        sups[blk] = np.abs(_horner(stack[blk], s, p_pows)).max(axis=1)
-    return float(sups[0]) if single else sups
-
-
 def _z_coeffs(stack: np.ndarray) -> np.ndarray:
     """Coefficients (m, d, d) in (z1, z2), d = a + b - 1, of a stack (m, a, b).
 
     Each monomial s^j p^k expands as sum_l C(j, l) z1^(l + k) z2^(j - l + k);
     the terms are added elementwise, so a polynomial's coefficients do not
-    depend on the rest of the stack.
+    depend on the rest of the stack.  Without coefficients, d is 0.
     """
     m, a, b = stack.shape
-    zc = np.zeros((m, a + b - 1, a + b - 1), dtype=complex)
+    d = max(a + b - 1, 0)
+    zc = np.zeros((m, d, d), dtype=complex)
     k = np.arange(b)
     for j in range(a):
         for l in range(j + 1):
             zc[:, l + k, j - l + k] += math.comb(j, l) * stack[:, j]
     return zc
+
+
+def _torus_moduli(zc: np.ndarray):
+    """Blocks (slice, |q| (m, N, N)) of (z1, z2) coefficients (m, d, d) on the torus.
+
+    Entry (j, k) is |q(z_j, z_k)| at z_j = e^{2 pi i j / N}, N = SUP_GRID_N,
+    from the separable product W C W^T with W[j, alpha] = z_(j alpha mod N);
+    a block holds 16 N^2 bytes of values per polynomial.
+    """
+    n = matcore.SUP_GRID_N
+    z = np.exp(2j * np.pi * np.arange(n) / n)
+    w = z[np.outer(np.arange(n), np.arange(zc.shape[-1])) % n]
+    for blk in matcore.batches(len(zc), 16 * n * n):
+        yield blk, np.abs(w @ zc[blk] @ w.T)
+
+
+def sup_norm_on_gamma(coeffs):
+    """Max of |poly(z1 + z2, z1 z2)| over the grid z_j = e^{2 pi i j / SUP_GRID_N}.
+
+    The maximum principle puts the sup over the whole domain on the
+    distinguished boundary, so this is a lower estimate converging from
+    below as the grid grows.  The values at all SUP_GRID_N^2 grid points are
+    W C W^T, C the (z1, z2) coefficients and W[j, alpha] = z_j^alpha, for a
+    block of polynomials at a time.  One (a, b) array gives a float, a stack
+    (m, a, b) an array of m sups; an array without coefficients has sup 0.
+    """
+    stack, single = _as_stack(coeffs)
+    sups = np.empty(len(stack))
+    for blk, vals in _torus_moduli(_z_coeffs(stack)):
+        sups[blk] = vals.max(axis=(1, 2))
+    return float(sups[0]) if single else sups
 
 
 def _torus_jets(zc: np.ndarray, theta: np.ndarray):
@@ -286,28 +286,26 @@ def _ascent_step(grad, h11, h12, h22, trust: float) -> np.ndarray:
 def _refine(stack: np.ndarray) -> np.ndarray:
     """Refined sups of a stack of non-constant polynomials, see below."""
     n, r = matcore.SUP_GRID_N, matcore.REFINE_STARTS
-    s, p = _torus_grid(half=True)
     j, k = np.triu_indices(n)
-    p_pows = _powers(p, stack.shape[2])
+    zc = _z_coeffs(stack)
     best = np.empty(len(stack))
     starts = np.empty((len(stack), r), dtype=int)
-    for blk in matcore.batches(len(stack), stack.shape[1] * s.nbytes):
-        vals = np.abs(_horner(stack[blk], s, p_pows))
-        best[blk] = vals.max(axis=1)
-        starts[blk] = np.argpartition(vals, -r, axis=1)[:, -r:]
+    for blk, vals in _torus_moduli(zc):
+        best[blk] = vals.max(axis=(1, 2))
+        starts[blk] = np.argpartition(vals[:, j, k], -r, axis=1)[:, -r:]
     spacing = 2.0 * np.pi / n
     trust = 0.5 * spacing
     stop = np.sqrt(np.finfo(float).eps)
-    d = sum(stack.shape[1:]) - 1
+    d = zc.shape[-1]
     for blk in matcore.batches(len(stack), 16 * r * d * d):
         # dividing by a power of two near the grid sup is exact and keeps
         # |q|^2 and its derivatives in range for any size of coefficients
         scale = np.ldexp(1.0, np.frexp(best[blk])[1])
-        zc = _z_coeffs(stack[blk]) / scale[:, None, None]
+        scaled = zc[blk] / scale[:, None, None]
         theta = spacing * np.stack([j[starts[blk]], k[starts[blk]]], axis=-1)
         active = np.ones(theta.shape[:2], dtype=bool)
         for it in range(matcore.REFINE_ITERS + 1):
-            q, grad, h11, h12, h22 = _torus_jets(zc, theta)
+            q, grad, h11, h12, h22 = _torus_jets(scaled, theta)
             best[blk] = np.maximum(best[blk], np.abs(q).max(axis=1) * scale)
             if it == matcore.REFINE_ITERS or not active.any():
                 break
@@ -322,10 +320,12 @@ def sup_norm_on_gamma_refined(coeffs):
     """Grid estimate polished by a stacked Newton iteration on the torus.
 
     Still a lower bound for the true sup: the result is the largest of the
-    grid value and |q| at the torus points the iteration visits.  The
-    iteration runs on |q|^2 as a function of the angles (t1, t2), from the
-    REFINE_STARTS best points of the half grid (z1 <= z2, so no start is the
-    mirror of another), every start of every polynomial at once: a Newton
+    grid value of ``sup_norm_on_gamma`` and |q| at the torus points the
+    iteration visits.  Grid values and iteration use the (z1, z2)
+    coefficients of each polynomial, converted once.  The iteration runs on
+    |q|^2 as a function of the angles (t1, t2), from the REFINE_STARTS best
+    points of the half grid (z1 <= z2, so no start is the mirror of
+    another), every start of every polynomial at once: a Newton
     step where the Hessian is negative definite, otherwise a step along the
     gradient, each capped at half the grid spacing.  A start stops once its
     step falls below sqrt(eps), where |q|^2 changes only at rounding level,

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 import gammaops as g
-from gammaops import gamma_domain, matcore
+from gammaops import matcore
 
 
 @pytest.fixture(scope="session")
@@ -131,9 +131,28 @@ def screen_oracle():
 _NELDER_MEAD = {"xatol": 1e-10, "fatol": 1e-13, "maxiter": 400}
 
 
+def _torus_grid():
+    """Points (z_j + z_k, z_j z_k) of the grid z_j = e^{2 pi i j / SUP_GRID_N}.
+
+    The product is read off the grid as z_{(j + k) mod SUP_GRID_N}, so the
+    points (j, k) and (k, j) agree bitwise; the point (j, k) sits at index
+    j * SUP_GRID_N + k.
+    """
+    n = matcore.SUP_GRID_N
+    z = np.exp(2j * np.pi * np.arange(n) / n)
+    j, k = np.indices((n, n)).reshape(2, -1)
+    return z[j] + z[k], z[(j + k) % n]
+
+
+@pytest.fixture(scope="session")
+def torus_grid():
+    """The flat (s, p) points of the full SUP_GRID_N^2 torus grid."""
+    return _torus_grid
+
+
 def _refined_sup(coeffs):
     """Oracle: grid sup polished by a Nelder-Mead run from each of the best starts."""
-    vals = np.abs(g.eval_sym_poly(coeffs, *gamma_domain._torus_grid(half=False)))
+    vals = np.abs(g.eval_sym_poly(coeffs, *_torus_grid()))
     best = float(vals.max())
     step = 2.0 * np.pi / matcore.SUP_GRID_N
 

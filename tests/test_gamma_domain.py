@@ -130,7 +130,7 @@ def test_refined_sup_of_a_constant_runs_no_iteration(monkeypatch):
     assert g.sup_norm_on_gamma_refined(np.zeros((0, 5, 5))).shape == (0,)
 
 
-def test_refined_sup_starts_at_distinct_half_grid_points(monkeypatch,
+def test_refined_sup_starts_at_distinct_half_grid_points(monkeypatch, torus_grid,
                                                          refined_sup_oracle):
     # q(z1, z2) = q(z2, z1): the half grid z1 <= z2 holds no mirror pairs,
     # and its best points include every start the full grid gave up to mirrors
@@ -139,7 +139,7 @@ def test_refined_sup_starts_at_distinct_half_grid_points(monkeypatch,
              for _ in range(12)]
     n, r = matcore.SUP_GRID_N, matcore.REFINE_STARTS
     spacing = 2.0 * np.pi / n
-    full = gamma_domain._torus_grid(half=False)
+    full = torus_grid()
     iterates = []
     jets = gamma_domain._torus_jets
 
@@ -275,17 +275,89 @@ def test_empty_stacks_give_empty_results():
     assert g.sup_norm_on_gamma(c).shape == (0,)
 
 
-def test_half_grid_sup_equals_full_grid_sup_bitwise():
-    # (z1, z2) and (z2, z1) give the same (s, p), so half the grid finds
-    # the max; checked here against all SUP_GRID_N^2 points
-    n = matcore.SUP_GRID_N
-    z = np.exp(2j * np.pi * np.arange(n) / n)
-    j, k = np.indices((n, n))
-    s, p = z[j] + z[k], z[(j + k) % n]
+def test_grid_sup_matches_the_full_grid_and_each_polynomial(monkeypatch,
+                                                            torus_grid):
+    # the product W C W^T adds in another order than Horner in s, so the
+    # two agree to rounding; a polynomial's sup does not depend on its block
+    s, p = torus_grid()
     rng = np.random.default_rng(14)
     stack = rng.standard_normal((50, 5, 5)) + 1j * rng.standard_normal((50, 5, 5))
-    sups = g.sup_norm_on_gamma(stack)
-    for c, sup in zip(stack, sups):
-        full = float(np.abs(g.eval_sym_poly(c, s, p)).max())
-        assert sup == full
-        assert g.sup_norm_on_gamma(c) == full
+    for c, sup in zip(stack, g.sup_norm_on_gamma(stack)):
+        full = np.abs(g.eval_sym_poly(c, s, p)).max()
+        assert abs(sup - full) <= 1e-14 * full
+    mixed = g.gamma_pair._random_polys(rng, 40, matcore.PROBE_MAX_DEG)
+    mixed[3] = 0.0
+    mixed[3, 0, 0] = 0.5j                     # a constant amid the rest
+    mixed[7] = 0.0
+    mixed[7, 1, 0] = 1.0                      # s, padded
+    mixed[11] = 0.0
+    mixed[11, 0, 1] = 1.0                     # p, padded
+    each = [g.sup_norm_on_gamma(c) for c in mixed]
+    for budget in (matcore.BATCH_BYTES, 1, 4096, 2 ** 20):
+        monkeypatch.setattr(matcore, "BATCH_BYTES", budget)
+        assert list(g.sup_norm_on_gamma(mixed)) == each
+
+
+def test_grid_blocks_stay_inside_the_batch_budget(monkeypatch):
+    # one block of torus values is 16 N^2 bytes per polynomial; the whole
+    # probe stack at once would be about 13 MiB
+    polys = g.gamma_pair._random_polys(np.random.default_rng(25), 203,
+                                       matcore.PROBE_MAX_DEG)
+    n = matcore.SUP_GRID_N
+    item = 16 * n * n
+    sizes = []
+    moduli = gamma_domain._torus_moduli
+
+    def recorded(zc):
+        for blk, vals in moduli(zc):
+            assert vals.shape == (blk.stop - blk.start, n, n)
+            sizes.append(len(vals))
+            yield blk, vals
+
+    monkeypatch.setattr(gamma_domain, "_torus_moduli", recorded)
+    for budget in (matcore.BATCH_BYTES, 1, 2 ** 20):
+        monkeypatch.setattr(matcore, "BATCH_BYTES", budget)
+        for sup in (g.sup_norm_on_gamma, g.sup_norm_on_gamma_refined):
+            sizes.clear()
+            sup(polys)
+            assert sum(sizes) == len(polys)
+            assert all(size == 1 or size * item <= budget for size in sizes)
+            assert max(sizes) == max(1, budget // item)
+
+
+def test_refined_sup_makes_no_grid_sup_call(monkeypatch):
+    # traced runs count sup_norm_on_gamma calls, one per probe
+    calls = []
+    grid = gamma_domain.sup_norm_on_gamma
+
+    def counted(coeffs):
+        calls.append(coeffs)
+        return grid(coeffs)
+
+    monkeypatch.setattr(gamma_domain, "sup_norm_on_gamma", counted)
+    polys = g.gamma_pair._random_polys(np.random.default_rng(26), 10,
+                                       matcore.PROBE_MAX_DEG)
+    g.sup_norm_on_gamma_refined(polys)
+    g.sup_norm_on_gamma_refined(polys[0])
+    assert calls == []
+
+
+def test_arrays_without_coefficients_are_the_zero_polynomial():
+    s_mat, p_mat = np.diag([0.5, -0.2j]), np.diag([0.1, 0.3])
+    points = np.array([0.3, 1.0 - 2.0j]), np.array([0.1j, 0.5])
+    for shape in ((0, 0), (2, 0), (0, 3)):
+        c = np.zeros(shape, dtype=complex)
+        assert g.eval_sym_poly(c, 0.3, 0.1j) == 0.0
+        assert np.array_equal(g.eval_sym_poly(c, *points), np.zeros(2))
+        assert np.array_equal(g.eval_matrix_sym_poly(c, s_mat, p_mat),
+                              np.zeros((2, 2)))
+        assert g.sup_norm_on_gamma(c) == 0.0
+        assert g.sup_norm_on_gamma_refined(c) == 0.0
+    for shape in ((3, 0, 4), (2, 2, 0), (1, 0, 0)):
+        stack = np.zeros(shape, dtype=complex)
+        m = shape[0]
+        assert np.array_equal(g.eval_sym_poly(stack, *points), np.zeros((m, 2)))
+        assert np.array_equal(g.eval_matrix_sym_poly(stack, s_mat, p_mat),
+                              np.zeros((m, 2, 2)))
+        assert np.array_equal(g.sup_norm_on_gamma(stack), np.zeros(m))
+        assert np.array_equal(g.sup_norm_on_gamma_refined(stack), np.zeros(m))
