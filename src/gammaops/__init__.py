@@ -20,7 +20,6 @@ from .exceptions import (
     NumericalContractBreach,
     OutsideLambdaP,
     PairFileError,
-    ReductionFailure,
     SingularDenominator,
     SingularResolvent,
     TriangularizationFailure,
@@ -39,11 +38,9 @@ from .gamma_domain import (
     sup_norm_on_gamma_refined,
 )
 from .gamma_pair import (
-    CnuSplit,
     GammaPair,
     PairFlags,
     VnProbeReport,
-    cnu_split,
     is_gamma_unitary,
     is_pure,
     random_gamma_unitary,
@@ -74,7 +71,6 @@ from .charfn import (
     kernel_identity_residual,
     theta_at,
     theta_coeffs,
-    theta_series_at,
     toeplitz_mult,
 )
 from .model import (
@@ -103,21 +99,21 @@ __all__ = [
     "GammaOpsError", "DimensionMismatch", "NotHermitian", "NotPSD",
     "NotCommuting", "NotContraction", "NotPure",
     "SingularDenominator", "SingularResolvent", "NotInvertible",
-    "OutsideLambdaP", "ReductionFailure", "TruncationCapExceeded",
+    "OutsideLambdaP", "TruncationCapExceeded",
     "NotIntertwining", "TriangularizationFailure", "NumericalContractBreach",
     "PairFileError",
     "Region", "SymPoint", "DiscAutomorphism", "roots_of_sym_point",
     "classify_point", "mobius_point", "eval_sym_poly", "eval_matrix_sym_poly",
     "sup_norm_on_gamma", "sup_norm_on_gamma_refined",
-    "GammaPair", "PairFlags", "VnProbeReport", "CnuSplit", "validate",
+    "GammaPair", "PairFlags", "VnProbeReport", "validate",
     "symmetrized_pair", "is_pure", "is_gamma_unitary", "vn_probe",
-    "cnu_split", "random_pure_gamma", "random_gamma_unitary",
+    "random_pure_gamma", "random_gamma_unitary",
     "DefectData", "FundamentalPair", "defect_pair",
     "solve_fundamental", "check_pf_intertwining", "scalar_fundamental",
     "TransportResult", "transport_pair", "transport_fundamental",
     "transport_crosscheck", "resolvent_condition",
     "CoincidenceResult", "theta_coeffs", "theta_at",
-    "theta_series_at", "toeplitz_mult", "kernel_identity_residual",
+    "toeplitz_mult", "kernel_identity_residual",
     "coincide_check", "default_coincidence_grid",
     "ModelData", "auto_truncation", "embed_w", "model_space",
     "model_operators", "verify_model", "fstar_defect_identity_residual",

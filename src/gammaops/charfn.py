@@ -49,19 +49,10 @@ def theta_at(fp: FundamentalPair, z: complex) -> np.ndarray:
     n = p.shape[0]
     m = np.eye(n, dtype=complex) - z * matcore.dagger(p)
     smin = float(np.linalg.svd(m, compute_uv=False)[-1]) if n else 1.0
-    if smin <= matcore.EVAL_FLOOR:
+    if smin <= matcore.RESOLVENT_FLOOR:
         raise OutsideLambdaP(f"I - z P* has sigma_min = {smin:.3e} at z = {z}")
     core = -p + z * (fp.defect_p_star.d @ np.linalg.solve(m, fp.defect_p.d))
     return matcore.dagger(fp.defect_p_star.basis.q) @ core @ fp.defect_p.basis.q
-
-
-def theta_series_at(coeffs: np.ndarray, z: complex) -> np.ndarray:
-    """Partial Taylor sum at z, for resummation checks against theta_at."""
-    z = complex(z)
-    total = np.zeros(coeffs.shape[1:], dtype=complex)
-    for k, c in enumerate(coeffs):
-        total += (z ** k) * c
-    return total
 
 
 def toeplitz_mult(coeffs: np.ndarray) -> LinearOperator:

@@ -45,10 +45,6 @@ class OutsideLambdaP(GammaOpsError):
     """The evaluation point makes I - z P* numerically singular."""
 
 
-class ReductionFailure(GammaOpsError):
-    """A subspace expected to reduce both operators fails to do so."""
-
-
 class TruncationCapExceeded(GammaOpsError):
     """Automatic truncation did not reach the tail target below the hard cap."""
 

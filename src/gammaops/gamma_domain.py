@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval2d
 
 from . import matcore
 from .exceptions import SingularDenominator
@@ -115,50 +116,24 @@ def _as_stack(coeffs) -> tuple[np.ndarray, bool]:
     return (c[None] if c.ndim == 2 else c), c.ndim == 2
 
 
-def _powers(p: np.ndarray, count: int) -> np.ndarray:
-    """Rows 1, p, ..., p^(count - 1) for a flat array of points p."""
-    pows = np.empty((count, p.size), dtype=complex)
-    pows[:1] = 1.0
-    for k in range(1, count):
-        np.multiply(pows[k - 1], p, out=pows[k])
-    return pows
-
-
-def _horner(stack: np.ndarray, s: np.ndarray, p_pows: np.ndarray) -> np.ndarray:
-    """Values (m, points) of a coefficient stack at flat points s, given p's powers.
-
-    One product applies every row c[j] to the powers of p; Horner in s then
-    folds the rows of each polynomial, highest j first.
-    """
-    m, a, b = stack.shape
-    if a == 0:
-        return np.zeros((m, s.size), dtype=complex)
-    rows = stack[:, ::-1].transpose(1, 0, 2).reshape(a * m, b)
-    inner = (rows @ p_pows).reshape(a, m, s.size)
-    out = inner[0]
-    for row in inner[1:]:
-        out *= s
-        out += row
-    return out
-
-
 def eval_sym_poly(coeffs, s, p):
-    """Evaluate sum_{j,k} c[j, k] s^j p^k: Horner in s over the powers of p.
+    """Evaluate sum_{j,k} c[j, k] s^j p^k with numpy's ``polyval2d``.
 
     ``coeffs`` is one (a, b) array or a stack (m, a, b) of them; ``s`` and
     ``p`` may be scalars or broadcastable arrays.  A stack gives one value
     per polynomial along a leading axis; one polynomial at one point gives
-    a complex scalar.
+    a complex scalar.  An array without coefficients is the zero polynomial.
     """
     stack, single = _as_stack(coeffs)
-    s, p = np.asarray(s, dtype=complex), np.asarray(p, dtype=complex)
-    if s.shape != p.shape:
-        s, p = np.broadcast_arrays(s, p)
-    shape = s.shape
-    out = _horner(stack, s.reshape(-1), _powers(p.reshape(-1), stack.shape[2]))
+    s, p = np.broadcast_arrays(np.asarray(s, dtype=complex),
+                               np.asarray(p, dtype=complex))
+    if stack.size:
+        out = polyval2d(s, p, stack.transpose(1, 2, 0))
+    else:
+        out = np.zeros(stack.shape[:1] + s.shape, dtype=complex)
     if not single:
-        return out.reshape(stack.shape[:1] + shape)
-    return out[0].reshape(shape) if shape else complex(out[0, 0])
+        return out
+    return out[0] if s.shape else complex(out[0])
 
 
 def eval_matrix_sym_poly(coeffs, s_mat: np.ndarray, p_mat: np.ndarray) -> np.ndarray:

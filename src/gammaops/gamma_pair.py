@@ -10,14 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import matcore
-from .exceptions import (
-    DimensionMismatch,
-    NotContraction,
-    ReductionFailure,
-)
+from .exceptions import DimensionMismatch, NotContraction
 from .gamma_domain import (
     Region,
     SymPoint,
@@ -119,9 +114,8 @@ def is_gamma_unitary(pair: GammaPair) -> bool:
     """Commuting normal pair whose joint spectrum lies on the distinguished boundary."""
     if not (matcore.is_normal(pair.s) and matcore.is_normal(pair.p)):
         return False
-    points = matcore.joint_eigs_commuting(pair.s, pair.p)
-    return all(classify_point(SymPoint(*t)) is Region.DISTINGUISHED_BGAMMA
-               for t in points)
+    return all(classify_point(pt) is Region.DISTINGUISHED_BGAMMA
+               for pt in pair.joint_spectrum)
 
 
 @dataclass(frozen=True)
@@ -204,80 +198,6 @@ def vn_probe(pair: GammaPair, trials: int = matcore.PROBE_TRIALS,
         worst_coeffs=np.array(unpadded(worst)),
         trials=trials,
         max_deg=deg,
-    )
-
-
-@dataclass(frozen=True)
-class CnuSplit:
-    """Unitary / completely-non-unitary decomposition of a pair.
-
-    ``basis`` is the ambient unitary [Q_u, Q_c]; a part is None when the
-    corresponding subspace is trivial.
-    """
-
-    unitary_part: GammaPair | None
-    cnu_part: GammaPair | None
-    basis: np.ndarray
-    dim_unitary: int
-
-
-def _eig_one_space(g: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (g + matcore.dagger(g)))
-    return v[:, w >= 1.0 - matcore.UNITARY_EIG_TOL]
-
-
-def _intersect(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the intersection of two column spans."""
-    n = q1.shape[0]
-    eye = np.eye(n, dtype=complex)
-    defect = (eye - q1 @ matcore.dagger(q1)) + (eye - q2 @ matcore.dagger(q2))
-    w, v = np.linalg.eigh(defect)
-    return v[:, w <= matcore.UNITARY_EIG_TOL]
-
-
-def cnu_split(pair: GammaPair) -> CnuSplit:
-    """Split off the largest reducing subspace on which P is unitary.
-
-    Starts from the intersection of the eigenvalue-one spaces of P*P and
-    PP* and trims until the subspace is invariant under P and P*.  S must
-    leave the result invariant as well or ReductionFailure is raised.
-    """
-    p, s = pair.p, pair.s
-    n = pair.n
-    q = _intersect(_eig_one_space(matcore.dagger(p) @ p),
-                   _eig_one_space(p @ matcore.dagger(p)))
-    cut = matcore.UNITARY_EIG_TOL * (1.0 + pair.norm_p)
-    while q.shape[1] > 0:
-        proj_out = np.eye(n, dtype=complex) - q @ matcore.dagger(q)
-        k = np.vstack([proj_out @ (p @ q), proj_out @ (matcore.dagger(p) @ q)])
-        _, sv, vh = np.linalg.svd(k)
-        sv = np.concatenate([sv, np.zeros(q.shape[1] - sv.size)])
-        keep = sv <= cut
-        if keep.all():
-            break
-        q = np.linalg.qr(q @ matcore.dagger(vh)[:, keep])[0]
-    m = q.shape[1]
-
-    if m > 0:
-        s_leak = matcore.fro_norm(s @ q - q @ (matcore.dagger(q) @ (s @ q)))
-        s_leak = max(s_leak, matcore.fro_norm(
-            matcore.dagger(s) @ q - q @ (matcore.dagger(q) @ (matcore.dagger(s) @ q))))
-        if s_leak > matcore.REDUCING_LEAK_TOL * (1.0 + pair.norm_s):
-            raise ReductionFailure(
-                f"S leaks off the unitary subspace by {s_leak:.3e}")
-
-    qc = scipy.linalg.null_space(matcore.dagger(q)) if 0 < m < n else (
-        np.zeros((n, 0)) if m == n else np.eye(n, dtype=complex))
-    basis = np.hstack([q, qc]).astype(complex)
-
-    def part(qq):
-        return validate(matcore.dagger(qq) @ s @ qq, matcore.dagger(qq) @ p @ qq)
-
-    return CnuSplit(
-        unitary_part=part(q) if m > 0 else None,
-        cnu_part=part(qc) if n - m > 0 else None,
-        basis=basis,
-        dim_unitary=m,
     )
 
 

@@ -73,20 +73,15 @@ PROBE_MAX_DEG = 4
 PROBE_REFINE_RATIO = 0.98
 #: A probe ratio above 1 + this margin certifies a von Neumann violation.
 PROBE_CERT_MARGIN = 1e-6
-#: Cut for unitary directions in cnu_split: eigenvalue, intersection, leak.
-UNITARY_EIG_TOL = 1e-10
-#: Relative leak of S off the unitary subspace that still counts as reducing.
-REDUCING_LEAK_TOL = 1e-8
 
 # Defects, transport, characteristic function and model.
 #: Eigenvalue clamp of the defect Gramians; |P| may reach 1 + CONTRACTION_TOL.
 DEFECT_EIG_CLAMP = 1e-9
 #: The commuting-lift identity P D_P = D_P* P must hold to this accuracy.
 DEFECT_INTERTWINE_TOL = 1e-9
-#: Smallest |1 - conj(a) s + conj(a)^2 p|, or sigma_min of its operator form.
+#: Smallest |1 - conj(a) s + conj(a)^2 p|, or sigma_min of its operator form
+#: or of I - z P* at evaluation points of Theta.
 RESOLVENT_FLOOR = 1e-12
-#: sigma_min floor for I - z P* at evaluation points of Theta.
-EVAL_FLOOR = 1e-12
 #: Residual level declaring two characteristic functions coincident.
 COINCIDE_TOL = 1e-8
 #: Operator-norm target for |P^N| when choosing N automatically.
@@ -194,9 +189,15 @@ def commutation_defect(s: np.ndarray, p: np.ndarray) -> float:
 
 
 def require_commuting(s: np.ndarray, p: np.ndarray) -> None:
+    """Raise NotCommuting unless the commutator is within ``comm_tol``.
+
+    A commutator of huge entries overflows to a non-finite defect, which
+    fails the test as well.
+    """
     tol = comm_tol(s, p)
-    defect = commutation_defect(s, p)
-    if defect > tol:
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = commutation_defect(s, p)
+    if not defect <= tol:
         raise NotCommuting(f"commutator norm {defect:.3e} exceeds tolerance {tol:.3e}")
 
 
@@ -221,15 +222,16 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def polar_unitary(m: np.ndarray) -> np.ndarray:
-    """Unitary factor of the polar decomposition (closest unitary to m).
+    """Isometric factor of the polar decomposition (closest isometry to m).
 
-    ``m`` is one (k, k) matrix or a stack (s, k, k); a stack gives the stack
-    of factors, each bitwise the factor of its matrix alone, from one
-    batched SVD.
+    ``m`` is one (k, l) matrix with k >= l, whose factor has orthonormal
+    columns (the symmetric, Loewdin, orthonormalization of its columns), or
+    a stack (s, k, l); a stack gives the stack of factors, each bitwise the
+    factor of its matrix alone, from one batched SVD.
     """
     if m.size == 0:
         return m.copy()
-    u, _, vh = np.linalg.svd(m)
+    u, _, vh = np.linalg.svd(m, full_matrices=False)
     return u @ vh
 
 

@@ -85,12 +85,6 @@ def embed_w(fp: FundamentalPair, n_trunc: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def _polar_onb(w: np.ndarray) -> matcore.RangeBasis:
-    """Symmetric (Loewdin) orthonormalization of the columns of W."""
-    u, _, vh = np.linalg.svd(w, full_matrices=False)
-    return matcore.RangeBasis(q=u @ vh, rank=w.shape[1])
-
-
 def _complement_identity_residual(b: np.ndarray, t_theta) -> float:
     """Operator norm of B B* + T_Theta T_Theta* - I on the truncated space."""
     def matvec(x):
@@ -107,7 +101,7 @@ def model_space(fp: FundamentalPair, n_trunc: int | None = None) -> ModelData:
     pair = fp.pair
     n_val = _resolve_trunc(pair, n_trunc)
     w = embed_w(fp, n_val)
-    basis = _polar_onb(w)
+    basis = matcore.RangeBasis(q=matcore.polar_unitary(w), rank=w.shape[1])
     tail = matcore.op_norm(np.linalg.matrix_power(pair.p, n_val))
     iso = matcore.op_norm(matcore.dagger(w) @ w - np.eye(pair.n, dtype=complex))
     complement = _complement_identity_residual(

@@ -40,7 +40,8 @@ def test_taylor_series_resums_to_resolvent():
         coeffs = g.theta_coeffs(fp, 120)
         for z in (0.2, -0.35 + 0.1j, 0.45j):
             direct = g.theta_at(fp, z)
-            summed = g.theta_series_at(coeffs, z)
+            # numpy sums the (N, r*, r) stack over its leading axis
+            summed = np.polynomial.polynomial.polyval(z, coeffs)
             assert matcore.fro_norm(direct - summed) <= 1e-10
 
 

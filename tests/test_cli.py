@@ -340,6 +340,16 @@ def test_overflowing_pair_ends_in_a_documented_code(tmp_path, capsys):
     assert cli.main(["compare", path, path]) == 1
     err = capsys.readouterr().err
     assert "not a usable pair" in err and "exceeds 2" in err
+    # S = P = diag(0, 1.7e308): the commutator overflows to NaN, which
+    # fails the commutation test instead of reaching the Schur form
+    huge = np.diag([0.0, 1.7e308])
+    path = _write(tmp_path, "diag.json", cli.pair_file_doc(huge, huge, None))
+    assert cli.main(["analyze", path]) == 2
+    report = _report(capsys.readouterr().out)
+    assert report["verdict"] == "not-gamma-contraction"
+    assert "commutator" in report["error"]
+    assert cli.main(["compare", path, path]) == 1
+    assert "not a usable pair" in capsys.readouterr().err
 
 
 def _raise(exc):

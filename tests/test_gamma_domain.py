@@ -277,8 +277,8 @@ def test_empty_stacks_give_empty_results():
 
 def test_grid_sup_matches_the_full_grid_and_each_polynomial(monkeypatch,
                                                             torus_grid):
-    # the product W C W^T adds in another order than Horner in s, so the
-    # two agree to rounding; a polynomial's sup does not depend on its block
+    # the product W C W^T adds in another order than numpy's polyval2d, so
+    # the two agree to rounding; a polynomial's sup does not depend on its block
     s, p = torus_grid()
     rng = np.random.default_rng(14)
     stack = rng.standard_normal((50, 5, 5)) + 1j * rng.standard_normal((50, 5, 5))

@@ -57,6 +57,22 @@ def test_is_pure_and_gamma_unitary():
     assert not g.is_gamma_unitary(jordan)
 
 
+def test_is_gamma_unitary_reads_the_stored_joint_spectrum(monkeypatch):
+    pairs = [g.random_gamma_unitary(4, seed=2),
+             g.random_pure_gamma(3, seed=7),
+             # normal, with joint spectrum inside and on the topological boundary
+             g.validate(np.diag([0.5, 0.2]), np.diag([0.06, 0.01])),
+             g.validate(np.diag([1.5, 0.2]), np.diag([0.5, 0.01]))]
+    want = [g.is_gamma_unitary(pair) for pair in pairs]
+    assert want == [True, False, False, False]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("joint spectrum recomputed")
+
+    monkeypatch.setattr(matcore, "joint_eigs_commuting", fail)
+    assert [g.is_gamma_unitary(pair) for pair in pairs] == want
+
+
 def test_vn_probe_accepts_gamma_and_rejects_outside():
     pair = g.random_pure_gamma(4, seed=3)
     rep = g.vn_probe(pair, trials=60, seed=1)
@@ -208,34 +224,6 @@ def test_probe_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 2**20
-
-
-def test_cnu_split_block_diagonal_mix():
-    rng = np.random.default_rng(6)
-    pure = g.random_pure_gamma(2, seed=21)
-    gu = g.random_gamma_unitary(2, seed=22)
-    u = matcore.haar_unitary(4, rng)
-    s = u @ np.block([[gu.s, np.zeros((2, 2))], [np.zeros((2, 2)), pure.s]]) @ matcore.dagger(u)
-    p = u @ np.block([[gu.p, np.zeros((2, 2))], [np.zeros((2, 2)), pure.p]]) @ matcore.dagger(u)
-    split = g.cnu_split(g.validate(s, p))
-    assert split.dim_unitary == 2
-    assert split.unitary_part is not None and split.cnu_part is not None
-    assert g.is_gamma_unitary(split.unitary_part)
-    assert split.cnu_part.flags.pure
-    assert matcore.op_norm(matcore.dagger(split.basis) @ split.basis - np.eye(4)) <= 1e-10
-    # basis block-diagonalizes P
-    pb = matcore.dagger(split.basis) @ p @ split.basis
-    assert matcore.fro_norm(pb[:2, 2:]) + matcore.fro_norm(pb[2:, :2]) <= 1e-8
-
-
-def test_cnu_split_trivial_cases():
-    pure = g.random_pure_gamma(3, seed=30)
-    sp = g.cnu_split(pure)
-    assert sp.dim_unitary == 0 and sp.unitary_part is None
-    assert sp.cnu_part is not None and sp.cnu_part.n == 3
-    gu = g.random_gamma_unitary(3, seed=31)
-    sg = g.cnu_split(gu)
-    assert sg.dim_unitary == 3 and sg.cnu_part is None
 
 
 def test_generators_deterministic_and_valid():

@@ -129,12 +129,15 @@ def test_haar_unitary_is_unitary_and_seeded():
 
 def test_polar_unitary_properties():
     rng = np.random.default_rng(4)
-    a = crandn(rng, 6, 6)
-    u = matcore.polar_unitary(a)
-    assert np.allclose(matcore.dagger(u) @ u, np.eye(6), atol=1e-12)
-    # the positive factor recovered through u must be PSD Hermitian
-    h = matcore.dagger(u) @ a
-    assert matcore.hermiticity_defect(h) <= 1e-10 * (1 + np.linalg.norm(h))
+    # square, then tall: the factor of a tall matrix is an isometry
+    for rows, cols in ((6, 6), (5, 2), (40, 3)):
+        a = crandn(rng, rows, cols)
+        u = matcore.polar_unitary(a)
+        assert u.shape == (rows, cols)
+        assert np.allclose(matcore.dagger(u) @ u, np.eye(cols), atol=1e-12)
+        # the positive factor recovered through u must be PSD Hermitian
+        h = matcore.dagger(u) @ a
+        assert matcore.hermiticity_defect(h) <= 1e-10 * (1 + np.linalg.norm(h))
     v = matcore.haar_unitary(6, rng)
     assert np.allclose(matcore.polar_unitary(v), v, atol=1e-12)
 

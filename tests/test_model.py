@@ -81,6 +81,9 @@ def test_model_space_returns_complete_model():
     assert md.s1.shape == md.p1.shape == (3, 3)
     assert list(md.residuals) == ["isometry_defect", "complement_identity",
                                   "intertwine_s", "intertwine_p"]
+    # the model basis is the closest isometry to the embedding
+    assert np.array_equal(md.model_basis.q, matcore.polar_unitary(g.embed_w(fp, 10)))
+    assert md.model_basis.rank == 3
     s1, p1, intertwine = g.model_operators(fp, md.w, md.model_basis.q)
     assert np.array_equal(s1, md.s1) and np.array_equal(p1, md.p1)
     assert intertwine == {k: md.residuals[k]

@@ -84,6 +84,24 @@ def test_table_is_documented_and_assigned_once():
             assert isinstance(node, ast.Assign), f"matcore:{node.lineno}"
 
 
+def test_every_entry_is_read_in_the_package():
+    # an entry read nowhere but its own assignment is dead policy, left
+    # behind by the code that used it
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "matcore"):
+                read.add(node.attr)
+            elif isinstance(node, ast.Name) and path.name == "matcore.py":
+                read.add(node.id)
+    unread = sorted(set(_table()) - read)
+    assert not unread, unread
+
+
 def test_no_other_module_defines_or_reexports_policy():
     table = _table()
     found = []
