@@ -59,19 +59,18 @@ class GammaPair:
 def validate(s, p) -> GammaPair:
     """Build a GammaPair, checking the necessary conditions only.
 
-    Commutation beyond tolerance is a hard error; the norm bounds and the
-    joint-spectrum position are recorded as flags.  A fully passing pair is
-    still not certified, see the module docstring.
+    Commutation beyond tolerance is a hard error, raised by
+    ``joint_eigs_commuting``; the norm bounds and the joint-spectrum
+    position are recorded as flags.  A fully passing pair is still not
+    certified, see the module docstring.
     """
     s = matcore.as_cmatrix(s, square=True, allow_empty=False, name="S")
     p = matcore.as_cmatrix(p, square=True, allow_empty=False, name="P")
     if s.shape != p.shape:
         raise DimensionMismatch(f"S is {s.shape} but P is {p.shape}")
-    matcore.require_commuting(s, p)
-
+    points = tuple(SymPoint(*t) for t in matcore.joint_eigs_commuting(s, p))
     norm_s, norm_p = matcore.op_norm(s), matcore.op_norm(p)
     rho_p = matcore.spectral_radius(p)
-    points = tuple(SymPoint(*t) for t in matcore.joint_eigs_commuting(s, p))
     in_gamma = all(classify_point(pt) is not Region.OUTSIDE for pt in points)
     flags = PairFlags(
         commuting=True,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import minimize_scalar
 
 from .exceptions import (
     DimensionMismatch,
@@ -35,12 +34,9 @@ COMM_REL_TOL = 1e-10
 SCHUR_EXIT_TOL = 1e-11
 #: Common triangularization fails above this relative residual.
 SCHUR_FAIL_TOL = 1e-8
-#: Absolute accuracy target of :func:`numerical_radius`.
+#: :func:`numerical_radius` stops once no pass raises its level by more than
+#: this, relative to the power of two nearest the largest entry.
 RADIUS_TOL = 1e-10
-#: Uniform angle samples that locate the maxima in :func:`numerical_radius`.
-RADIUS_SAMPLES = 256
-#: Angle tolerance of each bounded polish in :func:`numerical_radius`.
-RADIUS_XATOL = 1e-9
 #: Most Lanczos steps of :func:`op_norm_hermitian`.
 POWER_ITERS = 60
 #: Start-vector seed of :func:`op_norm_hermitian`.
@@ -49,7 +45,8 @@ POWER_SEED = 7
 BATCH_BYTES = 2 ** 17
 
 # Scalar geometry (gamma_domain) and pair validation (gamma_pair).
-#: Root moduli within this of 1 lie on the circle in ``classify_point``.
+#: Moduli within this of 1 lie on the circle: roots in ``classify_point``,
+#: pencil eigenvalues in :func:`numerical_radius`.
 POINT_TOL = 1e-8
 #: A disc automorphism needs |a| < 1 - this and ||beta| - 1| <= this.
 DISC_MARGIN = 1e-12
@@ -159,7 +156,14 @@ def op_norm(a: np.ndarray) -> float:
 
 
 def fro_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+    """Frobenius norm; inf only where the norm exceeds the float range."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+        if norm == np.inf:
+            parts = np.abs(np.concatenate([np.ravel(a.real), np.ravel(a.imag)]))
+            e = int(np.frexp(parts.max())[1])
+            norm = float(np.ldexp(np.linalg.norm(np.ldexp(parts, -e)), e))
+    return norm
 
 
 def batches(count: int, item_bytes: int) -> list[slice]:
@@ -206,10 +210,9 @@ def hermiticity_defect(a: np.ndarray) -> float:
 
 
 def is_normal(a: np.ndarray) -> bool:
-    if a.size == 0:
-        return True
     defect = fro_norm(a @ dagger(a) - dagger(a) @ a)
-    return defect <= HERM_REL_TOL * (1.0 + fro_norm(a) ** 2)
+    na = fro_norm(a)
+    return defect <= HERM_REL_TOL * (1.0 + na * na)
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -268,11 +271,10 @@ def herm_sqrt_psd(a, eig_clamp: float = EIG_CLAMP_TOL) -> np.ndarray:
     a = as_cmatrix(a, square=True, name="A")
     if a.size == 0:
         return a.copy()
-    na = fro_norm(a)
-    if hermiticity_defect(a) > HERM_REL_TOL * max(na, 1e-300):
-        raise NotHermitian(
-            f"Hermiticity defect {hermiticity_defect(a):.3e} exceeds "
-            f"{HERM_REL_TOL:.1e} * |A|_F")
+    defect = hermiticity_defect(a)
+    if defect > HERM_REL_TOL * max(fro_norm(a), 1e-300):
+        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds "
+                           f"{HERM_REL_TOL:.1e} * |A|_F")
     h = 0.5 * (a + dagger(a))
     w, v = np.linalg.eigh(h)
     scale = max(1.0, float(np.abs(w).max()))
@@ -298,50 +300,48 @@ def range_onb(d) -> RangeBasis:
     return RangeBasis(q=u[:, :r].copy(), rank=r)
 
 
-def _top_eig_herm_part(a: np.ndarray, ah: np.ndarray, theta) -> np.ndarray:
-    """lambda_max(Re(e^{i theta} A)) for a scalar angle or an array of angles."""
-    t = np.asarray(theta)[..., None, None]
-    h = 0.5 * (np.exp(1j * t) * a + np.exp(-1j * t) * ah)
-    return np.linalg.eigvalsh(h)[..., -1]
-
-
 def numerical_radius(a) -> float:
-    """Numerical radius max_theta lambda_max(Re(e^{i theta} A)).
+    """Numerical radius max_theta lambda_max(Re(e^{i theta} A)), by level sets.
 
-    A uniform sample of RADIUS_SAMPLES angles locates candidate maxima;
-    every competitive bracket is then polished by bounded scalar
-    maximization so the returned value is accurate to about RADIUS_TOL
-    absolutely.
+    Mengi and Overton (IMA J. Numer. Anal. 2005), on A scaled by the power
+    of two near its largest entry.  From r = lambda_max(Re A), each pass
+    takes the e^{i theta} where r is an eigenvalue of Re(e^{i theta} A):
+    the finite eigenvalues within POINT_TOL of the unit circle of the
+    pencil ([[0, I], [-A*, 2rI]], [[I, 0], [0, A]]).  r rises to the best
+    lambda_max at the midpoints of consecutive crossing angles, wrap-around
+    included, until no crossing is left or no midpoint beats r by
+    RADIUS_TOL.  The largest value evaluated is returned: a lower bound up
+    to eigvalsh rounding.  Since r < |A|, the passes are finitely many.
     """
     a = as_cmatrix(a, square=True, name="A")
-    if a.size == 0:
+    if not a.any():
         return 0.0
-    if a.shape == (1, 1):
-        return float(abs(a[0, 0]))
-    ah = dagger(a)
-    thetas = np.linspace(0.0, 2.0 * np.pi, RADIUS_SAMPLES, endpoint=False)
-    vals = np.empty(RADIUS_SAMPLES)
-    for blk in batches(RADIUS_SAMPLES, a.nbytes):
-        vals[blk] = _top_eig_herm_part(a, ah, thetas[blk])
-    span = 2.0 * np.pi / RADIUS_SAMPLES
-    vmax = float(vals.max())
-    # Any grid-local maximum within the curvature margin of the best value
-    # can hide the true peak; refine them all.
-    margin = 4.0 * op_norm(a) * span * span + 10.0 * RADIUS_TOL
-    peaks = ((vals >= np.maximum(np.roll(vals, 1), np.roll(vals, -1)))
-             & (vals >= vmax - margin))
-    best = vmax
-    for t0 in thetas[peaks]:
-        res = minimize_scalar(
-            lambda t: -float(_top_eig_herm_part(a, ah, t)),
-            bounds=(t0 - span, t0 + span), method="bounded",
-            options={"xatol": RADIUS_XATOL})
-        best = max(best, float(-res.fun))
-    return best
-
-
-def _conj_by(z: np.ndarray, m: np.ndarray) -> np.ndarray:
-    return dagger(z) @ m @ z
+    e = int(np.frexp(np.abs(a.view(np.float64)).max())[1])
+    a = np.ldexp(a.view(np.float64), -e).view(np.complex128)
+    ah, n = dagger(a), a.shape[0]
+    eye, zero = np.eye(n), np.zeros((n, n))
+    left = np.block([[zero, eye], [-ah, zero]])
+    right = np.block([[eye, zero], [zero, a]])
+    r = float(abs(a[0, 0]) if n == 1 else np.linalg.eigvalsh(0.5 * (a + ah))[-1])
+    best = r
+    while n > 1:
+        left[n:, n:] = 2.0 * r * eye
+        # z = alpha / beta, tested without dividing: beta is 0 where z = inf
+        alpha, beta = scipy.linalg.eigvals(left, right, homogeneous_eigvals=True)
+        mod_a, mod_b = np.abs(alpha), np.abs(beta)
+        on = (mod_b > 0) & (np.abs(mod_a - mod_b) <= POINT_TOL * mod_b)
+        theta = np.sort(np.angle(alpha[on] * np.conj(beta[on])))
+        if theta.size == 0:
+            break
+        mids = 0.5 * (theta + np.append(theta[1:], theta[0] + 2.0 * np.pi))
+        t = np.exp(1j * mids)[:, None, None]
+        top = float(np.linalg.eigvalsh(0.5 * (t * a + t.conj() * ah)).max())
+        best = max(best, top)
+        if not top > r + RADIUS_TOL:
+            break
+        r = top
+    with np.errstate(over="ignore"):  # a radius beyond the float range is inf
+        return float(np.ldexp(best, e))
 
 
 def _common_schur(s: np.ndarray, p: np.ndarray):
@@ -355,7 +355,7 @@ def _common_schur(s: np.ndarray, p: np.ndarray):
     best = None
     for gamma in _MIX_GAMMAS:
         _, z = scipy.linalg.schur(s + gamma * p, output="complex")
-        ms, mp = _conj_by(z, s), _conj_by(z, p)
+        ms, mp = dagger(z) @ s @ z, dagger(z) @ p @ z
         resid = fro_norm(np.tril(ms, -1)) + fro_norm(np.tril(mp, -1))
         if best is None or resid < best[2]:
             best = (ms, mp, resid)

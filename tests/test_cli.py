@@ -333,10 +333,12 @@ def test_overflowing_pair_ends_in_a_documented_code(tmp_path, capsys):
     assert report["flags"]["s_bound"] is False
     assert report["probe"]["certified_not_gamma"] is True
     assert report["probe"]["certificate"] is not None
-    # the overflowing values are reported as null, not as Infinity
+    # the overflowing value is reported as null, not as Infinity
     assert report["probe"]["worst_ratio"] is None
-    assert report["fundamental"]["residual_f"] is None
-    assert report["fundamental"]["residual_f_star"] is None
+    # F = 6.7e299 solves its equation to rounding: the norm of the
+    # residual is rescaled where its square overflows
+    for key in ("residual_f", "residual_f_star"):
+        assert 0.0 <= report["fundamental"][key] <= 1e-15 * 1e300
     assert cli.main(["compare", path, path]) == 1
     err = capsys.readouterr().err
     assert "not a usable pair" in err and "exceeds 2" in err
@@ -350,6 +352,30 @@ def test_overflowing_pair_ends_in_a_documented_code(tmp_path, capsys):
     assert "commutator" in report["error"]
     assert cli.main(["compare", path, path]) == 1
     assert "not a usable pair" in capsys.readouterr().err
+    # entries whose squares overflow, with no RuntimeWarning (an error in
+    # tier 1): norms are rescaled, radii are taken on A scaled by 2^-e
+    eye2, eye3 = np.eye(2), np.eye(3)
+    for name, s, p, w_f in (
+            ("big.json", np.diag([1e200, 0.0]), np.array([[0.0, 1.0], [0.0, 1e200]]),
+             None),
+            ("i3.json", 1e300 * eye3, 0.3 * eye3, 1e300 * 0.7 / 0.91),
+            ("i2.json", 1.7e308 * eye2, 0.5 * eye2, 1.7e308 / 1.5)):
+        path = _write(tmp_path, name, cli.pair_file_doc(s, p, None))
+        assert cli.main(["analyze", path]) == 2
+        report = _report(capsys.readouterr().out)
+        assert report["verdict"] == "not-gamma-contraction"
+        assert report["flags"]["s_bound"] is False
+        if w_f is None:
+            # |S| |P| overflows comm_tol, so the relative rule accepts the
+            # commutator; |P| = 1e200 then stops the fundamental solve
+            assert report["flags"]["commuting"] is True
+            assert report["fundamental"] is None
+            assert "exceeds 1" in report["error"]
+        else:
+            assert report["fundamental"]["w_f"] == pytest.approx(w_f)
+            assert report["fundamental"]["w_f_star"] == pytest.approx(w_f)
+        assert cli.main(["compare", path, path]) == 1
+        assert "not a usable pair" in capsys.readouterr().err
 
 
 def _raise(exc):

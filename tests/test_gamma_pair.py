@@ -73,6 +73,23 @@ def test_is_gamma_unitary_reads_the_stored_joint_spectrum(monkeypatch):
     assert [g.is_gamma_unitary(pair) for pair in pairs] == want
 
 
+def test_validate_tests_commutation_once(monkeypatch):
+    calls = []
+    check = matcore.require_commuting
+
+    def counted(s, p):
+        calls.append(1)
+        check(s, p)
+
+    monkeypatch.setattr(matcore, "require_commuting", counted)
+    pair = g.random_pure_gamma(3, seed=7)
+    calls.clear()
+    g.validate(pair.s, pair.p)
+    assert len(calls) == 1
+    with pytest.raises(NotCommuting, match="commutator norm"):
+        g.validate(np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 def test_vn_probe_accepts_gamma_and_rejects_outside():
     pair = g.random_pure_gamma(4, seed=3)
     rep = g.vn_probe(pair, trials=60, seed=1)

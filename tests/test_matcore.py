@@ -61,6 +61,11 @@ def test_numerical_radius_jordan_block():
     # 2x2 nilpotent with entry 2c has numerical radius exactly c
     assert matcore.numerical_radius(np.array([[0, 2], [0, 0]])) == pytest.approx(1.0, abs=1e-12)
     assert matcore.numerical_radius(np.array([[0, 0.6], [0, 0]])) == pytest.approx(0.3, abs=1e-12)
+    # J_k has a disc for numerical range, so its pencil is singular at the
+    # first level lambda_max(Re J_k), which is already the radius
+    for k in range(2, 6):
+        assert matcore.numerical_radius(np.eye(k, k=1)) == pytest.approx(
+            np.cos(np.pi / (k + 1)), abs=1e-12)
 
 
 def test_numerical_radius_bounds():
@@ -72,43 +77,66 @@ def test_numerical_radius_bounds():
         assert nrm / 2 - 1e-9 <= w <= nrm + 1e-9
 
 
+#: Angle samples, polish tolerance and peak slack of the reference below.
+_GRID_SAMPLES = 256
+_GRID_XATOL = 1e-9
+_GRID_SLACK = 1e-9
+
+
 def _radius_per_angle(a):
-    """Oracle: the numerical radius with one eigvalsh call per angle."""
+    """Reference: a uniform angle grid, one eigvalsh call per angle, and a
+    bounded polish of every grid peak within the curvature margin."""
     ah = matcore.dagger(a)
 
     def top(t):
         h = 0.5 * (np.exp(1j * t) * a + np.exp(-1j * t) * ah)
         return float(np.linalg.eigvalsh(h)[-1])
 
-    thetas = np.linspace(0.0, 2.0 * np.pi, matcore.RADIUS_SAMPLES, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * np.pi, _GRID_SAMPLES, endpoint=False)
     vals = np.array([top(t) for t in thetas])
-    span = 2.0 * np.pi / matcore.RADIUS_SAMPLES
+    span = 2.0 * np.pi / _GRID_SAMPLES
     vmax = float(vals.max())
-    margin = 4.0 * matcore.op_norm(a) * span * span + 10.0 * matcore.RADIUS_TOL
+    margin = 4.0 * matcore.op_norm(a) * span * span + _GRID_SLACK
     best = vmax
-    for k in range(matcore.RADIUS_SAMPLES):
-        left, right = vals[k - 1], vals[(k + 1) % matcore.RADIUS_SAMPLES]
+    for k in range(_GRID_SAMPLES):
+        left, right = vals[k - 1], vals[(k + 1) % _GRID_SAMPLES]
         if vals[k] < max(left, right) or vals[k] < vmax - margin:
             continue
         res = minimize_scalar(lambda t: -top(t),
                               bounds=(thetas[k] - span, thetas[k] + span),
-                              method="bounded",
-                              options={"xatol": matcore.RADIUS_XATOL})
+                              method="bounded", options={"xatol": _GRID_XATOL})
         best = max(best, float(-res.fun))
-    return vals, best
+    return best
 
 
-def test_radius_angle_grid_matches_per_angle_eigvalsh_bitwise():
+def test_level_set_radius_reaches_the_grid_reference(corpus500):
     rng = np.random.default_rng(8)
-    thetas = np.linspace(0.0, 2.0 * np.pi, matcore.RADIUS_SAMPLES, endpoint=False)
-    for n in (2, 6, 12, 40):
-        a = crandn(rng, n, n)
-        vals, radius = _radius_per_angle(a)
-        grid = np.concatenate([
-            matcore._top_eig_herm_part(a, matcore.dagger(a), thetas[blk])
-            for blk in matcore.batches(len(thetas), a.nbytes)])
-        assert grid.tobytes() == vals.tobytes()
-        assert matcore.numerical_radius(a) == radius
+    mats = [crandn(rng, n, n) for n in (2, 6, 12, 40)]
+    radii = [m for _, fp in corpus500 for m in (fp.f, fp.f_star) if m.size]
+    for k in np.random.default_rng(14).choice(len(radii), 100, replace=False):
+        mats.append(radii[k])
+    for a in mats:
+        w, nrm = matcore.numerical_radius(a), matcore.op_norm(a)
+        assert w >= _radius_per_angle(a) - 1e-12 * (1.0 + nrm)
+        # a 1 x 1 radius is |a|, which the SVD behind |A| may round 1 ulp lower
+        assert w <= nrm * (1.0 + 1e-15)
+
+
+def test_level_set_radius_past_singular_and_trivial_pencils():
+    # J_2 + [0.6i]: the first level 0.5 is singular, the radius is 0.6
+    a = np.zeros((3, 3), dtype=complex)
+    a[0, 1], a[2, 2] = 1.0, 0.6j
+    u = matcore.haar_unitary(3, np.random.default_rng(9))
+    b = u @ a @ matcore.dagger(u)
+    assert matcore.numerical_radius(b) == pytest.approx(0.6, abs=1e-12)
+    assert matcore.numerical_radius(np.zeros((0, 0))) == 0.0
+    assert matcore.numerical_radius([[3.0 - 4.0j]]) == 5.0
+    assert matcore.numerical_radius(np.zeros((4, 4))) == 0.0
+    # the power-of-two scaling is exact, far beyond the range of |A|^2
+    for a in (b, crandn(np.random.default_rng(10), 6, 6)):
+        w = matcore.numerical_radius(a)
+        for c in (2.0 ** 1000, 2.0 ** -1000):
+            assert matcore.numerical_radius(c * a) == c * w
 
 
 def test_batches_cover_the_range_within_the_budget():

@@ -1,11 +1,16 @@
-"""The names the package exports and the README lists must exist."""
+"""The names the package exports and the README lists must exist, and
+importing the CLI stays light."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import gammaops as g
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_every_exported_name_resolves():
@@ -20,3 +25,13 @@ def test_readme_consumer_list_names_package_attributes():
     assert len(listed) > 5
     for name in listed:
         assert hasattr(g, name), name
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize would double the scipy modules a fresh CLI loads, and
+    # with them its setup time and peak memory
+    code = "import sys, gammaops.cli; print('scipy.optimize' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.split() == ["False"]
