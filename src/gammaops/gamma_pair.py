@@ -59,10 +59,9 @@ class GammaPair:
 def validate(s, p) -> GammaPair:
     """Build a GammaPair, checking the necessary conditions only.
 
-    Commutation beyond tolerance is a hard error, raised by
-    ``joint_eigs_commuting``; the norm bounds and the joint-spectrum
-    position are recorded as flags.  A fully passing pair is still not
-    certified, see the module docstring.
+    Commutation beyond tolerance is a hard error (``joint_eigs_commuting``);
+    the norm bounds and the joint-spectrum position are recorded as flags.
+    A fully passing pair is still not certified, see the module docstring.
     """
     s = matcore.as_cmatrix(s, square=True, allow_empty=False, name="S")
     p = matcore.as_cmatrix(p, square=True, allow_empty=False, name="P")

@@ -34,8 +34,8 @@ COMM_REL_TOL = 1e-10
 SCHUR_EXIT_TOL = 1e-11
 #: Common triangularization fails above this relative residual.
 SCHUR_FAIL_TOL = 1e-8
-#: :func:`numerical_radius` stops once no pass raises its level by more than
-#: this, relative to the power of two nearest the largest entry.
+#: Stop test and first-level offset of :func:`numerical_radius`, relative to
+#: the power of two nearest the largest entry.
 RADIUS_TOL = 1e-10
 #: Most Lanczos steps of :func:`op_norm_hermitian`.
 POWER_ITERS = 60
@@ -271,10 +271,11 @@ def herm_sqrt_psd(a, eig_clamp: float = EIG_CLAMP_TOL) -> np.ndarray:
     a = as_cmatrix(a, square=True, name="A")
     if a.size == 0:
         return a.copy()
-    defect = hermiticity_defect(a)
-    if defect > HERM_REL_TOL * max(fro_norm(a), 1e-300):
-        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds "
-                           f"{HERM_REL_TOL:.1e} * |A|_F")
+    na = fro_norm(a)
+    if hermiticity_defect(a) > HERM_REL_TOL * max(na, 1e-300):
+        raise NotHermitian(
+            f"Hermiticity defect {hermiticity_defect(a):.3e} exceeds "
+            f"{HERM_REL_TOL:.1e} * |A|_F")
     h = 0.5 * (a + dagger(a))
     w, v = np.linalg.eigh(h)
     scale = max(1.0, float(np.abs(w).max()))
@@ -304,14 +305,15 @@ def numerical_radius(a) -> float:
     """Numerical radius max_theta lambda_max(Re(e^{i theta} A)), by level sets.
 
     Mengi and Overton (IMA J. Numer. Anal. 2005), on A scaled by the power
-    of two near its largest entry.  From r = lambda_max(Re A), each pass
-    takes the e^{i theta} where r is an eigenvalue of Re(e^{i theta} A):
-    the finite eigenvalues within POINT_TOL of the unit circle of the
-    pencil ([[0, I], [-A*, 2rI]], [[I, 0], [0, A]]).  r rises to the best
-    lambda_max at the midpoints of consecutive crossing angles, wrap-around
-    included, until no crossing is left or no midpoint beats r by
-    RADIUS_TOL.  The largest value evaluated is returned: a lower bound up
-    to eigvalsh rounding.  Since r < |A|, the passes are finitely many.
+    of two near its largest entry.  A pass takes the angles where its level
+    is an eigenvalue of Re(e^{i theta} A): the finite eigenvalues within
+    POINT_TOL of the unit circle of ([[0, I], [-A*, 2 level I]], [[I, 0],
+    [0, A]]).  The best lambda_max at their midpoints, wrap-around included,
+    is the next level, until none beats the best value by RADIUS_TOL; that
+    value is returned, a lower bound up to eigvalsh rounding.  The first
+    level is RADIUS_TOL above lambda_max(Re A), which can be the minimum,
+    whose double crossings round off the circle; it drops to
+    lambda_max(Re A) only if it has no crossing.
     """
     a = as_cmatrix(a, square=True, name="A")
     if not a.any():
@@ -322,26 +324,34 @@ def numerical_radius(a) -> float:
     eye, zero = np.eye(n), np.zeros((n, n))
     left = np.block([[zero, eye], [-ah, zero]])
     right = np.block([[eye, zero], [zero, a]])
-    r = float(abs(a[0, 0]) if n == 1 else np.linalg.eigvalsh(0.5 * (a + ah))[-1])
-    best = r
+    best = float(abs(a[0, 0]) if n == 1 else np.linalg.eigvalsh(0.5 * (a + ah))[-1])
+    level = best + RADIUS_TOL
     while n > 1:
-        left[n:, n:] = 2.0 * r * eye
+        left[n:, n:] = 2.0 * level * eye
         # z = alpha / beta, tested without dividing: beta is 0 where z = inf
         alpha, beta = scipy.linalg.eigvals(left, right, homogeneous_eigvals=True)
         mod_a, mod_b = np.abs(alpha), np.abs(beta)
         on = (mod_b > 0) & (np.abs(mod_a - mod_b) <= POINT_TOL * mod_b)
         theta = np.sort(np.angle(alpha[on] * np.conj(beta[on])))
         if theta.size == 0:
-            break
+            if level == best:
+                break
+            level = best  # the max lies within RADIUS_TOL: refine from best
+            continue
         mids = 0.5 * (theta + np.append(theta[1:], theta[0] + 2.0 * np.pi))
         t = np.exp(1j * mids)[:, None, None]
-        top = float(np.linalg.eigvalsh(0.5 * (t * a + t.conj() * ah)).max())
-        best = max(best, top)
-        if not top > r + RADIUS_TOL:
+        top = max(float(np.linalg.eigvalsh(0.5 * (t[b] * a + t[b].conj() * ah))
+                        [:, -1].max()) for b in batches(len(t), a.nbytes))
+        if not top > best + RADIUS_TOL:
+            best = max(best, top)
             break
-        r = top
+        best = level = top
     with np.errstate(over="ignore"):  # a radius beyond the float range is inf
         return float(np.ldexp(best, e))
+
+
+def _conj_by(z: np.ndarray, m: np.ndarray) -> np.ndarray:
+    return dagger(z) @ m @ z
 
 
 def _common_schur(s: np.ndarray, p: np.ndarray):
@@ -355,7 +365,7 @@ def _common_schur(s: np.ndarray, p: np.ndarray):
     best = None
     for gamma in _MIX_GAMMAS:
         _, z = scipy.linalg.schur(s + gamma * p, output="complex")
-        ms, mp = dagger(z) @ s @ z, dagger(z) @ p @ z
+        ms, mp = _conj_by(z, s), _conj_by(z, p)
         resid = fro_norm(np.tril(ms, -1)) + fro_norm(np.tril(mp, -1))
         if best is None or resid < best[2]:
             best = (ms, mp, resid)

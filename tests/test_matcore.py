@@ -61,8 +61,9 @@ def test_numerical_radius_jordan_block():
     # 2x2 nilpotent with entry 2c has numerical radius exactly c
     assert matcore.numerical_radius(np.array([[0, 2], [0, 0]])) == pytest.approx(1.0, abs=1e-12)
     assert matcore.numerical_radius(np.array([[0, 0.6], [0, 0]])) == pytest.approx(0.3, abs=1e-12)
-    # J_k has a disc for numerical range, so its pencil is singular at the
-    # first level lambda_max(Re J_k), which is already the radius
+    # J_k has a disc for numerical range, so lambda_max(Re J_k) is already
+    # the radius: the first level has no crossing and the pencil is
+    # singular at the second, lambda_max(Re J_k) itself
     for k in range(2, 6):
         assert matcore.numerical_radius(np.eye(k, k=1)) == pytest.approx(
             np.cos(np.pi / (k + 1)), abs=1e-12)
@@ -123,12 +124,27 @@ def test_level_set_radius_reaches_the_grid_reference(corpus500):
 
 
 def test_level_set_radius_past_singular_and_trivial_pencils():
-    # J_2 + [0.6i]: the first level 0.5 is singular, the radius is 0.6
+    # J_2 + [0.6i]: lambda_max(Re A) is the disc radius 0.5 of J_2 at
+    # every angle, the radius 0.6 is that of the other block
     a = np.zeros((3, 3), dtype=complex)
     a[0, 1], a[2, 2] = 1.0, 0.6j
     u = matcore.haar_unitary(3, np.random.default_rng(9))
     b = u @ a @ matcore.dagger(u)
     assert matcore.numerical_radius(b) == pytest.approx(0.6, abs=1e-12)
+    # lambda_max(Re A) is the minimum over theta where W(A) points left or
+    # has its narrowest points on the axes; a level there only touches
+    assert matcore.numerical_radius([[-0.4, 1.6], [0.0, -0.4]]) == pytest.approx(
+        1.2, abs=1e-12)
+    assert matcore.numerical_radius(-np.eye(2)) == pytest.approx(1.0, abs=1e-12)
+    shift = np.eye(4, k=-1, dtype=complex)
+    shift[0, 3] = 0.5
+    for c in (np.exp(0.25j * np.pi) * shift, np.exp(0.75j * np.pi) * shift,
+              np.diag([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])):
+        assert matcore.numerical_radius(c) == pytest.approx(_radius_per_angle(c), abs=1e-12)
+    # lambda_max(Re A) 4.2e-11 below the radius, which lambda_max(Re M) is
+    m = np.array([[1.0, 1.0], [0.0, 0.2]])
+    assert matcore.numerical_radius(np.exp(1e-5j) * m) == pytest.approx(
+        np.linalg.eigvalsh(0.5 * (m + m.T))[-1], abs=1e-14)
     assert matcore.numerical_radius(np.zeros((0, 0))) == 0.0
     assert matcore.numerical_radius([[3.0 - 4.0j]]) == 5.0
     assert matcore.numerical_radius(np.zeros((4, 4))) == 0.0
@@ -137,6 +153,28 @@ def test_level_set_radius_past_singular_and_trivial_pencils():
         w = matcore.numerical_radius(a)
         for c in (2.0 ** 1000, 2.0 ** -1000):
             assert matcore.numerical_radius(c * a) == c * w
+
+
+def test_level_set_midpoints_stay_inside_the_batch_budget(monkeypatch):
+    # a normal A with eigenvalues at rotated roots of unity: every
+    # eigenvalue branch crosses the first level, 2n crossings in all
+    n = 12
+    u = matcore.haar_unitary(n, np.random.default_rng(12))
+    a = u @ np.diag(np.exp(1j * np.pi * (2 * np.arange(n) + 1) / n)) @ matcore.dagger(u)
+    w = matcore.numerical_radius(a)
+    assert w == pytest.approx(1.0, abs=1e-12)
+    eigvalsh, sizes = np.linalg.eigvalsh, []
+
+    def spy(h):
+        sizes.append(1 if h.ndim == 2 else h.shape[0])
+        return eigvalsh(h)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    for budget in (matcore.BATCH_BYTES, 1, 5 * a.nbytes):
+        monkeypatch.setattr(matcore, "BATCH_BYTES", budget)
+        sizes.clear()
+        assert matcore.numerical_radius(a) == w
+        assert max(sizes) <= max(1, budget // a.nbytes) and sum(sizes) > 2 * n
 
 
 def test_batches_cover_the_range_within_the_budget():
