@@ -42,7 +42,6 @@ from .gamma_pair import (
     PairFlags,
     VnProbeReport,
     is_gamma_unitary,
-    is_pure,
     random_gamma_unitary,
     random_pure_gamma,
     symmetrized_pair,
@@ -59,7 +58,6 @@ from .fundamental import (
 )
 from .mobius import (
     TransportResult,
-    resolvent_condition,
     transport_crosscheck,
     transport_fundamental,
     transport_pair,
@@ -106,12 +104,12 @@ __all__ = [
     "classify_point", "mobius_point", "eval_sym_poly", "eval_matrix_sym_poly",
     "sup_norm_on_gamma", "sup_norm_on_gamma_refined",
     "GammaPair", "PairFlags", "VnProbeReport", "validate",
-    "symmetrized_pair", "is_pure", "is_gamma_unitary", "vn_probe",
+    "symmetrized_pair", "is_gamma_unitary", "vn_probe",
     "random_pure_gamma", "random_gamma_unitary",
     "DefectData", "FundamentalPair", "defect_pair",
     "solve_fundamental", "check_pf_intertwining", "scalar_fundamental",
     "TransportResult", "transport_pair", "transport_fundamental",
-    "transport_crosscheck", "resolvent_condition",
+    "transport_crosscheck",
     "CoincidenceResult", "theta_coeffs", "theta_at",
     "toeplitz_mult", "kernel_identity_residual",
     "coincide_check", "default_coincidence_grid",

@@ -27,7 +27,7 @@ def theta_coeffs(fp: FundamentalPair, n_coeffs: int) -> np.ndarray:
     if n_coeffs < 1:
         raise ValueError("n_coeffs must be at least 1")
     p, dp, dps = fp.pair.p, fp.defect_p, fp.defect_p_star
-    q, q_star = dp.basis.q, dps.basis.q
+    q, q_star = dp.q, dps.q
     left = matcore.dagger(q_star) @ dps.d      # r* x n
     right = dp.d @ q                           # n x r
     coeffs = [-(matcore.dagger(q_star) @ p @ q)]
@@ -52,7 +52,7 @@ def theta_at(fp: FundamentalPair, z: complex) -> np.ndarray:
     if smin <= matcore.RESOLVENT_FLOOR:
         raise OutsideLambdaP(f"I - z P* has sigma_min = {smin:.3e} at z = {z}")
     core = -p + z * (fp.defect_p_star.d @ np.linalg.solve(m, fp.defect_p.d))
-    return matcore.dagger(fp.defect_p_star.basis.q) @ core @ fp.defect_p.basis.q
+    return matcore.dagger(fp.defect_p_star.q) @ core @ fp.defect_p.q
 
 
 def toeplitz_mult(coeffs: np.ndarray) -> LinearOperator:
@@ -88,7 +88,7 @@ def kernel_identity_residual(fp: FundamentalPair, zs, ws) -> float:
     (I - conj(z) P)^(-1) D_P*, compressed to the defect basis of P*.
     """
     p = fp.pair.p
-    q_star = fp.defect_p_star.basis.q
+    q_star = fp.defect_p_star.q
     d_star = fp.defect_p_star.d
     eye = np.eye(p.shape[0], dtype=complex)
     w_side = [(w, theta_at(fp, w), np.linalg.inv(eye - w * matcore.dagger(p)))

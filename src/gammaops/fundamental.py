@@ -29,20 +29,20 @@ class DefectData:
     """Defect operator with an orthonormal basis of its range.
 
     ``d`` is D_P = (I - P*P)^(1/2) or D_P* = (I - PP*)^(1/2), see
-    :func:`defect_pair`.
+    :func:`defect_pair`; ``q`` has orthonormal columns spanning its range.
     """
 
     d: np.ndarray
-    basis: matcore.RangeBasis
+    q: np.ndarray
 
     @property
     def rank(self) -> int:
-        return self.basis.rank
+        return self.q.shape[1]
 
     @functools.cached_property
     def compressed(self) -> np.ndarray:
         """The defect operator compressed to its range, Q* D Q; built on first read."""
-        return matcore.restrict(self.basis, self.d)
+        return matcore.restrict(self.q, self.d)
 
 
 def defect_pair(p) -> tuple[DefectData, DefectData]:
@@ -58,7 +58,7 @@ def defect_pair(p) -> tuple[DefectData, DefectData]:
         # Gramian (P close to unitary) cannot trip the relative check
         gram = 0.5 * (gram + matcore.dagger(gram))
         d = matcore.herm_sqrt_psd(gram, eig_clamp=matcore.DEFECT_EIG_CLAMP)
-        sides.append(DefectData(d=d, basis=matcore.range_onb(d)))
+        sides.append(DefectData(d=d, q=matcore.range_onb(d)))
     dp, dps = sides
     resid = matcore.fro_norm(p @ dp.d - dps.d @ p)
     if resid > matcore.DEFECT_INTERTWINE_TOL:
@@ -104,7 +104,7 @@ def _solve_side(s: np.ndarray, p: np.ndarray, dd: DefectData
                 ) -> tuple[np.ndarray, float]:
     """Least-squares solution of S - S*P = A F A* with A = D restricted to its range."""
     rhs = s - matcore.dagger(s) @ p
-    a = dd.d @ dd.basis.q
+    a = dd.d @ dd.q
     if dd.rank == 0:
         return np.zeros((0, 0), dtype=complex), matcore.fro_norm(rhs)
     a_pinv = np.linalg.pinv(a)
@@ -140,11 +140,10 @@ def check_pf_intertwining(fp: FundamentalPair) -> float:
     Returns |P F^ Pi - F_*^adj P Pi|_F where F^ and F_*^ are the ambient
     lifts and Pi projects onto Ran D_P.
     """
-    f_amb = matcore.lift(fp.defect_p.basis, fp.f)
-    fs_amb = matcore.lift(fp.defect_p_star.basis, fp.f_star)
-    q = fp.defect_p.basis.q
-    proj = q @ matcore.dagger(q)
-    p = fp.pair.p
+    q = fp.defect_p.q
+    f_amb = matcore.lift(q, fp.f)
+    fs_amb = matcore.lift(fp.defect_p_star.q, fp.f_star)
+    proj, p = q @ matcore.dagger(q), fp.pair.p
     left = p @ f_amb @ proj
     right = matcore.dagger(fs_amb) @ p @ proj
     return matcore.fro_norm(left - right)

@@ -69,7 +69,7 @@ def validate(s, p) -> GammaPair:
         raise DimensionMismatch(f"S is {s.shape} but P is {p.shape}")
     points = tuple(SymPoint(*t) for t in matcore.joint_eigs_commuting(s, p))
     norm_s, norm_p = matcore.op_norm(s), matcore.op_norm(p)
-    rho_p = matcore.spectral_radius(p)
+    rho_p = float(np.max(np.abs(np.linalg.eigvals(p))))
     in_gamma = all(classify_point(pt) is not Region.OUTSIDE for pt in points)
     flags = PairFlags(
         commuting=True,
@@ -100,12 +100,6 @@ def symmetrized_pair(t1, t2) -> GammaPair:
         if nt > 1.0 + matcore.CONTRACTION_TOL:
             raise NotContraction(f"|{name}| = {nt:.12g} exceeds 1")
     return validate(t1 + t2, t1 @ t2)
-
-
-def is_pure(p) -> bool:
-    """Whether the spectral radius of P sits strictly inside the disc."""
-    p = matcore.as_cmatrix(p, square=True, name="P")
-    return matcore.spectral_radius(p) < 1.0 - matcore.PURITY_TOL
 
 
 def is_gamma_unitary(pair: GammaPair) -> bool:

@@ -110,7 +110,7 @@ def witness_from_ambient(u, fp_a: FundamentalPair, fp_b: FundamentalPair
             ("for_P", fp_a.defect_p, fp_b.defect_p, fp_a.f, fp_b.f),
             ("for_P_star", fp_a.defect_p_star, fp_b.defect_p_star,
              fp_a.f_star, fp_b.f_star)):
-        v = matcore.dagger(db.basis.q) @ u @ da.basis.q
+        v = matcore.dagger(db.q) @ u @ da.q
         square = v.shape[0] == v.shape[1]
         blocks.append(v)
         residuals[side] = {
@@ -161,12 +161,12 @@ def _model_confirmation(fp_a: FundamentalPair, fp_b: FundamentalPair,
     operators of A onto those of B, so its unitarity defect and conjugation
     residual certify equivalence end to end, not only at the defect level.
     """
-    n_common = max(auto_truncation(fp_a.pair.p), auto_truncation(fp_b.pair.p))
+    n_common = max(auto_truncation(fp_a.pair), auto_truncation(fp_b.pair))
     md_a, md_b = (model_space(fp, n_common) for fp in (fp_a, fp_b))
     # (I (x) eta1) B_a applies eta1 to each of the N row blocks of B_a
-    q_a = md_a.model_basis.q
+    q_a = md_a.model_basis
     eta_q_a = eta1 @ q_a.reshape(n_common, eta1.shape[1], q_a.shape[1])
-    u_hat = matcore.dagger(md_b.model_basis.q) @ eta_q_a.reshape(q_a.shape)
+    u_hat = matcore.dagger(md_b.model_basis) @ eta_q_a.reshape(q_a.shape)
     conj = max(
         matcore.fro_norm(u_hat @ md_a.s1 @ matcore.dagger(u_hat) - md_b.s1),
         matcore.fro_norm(u_hat @ md_a.p1 @ matcore.dagger(u_hat) - md_b.p1))
@@ -300,14 +300,15 @@ def trace_word_screen(fp_a: FundamentalPair, fp_b: FundamentalPair
                         worst_word=words[k] if max_gap > 0.0 else "")
 
 
-def _intertwiner_starts(pair_a: GammaPair, pair_b: GammaPair,
-                        count: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Unitary polar factors of joint *-intertwiners of the two pairs.
+def _intertwiner_start(pair_a: GammaPair, pair_b: GammaPair,
+                       rng: np.random.Generator) -> np.ndarray | None:
+    """Unitary polar factor of a generic joint *-intertwiner, or None.
 
     A unitary conjugator solves K X_A = X_B K for X in {S, P, S*, P*}; for
     any invertible K satisfying all four, K K* commutes with the second
-    pair, so the polar factor is itself a conjugator.  The nullspace is
-    sampled by basis vectors first, then random combinations.  Row-major
+    pair, so the polar factor is itself a conjugator.  K is a random
+    combination of a nullspace basis: invertible if any element is
+    (Schwartz-Zippel), and a unitary start anyway.  Row-major
     vectorization: (A X).ravel() = kron(A, I) x, (X B).ravel() = kron(I, B.T) x.
     """
     n = pair_a.n
@@ -319,21 +320,10 @@ def _intertwiner_starts(pair_a: GammaPair, pair_b: GammaPair,
         blocks.append(np.kron(x_b, eye) - np.kron(eye, x_a.T))
     basis = scipy.linalg.null_space(np.vstack(blocks), rcond=matcore.REL_RANK_TOL)
     if basis.size == 0:
-        return []
+        return None
     dim = basis.shape[1]
-    out: list[np.ndarray] = []
-    for j in range(count):
-        if j < dim:
-            vec = basis[:, j]
-        else:
-            vec = basis @ (rng.standard_normal(dim)
-                           + 1j * rng.standard_normal(dim))
-        k_mat = vec.reshape(n, n)
-        sv = np.linalg.svd(k_mat, compute_uv=False)
-        if sv[-1] <= matcore.START_SINGULAR_TOL * max(float(sv[0]), 1e-300):
-            continue
-        out.append(matcore.polar_unitary(k_mat))
-    return out
+    vec = basis @ (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    return matcore.polar_unitary(vec.reshape(n, n))
 
 
 def _ambient_procrustes(pair_a: GammaPair, pair_b: GammaPair,
@@ -455,9 +445,8 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
 
     def ambient_candidates():
         # one restart leaves no room for a warm start: skip the nullspace
-        warm = (_intertwiner_starts(pair_a, pair_b, min(4, restarts), rng)
-                if restarts > 1 else [])
-        starts = warm[:restarts - 1] + [np.eye(n, dtype=complex)]
+        warm = _intertwiner_start(pair_a, pair_b, rng) if restarts > 1 else None
+        starts = [s for s in (warm, np.eye(n, dtype=complex)) if s is not None]
         for block in blocks(16 * n * n):
             u0 = np.stack([starts[k] if k < len(starts)
                            else matcore.haar_unitary(n, rng) for k in block])

@@ -8,8 +8,6 @@ once, and every module reads it as ``matcore.NAME``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -103,8 +101,6 @@ SCREEN_MAX_LEN = 6
 SEARCH_RESTARTS = 20
 #: Alternating polar iterations per search restart.
 SEARCH_ITERS = 150
-#: Intertwiner starts with sigma_min at most this times sigma_max are skipped.
-START_SINGULAR_TOL = 1e-8
 #: Ambient Procrustes stops once a step moves u by at most this times scale.
 PROCRUSTES_STOP_TOL = 1e-14
 
@@ -155,14 +151,25 @@ def op_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
 
+def _pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a 2^-e, e), e the binary exponent of the largest real or imaginary part.
+
+    ``a`` is a nonempty float64 or complex128 array; the scaling is exact.
+    """
+    a = np.ascontiguousarray(a)
+    parts = a.view(np.float64)
+    e = int(np.frexp(np.abs(parts).max())[1])
+    return np.ldexp(parts, -e).view(a.dtype), e
+
+
 def fro_norm(a: np.ndarray) -> float:
     """Frobenius norm; inf only where the norm exceeds the float range."""
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(a))
         if norm == np.inf:
-            parts = np.abs(np.concatenate([np.ravel(a.real), np.ravel(a.imag)]))
-            e = int(np.frexp(parts.max())[1])
-            norm = float(np.ldexp(np.linalg.norm(np.ldexp(parts, -e)), e))
+            parts, e = _pow2_scaled(
+                np.abs(np.concatenate([np.ravel(a.real), np.ravel(a.imag)])))
+            norm = float(np.ldexp(np.linalg.norm(parts), e))
     return norm
 
 
@@ -177,12 +184,6 @@ def batches(count: int, item_bytes: int) -> list[slice]:
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
-def spectral_radius(a: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
-
-
 def comm_tol(s: np.ndarray, p: np.ndarray) -> float:
     """Commutation tolerance COMM_REL_TOL * (1 + |S| |P|), operator norms."""
     return COMM_REL_TOL * (1.0 + op_norm(s) * op_norm(p))
@@ -195,14 +196,20 @@ def commutation_defect(s: np.ndarray, p: np.ndarray) -> float:
 def require_commuting(s: np.ndarray, p: np.ndarray) -> None:
     """Raise NotCommuting unless the commutator is within ``comm_tol``.
 
-    A commutator of huge entries overflows to a non-finite defect, which
-    fails the test as well.
+    Where it is not finite, the rule is tested on S' = S 2^-a, P' = P 2^-b
+    (see ``_pow2_scaled``) as |[S', P']| <= COMM_REL_TOL (2^-(a+b) + |S'| |P'|).
+    A commutator that overflows to a non-finite defect fails.
     """
-    tol = comm_tol(s, p)
+    tol, unit = comm_tol(s, p), ""
+    if not np.isfinite(tol):
+        (s, a), (p, b) = _pow2_scaled(s), _pow2_scaled(p)
+        tol = COMM_REL_TOL * (np.ldexp(1.0, -(a + b)) + op_norm(s) * op_norm(p))
+        unit = f", both in units of 2^{a + b}"
     with np.errstate(over="ignore", invalid="ignore"):
         defect = commutation_defect(s, p)
     if not defect <= tol:
-        raise NotCommuting(f"commutator norm {defect:.3e} exceeds tolerance {tol:.3e}")
+        raise NotCommuting(
+            f"commutator norm {defect:.3e} exceeds tolerance {tol:.3e}{unit}")
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -238,26 +245,14 @@ def polar_unitary(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-@dataclass(frozen=True)
-class RangeBasis:
-    """Orthonormal basis of a numerically determined range.
-
-    ``q`` has orthonormal columns spanning the kept range and ``rank`` is
-    the number of columns.
-    """
-
-    q: np.ndarray
-    rank: int
+def lift(q: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Ambient n x n representative Q m Q* of an operator on the range of Q."""
+    return q @ m @ dagger(q)
 
 
-def lift(basis: RangeBasis, m: np.ndarray) -> np.ndarray:
-    """Ambient n x n representative Q m Q* of an operator on the range."""
-    return basis.q @ m @ dagger(basis.q)
-
-
-def restrict(basis: RangeBasis, m: np.ndarray) -> np.ndarray:
-    """Compression Q* m Q of an ambient operator to the range."""
-    return dagger(basis.q) @ m @ basis.q
+def restrict(q: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Compression Q* m Q of an ambient operator to the range of Q."""
+    return dagger(q) @ m @ q
 
 
 def herm_sqrt_psd(a, eig_clamp: float = EIG_CLAMP_TOL) -> np.ndarray:
@@ -286,19 +281,19 @@ def herm_sqrt_psd(a, eig_clamp: float = EIG_CLAMP_TOL) -> np.ndarray:
     return 0.5 * (b + dagger(b))
 
 
-def range_onb(d) -> RangeBasis:
-    """Orthonormal basis of the numerical range of a square matrix.
+def range_onb(d) -> np.ndarray:
+    """Orthonormal columns spanning the numerical range of a square matrix.
 
     Columns of an SVD left factor are kept while the singular value exceeds
-    REL_RANK_TOL times the largest one.  The zero matrix has rank 0.
+    REL_RANK_TOL times the largest one; their count is the rank, 0 for zero.
     """
     d = as_cmatrix(d, square=True, name="D")
     if d.shape[0] == 0:
-        return RangeBasis(q=np.zeros((0, 0), dtype=complex), rank=0)
+        return np.zeros((0, 0), dtype=complex)
     u, s, _ = np.linalg.svd(d)
     smax = float(s[0])
     r = 0 if smax == 0.0 else int(np.count_nonzero(s > REL_RANK_TOL * smax))
-    return RangeBasis(q=u[:, :r].copy(), rank=r)
+    return u[:, :r].copy()
 
 
 def numerical_radius(a) -> float:
@@ -318,8 +313,7 @@ def numerical_radius(a) -> float:
     a = as_cmatrix(a, square=True, name="A")
     if not a.any():
         return 0.0
-    e = int(np.frexp(np.abs(a.view(np.float64)).max())[1])
-    a = np.ldexp(a.view(np.float64), -e).view(np.complex128)
+    a, e = _pow2_scaled(a)
     ah, n = dagger(a), a.shape[0]
     eye, zero = np.eye(n), np.zeros((n, n))
     left = np.block([[zero, eye], [-ah, zero]])
@@ -359,9 +353,18 @@ def _common_schur(s: np.ndarray, p: np.ndarray):
 
     Returns (Ms, Mp, residual) where Ms = Z* S Z and Mp = Z* P Z for the
     best mixing coefficient tried; the residual is measured on the strict
-    lower triangles.
+    lower triangles.  Where the scale overflows, S 2^-a and P 2^-b are
+    triangularized (see ``_pow2_scaled``), the residual is theirs, and Ms, Mp
+    are scaled back.
     """
     scale = 1.0 + fro_norm(s) + fro_norm(p)
+    if scale == np.inf:
+        (s, a), (p, b) = _pow2_scaled(s), _pow2_scaled(p)
+        ms, mp, resid = _common_schur(s, p)
+        with np.errstate(over="ignore"):  # an entry beyond the range is inf
+            ms, mp = (np.ldexp(m.view(np.float64), e).view(np.complex128)
+                      for m, e in ((ms, a), (mp, b)))
+        return ms, mp, resid
     best = None
     for gamma in _MIX_GAMMAS:
         _, z = scipy.linalg.schur(s + gamma * p, output="complex")

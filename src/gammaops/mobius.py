@@ -46,12 +46,6 @@ def transport_pair(pair: GammaPair, m: DiscAutomorphism) -> GammaPair:
     return validate(s_tau, p_tau)
 
 
-def resolvent_condition(pair: GammaPair, m: DiscAutomorphism) -> float:
-    """Condition number of I - conj(a) S + conj(a)^2 P."""
-    sv = np.linalg.svd(_resolvent_matrix(pair, m), compute_uv=False)
-    return float(sv[0] / sv[-1]) if sv.size else 1.0
-
-
 def transport_fundamental(f: np.ndarray, m: DiscAutomorphism,
                           u_defect: np.ndarray) -> np.ndarray:
     """Closed-form transported fundamental operator.
@@ -96,35 +90,36 @@ class TransportResult:
     u_unitarity_defect: float
 
 
-def transport_crosscheck(pair: GammaPair, m: DiscAutomorphism) -> TransportResult:
-    """Transport a pair both ways and compare the fundamental operators.
+def transport_crosscheck(fp: FundamentalPair, m: DiscAutomorphism
+                         ) -> TransportResult:
+    """Transport a solved pair both ways; only the transported pair is solved.
 
     The intertwining map X = (1-|a|^2)^(1/2) G^(1/2) D_P (I - conj(a) S
     + conj(a)^2 P)^(-1) satisfies X*X = D_{P_tau}^2 and induces the unitary
     U between the defect spaces that the closed form needs.
     """
-    fp = solve_fundamental(pair)
+    pair = fp.pair
     a = complex(m.a)
     pair_tau = transport_pair(pair, m)
     fp_tau = solve_fundamental(pair_tau)
 
-    q_basis = fp.defect_p.basis
+    q = fp.defect_p.q
     f = fp.f
-    r = q_basis.rank
+    r = fp.defect_p.rank
     g = ((1.0 + abs(a) ** 2) * np.eye(r, dtype=complex)
          - np.conj(a) * f - a * matcore.dagger(f))
     g_half = matcore.herm_sqrt_psd(g)
     resolvent = _resolvent_matrix(pair, m)
     x = (np.sqrt(1.0 - abs(a) ** 2)
-         * matcore.lift(q_basis, g_half) @ fp.defect_p.d
+         * matcore.lift(q, g_half) @ fp.defect_p.d
          @ np.linalg.inv(resolvent))
 
     d_tau = fp_tau.defect_p.d
     x_resid = matcore.fro_norm(matcore.dagger(x) @ x - d_tau @ d_tau)
 
-    q_tau = fp_tau.defect_p.basis.q
+    q_tau = fp_tau.defect_p.q
     b_mat = matcore.dagger(q_tau) @ d_tau          # r_tau x n
-    c_mat = matcore.dagger(q_basis.q) @ x          # r x n
+    c_mat = matcore.dagger(q) @ x                  # r x n
     u_defect = c_mat @ np.linalg.pinv(b_mat)       # r x r_tau
     r_tau = q_tau.shape[1]
     u_unit = matcore.fro_norm(
@@ -138,7 +133,7 @@ def transport_crosscheck(pair: GammaPair, m: DiscAutomorphism) -> TransportResul
         f_tau_closed=f_closed,
         f_tau_direct=fp_tau.f,
         crosscheck_residual=matcore.fro_norm(f_closed - fp_tau.f),
-        cond_resolvent=resolvent_condition(pair, m),
+        cond_resolvent=float(np.linalg.cond(resolvent)),
         x_identity_residual=x_resid,
         u_unitarity_defect=u_unit,
     )

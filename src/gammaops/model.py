@@ -20,32 +20,32 @@ from . import matcore
 from .charfn import theta_coeffs, toeplitz_mult
 from .exceptions import NotPure, TruncationCapExceeded
 from .fundamental import FundamentalPair
-from .gamma_pair import GammaPair, is_pure
+from .gamma_pair import GammaPair
 
 
 @dataclass(frozen=True)
 class ModelData:
     """Truncated model of one pure pair.
 
-    ``w`` is the embedding, ``model_basis`` its orthonormalization (rank n),
+    ``w`` is the embedding, ``model_basis`` its orthonormalization (n columns),
     ``s1``/``p1`` the compressions of T/V to the model space, and
     ``residuals`` collects the verification ledger.
     """
 
     n_trunc: int
     w: np.ndarray
-    model_basis: matcore.RangeBasis
+    model_basis: np.ndarray
     tail: float
     s1: np.ndarray
     p1: np.ndarray
     residuals: dict
 
 
-def auto_truncation(p) -> int:
-    """Smallest N with |P^N| at most AUTO_TAIL_TARGET, N <= TRUNCATION_CAP."""
-    p = matcore.as_cmatrix(p, square=True, name="P")
-    if not is_pure(p):
+def auto_truncation(pair: GammaPair) -> int:
+    """Smallest N <= TRUNCATION_CAP with |P^N| <= AUTO_TAIL_TARGET; P pure by flag."""
+    if not pair.flags.pure:
         raise NotPure("spectral radius of P is not strictly below 1")
+    p = pair.p
     # |A| >= |A|_F / sqrt(n), so no SVD runs while |P^N|_F is above this
     fro_bound = np.sqrt(p.shape[0]) * matcore.AUTO_TAIL_TARGET
     power = p.copy()
@@ -61,7 +61,7 @@ def auto_truncation(p) -> int:
 
 def _resolve_trunc(pair: GammaPair, n_trunc: int | None) -> int:
     if n_trunc is None:
-        return auto_truncation(pair.p)
+        return auto_truncation(pair)
     n = int(n_trunc)
     if n < 1:
         raise ValueError("n_trunc must be at least 1")
@@ -76,7 +76,7 @@ def _resolve_trunc(pair: GammaPair, n_trunc: int | None) -> int:
 def embed_w(fp: FundamentalPair, n_trunc: int) -> np.ndarray:
     """Stacked embedding blocks D_P* P*^k on the defect basis, k < N."""
     pair = fp.pair
-    left = matcore.dagger(fp.defect_p_star.basis.q) @ fp.defect_p_star.d
+    left = matcore.dagger(fp.defect_p_star.q) @ fp.defect_p_star.d
     blocks, cur = [], np.eye(pair.n, dtype=complex)
     p_star = matcore.dagger(pair.p)
     for _ in range(n_trunc):
@@ -101,12 +101,12 @@ def model_space(fp: FundamentalPair, n_trunc: int | None = None) -> ModelData:
     pair = fp.pair
     n_val = _resolve_trunc(pair, n_trunc)
     w = embed_w(fp, n_val)
-    basis = matcore.RangeBasis(q=matcore.polar_unitary(w), rank=w.shape[1])
+    basis = matcore.polar_unitary(w)
     tail = matcore.op_norm(np.linalg.matrix_power(pair.p, n_val))
     iso = matcore.op_norm(matcore.dagger(w) @ w - np.eye(pair.n, dtype=complex))
     complement = _complement_identity_residual(
-        basis.q, toeplitz_mult(theta_coeffs(fp, n_val)))
-    s1, p1, intertwine = model_operators(fp, w, basis.q)
+        basis, toeplitz_mult(theta_coeffs(fp, n_val)))
+    s1, p1, intertwine = model_operators(fp, w, basis)
     return ModelData(n_trunc=n_val, w=w, model_basis=basis, tail=tail, s1=s1,
                      p1=p1, residuals={"isometry_defect": iso,
                                        "complement_identity": complement,
@@ -143,7 +143,7 @@ def model_operators(fp: FundamentalPair, w: np.ndarray, b: np.ndarray
 def fstar_defect_identity_residual(fp: FundamentalPair) -> float:
     """Residual of D_P* F_*^adj + P D_P* F_* = S D_P* with ambient lifts."""
     pair = fp.pair
-    fs_amb = matcore.lift(fp.defect_p_star.basis, fp.f_star)
+    fs_amb = matcore.lift(fp.defect_p_star.q, fp.f_star)
     d_star = fp.defect_p_star.d
     h = (d_star @ matcore.dagger(fs_amb) + pair.p @ d_star @ fs_amb
          - pair.s @ d_star)

@@ -69,7 +69,7 @@ def test_criterion_05_transport_dual_route(announce):
         rng = np.random.default_rng(7100 + k)
         m = g.DiscAutomorphism(a=_rand_disc(rng, 0.9),
                                beta=np.exp(2j * np.pi * rng.uniform()))
-        res = g.transport_crosscheck(pair, m)
+        res = g.transport_crosscheck(g.solve_fundamental(pair), m)
         assert res.crosscheck_residual <= 1e-7
         assert res.x_identity_residual <= 1e-8
     announce(5, "closed-form transport agrees with re-solving, 50 draws")

@@ -118,8 +118,8 @@ def test_coincide_under_planted_conjugation():
         ud = matcore.dagger(u)
         pair_b = g.validate(u @ pair.s @ ud, u @ pair.p @ ud)
         fp_a, fp_b = g.solve_fundamental(pair), g.solve_fundamental(pair_b)
-        q_a, q_b = fp_a.defect_p.basis.q, fp_b.defect_p.basis.q
-        qs_a, qs_b = fp_a.defect_p_star.basis.q, fp_b.defect_p_star.basis.q
+        q_a, q_b = fp_a.defect_p.q, fp_b.defect_p.q
+        qs_a, qs_b = fp_a.defect_p_star.q, fp_b.defect_p_star.q
         sigma = matcore.dagger(q_b) @ u @ q_a
         sigma_star = matcore.dagger(qs_b) @ u @ qs_a
         res = g.coincide_check(fp_a, fp_b, sigma, sigma_star)

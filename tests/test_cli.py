@@ -342,16 +342,20 @@ def test_overflowing_pair_ends_in_a_documented_code(tmp_path, capsys):
     assert cli.main(["compare", path, path]) == 1
     err = capsys.readouterr().err
     assert "not a usable pair" in err and "exceeds 2" in err
-    # S = P = diag(0, 1.7e308): the commutator overflows to NaN, which
-    # fails the commutation test instead of reaching the Schur form
+    # |S| |P| overflows comm_tol, so commutation is tested on S 2^-a and
+    # P 2^-b: S = P = diag(0, 1.7e308) commute and stop at |P| > 1, while
+    # a commutator at 1% of |S| |P| fails the test
     huge = np.diag([0.0, 1.7e308])
-    path = _write(tmp_path, "diag.json", cli.pair_file_doc(huge, huge, None))
-    assert cli.main(["analyze", path]) == 2
-    report = _report(capsys.readouterr().out)
-    assert report["verdict"] == "not-gamma-contraction"
-    assert "commutator" in report["error"]
-    assert cli.main(["compare", path, path]) == 1
-    assert "not a usable pair" in capsys.readouterr().err
+    skew = (1e155 * np.diag([1.0, 0.0]), 1e154 * np.array([[0.0, 0.01], [0.0, 1.0]]))
+    for name, (s, p), error in (("diag.json", (huge, huge), "exceeds 1"),
+                                ("skew.json", skew, "commutator")):
+        path = _write(tmp_path, name, cli.pair_file_doc(s, p, None))
+        assert cli.main(["analyze", path]) == 2
+        report = _report(capsys.readouterr().out)
+        assert report["verdict"] == "not-gamma-contraction"
+        assert error in report["error"]
+        assert cli.main(["compare", path, path]) == 1
+        assert "not a usable pair" in capsys.readouterr().err
     # entries whose squares overflow, with no RuntimeWarning (an error in
     # tier 1): norms are rescaled, radii are taken on A scaled by 2^-e
     eye2, eye3 = np.eye(2), np.eye(3)
@@ -366,8 +370,8 @@ def test_overflowing_pair_ends_in_a_documented_code(tmp_path, capsys):
         assert report["verdict"] == "not-gamma-contraction"
         assert report["flags"]["s_bound"] is False
         if w_f is None:
-            # |S| |P| overflows comm_tol, so the relative rule accepts the
-            # commutator; |P| = 1e200 then stops the fundamental solve
+            # the commutator is 1e-200 relative to |S| |P|, so the pair
+            # commutes; |P| = 1e200 then stops the fundamental solve
             assert report["flags"]["commuting"] is True
             assert report["fundamental"] is None
             assert "exceeds 1" in report["error"]

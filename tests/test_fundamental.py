@@ -66,7 +66,7 @@ def test_solver_residuals_and_radius(corpus500):
 def test_defining_equation_ambient(corpus500):
     # reassemble D_P F^ D_P against S - S*P in the ambient space
     for pair, fp in corpus500[:40]:
-        f_amb = matcore.lift(fp.defect_p.basis, fp.f)
+        f_amb = matcore.lift(fp.defect_p.q, fp.f)
         lhs = fp.defect_p.d @ f_amb @ fp.defect_p.d
         rhs = pair.s - matcore.dagger(pair.s) @ pair.p
         assert matcore.fro_norm(lhs - rhs) <= 1e-8 * (1.0 + pair.norm_s)

@@ -45,8 +45,8 @@ def test_spectrum_outside_flagged_not_raised():
 
 
 def test_is_pure_and_gamma_unitary():
-    assert g.is_pure(np.diag([0.5, 0.3]))
-    assert not g.is_pure(np.diag([1.0, 0.3]))
+    assert g.validate(np.zeros((2, 2)), np.diag([0.5, 0.3])).flags.pure
+    assert not g.validate(np.zeros((2, 2)), np.diag([1.0, 0.3])).flags.pure
     gu = g.random_gamma_unitary(4, seed=2)
     assert g.is_gamma_unitary(gu)
     assert not gu.flags.pure
@@ -55,6 +55,15 @@ def test_is_pure_and_gamma_unitary():
     jordan = g.validate(np.array([[2.0, 1.0], [0.0, 2.0]]),
                         np.array([[1.0, 1.0], [0.0, 1.0]]))
     assert not g.is_gamma_unitary(jordan)
+
+
+def test_validate_joint_spectrum_beyond_the_float_range():
+    # 1 + |S|_F + |P|_F overflows: the pair is triangularized at 2^-1024
+    huge = np.diag([0.0, 1.7e308])
+    pair = g.validate(huge, huge)
+    assert [(pt.s, pt.p) for pt in pair.joint_spectrum] == [
+        (0.0, 0.0), (1.7e308, 1.7e308)]
+    assert not pair.flags.contraction
 
 
 def test_is_gamma_unitary_reads_the_stored_joint_spectrum(monkeypatch):

@@ -341,7 +341,7 @@ def test_search_result_does_not_depend_on_the_blocks(monkeypatch):
     # NOT_FOUND search and on a FOUND one whose first two candidates are
     # turned away, so the witness comes from a later restart
     fp_near = _near(3, 6300)
-    fp_planted = _planted(3, 6310, 6320)[:2]
+    fp_planted = _planted(3, 6311, 6321)[:2]
     verify = invariant.verify_equivalence
     calls = []
 
@@ -402,7 +402,7 @@ def test_single_restart_skips_the_intertwiner_nullspace(monkeypatch):
     def refuse(*args):
         raise AssertionError("no warm start fits in one restart")
 
-    monkeypatch.setattr(invariant, "_intertwiner_starts", refuse)
+    monkeypatch.setattr(invariant, "_intertwiner_start", refuse)
     fp = g.solve_fundamental(g.random_pure_gamma(3, seed=6600))
     found = g.search_witness(fp, fp, restarts=1, seed=0)
     assert (found.status, found.restarts_used) == (SEARCH_FOUND, 1)

@@ -4,7 +4,12 @@ import scipy.linalg
 from scipy.optimize import minimize_scalar
 
 from gammaops import matcore
-from gammaops.exceptions import NotCommuting, NotHermitian, NotPSD
+from gammaops.exceptions import (
+    NotCommuting,
+    NotHermitian,
+    NotPSD,
+    TriangularizationFailure,
+)
 
 
 def crandn(rng, *shape):
@@ -40,11 +45,10 @@ def test_range_onb_rank_and_orthonormality():
     rng = np.random.default_rng(1)
     for n, r in ((4, 2), (6, 3), (5, 5)):
         b = crandn(rng, n, r)
-        basis = matcore.range_onb(b @ matcore.dagger(b))
-        assert basis.rank == r
-        q = basis.q
+        q = matcore.range_onb(b @ matcore.dagger(b))
+        assert q.shape == (n, r)
         assert np.allclose(matcore.dagger(q) @ q, np.eye(r), atol=1e-12)
-    assert matcore.range_onb(np.zeros((3, 3))).rank == 0
+    assert matcore.range_onb(np.zeros((3, 3))).shape[1] == 0
 
 
 def test_numerical_radius_normal_equals_spectral_radius():
@@ -215,6 +219,32 @@ def test_commutation_defect_and_guard():
     b = crandn(rng, 4, 4)
     with pytest.raises(NotCommuting):
         matcore.require_commuting(a, b)
+    # |S| |P| overflows comm_tol; the rule is tested on S 2^-a and P 2^-b
+    s = 1e155 * np.array([[1.0, 0.0], [0.0, 0.0]])
+    p = 1e154 * np.array([[0.0, 0.01], [0.0, 1.0]])
+    assert matcore.comm_tol(s, p) == np.inf
+    with pytest.raises(NotCommuting) as err:
+        matcore.require_commuting(s, p)  # the commutator is 1% of |S| |P|
+    assert "inf" not in str(err.value) and "nan" not in str(err.value)
+    assert "in units of 2^" in str(err.value)
+    huge = np.diag([0.0, 1.7e308])
+    matcore.require_commuting(huge, huge)
+    # relative commutator 1e-200
+    matcore.require_commuting(np.diag([1e200, 0.0]),
+                              np.array([[0.0, 1.0], [0.0, 1e200]]))
+
+
+def test_common_schur_fails_where_its_scale_overflows():
+    # J and J^T have no common triangular form, at any scale
+    j = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(TriangularizationFailure):
+        matcore._common_schur(1e308 * j, 1e308 * j.T)
+    # a diagonal pair beyond the range of 1 + |S|_F + |P|_F is scaled back
+    s = np.diag([1.7e308, -1.7e308]).astype(complex)
+    p = np.diag([0.5, 0.25]).astype(complex)
+    ms, mp, _ = matcore._common_schur(s, p)
+    assert sorted(np.diagonal(ms).real) == [-1.7e308, 1.7e308]
+    assert sorted(np.diagonal(mp).real) == [0.25, 0.5]
 
 
 def test_joint_eigs_commuting_diagonal_oracle():
@@ -247,9 +277,9 @@ def test_op_norm_hermitian_matches_dense():
 def test_lift_restrict_roundtrip():
     rng = np.random.default_rng(8)
     b = crandn(rng, 5, 3)
-    basis = matcore.range_onb(b @ matcore.dagger(b))
-    m = crandn(rng, basis.rank, basis.rank)
-    assert np.allclose(matcore.restrict(basis, matcore.lift(basis, m)), m, atol=1e-12)
+    q = matcore.range_onb(b @ matcore.dagger(b))
+    m = crandn(rng, q.shape[1], q.shape[1])
+    assert np.allclose(matcore.restrict(q, matcore.lift(q, m)), m, atol=1e-12)
 
 
 def test_polar_unitary_of_a_stack_is_bitwise_per_matrix():

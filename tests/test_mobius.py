@@ -85,7 +85,7 @@ def test_crosscheck_residuals_small():
     for k in range(30):
         pair = g.random_pure_gamma(1 + k % 5, seed=300 + k)
         m = _random_auto(rng, max_a=0.9)
-        res = g.transport_crosscheck(pair, m)
+        res = g.transport_crosscheck(g.solve_fundamental(pair), m)
         scale = 1.0 + matcore.op_norm(res.f_tau_direct)
         assert res.crosscheck_residual <= 1e-7 * scale
         assert res.x_identity_residual <= 1e-8 * (1.0 + pair.norm_p)
@@ -95,7 +95,7 @@ def test_crosscheck_residuals_small():
 def test_crosscheck_scalar_closed_form():
     pair = g.validate(np.array([[1.0]]), np.array([[0.25]]))
     m = g.DiscAutomorphism(a=0.3, beta=1.0)
-    res = g.transport_crosscheck(pair, m)
+    res = g.transport_crosscheck(g.solve_fundamental(pair), m)
     s_t, p_t = res.pair_tau.s[0, 0], res.pair_tau.p[0, 0]
     want = g.scalar_fundamental(s_t, p_t)
     assert res.f_tau_closed[0, 0] == pytest.approx(want, abs=1e-12)
@@ -107,6 +107,28 @@ def test_radius_bound_preserved():
     for k in range(15):
         pair = g.random_pure_gamma(1 + k % 4, seed=500 + k)
         m = _random_auto(rng, max_a=0.85)
-        res = g.transport_crosscheck(pair, m)
+        res = g.transport_crosscheck(g.solve_fundamental(pair), m)
         assert res.fp_tau.w_f <= 1.0 + 1e-8
         assert res.fp_tau.w_f_star <= 1.0 + 1e-8
+
+
+def test_crosscheck_solves_only_the_transported_pair(monkeypatch):
+    from gammaops import mobius
+
+    pair = g.random_pure_gamma(3, seed=520)
+    fp = g.solve_fundamental(pair)
+    m = g.DiscAutomorphism(a=0.4 - 0.2j, beta=np.exp(0.3j))
+    solved = []
+
+    def counted(p):
+        solved.append(p)
+        return g.solve_fundamental(p)
+
+    monkeypatch.setattr(mobius, "solve_fundamental", counted)
+    res = g.transport_crosscheck(fp, m)
+    assert solved == [res.pair_tau]
+    # the condition number is that of the resolvent the crosscheck forms
+    ac = np.conj(m.a)
+    sv = np.linalg.svd(np.eye(3) - ac * pair.s + ac * ac * pair.p,
+                       compute_uv=False)
+    assert res.cond_resolvent == sv[0] / sv[-1]

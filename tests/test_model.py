@@ -8,10 +8,14 @@ from gammaops import invariant, matcore, model
 from gammaops.exceptions import NotPure, TruncationCapExceeded
 
 
+def _truncation(p):
+    return g.auto_truncation(g.validate(np.zeros_like(p), p))
+
+
 def test_auto_truncation_frozen_scalar():
     # |0.5^N| first reaches 1e-12 at N = 40
-    assert g.auto_truncation(np.array([[0.5]])) == 40
-    assert g.auto_truncation(np.zeros((2, 2))) == 1
+    assert _truncation(np.array([[0.5]])) == 40
+    assert _truncation(np.zeros((2, 2))) == 1
 
 
 def _auto_truncation_oracle(p):
@@ -37,16 +41,33 @@ def test_auto_truncation_matches_one_svd_per_power():
     cases += [g.random_pure_gamma(1 + k % 12, seed=930 + k).p
               for k in range(24)]
     for p in cases:
-        assert g.auto_truncation(p) == _auto_truncation_oracle(p)
-    assert g.auto_truncation(cases[1]) == 357
+        assert _truncation(p) == _auto_truncation_oracle(p)
+    assert _truncation(cases[1]) == 357
 
 
 def test_auto_truncation_guards():
     with pytest.raises(NotPure):
-        g.auto_truncation(np.eye(2))
+        _truncation(np.eye(2))
     with pytest.raises(TruncationCapExceeded):
         # |0.9999^4096| is about 0.66, far above the tail target
-        g.auto_truncation(np.array([[0.9999]]))
+        _truncation(np.array([[0.9999]]))
+
+
+def test_model_reads_purity_from_the_pair_flag(monkeypatch):
+    # validate decides purity once; the model never recomputes eigenvalues
+    pure = g.random_pure_gamma(3, seed=950)
+    fp = g.solve_fundamental(pure)
+    fp_unitary = g.solve_fundamental(g.random_gamma_unitary(3, seed=951))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigenvalues recomputed after validate")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    assert g.model_space(fp).n_trunc == g.auto_truncation(pure)
+    with pytest.raises(NotPure):
+        g.auto_truncation(fp_unitary.pair)
+    with pytest.raises(NotPure):
+        g.model_space(fp_unitary)
 
 
 def test_embed_w_gram_identity():
@@ -65,7 +86,7 @@ def test_model_space_auto_residuals(pure100):
         md = g.model_space(g.solve_fundamental(pair))
         assert md.residuals["isometry_defect"] <= 1e-10
         assert md.residuals["complement_identity"] <= 1e-8
-        b = md.model_basis.q
+        b = md.model_basis
         assert matcore.op_norm(matcore.dagger(b) @ b - np.eye(pair.n)) <= 1e-12
         assert md.tail <= 1e-12
 
@@ -82,9 +103,9 @@ def test_model_space_returns_complete_model():
     assert list(md.residuals) == ["isometry_defect", "complement_identity",
                                   "intertwine_s", "intertwine_p"]
     # the model basis is the closest isometry to the embedding
-    assert np.array_equal(md.model_basis.q, matcore.polar_unitary(g.embed_w(fp, 10)))
-    assert md.model_basis.rank == 3
-    s1, p1, intertwine = g.model_operators(fp, md.w, md.model_basis.q)
+    assert np.array_equal(md.model_basis, matcore.polar_unitary(g.embed_w(fp, 10)))
+    assert md.model_basis.shape[1] == 3
+    s1, p1, intertwine = g.model_operators(fp, md.w, md.model_basis)
     assert np.array_equal(s1, md.s1) and np.array_equal(p1, md.p1)
     assert intertwine == {k: md.residuals[k]
                           for k in ("intertwine_s", "intertwine_p")}
@@ -108,7 +129,7 @@ def test_model_operator_structure():
         fp = g.solve_fundamental(pair)
         md = g.model_space(fp, n_val)
         t, v = _dense_t_v(fp, n_val)
-        b, w = md.model_basis.q, md.w
+        b, w = md.model_basis, md.w
         bh = matcore.dagger(b)
         assert matcore.fro_norm(md.s1 - bh @ t @ b) <= 1e-13
         assert matcore.fro_norm(md.p1 - bh @ v @ b) <= 1e-13
@@ -132,7 +153,7 @@ def test_model_confirmation_matches_kronecker_form():
     n_val = int(got["n_trunc"])
     compressed = []
     for fp in (fp_a, fp_b):
-        b = g.model_space(fp, n_val).model_basis.q
+        b = g.model_space(fp, n_val).model_basis
         bh = matcore.dagger(b)
         t, v = _dense_t_v(fp, n_val)
         compressed.append((b, bh @ t @ b, bh @ v @ b))
@@ -153,7 +174,7 @@ def test_complement_residual_matches_dense(dense_toeplitz):
     for n, n_val, seed in ((2, 20, 916), (2, 301, 916), (1, 100, 920)):
         pair = g.random_pure_gamma(n, seed=seed)
         fp = g.solve_fundamental(pair)
-        b = g.model_space(fp, n_val).model_basis.q.copy()
+        b = g.model_space(fp, n_val).model_basis.copy()
         b[:, 0] *= 1.05
         coeffs = g.theta_coeffs(fp, n_val)
         t_theta = dense_toeplitz(coeffs)
