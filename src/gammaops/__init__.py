@@ -64,6 +64,7 @@ from .mobius import (
 )
 from .charfn import (
     CoincidenceResult,
+    ToeplitzMult,
     coincide_check,
     default_coincidence_grid,
     kernel_identity_residual,
@@ -111,7 +112,7 @@ __all__ = [
     "TransportResult", "transport_pair", "transport_fundamental",
     "transport_crosscheck",
     "CoincidenceResult", "theta_coeffs", "theta_at",
-    "toeplitz_mult", "kernel_identity_residual",
+    "ToeplitzMult", "toeplitz_mult", "kernel_identity_residual",
     "coincide_check", "default_coincidence_grid",
     "ModelData", "auto_truncation", "embed_w", "model_space",
     "model_operators", "verify_model", "fstar_defect_identity_residual",

@@ -9,11 +9,11 @@ the defect spaces satisfy sigma_* Theta_A(z) = Theta_B(z) sigma on the disc.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
 
 from . import matcore
 from .exceptions import OutsideLambdaP
@@ -22,20 +22,22 @@ if TYPE_CHECKING:
     from .fundamental import FundamentalPair
 
 
-def theta_coeffs(fp: FundamentalPair, n_coeffs: int) -> np.ndarray:
-    """First ``n_coeffs`` Taylor coefficients of Theta, stacked as (n, r*, r)."""
-    if n_coeffs < 1:
-        raise ValueError("n_coeffs must be at least 1")
-    p, dp, dps = fp.pair.p, fp.defect_p, fp.defect_p_star
-    q, q_star = dp.q, dps.q
-    left = matcore.dagger(q_star) @ dps.d      # r* x n
-    right = dp.d @ q                           # n x r
-    coeffs = [-(matcore.dagger(q_star) @ p @ q)]
-    p_star_pow = np.eye(p.shape[0], dtype=complex)
-    for _ in range(1, n_coeffs):
-        coeffs.append(left @ p_star_pow @ right)
-        p_star_pow = p_star_pow @ matcore.dagger(p)
-    return np.stack(coeffs)
+def theta_coeffs(fp: FundamentalPair, w: np.ndarray) -> np.ndarray:
+    """Taylor coefficients Theta_0 ... Theta_{N-1}, stacked as (N, r*, r).
+
+    ``w`` is the embedding ``embed_w(fp, N)``, whose blocks W_k are
+    D_P* P*^k on the defect basis, so Theta_k = W_{k-1} D_P for k >= 1 is
+    one product and no power of P* is formed again.
+    """
+    p, dp, q_star = fp.pair.p, fp.defect_p, fp.defect_p_star.q
+    r_star = q_star.shape[1]
+    n_blocks, rest = divmod(w.shape[0], max(r_star, 1))
+    if n_blocks < 1 or rest:
+        raise ValueError("w must be embed_w(fp, N) with N at least 1")
+    coeffs = np.empty((n_blocks, r_star, dp.rank), dtype=complex)
+    coeffs[0] = -(matcore.dagger(q_star) @ p @ dp.q)
+    coeffs[1:] = (w[:-r_star] @ (dp.d @ dp.q)).reshape(-1, r_star, dp.rank)
+    return coeffs
 
 
 def theta_at(fp: FundamentalPair, z: complex) -> np.ndarray:
@@ -55,30 +57,57 @@ def theta_at(fp: FundamentalPair, z: complex) -> np.ndarray:
     return matcore.dagger(fp.defect_p_star.q) @ core @ fp.defect_p.q
 
 
-def toeplitz_mult(coeffs: np.ndarray) -> LinearOperator:
+class ToeplitzMult(NamedTuple):
+    """T_Theta and T_Theta* of :func:`toeplitz_mult` as plain products.
+
+    Each takes a vector or a stack of columns, N blocks high, and returns
+    the product in the same layout.
+    """
+
+    apply: Callable[[np.ndarray], np.ndarray]
+    apply_adj: Callable[[np.ndarray], np.ndarray]
+
+
+def _fft_length(n: int) -> int:
+    """Smallest length >= n whose prime factors are all at most 5."""
+    length = n
+    while True:
+        rest = length
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return length
+        length += 1
+
+
+def toeplitz_mult(coeffs: np.ndarray) -> ToeplitzMult:
     """Truncated multiplication operator of Theta, applied by FFT.
 
     The operator is lower block Toeplitz: block (i, j) is Theta_{i-j} for
     i >= j, zero above.  It is the leading block of the block circulant of
-    length 2 N whose first block column is Theta_0 ... Theta_{N-1} followed
-    by N zero blocks, so T_Theta and T_Theta* act as products with the
+    length L whose first block column is Theta_0 ... Theta_{N-1} followed
+    by L - N zero blocks, so T_Theta and T_Theta* act as products with the
     discrete Fourier transforms of the coefficients (Chan & Jin, An
     Introduction to Iterative Toeplitz Solvers, SIAM 2007).  N is the number
-    of stacked coefficients.
+    of stacked coefficients, and L is the smallest length >= 2 N - 1 with no
+    prime factor above 5, where the FFT is fastest.  L >= 2 N - 1 suffices
+    for both products: a block j - i > 0 above the diagonal wraps to
+    coefficient index L - (j - i) >= N, which is a zero block.
     """
     n_blocks, r_star, r = coeffs.shape
-    hat = np.fft.fft(coeffs, n=2 * n_blocks, axis=0)
-    hat_adj = hat.conj().transpose(0, 2, 1)
+    length = _fft_length(2 * n_blocks - 1)
+    hat = np.fft.fft(coeffs, n=length, axis=0)
+    hat_adj = matcore.dagger(hat)
 
     def apply(blocks_hat, x, width):
-        # one circular convolution of length 2 N, then the first N blocks
-        x_hat = np.fft.fft(x.reshape(n_blocks, width, -1), n=2 * n_blocks, axis=0)
+        # one circular convolution of length L, then the first N blocks
+        x_hat = np.fft.fft(x.reshape(n_blocks, width, -1), n=length, axis=0)
         y = np.fft.ifft(blocks_hat @ x_hat, axis=0)[:n_blocks]
-        return y.reshape(-1, x_hat.shape[-1])
+        return y.reshape((-1,) + x.shape[1:])
 
-    return LinearOperator((n_blocks * r_star, n_blocks * r), dtype=complex,
-                          matvec=lambda x: apply(hat, x, r),
-                          rmatvec=lambda y: apply(hat_adj, y, r_star))
+    return ToeplitzMult(apply=lambda x: apply(hat, x, r),
+                        apply_adj=lambda y: apply(hat_adj, y, r_star))
 
 
 def kernel_identity_residual(fp: FundamentalPair, zs, ws) -> float:
@@ -95,8 +124,9 @@ def kernel_identity_residual(fp: FundamentalPair, zs, ws) -> float:
               for w in map(complex, np.atleast_1d(ws))]
     worst = 0.0
     for z in np.atleast_1d(zs):
-        rz = np.linalg.inv(eye - np.conj(complex(z)) * p)
+        # theta_at first: it refuses z where I - conj(z) P is singular
         th_z = theta_at(fp, z)
+        rz = np.linalg.inv(eye - np.conj(complex(z)) * p)
         for w, th_w, rw in w_side:
             lhs = (np.eye(q_star.shape[1], dtype=complex)
                    - th_w @ matcore.dagger(th_z))

@@ -74,21 +74,30 @@ def _resolve_trunc(pair: GammaPair, n_trunc: int | None) -> int:
 
 
 def embed_w(fp: FundamentalPair, n_trunc: int) -> np.ndarray:
-    """Stacked embedding blocks D_P* P*^k on the defect basis, k < N."""
+    """Stacked embedding blocks D_P* P*^k on the defect basis, k < N.
+
+    Built by doubling: the first k blocks times P*^k are the next k, so
+    about log2 N products replace N of them.
+    """
     pair = fp.pair
-    left = matcore.dagger(fp.defect_p_star.q) @ fp.defect_p_star.d
-    blocks, cur = [], np.eye(pair.n, dtype=complex)
-    p_star = matcore.dagger(pair.p)
-    for _ in range(n_trunc):
-        blocks.append(left @ cur)
-        cur = cur @ p_star
-    return np.vstack(blocks)
+    r_star = fp.defect_p_star.rank
+    w = np.empty((n_trunc * r_star, pair.n), dtype=complex)
+    w[:r_star] = matcore.dagger(fp.defect_p_star.q) @ fp.defect_p_star.d
+    power, done = matcore.dagger(pair.p), 1
+    while done < n_trunc:
+        step = min(done, n_trunc - done)
+        w[done * r_star:(done + step) * r_star] = w[:step * r_star] @ power
+        done += step
+        power = power @ power
+    return w
 
 
 def _complement_identity_residual(b: np.ndarray, t_theta) -> float:
     """Operator norm of B B* + T_Theta T_Theta* - I on the truncated space."""
+    b_adj = matcore.dagger(b)
+
     def matvec(x):
-        return b @ (matcore.dagger(b) @ x) + t_theta.matvec(t_theta.rmatvec(x)) - x
+        return b @ (b_adj @ x) + t_theta.apply(t_theta.apply_adj(x)) - x
 
     return matcore.op_norm_hermitian(matvec, b.shape[0])
 
@@ -105,7 +114,7 @@ def model_space(fp: FundamentalPair, n_trunc: int | None = None) -> ModelData:
     tail = matcore.op_norm(np.linalg.matrix_power(pair.p, n_val))
     iso = matcore.op_norm(matcore.dagger(w) @ w - np.eye(pair.n, dtype=complex))
     complement = _complement_identity_residual(
-        basis, toeplitz_mult(theta_coeffs(fp, n_val)))
+        basis, toeplitz_mult(theta_coeffs(fp, w)))
     s1, p1, intertwine = model_operators(fp, w, basis)
     return ModelData(n_trunc=n_val, w=w, model_basis=basis, tail=tail, s1=s1,
                      p1=p1, residuals={"isometry_defect": iso,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gammaops as g
-from gammaops import matcore
+from gammaops import charfn, matcore
 from gammaops.exceptions import OutsideLambdaP
 
 
@@ -14,7 +14,10 @@ def _bare(p):
 
 def test_scalar_blaschke_frozen():
     fp = _bare([[0.25]])
-    assert g.theta_coeffs(fp, 8).shape == (8, 1, 1)
+    w = g.embed_w(fp, 8)
+    assert g.theta_coeffs(fp, w).shape == (8, 1, 1)
+    with pytest.raises(ValueError):
+        g.theta_coeffs(fp, w[:0])
     # (z - p) / (1 - conj(p) z) at p = 0.25, z = 0.5 is 2/7
     val = g.theta_at(fp, 0.5)
     assert val.shape == (1, 1)
@@ -37,7 +40,7 @@ def test_taylor_series_resums_to_resolvent():
     for k in range(20):
         pair = g.random_pure_gamma(1 + k % 4, seed=600 + k, max_norm=0.7)
         fp = g.solve_fundamental(pair)
-        coeffs = g.theta_coeffs(fp, 120)
+        coeffs = g.theta_coeffs(fp, g.embed_w(fp, 120))
         for z in (0.2, -0.35 + 0.1j, 0.45j):
             direct = g.theta_at(fp, z)
             # numpy sums the (N, r*, r) stack over its leading axis
@@ -60,28 +63,70 @@ def test_eval_outside_resolvent_set_raises():
         g.theta_at(_bare([[1.0]]), 1.0)
 
 
+def test_coeffs_and_embedding_match_the_power_loop(pure100):
+    # the doubled embedding and the coefficients read off it agree with
+    # one product per power of P*
+    for pair in pure100:
+        fp = g.solve_fundamental(pair)
+        n_val = g.auto_truncation(pair)
+        left = matcore.dagger(fp.defect_p_star.q) @ fp.defect_p_star.d
+        right = fp.defect_p.d @ fp.defect_p.q
+        powers = [np.eye(pair.n, dtype=complex)]
+        for _ in range(1, n_val):
+            powers.append(powers[-1] @ matcore.dagger(pair.p))
+        want_w = np.vstack([left @ pk for pk in powers])
+        want = np.stack([-(matcore.dagger(fp.defect_p_star.q) @ pair.p
+                           @ fp.defect_p.q)]
+                        + [left @ pk @ right for pk in powers[:-1]])
+        w = g.embed_w(fp, n_val)
+        assert matcore.fro_norm(w - want_w) <= 1e-14 * matcore.fro_norm(want_w)
+        coeffs = g.theta_coeffs(fp, w)
+        assert matcore.fro_norm(coeffs - want) <= 1e-14 * matcore.fro_norm(want)
+
+
 def test_toeplitz_block_layout(dense_toeplitz):
-    # the FFT operator and its adjoint, applied to the identity, give the
-    # dense lower block Toeplitz array and its conjugate transpose
-    pair = g.random_pure_gamma(3, seed=55)
-    fp = g.solve_fundamental(pair)
-    coeffs = g.theta_coeffs(fp, 4)
-    r, rs = fp.defect_p.rank, fp.defect_p_star.rank
-    for n_blocks in (1, 3, 4):
-        t = g.toeplitz_mult(coeffs[:n_blocks])
-        dense = dense_toeplitz(coeffs[:n_blocks])
-        assert t.shape == dense.shape == (n_blocks * rs, n_blocks * r)
-        assert np.abs(t @ np.eye(n_blocks * r) - dense).max() <= 1e-14
-        assert np.abs(t.H @ np.eye(n_blocks * rs)
+    # the FFT products, applied to the identity, give the dense lower block
+    # Toeplitz array and its conjugate transpose.  N = 13 embeds at the
+    # tightest length L = 2 N - 1 = 25; N = 263 on an n = 1 pair has the
+    # prime 263 in 2 N and embeds at L = 540 instead.  The probe vector x
+    # keeps the size it has at m = 12 columns, |x| <= 12.3, so the absolute
+    # bound asks the same relative accuracy at every m.
+    assert [charfn._fft_length(2 * n - 1) for n in (1, 3, 4, 13, 263)] == [
+        1, 5, 8, 25, 540]
+    fp3 = g.solve_fundamental(g.random_pure_gamma(3, seed=55))
+    fp1 = g.solve_fundamental(g.random_pure_gamma(1, seed=56))
+    for fp, n_blocks in ((fp3, 1), (fp3, 3), (fp3, 4), (fp3, 13), (fp1, 263)):
+        coeffs = g.theta_coeffs(fp, g.embed_w(fp, n_blocks))
+        t = g.toeplitz_mult(coeffs)
+        dense = dense_toeplitz(coeffs)
+        r, rs = fp.defect_p.rank, fp.defect_p_star.rank
+        assert dense.shape == (n_blocks * rs, n_blocks * r)
+        assert np.abs(t.apply(np.eye(n_blocks * r)) - dense).max() <= 1e-14
+        assert np.abs(t.apply_adj(np.eye(n_blocks * rs))
                       - matcore.dagger(dense)).max() <= 1e-14
-        x = np.arange(n_blocks * r) * (1.0 - 0.5j)
-        assert np.abs(t.matvec(x) - dense @ x).max() <= 1e-13
+        m = n_blocks * r
+        x = np.arange(m) * (1.0 - 0.5j) / max(1.0, m / 12)
+        y = t.apply(x)
+        assert y.shape == (n_blocks * rs,)
+        assert np.abs(y - dense @ x).max() <= 1e-13
 
 
 def test_kernel_identity(corpus500):
     zs = np.array([0.1, 0.4 + 0.2j, -0.6j, 0.8])
     for _, fp in corpus500[:25]:
         assert g.kernel_identity_residual(fp, zs, zs) <= 1e-9
+
+
+def test_kernel_identity_refuses_points_outside_lambda_p():
+    # I - 2 P is singular for P = I / 2: the residual raises the
+    # OutsideLambdaP of theta_at on either side, not a LinAlgError
+    fp = g.solve_fundamental(g.validate(np.diag([0.6, 0.2]), 0.5 * np.eye(2)))
+    with pytest.raises(OutsideLambdaP):
+        g.theta_at(fp, 2)
+    with pytest.raises(OutsideLambdaP):
+        g.kernel_identity_residual(fp, [2], [0.1])
+    with pytest.raises(OutsideLambdaP):
+        g.kernel_identity_residual(fp, [0.1], [2])
 
 
 def test_coincide_self_with_identity():

@@ -176,7 +176,7 @@ def test_complement_residual_matches_dense(dense_toeplitz):
         fp = g.solve_fundamental(pair)
         b = g.model_space(fp, n_val).model_basis.copy()
         b[:, 0] *= 1.05
-        coeffs = g.theta_coeffs(fp, n_val)
+        coeffs = g.theta_coeffs(fp, g.embed_w(fp, n_val))
         t_theta = dense_toeplitz(coeffs)
         m = b.shape[0]
         assert m == n_val * fp.f_star.shape[0] and np.iscomplexobj(pair.p)
