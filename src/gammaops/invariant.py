@@ -7,7 +7,9 @@ the defect unitaries is checked against both halves of the invariant, and a
 model-level confirmation is reported on success.  The witness search is a
 labeled heuristic whose only conclusive negative is the trace-word screen;
 its restarts run as stacks, one batched polar step per iteration for a
-whole block of starts.
+whole block of starts.  Each half-step applies one linear map, built once
+per block with row-major vectorization (A X B).ravel() = kron(A, B.T) x,
+to every start of the block, one product per start.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import matcore
 from .charfn import CoincidenceResult, coincide_check
@@ -300,6 +301,32 @@ def trace_word_screen(fp_a: FundamentalPair, fp_b: FundamentalPair
                         worst_word=words[k] if max_gap > 0.0 else "")
 
 
+def _intertwiner_system(pair_a: GammaPair, pair_b: GammaPair) -> np.ndarray:
+    """The 4n^2 x n^2 system K x = 0 of K X_A = X_B K for X in {S, P, S*, P*}.
+
+    Row-major vectorization: (A X).ravel() = kron(A, I) x and
+    (X B).ravel() = kron(I, B.T) x.
+    """
+    eye = np.eye(pair_a.n, dtype=complex)
+    return np.vstack([np.kron(x_b, eye) - np.kron(eye, x_a.T)
+                      for x_a, x_b in (
+                          (pair_a.s, pair_b.s), (pair_a.p, pair_b.p),
+                          (matcore.dagger(pair_a.s), matcore.dagger(pair_b.s)),
+                          (matcore.dagger(pair_a.p), matcore.dagger(pair_b.p)))])
+
+
+def _null_space(k: np.ndarray) -> np.ndarray:
+    """Orthonormal nullspace basis (columns) of k, by QR and an SVD of R.
+
+    R has the singular values and right singular vectors of k, at
+    min(rows, cols) rows instead of all of them.  Singular values above
+    REL_RANK_TOL times the largest (the first) count toward the rank.
+    """
+    _, sv, vh = np.linalg.svd(np.linalg.qr(k, mode="r"))
+    rank = int(np.sum(sv > matcore.REL_RANK_TOL * sv[0]))
+    return matcore.dagger(vh[rank:])
+
+
 def _intertwiner_start(pair_a: GammaPair, pair_b: GammaPair,
                        rng: np.random.Generator) -> np.ndarray | None:
     """Unitary polar factor of a generic joint *-intertwiner, or None.
@@ -308,47 +335,54 @@ def _intertwiner_start(pair_a: GammaPair, pair_b: GammaPair,
     any invertible K satisfying all four, K K* commutes with the second
     pair, so the polar factor is itself a conjugator.  K is a random
     combination of a nullspace basis: invertible if any element is
-    (Schwartz-Zippel), and a unitary start anyway.  Row-major
-    vectorization: (A X).ravel() = kron(A, I) x, (X B).ravel() = kron(I, B.T) x.
+    (Schwartz-Zippel), and a unitary start anyway.
     """
-    n = pair_a.n
-    eye = np.eye(n, dtype=complex)
-    blocks = []
-    for x_a, x_b in ((pair_a.s, pair_b.s), (pair_a.p, pair_b.p),
-                     (matcore.dagger(pair_a.s), matcore.dagger(pair_b.s)),
-                     (matcore.dagger(pair_a.p), matcore.dagger(pair_b.p))):
-        blocks.append(np.kron(x_b, eye) - np.kron(eye, x_a.T))
-    basis = scipy.linalg.null_space(np.vstack(blocks), rcond=matcore.REL_RANK_TOL)
+    basis = _null_space(_intertwiner_system(pair_a, pair_b))
     if basis.size == 0:
         return None
     dim = basis.shape[1]
     vec = basis @ (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-    return matcore.polar_unitary(vec.reshape(n, n))
+    return matcore.polar_unitary(vec.reshape(pair_a.n, pair_a.n))
+
+
+def _conj_map(*pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Row-major matrix of x -> sum over (b, a) in pairs of b x a* + b* x a.
+
+    (B X C).ravel() = kron(B, C.T) x; the terms are added left to right.
+    """
+    return sum(term for b, a in pairs
+               for term in (np.kron(b, a.conj()), np.kron(matcore.dagger(b), a.T)))
+
+
+def _apply(op: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """op @ x_k.ravel() for each matrix x_k of the stack x, as rows.
+
+    One product per start, so a start gets bitwise the same row in any stack.
+    """
+    return (x.reshape(len(x), 1, -1) @ op.T).reshape(len(x), -1)
 
 
 def _ambient_procrustes(pair_a: GammaPair, pair_b: GammaPair,
                         u0: np.ndarray) -> np.ndarray:
     """Alternating polar iteration toward u S_A = S_B u, u P_A = P_B u.
 
+    Each step is the polar factor of S_B u S_A* + S_B* u S_A + P_B u P_A*
+    + P_B* u P_A, applied as one n^2 x n^2 map built once per call.
     ``u0`` is a stack (s, n, n) of starts, iterated together by one batched
     polar step per iteration.  Each start stops on its own step size, so it
     follows exactly the iterates it follows alone.
     """
-    sa, pa, sb, pb = pair_a.s, pair_a.p, pair_b.s, pair_b.p
-    sa_h, pa_h = matcore.dagger(sa), matcore.dagger(pa)
-    sb_h, pb_h = matcore.dagger(sb), matcore.dagger(pb)
+    op = _conj_map((pair_b.s, pair_a.s), (pair_b.p, pair_a.p))
     stop = matcore.PROCRUSTES_STOP_TOL * (
         1.0 + pair_a.norm_s + pair_a.norm_p)
     u = u0.copy()
     live = np.arange(len(u))
     for _ in range(matcore.SEARCH_ITERS):
         cur = u[live]
-        m = (sb @ cur @ sa_h + sb_h @ cur @ sa
-             + pb @ cur @ pa_h + pb_h @ cur @ pa)
-        u_next = matcore.polar_unitary(m)
+        u_next = matcore.polar_unitary(_apply(op, cur).reshape(cur.shape))
         u[live] = u_next
-        live = live[[matcore.fro_norm(a - b) > stop
-                     for a, b in zip(u_next, cur)]]
+        step = np.linalg.norm((u_next - cur).reshape(len(cur), -1), axis=1)
+        live = live[step > stop]
         if not live.size:
             break
     return u
@@ -365,25 +399,26 @@ def _defect_alternation(fp_a: FundamentalPair, fp_b: FundamentalPair,
     fixed; both updates keep the iterates exactly unitary.  ``samples`` is
     the pair of stacks (Theta_A(z_j), Theta_B(z_j)), and ``sigma0``, ``eta0``
     are stacks of starts, iterated together by one batched polar step per
-    update.  Each sum adds the two fundamental-operator terms, then the
-    samples in order, as for one start alone.
+    update.  The samples enter through K = sum_j kron(Theta_B(z_j),
+    conj Theta_A(z_j)), the map of sigma -> sum_j Theta_B sigma Theta_A*;
+    the eta step applies [map of F_*B, F_*A | K] to (eta, sigma) and the
+    sigma step [map of F_B, F_A | K*] to (sigma, eta), both built once per
+    call.
     """
-    fa, fb = fp_a.f, fp_b.f
-    fas, fbs = fp_a.f_star, fp_b.f_star
     ta, tb = samples
-    ta_h, tb_h = matcore.dagger(ta), matcore.dagger(tb)
+    r, r_star = sigma0.shape[-1], eta0.shape[-1]
+    k_theta = np.tensordot(tb, ta.conj(), axes=(0, 0)).transpose(
+        0, 2, 1, 3).reshape(r_star * r_star, r * r)
+    eta_op = np.hstack([_conj_map((fp_b.f_star, fp_a.f_star)), k_theta])
+    sigma_op = np.hstack([_conj_map((fp_b.f, fp_a.f)),
+                          matcore.dagger(k_theta)])
     sigma, eta = sigma0, eta0
+    count = len(sigma0)
     for _ in range(matcore.SEARCH_ITERS):
-        m_eta = (fbs @ eta @ matcore.dagger(fas)
-                 + matcore.dagger(fbs) @ eta @ fas)
-        for a_h, b in zip(ta_h, tb):
-            m_eta += b @ sigma @ a_h
-        eta = matcore.polar_unitary(m_eta)
-        m_sig = (fb @ sigma @ matcore.dagger(fa)
-                 + matcore.dagger(fb) @ sigma @ fa)
-        for a, b_h in zip(ta, tb_h):
-            m_sig += b_h @ eta @ a
-        sigma = matcore.polar_unitary(m_sig)
+        x = np.hstack([eta.reshape(count, -1), sigma.reshape(count, -1)])
+        eta = matcore.polar_unitary(_apply(eta_op, x).reshape(eta.shape))
+        x = np.hstack([sigma.reshape(count, -1), eta.reshape(count, -1)])
+        sigma = matcore.polar_unitary(_apply(sigma_op, x).reshape(sigma.shape))
     return sigma, eta
 
 

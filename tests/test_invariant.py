@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import gammaops as g
 from gammaops import matcore
@@ -306,26 +307,53 @@ def _starts(n, count, rng):
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_stacked_iterations_match_the_per_start_oracle(
         n, procrustes_oracle, alternation_oracle):
+    # a stacked start follows bitwise the iterates it follows alone; the
+    # per-start oracles sum the same terms in another order, so they agree
+    # to rounding
     planted = _planted(n, 6000 + n, 6100 + n)[:2]
     for fp_a, fp_b in (planted, _near(n, 6200 + n)):
         rng = np.random.default_rng(n)
         u0 = _starts(n, 4, rng)
         stacked = invariant._ambient_procrustes(fp_a.pair, fp_b.pair, u0)
         for k in range(len(u0)):
-            assert np.array_equal(
-                stacked[k], procrustes_oracle(fp_a.pair, fp_b.pair, u0[k]))
+            assert np.array_equal(stacked[k], invariant._ambient_procrustes(
+                fp_a.pair, fp_b.pair, u0[k:k + 1])[0])
+            assert matcore.fro_norm(stacked[k] - procrustes_oracle(
+                fp_a.pair, fp_b.pair, u0[k])) <= 1e-13
         r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
         sigma0, eta0 = _starts(r, 3, rng), _starts(r_star, 3, rng)
         samples = [(g.theta_at(fp_a, z), g.theta_at(fp_b, z))
                    for z in g.default_coincidence_grid()[1::2]]
+        stacks = tuple(np.stack(t) for t in zip(*samples))
         sigmas, etas = invariant._defect_alternation(
-            fp_a, fp_b, tuple(np.stack(t) for t in zip(*samples)),
-            sigma0, eta0)
+            fp_a, fp_b, stacks, sigma0, eta0)
         for k in range(len(sigma0)):
+            sigma, eta = invariant._defect_alternation(
+                fp_a, fp_b, stacks, sigma0[k:k + 1], eta0[k:k + 1])
+            assert np.array_equal(sigmas[k], sigma[0])
+            assert np.array_equal(etas[k], eta[0])
             sigma, eta = alternation_oracle(fp_a, fp_b, samples,
                                             sigma0[k], eta0[k])
-            assert np.array_equal(sigmas[k], sigma)
-            assert np.array_equal(etas[k], eta)
+            assert matcore.fro_norm(sigmas[k] - sigma) <= 1e-13
+            assert matcore.fro_norm(etas[k] - eta) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
+def test_intertwiner_nullspace_matches_scipy(n):
+    # QR then an SVD of R gives the nullspace of the full SVD, rank rule
+    # included: the same dimension and the same projector
+    dims = []
+    for fp_a, fp_b in (_planted(n, 6700 + n, 6710 + n)[:2],
+                       _near(n, 6720 + n)):
+        k = invariant._intertwiner_system(fp_a.pair, fp_b.pair)
+        basis = invariant._null_space(k)
+        want = scipy.linalg.null_space(k, rcond=matcore.REL_RANK_TOL)
+        assert basis.shape == want.shape
+        assert matcore.fro_norm(basis @ matcore.dagger(basis)
+                                - want @ matcore.dagger(want)) <= 1e-12
+        dims.append(basis.shape[1])
+    # at n = 1, K is pure rounding for the conjugate, so its rank is 1
+    assert dims == ([0, 0] if n == 1 else [1, 0])
 
 
 def _outcome(out):
