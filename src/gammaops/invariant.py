@@ -315,18 +315,6 @@ def _intertwiner_system(pair_a: GammaPair, pair_b: GammaPair) -> np.ndarray:
                           (matcore.dagger(pair_a.p), matcore.dagger(pair_b.p)))])
 
 
-def _null_space(k: np.ndarray) -> np.ndarray:
-    """Orthonormal nullspace basis (columns) of k, by QR and an SVD of R.
-
-    R has the singular values and right singular vectors of k, at
-    min(rows, cols) rows instead of all of them.  Singular values above
-    REL_RANK_TOL times the largest (the first) count toward the rank.
-    """
-    _, sv, vh = np.linalg.svd(np.linalg.qr(k, mode="r"))
-    rank = int(np.sum(sv > matcore.REL_RANK_TOL * sv[0]))
-    return matcore.dagger(vh[rank:])
-
-
 def _intertwiner_start(pair_a: GammaPair, pair_b: GammaPair,
                        rng: np.random.Generator) -> np.ndarray | None:
     """Unitary polar factor of a generic joint *-intertwiner, or None.
@@ -337,7 +325,7 @@ def _intertwiner_start(pair_a: GammaPair, pair_b: GammaPair,
     combination of a nullspace basis: invertible if any element is
     (Schwartz-Zippel), and a unitary start anyway.
     """
-    basis = _null_space(_intertwiner_system(pair_a, pair_b))
+    basis = matcore.null_onb(_intertwiner_system(pair_a, pair_b))
     if basis.size == 0:
         return None
     dim = basis.shape[1]

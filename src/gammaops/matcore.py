@@ -281,19 +281,34 @@ def herm_sqrt_psd(a, eig_clamp: float = EIG_CLAMP_TOL) -> np.ndarray:
     return 0.5 * (b + dagger(b))
 
 
+def _numerical_rank(s: np.ndarray) -> int:
+    """Count of the descending singular values ``s`` above REL_RANK_TOL
+    times the largest one; 0 when all are zero."""
+    smax = float(s[0])
+    return 0 if smax == 0.0 else int(np.count_nonzero(s > REL_RANK_TOL * smax))
+
+
 def range_onb(d) -> np.ndarray:
     """Orthonormal columns spanning the numerical range of a square matrix.
 
-    Columns of an SVD left factor are kept while the singular value exceeds
-    REL_RANK_TOL times the largest one; their count is the rank, 0 for zero.
+    Columns of an SVD left factor are kept up to the numerical rank.
     """
     d = as_cmatrix(d, square=True, name="D")
     if d.shape[0] == 0:
         return np.zeros((0, 0), dtype=complex)
     u, s, _ = np.linalg.svd(d)
-    smax = float(s[0])
-    r = 0 if smax == 0.0 else int(np.count_nonzero(s > REL_RANK_TOL * smax))
-    return u[:, :r].copy()
+    return u[:, :_numerical_rank(s)].copy()
+
+
+def null_onb(k: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the numerical nullspace of a tall matrix.
+
+    By QR and an SVD of R, which has the singular values and right singular
+    vectors of k at min(rows, cols) rows instead of all of them; the right
+    singular vectors past the numerical rank are kept.
+    """
+    _, s, vh = np.linalg.svd(np.linalg.qr(k, mode="r"))
+    return dagger(vh[_numerical_rank(s):])
 
 
 def numerical_radius(a) -> float:

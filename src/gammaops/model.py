@@ -77,8 +77,7 @@ def embed_w(fp: FundamentalPair, n_trunc: int) -> np.ndarray:
     """Stacked embedding blocks D_P* P*^k on the defect basis, k < N.
 
     Built by doubling: the first k blocks times P*^k are the next k, so
-    about log2 N products replace N of them.  Parts that underflow below
-    the smallest normal float are zeroed.
+    about log2 N products replace N of them.
     """
     pair = fp.pair
     r_star = fp.defect_p_star.rank
@@ -90,19 +89,7 @@ def embed_w(fp: FundamentalPair, n_trunc: int) -> np.ndarray:
         w[done * r_star:(done + step) * r_star] = w[:step * r_star] @ power
         done += step
         power = power @ power
-    return _flush_subnormal(w)
-
-
-def _flush_subnormal(a: np.ndarray) -> np.ndarray:
-    """Zero, in place, the float parts of ``a`` below the smallest normal float.
-
-    Blocks D_P* P*^k of a P with small eigenvalues underflow at large k, and
-    every later product with subnormal parts runs several times slower.
-    """
-    parts, tiny = a.view(np.float64), np.finfo(np.float64).tiny
-    # two boolean masks, not a float temporary the size of a
-    np.copyto(parts, 0.0, where=(parts < tiny) & (parts > -tiny))
-    return a
+    return w
 
 
 def _complement_identity_residual(b: np.ndarray, t_theta) -> float:
@@ -123,7 +110,7 @@ def model_space(fp: FundamentalPair, n_trunc: int | None = None) -> ModelData:
     pair = fp.pair
     n_val = _resolve_trunc(pair, n_trunc)
     w = embed_w(fp, n_val)
-    basis = _flush_subnormal(matcore.polar_unitary(w))
+    basis = matcore.polar_unitary(w)
     tail = matcore.op_norm(np.linalg.matrix_power(pair.p, n_val))
     iso = matcore.op_norm(matcore.dagger(w) @ w - np.eye(pair.n, dtype=complex))
     complement = _complement_identity_residual(

@@ -346,7 +346,7 @@ def test_intertwiner_nullspace_matches_scipy(n):
     for fp_a, fp_b in (_planted(n, 6700 + n, 6710 + n)[:2],
                        _near(n, 6720 + n)):
         k = invariant._intertwiner_system(fp_a.pair, fp_b.pair)
-        basis = invariant._null_space(k)
+        basis = matcore.null_onb(k)
         want = scipy.linalg.null_space(k, rcond=matcore.REL_RANK_TOL)
         assert basis.shape == want.shape
         assert matcore.fro_norm(basis @ matcore.dagger(basis)

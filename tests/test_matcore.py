@@ -51,6 +51,21 @@ def test_range_onb_rank_and_orthonormality():
     assert matcore.range_onb(np.zeros((3, 3))).shape[1] == 0
 
 
+def test_null_onb_shares_the_rank_rule_with_range_onb():
+    rng = np.random.default_rng(4)
+    for rows, n, r in ((8, 4, 2), (12, 6, 6), (5, 5, 1)):
+        k = crandn(rng, rows, r) @ crandn(rng, r, n)
+        q = matcore.null_onb(k)
+        assert q.shape == (n, n - r)
+        assert np.allclose(matcore.dagger(q) @ q, np.eye(n - r), atol=1e-12)
+        assert matcore.fro_norm(k @ q) <= 1e-12 * matcore.fro_norm(k)
+        gram = matcore.dagger(k) @ k
+        assert matcore.range_onb(gram).shape[1] == r
+    # a zero matrix has rank 0 for both
+    assert matcore.null_onb(np.zeros((6, 3))).shape == (3, 3)
+    assert matcore.range_onb(np.zeros((3, 3))).shape[1] == 0
+
+
 def test_numerical_radius_normal_equals_spectral_radius():
     rng = np.random.default_rng(2)
     for n in (1, 3, 6):

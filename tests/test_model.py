@@ -91,19 +91,6 @@ def test_model_space_auto_residuals(pure100):
         assert md.tail <= 1e-12
 
 
-def test_model_blocks_hold_no_subnormal_floats():
-    # every eigenvalue of P is below 0.044, so D_P* P*^k underflows long
-    # before k = 263; its subnormal parts, and those of the basis, are zeroed
-    pair = g.random_pure_gamma(12, seed=5, max_norm=0.9)
-    md = g.verify_model(g.solve_fundamental(pair), 263)
-    for a in (md.w, md.model_basis):
-        parts = np.abs(a.view(np.float64))
-        assert not np.any((parts > 0) & (parts < np.finfo(np.float64).tiny))
-    scale = 1.0 + pair.norm_s
-    limit = (matcore.MODEL_BREACH_TOL + matcore.TAIL_SLACK * md.tail) * scale
-    assert max(md.residuals.values()) <= limit
-
-
 def test_model_space_returns_complete_model():
     assert all(f.default is dataclasses.MISSING
                and f.default_factory is dataclasses.MISSING
