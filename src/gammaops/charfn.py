@@ -40,20 +40,25 @@ def theta_coeffs(fp: FundamentalPair, w: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def theta_at(fp: FundamentalPair, z: complex) -> np.ndarray:
-    """Evaluate Theta at z by a direct resolvent solve.
+def theta_at(fp: FundamentalPair, z) -> np.ndarray:
+    """Theta at a point z, or stacked over an array z with its shape in front.
 
-    Valid wherever I - z P* is numerically invertible, which extends past
-    the closed disc whenever the spectrum of P permits.
+    One batched sigma_min test of I - z P* and one batched resolvent solve;
+    each value is bitwise the value at its point alone.  Valid wherever
+    I - z P* is numerically invertible, which extends past the closed disc
+    whenever the spectrum of P permits; the first point where it is not is
+    refused.
     """
-    z = complex(z)
+    z = np.asarray(z, dtype=complex)
     p = fp.pair.p
-    n = p.shape[0]
-    m = np.eye(n, dtype=complex) - z * matcore.dagger(p)
-    smin = float(np.linalg.svd(m, compute_uv=False)[-1]) if n else 1.0
-    if smin <= matcore.RESOLVENT_FLOOR:
-        raise OutsideLambdaP(f"I - z P* has sigma_min = {smin:.3e} at z = {z}")
-    core = -p + z * (fp.defect_p_star.d @ np.linalg.solve(m, fp.defect_p.d))
+    m = np.eye(fp.pair.n, dtype=complex) - z[..., None, None] * matcore.dagger(p)
+    smin = np.linalg.svd(m, compute_uv=False)[..., -1]
+    bad = np.flatnonzero(smin <= matcore.RESOLVENT_FLOOR)
+    if bad.size:
+        raise OutsideLambdaP(f"I - z P* has sigma_min = {smin.flat[bad[0]]:.3e} "
+                             f"at z = {complex(z.flat[bad[0]])}")
+    core = -p + z[..., None, None] * (
+        fp.defect_p_star.d @ np.linalg.solve(m, fp.defect_p.d))
     return matcore.dagger(fp.defect_p_star.q) @ core @ fp.defect_p.q
 
 
@@ -114,25 +119,22 @@ def kernel_identity_residual(fp: FundamentalPair, zs, ws) -> float:
     """Max residual of the reproducing identity on given disc points.
 
     I - Theta(w) Theta(z)* = (1 - w conj(z)) D_P* (I - w P*)^(-1)
-    (I - conj(z) P)^(-1) D_P*, compressed to the defect basis of P*.
+    (I - conj(z) P)^(-1) D_P*, compressed to the defect basis of P*.  Theta
+    and the resolvents are stacked; one loop over w holds one stack over z.
     """
-    p = fp.pair.p
-    q_star = fp.defect_p_star.q
-    d_star = fp.defect_p_star.d
+    p, q_star, d_star = fp.pair.p, fp.defect_p_star.q, fp.defect_p_star.d
+    ws, zs = (np.ravel(np.asarray(x, dtype=complex)) for x in (ws, zs))
+    # theta_at first: it refuses the points where a resolvent is singular
+    th_w, th_z_h = theta_at(fp, ws), matcore.dagger(theta_at(fp, zs))
     eye = np.eye(p.shape[0], dtype=complex)
-    w_side = [(w, theta_at(fp, w), np.linalg.inv(eye - w * matcore.dagger(p)))
-              for w in map(complex, np.atleast_1d(ws))]
+    left = (matcore.dagger(q_star) @ d_star
+            @ np.linalg.inv(eye - ws[:, None, None] * matcore.dagger(p)))
+    right = np.linalg.inv(eye - np.conj(zs)[:, None, None] * p) @ d_star @ q_star
     worst = 0.0
-    for z in np.atleast_1d(zs):
-        # theta_at first: it refuses z where I - conj(z) P is singular
-        th_z = theta_at(fp, z)
-        rz = np.linalg.inv(eye - np.conj(complex(z)) * p)
-        for w, th_w, rw in w_side:
-            lhs = (np.eye(q_star.shape[1], dtype=complex)
-                   - th_w @ matcore.dagger(th_z))
-            rhs = ((1.0 - w * np.conj(complex(z)))
-                   * matcore.dagger(q_star) @ d_star @ rw @ rz @ d_star @ q_star)
-            worst = max(worst, matcore.fro_norm(lhs - rhs))
+    for w, th, lw in zip(ws, th_w, left):
+        gap = (np.eye(len(th)) - th @ th_z_h
+               - (1.0 - w * np.conj(zs))[:, None, None] * (lw @ right))
+        worst = float(np.linalg.norm(gap, axis=(1, 2)).max(initial=worst))
     return worst
 
 

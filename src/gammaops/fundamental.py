@@ -26,27 +26,28 @@ from .gamma_pair import GammaPair
 
 @dataclass(frozen=True)
 class DefectData:
-    """Defect operator with an orthonormal basis of its range.
+    """Defect operator in spectral form, from one eigendecomposition.
 
     ``d`` is D_P = (I - P*P)^(1/2) or D_P* = (I - PP*)^(1/2), see
-    :func:`defect_pair`; ``q`` has orthonormal columns spanning its range.
+    :func:`defect_pair`; the orthonormal columns ``q`` are its eigenvectors
+    with eigenvalues ``sv`` > 0, so they span its range and D Q = Q diag(sv).
     """
 
     d: np.ndarray
     q: np.ndarray
+    sv: np.ndarray
 
     @property
     def rank(self) -> int:
         return self.q.shape[1]
 
-    @functools.cached_property
-    def compressed(self) -> np.ndarray:
-        """The defect operator compressed to its range, Q* D Q; built on first read."""
-        return matcore.restrict(self.q, self.d)
-
 
 def defect_pair(p) -> tuple[DefectData, DefectData]:
-    """Defect operators D_P and D_P* with range bases, verifying P D_P = D_P* P."""
+    """Defect operators D_P and D_P* in spectral form, verifying P D_P = D_P* P.
+
+    Each side is one eigendecomposition of its Gramian, clamped at
+    DEFECT_EIG_CLAMP by ``matcore.psd_eigh``.
+    """
     p = matcore.as_cmatrix(p, square=True, name="P")
     norm_p = matcore.op_norm(p)
     if norm_p > 1.0 + matcore.CONTRACTION_TOL:
@@ -57,8 +58,10 @@ def defect_pair(p) -> tuple[DefectData, DefectData]:
         # exact-arithmetic Hermitian; symmetrize so roundoff in a near-zero
         # Gramian (P close to unitary) cannot trip the relative check
         gram = 0.5 * (gram + matcore.dagger(gram))
-        d = matcore.herm_sqrt_psd(gram, eig_clamp=matcore.DEFECT_EIG_CLAMP)
-        sides.append(DefectData(d=d, q=matcore.range_onb(d)))
+        w, v = matcore.psd_eigh(gram, matcore.DEFECT_EIG_CLAMP)
+        q, sv = v[:, w > 0], np.sqrt(w[w > 0])
+        d = (q * sv) @ matcore.dagger(q)
+        sides.append(DefectData(d=0.5 * (d + matcore.dagger(d)), q=q, sv=sv))
     dp, dps = sides
     resid = matcore.fro_norm(p @ dp.d - dps.d @ p)
     if resid > matcore.DEFECT_INTERTWINE_TOL:
@@ -73,10 +76,11 @@ class FundamentalPair:
     """A pair with its fundamental operators, solve residuals and radii.
 
     This is the per-pair object everything downstream takes: ``pair`` is the
-    validated pair it was solved for, ``f`` is r x r on the basis of Ran D_P,
-    ``f_star`` is r* x r* on the basis of Ran D_P*.  Residuals are Frobenius
-    norms of the defining equations after reassembly; ``w_f`` and
-    ``w_f_star`` are numerical radii.
+    validated pair it was solved for, ``f`` is r x r on the eigenbasis ``q``
+    of ``defect_p``, ``f_star`` is r* x r* on that of ``defect_p_star``.
+    Residuals are Frobenius norms of the defining equations after
+    reassembly; ``w_f`` and ``w_f_star`` are numerical radii.  ``theta_grid``
+    comes from one batched ``theta_at`` call.
     """
 
     pair: GammaPair
@@ -97,18 +101,17 @@ class FundamentalPair:
     @functools.cached_property
     def theta_grid(self) -> np.ndarray:
         """Theta on ``default_coincidence_grid()``, stacked; built on first read."""
-        return np.stack([theta_at(self, z) for z in default_coincidence_grid()])
+        return theta_at(self, default_coincidence_grid())
 
 
 def _solve_side(s: np.ndarray, p: np.ndarray, dd: DefectData
                 ) -> tuple[np.ndarray, float]:
-    """Least-squares solution of S - S*P = A F A* with A = D restricted to its range."""
+    """Least-squares F = Q* (S - S*P) Q / (sv sv^T) of S - S*P = D Q F Q* D."""
     rhs = s - matcore.dagger(s) @ p
-    a = dd.d @ dd.q
     if dd.rank == 0:
         return np.zeros((0, 0), dtype=complex), matcore.fro_norm(rhs)
-    a_pinv = np.linalg.pinv(a)
-    f = a_pinv @ rhs @ matcore.dagger(a_pinv)
+    f = matcore.restrict(dd.q, rhs) / np.outer(dd.sv, dd.sv)
+    a = dd.d @ dd.q
     # an overflowing residual is reported as a breach, written as null
     with np.errstate(over="ignore", invalid="ignore"):
         resid = matcore.fro_norm(a @ f @ matcore.dagger(a) - rhs)

@@ -63,9 +63,13 @@ class Witness:
     u_ambient: np.ndarray | None = None
 
     def __post_init__(self):
+        tied = self.sigma_star is self.eta1
         for field in ("eta1", "sigma", "sigma_star", "u_ambient"):
             m = getattr(self, field)
             if m is None:
+                continue
+            if field == "sigma_star" and tied:
+                object.__setattr__(self, field, self.eta1)
                 continue
             m = matcore.as_cmatrix(m, name=field)
             defect = unitarity_defect(m)
@@ -97,8 +101,10 @@ def witness_from_ambient(u, fp_a: FundamentalPair, fp_b: FundamentalPair
             f"ambient sizes disagree: U is {u.shape[0]}, pairs are "
             f"{pair_a.n} and {pair_b.n}")
     u_defect = unitarity_defect(u)
-    if u_defect > tol:
-        raise ValueError(f"ambient map is not unitary (defect {u_defect:.3e})")
+    if u_defect > matcore.WITNESS_UNITARY_TOL:
+        raise ValueError(
+            f"ambient map is not unitary (defect {u_defect:.3e} > "
+            f"{matcore.WITNESS_UNITARY_TOL:.1e})")
     res_s = matcore.op_norm(u @ pair_a.s - pair_b.s @ u)
     res_p = matcore.op_norm(u @ pair_a.p - pair_b.p @ u)
     if (res_s > tol * (1.0 + pair_a.norm_s)
@@ -116,8 +122,8 @@ def witness_from_ambient(u, fp_a: FundamentalPair, fp_b: FundamentalPair
         blocks.append(v)
         residuals[side] = {
             "unitarity": unitarity_defect(v),
-            "defect_intertwine": (matcore.fro_norm(v @ da.compressed
-                                                   - db.compressed @ v)
+            "defect_intertwine": (matcore.fro_norm(v * da.sv
+                                                   - db.sv[:, None] * v)
                                   if square else float("inf")),
             "conjugation": (matcore.fro_norm(v @ fa @ matcore.dagger(v) - fb)
                             if square else float("inf")),

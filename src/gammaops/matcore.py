@@ -87,7 +87,7 @@ TRUNCATION_CAP = 4096
 # Equivalence verdict and witness search (invariant).
 #: Largest unitarity defect of a witness matrix.
 WITNESS_UNITARY_TOL = 1e-10
-#: Unitarity defect and relative intertwining residual of an ambient unitary.
+#: Relative residual of U S_A = S_B U and U P_A = P_B U, intertwining only.
 AMBIENT_INTERTWINE_TOL = 1e-8
 #: Relative residual of eta1 F_*A = F_*B eta1 that the verdict accepts.
 FSTAR_MATCH_TOL = 1e-8
@@ -255,49 +255,31 @@ def restrict(q: np.ndarray, m: np.ndarray) -> np.ndarray:
     return dagger(q) @ m @ q
 
 
-def herm_sqrt_psd(a, eig_clamp: float = EIG_CLAMP_TOL) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition.
+def psd_eigh(a, clamp: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (w, v) of a Hermitian PSD matrix, ascending, noise zeroed.
 
     Raises NotHermitian when ``|A - A*|_F > HERM_REL_TOL * |A|_F`` and NotPSD
     when an eigenvalue falls below the clamp window; eigenvalues within
-    ``eig_clamp * scale`` of zero on either side are treated as noise and
-    zeroed, so the square root of a noise-level matrix is exactly zero.
+    ``clamp * scale`` of zero on either side are treated as noise and set to
+    exactly zero, scale being max(1, |lambda|max).
     """
     a = as_cmatrix(a, square=True, name="A")
-    if a.size == 0:
-        return a.copy()
-    na = fro_norm(a)
-    if hermiticity_defect(a) > HERM_REL_TOL * max(na, 1e-300):
+    defect = hermiticity_defect(a)
+    if defect > HERM_REL_TOL * max(fro_norm(a), 1e-300):
         raise NotHermitian(
-            f"Hermiticity defect {hermiticity_defect(a):.3e} exceeds "
-            f"{HERM_REL_TOL:.1e} * |A|_F")
-    h = 0.5 * (a + dagger(a))
-    w, v = np.linalg.eigh(h)
-    scale = max(1.0, float(np.abs(w).max()))
-    if w.min() < -eig_clamp * scale:
-        raise NotPSD(f"eigenvalue {w.min():.3e} below -{eig_clamp:.1e} * scale")
-    w = np.where(w <= eig_clamp * scale, 0.0, w)
+            f"Hermiticity defect {defect:.3e} exceeds {HERM_REL_TOL:.1e} * |A|_F")
+    w, v = np.linalg.eigh(0.5 * (a + dagger(a)))
+    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
+    if w.size and w.min() < -clamp * scale:
+        raise NotPSD(f"eigenvalue {w.min():.3e} below -{clamp:.1e} * scale")
+    return np.where(w <= clamp * scale, 0.0, w), v
+
+
+def herm_sqrt_psd(a) -> np.ndarray:
+    """Hermitian PSD square root, from :func:`psd_eigh` at EIG_CLAMP_TOL."""
+    w, v = psd_eigh(a, EIG_CLAMP_TOL)
     b = (v * np.sqrt(w)) @ dagger(v)
     return 0.5 * (b + dagger(b))
-
-
-def _numerical_rank(s: np.ndarray) -> int:
-    """Count of the descending singular values ``s`` above REL_RANK_TOL
-    times the largest one; 0 when all are zero."""
-    smax = float(s[0])
-    return 0 if smax == 0.0 else int(np.count_nonzero(s > REL_RANK_TOL * smax))
-
-
-def range_onb(d) -> np.ndarray:
-    """Orthonormal columns spanning the numerical range of a square matrix.
-
-    Columns of an SVD left factor are kept up to the numerical rank.
-    """
-    d = as_cmatrix(d, square=True, name="D")
-    if d.shape[0] == 0:
-        return np.zeros((0, 0), dtype=complex)
-    u, s, _ = np.linalg.svd(d)
-    return u[:, :_numerical_rank(s)].copy()
 
 
 def null_onb(k: np.ndarray) -> np.ndarray:
@@ -305,10 +287,11 @@ def null_onb(k: np.ndarray) -> np.ndarray:
 
     By QR and an SVD of R, which has the singular values and right singular
     vectors of k at min(rows, cols) rows instead of all of them; the right
-    singular vectors past the numerical rank are kept.
+    singular vectors past the numerical rank, the count of singular values
+    above REL_RANK_TOL times the largest, are kept.
     """
     _, s, vh = np.linalg.svd(np.linalg.qr(k, mode="r"))
-    return dagger(vh[_numerical_rank(s):])
+    return dagger(vh[np.count_nonzero(s > REL_RANK_TOL * s[0]):])
 
 
 def numerical_radius(a) -> float:
@@ -359,10 +342,6 @@ def numerical_radius(a) -> float:
         return float(np.ldexp(best, e))
 
 
-def _conj_by(z: np.ndarray, m: np.ndarray) -> np.ndarray:
-    return dagger(z) @ m @ z
-
-
 def _common_schur(s: np.ndarray, p: np.ndarray):
     """Common unitary (near-)triangularization of a commuting pair.
 
@@ -383,7 +362,7 @@ def _common_schur(s: np.ndarray, p: np.ndarray):
     best = None
     for gamma in _MIX_GAMMAS:
         _, z = scipy.linalg.schur(s + gamma * p, output="complex")
-        ms, mp = _conj_by(z, s), _conj_by(z, p)
+        ms, mp = restrict(z, s), restrict(z, p)
         resid = fro_norm(np.tril(ms, -1)) + fro_norm(np.tril(mp, -1))
         if best is None or resid < best[2]:
             best = (ms, mp, resid)

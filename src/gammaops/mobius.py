@@ -114,16 +114,13 @@ def transport_crosscheck(fp: FundamentalPair, m: DiscAutomorphism
          * matcore.lift(q, g_half) @ fp.defect_p.d
          @ np.linalg.inv(resolvent))
 
-    d_tau = fp_tau.defect_p.d
-    x_resid = matcore.fro_norm(matcore.dagger(x) @ x - d_tau @ d_tau)
+    dt = fp_tau.defect_p
+    x_resid = matcore.fro_norm(matcore.dagger(x) @ x - dt.d @ dt.d)
 
-    q_tau = fp_tau.defect_p.q
-    b_mat = matcore.dagger(q_tau) @ d_tau          # r_tau x n
-    c_mat = matcore.dagger(q) @ x                  # r x n
-    u_defect = c_mat @ np.linalg.pinv(b_mat)       # r x r_tau
-    r_tau = q_tau.shape[1]
+    # X*X = D_tau^2, D_tau Q_tau = Q_tau diag(sv_tau): Q* X Q_tau = U diag(sv_tau)
+    u_defect = (matcore.dagger(q) @ x @ dt.q) / dt.sv     # r x r_tau
     u_unit = matcore.fro_norm(
-        matcore.dagger(u_defect) @ u_defect - np.eye(r_tau, dtype=complex))
+        matcore.dagger(u_defect) @ u_defect - np.eye(dt.rank, dtype=complex))
 
     f_closed = transport_fundamental(f, m, u_defect)
     return TransportResult(

@@ -29,6 +29,43 @@ def pure100():
             for k in range(100)]
 
 
+def _svd_range_onb(d):
+    """Oracle: the range basis of D by an SVD, cut at REL_RANK_TOL times its norm."""
+    u, s, _ = np.linalg.svd(d)
+    rank = 0 if not s.size or s[0] == 0 else int(
+        np.count_nonzero(s > matcore.REL_RANK_TOL * s[0]))
+    return u[:, :rank]
+
+
+@pytest.fixture(scope="session")
+def svd_range_onb():
+    """The SVD rank rule, the reference for the eigenvalue rule of ``defect_pair``."""
+    return _svd_range_onb
+
+
+def _kernel_identity_loop(fp, zs, ws):
+    """Oracle: the kernel identity residual, one point pair (w, z) at a time."""
+    p, q_star, d_star = fp.pair.p, fp.defect_p_star.q, fp.defect_p_star.d
+    eye = np.eye(p.shape[0])
+    worst = 0.0
+    for z in zs:
+        rz = np.linalg.inv(eye - np.conj(z) * p)
+        for w in ws:
+            rw = np.linalg.inv(eye - w * matcore.dagger(p))
+            lhs = (np.eye(q_star.shape[1])
+                   - g.theta_at(fp, w) @ matcore.dagger(g.theta_at(fp, z)))
+            rhs = ((1.0 - w * np.conj(z))
+                   * matcore.dagger(q_star) @ d_star @ rw @ rz @ d_star @ q_star)
+            worst = max(worst, matcore.fro_norm(lhs - rhs))
+    return worst
+
+
+@pytest.fixture(scope="session")
+def kernel_identity_oracle():
+    """The kernel identity residual by a double loop over the points."""
+    return _kernel_identity_loop
+
+
 def _dense_toeplitz(coeffs):
     """Oracle: the lower block Toeplitz array with block (i, j) = Theta_{i-j}."""
     n_blocks, r_star, r = coeffs.shape

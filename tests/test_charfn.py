@@ -63,6 +63,23 @@ def test_eval_outside_resolvent_set_raises():
         g.theta_at(_bare([[1.0]]), 1.0)
 
 
+def test_theta_at_on_an_array_is_bitwise_the_pointwise_values():
+    fp = g.solve_fundamental(g.random_pure_gamma(4, seed=68))
+    rng = np.random.default_rng(69)
+    zs = (0.95 * np.sqrt(rng.uniform(size=(3, 5)))
+          * np.exp(2j * np.pi * rng.uniform(size=(3, 5))))
+    vals = g.theta_at(fp, zs)
+    assert vals.shape == zs.shape + (fp.defect_p_star.rank, fp.defect_p.rank)
+    for idx in np.ndindex(zs.shape):
+        assert np.array_equal(vals[idx], g.theta_at(fp, complex(zs[idx])))
+
+
+def test_theta_at_on_an_array_names_the_first_point_outside():
+    fp = _bare(np.diag([0.5, 0.8]))
+    with pytest.raises(OutsideLambdaP, match=r"at z = \(2\+0j\)$"):
+        g.theta_at(fp, np.array([0.3, 2.0, 0.1j, 1.25]))
+
+
 def test_coeffs_and_embedding_match_the_power_loop(pure100):
     # the doubled embedding and the coefficients read off it agree with
     # one product per power of P*
@@ -111,10 +128,13 @@ def test_toeplitz_block_layout(dense_toeplitz):
         assert np.abs(y - dense @ x).max() <= 1e-13
 
 
-def test_kernel_identity(corpus500):
+def test_kernel_identity(corpus500, kernel_identity_oracle):
     zs = np.array([0.1, 0.4 + 0.2j, -0.6j, 0.8])
+    ws = np.array([0.3j, -0.7 + 0.1j])
     for _, fp in corpus500[:25]:
         assert g.kernel_identity_residual(fp, zs, zs) <= 1e-9
+        got = g.kernel_identity_residual(fp, zs, ws)
+        assert abs(got - kernel_identity_oracle(fp, zs, ws)) <= 1e-13
 
 
 def test_kernel_identity_refuses_points_outside_lambda_p():

@@ -35,6 +35,51 @@ def test_defect_pair_lift_identity():
         assert matcore.fro_norm(pair.p @ dp.d - dps.d @ pair.p) <= 1e-9
 
 
+def _partial_contractions(rng):
+    """U diag(1, ..., 1, c) W with c in [0, 0.9); c = 0 gives partial isometries."""
+    for n, r in ((4, 2), (6, 3), (5, 5), (3, 1)):
+        for c in (np.zeros(r), rng.uniform(0.0, 0.9, r)):
+            u, w = matcore.haar_unitary(n, rng), matcore.haar_unitary(n, rng)
+            yield u @ np.diag(np.concatenate([np.ones(n - r), c])) @ w, r
+
+
+def _near_unitary(rng):
+    """Normal P with one eigenvalue of modulus 1 - delta, the rest unimodular."""
+    for delta in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
+        for n in (1, 3, 5):
+            mods = np.ones(n)
+            mods[0] = 1.0 - delta
+            u = matcore.haar_unitary(n, rng)
+            eig = mods * np.exp(2j * np.pi * rng.uniform(size=n))
+            yield u @ np.diag(eig) @ matcore.dagger(u), 1
+
+
+def test_defect_pair_spectral_form_keeps_the_svd_rank(corpus500, svd_range_onb):
+    rng = np.random.default_rng(10)
+    cases = ([(pair.p, None) for pair, _ in corpus500]
+             + list(_partial_contractions(rng)) + list(_near_unitary(rng))
+             + [(np.eye(4, dtype=complex), 0)])
+    for p, rank in cases:
+        for dd in g.defect_pair(p):
+            assert dd.q.shape == (p.shape[0], dd.rank) == (p.shape[0], len(dd.sv))
+            assert matcore.fro_norm(dd.d @ dd.q - dd.q * dd.sv) <= 1e-14
+            assert (dd.sv > 0).all()
+            assert np.allclose(matcore.dagger(dd.q) @ dd.q, np.eye(dd.rank),
+                               atol=1e-14)
+            assert dd.rank == svd_range_onb(dd.d).shape[1]
+            assert rank is None or dd.rank == rank
+
+
+def test_fundamental_matches_the_pseudoinverse_solve(corpus500):
+    for pair, fp in corpus500:
+        s_h, p_h = matcore.dagger(pair.s), matcore.dagger(pair.p)
+        for dd, f, s, p in ((fp.defect_p, fp.f, pair.s, pair.p),
+                            (fp.defect_p_star, fp.f_star, s_h, p_h)):
+            a_pinv = np.linalg.pinv(dd.d @ dd.q)
+            ref = a_pinv @ (s - matcore.dagger(s) @ p) @ matcore.dagger(a_pinv)
+            assert matcore.fro_norm(f - ref) <= 1e-12 * matcore.fro_norm(ref)
+
+
 def test_scalar_closed_form_frozen():
     assert g.scalar_fundamental(1.0, 0.25) == pytest.approx(0.8, abs=1e-15)
     assert g.scalar_fundamental(1.0, 0.5) == pytest.approx(2.0 / 3.0, abs=1e-15)

@@ -48,23 +48,27 @@ def test_witness_from_ambient_residuals_planted():
             assert res["conjugation"] <= 1e-8
 
 
-def test_witness_from_ambient_compresses_each_defect_once(monkeypatch):
-    fp_a, fp_b, u = _planted(3, 4130, 4131)
-    calls = []
-    restrict = matcore.restrict
+def test_defect_intertwine_matches_the_compressed_defects():
+    # |V Q_A* D_A Q_A - Q_B* D_B Q_B V|, with each defect compressed to its basis
+    for k in range(10):
+        fp_a, fp_b, u = _planted(1 + k % 5, 4130 + k, 4131 + k)
+        _, residuals = g.witness_from_ambient(u, fp_a, fp_b)
+        for side, da, db in (
+                ("for_P", fp_a.defect_p, fp_b.defect_p),
+                ("for_P_star", fp_a.defect_p_star, fp_b.defect_p_star)):
+            v = matcore.dagger(db.q) @ u @ da.q
+            ref = matcore.fro_norm(v @ matcore.restrict(da.q, da.d)
+                                   - matcore.restrict(db.q, db.d) @ v)
+            assert abs(residuals[side]["defect_intertwine"] - ref) <= 1e-14
 
-    def counted(basis, m):
-        calls.append(m)
-        return restrict(basis, m)
 
-    monkeypatch.setattr(matcore, "restrict", counted)
-    first = g.witness_from_ambient(u, fp_a, fp_b)[1]
-    assert len(calls) == 4
-    assert g.witness_from_ambient(u, fp_a, fp_b)[1] == first
-    assert len(calls) == 4
-    for fp in (fp_a, fp_b):
-        for d in (fp.defect_p, fp.defect_p_star):
-            assert sum(m is d.d for m in calls) == 1
+def test_witness_from_ambient_checks_unitarity_up_front():
+    # a unitarity defect of 1e-8 is refused before any residual is computed
+    fp_a, fp_b, u = _planted(3, 4140, 4141)
+    with pytest.raises(ValueError, match="ambient map is not unitary"):
+        g.witness_from_ambient(u * (1.0 + 5e-9), fp_a, fp_b)
+    witness, _ = g.witness_from_ambient(u, fp_a, fp_b)
+    assert witness.sigma_star is witness.eta1
 
 
 def test_witness_from_ambient_rejects_wrong_map():

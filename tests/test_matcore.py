@@ -41,17 +41,16 @@ def test_herm_sqrt_clamps_rounding_negatives():
     assert root[1, 1] == 0.0
 
 
-def test_range_onb_rank_and_orthonormality():
-    rng = np.random.default_rng(1)
-    for n, r in ((4, 2), (6, 3), (5, 5)):
-        b = crandn(rng, n, r)
-        q = matcore.range_onb(b @ matcore.dagger(b))
-        assert q.shape == (n, r)
-        assert np.allclose(matcore.dagger(q) @ q, np.eye(r), atol=1e-12)
-    assert matcore.range_onb(np.zeros((3, 3))).shape[1] == 0
+def test_psd_eigh_zeroes_eigenvalues_inside_its_clamp():
+    a = np.diag([1.0, 5e-10, -5e-10])
+    w, v = matcore.psd_eigh(a, 1e-9)
+    assert np.array_equal(w, [0.0, 0.0, 1.0])
+    assert np.allclose(matcore.dagger(v) @ v, np.eye(3), atol=1e-15)
+    with pytest.raises(NotPSD):
+        matcore.psd_eigh(a, 1e-10)
 
 
-def test_null_onb_shares_the_rank_rule_with_range_onb():
+def test_null_onb_rank_and_orthonormality():
     rng = np.random.default_rng(4)
     for rows, n, r in ((8, 4, 2), (12, 6, 6), (5, 5, 1)):
         k = crandn(rng, rows, r) @ crandn(rng, r, n)
@@ -59,11 +58,8 @@ def test_null_onb_shares_the_rank_rule_with_range_onb():
         assert q.shape == (n, n - r)
         assert np.allclose(matcore.dagger(q) @ q, np.eye(n - r), atol=1e-12)
         assert matcore.fro_norm(k @ q) <= 1e-12 * matcore.fro_norm(k)
-        gram = matcore.dagger(k) @ k
-        assert matcore.range_onb(gram).shape[1] == r
-    # a zero matrix has rank 0 for both
+    # a zero matrix has rank 0
     assert matcore.null_onb(np.zeros((6, 3))).shape == (3, 3)
-    assert matcore.range_onb(np.zeros((3, 3))).shape[1] == 0
 
 
 def test_numerical_radius_normal_equals_spectral_radius():
@@ -292,7 +288,7 @@ def test_op_norm_hermitian_matches_dense():
 def test_lift_restrict_roundtrip():
     rng = np.random.default_rng(8)
     b = crandn(rng, 5, 3)
-    q = matcore.range_onb(b @ matcore.dagger(b))
+    q, _ = np.linalg.qr(b)
     m = crandn(rng, q.shape[1], q.shape[1])
     assert np.allclose(matcore.restrict(q, matcore.lift(q, m)), m, atol=1e-12)
 
