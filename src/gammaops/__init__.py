@@ -53,6 +53,7 @@ from .fundamental import (
     FundamentalPair,
     check_pf_intertwining,
     defect_pair,
+    fstar_defect_identity_residual,
     scalar_fundamental,
     solve_fundamental,
 )
@@ -76,7 +77,6 @@ from .model import (
     ModelData,
     auto_truncation,
     embed_w,
-    fstar_defect_identity_residual,
     model_operators,
     model_space,
     verify_model,
@@ -108,14 +108,15 @@ __all__ = [
     "symmetrized_pair", "is_gamma_unitary", "vn_probe",
     "random_pure_gamma", "random_gamma_unitary",
     "DefectData", "FundamentalPair", "defect_pair",
-    "solve_fundamental", "check_pf_intertwining", "scalar_fundamental",
+    "solve_fundamental", "check_pf_intertwining",
+    "fstar_defect_identity_residual", "scalar_fundamental",
     "TransportResult", "transport_pair", "transport_fundamental",
     "transport_crosscheck",
     "CoincidenceResult", "theta_coeffs", "theta_at",
     "ToeplitzMult", "toeplitz_mult", "kernel_identity_residual",
     "coincide_check", "default_coincidence_grid",
     "ModelData", "auto_truncation", "embed_w", "model_space",
-    "model_operators", "verify_model", "fstar_defect_identity_residual",
+    "model_operators", "verify_model",
     "Witness", "EquivalenceReport", "ScreenResult", "SearchResult",
     "witness_from_ambient", "verify_equivalence",
     "trace_word_screen", "search_witness", "unitarity_defect",

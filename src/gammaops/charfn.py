@@ -26,7 +26,7 @@ def theta_coeffs(fp: FundamentalPair, w: np.ndarray) -> np.ndarray:
     """Taylor coefficients Theta_0 ... Theta_{N-1}, stacked as (N, r*, r).
 
     ``w`` is the embedding ``embed_w(fp, N)``, whose blocks W_k are
-    D_P* P*^k on the defect basis, so Theta_k = W_{k-1} D_P for k >= 1 is
+    D_P* P*^k on the defect basis, so Theta_k = W_{k-1} dq for k >= 1 is
     one product and no power of P* is formed again.
     """
     p, dp, q_star = fp.pair.p, fp.defect_p, fp.defect_p_star.q
@@ -36,30 +36,31 @@ def theta_coeffs(fp: FundamentalPair, w: np.ndarray) -> np.ndarray:
         raise ValueError("w must be embed_w(fp, N) with N at least 1")
     coeffs = np.empty((n_blocks, r_star, dp.rank), dtype=complex)
     coeffs[0] = -(matcore.dagger(q_star) @ p @ dp.q)
-    coeffs[1:] = (w[:-r_star] @ (dp.d @ dp.q)).reshape(-1, r_star, dp.rank)
+    coeffs[1:] = (w[:-r_star] @ dp.dq).reshape(-1, r_star, dp.rank)
     return coeffs
 
 
 def theta_at(fp: FundamentalPair, z) -> np.ndarray:
     """Theta at a point z, or stacked over an array z with its shape in front.
 
-    One batched sigma_min test of I - z P* and one batched resolvent solve;
-    each value is bitwise the value at its point alone.  Valid wherever
-    I - z P* is numerically invertible, which extends past the closed disc
-    whenever the spectrum of P permits; the first point where it is not is
-    refused.
+    Theta(z) = Theta_0 + z dq_*^adj (I - z P*)^(-1) dq with Theta_0 =
+    -Q_*^adj P Q formed once, one batched sigma_min test of I - z P* and one
+    batched solve; each value is bitwise the value at its point alone.
+    Valid wherever I - z P* is numerically invertible, which extends past
+    the closed disc whenever the spectrum of P permits; the first point
+    where it is not is refused.
     """
     z = np.asarray(z, dtype=complex)
-    p = fp.pair.p
+    p, dp, dps = fp.pair.p, fp.defect_p, fp.defect_p_star
     m = np.eye(fp.pair.n, dtype=complex) - z[..., None, None] * matcore.dagger(p)
     smin = np.linalg.svd(m, compute_uv=False)[..., -1]
     bad = np.flatnonzero(smin <= matcore.RESOLVENT_FLOOR)
     if bad.size:
         raise OutsideLambdaP(f"I - z P* has sigma_min = {smin.flat[bad[0]]:.3e} "
                              f"at z = {complex(z.flat[bad[0]])}")
-    core = -p + z[..., None, None] * (
-        fp.defect_p_star.d @ np.linalg.solve(m, fp.defect_p.d))
-    return matcore.dagger(fp.defect_p_star.q) @ core @ fp.defect_p.q
+    theta_0 = -(matcore.dagger(dps.q) @ p @ dp.q)
+    return theta_0 + z[..., None, None] * (
+        matcore.dagger(dps.dq) @ np.linalg.solve(m, dp.dq))
 
 
 class ToeplitzMult(NamedTuple):
@@ -119,17 +120,17 @@ def kernel_identity_residual(fp: FundamentalPair, zs, ws) -> float:
     """Max residual of the reproducing identity on given disc points.
 
     I - Theta(w) Theta(z)* = (1 - w conj(z)) D_P* (I - w P*)^(-1)
-    (I - conj(z) P)^(-1) D_P*, compressed to the defect basis of P*.  Theta
-    and the resolvents are stacked; one loop over w holds one stack over z.
+    (I - conj(z) P)^(-1) D_P*, compressed by dq_* = D_P* Q_*.  Theta and
+    the resolvents are stacked; one loop over w holds one stack over z.
     """
-    p, q_star, d_star = fp.pair.p, fp.defect_p_star.q, fp.defect_p_star.d
+    p, dq_star = fp.pair.p, fp.defect_p_star.dq
     ws, zs = (np.ravel(np.asarray(x, dtype=complex)) for x in (ws, zs))
     # theta_at first: it refuses the points where a resolvent is singular
     th_w, th_z_h = theta_at(fp, ws), matcore.dagger(theta_at(fp, zs))
     eye = np.eye(p.shape[0], dtype=complex)
-    left = (matcore.dagger(q_star) @ d_star
+    left = (matcore.dagger(dq_star)
             @ np.linalg.inv(eye - ws[:, None, None] * matcore.dagger(p)))
-    right = np.linalg.inv(eye - np.conj(zs)[:, None, None] * p) @ d_star @ q_star
+    right = np.linalg.inv(eye - np.conj(zs)[:, None, None] * p) @ dq_star
     worst = 0.0
     for w, th, lw in zip(ws, th_w, left):
         gap = (np.eye(len(th)) - th @ th_z_h

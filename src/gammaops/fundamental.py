@@ -31,6 +31,8 @@ class DefectData:
     ``d`` is D_P = (I - P*P)^(1/2) or D_P* = (I - PP*)^(1/2), see
     :func:`defect_pair`; the orthonormal columns ``q`` are its eigenvectors
     with eigenvalues ``sv`` > 0, so they span its range and D Q = Q diag(sv).
+    All else meets the defect space through ``q``, ``sv`` and ``dq``; ``d``
+    serves only the check P D_P = D_P* P.  Rank 0 has an empty ``q``.
     """
 
     d: np.ndarray
@@ -40,6 +42,11 @@ class DefectData:
     @property
     def rank(self) -> int:
         return self.q.shape[1]
+
+    @property
+    def dq(self) -> np.ndarray:
+        """Q diag(sv), which is D Q: the defect operator on its range basis."""
+        return self.q * self.sv
 
 
 def defect_pair(p) -> tuple[DefectData, DefectData]:
@@ -78,9 +85,9 @@ class FundamentalPair:
     This is the per-pair object everything downstream takes: ``pair`` is the
     validated pair it was solved for, ``f`` is r x r on the eigenbasis ``q``
     of ``defect_p``, ``f_star`` is r* x r* on that of ``defect_p_star``.
-    Residuals are Frobenius norms of the defining equations after
-    reassembly; ``w_f`` and ``w_f_star`` are numerical radii.  ``theta_grid``
-    comes from one batched ``theta_at`` call.
+    Residuals are |dq F dq^adj - (S - S*P)|_F and its adjoint twin, the
+    defining equations reassembled; ``w_f`` and ``w_f_star`` are numerical
+    radii.  ``theta_grid`` comes from one batched ``theta_at`` call.
     """
 
     pair: GammaPair
@@ -108,13 +115,10 @@ def _solve_side(s: np.ndarray, p: np.ndarray, dd: DefectData
                 ) -> tuple[np.ndarray, float]:
     """Least-squares F = Q* (S - S*P) Q / (sv sv^T) of S - S*P = D Q F Q* D."""
     rhs = s - matcore.dagger(s) @ p
-    if dd.rank == 0:
-        return np.zeros((0, 0), dtype=complex), matcore.fro_norm(rhs)
     f = matcore.restrict(dd.q, rhs) / np.outer(dd.sv, dd.sv)
-    a = dd.d @ dd.q
     # an overflowing residual is reported as a breach, written as null
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = matcore.fro_norm(a @ f @ matcore.dagger(a) - rhs)
+        resid = matcore.fro_norm(dd.dq @ f @ matcore.dagger(dd.dq) - rhs)
     return f, resid
 
 
@@ -138,18 +142,25 @@ def solve_fundamental(pair: GammaPair) -> FundamentalPair:
 
 
 def check_pf_intertwining(fp: FundamentalPair) -> float:
-    """Residual of P F = F_*^adj P on the defect space of P, ambient lifted.
+    """Residual of P F = F_*^adj P on the defect space of P.
 
-    Returns |P F^ Pi - F_*^adj P Pi|_F where F^ and F_*^ are the ambient
-    lifts and Pi projects onto Ran D_P.
+    Returns |P Q F - Q_* F_*^adj (Q_*^adj P Q)|_F on the defect bases, the
+    residual of the ambient lifts on Ran D_P without their right factor Q*.
     """
-    q = fp.defect_p.q
-    f_amb = matcore.lift(q, fp.f)
-    fs_amb = matcore.lift(fp.defect_p_star.q, fp.f_star)
-    proj, p = q @ matcore.dagger(q), fp.pair.p
-    left = p @ f_amb @ proj
-    right = matcore.dagger(fs_amb) @ p @ proj
-    return matcore.fro_norm(left - right)
+    q, q_star, p = fp.defect_p.q, fp.defect_p_star.q, fp.pair.p
+    return matcore.fro_norm(p @ q @ fp.f - q_star @ matcore.dagger(fp.f_star)
+                            @ (matcore.dagger(q_star) @ p @ q))
+
+
+def fstar_defect_identity_residual(fp: FundamentalPair) -> float:
+    """Residual |A F_*^adj + P A F_* - S A|_F of D_P* F_*^adj + P D_P* F_* = S D_P*.
+
+    A = dq_* = D_P* Q_*: the residual of the ambient lift of F_* without its
+    right factor Q_*^adj, which leaves a Frobenius norm unchanged.
+    """
+    pair, a = fp.pair, fp.defect_p_star.dq
+    return matcore.fro_norm(a @ matcore.dagger(fp.f_star) + pair.p @ a @ fp.f_star
+                            - pair.s @ a)
 
 
 def scalar_fundamental(s: complex, p: complex) -> complex:

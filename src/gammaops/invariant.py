@@ -35,15 +35,12 @@ SEARCH_DISTINCT = "DISTINCT"
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Two-sided deviation of u from unitarity in operator norm."""
+    """|U*U - I| in operator norm, inf unless u is square; for square U it
+    equals |UU* - I|, both being max |s^2 - 1| over the singular values s."""
     u = np.asarray(u, dtype=complex)
-    if u.size == 0:
-        return 0.0 if u.shape[0] == u.shape[1] else float("inf")
     if u.shape[0] != u.shape[1]:
         return float("inf")
-    eye = np.eye(u.shape[0])
-    return max(matcore.op_norm(matcore.dagger(u) @ u - eye),
-               matcore.op_norm(u @ matcore.dagger(u) - eye))
+    return matcore.op_norm(matcore.dagger(u) @ u - np.eye(u.shape[0]))
 
 
 @dataclass(frozen=True)

@@ -245,11 +245,6 @@ def polar_unitary(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def lift(q: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Ambient n x n representative Q m Q* of an operator on the range of Q."""
-    return q @ m @ dagger(q)
-
-
 def restrict(q: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Compression Q* m Q of an ambient operator to the range of Q."""
     return dagger(q) @ m @ q
@@ -273,13 +268,6 @@ def psd_eigh(a, clamp: float) -> tuple[np.ndarray, np.ndarray]:
     if w.size and w.min() < -clamp * scale:
         raise NotPSD(f"eigenvalue {w.min():.3e} below -{clamp:.1e} * scale")
     return np.where(w <= clamp * scale, 0.0, w), v
-
-
-def herm_sqrt_psd(a) -> np.ndarray:
-    """Hermitian PSD square root, from :func:`psd_eigh` at EIG_CLAMP_TOL."""
-    w, v = psd_eigh(a, EIG_CLAMP_TOL)
-    b = (v * np.sqrt(w)) @ dagger(v)
-    return 0.5 * (b + dagger(b))
 
 
 def null_onb(k: np.ndarray) -> np.ndarray:

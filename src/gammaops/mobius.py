@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .exceptions import NotInvertible, SingularResolvent
+from .exceptions import NotInvertible, NotPSD, SingularResolvent
 from .fundamental import FundamentalPair, solve_fundamental
 from .gamma_domain import DiscAutomorphism
 from .gamma_pair import GammaPair, validate
@@ -46,27 +46,37 @@ def transport_pair(pair: GammaPair, m: DiscAutomorphism) -> GammaPair:
     return validate(s_tau, p_tau)
 
 
+def _g_eigh(f: np.ndarray, a: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of G = (1 + |a|^2) I - conj(a) F - a F* by ``psd_eigh``.
+
+    An indefinite G, or one with an eigenvalue in EIG_CLAMP_TOL, is refused.
+    """
+    g = ((1.0 + abs(a) ** 2) * np.eye(f.shape[0], dtype=complex)
+         - np.conj(a) * f - a * matcore.dagger(f))
+    try:
+        w, v = matcore.psd_eigh(g, matcore.EIG_CLAMP_TOL)
+    except NotPSD as exc:
+        raise NotInvertible(f"G is not positive definite: {exc}") from exc
+    if not (w > 0).all():
+        raise NotInvertible("G is singular, not positive definite")
+    return w, v
+
+
 def transport_fundamental(f: np.ndarray, m: DiscAutomorphism,
                           u_defect: np.ndarray) -> np.ndarray:
     """Closed-form transported fundamental operator.
 
-    With G = (1 + |a|^2) I - conj(a) F - a F* (always Hermitian, positive
-    definite while the numerical radius of F is at most one) the transported
-    operator is U* G^(-1/2) beta (F + a^2 F* - 2 a) G^(-1/2) U, where U is
-    the defect-basis unitary from the transport crosscheck.
+    With G = (1 + |a|^2) I - conj(a) F - a F* (Hermitian, positive definite
+    while the numerical radius of F is at most one, else NotInvertible) the
+    transported operator is U* G^(-1/2) beta (F + a^2 F* - 2 a) G^(-1/2) U,
+    where U is the defect-basis unitary from the transport crosscheck.
     """
     f = matcore.as_cmatrix(f, square=True, name="F")
     a, beta = complex(m.a), complex(m.beta)
-    r = f.shape[0]
-    if r == 0:
-        return np.zeros((u_defect.shape[1], u_defect.shape[1]), dtype=complex)
-    fh = matcore.dagger(f)
-    g = (1.0 + abs(a) ** 2) * np.eye(r, dtype=complex) - np.conj(a) * f - a * fh
-    w, v = np.linalg.eigh(0.5 * (g + matcore.dagger(g)))
-    if w.min() <= matcore.EIG_CLAMP_TOL * max(1.0, float(w.max())):
-        raise NotInvertible(f"G has eigenvalue {w.min():.3e}, not positive definite")
+    w, v = _g_eigh(f, a)
     g_inv_half = (v / np.sqrt(w)) @ matcore.dagger(v)
-    core = beta * (f + a * a * fh - 2.0 * a * np.eye(r, dtype=complex))
+    core = beta * (f + a * a * matcore.dagger(f)
+                   - 2.0 * a * np.eye(f.shape[0], dtype=complex))
     return matcore.dagger(u_defect) @ g_inv_half @ core @ g_inv_half @ u_defect
 
 
@@ -74,16 +84,15 @@ def transport_fundamental(f: np.ndarray, m: DiscAutomorphism,
 class TransportResult:
     """Both routes to the transported fundamental operator.
 
-    ``u_defect`` maps defect coordinates of the transported pair to defect
-    coordinates of the input pair; ``crosscheck_residual`` compares the
-    closed form against solving on the transported pair directly.
+    ``fp_tau`` solves the transported pair (S_tau, P_tau) directly; its ``f``
+    is the direct route.  ``u_defect`` maps its defect coordinates to those
+    of the input pair; ``crosscheck_residual`` is |f_tau_closed - fp_tau.f|_F
+    and ``x_identity_residual`` is |X^adj X - dq_tau dq_tau^adj|_F.
     """
 
-    pair_tau: GammaPair
     fp_tau: FundamentalPair
     u_defect: np.ndarray
     f_tau_closed: np.ndarray
-    f_tau_direct: np.ndarray
     crosscheck_residual: float
     cond_resolvent: float
     x_identity_residual: float
@@ -94,41 +103,32 @@ def transport_crosscheck(fp: FundamentalPair, m: DiscAutomorphism
                          ) -> TransportResult:
     """Transport a solved pair both ways; only the transported pair is solved.
 
-    The intertwining map X = (1-|a|^2)^(1/2) G^(1/2) D_P (I - conj(a) S
+    The intertwining map X = (1-|a|^2)^(1/2) Q G^(1/2) dq^adj (I - conj(a) S
     + conj(a)^2 P)^(-1) satisfies X*X = D_{P_tau}^2 and induces the unitary
     U between the defect spaces that the closed form needs.
     """
-    pair = fp.pair
-    a = complex(m.a)
-    pair_tau = transport_pair(pair, m)
-    fp_tau = solve_fundamental(pair_tau)
+    pair, q, a = fp.pair, fp.defect_p.q, complex(m.a)
+    fp_tau = solve_fundamental(transport_pair(pair, m))
 
-    q = fp.defect_p.q
-    f = fp.f
-    r = fp.defect_p.rank
-    g = ((1.0 + abs(a) ** 2) * np.eye(r, dtype=complex)
-         - np.conj(a) * f - a * matcore.dagger(f))
-    g_half = matcore.herm_sqrt_psd(g)
+    w, v = _g_eigh(fp.f, a)
+    g_half = (v * np.sqrt(w)) @ matcore.dagger(v)
     resolvent = _resolvent_matrix(pair, m)
-    x = (np.sqrt(1.0 - abs(a) ** 2)
-         * matcore.lift(q, g_half) @ fp.defect_p.d
-         @ np.linalg.inv(resolvent))
+    x = (np.sqrt(1.0 - abs(a) ** 2) * q @ g_half
+         @ matcore.dagger(fp.defect_p.dq) @ np.linalg.inv(resolvent))
 
     dt = fp_tau.defect_p
-    x_resid = matcore.fro_norm(matcore.dagger(x) @ x - dt.d @ dt.d)
+    x_resid = matcore.fro_norm(matcore.dagger(x) @ x - dt.dq @ matcore.dagger(dt.dq))
 
     # X*X = D_tau^2, D_tau Q_tau = Q_tau diag(sv_tau): Q* X Q_tau = U diag(sv_tau)
     u_defect = (matcore.dagger(q) @ x @ dt.q) / dt.sv     # r x r_tau
     u_unit = matcore.fro_norm(
         matcore.dagger(u_defect) @ u_defect - np.eye(dt.rank, dtype=complex))
 
-    f_closed = transport_fundamental(f, m, u_defect)
+    f_closed = transport_fundamental(fp.f, m, u_defect)
     return TransportResult(
-        pair_tau=pair_tau,
         fp_tau=fp_tau,
         u_defect=u_defect,
         f_tau_closed=f_closed,
-        f_tau_direct=fp_tau.f,
         crosscheck_residual=matcore.fro_norm(f_closed - fp_tau.f),
         cond_resolvent=float(np.linalg.cond(resolvent)),
         x_identity_residual=x_resid,

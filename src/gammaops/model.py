@@ -19,7 +19,7 @@ import numpy as np
 from . import matcore
 from .charfn import theta_coeffs, toeplitz_mult
 from .exceptions import NotPure, TruncationCapExceeded
-from .fundamental import FundamentalPair
+from .fundamental import FundamentalPair, fstar_defect_identity_residual
 from .gamma_pair import GammaPair
 
 
@@ -76,13 +76,14 @@ def _resolve_trunc(pair: GammaPair, n_trunc: int | None) -> int:
 def embed_w(fp: FundamentalPair, n_trunc: int) -> np.ndarray:
     """Stacked embedding blocks D_P* P*^k on the defect basis, k < N.
 
-    Built by doubling: the first k blocks times P*^k are the next k, so
-    about log2 N products replace N of them.
+    The first block is dq_*^adj = Q_*^adj D_P*.  Built by doubling: the
+    first k blocks times P*^k are the next k, so about log2 N products
+    replace N of them.
     """
     pair = fp.pair
     r_star = fp.defect_p_star.rank
     w = np.empty((n_trunc * r_star, pair.n), dtype=complex)
-    w[:r_star] = matcore.dagger(fp.defect_p_star.q) @ fp.defect_p_star.d
+    w[:r_star] = matcore.dagger(fp.defect_p_star.dq)
     power, done = matcore.dagger(pair.p), 1
     while done < n_trunc:
         step = min(done, n_trunc - done)
@@ -147,16 +148,6 @@ def model_operators(fp: FundamentalPair, w: np.ndarray, b: np.ndarray
     }
     return (matcore.dagger(b) @ t_b.reshape(b.shape),
             matcore.dagger(b[r_star:]) @ b[:-r_star], residuals)
-
-
-def fstar_defect_identity_residual(fp: FundamentalPair) -> float:
-    """Residual of D_P* F_*^adj + P D_P* F_* = S D_P* with ambient lifts."""
-    pair = fp.pair
-    fs_amb = matcore.lift(fp.defect_p_star.q, fp.f_star)
-    d_star = fp.defect_p_star.d
-    h = (d_star @ matcore.dagger(fs_amb) + pair.p @ d_star @ fs_amb
-         - pair.s @ d_star)
-    return matcore.fro_norm(h)
 
 
 def verify_model(fp: FundamentalPair, n_trunc: int | None = None) -> ModelData:

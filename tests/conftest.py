@@ -43,6 +43,50 @@ def svd_range_onb():
     return _svd_range_onb
 
 
+def _lift(q, m):
+    """The ambient n x n operator Q m Q* acting as m on the range of Q."""
+    return q @ m @ matcore.dagger(q)
+
+
+def _pf_intertwining_lifted(fp):
+    """Oracle: |P L(F) Pi - L(F_*)^adj P Pi|_F, L the lifts and Pi onto Ran D_P."""
+    q, p = fp.defect_p.q, fp.pair.p
+    proj = q @ matcore.dagger(q)
+    fs_amb = _lift(fp.defect_p_star.q, fp.f_star)
+    return matcore.fro_norm(p @ _lift(q, fp.f) @ proj
+                            - matcore.dagger(fs_amb) @ p @ proj)
+
+
+def _fstar_identity_lifted(fp):
+    """Oracle: |D_P* L^adj + P D_P* L - S D_P*|_F, L the ambient lift of F_*."""
+    pair, d_star = fp.pair, fp.defect_p_star.d
+    fs_amb = _lift(fp.defect_p_star.q, fp.f_star)
+    return matcore.fro_norm(d_star @ matcore.dagger(fs_amb)
+                            + pair.p @ d_star @ fs_amb - pair.s @ d_star)
+
+
+def _theta_ambient(fp, z):
+    """Oracle: Theta(z) as the ambient -P + z D_P* (I - z P*)^(-1) D_P, compressed."""
+    p, dp, dps = fp.pair.p, fp.defect_p, fp.defect_p_star
+    core = -p + z * dps.d @ np.linalg.solve(
+        np.eye(len(p)) - z * matcore.dagger(p), dp.d)
+    return matcore.dagger(dps.q) @ core @ dp.q
+
+
+def _reassembly_residual(s, p, dd, f):
+    """Oracle: |(D Q) F (D Q)* - (S - S*P)|_F with the ambient D."""
+    a = dd.d @ dd.q
+    return matcore.fro_norm(a @ f @ matcore.dagger(a) - (s - matcore.dagger(s) @ p))
+
+
+@pytest.fixture(scope="session")
+def ambient_oracles():
+    """The defect-space formulas in their ambient form, with D and the lifts Q m Q*."""
+    return {"pf_intertwining": _pf_intertwining_lifted,
+            "fstar_identity": _fstar_identity_lifted,
+            "theta": _theta_ambient, "reassembly": _reassembly_residual}
+
+
 def _kernel_identity_loop(fp, zs, ws):
     """Oracle: the kernel identity residual, one point pair (w, z) at a time."""
     p, q_star, d_star = fp.pair.p, fp.defect_p_star.q, fp.defect_p_star.d

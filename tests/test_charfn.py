@@ -101,6 +101,16 @@ def test_coeffs_and_embedding_match_the_power_loop(pure100):
         assert matcore.fro_norm(coeffs - want) <= 1e-14 * matcore.fro_norm(want)
 
 
+def test_theta_grid_matches_the_compressed_ambient_core(corpus500, ambient_oracles):
+    # Theta_0 + z dq_*^adj (I - z P*)^(-1) dq against Q_*^adj (-P + z D_P*
+    # (I - z P*)^(-1) D_P) Q, one point at a time
+    grid = g.default_coincidence_grid()
+    for _, fp in corpus500:
+        want = np.stack([ambient_oracles["theta"](fp, z) for z in grid])
+        assert (matcore.fro_norm(fp.theta_grid - want)
+                <= 1e-14 * matcore.fro_norm(want))
+
+
 def test_toeplitz_block_layout(dense_toeplitz):
     # the FFT products, applied to the identity, give the dense lower block
     # Toeplitz array and its conjugate transpose.  N = 13 embeds at the

@@ -62,12 +62,29 @@ def test_defect_pair_spectral_form_keeps_the_svd_rank(corpus500, svd_range_onb):
     for p, rank in cases:
         for dd in g.defect_pair(p):
             assert dd.q.shape == (p.shape[0], dd.rank) == (p.shape[0], len(dd.sv))
-            assert matcore.fro_norm(dd.d @ dd.q - dd.q * dd.sv) <= 1e-14
+            assert matcore.fro_norm(dd.d @ dd.q - dd.dq) <= 1e-14
             assert (dd.sv > 0).all()
             assert np.allclose(matcore.dagger(dd.q) @ dd.q, np.eye(dd.rank),
                                atol=1e-14)
             assert dd.rank == svd_range_onb(dd.d).shape[1]
             assert rank is None or dd.rank == rank
+
+
+def test_defect_coordinates_match_the_ambient_formulas(corpus500, ambient_oracles):
+    # dq = D Q stands in for D and the lifts Q m Q*; a right factor Q* does
+    # not change a Frobenius norm, so each residual moves by rounding only
+    reassembly = ambient_oracles["reassembly"]
+    for pair, fp in corpus500:
+        tol = 1e-14 * (1.0 + pair.norm_s)
+        s_h, p_h = matcore.dagger(pair.s), matcore.dagger(pair.p)
+        assert abs(fp.residual_f
+                   - reassembly(pair.s, pair.p, fp.defect_p, fp.f)) <= tol
+        assert abs(fp.residual_f_star
+                   - reassembly(s_h, p_h, fp.defect_p_star, fp.f_star)) <= tol
+        assert abs(g.check_pf_intertwining(fp)
+                   - ambient_oracles["pf_intertwining"](fp)) <= tol
+        assert abs(g.fstar_defect_identity_residual(fp)
+                   - ambient_oracles["fstar_identity"](fp)) <= tol
 
 
 def test_fundamental_matches_the_pseudoinverse_solve(corpus500):
@@ -111,7 +128,7 @@ def test_solver_residuals_and_radius(corpus500):
 def test_defining_equation_ambient(corpus500):
     # reassemble D_P F^ D_P against S - S*P in the ambient space
     for pair, fp in corpus500[:40]:
-        f_amb = matcore.lift(fp.defect_p.q, fp.f)
+        f_amb = fp.defect_p.q @ fp.f @ matcore.dagger(fp.defect_p.q)
         lhs = fp.defect_p.d @ f_amb @ fp.defect_p.d
         rhs = pair.s - matcore.dagger(pair.s) @ pair.p
         assert matcore.fro_norm(lhs - rhs) <= 1e-8 * (1.0 + pair.norm_s)
@@ -121,8 +138,10 @@ def test_gamma_unitary_has_empty_defect():
     gu = g.random_gamma_unitary(3, seed=13)
     fp = g.solve_fundamental(gu)
     assert fp.f.shape == (0, 0) and fp.f_star.shape == (0, 0)
-    # S = S*P exactly on gamma-unitaries, so the leftover residual vanishes
+    # S = S*P exactly on gamma-unitaries, so the leftover residual vanishes;
+    # an empty Q reassembles to zero, leaving |S - S*P| with no rank-0 branch
     assert fp.residual_f <= 1e-9 * (1.0 + gu.norm_s)
+    assert fp.residual_f == matcore.fro_norm(gu.s - matcore.dagger(gu.s) @ gu.p)
     assert fp.w_f == 0.0
 
 

@@ -29,6 +29,32 @@ def _solved(*pairs):
     return [g.solve_fundamental(pair) for pair in pairs]
 
 
+def _two_sided_unitarity_defect(u):
+    """Oracle: max(|U*U - I|, |UU* - I|), 0 for 0 x 0 and inf unless square."""
+    if u.shape[0] != u.shape[1]:
+        return float("inf")
+    eye = np.eye(u.shape[0])
+    return max(matcore.op_norm(matcore.dagger(u) @ u - eye),
+               matcore.op_norm(u @ matcore.dagger(u) - eye))
+
+
+def test_unitarity_defect_is_the_two_sided_defect():
+    # one Gram product suffices: both sides are max |s^2 - 1| over the
+    # singular values s of a square U
+    rng = np.random.default_rng(21)
+    cases = [np.zeros((0, 0)), np.zeros((2, 3))]
+    for n in (1, 2, 5, 9):
+        cases.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        cases.append(matcore.haar_unitary(n, rng) * (1.0 + 5e-9))
+    for u in cases:
+        want = _two_sided_unitarity_defect(u)
+        got = invariant.unitarity_defect(u)
+        assert got == want if not np.isfinite(want) else (
+            abs(got - want) <= 1e-14 * max(1.0, want))
+    assert invariant.unitarity_defect(np.zeros((0, 0))) == 0.0
+    assert invariant.unitarity_defect(np.zeros((2, 3))) == float("inf")
+
+
 def test_witness_rejects_non_unitary_blocks():
     with pytest.raises(ValueError):
         g.Witness(eta1=np.array([[1.1]]), sigma=np.eye(1), sigma_star=np.eye(1))

@@ -1,0 +1,43 @@
+"""Every public function of ``matcore`` serves the package itself.
+
+A helper whose last caller in ``src/gammaops`` is gone, and that only the
+tests still call, is dead code kept alive by its own tests.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gammaops"
+
+
+def _public_functions(tree: ast.Module) -> set[str]:
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def _called(path: Path) -> set[str]:
+    """Names called in a module as ``matcore.name(...)``, or as ``name(...)``
+    inside matcore itself or after ``from .matcore import name``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bare = {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "matcore"
+            for alias in node.names}
+    out = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id == "matcore"):
+            out.add(func.attr)
+        elif isinstance(func, ast.Name) and (path.name == "matcore.py"
+                                             or func.id in bare):
+            out.add(func.id)
+    return out
+
+
+def test_every_public_matcore_function_is_called_in_the_package():
+    tree = ast.parse((SRC / "matcore.py").read_text(encoding="utf-8"))
+    called = set().union(*(_called(path) for path in sorted(SRC.glob("*.py"))))
+    unused = sorted(_public_functions(tree) - called)
+    assert not unused, unused

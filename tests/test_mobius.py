@@ -3,7 +3,7 @@ import pytest
 
 import gammaops as g
 from gammaops import matcore
-from gammaops.exceptions import SingularDenominator, SingularResolvent
+from gammaops.exceptions import NotInvertible, SingularDenominator, SingularResolvent
 from gammaops.gamma_domain import SymPoint
 
 
@@ -86,7 +86,7 @@ def test_crosscheck_residuals_small():
         pair = g.random_pure_gamma(1 + k % 5, seed=300 + k)
         m = _random_auto(rng, max_a=0.9)
         res = g.transport_crosscheck(g.solve_fundamental(pair), m)
-        scale = 1.0 + matcore.op_norm(res.f_tau_direct)
+        scale = 1.0 + matcore.op_norm(res.fp_tau.f)
         assert res.crosscheck_residual <= 1e-7 * scale
         assert res.x_identity_residual <= 1e-8 * (1.0 + pair.norm_p)
         assert res.u_unitarity_defect <= 1e-8
@@ -96,10 +96,25 @@ def test_crosscheck_scalar_closed_form():
     pair = g.validate(np.array([[1.0]]), np.array([[0.25]]))
     m = g.DiscAutomorphism(a=0.3, beta=1.0)
     res = g.transport_crosscheck(g.solve_fundamental(pair), m)
-    s_t, p_t = res.pair_tau.s[0, 0], res.pair_tau.p[0, 0]
+    s_t, p_t = res.fp_tau.pair.s[0, 0], res.fp_tau.pair.p[0, 0]
     want = g.scalar_fundamental(s_t, p_t)
     assert res.f_tau_closed[0, 0] == pytest.approx(want, abs=1e-12)
-    assert res.f_tau_direct[0, 0] == pytest.approx(want, abs=1e-12)
+    assert res.fp_tau.f[0, 0] == pytest.approx(want, abs=1e-12)
+
+
+def test_transport_fundamental_refuses_a_g_that_is_not_positive_definite():
+    # F = [[2]] has G = 1 + a^2 - 4a: -0.75 at a = 0.5, zero at a = 2 - sqrt(3)
+    f, u = np.array([[2.0]]), np.eye(1)
+    for a in (0.5, 2.0 - np.sqrt(3.0)):
+        with pytest.raises(NotInvertible):
+            g.transport_fundamental(f, g.DiscAutomorphism(a=a, beta=1.0), u)
+
+
+def test_crosscheck_of_an_empty_defect():
+    fp = g.solve_fundamental(g.random_gamma_unitary(3, seed=13))
+    res = g.transport_crosscheck(fp, g.DiscAutomorphism(a=0.3 + 0.2j, beta=1.0))
+    assert res.f_tau_closed.shape == res.u_defect.shape == (0, 0)
+    assert res.crosscheck_residual == res.x_identity_residual == 0.0
 
 
 def test_radius_bound_preserved():
@@ -126,7 +141,7 @@ def test_crosscheck_solves_only_the_transported_pair(monkeypatch):
 
     monkeypatch.setattr(mobius, "solve_fundamental", counted)
     res = g.transport_crosscheck(fp, m)
-    assert solved == [res.pair_tau]
+    assert solved == [res.fp_tau.pair]
     # the condition number is that of the resolvent the crosscheck forms
     ac = np.conj(m.a)
     sv = np.linalg.svd(np.eye(3) - ac * pair.s + ac * ac * pair.p,
