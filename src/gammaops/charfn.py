@@ -29,13 +29,12 @@ def theta_coeffs(fp: FundamentalPair, w: np.ndarray) -> np.ndarray:
     D_P* P*^k on the defect basis, so Theta_k = W_{k-1} dq for k >= 1 is
     one product and no power of P* is formed again.
     """
-    p, dp, q_star = fp.pair.p, fp.defect_p, fp.defect_p_star.q
-    r_star = q_star.shape[1]
+    dp, r_star = fp.defect_p, fp.defect_p_star.rank
     n_blocks, rest = divmod(w.shape[0], max(r_star, 1))
     if n_blocks < 1 or rest:
         raise ValueError("w must be embed_w(fp, N) with N at least 1")
     coeffs = np.empty((n_blocks, r_star, dp.rank), dtype=complex)
-    coeffs[0] = -(matcore.dagger(q_star) @ p @ dp.q)
+    coeffs[0] = fp.theta_0
     coeffs[1:] = (w[:-r_star] @ dp.dq).reshape(-1, r_star, dp.rank)
     return coeffs
 
@@ -43,9 +42,9 @@ def theta_coeffs(fp: FundamentalPair, w: np.ndarray) -> np.ndarray:
 def theta_at(fp: FundamentalPair, z) -> np.ndarray:
     """Theta at a point z, or stacked over an array z with its shape in front.
 
-    Theta(z) = Theta_0 + z dq_*^adj (I - z P*)^(-1) dq with Theta_0 =
-    -Q_*^adj P Q formed once, one batched sigma_min test of I - z P* and one
-    batched solve; each value is bitwise the value at its point alone.
+    Theta(z) = Theta_0 + z dq_*^adj (I - z P*)^(-1) dq with the pair's
+    ``theta_0``, one batched sigma_min test of I - z P* and one batched
+    solve; each value is bitwise the value at its point alone.
     Valid wherever I - z P* is numerically invertible, which extends past
     the closed disc whenever the spectrum of P permits; the first point
     where it is not is refused.
@@ -58,8 +57,7 @@ def theta_at(fp: FundamentalPair, z) -> np.ndarray:
     if bad.size:
         raise OutsideLambdaP(f"I - z P* has sigma_min = {smin.flat[bad[0]]:.3e} "
                              f"at z = {complex(z.flat[bad[0]])}")
-    theta_0 = -(matcore.dagger(dps.q) @ p @ dp.q)
-    return theta_0 + z[..., None, None] * (
+    return fp.theta_0 + z[..., None, None] * (
         matcore.dagger(dps.dq) @ np.linalg.solve(m, dp.dq))
 
 

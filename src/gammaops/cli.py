@@ -181,20 +181,20 @@ def pair_file_doc(s, p, metadata: dict | None = None) -> dict:
 
 
 def load_witness_file(path: str) -> Witness:
-    """Read a witness file: eta1 and sigma required, sigma_star defaults to eta1."""
+    """Read a witness file: eta1 and sigma required, sigma_star defaults to eta1.
+
+    An ambient U is not read: nothing would check it.
+    """
     doc = _read_json_doc(path)
-    if "eta1" not in doc:
-        raise PairFileError("eta1: missing required field")
-    if "sigma" not in doc:
-        raise PairFileError("sigma: missing required field")
+    for key in ("eta1", "sigma"):
+        if key not in doc:
+            raise PairFileError(f"{key}: missing required field")
     eta1 = matrix_from_json(doc["eta1"], "eta1")
     sigma = matrix_from_json(doc["sigma"], "sigma")
     sigma_star = (matrix_from_json(doc["sigma_star"], "sigma_star")
                   if "sigma_star" in doc else eta1)
-    u_ambient = (matrix_from_json(doc["U"], "U") if "U" in doc else None)
     try:
-        return Witness(eta1=eta1, sigma=sigma, sigma_star=sigma_star,
-                       u_ambient=u_ambient)
+        return Witness(eta1=eta1, sigma=sigma, sigma_star=sigma_star)
     except ValueError as exc:
         raise PairFileError(f"{path}: {exc}") from exc
 
@@ -249,7 +249,7 @@ def _tool_block() -> dict:
 def _flags_block(pair, probe) -> dict:
     fl = pair.flags
     return {
-        "commuting": fl.commuting,
+        "commuting": True,  # validate refused the pair otherwise
         "contraction": fl.contraction,
         "s_bound": fl.s_bound,
         "spectrum_in_gamma": fl.spectrum_in_gamma,

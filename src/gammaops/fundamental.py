@@ -26,16 +26,15 @@ from .gamma_pair import GammaPair
 
 @dataclass(frozen=True)
 class DefectData:
-    """Defect operator in spectral form, from one eigendecomposition.
+    """Defect operator D_P = (I - P*P)^(1/2) or D_P* = (I - PP*)^(1/2) in spectral form.
 
-    ``d`` is D_P = (I - P*P)^(1/2) or D_P* = (I - PP*)^(1/2), see
-    :func:`defect_pair`; the orthonormal columns ``q`` are its eigenvectors
-    with eigenvalues ``sv`` > 0, so they span its range and D Q = Q diag(sv).
-    All else meets the defect space through ``q``, ``sv`` and ``dq``; ``d``
-    serves only the check P D_P = D_P* P.  Rank 0 has an empty ``q``.
+    The orthonormal columns ``q`` are the eigenvectors of the Gramian with
+    eigenvalues ``sv``^2 > 0, from one eigendecomposition in
+    :func:`defect_pair`, so they span Ran D and D Q = Q diag(sv).  The
+    ambient D is never formed: all else meets the defect space through
+    ``q``, ``sv`` and ``dq``.  Rank 0 has an empty ``q``.
     """
 
-    d: np.ndarray
     q: np.ndarray
     sv: np.ndarray
 
@@ -49,33 +48,32 @@ class DefectData:
         return self.q * self.sv
 
 
-def defect_pair(p) -> tuple[DefectData, DefectData]:
-    """Defect operators D_P and D_P* in spectral form, verifying P D_P = D_P* P.
+def defect_pair(pair: GammaPair) -> tuple[DefectData, DefectData, np.ndarray]:
+    """Defects D_P, D_P* of a validated pair in spectral form, and Theta_0.
 
-    Each side is one eigendecomposition of its Gramian, clamped at
-    DEFECT_EIG_CLAMP by ``matcore.psd_eigh``.
+    One ``psd_eigh`` per Gramian, clamped at DEFECT_EIG_CLAMP, gives the
+    eigenbases V, V_* and eigenvalues w, w_*.  From M = V_*^adj P V, formed
+    once, P D_P = D_P* P is checked as |M diag(sqrt w) - diag(sqrt w_*) M|_F
+    (V, V_* are unitary) and Theta_0 = -Q_*^adj P Q is -M on w_* > 0, w > 0.
     """
-    p = matcore.as_cmatrix(p, square=True, name="P")
-    norm_p = matcore.op_norm(p)
-    if norm_p > 1.0 + matcore.CONTRACTION_TOL:
-        raise NotContraction(f"|P| = {norm_p:.12g} exceeds 1")
-    eye, p_h = np.eye(p.shape[0]), matcore.dagger(p)
-    sides = []
-    for gram in (eye - p_h @ p, eye - p @ p_h):
-        # exact-arithmetic Hermitian; symmetrize so roundoff in a near-zero
-        # Gramian (P close to unitary) cannot trip the relative check
-        gram = 0.5 * (gram + matcore.dagger(gram))
-        w, v = matcore.psd_eigh(gram, matcore.DEFECT_EIG_CLAMP)
-        q, sv = v[:, w > 0], np.sqrt(w[w > 0])
-        d = (q * sv) @ matcore.dagger(q)
-        sides.append(DefectData(d=0.5 * (d + matcore.dagger(d)), q=q, sv=sv))
-    dp, dps = sides
-    resid = matcore.fro_norm(p @ dp.d - dps.d @ p)
+    if pair.norm_p > 1.0 + matcore.CONTRACTION_TOL:
+        raise NotContraction(f"|P| = {pair.norm_p:.12g} exceeds 1")
+    p, p_h, eye = pair.p, matcore.dagger(pair.p), np.eye(pair.n)
+    # each Gramian is Hermitian in exact arithmetic; symmetrize so roundoff in
+    # a near-zero one (P close to unitary) cannot trip the relative check
+    (w, v), (w_star, v_star) = eigs = [
+        matcore.psd_eigh(0.5 * (gram + matcore.dagger(gram)),
+                         matcore.DEFECT_EIG_CLAMP)
+        for gram in (eye - p_h @ p, eye - p @ p_h)]
+    m = matcore.dagger(v_star) @ p @ v
+    resid = matcore.fro_norm(m * np.sqrt(w) - np.sqrt(w_star)[:, None] * m)
     if resid > matcore.DEFECT_INTERTWINE_TOL:
         raise NumericalContractBreach(
             f"|P D_P - D_P* P| = {resid:.3e} exceeds "
             f"{matcore.DEFECT_INTERTWINE_TOL:.1e}")
-    return dp, dps
+    dp, dps = (DefectData(q=vs[:, ws > 0], sv=np.sqrt(ws[ws > 0]))
+               for ws, vs in eigs)
+    return dp, dps, -m[np.ix_(w_star > 0, w > 0)]
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,8 @@ class FundamentalPair:
 
     This is the per-pair object everything downstream takes: ``pair`` is the
     validated pair it was solved for, ``f`` is r x r on the eigenbasis ``q``
-    of ``defect_p``, ``f_star`` is r* x r* on that of ``defect_p_star``.
+    of ``defect_p``, ``f_star`` is r* x r* on that of ``defect_p_star``, and
+    ``theta_0`` = -Q_*^adj P Q is the r* x r value of Theta at the origin.
     Residuals are |dq F dq^adj - (S - S*P)|_F and its adjoint twin, the
     defining equations reassembled; ``w_f`` and ``w_f_star`` are numerical
     radii.  ``theta_grid`` comes from one batched ``theta_at`` call.
@@ -99,6 +98,7 @@ class FundamentalPair:
     w_f_star: float
     defect_p: DefectData
     defect_p_star: DefectData
+    theta_0: np.ndarray
 
     @functools.cached_property
     def norm_f_star(self) -> float:
@@ -129,7 +129,7 @@ def solve_fundamental(pair: GammaPair) -> FundamentalPair:
     residual is then the full norm of the left side, which must be about
     zero exactly when the pair has unitary structure.
     """
-    dp, dps = defect_pair(pair.p)
+    dp, dps, theta_0 = defect_pair(pair)
     f, res_f = _solve_side(pair.s, pair.p, dp)
     f_star, res_fs = _solve_side(matcore.dagger(pair.s), matcore.dagger(pair.p), dps)
     return FundamentalPair(
@@ -137,19 +137,19 @@ def solve_fundamental(pair: GammaPair) -> FundamentalPair:
         residual_f=res_f, residual_f_star=res_fs,
         w_f=matcore.numerical_radius(f),
         w_f_star=matcore.numerical_radius(f_star),
-        defect_p=dp, defect_p_star=dps,
+        defect_p=dp, defect_p_star=dps, theta_0=theta_0,
     )
 
 
 def check_pf_intertwining(fp: FundamentalPair) -> float:
     """Residual of P F = F_*^adj P on the defect space of P.
 
-    Returns |P Q F - Q_* F_*^adj (Q_*^adj P Q)|_F on the defect bases, the
+    Returns |P Q F + Q_* F_*^adj Theta_0|_F with the pair's ``theta_0``, the
     residual of the ambient lifts on Ran D_P without their right factor Q*.
     """
     q, q_star, p = fp.defect_p.q, fp.defect_p_star.q, fp.pair.p
-    return matcore.fro_norm(p @ q @ fp.f - q_star @ matcore.dagger(fp.f_star)
-                            @ (matcore.dagger(q_star) @ p @ q))
+    return matcore.fro_norm(p @ q @ fp.f
+                            + q_star @ matcore.dagger(fp.f_star) @ fp.theta_0)
 
 
 def fstar_defect_identity_residual(fp: FundamentalPair) -> float:

@@ -25,9 +25,8 @@ from .gamma_domain import (
 
 @dataclass(frozen=True)
 class PairFlags:
-    """Outcome of the necessary-condition checks for one pair."""
+    """Outcome of the necessary-condition checks, past the commutation check."""
 
-    commuting: bool
     contraction: bool
     s_bound: bool
     spectrum_in_gamma: bool
@@ -53,7 +52,7 @@ class GammaPair:
     @property
     def necessary_ok(self) -> bool:
         f = self.flags
-        return f.commuting and f.contraction and f.s_bound and f.spectrum_in_gamma
+        return f.contraction and f.s_bound and f.spectrum_in_gamma
 
 
 def validate(s, p) -> GammaPair:
@@ -72,7 +71,6 @@ def validate(s, p) -> GammaPair:
     rho_p = float(np.max(np.abs(np.linalg.eigvals(p))))
     in_gamma = all(classify_point(pt) is not Region.OUTSIDE for pt in points)
     flags = PairFlags(
-        commuting=True,
         contraction=norm_p <= 1.0 + matcore.CONTRACTION_TOL,
         s_bound=norm_s <= 2.0 + matcore.S_BOUND_TOL,
         spectrum_in_gamma=in_gamma,

@@ -51,7 +51,8 @@ class Witness:
     and ``sigma_star`` realize the coincidence of characteristic functions.
     For witnesses induced by an ambient unitary the two adjoint-side maps
     agree, so ``sigma_star`` is ``eta1``; independently supplied witnesses
-    may keep them distinct.  Every present matrix must be unitary.
+    may keep them distinct.  Only :func:`witness_from_ambient`, which checks
+    it, sets ``u_ambient``.  Every present matrix must be unitary.
     """
 
     eta1: np.ndarray

@@ -19,9 +19,24 @@ from .gamma_domain import DiscAutomorphism
 from .gamma_pair import GammaPair, validate
 
 
-def _resolvent_matrix(pair: GammaPair, m: DiscAutomorphism) -> np.ndarray:
-    ac = np.conj(m.a)
-    return (np.eye(pair.n, dtype=complex) - ac * pair.s + ac * ac * pair.p)
+def _transport(pair: GammaPair, m: DiscAutomorphism
+               ) -> tuple[GammaPair, np.ndarray, np.ndarray]:
+    """The image pair of :func:`transport_pair`, with R^(-1) and R's singular values.
+
+    R = I - conj(a) S + conj(a)^2 P is factored once, by an SVD U diag(s) V*,
+    and R^(-1) = V diag(1/s) U* is formed from it; a sigma_min below
+    RESOLVENT_FLOOR is refused.
+    """
+    a, beta = complex(m.a), complex(m.beta)
+    ac, eye = np.conj(a), np.eye(pair.n, dtype=complex)
+    u, sv, vh = np.linalg.svd(eye - ac * pair.s + ac * ac * pair.p)
+    if sv[-1] < matcore.RESOLVENT_FLOOR:
+        raise SingularResolvent(
+            f"sigma_min = {sv[-1]:.3e} below {matcore.RESOLVENT_FLOOR:.1e}")
+    r_inv = (matcore.dagger(vh) / sv) @ matcore.dagger(u)
+    num_s = beta * ((1.0 + abs(a) ** 2) * pair.s - 2.0 * ac * pair.p - 2.0 * a * eye)
+    num_p = beta * beta * (pair.p - a * pair.s + a * a * eye)
+    return validate(num_s @ r_inv, num_p @ r_inv), r_inv, sv
 
 
 def transport_pair(pair: GammaPair, m: DiscAutomorphism) -> GammaPair:
@@ -30,20 +45,7 @@ def transport_pair(pair: GammaPair, m: DiscAutomorphism) -> GammaPair:
     S_tau = beta ((1+|a|^2) S - 2 conj(a) P - 2 a) (I - conj(a) S + conj(a)^2 P)^(-1)
     P_tau = beta^2 (P - a S + a^2) (the same inverse)
     """
-    a, beta = complex(m.a), complex(m.beta)
-    ac = np.conj(a)
-    q = _resolvent_matrix(pair, m)
-    smin = float(np.linalg.svd(q, compute_uv=False)[-1])
-    if smin < matcore.RESOLVENT_FLOOR:
-        raise SingularResolvent(
-            f"sigma_min = {smin:.3e} below {matcore.RESOLVENT_FLOOR:.1e}")
-    eye = np.eye(pair.n, dtype=complex)
-    num_s = beta * ((1.0 + abs(a) ** 2) * pair.s - 2.0 * ac * pair.p - 2.0 * a * eye)
-    num_p = beta * beta * (pair.p - a * pair.s + a * a * eye)
-    # Right-division X Q^{-1} via a transposed solve.
-    s_tau = np.linalg.solve(q.T, num_s.T).T
-    p_tau = np.linalg.solve(q.T, num_p.T).T
-    return validate(s_tau, p_tau)
+    return _transport(pair, m)[0]
 
 
 def _g_eigh(f: np.ndarray, a: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -108,13 +110,13 @@ def transport_crosscheck(fp: FundamentalPair, m: DiscAutomorphism
     U between the defect spaces that the closed form needs.
     """
     pair, q, a = fp.pair, fp.defect_p.q, complex(m.a)
-    fp_tau = solve_fundamental(transport_pair(pair, m))
+    pair_tau, r_inv, sv = _transport(pair, m)
+    fp_tau = solve_fundamental(pair_tau)
 
     w, v = _g_eigh(fp.f, a)
     g_half = (v * np.sqrt(w)) @ matcore.dagger(v)
-    resolvent = _resolvent_matrix(pair, m)
     x = (np.sqrt(1.0 - abs(a) ** 2) * q @ g_half
-         @ matcore.dagger(fp.defect_p.dq) @ np.linalg.inv(resolvent))
+         @ matcore.dagger(fp.defect_p.dq) @ r_inv)
 
     dt = fp_tau.defect_p
     x_resid = matcore.fro_norm(matcore.dagger(x) @ x - dt.dq @ matcore.dagger(dt.dq))
@@ -130,7 +132,7 @@ def transport_crosscheck(fp: FundamentalPair, m: DiscAutomorphism
         u_defect=u_defect,
         f_tau_closed=f_closed,
         crosscheck_residual=matcore.fro_norm(f_closed - fp_tau.f),
-        cond_resolvent=float(np.linalg.cond(resolvent)),
+        cond_resolvent=float(sv[0] / sv[-1]),
         x_identity_residual=x_resid,
         u_unitarity_defect=u_unit,
     )

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import minimize
 
 import gammaops as g
@@ -43,6 +44,14 @@ def svd_range_onb():
     return _svd_range_onb
 
 
+def _defect(p):
+    """Oracle: the ambient D_P = (I - P*P)^(1/2) by ``scipy.linalg.sqrtm``.
+
+    Formed from P alone, not from ``defect_pair``; D_P* is ``_defect(P*)``.
+    """
+    return scipy.linalg.sqrtm(np.eye(len(p)) - matcore.dagger(p) @ p)
+
+
 def _lift(q, m):
     """The ambient n x n operator Q m Q* acting as m on the range of Q."""
     return q @ m @ matcore.dagger(q)
@@ -59,7 +68,8 @@ def _pf_intertwining_lifted(fp):
 
 def _fstar_identity_lifted(fp):
     """Oracle: |D_P* L^adj + P D_P* L - S D_P*|_F, L the ambient lift of F_*."""
-    pair, d_star = fp.pair, fp.defect_p_star.d
+    pair = fp.pair
+    d_star = _defect(matcore.dagger(pair.p))
     fs_amb = _lift(fp.defect_p_star.q, fp.f_star)
     return matcore.fro_norm(d_star @ matcore.dagger(fs_amb)
                             + pair.p @ d_star @ fs_amb - pair.s @ d_star)
@@ -67,29 +77,30 @@ def _fstar_identity_lifted(fp):
 
 def _theta_ambient(fp, z):
     """Oracle: Theta(z) as the ambient -P + z D_P* (I - z P*)^(-1) D_P, compressed."""
-    p, dp, dps = fp.pair.p, fp.defect_p, fp.defect_p_star
-    core = -p + z * dps.d @ np.linalg.solve(
-        np.eye(len(p)) - z * matcore.dagger(p), dp.d)
-    return matcore.dagger(dps.q) @ core @ dp.q
+    p = fp.pair.p
+    core = -p + z * _defect(matcore.dagger(p)) @ np.linalg.solve(
+        np.eye(len(p)) - z * matcore.dagger(p), _defect(p))
+    return matcore.dagger(fp.defect_p_star.q) @ core @ fp.defect_p.q
 
 
 def _reassembly_residual(s, p, dd, f):
-    """Oracle: |(D Q) F (D Q)* - (S - S*P)|_F with the ambient D."""
-    a = dd.d @ dd.q
+    """Oracle: |(D Q) F (D Q)* - (S - S*P)|_F with the ambient D of P."""
+    a = _defect(p) @ dd.q
     return matcore.fro_norm(a @ f @ matcore.dagger(a) - (s - matcore.dagger(s) @ p))
 
 
 @pytest.fixture(scope="session")
 def ambient_oracles():
     """The defect-space formulas in their ambient form, with D and the lifts Q m Q*."""
-    return {"pf_intertwining": _pf_intertwining_lifted,
+    return {"defect": _defect, "pf_intertwining": _pf_intertwining_lifted,
             "fstar_identity": _fstar_identity_lifted,
             "theta": _theta_ambient, "reassembly": _reassembly_residual}
 
 
 def _kernel_identity_loop(fp, zs, ws):
     """Oracle: the kernel identity residual, one point pair (w, z) at a time."""
-    p, q_star, d_star = fp.pair.p, fp.defect_p_star.q, fp.defect_p_star.d
+    p, q_star = fp.pair.p, fp.defect_p_star.q
+    d_star = _defect(matcore.dagger(p))
     eye = np.eye(p.shape[0])
     worst = 0.0
     for z in zs:

@@ -80,14 +80,16 @@ def test_theta_at_on_an_array_names_the_first_point_outside():
         g.theta_at(fp, np.array([0.3, 2.0, 0.1j, 1.25]))
 
 
-def test_coeffs_and_embedding_match_the_power_loop(pure100):
+def test_coeffs_and_embedding_match_the_power_loop(pure100, ambient_oracles):
     # the doubled embedding and the coefficients read off it agree with
     # one product per power of P*
+    defect = ambient_oracles["defect"]
     for pair in pure100:
         fp = g.solve_fundamental(pair)
         n_val = g.auto_truncation(pair)
-        left = matcore.dagger(fp.defect_p_star.q) @ fp.defect_p_star.d
-        right = fp.defect_p.d @ fp.defect_p.q
+        left = (matcore.dagger(fp.defect_p_star.q)
+                @ defect(matcore.dagger(pair.p)))
+        right = defect(pair.p) @ fp.defect_p.q
         powers = [np.eye(pair.n, dtype=complex)]
         for _ in range(1, n_val):
             powers.append(powers[-1] @ matcore.dagger(pair.p))
@@ -136,6 +138,17 @@ def test_toeplitz_block_layout(dense_toeplitz):
         y = t.apply(x)
         assert y.shape == (n_blocks * rs,)
         assert np.abs(y - dense @ x).max() <= 1e-13
+
+
+def test_pencil_identity(corpus500):
+    # (F_*^adj + F_* z) Theta(z) = Theta(z) (F + F^adj z) on |z| = 0.7
+    zs = 0.7 * np.exp(2j * np.pi * np.arange(7) / 7)[:, None, None]
+    for pair, fp in corpus500:
+        theta = g.theta_at(fp, zs[:, 0, 0])
+        gap = ((matcore.dagger(fp.f_star) + zs * fp.f_star) @ theta
+               - theta @ (fp.f + zs * matcore.dagger(fp.f)))
+        assert (np.linalg.norm(gap, axis=(1, 2)).max(initial=0.0)
+                <= 1e-12 * (1.0 + pair.norm_s))
 
 
 def test_kernel_identity(corpus500, kernel_identity_oracle):

@@ -301,6 +301,32 @@ def test_compare_with_witness_file(tmp_path, capsys):
         assert f"{field} has shape" in capsys.readouterr().err
 
 
+def test_compare_does_not_report_an_unchecked_ambient_u(tmp_path, capsys):
+    # a valid (eta1, sigma) with an unrelated U: only the defect unitaries
+    # are verified, so no U from the file may reach the report
+    pair_a = g.random_pure_gamma(3, seed=37, max_norm=0.8)
+    rng = np.random.default_rng(38)
+    u = matcore.haar_unitary(3, rng)
+    ud = matcore.dagger(u)
+    pair_b = g.validate(u @ pair_a.s @ ud, u @ pair_a.p @ ud)
+    w, _ = g.witness_from_ambient(u, g.solve_fundamental(pair_a),
+                                  g.solve_fundamental(pair_b))
+    stray = matcore.haar_unitary(3, rng)
+    assert matcore.op_norm(stray @ pair_a.s - pair_b.s @ stray) > 1e-2
+    a = _write(tmp_path, "a.json", _pair_doc(pair_a))
+    b = _write(tmp_path, "b.json", _pair_doc(pair_b))
+    wfile = _write(tmp_path, "w.json", {
+        "eta1": cli.matrix_to_json(w.eta1),
+        "sigma": cli.matrix_to_json(w.sigma),
+        "U": cli.matrix_to_json(stray),
+    })
+    assert cli.load_witness_file(wfile).u_ambient is None
+    assert cli.main(["compare", a, b, "--witness", wfile]) == cli.EXIT_OK
+    report = _report(capsys.readouterr().out)
+    assert report["verdict"] == "EQUIVALENT"
+    assert set(report["witness"]) == {"eta1", "sigma", "sigma_star"}
+
+
 def test_compare_purity_gate(tmp_path, capsys):
     gu = g.random_gamma_unitary(2, seed=36)
     pure = g.random_pure_gamma(2, seed=37)

@@ -3,36 +3,54 @@ import pytest
 
 import gammaops as g
 from gammaops import matcore
-from gammaops.exceptions import NotContraction
+from gammaops.exceptions import NotContraction, NumericalContractBreach
 
 
 def _solve_residual_scale(pair):
     return 1e-9 * (1.0 + pair.norm_s)
 
 
+def _defects(p):
+    """``defect_pair`` of P, paired with S = 0, which commutes with every P."""
+    return g.defect_pair(g.validate(np.zeros_like(p), p))
+
+
+def _ambient(dd):
+    """D = Q diag(sv) Q* reassembled from the spectral form."""
+    return dd.dq @ matcore.dagger(dd.q)
+
+
 def test_defect_basics():
     p = np.diag([0.6, 0.0]).astype(complex)
-    dd, _ = g.defect_pair(p)
-    assert np.allclose(dd.d, np.diag([0.8, 1.0]), atol=1e-12)
+    dd, _, theta_0 = _defects(p)
+    assert np.allclose(_ambient(dd), np.diag([0.8, 1.0]), atol=1e-12)
     assert dd.rank == 2
+    assert np.allclose(theta_0, -p, atol=1e-12)
     # a weighted shift has different defects on the two sides
-    dp, dps = g.defect_pair(np.array([[0, 0.0], [0.5, 0]], dtype=complex))
-    assert np.allclose(dp.d, np.diag([np.sqrt(0.75), 1.0]), atol=1e-12)
-    assert np.allclose(dps.d, np.diag([1.0, np.sqrt(0.75)]), atol=1e-12)
-    unit, unit_star = g.defect_pair(np.eye(3, dtype=complex))
+    dp, dps, _ = _defects(np.array([[0, 0.0], [0.5, 0]], dtype=complex))
+    assert np.allclose(_ambient(dp), np.diag([np.sqrt(0.75), 1.0]), atol=1e-12)
+    assert np.allclose(_ambient(dps), np.diag([1.0, np.sqrt(0.75)]), atol=1e-12)
+    unit, unit_star, theta_0 = _defects(np.eye(3, dtype=complex))
     assert unit.rank == 0 and unit_star.rank == 0
-    assert matcore.fro_norm(unit.d) <= 1e-6
-    with pytest.raises(NotContraction):
-        g.defect_pair(1.2 * np.eye(2))
+    assert unit.dq.shape == (3, 0) and theta_0.shape == (0, 0)
+    with pytest.raises(NotContraction, match=r"\|P\| = 1\.2 exceeds 1"):
+        _defects(1.2 * np.eye(2))
 
 
-def test_defect_pair_lift_identity():
+def test_defect_pair_lift_identity(ambient_oracles, monkeypatch):
+    # the check runs in eigen-coordinates; the ambient identity holds too
+    defect = ambient_oracles["defect"]
     rng = np.random.default_rng(8)
     for _ in range(25):
         n = int(rng.integers(1, 6))
         pair = g.random_pure_gamma(n, seed=int(rng.integers(1 << 30)))
-        dp, dps = g.defect_pair(pair.p)
-        assert matcore.fro_norm(pair.p @ dp.d - dps.d @ pair.p) <= 1e-9
+        g.defect_pair(pair)
+        p = pair.p
+        assert matcore.fro_norm(p @ defect(p)
+                                - defect(matcore.dagger(p)) @ p) <= 1e-9
+    monkeypatch.setattr(matcore, "DEFECT_INTERTWINE_TOL", -1.0)
+    with pytest.raises(NumericalContractBreach, match=r"\|P D_P - D_P\* P\|"):
+        g.defect_pair(pair)
 
 
 def _partial_contractions(rng):
@@ -60,13 +78,16 @@ def test_defect_pair_spectral_form_keeps_the_svd_rank(corpus500, svd_range_onb):
              + list(_partial_contractions(rng)) + list(_near_unitary(rng))
              + [(np.eye(4, dtype=complex), 0)])
     for p, rank in cases:
-        for dd in g.defect_pair(p):
+        dp, dps, _ = _defects(p)
+        eye, p_h = np.eye(p.shape[0]), matcore.dagger(p)
+        for dd, gram in ((dp, eye - p_h @ p), (dps, eye - p @ p_h)):
             assert dd.q.shape == (p.shape[0], dd.rank) == (p.shape[0], len(dd.sv))
-            assert matcore.fro_norm(dd.d @ dd.q - dd.dq) <= 1e-14
+            # Q are eigenvectors of the Gramian D^2 with eigenvalues sv^2
+            assert matcore.fro_norm(gram @ dd.q - dd.q * dd.sv ** 2) <= 1e-14
             assert (dd.sv > 0).all()
             assert np.allclose(matcore.dagger(dd.q) @ dd.q, np.eye(dd.rank),
                                atol=1e-14)
-            assert dd.rank == svd_range_onb(dd.d).shape[1]
+            assert dd.rank == svd_range_onb(dd.dq).shape[1]
             assert rank is None or dd.rank == rank
 
 
@@ -87,12 +108,12 @@ def test_defect_coordinates_match_the_ambient_formulas(corpus500, ambient_oracle
                    - ambient_oracles["fstar_identity"](fp)) <= tol
 
 
-def test_fundamental_matches_the_pseudoinverse_solve(corpus500):
+def test_fundamental_matches_the_pseudoinverse_solve(corpus500, ambient_oracles):
     for pair, fp in corpus500:
         s_h, p_h = matcore.dagger(pair.s), matcore.dagger(pair.p)
         for dd, f, s, p in ((fp.defect_p, fp.f, pair.s, pair.p),
                             (fp.defect_p_star, fp.f_star, s_h, p_h)):
-            a_pinv = np.linalg.pinv(dd.d @ dd.q)
+            a_pinv = np.linalg.pinv(ambient_oracles["defect"](p) @ dd.q)
             ref = a_pinv @ (s - matcore.dagger(s) @ p) @ matcore.dagger(a_pinv)
             assert matcore.fro_norm(f - ref) <= 1e-12 * matcore.fro_norm(ref)
 
@@ -125,11 +146,12 @@ def test_solver_residuals_and_radius(corpus500):
         assert fp.w_f_star <= 1.0 + 1e-8
 
 
-def test_defining_equation_ambient(corpus500):
+def test_defining_equation_ambient(corpus500, ambient_oracles):
     # reassemble D_P F^ D_P against S - S*P in the ambient space
     for pair, fp in corpus500[:40]:
+        d = ambient_oracles["defect"](pair.p)
         f_amb = fp.defect_p.q @ fp.f @ matcore.dagger(fp.defect_p.q)
-        lhs = fp.defect_p.d @ f_amb @ fp.defect_p.d
+        lhs = d @ f_amb @ d
         rhs = pair.s - matcore.dagger(pair.s) @ pair.p
         assert matcore.fro_norm(lhs - rhs) <= 1e-8 * (1.0 + pair.norm_s)
 

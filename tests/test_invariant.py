@@ -74,17 +74,20 @@ def test_witness_from_ambient_residuals_planted():
             assert res["conjugation"] <= 1e-8
 
 
-def test_defect_intertwine_matches_the_compressed_defects():
+def test_defect_intertwine_matches_the_compressed_defects(ambient_oracles):
     # |V Q_A* D_A Q_A - Q_B* D_B Q_B V|, with each defect compressed to its basis
+    defect = ambient_oracles["defect"]
     for k in range(10):
         fp_a, fp_b, u = _planted(1 + k % 5, 4130 + k, 4131 + k)
         _, residuals = g.witness_from_ambient(u, fp_a, fp_b)
-        for side, da, db in (
-                ("for_P", fp_a.defect_p, fp_b.defect_p),
-                ("for_P_star", fp_a.defect_p_star, fp_b.defect_p_star)):
+        p_a, p_b = fp_a.pair.p, fp_b.pair.p
+        for side, da, db, d_a, d_b in (
+                ("for_P", fp_a.defect_p, fp_b.defect_p, defect(p_a), defect(p_b)),
+                ("for_P_star", fp_a.defect_p_star, fp_b.defect_p_star,
+                 defect(matcore.dagger(p_a)), defect(matcore.dagger(p_b)))):
             v = matcore.dagger(db.q) @ u @ da.q
-            ref = matcore.fro_norm(v @ matcore.restrict(da.q, da.d)
-                                   - matcore.restrict(db.q, db.d) @ v)
+            ref = matcore.fro_norm(v @ matcore.restrict(da.q, d_a)
+                                   - matcore.restrict(db.q, d_b) @ v)
             assert abs(residuals[side]["defect_intertwine"] - ref) <= 1e-14
 
 

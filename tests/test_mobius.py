@@ -142,8 +142,8 @@ def test_crosscheck_solves_only_the_transported_pair(monkeypatch):
     monkeypatch.setattr(mobius, "solve_fundamental", counted)
     res = g.transport_crosscheck(fp, m)
     assert solved == [res.fp_tau.pair]
-    # the condition number is that of the resolvent the crosscheck forms
+    # the condition number is that of the resolvent the crosscheck forms,
+    # from the one SVD (vectors included) that also divides by it
     ac = np.conj(m.a)
-    sv = np.linalg.svd(np.eye(3) - ac * pair.s + ac * ac * pair.p,
-                       compute_uv=False)
+    _, sv, _ = np.linalg.svd(np.eye(3) - ac * pair.s + ac * ac * pair.p)
     assert res.cond_resolvent == sv[0] / sv[-1]

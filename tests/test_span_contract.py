@@ -61,3 +61,28 @@ def test_traced_compare_search_covers_its_spans(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["verdict"] == "EQUIVALENT"
     tracer.check_coverage(workloads._COMMON_SPANS + (
         "charfn.theta_at", "charfn.coincide_check"), range(1))
+
+
+def test_traced_analyze_covers_its_spans(tmp_path, capsys, monkeypatch):
+    # the analyze workloads' spans: a pure pair runs the model, the
+    # benchmark's gamma-unitary pair makes the probe refine its sup
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    pure = g.random_pure_gamma(3, seed=47, max_norm=0.8)
+    torus = workloads._torus_pair(2, np.random.default_rng(48))
+    paths = []
+    for name, (s, p) in (("pure.json", (pure.s, pure.p)), ("torus.json", torus)):
+        path = tmp_path / name
+        path.write_text(json.dumps(cli.pair_file_doc(s, p)))
+        paths.append(str(path))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for path in paths:
+            tracer.begin_op("analyze")
+            assert cli.main(["analyze", path]) == cli.EXIT_OK
+            assert json.loads(capsys.readouterr().out)["verdict"] == "ok"
+    finally:
+        tracer.uninstall()
+    tracer.check_coverage(workloads._ANALYZE_SPANS, range(2))
