@@ -167,31 +167,59 @@ def _z_coeffs(stack: np.ndarray) -> np.ndarray:
     """Coefficients (m, d, d) in (z1, z2), d = a + b - 1, of a stack (m, a, b).
 
     Each monomial s^j p^k expands as sum_l C(j, l) z1^(l + k) z2^(j - l + k);
-    the terms are added elementwise, so a polynomial's coefficients do not
-    depend on the rest of the stack.  Without coefficients, d is 0.
+    for fixed (j, l) the entries (l + k, j - l + k) lie on one diagonal, a
+    strided view of the flat coefficients, and the terms are added there
+    elementwise, so a polynomial's coefficients do not depend on the rest
+    of the stack.  Without coefficients, d is 0.
     """
     m, a, b = stack.shape
     d = max(a + b - 1, 0)
-    zc = np.zeros((m, d, d), dtype=complex)
-    k = np.arange(b)
+    zc = np.zeros((m, d * d), dtype=complex)
     for j in range(a):
         for l in range(j + 1):
-            zc[:, l + k, j - l + k] += math.comb(j, l) * stack[:, j]
-    return zc
+            start = l * d + j - l
+            zc[:, start:start + b * (d + 1):d + 1] += math.comb(j, l) * stack[:, j]
+    return zc.reshape(m, d, d)
 
 
-def _torus_moduli(zc: np.ndarray):
-    """Blocks (slice, |q| (m, N, N)) of (z1, z2) coefficients (m, d, d) on the torus.
+def _torus_moduli(zc: np.ndarray, stride: int = 1):
+    """Blocks (slice, |q| (m, g, g)) of (z1, z2) coefficients (m, d, d) on the torus.
 
-    Entry (j, k) is |q(z_j, z_k)| at z_j = e^{2 pi i j / N}, N = SUP_GRID_N,
-    from the separable product W C W^T with W[j, alpha] = z_(j alpha mod N);
-    a block holds 16 N^2 bytes of values per polynomial.
+    Entry (j, k) is |q(z_j, z_k)| at z_j = e^{2 pi i stride j / N}, N =
+    SUP_GRID_N and g = N / stride, from the separable product W C W^T with
+    W[j, alpha] = z_j^alpha read off the N-th roots as the root of index
+    stride j alpha mod N; every stride-th row of the full grid's W is the
+    same numbers.  A block is budgeted by all of its temporaries, 16 g d
+    bytes per polynomial for W C, 16 g^2 for the values and 8 g^2 for
+    their moduli.  The moduli of every block go to one buffer, so the
+    array yielded for a block is overwritten by the next one.
     """
     n = matcore.SUP_GRID_N
     z = np.exp(2j * np.pi * np.arange(n) / n)
-    w = z[np.outer(np.arange(n), np.arange(zc.shape[-1])) % n]
-    for blk in matcore.batches(len(zc), 16 * n * n):
-        yield blk, np.abs(w @ zc[blk] @ w.T)
+    w = z[np.outer(np.arange(0, n, stride), np.arange(zc.shape[-1])) % n]
+    g, d = w.shape
+    blocks = matcore.batches(len(zc), 16 * g * d + 24 * g * g)
+    buf = np.empty((blocks[0].stop if blocks else 0, g, g))
+    for blk in blocks:
+        vals = buf[:blk.stop - blk.start]
+        np.abs(w @ zc[blk] @ w.T, out=vals)
+        yield blk, vals
+
+
+def torus_grid_max(coeffs, stride: int) -> np.ndarray:
+    """Max of |q| over every ``stride``-th point per axis of the torus grid.
+
+    ``coeffs`` is a stack (m, a, b); the result holds m maxima over the
+    points (z_j, z_k), z_j = e^{2 pi i stride j / SUP_GRID_N}.  At stride 1
+    these are the sups of ``sup_norm_on_gamma``; a coarser grid reads a
+    subset of its points and evaluates them in another product shape, so
+    its maxima are lower bounds on those sups up to rounding.
+    """
+    stack = _as_stack(coeffs)[0]
+    sups = np.empty(len(stack))
+    for blk, vals in _torus_moduli(_z_coeffs(stack), stride):
+        sups[blk] = vals.max(axis=(1, 2))
+    return sups
 
 
 def sup_norm_on_gamma(coeffs):
@@ -205,9 +233,7 @@ def sup_norm_on_gamma(coeffs):
     (m, a, b) an array of m sups; an array without coefficients has sup 0.
     """
     stack, single = _as_stack(coeffs)
-    sups = np.empty(len(stack))
-    for blk, vals in _torus_moduli(_z_coeffs(stack)):
-        sups[blk] = vals.max(axis=(1, 2))
+    sups = torus_grid_max(stack, 1)
     return float(sups[0]) if single else sups
 
 

@@ -20,6 +20,7 @@ from .gamma_domain import (
     eval_matrix_sym_poly,
     sup_norm_on_gamma,
     sup_norm_on_gamma_refined,
+    torus_grid_max,
 )
 
 
@@ -137,6 +138,58 @@ def _random_polys(rng: np.random.Generator, trials: int,
     return c
 
 
+#: s, p and the constant 1, probed before the random draws.
+_FIXED_PROBES = (np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex),
+                 np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
+                 np.array([[1.0]], dtype=complex))
+#: The screen reads every 4th point per axis of the torus grid; its bound
+#: needs SUP_GRID_N / 4 above 2 PROBE_MAX_DEG, see ``vn_probe``.
+_SCREEN_STRIDE = 4
+#: Relative rounding slack delta of the screen's lower bound, see ``vn_probe``.
+_SCREEN_SLACK = 4096 * np.finfo(float).eps
+
+
+def _probe_blocks(rng: np.random.Generator, trials: int, deg: int):
+    """The probe polynomials, padded to (deg + 1, deg + 1), in blocks.
+
+    The first block holds the fixed probes and up to PROBE_TRIALS draws,
+    every later one up to PROBE_TRIALS + 3 draws; drawn block by block, the
+    uniforms are the same numbers as in one draw.
+    """
+    head = np.zeros((len(_FIXED_PROBES), deg + 1, deg + 1), dtype=complex)
+    for c, f in zip(head, _FIXED_PROBES):
+        c[:f.shape[0], :f.shape[1]] = f
+    first = min(trials, matcore.PROBE_TRIALS)
+    yield np.concatenate([head, _random_polys(rng, first, deg)])
+    size = matcore.PROBE_TRIALS + len(_FIXED_PROBES)
+    for done in range(first, trials, size):
+        yield _random_polys(rng, min(size, trials - done), deg)
+
+
+def _screened_ratios(polys: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Ratios vals / sup of a block, exact where they can be the block's worst.
+
+    Every other entry is -inf; see ``vn_probe`` for why the first largest
+    entry is that of the ratios of every polynomial.
+    """
+    low = torus_grid_max(polys, _SCREEN_STRIDE) * (1.0 - _SCREEN_SLACK)
+    upper = vals / np.maximum(low, 1e-300)
+    ratios = np.full(len(polys), -np.inf)
+    cand = vals > matcore.PROBE_REFINE_RATIO * low
+    cand[np.argmax(upper)] = True
+    sups = sup_norm_on_gamma(polys[cand])
+    refine = vals[cand] > matcore.PROBE_REFINE_RATIO * np.maximum(sups, 1e-300)
+    if refine.any():
+        sups[refine] = np.maximum(sups[refine],
+                                  sup_norm_on_gamma_refined(polys[cand][refine]))
+    ratios[cand] = vals[cand] / np.maximum(sups, 1e-300)
+    rest = ~cand & (upper >= ratios[cand].max())
+    if rest.any():
+        ratios[rest] = vals[rest] / np.maximum(sup_norm_on_gamma(polys[rest]),
+                                               1e-300)
+    return ratios
+
+
 def vn_probe(pair: GammaPair, trials: int = matcore.PROBE_TRIALS,
              seed: int = 0) -> VnProbeReport:
     """Compare |q(S, P)| with the sup of |q| over the domain for random q.
@@ -146,46 +199,67 @@ def vn_probe(pair: GammaPair, trials: int = matcore.PROBE_TRIALS,
     domain, while small ratios are evidence only.  The monomials s and p and
     the constant are always probed before the random draws; the draw
     sequence is deterministic in ``seed``.  A value q(S, P) that overflows
-    certifies at once, with an infinite ratio.  All polynomials are
-    evaluated as one stack, and the grid sups as one stack; the polynomials
-    whose value exceeds PROBE_REFINE_RATIO times their grid sup go to one
-    call of the stacked Newton refinement.  The worst is the first of the
-    largest ratio.
+    certifies at once, with an infinite ratio.  The worst is the first of
+    the largest ratio, where a polynomial whose value v = |q(S, P)| exceeds
+    PROBE_REFINE_RATIO times its grid sup G (``sup_norm_on_gamma``) has the
+    sup max(G, refined sup) and every other one the sup G.
+
+    The polynomials are drawn, evaluated and screened in blocks of at most
+    PROBE_TRIALS + 3, so memory does not grow with ``trials``; the worst
+    ratio carries over from block to block.  Within a block only the
+    polynomials that can decide the report reach the full grid.  Let c be
+    the maximum of |q| over every 4th point per axis of the grid, a sub-grid
+    of the same points, low = c (1 - delta) and upper = v / low.  Then
+
+    - low <= G, so v / low bounds the ratio from above;
+    - v <= PROBE_REFINE_RATIO low rules out the refinement;
+    - a polynomial whose upper bound is below a ratio already computed
+      cannot be the worst, nor tie with it.
+
+    The candidates K are the polynomials with v > PROBE_REFINE_RATIO low and
+    the first of the largest upper bound; they get G and, by the rule
+    above, the refinement.  Those outside K with upper >= the best ratio
+    over K get G, and the worst is the first largest ratio among all of
+    these: every other ratio is below it.  The report is the same, bit for
+    bit, as with the grid sup of every polynomial.
+
+    Derivation of delta.  Both grids read the same entries of W and the
+    same (z1, z2) coefficients C (d x d, d = 2 PROBE_MAX_DEG + 1), so a
+    point's two values differ only by the rounding of the two complex
+    products of inner length d: each is within 2 sqrt(2) gamma_(d+2) |C|_1
+    of q, gamma_k = k u / (1 - k u), u = 2^-53 (Higham, ch. 3), so |q| at a
+    sub-grid point is read within 4 sqrt(2) gamma_(d+2) |C|_1 + 2u c of the
+    full grid's value.  The sub-grid is the g x g roots of unity, g =
+    SUP_GRID_N / 4 = 16 > d - 1, the degree of q in each variable, so the
+    mean of |q|^2 over it is |C|_2^2 (discrete Parseval) and
+    |C|_1 <= d |C|_2 <= d c (1 + O(u)).  Hence G >= c (1 - e) with
+    e <= 4 sqrt(2) d (d + 2) u + 2u, about 6.3e-14 at d = 9; delta =
+    4096 eps (9.1e-13) covers it with a factor above 14.
     """
     rng = np.random.default_rng(seed)
     deg = matcore.PROBE_MAX_DEG
-    fixed = [np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex),  # s
-             np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),  # p
-             np.array([[1.0]], dtype=complex)]
-    polys = np.zeros((len(fixed) + trials, deg + 1, deg + 1), dtype=complex)
-    for c, f in zip(polys, fixed):
-        c[:f.shape[0], :f.shape[1]] = f
-    polys[len(fixed):] = _random_polys(rng, trials, deg)
-
-    def unpadded(i):
-        return fixed[i] if i < len(fixed) else polys[i]
-
-    values = eval_matrix_sym_poly(polys, pair.s, pair.p)
-    finite = np.isfinite(values).all(axis=(1, 2))
-    # q is bounded on the domain, so an overflowing q(S, P) certifies
-    first_bad = len(polys) if finite.all() else int(np.argmin(finite))
-    vals = np.linalg.norm(values[:first_bad], 2, axis=(1, 2))
-    del values  # freed before the grid blocks, to keep the peak low
-    sups = sup_norm_on_gamma(polys[:first_bad])
-    refine = vals > matcore.PROBE_REFINE_RATIO * np.maximum(sups, 1e-300)
-    sups[refine] = np.maximum(sups[refine],
-                              sup_norm_on_gamma_refined(polys[:first_bad][refine]))
-    ratios = vals / np.maximum(sups, 1e-300)
-
-    if first_bad < len(polys):
-        worst, worst_ratio = first_bad, float("inf")
-    else:
-        worst = int(np.argmax(ratios))
-        worst_ratio = float(ratios[worst])
+    worst_ratio, worst, offset = -np.inf, 0, 0
+    for polys in _probe_blocks(rng, trials, deg):
+        values = eval_matrix_sym_poly(polys, pair.s, pair.p)
+        finite = np.isfinite(values).all(axis=(1, 2))
+        if not finite.all():
+            # q is bounded on the domain, so an overflowing q(S, P) certifies
+            i = int(np.argmin(finite))
+            worst_ratio, worst, coeffs = float("inf"), offset + i, polys[i]
+            break
+        vals = np.linalg.norm(values, 2, axis=(1, 2))
+        del values  # freed before the grid blocks, to keep the peak low
+        ratios = _screened_ratios(polys, vals)
+        i = int(np.argmax(ratios))
+        if offset == 0 or ratios[i] > worst_ratio:
+            worst_ratio, worst, coeffs = float(ratios[i]), offset + i, polys[i]
+        offset += len(polys)
+    if worst < len(_FIXED_PROBES):
+        coeffs = _FIXED_PROBES[worst]
     return VnProbeReport(
         worst_ratio=worst_ratio,
         certified_not_gamma=worst_ratio > 1.0 + matcore.PROBE_CERT_MARGIN,
-        worst_coeffs=np.array(unpadded(worst)),
+        worst_coeffs=np.array(coeffs),
         trials=trials,
         max_deg=deg,
     )

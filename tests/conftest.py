@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -264,3 +265,70 @@ def _refined_sup(coeffs):
 def refined_sup_oracle():
     """The refined sup with every start run, mirrors included."""
     return _refined_sup
+
+
+def _z_coeffs_reference(stack):
+    """Oracle: (z1, z2) coefficients, each term added at fancy indices."""
+    m, a, b = stack.shape
+    d = max(a + b - 1, 0)
+    zc = np.zeros((m, d, d), dtype=complex)
+    k = np.arange(b)
+    for j in range(a):
+        for l in range(j + 1):
+            zc[:, l + k, j - l + k] += math.comb(j, l) * stack[:, j]
+    return zc
+
+
+def _grid_sups_reference(stack, chunk=64):
+    """Oracle: every grid sup as a stacked product W C W^T, ``chunk`` at a time."""
+    n = matcore.SUP_GRID_N
+    zc = _z_coeffs_reference(stack)
+    z = np.exp(2j * np.pi * np.arange(n) / n)
+    w = z[np.outer(np.arange(n), np.arange(zc.shape[-1])) % n]
+    return np.concatenate([np.abs(w @ zc[i:i + chunk] @ w.T).max(axis=(1, 2))
+                           for i in range(0, len(zc), chunk)])
+
+
+def _probe_reference(pair, trials, seed):
+    """Oracle: the von Neumann probe with the grid sup of every polynomial.
+
+    The polynomials come from one draw and are evaluated as one stack; the
+    ones above PROBE_REFINE_RATIO times their grid sup are refined as one
+    stack.  Returns (worst_ratio, worst_coeffs, certified_not_gamma).
+    """
+    deg = matcore.PROBE_MAX_DEG
+    fixed = [np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex),
+             np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
+             np.array([[1.0]], dtype=complex)]
+    polys = np.zeros((len(fixed) + trials, deg + 1, deg + 1), dtype=complex)
+    for c, f in zip(polys, fixed):
+        c[:f.shape[0], :f.shape[1]] = f
+    polys[len(fixed):] = g.gamma_pair._random_polys(
+        np.random.default_rng(seed), trials, deg)
+    values = g.eval_matrix_sym_poly(polys, pair.s, pair.p)
+    finite = np.isfinite(values).all(axis=(1, 2))
+    if not finite.all():
+        worst, ratio = int(np.argmin(finite)), float("inf")
+    else:
+        vals = np.linalg.norm(values, 2, axis=(1, 2))
+        sups = _grid_sups_reference(polys)
+        refine = vals > matcore.PROBE_REFINE_RATIO * np.maximum(sups, 1e-300)
+        sups[refine] = np.maximum(sups[refine],
+                                  g.sup_norm_on_gamma_refined(polys[refine]))
+        ratios = vals / np.maximum(sups, 1e-300)
+        worst = int(np.argmax(ratios))
+        ratio = float(ratios[worst])
+    coeffs = fixed[worst] if worst < len(fixed) else polys[worst]
+    return ratio, coeffs, ratio > 1.0 + matcore.PROBE_CERT_MARGIN
+
+
+@pytest.fixture(scope="session")
+def probe_oracle():
+    """The probe as before its screen: the full grid for every polynomial."""
+    return _probe_reference
+
+
+@pytest.fixture(scope="session")
+def grid_sups_oracle():
+    """Every grid sup from the fancy-index (z1, z2) conversion, in stacks."""
+    return _grid_sups_reference

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -299,17 +301,17 @@ def test_grid_sup_matches_the_full_grid_and_each_polynomial(monkeypatch,
 
 
 def test_grid_blocks_stay_inside_the_batch_budget(monkeypatch):
-    # one block of torus values is 16 N^2 bytes per polynomial; the whole
-    # probe stack at once would be about 13 MiB
+    # one block holds 16 N d bytes of W C, 16 N^2 of values and 8 N^2 of
+    # moduli per polynomial; the whole probe stack at once would be 20 MiB
     polys = g.gamma_pair._random_polys(np.random.default_rng(25), 203,
                                        matcore.PROBE_MAX_DEG)
     n = matcore.SUP_GRID_N
-    item = 16 * n * n
+    item = 16 * n * (2 * matcore.PROBE_MAX_DEG + 1) + 24 * n * n
     sizes = []
     moduli = gamma_domain._torus_moduli
 
-    def recorded(zc):
-        for blk, vals in moduli(zc):
+    def recorded(zc, stride=1):
+        for blk, vals in moduli(zc, stride):
             assert vals.shape == (blk.stop - blk.start, n, n)
             sizes.append(len(vals))
             yield blk, vals
@@ -323,6 +325,60 @@ def test_grid_blocks_stay_inside_the_batch_budget(monkeypatch):
             assert sum(sizes) == len(polys)
             assert all(size == 1 or size * item <= budget for size in sizes)
             assert max(sizes) == max(1, budget // item)
+
+
+def test_one_grid_sup_call_stays_inside_the_batch_budget():
+    # every temporary of a block counts: W C, the values and their moduli,
+    # with the moduli of all blocks in one buffer; the call holds besides
+    # its input, its output and the stack's (z1, z2) coefficients
+    d = 2 * matcore.PROBE_MAX_DEG + 1
+    for m in (1, 2, 40, 203):
+        polys = g.gamma_pair._random_polys(np.random.default_rng(27), m,
+                                           matcore.PROBE_MAX_DEG)
+        for sup in (g.sup_norm_on_gamma,
+                    lambda c: gamma_domain.torus_grid_max(c, 4)):
+            sup(polys)
+            tracemalloc.start()
+            try:
+                out = sup(polys)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            held = polys.nbytes + out.nbytes + 16 * d * d * m
+            assert peak - held <= matcore.BATCH_BYTES, (m, peak - held)
+
+
+def test_grid_sups_match_the_reference_bitwise(grid_sups_oracle):
+    # the (z1, z2) coefficients add each term on a strided diagonal; the
+    # reference adds it at fancy indices, and takes its products in stacks
+    # of 64 where sup_norm_on_gamma takes one polynomial per block
+    rng = np.random.default_rng(28)
+    for shape in ((203, 5, 5), (9, 3, 4), (6, 4, 1), (5, 1, 3), (3, 2, 0)):
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stack *= 10.0 ** rng.integers(-200, 200, size=(shape[0], 1, 1))
+        want = grid_sups_oracle(stack)
+        assert g.sup_norm_on_gamma(stack).tobytes() == want.tobytes()
+        assert gamma_domain.torus_grid_max(stack, 1).tobytes() == want.tobytes()
+
+
+def test_subgrid_maxima_bound_the_grid_sups_from_below(torus_grid):
+    # every 4th point per axis of the grid, taken in another product shape:
+    # below the grid sup by at most the probe screen's rounding slack
+    s, p = torus_grid()
+    n = matcore.SUP_GRID_N
+    rng = np.random.default_rng(29)
+    stack = g.gamma_pair._random_polys(rng, 300, matcore.PROBE_MAX_DEG)
+    stack *= 10.0 ** rng.integers(-200, 200, size=(300, 1, 1))
+    stack[:3] = 0.0
+    stack[0, 0, 0], stack[1, 1, 0], stack[2, 0, 1] = 1.0, 1.0, 1.0
+    full = g.sup_norm_on_gamma(stack)
+    sub = gamma_domain.torus_grid_max(stack, 4)
+    assert np.all(sub * (1.0 - g.gamma_pair._SCREEN_SLACK) <= full)
+    assert np.all(sub <= full * (1.0 + 1e-14))
+    assert sub[:3] == pytest.approx([1.0, 2.0, 1.0], rel=1e-15, abs=0.0)
+    for c, value in zip(stack[:20], sub):
+        on_grid = np.abs(g.eval_sym_poly(c, s, p)).reshape(n, n)[::4, ::4]
+        assert abs(value - on_grid.max()) <= 1e-14 * value
 
 
 def test_refined_sup_makes_no_grid_sup_call(monkeypatch):

@@ -252,6 +252,139 @@ def test_probe_peak_memory_is_bounded():
     assert peak <= 2**20
 
 
+def _torus_pair(n, seed):
+    """Normal pair with n joint eigenvalues spread over the torus, Haar basis."""
+    k = np.arange(n)
+    z1 = np.exp(2j * np.pi * (k + 0.5) / n)
+    z2 = np.exp(2j * np.pi * (((k + 0.5) * (np.sqrt(5.0) - 1.0) / 2.0) % 1.0))
+    u = matcore.haar_unitary(n, np.random.default_rng(seed))
+    ud = matcore.dagger(u)
+    return g.validate(u @ np.diag(z1 + z2) @ ud, u @ np.diag(z1 * z2) @ ud)
+
+
+def _same_report(rep, want):
+    ratio, coeffs, certified = want
+    return (np.float64(rep.worst_ratio).tobytes() == np.float64(ratio).tobytes()
+            and rep.worst_coeffs.shape == coeffs.shape
+            and rep.worst_coeffs.tobytes() == coeffs.tobytes()
+            and rep.certified_not_gamma == certified)
+
+
+def test_screened_probe_matches_the_full_grid_oracle(monkeypatch, probe_oracle):
+    refined = []
+    refine = gamma_pair.sup_norm_on_gamma_refined
+
+    def counted(coeffs):
+        refined.append(len(coeffs))
+        return refine(coeffs)
+
+    monkeypatch.setattr(gamma_pair, "sup_norm_on_gamma_refined", counted)
+    j = np.array([[0.0, 1.0], [0.0, 0.0]])
+    # (pair, polynomials refined at 200 trials); the constant always refines
+    cases = [(g.random_pure_gamma(n, seed=60 + n), 1) for n in (1, 2, 6, 12)]
+    cases += [(_torus_pair(n, seed=5), want) for n, want in ((2, 3), (6, 7), (12, 14))]
+    cases += [(g.validate([[3.0]], [[1.0]]), None),
+              (g.validate(0.5 * np.eye(2), j), None),
+              (g.validate(j, 0.9 * j), None),
+              (g.validate([[1e300]], [[0.5]]), None)]
+    for pair, want in cases:
+        for trials in (0, 8, 200):
+            refined.clear()
+            rep = g.vn_probe(pair, trials=trials, seed=0)
+            assert _same_report(rep, probe_oracle(pair, trials, 0))
+            if trials == 200 and want is not None:
+                assert refined == [want]
+    assert rep.worst_ratio == float("inf")  # the overflowing pair, last
+
+
+def test_screened_probe_under_a_haar_conjugation(probe_oracle):
+    # conjugation moves |q(S, P)| at rounding level; the probe follows it
+    # and still agrees with the full grid
+    rng = np.random.default_rng(71)
+    pairs = [g.random_pure_gamma(n, seed=80 + n) for n in (2, 6, 12)]
+    pairs += [_torus_pair(n, seed=9) for n in (2, 6, 12)]
+    for pair in pairs:
+        u = matcore.haar_unitary(pair.n, rng)
+        ud = matcore.dagger(u)
+        conj = g.validate(u @ pair.s @ ud, u @ pair.p @ ud)
+        rep, rep_conj = g.vn_probe(pair), g.vn_probe(conj)
+        assert rep_conj.worst_ratio == pytest.approx(rep.worst_ratio,
+                                                     rel=1e-12, abs=0.0)
+        assert _same_report(rep_conj, probe_oracle(conj, matcore.PROBE_TRIALS, 0))
+
+
+def test_screen_finds_the_first_worst_ratio_of_a_block(grid_sups_oracle):
+    # a block after the first holds no constant, whose ratio 1 settles the
+    # worst at once: there the polynomials outside the candidates, with an
+    # upper bound above the candidates' best ratio, take part too
+    rng = np.random.default_rng(73)
+    pairs = [g.random_pure_gamma(n, seed=90 + n) for n in (1, 3, 6, 12)]
+    pairs += [_torus_pair(n, seed=11) for n in (2, 6)]
+    pairs += [g.validate(1.2 * pair.s, 1.2 * pair.p) for pair in pairs[1:3]]
+    for pair in pairs:
+        polys = gamma_pair._random_polys(rng, 120, matcore.PROBE_MAX_DEG)
+        vals = np.linalg.norm(g.eval_matrix_sym_poly(polys, pair.s, pair.p),
+                              2, axis=(1, 2))
+        sups = grid_sups_oracle(polys)
+        refine = vals > matcore.PROBE_REFINE_RATIO * np.maximum(sups, 1e-300)
+        sups[refine] = np.maximum(sups[refine],
+                                  g.sup_norm_on_gamma_refined(polys[refine]))
+        want = vals / np.maximum(sups, 1e-300)
+        got = gamma_pair._screened_ratios(polys, vals)
+        exact = np.isfinite(got)
+        assert got[exact].tobytes() == want[exact].tobytes()
+        assert np.all(want[~exact] < want.max())
+        assert int(np.argmax(got)) == int(np.argmax(want))
+
+
+def test_few_polynomials_reach_the_full_grid(monkeypatch):
+    # measured at 200 trials on these 30 probes: at most 1 polynomial per
+    # pure probe (the constant), at most 39 per gamma-unitary probe and 142
+    # in all; the bounds allow twice that, against 203 per probe unscreened
+    counts = []
+    grid = gamma_pair.sup_norm_on_gamma
+
+    def counted(coeffs):
+        counts.append(len(coeffs))
+        return grid(coeffs)
+
+    monkeypatch.setattr(gamma_pair, "sup_norm_on_gamma", counted)
+    total = 0
+    for make, most in ((g.random_pure_gamma, 2), (g.random_gamma_unitary, 78)):
+        for n in (2, 6, 12):
+            for seed in range(5):
+                counts.clear()
+                g.vn_probe(make(n, seed=seed))
+                assert 1 <= sum(counts) <= most
+                total += sum(counts)
+    assert total <= 2 * 142
+
+
+def test_probe_memory_does_not_grow_with_trials(probe_oracle):
+    # polynomials are drawn, evaluated and screened PROBE_TRIALS + 3 at a
+    # time; a stack of all 5003 would hold 13 MiB at n = 12
+    pair = g.random_pure_gamma(12, seed=8)
+    g.vn_probe(pair, trials=10)
+    tracemalloc.start()
+    try:
+        g.vn_probe(pair, trials=5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+    for probed, seed in ((pair, 3), (_torus_pair(6, seed=5), 0)):
+        rep = g.vn_probe(probed, trials=1000, seed=seed)
+        assert _same_report(rep, probe_oracle(probed, 1000, seed))
+
+
+def test_probe_screen_grid_resolves_the_probe_degree():
+    # the screen's bound needs its sub-grid to be roots of unity of an
+    # order above the degree of q in each of z1 and z2, see vn_probe
+    stride = gamma_pair._SCREEN_STRIDE
+    assert matcore.SUP_GRID_N % stride == 0
+    assert matcore.SUP_GRID_N // stride >= 2 * matcore.PROBE_MAX_DEG + 1
+
+
 def test_generators_deterministic_and_valid():
     a = g.random_pure_gamma(5, seed=77)
     b = g.random_pure_gamma(5, seed=77)
