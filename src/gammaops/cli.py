@@ -181,9 +181,10 @@ def pair_file_doc(s, p, metadata: dict | None = None) -> dict:
 
 
 def load_witness_file(path: str) -> Witness:
-    """Read a witness file: eta1 and sigma required, sigma_star defaults to eta1.
+    """Read a witness file: eta1 and sigma required.
 
-    An ambient U is not read: nothing would check it.
+    An ambient U is not read: nothing would check it.  A ``sigma_star`` is
+    not read either: eta1 is the one adjoint-side unitary of the invariant.
     """
     doc = _read_json_doc(path)
     for key in ("eta1", "sigma"):
@@ -191,10 +192,8 @@ def load_witness_file(path: str) -> Witness:
             raise PairFileError(f"{key}: missing required field")
     eta1 = matrix_from_json(doc["eta1"], "eta1")
     sigma = matrix_from_json(doc["sigma"], "sigma")
-    sigma_star = (matrix_from_json(doc["sigma_star"], "sigma_star")
-                  if "sigma_star" in doc else eta1)
     try:
-        return Witness(eta1=eta1, sigma=sigma, sigma_star=sigma_star)
+        return Witness(eta1=eta1, sigma=sigma)
     except ValueError as exc:
         raise PairFileError(f"{path}: {exc}") from exc
 
@@ -357,7 +356,6 @@ def _witness_block(w: Witness) -> dict:
     block = {
         "eta1": matrix_to_json(w.eta1),
         "sigma": matrix_to_json(w.sigma),
-        "sigma_star": matrix_to_json(w.sigma_star),
     }
     if w.u_ambient is not None:
         block["U"] = matrix_to_json(w.u_ambient)
@@ -513,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("input_b", help="second pair file")
     group = pc.add_mutually_exclusive_group()
     group.add_argument("--witness", default=None, metavar="PATH",
-                       help="witness file with eta1/sigma/sigma_star")
+                       help="witness file with eta1/sigma")
     group.add_argument("--search", type=lambda v: _int_at_least(v, 1),
                        default=matcore.SEARCH_RESTARTS, metavar="RESTARTS",
                        help="heuristic witness search restarts (default %(default)s)")

@@ -1,15 +1,16 @@
 """Complete unitary invariant for pure commuting pairs.
 
-Two pure pairs are unitarily equivalent exactly when their adjoint-side
-fundamental operators are unitarily equivalent and their characteristic
-functions coincide.  This module is verification-first: a Witness carrying
-the defect unitaries is checked against both halves of the invariant, and a
-model-level confirmation is reported on success.  The witness search is a
-labeled heuristic whose only conclusive negative is the trace-word screen;
-its restarts run as stacks, one batched polar step per iteration for a
-whole block of starts.  Each half-step applies one linear map, built once
-per block with row-major vectorization (A X B).ravel() = kron(A, B.T) x,
-to every start of the block, one product per start.
+Two pure pairs are unitarily equivalent exactly when one unitary between
+the adjoint-side defect spaces conjugates their adjoint-side fundamental
+operators onto each other and realizes the coincidence of their
+characteristic functions.  This module is verification-first: a Witness
+carrying the defect unitaries is checked against both halves of the
+invariant, and a model-level confirmation is reported on success.  The
+witness search is a labeled heuristic whose only conclusive negative is the
+trace-word screen.  Both of its candidate families run through one polar
+ascent, one batched polar step per update for a whole block of starts;
+each update applies one linear map, built once per search with row-major
+vectorization (A X B).ravel() = kron(A, B.T) x, one product per start.
 """
 
 from __future__ import annotations
@@ -47,27 +48,21 @@ def unitarity_defect(u: np.ndarray) -> float:
 class Witness:
     """Defect unitaries asserting equivalence of two pairs.
 
-    ``eta1`` intertwines the adjoint-side fundamental operators, ``sigma``
-    and ``sigma_star`` realize the coincidence of characteristic functions.
-    For witnesses induced by an ambient unitary the two adjoint-side maps
-    agree, so ``sigma_star`` is ``eta1``; independently supplied witnesses
-    may keep them distinct.  Only :func:`witness_from_ambient`, which checks
-    it, sets ``u_ambient``.  Every present matrix must be unitary.
+    ``eta1`` is the one adjoint-side unitary tau_*: it intertwines the
+    adjoint-side fundamental operators and, with ``sigma`` on the defect
+    space of P, realizes the coincidence eta1 Theta_A = Theta_B sigma of
+    the characteristic functions.  Only :func:`witness_from_ambient`, which
+    checks it, sets ``u_ambient``.  Every present matrix must be unitary.
     """
 
     eta1: np.ndarray
     sigma: np.ndarray
-    sigma_star: np.ndarray
     u_ambient: np.ndarray | None = None
 
     def __post_init__(self):
-        tied = self.sigma_star is self.eta1
-        for field in ("eta1", "sigma", "sigma_star", "u_ambient"):
+        for field in ("eta1", "sigma", "u_ambient"):
             m = getattr(self, field)
             if m is None:
-                continue
-            if field == "sigma_star" and tied:
-                object.__setattr__(self, field, self.eta1)
                 continue
             m = matcore.as_cmatrix(m, name=field)
             defect = unitarity_defect(m)
@@ -88,8 +83,7 @@ def witness_from_ambient(u, fp_a: FundamentalPair, fp_b: FundamentalPair
     intertwines the defect operators, and conjugates that side's
     fundamental operator of A onto that of B.  All three facts are returned
     as measured residuals per side, ``"for_P"`` and ``"for_P_star"``, rather
-    than assumed.  The adjoint-side compression serves both as eta1 and as
-    sigma_star; for ambient-induced witnesses these coincide exactly.
+    than assumed.  The adjoint-side compression is eta1.
     """
     u = matcore.as_cmatrix(u, square=True, name="U")
     pair_a, pair_b = fp_a.pair, fp_b.pair
@@ -127,8 +121,7 @@ def witness_from_ambient(u, fp_a: FundamentalPair, fp_b: FundamentalPair
                             if square else float("inf")),
         }
     sigma, eta1 = blocks
-    return (Witness(eta1=eta1, sigma=sigma, sigma_star=eta1, u_ambient=u),
-            residuals)
+    return Witness(eta1=eta1, sigma=sigma, u_ambient=u), residuals
 
 
 @dataclass(frozen=True)
@@ -189,13 +182,18 @@ def _require_pure(fp_a: FundamentalPair, fp_b: FundamentalPair) -> None:
                           "stated for pure pairs only")
 
 
+def _fstar_bound(fp_a: FundamentalPair) -> float:
+    """Bound on |eta1 F_*A - F_*B eta1|_F of the verdict and the miss."""
+    return matcore.FSTAR_MATCH_TOL * (1.0 + fp_a.norm_f_star)
+
+
 def verify_equivalence(fp_a: FundamentalPair, fp_b: FundamentalPair,
                        w: Witness) -> EquivalenceReport:
     """Check a witness against both halves of the complete invariant.
 
     Verdict is EQUIVALENT exactly when eta1 intertwines the adjoint-side
     fundamental operators to FSTAR_MATCH_TOL, the characteristic functions
-    coincide under (sigma, sigma_star) to COINCIDE_TOL, and the model-level
+    coincide under (sigma, eta1) to COINCIDE_TOL, and the model-level
     unitary induced by eta1 has unitarity defect and conjugation residual
     at most MODEL_CONFIRM_TOL.  A confirmation above that bound gives an
     inconclusive NOT_EQUIVALENT that still carries the confirmation.
@@ -211,7 +209,7 @@ def verify_equivalence(fp_a: FundamentalPair, fp_b: FundamentalPair,
     if ranks_a != ranks_b:
         return _structural_report(
             f"defect ranks differ: {ranks_a} vs {ranks_b}")
-    for field, side in (("eta1", 1), ("sigma", 0), ("sigma_star", 1)):
+    for field, side in (("eta1", 1), ("sigma", 0)):
         shape = getattr(w, field).shape
         if shape != (ranks_b[side], ranks_a[side]):
             raise DimensionMismatch(
@@ -219,8 +217,8 @@ def verify_equivalence(fp_a: FundamentalPair, fp_b: FundamentalPair,
                 f"{(ranks_b[side], ranks_a[side])}")
     fstar_residual = matcore.fro_norm(
         w.eta1 @ fp_a.f_star - fp_b.f_star @ w.eta1)
-    fstar_ok = fstar_residual <= matcore.FSTAR_MATCH_TOL * (1.0 + fp_a.norm_f_star)
-    coincidence = coincide_check(fp_a, fp_b, w.sigma, w.sigma_star)
+    fstar_ok = fstar_residual <= _fstar_bound(fp_a)
+    coincidence = coincide_check(fp_a, fp_b, w.sigma, w.eta1)
     if fstar_ok and coincidence.coincide:
         confirmation = _model_confirmation(fp_a, fp_b, w.eta1)
         worst = max(confirmation["unitarity"], confirmation["conjugation"])
@@ -354,64 +352,37 @@ def _apply(op: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (x.reshape(len(x), 1, -1) @ op.T).reshape(len(x), -1)
 
 
-def _ambient_procrustes(pair_a: GammaPair, pair_b: GammaPair,
-                        u0: np.ndarray) -> np.ndarray:
-    """Alternating polar iteration toward u S_A = S_B u, u P_A = P_B u.
+def _polar_ascent(ops: tuple[np.ndarray, ...], starts: tuple[np.ndarray, ...],
+                  stop: float) -> list[np.ndarray]:
+    """Sweeps of polar updates over the unknowns x_0, ..., x_m-1 of each start.
 
-    Each step is the polar factor of S_B u S_A* + S_B* u S_A + P_B u P_A*
-    + P_B* u P_A, applied as one n^2 x n^2 map built once per call.
-    ``u0`` is a stack (s, n, n) of starts, iterated together by one batched
-    polar step per iteration.  Each start stops on its own step size, so it
-    follows exactly the iterates it follows alone.
+    ``starts`` holds one stack per unknown.  Unknown i becomes polar(ops[i]
+    (x_i, x_i+1, ..., x_i-1)) from the others' latest values.  A start stops
+    once a sweep moves it by at most ``stop`` (-inf runs all SEARCH_ITERS
+    sweeps), so it follows exactly the iterates it follows alone.
     """
-    op = _conj_map((pair_b.s, pair_a.s), (pair_b.p, pair_a.p))
-    stop = matcore.PROCRUSTES_STOP_TOL * (
-        1.0 + pair_a.norm_s + pair_a.norm_p)
-    u = u0.copy()
-    live = np.arange(len(u))
+    out = [np.empty_like(x) for x in starts]
+    cur, live = list(starts), np.arange(len(out[0]))
     for _ in range(matcore.SEARCH_ITERS):
-        cur = u[live]
-        u_next = matcore.polar_unitary(_apply(op, cur).reshape(cur.shape))
-        u[live] = u_next
-        step = np.linalg.norm((u_next - cur).reshape(len(cur), -1), axis=1)
-        live = live[step > stop]
+        prev = list(cur)
+        for i, op in enumerate(ops):
+            x = np.concatenate([c.reshape(len(c), -1) for c in cur[i:] + cur[:i]], 1)
+            cur[i] = matcore.polar_unitary(_apply(op, x).reshape(cur[i].shape))
+        if stop == -np.inf:
+            continue
+        keep = np.linalg.norm(np.concatenate(
+            [(c - p).reshape(len(c), -1) for c, p in zip(cur, prev)], axis=1),
+            axis=1) > stop
+        if keep.all():
+            continue
+        for o, c in zip(out, cur):
+            o[live[~keep]] = c[~keep]
+        live, cur = live[keep], [c[keep] for c in cur]
         if not live.size:
             break
-    return u
-
-
-def _defect_alternation(fp_a: FundamentalPair, fp_b: FundamentalPair,
-                        samples: tuple[np.ndarray, np.ndarray],
-                        sigma0: np.ndarray, eta0: np.ndarray,
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Alternating polar updates for (sigma, eta1) with sigma_star tied to eta1.
-
-    Each step maximizes alignment of the fundamental-operator conjugation
-    and of the characteristic-function samples, holding the other unknown
-    fixed; both updates keep the iterates exactly unitary.  ``samples`` is
-    the pair of stacks (Theta_A(z_j), Theta_B(z_j)), and ``sigma0``, ``eta0``
-    are stacks of starts, iterated together by one batched polar step per
-    update.  The samples enter through K = sum_j kron(Theta_B(z_j),
-    conj Theta_A(z_j)), the map of sigma -> sum_j Theta_B sigma Theta_A*;
-    the eta step applies [map of F_*B, F_*A | K] to (eta, sigma) and the
-    sigma step [map of F_B, F_A | K*] to (sigma, eta), both built once per
-    call.
-    """
-    ta, tb = samples
-    r, r_star = sigma0.shape[-1], eta0.shape[-1]
-    k_theta = np.tensordot(tb, ta.conj(), axes=(0, 0)).transpose(
-        0, 2, 1, 3).reshape(r_star * r_star, r * r)
-    eta_op = np.hstack([_conj_map((fp_b.f_star, fp_a.f_star)), k_theta])
-    sigma_op = np.hstack([_conj_map((fp_b.f, fp_a.f)),
-                          matcore.dagger(k_theta)])
-    sigma, eta = sigma0, eta0
-    count = len(sigma0)
-    for _ in range(matcore.SEARCH_ITERS):
-        x = np.hstack([eta.reshape(count, -1), sigma.reshape(count, -1)])
-        eta = matcore.polar_unitary(_apply(eta_op, x).reshape(eta.shape))
-        x = np.hstack([sigma.reshape(count, -1), eta.reshape(count, -1)])
-        sigma = matcore.polar_unitary(_apply(sigma_op, x).reshape(sigma.shape))
-    return sigma, eta
+    for o, c in zip(out, cur):
+        o[live] = c
+    return out
 
 
 @dataclass(frozen=True)
@@ -438,18 +409,16 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
 
     The conclusive trace screen runs first.  Candidates then come from two
     families: ambient alternating Procrustes iterations compressed to the
-    defect spaces, and defect-level alternation on (sigma, eta1) directly.
-    Every candidate must pass verify_equivalence before it is returned;
-    restart order is deterministic for a given seed.  NOT_FOUND reports the
-    candidate with the smallest miss, the larger of its two residuals over
-    their tolerances.
+    defect spaces, and defect-level alternation on (eta1, sigma) directly.
+    Every candidate must pass verify_equivalence before it is returned, and
+    a refused one still counts as used.  NOT_FOUND reports the candidate
+    with the smallest miss, the larger of its two residuals over their
+    tolerances.
 
     In each family the first start runs alone, since a conjugate is usually
-    found there; the remaining starts run as stacks, in blocks of at most
-    BATCH_BYTES of iterates, so memory stays bounded for any ``restarts``.
-    Each start follows exactly the iterates it follows alone, Haar starts
-    are drawn block by block in restart order, and candidates are verified
-    in restart order, so the result does not depend on the blocks.
+    found there; the rest run in blocks of at most BATCH_BYTES of iterates.
+    Each start follows exactly its own iterates, and starts are drawn and
+    verified in restart order, so the result does not depend on the blocks.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -462,64 +431,58 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
                             screen=screen, restarts_used=0)
 
     rng = np.random.default_rng(seed)
-    n = pair_a.n
-    r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
+    n, r, r_star = pair_a.n, fp_a.f.shape[0], fp_a.f_star.shape[0]
+    # one restart leaves no room for a warm start: skip the nullspace
+    warm = _intertwiner_start(pair_a, pair_b, rng) if restarts > 1 else None
+    first = [s for s in (warm, np.eye(n, dtype=complex)) if s is not None]
 
-    def blocks(item_bytes: int) -> list[range]:
-        # the first start alone, then the rest in blocks of BATCH_BYTES
-        return [range(1)] + [range(b.start + 1, b.stop + 1) for b in
-                             matcore.batches(restarts - 1, item_bytes)]
+    def defect_maps():
+        # K = sum_j kron(Theta_B(z_j), conj Theta_A(z_j)), the map of sigma ->
+        # sum_j Theta_B sigma Theta_A*, over every other coincidence grid point
+        ta, tb = fp_a.theta_grid[1::2], fp_b.theta_grid[1::2]
+        k_theta = np.tensordot(tb, ta.conj(), axes=(0, 0)).transpose(
+            0, 2, 1, 3).reshape(r_star * r_star, r * r)
+        return (np.hstack([_conj_map((fp_b.f_star, fp_a.f_star)), k_theta]),
+                np.hstack([_conj_map((fp_b.f, fp_a.f)),
+                           matcore.dagger(k_theta)]))
 
-    def ambient_candidates():
-        # one restart leaves no room for a warm start: skip the nullspace
-        warm = _intertwiner_start(pair_a, pair_b, rng) if restarts > 1 else None
-        starts = [s for s in (warm, np.eye(n, dtype=complex)) if s is not None]
-        for block in blocks(16 * n * n):
-            u0 = np.stack([starts[k] if k < len(starts)
-                           else matcore.haar_unitary(n, rng) for k in block])
-            for u in _ambient_procrustes(pair_a, pair_b, u0):
+    def defect_start(k):
+        if k == 0:
+            return np.eye(r_star, dtype=complex), np.eye(r, dtype=complex)
+        sigma = matcore.haar_unitary(r, rng)
+        return matcore.haar_unitary(r_star, rng), sigma
+
+    # maps, stop, bytes per start, start k, end point -> witness
+    families = (
+        (lambda: (_conj_map((pair_b.s, pair_a.s), (pair_b.p, pair_a.p)),),
+         matcore.PROCRUSTES_STOP_TOL * (1.0 + pair_a.norm_s + pair_a.norm_p),
+         16 * n * n,
+         lambda k: (first[k] if k < len(first) else matcore.haar_unitary(n, rng),),
+         lambda u: witness_from_ambient(u, fp_a, fp_b)[0]),
+        (defect_maps, -np.inf, 16 * (r * r + r_star * r_star), defect_start, Witness),
+    )
+    misses, used = [], 0
+    for maps, stop, item_bytes, start, end in families:
+        ops = maps()
+        for block in [range(1)] + [range(b.start + 1, b.stop + 1) for b in
+                                   matcore.batches(restarts - 1, item_bytes)]:
+            starts = [start(k) for k in block]
+            ends = _polar_ascent(ops, tuple(map(np.stack, zip(*starts))), stop)
+            for point in zip(*ends):
+                used += 1
                 try:
-                    witness, _ = witness_from_ambient(u, fp_a, fp_b)
+                    witness = end(*point)
                 except (NotIntertwining, ValueError):
-                    witness = None
-                yield witness
-
-    def defect_candidates():
-        # every other point of the coincidence grid: radii 0.3, 0.6, 0.9
-        # by eight angles
-        samples = (fp_a.theta_grid[1::2], fp_b.theta_grid[1::2])
-        for block in blocks(16 * (r * r + r_star * r_star)):
-            pairs = [(np.eye(r, dtype=complex), np.eye(r_star, dtype=complex))
-                     if k == 0 else (matcore.haar_unitary(r, rng),
-                                     matcore.haar_unitary(r_star, rng))
-                     for k in block]
-            sigmas, etas = _defect_alternation(
-                fp_a, fp_b, samples, np.stack([s for s, _ in pairs]),
-                np.stack([e for _, e in pairs]))
-            for sigma, eta in zip(sigmas, etas):
-                try:
-                    witness = Witness(eta1=eta, sigma=sigma, sigma_star=eta)
-                except ValueError:
-                    witness = None
-                yield witness
-
-    misses: list[EquivalenceReport] = []
-    used = 0
-    for witness in itertools.chain(ambient_candidates(), defect_candidates()):
-        used += 1
-        if witness is None:
-            continue
-        report = verify_equivalence(fp_a, fp_b, witness)
-        if report.equivalent:
-            return SearchResult(status=SEARCH_FOUND, witness=witness,
-                                report=report, screen=screen,
-                                restarts_used=used)
-        misses.append(report)
-
-    fstar_bound = matcore.FSTAR_MATCH_TOL * (1.0 + fp_a.norm_f_star)
+                    continue
+                report = verify_equivalence(fp_a, fp_b, witness)
+                if report.equivalent:
+                    return SearchResult(status=SEARCH_FOUND, witness=witness,
+                                        report=report, screen=screen,
+                                        restarts_used=used)
+                misses.append(report)
 
     def miss(rep: EquivalenceReport) -> float:
-        return max(rep.fstar_residual / fstar_bound,
+        return max(rep.fstar_residual / _fstar_bound(fp_a),
                    rep.coincidence.max_residual / matcore.COINCIDE_TOL)
 
     return SearchResult(status=SEARCH_NOT_FOUND, witness=None,

@@ -173,6 +173,18 @@ def fro_norm(a: np.ndarray) -> float:
     return norm
 
 
+def flush_subnormals(a: np.ndarray) -> np.ndarray:
+    """Zero the real and imaginary parts of ``a`` below the smallest normal float.
+
+    In place on a C-contiguous float64 or complex128 array, which is
+    returned.  Subnormal operands put BLAS and LAPACK on a slow path;
+    zeroing one moves its part by less than 2^-1022.
+    """
+    parts = a.view(np.float64)
+    parts[np.abs(parts) < np.finfo(np.float64).tiny] = 0.0
+    return a
+
+
 def batches(count: int, item_bytes: int) -> list[slice]:
     """Consecutive slices of range(count), each of at most BATCH_BYTES of items.
 
@@ -217,9 +229,18 @@ def hermiticity_defect(a: np.ndarray) -> float:
 
 
 def is_normal(a: np.ndarray) -> bool:
+    """|A A* - A* A|_F <= HERM_REL_TOL (1 + |A|_F^2), decided without overflow.
+
+    The rule is tested on A' = A 2^-e (see ``_pow2_scaled``) as
+    |A' A'* - A'* A'|_F <= HERM_REL_TOL (2^-2e + |A'|_F^2).  2^-2e overflows
+    only where every entry is below 2^-511; such an A passes, as it does
+    unscaled, its defect lying far inside the absolute term.
+    """
+    a, e = _pow2_scaled(a)
     defect = fro_norm(a @ dagger(a) - dagger(a) @ a)
     na = fro_norm(a)
-    return defect <= HERM_REL_TOL * (1.0 + na * na)
+    with np.errstate(over="ignore"):
+        return bool(defect <= HERM_REL_TOL * (np.ldexp(1.0, -2 * e) + na * na))
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

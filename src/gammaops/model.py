@@ -78,7 +78,7 @@ def embed_w(fp: FundamentalPair, n_trunc: int) -> np.ndarray:
 
     The first block is dq_*^adj = Q_*^adj D_P*.  Built by doubling: the
     first k blocks times P*^k are the next k, so about log2 N products
-    replace N of them.
+    replace N of them.  Subnormal parts of the blocks are zeroed.
     """
     pair = fp.pair
     r_star = fp.defect_p_star.rank
@@ -90,7 +90,7 @@ def embed_w(fp: FundamentalPair, n_trunc: int) -> np.ndarray:
         w[done * r_star:(done + step) * r_star] = w[:step * r_star] @ power
         done += step
         power = power @ power
-    return w
+    return matcore.flush_subnormals(w)
 
 
 def _complement_identity_residual(b: np.ndarray, t_theta) -> float:
@@ -111,7 +111,7 @@ def model_space(fp: FundamentalPair, n_trunc: int | None = None) -> ModelData:
     pair = fp.pair
     n_val = _resolve_trunc(pair, n_trunc)
     w = embed_w(fp, n_val)
-    basis = matcore.polar_unitary(w)
+    basis = matcore.flush_subnormals(matcore.polar_unitary(w))
     tail = matcore.op_norm(np.linalg.matrix_power(pair.p, n_val))
     iso = matcore.op_norm(matcore.dagger(w) @ w - np.eye(pair.n, dtype=complex))
     complement = _complement_identity_residual(

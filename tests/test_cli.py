@@ -265,7 +265,6 @@ def test_compare_with_witness_file(tmp_path, capsys):
     wfile = _write(tmp_path, "w.json", {
         "eta1": cli.matrix_to_json(w.eta1),
         "sigma": cli.matrix_to_json(w.sigma),
-        "sigma_star": cli.matrix_to_json(w.sigma_star),
     })
     assert cli.main(["compare", a, b, "--witness", wfile]) == 0
     report = _report(capsys.readouterr().out)
@@ -291,14 +290,20 @@ def test_compare_with_witness_file(tmp_path, capsys):
     assert cli.main(["compare", a, b, "--witness", shrunk]) == 1
     assert "witness" in capsys.readouterr().err
 
-    # a sigma or sigma_star one size too large does not fit either
-    for field, size in (("sigma", r + 1), ("sigma_star", r_star + 1)):
+    # a sigma one size too large does not fit either; a sigma_star, which
+    # earlier witness files carried, is ignored: eta1 is the one
+    # adjoint-side unitary
+    for field, size, code in (("sigma", r + 1, 1), ("sigma_star", r_star + 1, 0)):
         grown = _write(tmp_path, f"grown-{field}.json", {
             "eta1": cli.matrix_to_json(w.eta1),
             "sigma": cli.matrix_to_json(w.sigma),
             field: cli.matrix_to_json(np.eye(size))})
-        assert cli.main(["compare", a, b, "--witness", grown]) == 1
-        assert f"{field} has shape" in capsys.readouterr().err
+        assert cli.main(["compare", a, b, "--witness", grown]) == code
+        out = capsys.readouterr()
+        if code:
+            assert f"{field} has shape" in out.err
+        else:
+            assert _report(out.out)["verdict"] == "EQUIVALENT"
 
 
 def test_compare_does_not_report_an_unchecked_ambient_u(tmp_path, capsys):
@@ -324,7 +329,28 @@ def test_compare_does_not_report_an_unchecked_ambient_u(tmp_path, capsys):
     assert cli.main(["compare", a, b, "--witness", wfile]) == cli.EXIT_OK
     report = _report(capsys.readouterr().out)
     assert report["verdict"] == "EQUIVALENT"
-    assert set(report["witness"]) == {"eta1", "sigma", "sigma_star"}
+    assert set(report["witness"]) == {"eta1", "sigma"}
+
+
+def test_compare_search_witness_round_trips(tmp_path, capsys):
+    # the witness block of a FOUND search report is a witness file that
+    # verifies the same pairs
+    pair_a = g.random_pure_gamma(3, seed=44, max_norm=0.8)
+    u = matcore.haar_unitary(3, np.random.default_rng(45))
+    ud = matcore.dagger(u)
+    a = _write(tmp_path, "a.json", _pair_doc(pair_a))
+    b = _write(tmp_path, "b.json", cli.pair_file_doc(
+        u @ pair_a.s @ ud, u @ pair_a.p @ ud))
+    assert cli.main(["compare", a, b, "--search", "4"]) == cli.EXIT_OK
+    found = _report(capsys.readouterr().out)
+    assert found["search"]["status"] == "FOUND"
+    wfile = _write(tmp_path, "w.json", found["witness"])
+    assert cli.main(["compare", a, b, "--witness", wfile]) == cli.EXIT_OK
+    report = _report(capsys.readouterr().out)
+    assert report["verdict"] == "EQUIVALENT"
+    confirmation = report["equivalence"]["model_confirmation"]
+    assert max(confirmation["unitarity"],
+               confirmation["conjugation"]) <= MODEL_CONFIRM_TOL
 
 
 def test_compare_purity_gate(tmp_path, capsys):

@@ -57,8 +57,8 @@ def test_unitarity_defect_is_the_two_sided_defect():
 
 def test_witness_rejects_non_unitary_blocks():
     with pytest.raises(ValueError):
-        g.Witness(eta1=np.array([[1.1]]), sigma=np.eye(1), sigma_star=np.eye(1))
-    w = g.Witness(eta1=np.eye(2), sigma=np.eye(2), sigma_star=np.eye(2))
+        g.Witness(eta1=np.array([[1.1]]), sigma=np.eye(1))
+    w = g.Witness(eta1=np.eye(2), sigma=np.eye(2))
     with pytest.raises(ValueError):
         w.eta1[0, 0] = 3.0
 
@@ -97,7 +97,7 @@ def test_witness_from_ambient_checks_unitarity_up_front():
     with pytest.raises(ValueError, match="ambient map is not unitary"):
         g.witness_from_ambient(u * (1.0 + 5e-9), fp_a, fp_b)
     witness, _ = g.witness_from_ambient(u, fp_a, fp_b)
-    assert witness.sigma_star is witness.eta1
+    assert np.array_equal(witness.u_ambient, u)
 
 
 def test_witness_from_ambient_rejects_wrong_map():
@@ -115,7 +115,7 @@ def test_witness_from_ambient_coherent():
     fp_a, fp_b, u = _planted(4, 4200, 5200)
     w, res = g.witness_from_ambient(u, fp_a, fp_b)
     # the adjoint-side block doubles as the coincidence unitary
-    assert np.array_equal(w.sigma_star, w.eta1)
+    assert g.coincide_check(fp_a, fp_b, w.sigma, w.eta1).coincide
     assert res["for_P"]["conjugation"] <= 1e-8
     assert res["for_P_star"]["conjugation"] <= 1e-8
 
@@ -154,8 +154,7 @@ def test_verify_equivalence_rejects_bad_witness():
     fp_a, fp_b, _ = _planted(3, 4400, 5400)
     r_star = fp_a.f_star.shape[0]
     r = fp_a.f.shape[0]
-    wrong = g.Witness(eta1=np.eye(r_star), sigma=np.eye(r),
-                      sigma_star=np.eye(r_star))
+    wrong = g.Witness(eta1=np.eye(r_star), sigma=np.eye(r))
     rep = g.verify_equivalence(fp_a, fp_b, wrong)
     # identity blocks almost surely fail for a haar-rotated copy
     assert rep.verdict == VERDICT_NOT_EQUIVALENT
@@ -172,8 +171,7 @@ def test_verify_equivalence_structural_rank_mismatch():
     fp_o, fp_p = g.solve_fundamental(other), g.solve_fundamental(probe)
     if fp_o.f_star.shape != fp_p.f_star.shape:
         w = g.Witness(eta1=np.eye(fp_p.f_star.shape[0]),
-                      sigma=np.eye(fp_p.f.shape[0]),
-                      sigma_star=np.eye(fp_p.f_star.shape[0]))
+                      sigma=np.eye(fp_p.f.shape[0]))
         rep = g.verify_equivalence(fp_p, fp_o, w)
         assert rep.verdict == VERDICT_NOT_EQUIVALENT
         assert rep.conclusive
@@ -182,7 +180,7 @@ def test_verify_equivalence_structural_rank_mismatch():
 def test_verify_equivalence_requires_purity():
     gu = g.random_gamma_unitary(2, seed=4600)
     pure = g.random_pure_gamma(2, seed=4601)
-    w = g.Witness(eta1=np.eye(2), sigma=np.eye(2), sigma_star=np.eye(2))
+    w = g.Witness(eta1=np.eye(2), sigma=np.eye(2))
     with pytest.raises(NotPure):
         g.verify_equivalence(*_solved(gu, pure), w)
 
@@ -314,22 +312,36 @@ def test_search_witness_rejects_restarts_below_one():
             g.search_witness(fp, fp, restarts=restarts, seed=0)
 
 
-def _record_stacks(monkeypatch):
-    """Record the stack size each search iteration receives."""
+def _record_stacks(monkeypatch, maps=None):
+    """Record the stack size each search family's polar ascent receives,
+    the ambient family having one unknown and the defect family two; the
+    maps of each call are appended to ``maps`` when it is given."""
     sizes = {"ambient": [], "defect": []}
-    ambient, defect = invariant._ambient_procrustes, invariant._defect_alternation
+    kernel = invariant._polar_ascent
 
-    def ambient_rec(pair_a, pair_b, u0):
-        sizes["ambient"].append(len(u0))
-        return ambient(pair_a, pair_b, u0)
+    def recorded(ops, starts, stop):
+        family = "ambient" if len(ops) == 1 else "defect"
+        sizes[family].append(len(starts[0]))
+        if maps is not None:
+            maps.append((family, ops, stop))
+        return kernel(ops, starts, stop)
 
-    def defect_rec(fp_a, fp_b, samples, sigma0, eta0):
-        sizes["defect"].append(len(sigma0))
-        return defect(fp_a, fp_b, samples, sigma0, eta0)
-
-    monkeypatch.setattr(invariant, "_ambient_procrustes", ambient_rec)
-    monkeypatch.setattr(invariant, "_defect_alternation", defect_rec)
+    monkeypatch.setattr(invariant, "_polar_ascent", recorded)
     return sizes
+
+
+def _search_maps(monkeypatch, fp_a, fp_b):
+    """(maps, stop) of the ambient and the defect family of one search in
+    which every candidate is turned away, so both families run."""
+    maps = []
+    verify = invariant.verify_equivalence
+    with monkeypatch.context() as patch:
+        _record_stacks(patch, maps)
+        patch.setattr(invariant, "verify_equivalence", lambda *args: (
+            dataclasses.replace(verify(*args), verdict=VERDICT_NOT_EQUIVALENT)))
+        g.search_witness(fp_a, fp_b, restarts=1, seed=0)
+    assert [family for family, _, _ in maps] == ["ambient", "defect"]
+    return [(ops, stop) for _, ops, stop in maps]
 
 
 def _starts(n, count, rng):
@@ -339,30 +351,30 @@ def _starts(n, count, rng):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_stacked_iterations_match_the_per_start_oracle(
-        n, procrustes_oracle, alternation_oracle):
+        n, monkeypatch, procrustes_oracle, alternation_oracle):
     # a stacked start follows bitwise the iterates it follows alone; the
     # per-start oracles sum the same terms in another order, so they agree
     # to rounding
     planted = _planted(n, 6000 + n, 6100 + n)[:2]
     for fp_a, fp_b in (planted, _near(n, 6200 + n)):
+        (ambient, stop), (defect, no_stop) = _search_maps(monkeypatch, fp_a, fp_b)
+        assert no_stop == -np.inf
         rng = np.random.default_rng(n)
         u0 = _starts(n, 4, rng)
-        stacked = invariant._ambient_procrustes(fp_a.pair, fp_b.pair, u0)
+        stacked, = invariant._polar_ascent(ambient, (u0,), stop)
         for k in range(len(u0)):
-            assert np.array_equal(stacked[k], invariant._ambient_procrustes(
-                fp_a.pair, fp_b.pair, u0[k:k + 1])[0])
+            assert np.array_equal(stacked[k], invariant._polar_ascent(
+                ambient, (u0[k:k + 1],), stop)[0][0])
             assert matcore.fro_norm(stacked[k] - procrustes_oracle(
                 fp_a.pair, fp_b.pair, u0[k])) <= 1e-13
         r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
         sigma0, eta0 = _starts(r, 3, rng), _starts(r_star, 3, rng)
         samples = [(g.theta_at(fp_a, z), g.theta_at(fp_b, z))
                    for z in g.default_coincidence_grid()[1::2]]
-        stacks = tuple(np.stack(t) for t in zip(*samples))
-        sigmas, etas = invariant._defect_alternation(
-            fp_a, fp_b, stacks, sigma0, eta0)
+        etas, sigmas = invariant._polar_ascent(defect, (eta0, sigma0), no_stop)
         for k in range(len(sigma0)):
-            sigma, eta = invariant._defect_alternation(
-                fp_a, fp_b, stacks, sigma0[k:k + 1], eta0[k:k + 1])
+            eta, sigma = invariant._polar_ascent(
+                defect, (eta0[k:k + 1], sigma0[k:k + 1]), no_stop)
             assert np.array_equal(sigmas[k], sigma[0])
             assert np.array_equal(etas[k], eta[0])
             sigma, eta = alternation_oracle(fp_a, fp_b, samples,
@@ -441,8 +453,10 @@ def test_planted_conjugate_runs_one_start(monkeypatch):
 
 
 def test_search_holds_one_block_of_starts(monkeypatch):
-    # however many restarts are asked for, no stack outgrows one block
-    sizes = _record_stacks(monkeypatch)
+    # however many restarts are asked for, no stack outgrows one block, and
+    # each family's maps are built once for all of its blocks
+    maps = []
+    sizes = _record_stacks(monkeypatch, maps)
     fp_a, fp_b = _near(2, 6500)
     r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
     monkeypatch.setattr(matcore, "BATCH_BYTES", 2 ** 9)
@@ -455,6 +469,8 @@ def test_search_holds_one_block_of_starts(monkeypatch):
         assert 1 < block < 39
         assert sizes[family][0] == 1 and sum(sizes[family]) == 40
         assert max(sizes[family]) == block
+        built = [ops for name, ops, _ in maps if name == family]
+        assert len(built) > 2 and all(ops is built[0] for ops in built)
 
 
 def test_single_restart_skips_the_intertwiner_nullspace(monkeypatch):

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.optimize import minimize_scalar
 
+import gammaops as g
 from gammaops import matcore
 from gammaops.exceptions import (
     NotCommuting,
@@ -249,6 +252,21 @@ def test_commutation_defect_and_guard():
     # relative commutator 1e-200
     matcore.require_commuting(np.diag([1e200, 0.0]),
                               np.array([[0.0, 1.0], [0.0, 1e200]]))
+
+
+def test_is_normal_decides_on_a_finite_defect():
+    # A A* - A* A overflows at 1e300; the rule is tested on A 2^-e, so the
+    # decision is made on a finite defect and nothing warns
+    j = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert matcore.is_normal(np.array([[1e300]], dtype=complex))
+        assert not matcore.is_normal(1e300 * j)
+        assert matcore.is_normal(1e300 * np.diag([1.0, 1j]))
+        # tiny entries pass, as they do unscaled
+        assert matcore.is_normal(1e-300 * j)
+        assert not matcore.is_normal(j)
+        assert g.is_gamma_unitary(g.validate([[1e300]], [[0.5]])) is False
 
 
 def test_common_schur_fails_where_its_scale_overflows():

@@ -1,4 +1,5 @@
-"""Every public function of ``matcore`` serves the package itself.
+"""Every public function of ``matcore`` serves the package itself, and every
+private module-level function serves its own module.
 
 A helper whose last caller in ``src/gammaops`` is gone, and that only the
 tests still call, is dead code kept alive by its own tests.
@@ -40,4 +41,16 @@ def test_every_public_matcore_function_is_called_in_the_package():
     tree = ast.parse((SRC / "matcore.py").read_text(encoding="utf-8"))
     called = set().union(*(_called(path) for path in sorted(SRC.glob("*.py"))))
     unused = sorted(_public_functions(tree) - called)
+    assert not unused, unused
+
+
+def test_every_private_function_is_used_in_its_module():
+    # a merge that leaves a replaced ``_helper`` behind fails here
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {node.name}" for node in tree.body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name.startswith("_") and node.name not in used]
     assert not unused, unused

@@ -114,6 +114,17 @@ def test_model_space_returns_complete_model():
     assert np.array_equal(full.s1, md.s1)
 
 
+def test_model_space_zeroes_subnormal_parts():
+    # P*^k underflows for this pair at N = 263: without the flush, about
+    # 3,700 parts of W and as many of its polar factor are subnormal
+    fp = g.solve_fundamental(g.random_pure_gamma(12, seed=5, max_norm=0.9))
+    md = g.model_space(fp, 263)
+    for a in (md.w, md.model_basis):
+        parts = np.abs(a.view(np.float64))
+        assert not np.any((parts > 0.0) & (parts < np.finfo(np.float64).tiny))
+    assert max(md.residuals.values()) <= 1e-13
+
+
 def _dense_t_v(fp, n_val):
     """Oracle: T = I (x) F_*^adj + shift (x) F_* and V = shift (x) I as arrays."""
     shift = np.eye(n_val, k=-1)
