@@ -141,7 +141,10 @@ def default_coincidence_grid() -> np.ndarray:
     """Default evaluation grid: the origin, then radii 0.3, 0.6, 0.9 by 16 angles.
 
     Radius-major, so ``grid[1::2]`` is the radii by eight angles 2 pi k / 8,
-    the witness search's samples.
+    the witness search's samples.  Theta = N / det(I - z P*) with deg N <= n,
+    so sigma_* Theta_A - Theta_B sigma has a numerator of degree <= 2n, and in
+    exact arithmetic its vanishing at 2n + 1 points forces coincidence on the
+    disc: these 49 points decide it for n <= 24.
     """
     radii = np.array([0.3, 0.6, 0.9])
     angles = np.exp(2j * np.pi * np.arange(16) / 16)
@@ -167,7 +170,10 @@ def coincide_check(fp_a: FundamentalPair, fp_b: FundamentalPair, sigma: np.ndarr
     The convention is sigma_* Theta_A(z) = Theta_B(z) sigma with sigma
     mapping the defect space of P_A to that of P_B (and sigma_* likewise on
     the adjoint side).  Mismatched defect ranks give an infinite residual
-    with the flag cleared rather than an exception.
+    with the flag cleared rather than an exception.  Theta = N / det(I - z P*)
+    with deg N <= n, so the gap's numerator has degree <= 2n, and in exact
+    arithmetic its vanishing at 2n + 1 points forces coincidence on the disc:
+    the 49-point grid decides it for n <= 24.
     """
     r_a, rs_a = fp_a.defect_p.rank, fp_a.defect_p_star.rank
     r_b, rs_b = fp_b.defect_p.rank, fp_b.defect_p_star.rank

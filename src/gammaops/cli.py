@@ -6,7 +6,7 @@ schema_version "1".  Exit codes are a total function of the verdicts:
     analyze   0 ok, 2 not a valid pair for this geometry, 3 numerical
               contract breach, 1 malformed input
     compare   0 equivalent, 4 conclusively distinct, 5 inconclusive,
-              6 purity violation, 1 malformed input
+              6 purity violation, 1 malformed input or an unusable pair
     generate  0 written, 1 bad parameters or unwritable path
 
 Usage errors (bad options or arguments) are malformed input and exit 1.
@@ -20,6 +20,7 @@ wherever no explicit --seed is given.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -245,17 +246,24 @@ def _tool_block() -> dict:
     return {"name": "gammaops", "version": __version__}
 
 
-def _flags_block(pair, probe) -> dict:
-    fl = pair.flags
-    return {
-        "commuting": True,  # validate refused the pair otherwise
-        "contraction": fl.contraction,
-        "s_bound": fl.s_bound,
-        "spectrum_in_gamma": fl.spectrum_in_gamma,
-        "pure": fl.pure,
-        "vn_probe_passed": probe.passed,
-        "necessary_ok": pair.necessary_ok,
-    }
+def _residual_rows(fp, scale: float, *more) -> list:
+    """Rows of S - S*P = D_P F D_P, of its adjoint and of each (key, label,
+    value) in ``more``, all bounded by RESIDUAL_BREACH_TOL * scale, 1 + |S|."""
+    bound = matcore.RESIDUAL_BREACH_TOL * scale
+    return [(key, label, value, bound) for key, label, value in (
+        ("residual_f", "fundamental equation residual", fp.residual_f),
+        ("residual_f_star", "adjoint fundamental equation residual",
+         fp.residual_f_star), *more)]
+
+
+def _checked(rows, breaches: list) -> dict:
+    """Report values of (key, label, value, bound) rows; each value not <= its
+    bound, NaN included, adds a breach naming it with its value and bound."""
+    for key, label, value, bound in rows:
+        if not value <= bound:
+            breaches.append(f"{label} ({key}) = {float(value)!r} exceeds its "
+                            f"bound {float(bound)!r}")
+    return {key: float(value) for key, _, value, _ in rows}
 
 
 def cmd_analyze(args) -> int:
@@ -284,42 +292,30 @@ def cmd_analyze(args) -> int:
         "certificate": (matrix_to_json(probe.worst_coeffs)
                         if probe.certified_not_gamma else None),
     }
-    report["flags"] = _flags_block(pair, probe)
+    report["flags"] = {"commuting": True,  # validate refused the pair otherwise
+                       **dataclasses.asdict(pair.flags),
+                       "vn_probe_passed": probe.passed,
+                       "necessary_ok": pair.necessary_ok}
     report["joint_spectrum"] = [
         {"s": [pt.s.real, pt.s.imag], "p": [pt.p.real, pt.p.imag]}
         for pt in pair.joint_spectrum]
 
     breaches = []
-    fp = None
+    scale = 1.0 + pair.norm_s
+    report["fundamental"] = fp = None
     try:
         fp = solve_fundamental(pair)
-        pf_res = check_pf_intertwining(fp)
-        scale = 1.0 + pair.norm_s
-        report["fundamental"] = {
-            "F": matrix_to_json(fp.f),
-            "F_star": matrix_to_json(fp.f_star),
-            "residual_f": fp.residual_f,
-            "residual_f_star": fp.residual_f_star,
-            "w_f": fp.w_f,
-            "w_f_star": fp.w_f_star,
-            "pf_intertwine": pf_res,
-        }
-        if fp.residual_f > matcore.RESIDUAL_BREACH_TOL * scale:
-            breaches.append(f"fundamental equation residual {fp.residual_f:.3e}")
-        if fp.residual_f_star > matcore.RESIDUAL_BREACH_TOL * scale:
-            breaches.append(
-                f"adjoint fundamental equation residual {fp.residual_f_star:.3e}")
-        if fp.w_f > 1.0 + matcore.RADIUS_BREACH_TOL:
-            breaches.append(f"numerical radius of F is {fp.w_f:.12g}")
-        if fp.w_f_star > 1.0 + matcore.RADIUS_BREACH_TOL:
-            breaches.append(f"numerical radius of F_star is {fp.w_f_star:.12g}")
-        if pf_res > matcore.RESIDUAL_BREACH_TOL * scale:
-            breaches.append(f"PF intertwining residual {pf_res:.3e}")
+        radius = 1.0 + matcore.RADIUS_BREACH_TOL
+        rows = _residual_rows(fp, scale, ("pf_intertwine", "PF intertwining residual",
+                                          check_pf_intertwining(fp))) + [
+            ("w_f", "numerical radius of F", fp.w_f, radius),
+            ("w_f_star", "numerical radius of F_star", fp.w_f_star, radius)]
+        report["fundamental"] = {"F": matrix_to_json(fp.f),
+                                 "F_star": matrix_to_json(fp.f_star),
+                                 **_checked(rows, breaches)}
     except NotContraction as exc:
-        report["fundamental"] = None
         report["error"] = str(exc)
     except NumericalContractBreach as exc:
-        report["fundamental"] = None
         breaches.append(str(exc))
 
     report["model"] = None
@@ -327,18 +323,13 @@ def cmd_analyze(args) -> int:
             and not probe.certified_not_gamma):
         try:
             md = verify_model(fp, n_trunc=args.trunc)
-            report["model"] = {
-                "n_trunc": md.n_trunc,
-                "tail": md.tail,
-                "residuals": {k: float(v) for k, v in md.residuals.items()},
-            }
             # explicit shallow truncations legitimately carry O(tail) error
-            scale = 1.0 + pair.norm_s
             limit = (matcore.MODEL_BREACH_TOL * scale
                      + matcore.TAIL_SLACK * md.tail * scale)
-            for key, value in md.residuals.items():
-                if value > limit:
-                    breaches.append(f"model residual {key} = {value:.3e}")
+            rows = [(key, "model residual", value, limit)
+                    for key, value in md.residuals.items()]
+            report["model"] = {"n_trunc": md.n_trunc, "tail": md.tail,
+                               "residuals": _checked(rows, breaches)}
         except TruncationCapExceeded as exc:
             breaches.append(str(exc))
 
@@ -363,20 +354,8 @@ def _witness_block(w: Witness) -> dict:
 
 
 def _equivalence_block(rep) -> dict:
-    block = {
-        "verdict": rep.verdict,
-        "conclusive": rep.conclusive,
-        "reason": rep.reason,
-        "fstar_residual": rep.fstar_residual,
-    }
-    if rep.coincidence is not None:
-        block["coincidence"] = {
-            "max_residual": rep.coincidence.max_residual,
-            "ranks_match": rep.coincidence.ranks_match,
-        }
-    if rep.model_confirmation is not None:
-        block["model_confirmation"] = dict(rep.model_confirmation)
-    return block
+    """The fields of an EquivalenceReport, those it does not carry left out."""
+    return {k: v for k, v in dataclasses.asdict(rep).items() if v is not None}
 
 
 def cmd_compare(args) -> int:
@@ -404,6 +383,12 @@ def cmd_compare(args) -> int:
         fp_b = solve_fundamental(pair_b)
     except (NotCommuting, NotContraction, NumericalContractBreach) as exc:
         raise PairFileError(f"not a usable pair: {exc}") from exc
+    # (F_*, Theta) is a pair's invariant only where F, F_* solve their equations
+    for path, fp in ((args.input_a, fp_a), (args.input_b, fp_b)):
+        breaches = []
+        _checked(_residual_rows(fp, 1.0 + fp.pair.norm_s), breaches)
+        if breaches:
+            raise PairFileError(f"not a usable pair: {path}: {'; '.join(breaches)}")
     if not (pair_a.flags.pure and pair_b.flags.pure):
         report["verdict"] = "purity-violation"
         return _finish(report, args, t0)
@@ -413,11 +398,7 @@ def cmd_compare(args) -> int:
     else:
         result = search_witness(fp_a, fp_b, restarts=args.search, seed=seed)
         screen = result.screen
-    report["screen"] = {
-        "max_gap": screen.max_gap,
-        "mismatch": screen.mismatch,
-        "worst_word": screen.worst_word,
-    }
+    report["screen"] = dataclasses.asdict(screen)
     if screen.mismatch:
         report["verdict"] = VERDICT_NOT_EQUIVALENT
         report["conclusive"] = True

@@ -105,7 +105,7 @@ SEARCH_ITERS = 150
 PROCRUSTES_STOP_TOL = 1e-14
 
 # Command-line verdicts (cli).
-#: analyze: fundamental and intertwining residual bound, times 1 + |S|.
+#: analyze, compare: fundamental (analyze: and intertwining) residual bound, times 1 + |S|.
 RESIDUAL_BREACH_TOL = 1e-8
 #: analyze: slack of the numerical radii of F and F_* above 1.
 RADIUS_BREACH_TOL = 1e-8

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import numpy as np
@@ -372,6 +373,87 @@ def test_compare_rejects_unusable_pair(tmp_path, capsys):
                 _pair_doc(g.random_pure_gamma(2, seed=38)))
     assert cli.main(["compare", bad, ok]) == 1
     assert "not a usable pair" in capsys.readouterr().err
+
+
+#: A breach message: "<label> (<report key>) = <value> exceeds its bound <bound>".
+BREACH = re.compile(r"^.+ \((\w+)\) = (\S+) exceeds its bound (\S+)$")
+
+
+def _breach_rows(report: dict) -> dict:
+    """Each breach of a report as key -> (value, bound), parsed back to floats."""
+    rows = [BREACH.match(text).groups() for text in report["breaches"]]
+    return {key: (float(value), float(bound)) for key, value, bound in rows}
+
+
+def test_a_pair_off_its_defining_equations_is_refused_and_named(tmp_path, capsys):
+    # P = J and S = I/2 + 0.3 J give F = F_* = 1/2 like S = I/2, but only
+    # scalars commute with J, so no unitary maps one S onto the other; the
+    # equations fail to 0.28 and 0.71, and compare refuses the pair
+    jay = np.array([[0.0, 1.0], [0.0, 0.0]])
+    s_b = 0.5 * np.eye(2) + 0.3 * jay
+    a = _write(tmp_path, "a.json", cli.pair_file_doc(0.5 * np.eye(2), jay))
+    b = _write(tmp_path, "b.json", cli.pair_file_doc(s_b, jay))
+    for argv in (["compare", a, b], ["compare", b, b, "--search", "4"]):
+        assert cli.main(argv) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: not a usable pair: {argv[1]}: ")
+        assert "(residual_f)" in err
+    assert cli.main(["analyze", b, "--vn-trials", "8"]) == cli.EXIT_BREACH
+    report = _report(capsys.readouterr().out)
+    scale = 1.0 + g.validate(s_b, jay).norm_s
+    residual = matcore.RESIDUAL_BREACH_TOL * scale
+    model = (matcore.MODEL_BREACH_TOL * scale
+             + matcore.TAIL_SLACK * report["model"]["tail"] * scale)
+    fundamental, residuals = report["fundamental"], report["model"]["residuals"]
+    # value and bound print to the last bit
+    assert _breach_rows(report) == {
+        "residual_f": (fundamental["residual_f"], residual),
+        "residual_f_star": (fundamental["residual_f_star"], residual),
+        "intertwine_s": (residuals["intertwine_s"], model),
+        "fstar_defect_identity": (residuals["fstar_defect_identity"], model)}
+    # S = J, P = 0.9 J solves its equations with w(F) = 5: a radius breach
+    # in analyze, which compare does not refuse
+    nilpotent = _write(tmp_path, "nil.json", cli.pair_file_doc(jay, 0.9 * jay))
+    assert cli.main(["analyze", nilpotent, "--vn-trials", "0"]) == cli.EXIT_BREACH
+    report = _report(capsys.readouterr().out)
+    bound = 1.0 + matcore.RADIUS_BREACH_TOL
+    assert _breach_rows(report) == {
+        "w_f": (report["fundamental"]["w_f"], bound),
+        "w_f_star": (report["fundamental"]["w_f_star"], bound)}
+    assert "exceeds its bound 1.00000001" in report["breaches"][0]
+    assert cli.main(["compare", nilpotent, nilpotent, "--search", "4"]) == cli.EXIT_OK
+    capsys.readouterr()
+
+
+def _torus_diagonal(n: int):
+    """A Gamma-unitary pair: S = z1 + z2, P = z1 z2 at n fixed torus points."""
+    k = np.arange(n)
+    z1 = np.exp(2j * np.pi * (k + 0.5) / n)
+    z2 = np.exp(2j * np.pi * (((k + 0.5) * (np.sqrt(5.0) - 1.0) / 2.0) % 1.0))
+    return np.diag(z1 + z2), np.diag(z1 * z2)
+
+
+def test_exit_code_is_invariant_under_unitary_conjugation(tmp_path, capsys):
+    jay = np.array([[0.0, 1.0], [0.0, 0.0]])
+    pure = g.random_pure_gamma(3, seed=60, max_norm=0.8)
+    cases = {"pure": (pure.s, pure.p), "torus": _torus_diagonal(3),
+             "half": (0.5 * np.eye(2), jay), "nilpotent": (jay, 0.9 * jay),
+             "outside": (3.0 * np.eye(2), np.eye(2))}
+    rng = np.random.default_rng(61)
+    seen = set()
+    for name, (s, p) in cases.items():
+        u = matcore.haar_unitary(s.shape[0], rng)
+        ud = matcore.dagger(u)
+        x = _write(tmp_path, f"{name}.json", cli.pair_file_doc(s, p))
+        ux = _write(tmp_path, f"{name}-u.json", cli.pair_file_doc(u @ s @ ud, u @ p @ ud))
+        codes = [cli.main(["analyze", path, "--vn-trials", "8"]) for path in (x, ux)]
+        assert codes[0] == codes[1], (name, codes)
+        pair_codes = [cli.main(["compare", x, y, "--search", "4"]) for y in (x, ux)]
+        assert pair_codes[0] == pair_codes[1], (name, pair_codes)
+        seen.add((codes[0], pair_codes[0]))
+        capsys.readouterr()
+    # every case ends differently from the others
+    assert seen == {(0, 0), (0, 6), (3, 1), (3, 0), (2, 1)}
 
 
 def test_overflowing_pair_ends_in_a_documented_code(tmp_path, capsys):
