@@ -32,8 +32,9 @@ COMM_REL_TOL = 1e-10
 SCHUR_EXIT_TOL = 1e-11
 #: Common triangularization fails above this relative residual.
 SCHUR_FAIL_TOL = 1e-8
-#: Stop test and first-level offset of :func:`numerical_radius`, relative to
-#: the power of two nearest the largest entry.
+#: Stop test of :func:`numerical_radius`, offset of its first level above the
+#: polished start, and the gap below which the start's top eigenvalue counts
+#: as degenerate; relative to the power of two nearest the largest entry.
 RADIUS_TOL = 1e-10
 #: Most Lanczos steps of :func:`op_norm_hermitian`.
 POWER_ITERS = 60
@@ -303,6 +304,48 @@ def null_onb(k: np.ndarray) -> np.ndarray:
     return dagger(vh[np.count_nonzero(s > REL_RANK_TOL * s[0]):])
 
 
+def _top_eigs(a: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """lambda_max(Re(e^{i theta} A)) at each angle, stacked in BATCH_BYTES blocks."""
+    t, ah = np.exp(1j * angles)[:, None, None], dagger(a)
+    return np.concatenate([
+        np.linalg.eigvalsh(0.5 * (t[b] * a + t[b].conj() * ah))[:, -1]
+        for b in batches(len(t), a.nbytes)])
+
+
+def _newton_peak(a: np.ndarray, theta: float) -> tuple[float, bool]:
+    """Newton ascent of f(theta) = lambda_max(Re(e^{i theta} A)) from ``theta``.
+
+    Returns (f, peak) at the last angle reached.  With M = e^{i theta} A,
+    the eigenpairs (lambda_k, v_k) of H = Re M, lambda_1 the largest, and
+    H' = Re(i M), a simple top eigenvalue has f' = v_1* H' v_1 and
+    f'' = -f + 2 sum_{k>1} |v_k* H' v_1|^2 / (lambda_1 - lambda_k).  The
+    step -f'/f'' is taken while f'' < 0 and it raises f.  ``peak`` is true
+    where the step's gain f'^2 / (2 |f''|) is below rounding or the step no
+    longer raises f: f' vanishes there to rounding and f'' < 0, a local
+    maximum.  It is false where the ascent stops at a top eigenvalue within
+    RADIUS_TOL of the next one or at f'' >= 0.
+    """
+    m = np.exp(1j * theta) * a
+    w, v = np.linalg.eigh(0.5 * (m + dagger(m)))
+    while True:
+        gap = w[-1] - w[:-1]
+        if not gap[-1] > RADIUS_TOL:
+            return float(w[-1]), False
+        d = 0.5j * (dagger(v) @ ((m - dagger(m)) @ v[:, -1]))  # V* H' v_1
+        d2 = 2.0 * float(np.sum(np.abs(d[:-1]) ** 2 / gap)) - w[-1]
+        if not d2 < 0.0:
+            return float(w[-1]), False
+        step = -d[-1].real / d2
+        if d[-1].real * step <= 2.0 * np.finfo(np.float64).eps * abs(w[-1]):
+            return float(w[-1]), True  # the gain f' step / 2 is rounding
+        theta += step
+        m = np.exp(1j * theta) * a
+        w_next, v_next = np.linalg.eigh(0.5 * (m + dagger(m)))
+        if not w_next[-1] > w[-1]:
+            return float(w[-1]), True
+        w, v = w_next, v_next
+
+
 def numerical_radius(a) -> float:
     """Numerical radius max_theta lambda_max(Re(e^{i theta} A)), by level sets.
 
@@ -312,20 +355,35 @@ def numerical_radius(a) -> float:
     POINT_TOL of the unit circle of ([[0, I], [-A*, 2 level I]], [[I, 0],
     [0, A]]).  The best lambda_max at their midpoints, wrap-around included,
     is the next level, until none beats the best value by RADIUS_TOL; that
-    value is returned, a lower bound up to eigvalsh rounding.  The first
-    level is RADIUS_TOL above lambda_max(Re A), which can be the minimum,
-    whose double crossings round off the circle; it drops to
-    lambda_max(Re A) only if it has no crossing.
+    value is returned, a lower bound up to eigvalsh rounding.
+
+    The start is the best of f(theta) = lambda_max(Re(e^{i theta} A)) at
+    theta = 0 and at the negated arguments of A's eigenvalues (the peaks of
+    a normal A), polished by :func:`_newton_peak`.  The first level is
+    RADIUS_TOL above it, not at it, where a crossing at a peak or at the
+    minimum of f is double and rounds off the circle.  If that pencil has
+    no crossing, f, continuous and below the level at the start, never
+    reaches it: w(A) < best + RADIUS_TOL, and the call ends after one
+    pencil.  From a start that is a local maximum, a second pass at the
+    level best itself adds nothing: the rise next to the start that it
+    would climb is zero at a peak, and a peak elsewhere less than
+    RADIUS_TOL higher is inside the stop test of every pass.  Where the
+    start is not shown to be a local maximum (a degenerate top eigenvalue,
+    or f'' >= 0), that pass is kept: the level drops once to best when the
+    first level has no crossing.
     """
     a = as_cmatrix(a, square=True, name="A")
     if not a.any():
         return 0.0
     a, e = _pow2_scaled(a)
     ah, n = dagger(a), a.shape[0]
+    best, peak = float(abs(a[0, 0])), True
+    if n > 1:
+        starts = np.append(0.0, -np.angle(np.linalg.eigvals(a)))
+        best, peak = _newton_peak(a, float(starts[np.argmax(_top_eigs(a, starts))]))
     eye, zero = np.eye(n), np.zeros((n, n))
     left = np.block([[zero, eye], [-ah, zero]])
     right = np.block([[eye, zero], [zero, a]])
-    best = float(abs(a[0, 0]) if n == 1 else np.linalg.eigvalsh(0.5 * (a + ah))[-1])
     level = best + RADIUS_TOL
     while n > 1:
         left[n:, n:] = 2.0 * level * eye
@@ -335,14 +393,12 @@ def numerical_radius(a) -> float:
         on = (mod_b > 0) & (np.abs(mod_a - mod_b) <= POINT_TOL * mod_b)
         theta = np.sort(np.angle(alpha[on] * np.conj(beta[on])))
         if theta.size == 0:
-            if level == best:
+            if peak or level == best:
                 break
             level = best  # the max lies within RADIUS_TOL: refine from best
             continue
         mids = 0.5 * (theta + np.append(theta[1:], theta[0] + 2.0 * np.pi))
-        t = np.exp(1j * mids)[:, None, None]
-        top = max(float(np.linalg.eigvalsh(0.5 * (t[b] * a + t[b].conj() * ah))
-                        [:, -1].max()) for b in batches(len(t), a.nbytes))
+        top = float(_top_eigs(a, mids).max())
         if not top > best + RADIUS_TOL:
             best = max(best, top)
             break

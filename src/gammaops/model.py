@@ -42,21 +42,45 @@ class ModelData:
 
 
 def auto_truncation(pair: GammaPair) -> int:
-    """Smallest N <= TRUNCATION_CAP with |P^N| <= AUTO_TAIL_TARGET; P pure by flag."""
+    """Smallest N <= TRUNCATION_CAP with |P^N| <= AUTO_TAIL_TARGET; P pure by flag.
+
+    By repeated squaring and a binary-digit search, about 2 log2 N products
+    instead of N.  The squares P^(2^j) run until one meets the target, which
+    puts N in (2^(j-1), 2^j]; then the digits of M = N - 1 below 2^(j-1) are
+    set from the top, 2^i where P^M P^(2^i) still misses the target.  The N
+    found meets the target and N - 1 does not.  It is the first such N, the
+    one a scan over N finds, up to the rounding of the powers: |P^(N+k)| <=
+    |P|^k |P^N| and a validated contraction has |P| <= 1 + CONTRACTION_TOL,
+    so once |P^N| meets the target it can come back above it by at most the
+    factor (1 + CONTRACTION_TOL)^TRUNCATION_CAP < 1 + 5e-7.
+    """
     if not pair.flags.pure:
         raise NotPure("spectral radius of P is not strictly below 1")
-    p = pair.p
     # |A| >= |A|_F / sqrt(n), so no SVD runs while |P^N|_F is above this
-    fro_bound = np.sqrt(p.shape[0]) * matcore.AUTO_TAIL_TARGET
-    power = p.copy()
-    for n in range(1, matcore.TRUNCATION_CAP + 1):
-        if (matcore.fro_norm(power) <= fro_bound
-                and matcore.op_norm(power) <= matcore.AUTO_TAIL_TARGET):
-            return n
-        power = power @ p
-    raise TruncationCapExceeded(
+    fro_bound = np.sqrt(pair.n) * matcore.AUTO_TAIL_TARGET
+
+    def meets(power):
+        return (matcore.fro_norm(power) <= fro_bound
+                and matcore.op_norm(power) <= matcore.AUTO_TAIL_TARGET)
+
+    capped = (
         f"|P^N| did not reach {matcore.AUTO_TAIL_TARGET:.1e} "
         f"for N <= {matcore.TRUNCATION_CAP}")
+    squares = [pair.p]  # squares[j] = P^(2^j)
+    while not meets(squares[-1]):
+        if 2 ** (len(squares) - 1) >= matcore.TRUNCATION_CAP:
+            raise TruncationCapExceeded(capped)
+        squares.append(squares[-1] @ squares[-1])
+    if len(squares) == 1:
+        return 1
+    m, power = 2 ** (len(squares) - 2), squares[-2]  # P^m misses the target
+    for j in range(len(squares) - 3, -1, -1):
+        trial = power @ squares[j]
+        if not meets(trial):
+            m, power = m + 2 ** j, trial
+    if m >= matcore.TRUNCATION_CAP:
+        raise TruncationCapExceeded(capped)
+    return m + 1
 
 
 def _resolve_trunc(pair: GammaPair, n_trunc: int | None) -> int:

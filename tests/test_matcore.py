@@ -179,14 +179,36 @@ def test_level_set_radius_past_singular_and_trivial_pencils():
             assert matcore.numerical_radius(c * a) == c * w
 
 
+def _peak_off_eigen_angles():
+    """2 x 2 block, eigen-angles -+pi/5, whose f peaks at 1.772 at theta = -0.111.
+
+    f there is 1.702 and 1.647 at the eigen-angles: the start angles miss
+    the peak.
+    """
+    beta = np.pi / 5
+    return np.array([[np.exp(1j * beta), 2.0], [0.0, 0.9 * np.exp(-1j * beta)]])
+
+
+def _start_values(a):
+    """The start angles (0 and the negated eigenvalue arguments) and f at each."""
+    angles = np.append(0.0, -np.angle(np.linalg.eigvals(a)))
+    h = [0.5 * (np.exp(1j * t) * a + np.exp(-1j * t) * matcore.dagger(a)) for t in angles]
+    return angles, np.array([np.linalg.eigvalsh(m)[-1] for m in h])
+
+
 def test_level_set_midpoints_stay_inside_the_batch_budget(monkeypatch):
-    # a normal A with eigenvalues at rotated roots of unity: every
-    # eigenvalue branch crosses the first level, 2n crossings in all
+    # five turned copies of a block whose peak lies off its eigen-angles,
+    # beside the normal eigenvalues 1.74 e^{-2 pi i / 5} and 0.5: the start
+    # is the local maximum 1.74 between two peaks near 1.772, and the start
+    # batch and the midpoints of the passes hold more than 2n matrices
     n = 12
+    turns = np.exp(1j * np.pi / 5 * (1 - 2 * np.arange(5))) * (1.0 + 1e-6 * np.arange(5))
+    a = scipy.linalg.block_diag(*(t * _peak_off_eigen_angles() for t in turns),
+                                [[1.74 * np.exp(-0.4j * np.pi)]], [[0.5]])
     u = matcore.haar_unitary(n, np.random.default_rng(12))
-    a = u @ np.diag(np.exp(1j * np.pi * (2 * np.arange(n) + 1) / n)) @ matcore.dagger(u)
+    a = u @ a @ matcore.dagger(u)
     w = matcore.numerical_radius(a)
-    assert w == pytest.approx(1.0, abs=1e-12)
+    assert w == pytest.approx(_radius_per_angle(a), abs=1e-12)
     eigvalsh, sizes = np.linalg.eigvalsh, []
 
     def spy(h):
@@ -199,6 +221,90 @@ def test_level_set_midpoints_stay_inside_the_batch_budget(monkeypatch):
         sizes.clear()
         assert matcore.numerical_radius(a) == w
         assert max(sizes) <= max(1, budget // a.nbytes) and sum(sizes) > 2 * n
+
+
+def test_level_set_start_at_a_local_not_global_maximum():
+    # the normal eigenvalue 1.74i makes f = 1.74 a local maximum at
+    # theta = -pi/2; the turned block peaks at 1.772 away from every start
+    a = scipy.linalg.block_diag(np.exp(0.2j * np.pi) * _peak_off_eigen_angles(),
+                                [[1.74j]], [[0.3]])
+    u = matcore.haar_unitary(4, np.random.default_rng(15))
+    a = u @ a @ matcore.dagger(u)
+    angles, values = _start_values(a)
+    start = angles[np.argmax(values)]
+    assert values.max() == pytest.approx(1.74, abs=1e-12)
+    for t in (start - 1e-3, start + 1e-3):
+        h = 0.5 * (np.exp(1j * t) * a + np.exp(-1j * t) * matcore.dagger(a))
+        assert np.linalg.eigvalsh(h)[-1] < values.max()
+    w, ref = matcore.numerical_radius(a), _radius_per_angle(a)
+    assert ref > 1.77
+    assert w == pytest.approx(ref, abs=1e-12 * (1.0 + matcore.op_norm(a)))
+
+
+def test_level_set_degenerate_top_at_the_start():
+    # two copies of the turned block: every top eigenvalue is double, and
+    # the best start, 1.702, lies below the peak 1.772
+    block = np.exp(0.2j * np.pi) * _peak_off_eigen_angles()
+    u = matcore.haar_unitary(4, np.random.default_rng(16))
+    a = u @ scipy.linalg.block_diag(block, block) @ matcore.dagger(u)
+    angles, values = _start_values(a)
+    t = angles[np.argmax(values)]
+    top = np.linalg.eigvalsh(0.5 * (np.exp(1j * t) * a + np.exp(-1j * t) * matcore.dagger(a)))
+    assert top[-1] - top[-2] <= 1e-12 and values.max() < 1.71
+    w, ref = matcore.numerical_radius(a), _radius_per_angle(a)
+    assert w == pytest.approx(ref, abs=1e-12 * (1.0 + matcore.op_norm(a)))
+    # two copies of a block that peaks at 1.309 at theta = -2e-5, off its
+    # eigen-angles: the double top at the start theta = 0 lies 2.4e-11
+    # below, so the first level has no crossing; the second pass, at the
+    # start's own value, climbs the rest
+    m = np.array([[np.exp(0.2j * np.pi), 1.0], [0.0, np.exp(-0.2j * np.pi)]])
+    b = u @ scipy.linalg.block_diag(m, m) @ matcore.dagger(u) * np.exp(2e-5j)
+    assert matcore.numerical_radius(b) == pytest.approx(
+        np.linalg.eigvalsh(0.5 * (m + matcore.dagger(m)))[-1], abs=1e-14)
+    # a double top eigenvalue that is the maximum: I_2 beside a smaller block
+    c = u @ scipy.linalg.block_diag(np.eye(2), 0.3 * block) @ matcore.dagger(u)
+    assert matcore.numerical_radius(c) == pytest.approx(
+        _radius_per_angle(c), abs=1e-12 * (1.0 + matcore.op_norm(c)))
+
+
+def test_level_set_flat_f():
+    # W(1.5 J_3) is the disc of radius 1.5 cos(pi / 4), which holds W of the
+    # other block: f is the same at every angle
+    a = scipy.linalg.block_diag(1.5 * np.eye(3, k=1), [[0.3 * np.exp(0.7j)]])
+    u = matcore.haar_unitary(4, np.random.default_rng(17))
+    a = u @ a @ matcore.dagger(u)
+    _, values = _start_values(a)
+    assert np.ptp(values) <= 1e-14
+    w, ref = matcore.numerical_radius(a), _radius_per_angle(a)
+    assert w == pytest.approx(ref, abs=1e-12 * (1.0 + matcore.op_norm(a)))
+    assert w == pytest.approx(1.5 * np.cos(np.pi / 4), abs=1e-14)
+
+
+def test_level_set_radius_takes_about_one_pencil_per_call(corpus500, monkeypatch):
+    # the start is a local maximum on nearly every corpus F and F_*, so the
+    # first pencil has no crossing and certifies the radius; counts calls,
+    # times nothing
+    eigvals, solves = scipy.linalg.eigvals, []
+
+    def spy(*args, **kwargs):
+        solves.append(len(args))
+        return eigvals(*args, **kwargs)
+
+    monkeypatch.setattr(matcore.scipy.linalg, "eigvals", spy)
+    mats = [m for _, fp in corpus500 for m in (fp.f, fp.f_star) if m.shape[0] > 1]
+    for m in mats:
+        matcore.numerical_radius(m)
+    assert len(solves) <= 1.2 * len(mats)
+
+
+def test_level_set_radius_matches_the_reference_to_rounding(corpus500):
+    # the Newton polish of the start ends at the peak to rounding, so the
+    # one-pencil radius is the reference's, not merely within RADIUS_TOL
+    mats = [m for _, fp in corpus500 for m in (fp.f, fp.f_star) if m.shape[0] > 1]
+    for k in np.random.default_rng(20).choice(len(mats), 60, replace=False):
+        a = mats[k]
+        assert matcore.numerical_radius(a) == pytest.approx(
+            _radius_per_angle(a), abs=2e-15 * (1.0 + matcore.op_norm(a)))
 
 
 def test_batches_cover_the_range_within_the_budget():

@@ -45,6 +45,30 @@ def test_auto_truncation_matches_one_svd_per_power():
     assert _truncation(cases[1]) == 357
 
 
+def test_auto_truncation_by_squaring_matches_a_sequential_scan():
+    # repeated squaring and a binary-digit search find the N of a scan over
+    # every power, on normal P, a non-normal Jordan-type contraction and
+    # n = 1; the cap refusal keeps its message
+    rng = np.random.default_rng(940)
+    cases = [np.array([[0.5]]), np.array([[0.99j]])]
+    for rho in (0.5, 0.72, 0.9, 0.99):
+        for n in (1, 3, 12):
+            u = matcore.haar_unitary(n, rng)
+            spec = rho * np.exp(2j * np.pi * rng.uniform(size=n))
+            spec[1:] *= rng.uniform(0.1, 1.0, size=n - 1)
+            cases.append(u @ np.diag(spec) @ matcore.dagger(u))
+    for lam in (0.5, 0.9):
+        cases.append(lam * np.eye(5) + (1.0 - lam) * np.eye(5, k=1))
+    for p in cases:
+        assert matcore.op_norm(p) <= 1.0 + matcore.CONTRACTION_TOL
+        assert _truncation(p) == _auto_truncation_oracle(p)
+    u = matcore.haar_unitary(3, rng)
+    with pytest.raises(TruncationCapExceeded) as exc:
+        _truncation(u @ np.diag([0.999, 0.5j, -0.3]) @ matcore.dagger(u))
+    assert str(exc.value) == (f"|P^N| did not reach {matcore.AUTO_TAIL_TARGET:.1e} "
+                              f"for N <= {matcore.TRUNCATION_CAP}")
+
+
 def test_auto_truncation_guards():
     with pytest.raises(NotPure):
         _truncation(np.eye(2))
