@@ -22,7 +22,8 @@ import numpy as np
 
 from . import matcore
 from .charfn import CoincidenceResult, coincide_check
-from .exceptions import DimensionMismatch, NotIntertwining, NotPure
+from .exceptions import (DimensionMismatch, NotIntertwining, NotPure,
+                         TruncationCapExceeded)
 from .fundamental import FundamentalPair
 from .gamma_pair import GammaPair
 from .model import auto_truncation, model_space
@@ -196,7 +197,9 @@ def verify_equivalence(fp_a: FundamentalPair, fp_b: FundamentalPair,
     coincide under (sigma, eta1) to COINCIDE_TOL, and the model-level
     unitary induced by eta1 has unitarity defect and conjugation residual
     at most MODEL_CONFIRM_TOL.  A confirmation above that bound gives an
-    inconclusive NOT_EQUIVALENT that still carries the confirmation.
+    inconclusive NOT_EQUIVALENT that still carries the confirmation; one
+    that cannot run, because auto truncation reaches TRUNCATION_CAP, gives
+    an inconclusive NOT_EQUIVALENT whose reason names the cap.
     Witness matrices that do not fit the defect ranks raise DimensionMismatch.
     """
     _require_pure(fp_a, fp_b)
@@ -220,16 +223,19 @@ def verify_equivalence(fp_a: FundamentalPair, fp_b: FundamentalPair,
     fstar_ok = fstar_residual <= _fstar_bound(fp_a)
     coincidence = coincide_check(fp_a, fp_b, w.sigma, w.eta1)
     if fstar_ok and coincidence.coincide:
-        confirmation = _model_confirmation(fp_a, fp_b, w.eta1)
-        worst = max(confirmation["unitarity"], confirmation["conjugation"])
-        confirmed = worst <= matcore.MODEL_CONFIRM_TOL
+        confirmation, miss = None, ""
+        try:
+            confirmation = _model_confirmation(fp_a, fp_b, w.eta1)
+        except TruncationCapExceeded as exc:
+            miss = f", but the model confirmation cannot run: {exc}"
+        else:
+            worst = max(confirmation["unitarity"], confirmation["conjugation"])
+            if not worst <= matcore.MODEL_CONFIRM_TOL:
+                miss = (f", but the model confirmation {worst:.3e} exceeds "
+                        f"MODEL_CONFIRM_TOL = {matcore.MODEL_CONFIRM_TOL:.1e}")
         return EquivalenceReport(
-            verdict=VERDICT_EQUIVALENT if confirmed else VERDICT_NOT_EQUIVALENT,
-            conclusive=confirmed,
-            reason=("both invariant halves hold" if confirmed else
-                    f"both invariant halves hold, but the model confirmation "
-                    f"{worst:.3e} exceeds MODEL_CONFIRM_TOL = "
-                    f"{matcore.MODEL_CONFIRM_TOL:.1e}"),
+            verdict=VERDICT_NOT_EQUIVALENT if miss else VERDICT_EQUIVALENT,
+            conclusive=not miss, reason="both invariant halves hold" + miss,
             fstar_residual=fstar_residual, coincidence=coincidence,
             model_confirmation=confirmation)
     if not fstar_ok and not coincidence.coincide:
@@ -352,37 +358,21 @@ def _apply(op: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (x.reshape(len(x), 1, -1) @ op.T).reshape(len(x), -1)
 
 
-def _polar_ascent(ops: tuple[np.ndarray, ...], starts: tuple[np.ndarray, ...],
-                  stop: float) -> list[np.ndarray]:
-    """Sweeps of polar updates over the unknowns x_0, ..., x_m-1 of each start.
+def _polar_ascent(ops: tuple[np.ndarray, ...], starts: tuple[np.ndarray, ...]
+                  ) -> list[np.ndarray]:
+    """SEARCH_ITERS sweeps of polar updates over the unknowns x_0, ..., x_m-1.
 
     ``starts`` holds one stack per unknown.  Unknown i becomes polar(ops[i]
-    (x_i, x_i+1, ..., x_i-1)) from the others' latest values.  A start stops
-    once a sweep moves it by at most ``stop`` (-inf runs all SEARCH_ITERS
-    sweeps), so it follows exactly the iterates it follows alone.
+    (x_i, x_i+1, ..., x_i-1)) from the others' latest values.  Every start
+    runs every sweep, one batched polar step per unknown, so each follows
+    bitwise the iterates it follows alone.
     """
-    out = [np.empty_like(x) for x in starts]
-    cur, live = list(starts), np.arange(len(out[0]))
+    cur = list(starts)
     for _ in range(matcore.SEARCH_ITERS):
-        prev = list(cur)
         for i, op in enumerate(ops):
             x = np.concatenate([c.reshape(len(c), -1) for c in cur[i:] + cur[:i]], 1)
             cur[i] = matcore.polar_unitary(_apply(op, x).reshape(cur[i].shape))
-        if stop == -np.inf:
-            continue
-        keep = np.linalg.norm(np.concatenate(
-            [(c - p).reshape(len(c), -1) for c, p in zip(cur, prev)], axis=1),
-            axis=1) > stop
-        if keep.all():
-            continue
-        for o, c in zip(out, cur):
-            o[live[~keep]] = c[~keep]
-        live, cur = live[keep], [c[keep] for c in cur]
-        if not live.size:
-            break
-    for o, c in zip(out, cur):
-        o[live] = c
-    return out
+    return cur
 
 
 @dataclass(frozen=True)
@@ -415,10 +405,13 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
     with the smallest miss, the larger of its two residuals over their
     tolerances.
 
-    In each family the first start runs alone, since a conjugate is usually
-    found there; the rest run in blocks of at most BATCH_BYTES of iterates.
-    Each start follows exactly its own iterates, and starts are drawn and
-    verified in restart order, so the result does not depend on the blocks.
+    The first ambient candidate is the warm start of _intertwiner_start,
+    checked as drawn: the polar factor of a generic joint intertwiner, which
+    is a conjugator whenever one exists.  Each family then runs its
+    remaining starts in blocks of at most BATCH_BYTES of iterates, every
+    start for all SEARCH_ITERS sweeps.  Each start follows exactly its own
+    iterates, and starts are drawn and verified in restart order, so the
+    result does not depend on the blocks.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -432,9 +425,7 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
 
     rng = np.random.default_rng(seed)
     n, r, r_star = pair_a.n, fp_a.f.shape[0], fp_a.f_star.shape[0]
-    # one restart leaves no room for a warm start: skip the nullspace
-    warm = _intertwiner_start(pair_a, pair_b, rng) if restarts > 1 else None
-    first = [s for s in (warm, np.eye(n, dtype=complex)) if s is not None]
+    warm = _intertwiner_start(pair_a, pair_b, rng)
 
     def defect_maps():
         # K = sum_j kron(Theta_B(z_j), conj Theta_A(z_j)), the map of sigma ->
@@ -452,34 +443,43 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
         sigma = matcore.haar_unitary(r, rng)
         return matcore.haar_unitary(r_star, rng), sigma
 
-    # maps, stop, bytes per start, start k, end point -> witness
-    families = (
-        (lambda: (_conj_map((pair_b.s, pair_a.s), (pair_b.p, pair_a.p)),),
-         matcore.PROCRUSTES_STOP_TOL * (1.0 + pair_a.norm_s + pair_a.norm_p),
-         16 * n * n,
-         lambda k: (first[k] if k < len(first) else matcore.haar_unitary(n, rng),),
-         lambda u: witness_from_ambient(u, fp_a, fp_b)[0]),
-        (defect_maps, -np.inf, 16 * (r * r + r_star * r_star), defect_start, Witness),
-    )
+    def ambient_witness(u):
+        return witness_from_ambient(u, fp_a, fp_b)[0]
+
+    def candidates():
+        """(end point -> witness, end point) in restart order; a block's
+        ascent runs only once the candidates before it are refused."""
+        if warm is not None:
+            yield ambient_witness, (warm,)
+        # maps, starts, bytes per start, start k, end point -> witness
+        for maps, count, item_bytes, start, end in (
+                (lambda: (_conj_map((pair_b.s, pair_a.s), (pair_b.p, pair_a.p)),),
+                 restarts - (warm is not None), 16 * n * n,
+                 lambda k: (np.eye(n, dtype=complex) if k == 0
+                            else matcore.haar_unitary(n, rng),),
+                 ambient_witness),
+                (defect_maps, restarts, 16 * (r * r + r_star * r_star),
+                 defect_start, Witness)):
+            blocks = matcore.batches(count, item_bytes)
+            ops = maps() if blocks else None
+            for block in blocks:
+                starts = [start(k) for k in range(block.start, block.stop)]
+                ends = _polar_ascent(ops, tuple(map(np.stack, zip(*starts))))
+                yield from ((end, point) for point in zip(*ends))
+
     misses, used = [], 0
-    for maps, stop, item_bytes, start, end in families:
-        ops = maps()
-        for block in [range(1)] + [range(b.start + 1, b.stop + 1) for b in
-                                   matcore.batches(restarts - 1, item_bytes)]:
-            starts = [start(k) for k in block]
-            ends = _polar_ascent(ops, tuple(map(np.stack, zip(*starts))), stop)
-            for point in zip(*ends):
-                used += 1
-                try:
-                    witness = end(*point)
-                except (NotIntertwining, ValueError):
-                    continue
-                report = verify_equivalence(fp_a, fp_b, witness)
-                if report.equivalent:
-                    return SearchResult(status=SEARCH_FOUND, witness=witness,
-                                        report=report, screen=screen,
-                                        restarts_used=used)
-                misses.append(report)
+    for end, point in candidates():
+        used += 1
+        try:
+            witness = end(*point)
+        except (NotIntertwining, ValueError):
+            continue
+        report = verify_equivalence(fp_a, fp_b, witness)
+        if report.equivalent:
+            return SearchResult(status=SEARCH_FOUND, witness=witness,
+                                report=report, screen=screen,
+                                restarts_used=used)
+        misses.append(report)
 
     def miss(rep: EquivalenceReport) -> float:
         return max(rep.fstar_residual / _fstar_bound(fp_a),

@@ -100,10 +100,8 @@ SCREEN_TOL = 1e-6
 SCREEN_MAX_LEN = 6
 #: Restarts of each candidate family of the witness search.
 SEARCH_RESTARTS = 20
-#: Alternating polar iterations per search restart.
+#: Sweeps of polar updates that every witness-search start runs.
 SEARCH_ITERS = 150
-#: Ambient Procrustes stops once a step moves u by at most this times scale.
-PROCRUSTES_STOP_TOL = 1e-14
 
 # Command-line verdicts (cli).
 #: analyze, compare: fundamental (analyze: and intertwining) residual bound, times 1 + |S|.

@@ -139,19 +139,14 @@ def dense_toeplitz():
 
 
 def _ambient_procrustes(pair_a, pair_b, u0):
-    """Oracle: the ambient Procrustes iteration for one start (n, n)."""
+    """Oracle: all SEARCH_ITERS ambient Procrustes steps for one start (n, n)."""
     sa, pa, sb, pb = pair_a.s, pair_a.p, pair_b.s, pair_b.p
     sa_h, pa_h = matcore.dagger(sa), matcore.dagger(pa)
     sb_h, pb_h = matcore.dagger(sb), matcore.dagger(pb)
-    scale = 1.0 + matcore.op_norm(sa) + matcore.op_norm(pa)
     u = u0
     for _ in range(matcore.SEARCH_ITERS):
-        m = (sb @ u @ sa_h + sb_h @ u @ sa
-             + pb @ u @ pa_h + pb_h @ u @ pa)
-        u_next = matcore.polar_unitary(m)
-        if matcore.fro_norm(u_next - u) <= matcore.PROCRUSTES_STOP_TOL * scale:
-            return u_next
-        u = u_next
+        u = matcore.polar_unitary(sb @ u @ sa_h + sb_h @ u @ sa
+                                  + pb @ u @ pa_h + pb_h @ u @ pa)
     return u
 
 

@@ -693,3 +693,33 @@ def test_compare_bad_witness_file_is_malformed_input(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert wfile in captured.err
+
+
+def test_compare_past_the_truncation_cap_is_inconclusive(tmp_path, capsys):
+    # rho(P) = 0.999 puts auto truncation past its cap, so the model
+    # confirmation of a witness that passes both invariant halves cannot
+    # run: an inconclusive verdict naming the cap, not a malformed input
+    rng = np.random.default_rng(47)
+    u = matcore.haar_unitary(2, rng)
+    t1 = u @ np.diag([0.9995, -0.5j]) @ matcore.dagger(u)
+    t2 = u @ np.diag([0.999 / 0.9995, 0.6]) @ matcore.dagger(u)
+    pair_a = g.symmetrized_pair(t1, t2)
+    v = matcore.haar_unitary(2, rng)
+    pair_b = g.validate(v @ pair_a.s @ matcore.dagger(v),
+                        v @ pair_a.p @ matcore.dagger(v))
+    w, _ = g.witness_from_ambient(v, g.solve_fundamental(pair_a),
+                                  g.solve_fundamental(pair_b))
+    a = _write(tmp_path, "a.json", _pair_doc(pair_a))
+    b = _write(tmp_path, "b.json", _pair_doc(pair_b))
+    wfile = _write(tmp_path, "w.json", {"eta1": cli.matrix_to_json(w.eta1),
+                                        "sigma": cli.matrix_to_json(w.sigma)})
+    capped = f"|P^N| did not reach 1.0e-12 for N <= {matcore.TRUNCATION_CAP}"
+    for extra in (["--witness", wfile], ["--search", "2"]):
+        assert cli.main(["compare", a, b] + extra) == cli.EXIT_INCONCLUSIVE, extra
+        report = _report(capsys.readouterr().out)
+        assert report["verdict"] == "INCONCLUSIVE"
+        equivalence = report["equivalence"]
+        assert equivalence["reason"].endswith(capped)
+        assert "model_confirmation" not in equivalence
+        assert equivalence["fstar_residual"] <= 1e-12
+        assert equivalence["coincidence"]["max_residual"] <= matcore.COINCIDE_TOL

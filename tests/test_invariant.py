@@ -1,8 +1,11 @@
 import dataclasses
+import functools
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import gammaops as g
 from gammaops import matcore
@@ -319,29 +322,30 @@ def _record_stacks(monkeypatch, maps=None):
     sizes = {"ambient": [], "defect": []}
     kernel = invariant._polar_ascent
 
-    def recorded(ops, starts, stop):
+    def recorded(ops, starts):
         family = "ambient" if len(ops) == 1 else "defect"
         sizes[family].append(len(starts[0]))
         if maps is not None:
-            maps.append((family, ops, stop))
-        return kernel(ops, starts, stop)
+            maps.append((family, ops))
+        return kernel(ops, starts)
 
     monkeypatch.setattr(invariant, "_polar_ascent", recorded)
     return sizes
 
 
 def _search_maps(monkeypatch, fp_a, fp_b):
-    """(maps, stop) of the ambient and the defect family of one search in
-    which every candidate is turned away, so both families run."""
+    """The maps of the ambient and the defect family of one search in which
+    every candidate is turned away; two restarts leave the ambient family a
+    start of its own after a warm start."""
     maps = []
     verify = invariant.verify_equivalence
     with monkeypatch.context() as patch:
         _record_stacks(patch, maps)
         patch.setattr(invariant, "verify_equivalence", lambda *args: (
             dataclasses.replace(verify(*args), verdict=VERDICT_NOT_EQUIVALENT)))
-        g.search_witness(fp_a, fp_b, restarts=1, seed=0)
-    assert [family for family, _, _ in maps] == ["ambient", "defect"]
-    return [(ops, stop) for _, ops, stop in maps]
+        g.search_witness(fp_a, fp_b, restarts=2, seed=0)
+    assert [family for family, _ in maps] == ["ambient", "defect"]
+    return [ops for _, ops in maps]
 
 
 def _starts(n, count, rng):
@@ -357,24 +361,23 @@ def test_stacked_iterations_match_the_per_start_oracle(
     # to rounding
     planted = _planted(n, 6000 + n, 6100 + n)[:2]
     for fp_a, fp_b in (planted, _near(n, 6200 + n)):
-        (ambient, stop), (defect, no_stop) = _search_maps(monkeypatch, fp_a, fp_b)
-        assert no_stop == -np.inf
+        ambient, defect = _search_maps(monkeypatch, fp_a, fp_b)
         rng = np.random.default_rng(n)
         u0 = _starts(n, 4, rng)
-        stacked, = invariant._polar_ascent(ambient, (u0,), stop)
+        stacked, = invariant._polar_ascent(ambient, (u0,))
         for k in range(len(u0)):
             assert np.array_equal(stacked[k], invariant._polar_ascent(
-                ambient, (u0[k:k + 1],), stop)[0][0])
+                ambient, (u0[k:k + 1],))[0][0])
             assert matcore.fro_norm(stacked[k] - procrustes_oracle(
                 fp_a.pair, fp_b.pair, u0[k])) <= 1e-13
         r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
         sigma0, eta0 = _starts(r, 3, rng), _starts(r_star, 3, rng)
         samples = [(g.theta_at(fp_a, z), g.theta_at(fp_b, z))
                    for z in g.default_coincidence_grid()[1::2]]
-        etas, sigmas = invariant._polar_ascent(defect, (eta0, sigma0), no_stop)
+        etas, sigmas = invariant._polar_ascent(defect, (eta0, sigma0))
         for k in range(len(sigma0)):
             eta, sigma = invariant._polar_ascent(
-                defect, (eta0[k:k + 1], sigma0[k:k + 1]), no_stop)
+                defect, (eta0[k:k + 1], sigma0[k:k + 1]))
             assert np.array_equal(sigmas[k], sigma[0])
             assert np.array_equal(etas[k], eta[0])
             sigma, eta = alternation_oracle(fp_a, fp_b, samples,
@@ -444,12 +447,85 @@ def test_search_result_does_not_depend_on_the_blocks(monkeypatch):
         assert max(sizes["ambient"]) == largest
 
 
+def _counted_search(fp_a, fp_b, restarts, refuse):
+    """Outcome of a search whose first ``refuse`` candidates are turned away,
+    (unknowns, polar_unitary calls) of each of its polar ascents, and its
+    polar_unitary calls in all."""
+    verify, kernel, polar = (invariant.verify_equivalence,
+                             invariant._polar_ascent, matcore.polar_unitary)
+    checked, calls, ascents = [], [], []
+
+    def late_verify(*args):
+        checked.append(1)
+        rep = verify(*args)
+        if len(checked) > refuse:
+            return rep
+        return dataclasses.replace(rep, verdict=VERDICT_NOT_EQUIVALENT)
+
+    def counted_polar(m):
+        calls.append(1)
+        return polar(m)
+
+    def counted_ascent(ops, starts):
+        before = len(calls)
+        ends = kernel(ops, starts)
+        ascents.append((len(ops), len(calls) - before))
+        return ends
+
+    with mock.patch.object(invariant, "verify_equivalence", late_verify), \
+            mock.patch.object(invariant, "_polar_ascent", counted_ascent), \
+            mock.patch.object(matcore, "polar_unitary", counted_polar):
+        out = g.search_witness(fp_a, fp_b, restarts=restarts, seed=3)
+    return _outcome(out), ascents, len(calls)
+
+
+@functools.cache
+def _property_pairs():
+    # the planted search turns its first two candidates away, so its witness
+    # comes from an ascent whenever the restarts leave room for one
+    return {"near": (_near(2, 6300), 0),
+            "planted": (tuple(_planted(2, 6311, 6321)[:2]), 2)}
+
+
+@functools.cache
+def _default_outcome(name, restarts):
+    (fp_a, fp_b), refuse = _property_pairs()[name]
+    return _counted_search(fp_a, fp_b, restarts, refuse)[0]
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(["near", "planted"]), restarts=st.integers(1, 8),
+       budget=st.sampled_from([1, 2 * 16 * 2 * 2, 3 * 16 * 2 * 2,
+                               matcore.BATCH_BYTES]))
+def test_polar_calls_depend_only_on_restarts_and_blocks(name, restarts, budget):
+    # every ascent runs all SEARCH_ITERS sweeps, one polar step per unknown,
+    # whatever the block; the outcome is the default block size's
+    (fp_a, fp_b), refuse = _property_pairs()[name]
+    with mock.patch.object(matcore, "BATCH_BYTES", budget):
+        outcome, ascents, _ = _counted_search(fp_a, fp_b, restarts, refuse)
+    assert outcome == _default_outcome(name, restarts)
+    assert all(calls == matcore.SEARCH_ITERS * unknowns
+               for unknowns, calls in ascents)
+
+
+def test_near_search_runs_every_sweep_of_one_block_per_family():
+    # one ambient and one defect block of 20 starts each, every start for
+    # all sweeps: 3 SEARCH_ITERS polar steps; an ambient stop test that
+    # ended a start early would make fewer
+    fp_a, fp_b = _near(2, 6300)
+    outcome, ascents, calls = _counted_search(fp_a, fp_b, 20, 0)
+    assert outcome[:2] == (SEARCH_NOT_FOUND, 40)
+    assert ascents == [(1, matcore.SEARCH_ITERS), (2, 2 * matcore.SEARCH_ITERS)]
+    assert calls == 3 * matcore.SEARCH_ITERS
+
+
 def test_planted_conjugate_runs_one_start(monkeypatch):
+    # the warm start, checked as drawn, is the witness: no ascent runs
     sizes = _record_stacks(monkeypatch)
     fp_a, fp_b, _ = _planted(6, 6400, 6410)
     out = g.search_witness(fp_a, fp_b, restarts=20, seed=0)
     assert (out.status, out.restarts_used) == (SEARCH_FOUND, 1)
-    assert sizes == {"ambient": [1], "defect": []}
+    assert sizes == {"ambient": [], "defect": []}
 
 
 def test_search_holds_one_block_of_starts(monkeypatch):
@@ -462,26 +538,80 @@ def test_search_holds_one_block_of_starts(monkeypatch):
     monkeypatch.setattr(matcore, "BATCH_BYTES", 2 ** 9)
     out = g.search_witness(fp_a, fp_b, restarts=40, seed=0)
     assert (out.status, out.restarts_used) == (SEARCH_NOT_FOUND, 80)
-    # one block holds BATCH_BYTES of iterates: u, or sigma and eta
+    # one block holds BATCH_BYTES of iterates: u, or sigma and eta; the
+    # nullspace is empty, so the ambient family runs all 40 starts
     for family, item in (("ambient", 16 * 2 * 2),
                          ("defect", 16 * (r * r + r_star * r_star))):
-        block = matcore.batches(39, item)[0].stop
-        assert 1 < block < 39
-        assert sizes[family][0] == 1 and sum(sizes[family]) == 40
-        assert max(sizes[family]) == block
-        built = [ops for name, ops, _ in maps if name == family]
+        blocks = matcore.batches(40, item)
+        assert 1 < blocks[0].stop < 40
+        assert sizes[family] == [b.stop - b.start for b in blocks]
+        built = [ops for name, ops in maps if name == family]
         assert len(built) > 2 and all(ops is built[0] for ops in built)
 
 
-def test_single_restart_skips_the_intertwiner_nullspace(monkeypatch):
-    # one restart leaves no room for a warm start, so the nullspace of the
-    # intertwining system is never computed
-    def refuse(*args):
-        raise AssertionError("no warm start fits in one restart")
+def _turned(t1, t2, seed):
+    """Fundamental pairs of the symmetrized pair of (t1, t2), turned by a
+    Haar unitary, and of a Haar conjugate of it."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(2):
+        u = matcore.haar_unitary(len(t1), rng)
+        t1, t2 = (u @ t @ matcore.dagger(u) for t in (t1, t2))
+        pairs.append(g.symmetrized_pair(t1, t2))
+    return _solved(*pairs)
 
-    monkeypatch.setattr(invariant, "_intertwiner_start", refuse)
-    fp = g.solve_fundamental(g.random_pure_gamma(3, seed=6600))
-    found = g.search_witness(fp, fp, restarts=1, seed=0)
+
+@pytest.mark.parametrize("kind, dim", [("repeated-normal", 8), ("jordan-sum", 4)])
+def test_warm_start_alone_finds_conjugates_with_larger_nullspaces(
+        kind, dim, monkeypatch):
+    # the polar factor of a generic intertwiner is a conjugator when one
+    # exists (Schwartz-Zippel), however large the nullspace: repeated normal
+    # joint eigenvalues give M_2 (+) M_2, J (+) J gives I_2 (x) M_2
+    if kind == "repeated-normal":
+        t1 = np.diag([0.3, 0.3, -0.5j, -0.5j])
+        t2 = np.diag([0.6, 0.6, 0.2 + 0.1j, 0.2 + 0.1j])
+    else:
+        nil = np.kron(np.eye(2), [[0.0, 1.0], [0.0, 0.0]])
+        t1, t2 = 0.3 * np.eye(4) + 0.4 * nil, 0.2 * np.eye(4) + 0.5 * nil
+    fp_a, fp_b = _turned(t1, t2, 6630)
+    assert matcore.null_onb(invariant._intertwiner_system(
+        fp_a.pair, fp_b.pair)).shape[1] == dim
+    sizes = _record_stacks(monkeypatch)
+    for restarts in (1, 2, 20):
+        for seed in range(3):
+            out = g.search_witness(fp_a, fp_b, restarts=restarts, seed=seed)
+            assert (out.status, out.restarts_used) == (SEARCH_FOUND, 1)
+            assert out.report.fstar_residual <= 1e-13
+    assert sizes == {"ambient": [], "defect": []}
+
+
+def _near_with_common_summand(seed):
+    """A near pair whose intertwiner nullspace is not empty: X (+) Y and
+    X (+) Y', with (Y, Y') a pair of ``_near``.  Every joint intertwiner is
+    singular, so no unitary conjugates the two pairs."""
+    x = g.random_pure_gamma(1, seed=seed, max_norm=0.8)
+    fp_y, fp_y_near = _near(2, seed + 1)
+
+    def summed(y):
+        return g.solve_fundamental(g.validate(
+            scipy.linalg.block_diag(x.s, y.s), scipy.linalg.block_diag(x.p, y.p)))
+
+    return summed(fp_y.pair), summed(fp_y_near.pair)
+
+
+def test_one_restart_checks_the_warm_start_as_the_only_ambient_candidate(
+        monkeypatch):
+    # one restart: the warm start is the ambient family's one candidate, so
+    # no ambient ascent runs, and the defect family runs its one start
+    sizes = _record_stacks(monkeypatch)
+    fp_a, fp_b, _ = _planted(3, 6600, 6610)
+    found = g.search_witness(fp_a, fp_b, restarts=1, seed=0)
     assert (found.status, found.restarts_used) == (SEARCH_FOUND, 1)
-    missed = g.search_witness(*_near(3, 6620), restarts=1, seed=0)
+    assert sizes == {"ambient": [], "defect": []}
+    near = _near_with_common_summand(6620)
+    assert matcore.null_onb(invariant._intertwiner_system(
+        near[0].pair, near[1].pair)).shape[1] >= 1
+    assert not g.trace_word_screen(*near).mismatch
+    missed = g.search_witness(*near, restarts=1, seed=0)
     assert (missed.status, missed.restarts_used) == (SEARCH_NOT_FOUND, 2)
+    assert sizes == {"ambient": [], "defect": [1]}
