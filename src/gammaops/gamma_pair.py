@@ -166,24 +166,112 @@ def _probe_blocks(rng: np.random.Generator, trials: int, deg: int):
         yield _random_polys(rng, min(size, trials - done), deg)
 
 
-def _screened_ratios(polys: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Ratios vals / sup of a block, exact where they can be the block's worst.
+def _norm_bounds(values: np.ndarray, per_block: int) -> np.ndarray:
+    """Certified upper bounds on |A|_2 for a stack of finite n x n matrices A.
 
-    Every other entry is -inf; see ``vn_probe`` for why the first largest
-    entry is that of the ratios of every polynomial.
+    A block of ``per_block`` matrices is scaled by 2^-t, t the exponent of
+    its largest real or imaginary part, and the bound of each A is 2^t
+    |(B* B)^2|_F^(1/4), B = 2^-t A, times the rounding slack derived in
+    ``vn_probe``.  A matrix whose largest part lies below 2^(t - 100) gets
+    inf, as does a bound beyond the float range: inf rules nothing out.  A
+    zero matrix gets 0.  A block holds two n x n stacks, the scaled
+    conjugate and B* B, then (B* B)^2 in place of the conjugate.
+    """
+    m, n = values.shape[:2]
+    slack = 1.0 + 16 * (n + 2) ** 2 * np.finfo(float).eps
+    parts = values.view(float).reshape(m, -1)
+    big = np.maximum(parts.max(axis=1), -parts.min(axis=1))
+    e = np.frexp(big)[1]
+    zero = -2000  # below every float exponent: sets no block's scale
+    e[big == 0.0] = zero
+    del big
+    bounds = np.empty(m)
+    conj, gram = np.empty((2, min(m, per_block), n, n), dtype=complex)
+    # a scale of a subnormal block overflows to inf, and inf * 0 is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, m, per_block):
+            a = values[i:i + per_block]
+            c, g = conj[:len(a)], gram[:len(a)]
+            t = e[i:i + per_block].max()
+            # one power of two per block: exact, and no cast buffer
+            scale = np.ldexp(1.0, -t)
+            np.conjugate(a, out=c)
+            c *= scale
+            # the second scale after the product: no entry of A meets another
+            np.matmul(c.swapaxes(1, 2), a, out=g)
+            g *= scale
+            square = np.matmul(g, g, out=c).reshape(len(a), -1)
+            fro = np.sqrt(np.sqrt(np.sqrt(np.vecdot(square, square).real)))
+            bound = np.ldexp(fro * slack, t)
+            bound[e[i:i + per_block] < t - 100] = np.inf
+            bounds[i:i + per_block] = bound
+    bounds[~np.isfinite(bounds)] = np.inf
+    bounds[e == zero] = 0.0
+    return bounds
+
+
+def _screened_ratios(polys: np.ndarray, s: np.ndarray, p: np.ndarray,
+                     beat: float = -np.inf) -> np.ndarray:
+    """Ratios |q(S, P)| / sup of a block, exact where they can be its worst.
+
+    Only ratios above ``beat`` count.  Every other entry is -inf; see
+    ``vn_probe`` for why the first largest entry is that of the ratios of
+    every polynomial, when it exceeds ``beat``, and for the norms
+    |q(S, P)| that it computes exactly.  If some q(S, P) overflows, the
+    first such polynomial gets nan, for an infinite ratio that certifies at
+    once, and every other one -inf.
     """
     low = torus_grid_max(polys, _SCREEN_STRIDE) * (1.0 - _SCREEN_SLACK)
-    upper = vals / np.maximum(low, 1e-300)
+    values = eval_matrix_sym_poly(polys, s, p)
+    finite = np.isfinite(values).all(axis=(1, 2))
+    if not finite.all():
+        return np.where(np.arange(len(polys)) == np.argmin(finite), np.nan,
+                        -np.inf)
+    # a block of the bound, and of the exact norms, holds two stacks of
+    # matrices in no more than the product table that the evaluation freed,
+    # or than values leaves of BATCH_BYTES: the probe's peak stays the same
+    n = s.shape[0]
+    per_block = max(1, polys[0].size // 2,
+                    (matcore.BATCH_BYTES - values.nbytes) // (32 * n * n))
+    vals = _norm_bounds(values, per_block)
+    floor = np.maximum(low, 1e-300)
+    upper = vals / floor
+    exact = np.zeros(len(polys), dtype=bool)
     ratios = np.full(len(polys), -np.inf)
-    cand = vals > matcore.PROBE_REFINE_RATIO * low
+
+    def settle(mask) -> bool:
+        """Exact norms where ``mask`` holds a live bound; whether there was one."""
+        rows = np.flatnonzero(mask & ~exact & (upper > beat))
+        for i in range(0, len(rows), per_block):
+            part = rows[i:i + per_block]
+            vals[part] = np.linalg.norm(values[part], 2, axis=(1, 2))
+        upper[rows] = vals[rows] / floor[rows]
+        exact[rows] = True
+        return rows.size > 0
+
+    cut = matcore.PROBE_REFINE_RATIO * low
+    settle(vals > cut)
+    # from the largest bound on, until no bound reaches the best exact value
+    while settle(upper >= (upper[exact].max() if exact.any() else upper.max())):
+        pass
+    live = upper > beat
+    if not live.any():
+        return ratios
+    cand = live & (vals > cut)
     cand[np.argmax(upper)] = True
+    # sup |q| <= sum |c[j, k]| 2^j on the domain: a lower bound on each ratio
+    caps = (np.abs(polys[cand]) * 2.0 ** np.arange(polys.shape[1])[:, None]).sum(
+        axis=(1, 2))
+    least = np.max(vals[cand] / np.maximum(caps * (1.0 + _SCREEN_SLACK), 1e-300))
+    settle(~cand & (upper >= least))
+    del values  # freed before the grid blocks, to keep the peak low
     sups = sup_norm_on_gamma(polys[cand])
     refine = vals[cand] > matcore.PROBE_REFINE_RATIO * np.maximum(sups, 1e-300)
     if refine.any():
         sups[refine] = np.maximum(sups[refine],
                                   sup_norm_on_gamma_refined(polys[cand][refine]))
     ratios[cand] = vals[cand] / np.maximum(sups, 1e-300)
-    rest = ~cand & (upper >= ratios[cand].max())
+    rest = ~cand & (upper > beat) & (upper >= ratios[cand].max())
     if rest.any():
         ratios[rest] = vals[rest] / np.maximum(sup_norm_on_gamma(polys[rest]),
                                                1e-300)
@@ -206,10 +294,13 @@ def vn_probe(pair: GammaPair, trials: int = matcore.PROBE_TRIALS,
 
     The polynomials are drawn, evaluated and screened in blocks of at most
     PROBE_TRIALS + 3, so memory does not grow with ``trials``; the worst
-    ratio carries over from block to block.  Within a block only the
-    polynomials that can decide the report reach the full grid.  Let c be
-    the maximum of |q| over every 4th point per axis of the grid, a sub-grid
-    of the same points, low = c (1 - delta) and upper = v / low.  Then
+    ratio carries over from block to block, and a later block counts only
+    ratios above it (the first block holds the constant, of ratio 1).
+    Within a block only the polynomials that can decide the report reach
+    the full grid or an exact norm.  Let c be the maximum of |q| over every
+    4th point per axis of the grid, a sub-grid of the same points, low =
+    c (1 - delta), b >= v a bound on the norm (below) and upper = v / low,
+    read as b / low until v is computed.  Then
 
     - low <= G, so v / low bounds the ratio from above;
     - v <= PROBE_REFINE_RATIO low rules out the refinement;
@@ -223,6 +314,14 @@ def vn_probe(pair: GammaPair, trials: int = matcore.PROBE_TRIALS,
     these: every other ratio is below it.  The report is the same, bit for
     bit, as with the grid sup of every polynomial.
 
+    The norm v = |q(S, P)|_2 (one SVD) is computed only where b cannot rule
+    the polynomial out: where b > PROBE_REFINE_RATIO low; from the largest
+    b / low on, until no b / low reaches the best exact upper, which fixes
+    the first largest upper; and outside K where b / low reaches
+    max over K of v / (L (1 + delta)), L = sum |c[j, k]| 2^j, a lower bound
+    on the best ratio over K, as |s| <= 2 and |p| <= 1 on the domain give
+    sup |q| <= L, above any computed sup by far less than delta.
+
     Derivation of delta.  Both grids read the same entries of W and the
     same (z1, z2) coefficients C (d x d, d = 2 PROBE_MAX_DEG + 1), so a
     point's two values differ only by the rounding of the two complex
@@ -235,22 +334,33 @@ def vn_probe(pair: GammaPair, trials: int = matcore.PROBE_TRIALS,
     |C|_1 <= d |C|_2 <= d c (1 + O(u)).  Hence G >= c (1 - e) with
     e <= 4 sqrt(2) d (d + 2) u + 2u, about 6.3e-14 at d = 9; delta =
     4096 eps (9.1e-13) covers it with a factor above 14.
+
+    Derivation of the norm bound.  For n x n A = q(S, P) and B = 2^-t A,
+    every part of B below 1 in modulus (t from A's block, see
+    ``_norm_bounds``), |A|_2^4 = 2^(4t) |(B* B)^2|_2 <= 2^(4t) F with F =
+    |H|_F, H = G^2, G = B* B.  The products G and H are formed with
+    entrywise errors of at most sqrt(2) gamma_(n+2) times the product of
+    the moduli, and |B|_F^2 <= n |B|_2^2, |G|_F <= sqrt(n) |G|_2, so
+    |fl(H) - H|_F <= 3 sqrt(2) n gamma_(n+2) |B|_2^4 <= 3 sqrt(2) n
+    gamma_(n+2) F.  Summing the 2 n^2 squares of fl(H) adds gamma_(2n^2+1)
+    to F^2, and the three square roots of F^2 and the slack product 4u, so
+    the computed F^(1/4) is at least |B|_2 (1 - r) with
+    r <= (6 sqrt(2) n (n + 2) + 2 n^2) u / 8 + 4u <= 1.8 (n + 2)^2 u.  The
+    slack 1 + 16 (n + 2)^2 eps covers it with a factor above 17; the
+    powers of two are exact.  Scaling keeps G, H and F^2 in range: a matrix whose
+    largest part is below 2^(t - 100) gets no bound, so |B|_2 >= 2^-101
+    and F^2 >= 2^-808, far above what underflow can lose.
     """
     rng = np.random.default_rng(seed)
     deg = matcore.PROBE_MAX_DEG
     worst_ratio, worst, offset = -np.inf, 0, 0
     for polys in _probe_blocks(rng, trials, deg):
-        values = eval_matrix_sym_poly(polys, pair.s, pair.p)
-        finite = np.isfinite(values).all(axis=(1, 2))
-        if not finite.all():
+        ratios = _screened_ratios(polys, pair.s, pair.p, worst_ratio)
+        i = int(np.argmax(ratios))
+        if np.isnan(ratios[i]):
             # q is bounded on the domain, so an overflowing q(S, P) certifies
-            i = int(np.argmin(finite))
             worst_ratio, worst, coeffs = float("inf"), offset + i, polys[i]
             break
-        vals = np.linalg.norm(values, 2, axis=(1, 2))
-        del values  # freed before the grid blocks, to keep the peak low
-        ratios = _screened_ratios(polys, vals)
-        i = int(np.argmax(ratios))
         if offset == 0 or ratios[i] > worst_ratio:
             worst_ratio, worst, coeffs = float(ratios[i]), offset + i, polys[i]
         offset += len(polys)

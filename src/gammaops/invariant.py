@@ -403,7 +403,9 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
     Every candidate must pass verify_equivalence before it is returned, and
     a refused one still counts as used.  NOT_FOUND reports the candidate
     with the smallest miss, the larger of its two residuals over their
-    tolerances.
+    tolerances.  A candidate that passes both invariant halves but whose
+    model confirmation meets the truncation cap ends the search: the cap
+    depends only on the two pairs, so every later candidate would meet it.
 
     The first ambient candidate is the warm start of _intertwiner_start,
     checked as drawn: the polar factor of a generic joint intertwiner, which
@@ -480,6 +482,9 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
                                 report=report, screen=screen,
                                 restarts_used=used)
         misses.append(report)
+        if (report.model_confirmation is None and report.coincidence.coincide
+                and report.fstar_residual <= _fstar_bound(fp_a)):
+            break  # the truncation cap: it holds for every later candidate
 
     def miss(rep: EquivalenceReport) -> float:
         return max(rep.fstar_residual / _fstar_bound(fp_a),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gammaops as g
-from gammaops import cli, matcore
+from gammaops import cli, invariant, matcore
 from gammaops.matcore import MODEL_CONFIRM_TOL
 
 
@@ -723,3 +723,58 @@ def test_compare_past_the_truncation_cap_is_inconclusive(tmp_path, capsys):
         assert "model_confirmation" not in equivalence
         assert equivalence["fstar_residual"] <= 1e-12
         assert equivalence["coincidence"]["max_residual"] <= matcore.COINCIDE_TOL
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    runs = [["--version"], ["analyze"], ["bogus"], ["--version"],
+            ["generate", "--dim", "2", "--seed", "1"],
+            ["analyze", "--trunc", "0", "missing.json"]]
+    fresh = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        fresh.append(cli.main(argv))
+    assert fresh == [cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_INPUT, cli.EXIT_OK,
+                     cli.EXIT_OK, cli.EXIT_INPUT]
+    fresh_out = capsys.readouterr()
+    cli._parser.cache_clear()
+    built.clear()
+    assert [cli.main(argv) for argv in runs] == fresh
+    assert capsys.readouterr() == fresh_out
+    assert len(built) == 1
+
+
+def test_search_stops_at_the_first_candidate_past_the_truncation_cap(
+        tmp_path, capsys, monkeypatch):
+    # the cap depends only on the two pairs: after the first candidate that
+    # passes both invariant halves meets it, every later one would too
+    rng = np.random.default_rng(47)
+    u = matcore.haar_unitary(2, rng)
+    t1 = u @ np.diag([0.9995, -0.5j]) @ matcore.dagger(u)
+    t2 = u @ np.diag([0.999 / 0.9995, 0.6]) @ matcore.dagger(u)
+    pair_a = g.symmetrized_pair(t1, t2)
+    v = matcore.haar_unitary(2, rng)
+    a = _write(tmp_path, "a.json", _pair_doc(pair_a))
+    b = _write(tmp_path, "b.json", cli.pair_file_doc(
+        v @ pair_a.s @ matcore.dagger(v), v @ pair_a.p @ matcore.dagger(v)))
+    attempts = []
+    confirm = invariant._model_confirmation
+
+    def counted(*args):
+        attempts.append(1)
+        return confirm(*args)
+
+    monkeypatch.setattr(invariant, "_model_confirmation", counted)
+    assert cli.main(["compare", a, b, "--search", "20"]) == cli.EXIT_INCONCLUSIVE
+    report = _report(capsys.readouterr().out)
+    assert report["equivalence"]["reason"].endswith(
+        f"|P^N| did not reach 1.0e-12 for N <= {matcore.TRUNCATION_CAP}")
+    assert len(attempts) == 1
+    assert report["search"]["restarts_used"] == 1

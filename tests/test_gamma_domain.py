@@ -417,3 +417,68 @@ def test_arrays_without_coefficients_are_the_zero_polynomial():
                               np.zeros((m, 2, 2)))
         assert np.array_equal(g.sup_norm_on_gamma(stack), np.zeros(m))
         assert np.array_equal(g.sup_norm_on_gamma_refined(stack), np.zeros(m))
+
+
+def _count_jets(monkeypatch):
+    calls = []
+    jets = gamma_domain._torus_jets
+
+    def counted(zc, theta):
+        calls.append(len(zc))
+        return jets(zc, theta)
+
+    monkeypatch.setattr(gamma_domain, "_torus_jets", counted)
+    return calls
+
+
+def test_refined_sup_stops_on_a_ridge(monkeypatch):
+    # |q|^2 of q = s is 4 on all of z1 = z2 and of q = p is 1 everywhere:
+    # every start is stationary to rounding, where the step stop never held
+    calls = _count_jets(monkeypatch)
+    deg = matcore.PROBE_MAX_DEG
+    for j, k, sup in ((1, 0, 2.0), (0, 1, 1.0)):
+        for shape in ((j + 1, k + 1), (deg + 1, deg + 1)):
+            coeffs = np.zeros(shape)
+            coeffs[j, k] = 1.0
+            calls.clear()
+            assert g.sup_norm_on_gamma_refined(coeffs) == pytest.approx(sup, rel=1e-15)
+            assert len(calls) == 1  # the starts only; 40 steps more before
+
+
+def _refined_pairs():
+    """40 gamma-unitary, 40 pure and 40 outside pairs, n from 1 to 8."""
+    pairs = []
+    for seed in range(40):
+        n = 1 + seed % 8
+        pure = g.random_pure_gamma(n, seed=300 + seed)
+        pairs += [g.random_gamma_unitary(n, seed=300 + seed), pure,
+                  g.validate(1.15 * pure.s, 1.1 * pure.p)]
+    return pairs
+
+
+def test_stationary_stop_loses_at_most_the_stated_rounding(monkeypatch):
+    # the refined sup stops each start at a stationary point to rounding;
+    # against all REFINE_ITERS steps it loses at most 8 REFINE_ITERS level
+    # relative, level = _JET_ROUNDING d (d + 2), see sup_norm_on_gamma_refined
+    rng = np.random.default_rng(31)
+    deg = matcore.PROBE_MAX_DEG
+    d = 2 * deg + 1
+    level = gamma_domain._JET_ROUNDING * d * (d + 2)
+    polys = []
+    for pair in _refined_pairs():
+        draw = g.gamma_pair._random_polys(rng, 30, deg)
+        vals = np.linalg.norm(g.eval_matrix_sym_poly(draw, pair.s, pair.p),
+                              2, axis=(1, 2))
+        # the polynomials nearest to refinement in the probe of this pair
+        polys.append(draw[np.argsort(vals / g.sup_norm_on_gamma(draw))[-3:]])
+    polys = np.concatenate(polys)
+    assert len(polys) == 360
+    calls = _count_jets(monkeypatch)
+    new = g.sup_norm_on_gamma_refined(polys)
+    stopped = len(calls)
+    monkeypatch.setattr(gamma_domain, "_JET_ROUNDING", -1.0)
+    calls.clear()
+    old = g.sup_norm_on_gamma_refined(polys)
+    assert stopped < len(calls)
+    assert np.all(new <= old)
+    assert np.all(new >= old * (1.0 - 8 * matcore.REFINE_ITERS * level))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gammaops as g
-from gammaops import gamma_pair, matcore
+from gammaops import gamma_domain, gamma_pair, matcore
 from gammaops.exceptions import NotCommuting, NotContraction
 
 
@@ -330,7 +330,7 @@ def test_screen_finds_the_first_worst_ratio_of_a_block(grid_sups_oracle):
         sups[refine] = np.maximum(sups[refine],
                                   g.sup_norm_on_gamma_refined(polys[refine]))
         want = vals / np.maximum(sups, 1e-300)
-        got = gamma_pair._screened_ratios(polys, vals)
+        got = gamma_pair._screened_ratios(polys, pair.s, pair.p)
         exact = np.isfinite(got)
         assert got[exact].tobytes() == want[exact].tobytes()
         assert np.all(want[~exact] < want.max())
@@ -398,3 +398,66 @@ def test_generators_deterministic_and_valid():
         assert g.is_gamma_unitary(gu)
     with pytest.raises(ValueError):
         g.random_pure_gamma(2, seed=0, max_norm=0.99)
+
+
+def _counted_norms(monkeypatch):
+    """Matrices whose spectral norm the probe computes exactly."""
+    rows = []
+    norm = np.linalg.norm
+
+    def counted(x, *args, **kwargs):
+        if np.ndim(x) == 3:
+            rows.append(len(x))
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    return rows
+
+
+def test_default_probe_takes_few_exact_norms(monkeypatch):
+    # measured: 1 exact norm (the constant) against 203 unscreened
+    rows = _counted_norms(monkeypatch)
+    g.vn_probe(g.random_pure_gamma(12, seed=8))
+    assert 1 <= sum(rows) <= 3
+    # a gamma-unitary pair keeps many values near their sups: measured 25
+    rows.clear()
+    g.vn_probe(_torus_pair(12, seed=5))
+    assert sum(rows) <= 60
+
+
+def test_norm_bounds_hold_at_any_magnitude():
+    rng = np.random.default_rng(75)
+    stack = rng.standard_normal((40, 5, 5)) + 1j * rng.standard_normal((40, 5, 5))
+    stack[3] = 0.0
+    stack[4] = np.diag([1.0, 1e-200, 0.0, 0.0, 0.0])
+    for per_block in (1, 7, 40):
+        for k in (-1060, -1000, -500, 0, 500, 1000, 1015):
+            scaled = stack * 2.0 ** k
+            exact = np.linalg.norm(scaled, 2, axis=(1, 2))
+            bounds = gamma_pair._norm_bounds(scaled, per_block)
+            assert np.all(bounds >= exact)
+            assert np.all(bounds[exact > 0] > 0) and bounds[3] == 0.0
+            if -1000 <= k <= 1000:
+                assert np.all(bounds[exact > 0] <= 2.0 * exact[exact > 0])
+    # one block of very different sizes: the small matrix gets no bound
+    mixed = np.stack([1e300 * np.eye(2), 1e-300 * np.eye(2)]).astype(complex)
+    bounds = gamma_pair._norm_bounds(mixed, 2)
+    assert bounds[0] >= 1e300 and bounds[1] == np.inf
+    assert gamma_pair._norm_bounds(mixed, 1)[1] >= 1e-300
+
+
+def test_probe_refinement_stops_at_stationary_points(monkeypatch):
+    # q = s peaks on all of z1 = z2, a ridge the step stop never ends on:
+    # measured 7 jet evaluations per refinement, against 41 for all steps
+    calls = []
+    jets = gamma_domain._torus_jets
+
+    def counted(zc, theta):
+        calls.append(len(zc))
+        return jets(zc, theta)
+
+    monkeypatch.setattr(gamma_domain, "_torus_jets", counted)
+    for n in (2, 6, 12):
+        calls.clear()
+        g.vn_probe(_torus_pair(n, seed=5))
+        assert 1 <= len(calls) <= 12
