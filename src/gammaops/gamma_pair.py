@@ -149,6 +149,14 @@ _SCREEN_STRIDE = 4
 _SCREEN_SLACK = 4096 * np.finfo(float).eps
 
 
+def _fixed_probes(deg: int) -> np.ndarray:
+    """The fixed probes, padded to (deg + 1, deg + 1)."""
+    head = np.zeros((len(_FIXED_PROBES), deg + 1, deg + 1), dtype=complex)
+    for c, f in zip(head, _FIXED_PROBES):
+        c[:f.shape[0], :f.shape[1]] = f
+    return head
+
+
 def _probe_blocks(rng: np.random.Generator, trials: int, deg: int):
     """The probe polynomials, padded to (deg + 1, deg + 1), in blocks.
 
@@ -156,11 +164,8 @@ def _probe_blocks(rng: np.random.Generator, trials: int, deg: int):
     every later one up to PROBE_TRIALS + 3 draws; drawn block by block, the
     uniforms are the same numbers as in one draw.
     """
-    head = np.zeros((len(_FIXED_PROBES), deg + 1, deg + 1), dtype=complex)
-    for c, f in zip(head, _FIXED_PROBES):
-        c[:f.shape[0], :f.shape[1]] = f
     first = min(trials, matcore.PROBE_TRIALS)
-    yield np.concatenate([head, _random_polys(rng, first, deg)])
+    yield np.concatenate([_fixed_probes(deg), _random_polys(rng, first, deg)])
     size = matcore.PROBE_TRIALS + len(_FIXED_PROBES)
     for done in range(first, trials, size):
         yield _random_polys(rng, min(size, trials - done), deg)
@@ -201,7 +206,8 @@ def _norm_bounds(values: np.ndarray, per_block: int) -> np.ndarray:
             np.matmul(c.swapaxes(1, 2), a, out=g)
             g *= scale
             square = np.matmul(g, g, out=c).reshape(len(a), -1)
-            fro = np.sqrt(np.sqrt(np.sqrt(np.vecdot(square, square).real)))
+            re_im = square.view(float)
+            fro = np.sqrt(np.sqrt(np.sqrt(np.einsum("ij,ij->i", re_im, re_im))))
             bound = np.ldexp(fro * slack, t)
             bound[e[i:i + per_block] < t - 100] = np.inf
             bounds[i:i + per_block] = bound
@@ -210,13 +216,20 @@ def _norm_bounds(values: np.ndarray, per_block: int) -> np.ndarray:
     return bounds
 
 
-def _screened_ratios(polys: np.ndarray, s: np.ndarray, p: np.ndarray,
-                     beat: float = -np.inf) -> np.ndarray:
+def _settle(mask, values, vals, exact, per_block) -> None:
+    """Exact norms |values[i]|_2 into ``vals`` where ``mask`` holds a bound."""
+    rows = np.flatnonzero(mask & ~exact)
+    for i in range(0, len(rows), per_block):
+        part = rows[i:i + per_block]
+        vals[part] = np.linalg.norm(values[part], 2, axis=(1, 2))
+    exact[rows] = True
+
+
+def _screened_ratios(polys: np.ndarray, s: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Ratios |q(S, P)| / sup of a block, exact where they can be its worst.
 
-    Only ratios above ``beat`` count.  Every other entry is -inf; see
-    ``vn_probe`` for why the first largest entry is that of the ratios of
-    every polynomial, when it exceeds ``beat``, and for the norms
+    Every other entry is -inf; see ``vn_probe`` for why the first largest
+    entry is that of the ratios of every polynomial, and for the norms
     |q(S, P)| that it computes exactly.  If some q(S, P) overflows, the
     first such polynomial gets nan, for an infinite ratio that certifies at
     once, and every other one -inf.
@@ -228,50 +241,34 @@ def _screened_ratios(polys: np.ndarray, s: np.ndarray, p: np.ndarray,
         return np.where(np.arange(len(polys)) == np.argmin(finite), np.nan,
                         -np.inf)
     # a block of the bound, and of the exact norms, holds two stacks of
-    # matrices in no more than the product table that the evaluation freed,
-    # or than values leaves of BATCH_BYTES: the probe's peak stays the same
+    # matrices in the product table that the evaluation freed, less one pair
+    # for the bounds' per-polynomial arrays, or in what values leaves of
+    # BATCH_BYTES: the probe's peak stays that of the evaluation
     n = s.shape[0]
-    per_block = max(1, polys[0].size // 2,
+    per_block = max(1, polys[0].size // 2 - 1,
                     (matcore.BATCH_BYTES - values.nbytes) // (32 * n * n))
     vals = _norm_bounds(values, per_block)
-    floor = np.maximum(low, 1e-300)
-    upper = vals / floor
     exact = np.zeros(len(polys), dtype=bool)
-    ratios = np.full(len(polys), -np.inf)
-
-    def settle(mask) -> bool:
-        """Exact norms where ``mask`` holds a live bound; whether there was one."""
-        rows = np.flatnonzero(mask & ~exact & (upper > beat))
-        for i in range(0, len(rows), per_block):
-            part = rows[i:i + per_block]
-            vals[part] = np.linalg.norm(values[part], 2, axis=(1, 2))
-        upper[rows] = vals[rows] / floor[rows]
-        exact[rows] = True
-        return rows.size > 0
-
+    floor = np.maximum(low, 1e-300)
     cut = matcore.PROBE_REFINE_RATIO * low
-    settle(vals > cut)
-    # from the largest bound on, until no bound reaches the best exact value
-    while settle(upper >= (upper[exact].max() if exact.any() else upper.max())):
-        pass
-    live = upper > beat
-    if not live.any():
-        return ratios
-    cand = live & (vals > cut)
-    cand[np.argmax(upper)] = True
+    _settle(vals > cut, values, vals, exact, per_block)
+    cand = vals > cut
+    cand[np.argmax(vals / floor)] = True
+    _settle(cand, values, vals, exact, per_block)
     # sup |q| <= sum |c[j, k]| 2^j on the domain: a lower bound on each ratio
     caps = (np.abs(polys[cand]) * 2.0 ** np.arange(polys.shape[1])[:, None]).sum(
         axis=(1, 2))
     least = np.max(vals[cand] / np.maximum(caps * (1.0 + _SCREEN_SLACK), 1e-300))
-    settle(~cand & (upper >= least))
+    _settle(~cand & (vals / floor >= least), values, vals, exact, per_block)
     del values  # freed before the grid blocks, to keep the peak low
     sups = sup_norm_on_gamma(polys[cand])
     refine = vals[cand] > matcore.PROBE_REFINE_RATIO * np.maximum(sups, 1e-300)
     if refine.any():
         sups[refine] = np.maximum(sups[refine],
                                   sup_norm_on_gamma_refined(polys[cand][refine]))
+    ratios = np.full(len(polys), -np.inf)
     ratios[cand] = vals[cand] / np.maximum(sups, 1e-300)
-    rest = ~cand & (upper > beat) & (upper >= ratios[cand].max())
+    rest = ~cand & (vals / floor >= ratios[cand].max())
     if rest.any():
         ratios[rest] = vals[rest] / np.maximum(sup_norm_on_gamma(polys[rest]),
                                                1e-300)
@@ -294,13 +291,12 @@ def vn_probe(pair: GammaPair, trials: int = matcore.PROBE_TRIALS,
 
     The polynomials are drawn, evaluated and screened in blocks of at most
     PROBE_TRIALS + 3, so memory does not grow with ``trials``; the worst
-    ratio carries over from block to block, and a later block counts only
-    ratios above it (the first block holds the constant, of ratio 1).
-    Within a block only the polynomials that can decide the report reach
-    the full grid or an exact norm.  Let c be the maximum of |q| over every
-    4th point per axis of the grid, a sub-grid of the same points, low =
-    c (1 - delta), b >= v a bound on the norm (below) and upper = v / low,
-    read as b / low until v is computed.  Then
+    ratio carries over from block to block.  Within a block only the
+    polynomials that can decide the report reach the full grid or an exact
+    norm.  Let c be the maximum of |q| over every 4th point per axis of the
+    grid, a sub-grid of the same points, low = c (1 - delta), b >= v a
+    bound on the norm (below) and upper = v / low, read as b / low until v
+    is computed.  Then
 
     - low <= G, so v / low bounds the ratio from above;
     - v <= PROBE_REFINE_RATIO low rules out the refinement;
@@ -315,12 +311,13 @@ def vn_probe(pair: GammaPair, trials: int = matcore.PROBE_TRIALS,
     bit, as with the grid sup of every polynomial.
 
     The norm v = |q(S, P)|_2 (one SVD) is computed only where b cannot rule
-    the polynomial out: where b > PROBE_REFINE_RATIO low; from the largest
-    b / low on, until no b / low reaches the best exact upper, which fixes
-    the first largest upper; and outside K where b / low reaches
-    max over K of v / (L (1 + delta)), L = sum |c[j, k]| 2^j, a lower bound
-    on the best ratio over K, as |s| <= 2 and |p| <= 1 on the domain give
-    sup |q| <= L, above any computed sup by far less than delta.
+    the polynomial out: where b > PROBE_REFINE_RATIO low; at the first
+    largest upper bound after those, which reads v / low where v is known
+    and b / low elsewhere, each an upper bound on the ratio; and outside K
+    where b / low reaches max over K of v / (L (1 + delta)), L = sum
+    |c[j, k]| 2^j, a lower bound on the best ratio over K, as |s| <= 2 and
+    |p| <= 1 on the domain give sup |q| <= L, above any computed sup by far
+    less than delta.
 
     Derivation of delta.  Both grids read the same entries of W and the
     same (z1, z2) coefficients C (d x d, d = 2 PROBE_MAX_DEG + 1), so a
@@ -355,7 +352,7 @@ def vn_probe(pair: GammaPair, trials: int = matcore.PROBE_TRIALS,
     deg = matcore.PROBE_MAX_DEG
     worst_ratio, worst, offset = -np.inf, 0, 0
     for polys in _probe_blocks(rng, trials, deg):
-        ratios = _screened_ratios(polys, pair.s, pair.p, worst_ratio)
+        ratios = _screened_ratios(polys, pair.s, pair.p)
         i = int(np.argmax(ratios))
         if np.isnan(ratios[i]):
             # q is bounded on the domain, so an overflowing q(S, P) certifies
