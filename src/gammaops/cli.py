@@ -420,6 +420,9 @@ def cmd_compare(args) -> int:
     report["witness_source"] = "search"
     report["search"] = {"status": result.status,
                         "restarts_used": result.restarts_used}
+    if result.ambient_bound is not None:
+        report["search"].update(ambient_sigma_min=result.ambient_sigma_min,
+                                ambient_bound=result.ambient_bound)
     if result.report is not None:
         report["equivalence"] = _equivalence_block(result.report)
     if result.status == SEARCH_FOUND:

@@ -11,6 +11,10 @@ trace-word screen.  Both of its candidate families run through one polar
 ascent, one batched polar step per update for a whole block of starts;
 each update applies one linear map, built once per search with row-major
 vectorization (A X B).ravel() = kron(A, B.T) x, one product per start.
+The ambient family's ascent is skipped where the least singular value of
+the intertwiner system proves that the gate of witness_from_ambient would
+refuse every candidate.  That certificate saves work but does not yet
+decide the verdict: the search's outcome is the one it would have had.
 """
 
 from __future__ import annotations
@@ -324,8 +328,10 @@ def _intertwiner_system(pair_a: GammaPair, pair_b: GammaPair) -> np.ndarray:
 
 
 def _intertwiner_start(pair_a: GammaPair, pair_b: GammaPair,
-                       rng: np.random.Generator) -> np.ndarray | None:
-    """Unitary polar factor of a generic joint *-intertwiner, or None.
+                       rng: np.random.Generator
+                       ) -> tuple[np.ndarray | None, np.ndarray]:
+    """Unitary polar factor of a generic joint *-intertwiner, or None, and
+    the singular values of the intertwiner system, largest first.
 
     A unitary conjugator solves K X_A = X_B K for X in {S, P, S*, P*}; for
     any invertible K satisfying all four, K K* commutes with the second
@@ -333,12 +339,28 @@ def _intertwiner_start(pair_a: GammaPair, pair_b: GammaPair,
     combination of a nullspace basis: invertible if any element is
     (Schwartz-Zippel), and a unitary start anyway.
     """
-    basis = matcore.null_onb(_intertwiner_system(pair_a, pair_b))
+    basis, sv = matcore.null_onb(_intertwiner_system(pair_a, pair_b))
     if basis.size == 0:
-        return None
+        return None, sv
     dim = basis.shape[1]
     vec = basis @ (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-    return matcore.polar_unitary(vec.reshape(pair_a.n, pair_a.n))
+    return matcore.polar_unitary(vec.reshape(pair_a.n, pair_a.n)), sv
+
+
+def _ambient_bound(pair_a: GammaPair, pair_b: GammaPair, sv: np.ndarray
+                   ) -> float:
+    """The bound above which sigma_min of the intertwiner system, whose
+    singular values are ``sv``, refuses every ambient candidate; derived in
+    :func:`search_witness`."""
+    n, eps = pair_a.n, np.finfo(np.float64).eps
+    tau = matcore.WITNESS_UNITARY_TOL + 2 * n * eps
+    terms = []
+    for a, b in ((pair_a.norm_s, pair_b.norm_s), (pair_a.norm_p, pair_b.norm_p)):
+        g = (matcore.AMBIENT_INTERTWINE_TOL * (1.0 + a) * (1.0 + 8 * n * eps)
+             + n * (n + 1) * eps * np.sqrt(1.0 + tau) * (a + b))
+        terms += [g, (1.0 + tau) * g + np.sqrt(1.0 + tau) * tau * (a + b)]
+    rounding = 2 * (4 * n * n) * (n * n) * eps * float(np.linalg.norm(sv))
+    return float(np.linalg.norm(terms)) / (1.0 - tau) + rounding
 
 
 def _conj_map(*pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -382,7 +404,10 @@ class SearchResult:
     FOUND carries a witness that passed full verification.  DISTINCT means
     the trace screen or a structural mismatch ruled equivalence out, which
     is conclusive.  NOT_FOUND is inconclusive by design.  ``screen`` is
-    always the trace-word screen of the two pairs.
+    always the trace-word screen of the two pairs.  ``ambient_sigma_min``
+    is the least singular value of the intertwiner system and
+    ``ambient_bound`` the bound above which it refuses every ambient
+    candidate; both are None for DISTINCT, which is decided before them.
     """
 
     status: str
@@ -390,6 +415,8 @@ class SearchResult:
     report: EquivalenceReport | None
     screen: ScreenResult
     restarts_used: int
+    ambient_sigma_min: float | None = None
+    ambient_bound: float | None = None
 
 
 def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
@@ -411,9 +438,43 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
     checked as drawn: the polar factor of a generic joint intertwiner, which
     is a conjugator whenever one exists.  Each family then runs its
     remaining starts in blocks of at most BATCH_BYTES of iterates, every
-    start for all SEARCH_ITERS sweeps.  Each start follows exactly its own
-    iterates, and starts are drawn and verified in restart order, so the
-    result does not depend on the blocks.
+    start that runs for all SEARCH_ITERS sweeps.  Each start follows exactly
+    its own iterates, and starts are drawn and verified in restart order, so
+    the result does not depend on the blocks.
+
+    The ambient ascent runs only where a candidate could pass the gate of
+    witness_from_ambient.  Let K be the 4n^2 x n^2 intertwiner system and
+    u = vec U, so that |K u|^2 sums |X_B U - U X_A|_F^2 and
+    |X_B* U - U X_A*|_F^2 over X in {S, P}.  A U that passes the gate has
+    |U*U - I| <= tau = WITNESS_UNITARY_TOL + 2 n eps, the gate's bound on
+    the computed defect plus its rounding, so |U| <= sqrt(1 + tau) and
+    |U|_F >= sqrt(n) (1 - tau), and it has |X_B U - U X_A| <= g_X =
+    t (1 + |X_A|)(1 + 8 n eps) + n (n + 1) eps sqrt(1 + tau)(|X_A| + |X_B|),
+    t = AMBIENT_INTERTWINE_TOL: the gate's bound on its computed residual
+    plus the rounding of the two products, of their difference and of the
+    spectral norm.  Since U*(X_B U - U X_A) U* = (U* X_B - X_A U*)
+    + U* X_B (U U* - I) - (U*U - I) X_A U*, the adjoint residual is at most
+    (1 + tau) g_X + sqrt(1 + tau) tau (|X_A| + |X_B|).  A Frobenius norm is
+    at most sqrt(n) times the spectral one, so sigma_min(K) |U|_F <= |K u|
+    bounds sigma_min(K) by the 2-norm of those four terms over 1 - tau:
+    sqrt(2) t hypot(1 + |S_A|, 1 + |P_A|) when tau and rounding vanish.  The
+    computed sigma_min, the last singular value of the R that null_onb
+    factors, is exact for some K + dK, and by Weyl's inequality it moves by
+    at most |dK|.  Householder QR of K, m = 4 n^2 rows by k = n^2 columns,
+    has |dK|_F <= c m k u |K|_F to first order, c a small constant and
+    u = eps / 2 (Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm. 19.4), and the SVD of R adds a backward error of order k u |K|
+    (Golub & Van Loan, Matrix Computations, 8.6); the slack
+    2 m k eps |K|_F = 4 m k u |K|_F covers both, |K|_F being the 2-norm of
+    the singular values.  ``ambient_bound`` is the sum of bound and slack.
+    Where the nullspace is empty and ``ambient_sigma_min`` exceeds it, no
+    matrix passes the gate: the ambient family builds no map and runs no
+    ascent, but still draws its starts in restart order, so the defect
+    family's starts are unchanged, and counts each as a used, refused
+    candidate, as the gate would have.  The outcome is bitwise that of the
+    full search.  The certificate does not yet decide the verdict: without
+    a defect-family witness the search still ends NOT_FOUND, inconclusive
+    (ROADMAP.md, items 1 and 4).
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -427,7 +488,9 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
 
     rng = np.random.default_rng(seed)
     n, r, r_star = pair_a.n, fp_a.f.shape[0], fp_a.f_star.shape[0]
-    warm = _intertwiner_start(pair_a, pair_b, rng)
+    warm, sv = _intertwiner_start(pair_a, pair_b, rng)
+    sigma_min, bound = float(sv[-1]), _ambient_bound(pair_a, pair_b, sv)
+    refused = warm is None and sigma_min > bound
 
     def defect_maps():
         # K = sum_j kron(Theta_B(z_j), conj Theta_A(z_j)), the map of sigma ->
@@ -449,13 +512,16 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
         return witness_from_ambient(u, fp_a, fp_b)[0]
 
     def candidates():
-        """(end point -> witness, end point) in restart order; a block's
-        ascent runs only once the candidates before it are refused."""
+        """(end point -> witness, end point) in restart order, or (None, ())
+        for a start refused by sigma_min; a block's ascent runs only once the
+        candidates before it are refused."""
         if warm is not None:
             yield ambient_witness, (warm,)
-        # maps, starts, bytes per start, start k, end point -> witness
+        # maps (None: every start refused), starts, bytes per start, start k,
+        # end point -> witness
         for maps, count, item_bytes, start, end in (
-                (lambda: (_conj_map((pair_b.s, pair_a.s), (pair_b.p, pair_a.p)),),
+                (None if refused else lambda: (
+                    _conj_map((pair_b.s, pair_a.s), (pair_b.p, pair_a.p)),),
                  restarts - (warm is not None), 16 * n * n,
                  lambda k: (np.eye(n, dtype=complex) if k == 0
                             else matcore.haar_unitary(n, rng),),
@@ -463,15 +529,20 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
                 (defect_maps, restarts, 16 * (r * r + r_star * r_star),
                  defect_start, Witness)):
             blocks = matcore.batches(count, item_bytes)
-            ops = maps() if blocks else None
+            ops = maps() if blocks and maps else None
             for block in blocks:
                 starts = [start(k) for k in range(block.start, block.stop)]
+                if ops is None:
+                    yield from itertools.repeat((None, ()), len(starts))
+                    continue
                 ends = _polar_ascent(ops, tuple(map(np.stack, zip(*starts))))
                 yield from ((end, point) for point in zip(*ends))
 
     misses, used = [], 0
     for end, point in candidates():
         used += 1
+        if end is None:
+            continue
         try:
             witness = end(*point)
         except (NotIntertwining, ValueError):
@@ -480,7 +551,9 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
         if report.equivalent:
             return SearchResult(status=SEARCH_FOUND, witness=witness,
                                 report=report, screen=screen,
-                                restarts_used=used)
+                                restarts_used=used,
+                                ambient_sigma_min=sigma_min,
+                                ambient_bound=bound)
         misses.append(report)
         if (report.model_confirmation is None and report.coincidence.coincide
                 and report.fstar_residual <= _fstar_bound(fp_a)):
@@ -492,4 +565,5 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
 
     return SearchResult(status=SEARCH_NOT_FOUND, witness=None,
                         report=min(misses, key=miss, default=None),
-                        screen=screen, restarts_used=used)
+                        screen=screen, restarts_used=used,
+                        ambient_sigma_min=sigma_min, ambient_bound=bound)

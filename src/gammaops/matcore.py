@@ -100,7 +100,7 @@ SCREEN_TOL = 1e-6
 SCREEN_MAX_LEN = 6
 #: Restarts of each candidate family of the witness search.
 SEARCH_RESTARTS = 20
-#: Sweeps of polar updates that every witness-search start runs.
+#: Sweeps of polar updates that every witness-search start that runs makes.
 SEARCH_ITERS = 150
 
 # Command-line verdicts (cli).
@@ -290,8 +290,9 @@ def psd_eigh(a, clamp: float) -> tuple[np.ndarray, np.ndarray]:
     return np.where(w <= clamp * scale, 0.0, w), v
 
 
-def null_onb(k: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the numerical nullspace of a tall matrix.
+def null_onb(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal columns spanning the numerical nullspace of a tall matrix,
+    and the singular values of the matrix, largest first.
 
     By QR and an SVD of R, which has the singular values and right singular
     vectors of k at min(rows, cols) rows instead of all of them; the right
@@ -299,7 +300,7 @@ def null_onb(k: np.ndarray) -> np.ndarray:
     above REL_RANK_TOL times the largest, are kept.
     """
     _, s, vh = np.linalg.svd(np.linalg.qr(k, mode="r"))
-    return dagger(vh[np.count_nonzero(s > REL_RANK_TOL * s[0]):])
+    return dagger(vh[np.count_nonzero(s > REL_RANK_TOL * s[0]):]), s
 
 
 def _top_eigs(a: np.ndarray, angles: np.ndarray) -> np.ndarray:

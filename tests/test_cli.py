@@ -166,6 +166,28 @@ def test_compare_search_self_equivalent(tmp_path, capsys):
     assert "eta1" in report["witness"]
 
 
+def test_compare_search_reports_the_ambient_certificate(tmp_path, capsys):
+    # a near pair's sigma_min clears its bound, so no ambient ascent can
+    # pass the gate; a pair and itself share a nullspace; where the screen
+    # decides there is no search block
+    pair = g.random_pure_gamma(3, seed=42, max_norm=0.8)
+    u = matcore.haar_unitary(3, np.random.default_rng(43))
+    ud = matcore.dagger(u)
+    a = _write(tmp_path, "a.json", _pair_doc(pair))
+    near = _write(tmp_path, "near.json", cli.pair_file_doc(
+        u @ (pair.s + 3e-7 * pair.p) @ ud, u @ pair.p @ ud))
+    assert cli.main(["compare", a, near, "--search", "2"]) == 5
+    search = _report(capsys.readouterr().out)["search"]
+    assert search["ambient_sigma_min"] > search["ambient_bound"] > 0.0
+    assert cli.main(["compare", a, a, "--search", "2"]) == 0
+    search = _report(capsys.readouterr().out)["search"]
+    assert search["ambient_sigma_min"] < search["ambient_bound"]
+    scalars = [_write(tmp_path, f"{p}.json", cli.pair_file_doc(
+        np.array([[1.0]]), np.array([[p]]))) for p in (0.25, 0.5)]
+    assert cli.main(["compare", *scalars, "--search", "2"]) == 4
+    assert "search" not in _report(capsys.readouterr().out)
+
+
 def _count_calls(monkeypatch, fn):
     """Count calls of a package function at every module attribute bound to it."""
     calls = []

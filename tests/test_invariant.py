@@ -270,8 +270,11 @@ def test_search_witness_screen_blind_pair_not_found():
     assert out.report is None or not out.report.equivalent
 
 
-def _near(n, seed):
-    """Conjugate of (S + eps P, P): the screen passes, no witness exists."""
+def _near(n, seed, eps=None):
+    """Conjugate of (S + eps P, P): the screen passes, no witness exists.
+
+    eps defaults to the size that puts the screen's gap at 0.4 SCREEN_TOL.
+    """
     pair = g.random_pure_gamma(n, seed=seed, max_norm=0.8)
     u = matcore.haar_unitary(n, np.random.default_rng(seed + 1))
     ud = matcore.dagger(u)
@@ -281,8 +284,10 @@ def _near(n, seed):
         return g.solve_fundamental(
             g.validate(u @ (pair.s + eps * pair.p) @ ud, u @ pair.p @ ud))
 
-    gap = g.trace_word_screen(fp_a, near(1e-6)).max_gap
-    return fp_a, near(1e-6 * 0.4 * SCREEN_TOL / gap)
+    if eps is None:
+        eps = 1e-6 * 0.4 * SCREEN_TOL / g.trace_word_screen(
+            fp_a, near(1e-6)).max_gap
+    return fp_a, near(eps)
 
 
 def test_search_not_found_reports_closest_candidate(monkeypatch):
@@ -358,9 +363,10 @@ def test_stacked_iterations_match_the_per_start_oracle(
         n, monkeypatch, procrustes_oracle, alternation_oracle):
     # a stacked start follows bitwise the iterates it follows alone; the
     # per-start oracles sum the same terms in another order, so they agree
-    # to rounding
+    # to rounding.  The conjugate perturbed by 1e-8 has sigma_min below its
+    # bound, so its ambient family runs.
     planted = _planted(n, 6000 + n, 6100 + n)[:2]
-    for fp_a, fp_b in (planted, _near(n, 6200 + n)):
+    for fp_a, fp_b in (planted, _near(n, 6200 + n, 1e-8)):
         ambient, defect = _search_maps(monkeypatch, fp_a, fp_b)
         rng = np.random.default_rng(n)
         u0 = _starts(n, 4, rng)
@@ -394,11 +400,15 @@ def test_intertwiner_nullspace_matches_scipy(n):
     for fp_a, fp_b in (_planted(n, 6700 + n, 6710 + n)[:2],
                        _near(n, 6720 + n)):
         k = invariant._intertwiner_system(fp_a.pair, fp_b.pair)
-        basis = matcore.null_onb(k)
+        basis, sv = matcore.null_onb(k)
         want = scipy.linalg.null_space(k, rcond=matcore.REL_RANK_TOL)
         assert basis.shape == want.shape
         assert matcore.fro_norm(basis @ matcore.dagger(basis)
                                 - want @ matcore.dagger(want)) <= 1e-12
+        # the singular values of K, sigma_min included, to rounding of |K|
+        want_sv = scipy.linalg.svdvals(k)
+        assert sv.shape == want_sv.shape
+        assert np.max(np.abs(sv - want_sv)) <= 1e-13 * want_sv[0]
         dims.append(basis.shape[1])
     # at n = 1, K is pure rounding for the conjugate, so its rank is 1
     assert dims == ([0, 0] if n == 1 else [1, 0])
@@ -511,8 +521,10 @@ def test_polar_calls_depend_only_on_restarts_and_blocks(name, restarts, budget):
 def test_near_search_runs_every_sweep_of_one_block_per_family():
     # one ambient and one defect block of 20 starts each, every start for
     # all sweeps: 3 SEARCH_ITERS polar steps; an ambient stop test that
-    # ended a start early would make fewer
-    fp_a, fp_b = _near(2, 6300)
+    # ended a start early would make fewer.  Perturbed by 5e-8, the
+    # conjugate has sigma_min below its bound and an empty nullspace, and
+    # no candidate passes verification.
+    fp_a, fp_b = _near(2, 6300, 5e-8)
     outcome, ascents, calls = _counted_search(fp_a, fp_b, 20, 0)
     assert outcome[:2] == (SEARCH_NOT_FOUND, 40)
     assert ascents == [(1, matcore.SEARCH_ITERS), (2, 2 * matcore.SEARCH_ITERS)]
@@ -533,7 +545,8 @@ def test_search_holds_one_block_of_starts(monkeypatch):
     # each family's maps are built once for all of its blocks
     maps = []
     sizes = _record_stacks(monkeypatch, maps)
-    fp_a, fp_b = _near(2, 6500)
+    # sigma_min below its bound: the ambient ascent runs, and finds nothing
+    fp_a, fp_b = _near(2, 6500, 8e-8)
     r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
     monkeypatch.setattr(matcore, "BATCH_BYTES", 2 ** 9)
     out = g.search_witness(fp_a, fp_b, restarts=40, seed=0)
@@ -575,7 +588,7 @@ def test_warm_start_alone_finds_conjugates_with_larger_nullspaces(
         t1, t2 = 0.3 * np.eye(4) + 0.4 * nil, 0.2 * np.eye(4) + 0.5 * nil
     fp_a, fp_b = _turned(t1, t2, 6630)
     assert matcore.null_onb(invariant._intertwiner_system(
-        fp_a.pair, fp_b.pair)).shape[1] == dim
+        fp_a.pair, fp_b.pair))[0].shape[1] == dim
     sizes = _record_stacks(monkeypatch)
     for restarts in (1, 2, 20):
         for seed in range(3):
@@ -610,8 +623,71 @@ def test_one_restart_checks_the_warm_start_as_the_only_ambient_candidate(
     assert sizes == {"ambient": [], "defect": []}
     near = _near_with_common_summand(6620)
     assert matcore.null_onb(invariant._intertwiner_system(
-        near[0].pair, near[1].pair)).shape[1] >= 1
+        near[0].pair, near[1].pair))[0].shape[1] >= 1
     assert not g.trace_word_screen(*near).mismatch
     missed = g.search_witness(*near, restarts=1, seed=0)
     assert (missed.status, missed.restarts_used) == (SEARCH_NOT_FOUND, 2)
     assert sizes == {"ambient": [], "defect": [1]}
+
+
+def _gate_checks(patch):
+    """Record, for each matrix witness_from_ambient is given, whether its
+    gate passed it."""
+    passed, check = [], invariant.witness_from_ambient
+
+    def recorded(u, fp_a, fp_b):
+        try:
+            out = check(u, fp_a, fp_b)
+        except (NotIntertwining, ValueError):
+            passed.append(False)
+            raise
+        passed.append(True)
+        return out
+
+    patch.setattr(invariant, "witness_from_ambient", recorded)
+    return passed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_sigma_min_skips_only_ambient_starts_the_gate_refuses(n, monkeypatch):
+    # near pairs have sigma_min above its bound: no ambient ascent runs.
+    # With the skip turned off, every ambient end point is refused by the
+    # gate, and the outcome is bitwise the same
+    for seed in (6800 + n, 6810 + n, 6820 + n):
+        fp_a, fp_b = _near(n, seed)
+        with monkeypatch.context() as patch:
+            sizes = _record_stacks(patch)
+            on = g.search_witness(fp_a, fp_b, restarts=6, seed=seed)
+        assert on.ambient_sigma_min > on.ambient_bound
+        assert sizes == {"ambient": [], "defect": [6]}
+        with monkeypatch.context() as patch:
+            sizes = _record_stacks(patch)
+            passed = _gate_checks(patch)
+            patch.setattr(invariant, "_ambient_bound",
+                          lambda *args: float("inf"))
+            off = g.search_witness(fp_a, fp_b, restarts=6, seed=seed)
+        assert sizes == {"ambient": [6], "defect": [6]}
+        assert passed == [False] * 6
+        assert _outcome(on) == _outcome(off)
+        assert (on.status, on.restarts_used) == (SEARCH_NOT_FOUND, 12)
+
+
+def test_sigma_min_leaves_band_and_singular_pairs_to_the_ascent(monkeypatch):
+    # a conjugate perturbed by 1e-8 has sigma_min between the rank cut and
+    # its bound; a near pair with a common summand has a nullspace.  The
+    # ambient ascent runs on both
+    sizes = _record_stacks(monkeypatch)
+    for fp_a, fp_b in (_near(2, 6802, 1e-8), _near(6, 6806, 1e-8)):
+        basis, sv = matcore.null_onb(invariant._intertwiner_system(
+            fp_a.pair, fp_b.pair))
+        assert basis.shape[1] == 0 and sv[-1] > matcore.REL_RANK_TOL * sv[0]
+        sizes["ambient"].clear()
+        out = g.search_witness(fp_a, fp_b, restarts=2, seed=0)
+        assert out.ambient_sigma_min == sv[-1] < out.ambient_bound
+        assert sizes["ambient"] == [2]
+    near = _near_with_common_summand(6620)
+    sizes["ambient"].clear()
+    out = g.search_witness(*near, restarts=2, seed=0)
+    assert out.ambient_sigma_min < out.ambient_bound
+    assert (out.status, out.restarts_used) == (SEARCH_NOT_FOUND, 4)
+    assert sizes["ambient"] == [1]
