@@ -216,23 +216,13 @@ def _norm_bounds(values: np.ndarray, per_block: int) -> np.ndarray:
     return bounds
 
 
-def _settle(mask, values, vals, exact, per_block) -> None:
-    """Exact norms |values[i]|_2 into ``vals`` where ``mask`` holds a bound."""
-    rows = np.flatnonzero(mask & ~exact)
-    for i in range(0, len(rows), per_block):
-        part = rows[i:i + per_block]
-        vals[part] = np.linalg.norm(values[part], 2, axis=(1, 2))
-    exact[rows] = True
-
-
 def _screened_ratios(polys: np.ndarray, s: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Ratios |q(S, P)| / sup of a block, exact where they can be its worst.
+    """Ratios |q(S, P)| / sup of the candidates of a block.
 
-    Every other entry is -inf; see ``vn_probe`` for why the first largest
-    entry is that of the ratios of every polynomial, and for the norms
-    |q(S, P)| that it computes exactly.  If some q(S, P) overflows, the
-    first such polynomial gets nan, for an infinite ratio that certifies at
-    once, and every other one -inf.
+    Every other entry is -inf, for a ratio of at most PROBE_REFINE_RATIO < 1;
+    see ``vn_probe`` for the candidates and why only they can set the worst
+    ratio.  If some q(S, P) overflows, the first such polynomial gets nan,
+    for an infinite ratio that certifies at once, and every other one -inf.
     """
     low = torus_grid_max(polys, _SCREEN_STRIDE) * (1.0 - _SCREEN_SLACK)
     values = eval_matrix_sym_poly(polys, s, p)
@@ -248,19 +238,13 @@ def _screened_ratios(polys: np.ndarray, s: np.ndarray, p: np.ndarray) -> np.ndar
     per_block = max(1, polys[0].size // 2 - 1,
                     (matcore.BATCH_BYTES - values.nbytes) // (32 * n * n))
     vals = _norm_bounds(values, per_block)
-    exact = np.zeros(len(polys), dtype=bool)
-    floor = np.maximum(low, 1e-300)
     cut = matcore.PROBE_REFINE_RATIO * low
-    _settle(vals > cut, values, vals, exact, per_block)
-    cand = vals > cut
-    cand[np.argmax(vals / floor)] = True
-    _settle(cand, values, vals, exact, per_block)
-    # sup |q| <= sum |c[j, k]| 2^j on the domain: a lower bound on each ratio
-    caps = (np.abs(polys[cand]) * 2.0 ** np.arange(polys.shape[1])[:, None]).sum(
-        axis=(1, 2))
-    least = np.max(vals[cand] / np.maximum(caps * (1.0 + _SCREEN_SLACK), 1e-300))
-    _settle(~cand & (vals / floor >= least), values, vals, exact, per_block)
+    rows = np.flatnonzero(vals > cut)
+    for i in range(0, len(rows), per_block):
+        part = rows[i:i + per_block]
+        vals[part] = np.linalg.norm(values[part], 2, axis=(1, 2))
     del values  # freed before the grid blocks, to keep the peak low
+    cand = vals > cut
     sups = sup_norm_on_gamma(polys[cand])
     refine = vals[cand] > matcore.PROBE_REFINE_RATIO * np.maximum(sups, 1e-300)
     if refine.any():
@@ -268,10 +252,6 @@ def _screened_ratios(polys: np.ndarray, s: np.ndarray, p: np.ndarray) -> np.ndar
                                   sup_norm_on_gamma_refined(polys[cand][refine]))
     ratios = np.full(len(polys), -np.inf)
     ratios[cand] = vals[cand] / np.maximum(sups, 1e-300)
-    rest = ~cand & (vals / floor >= ratios[cand].max())
-    if rest.any():
-        ratios[rest] = vals[rest] / np.maximum(sup_norm_on_gamma(polys[rest]),
-                                               1e-300)
     return ratios
 
 
@@ -292,32 +272,18 @@ def vn_probe(pair: GammaPair, trials: int = matcore.PROBE_TRIALS,
     The polynomials are drawn, evaluated and screened in blocks of at most
     PROBE_TRIALS + 3, so memory does not grow with ``trials``; the worst
     ratio carries over from block to block.  Within a block only the
-    polynomials that can decide the report reach the full grid or an exact
-    norm.  Let c be the maximum of |q| over every 4th point per axis of the
-    grid, a sub-grid of the same points, low = c (1 - delta), b >= v a
-    bound on the norm (below) and upper = v / low, read as b / low until v
-    is computed.  Then
-
-    - low <= G, so v / low bounds the ratio from above;
-    - v <= PROBE_REFINE_RATIO low rules out the refinement;
-    - a polynomial whose upper bound is below a ratio already computed
-      cannot be the worst, nor tie with it.
-
-    The candidates K are the polynomials with v > PROBE_REFINE_RATIO low and
-    the first of the largest upper bound; they get G and, by the rule
-    above, the refinement.  Those outside K with upper >= the best ratio
-    over K get G, and the worst is the first largest ratio among all of
-    these: every other ratio is below it.  The report is the same, bit for
+    candidates reach an exact norm and the full grid.  Let c be the maximum
+    of |q| over every 4th point per axis of the grid, a sub-grid of the same
+    points, low = c (1 - delta) and b >= v a bound on the norm (below).  The
+    candidates K are the polynomials with v > PROBE_REFINE_RATIO low, where
+    v = |q(S, P)|_2 (one SVD) is computed only if b exceeds that cut; they
+    get G and, by the rule above, the refinement.  Every other polynomial
+    has v <= PROBE_REFINE_RATIO low <= PROBE_REFINE_RATIO G, as low <= G, so
+    no refinement and a ratio of at most PROBE_REFINE_RATIO < 1.  The first
+    block holds the constant 1, of ratio 1 up to rounding, so such a ratio
+    can neither set the worst ratio nor tie with it, in any block; a later
+    block whose K is empty never wins.  The report is the same, bit for
     bit, as with the grid sup of every polynomial.
-
-    The norm v = |q(S, P)|_2 (one SVD) is computed only where b cannot rule
-    the polynomial out: where b > PROBE_REFINE_RATIO low; at the first
-    largest upper bound after those, which reads v / low where v is known
-    and b / low elsewhere, each an upper bound on the ratio; and outside K
-    where b / low reaches max over K of v / (L (1 + delta)), L = sum
-    |c[j, k]| 2^j, a lower bound on the best ratio over K, as |s| <= 2 and
-    |p| <= 1 on the domain give sup |q| <= L, above any computed sup by far
-    less than delta.
 
     Derivation of delta.  Both grids read the same entries of W and the
     same (z1, z2) coefficients C (d x d, d = 2 PROBE_MAX_DEG + 1), so a
@@ -358,7 +324,7 @@ def vn_probe(pair: GammaPair, trials: int = matcore.PROBE_TRIALS,
             # q is bounded on the domain, so an overflowing q(S, P) certifies
             worst_ratio, worst, coeffs = float("inf"), offset + i, polys[i]
             break
-        if offset == 0 or ratios[i] > worst_ratio:
+        if ratios[i] > worst_ratio:
             worst_ratio, worst, coeffs = float(ratios[i]), offset + i, polys[i]
         offset += len(polys)
     if worst < len(_FIXED_PROBES):

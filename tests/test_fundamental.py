@@ -180,3 +180,53 @@ def test_partial_isometry_defect_rank_drop():
     fp = g.solve_fundamental(pair)
     assert fp.defect_p.rank == 2 and fp.defect_p_star.rank == 2
     assert fp.residual_f <= 1e-12
+
+
+def _normal_pure(n, rho, seed):
+    """(z1 + z2, z1 z2) with |z1| = rho, |z2| = 1 in a Haar basis: rho(P) = rho."""
+    rng = np.random.default_rng(seed)
+    z1 = rho * np.exp(2j * np.pi * rng.uniform(size=n))
+    z2 = np.exp(2j * np.pi * rng.uniform(size=n))
+    u = matcore.haar_unitary(n, rng)
+    ud = matcore.dagger(u)
+    return g.symmetrized_pair(u @ np.diag(z1) @ ud, u @ np.diag(z2) @ ud)
+
+
+def _variety_residuals(pair):
+    """sigma_min(F_*^adj + p F_* - s I) / (1 + |s|) at each joint eigenvalue."""
+    f_star = g.solve_fundamental(pair).f_star
+    eye = np.eye(len(f_star))
+    return [np.linalg.svd(matcore.dagger(f_star) + pt.p * f_star - pt.s * eye,
+                          compute_uv=False)[-1] / (1.0 + abs(pt.s))
+            for pt in pair.joint_spectrum]
+
+
+def test_joint_spectrum_lies_on_the_distinguished_variety():
+    """Every joint eigenvalue (s, p) of a pure pair has
+    det(F_*^adj + p F_* - s I) = 0.
+
+    In the model, (S*, P*) is (T_phi*, T_z*) on H^2(D_P*) restricted to the
+    image of the isometry W x = sum z^k D_P* P*^k x, with
+    phi(z) = F_*^adj + z F_*.  A joint eigenvector x of (S*, P*), for
+    (conj s, conj p), goes to W x = k_p (x) xi with k_p(z) = sum (conj p z)^k
+    and xi = D_P* x, nonzero as |p| < 1.  The joint eigenvectors of
+    (T_phi*, T_z*) are such k_p (x) xi with phi(p)* xi = conj(s) xi, so
+    phi(p) - s I is singular on the defect space.  Measured, relative to
+    1 + |s|: at most 6.2e-16 on the generated pairs, 5.2e-15 on the normal
+    ones and 0 on the shifts; F_* + p F_*^adj - s I, the adjoint
+    convention, reads 1.6 on generated pairs at n = 3.
+    """
+    worst = 0.0
+    for k in range(200):
+        worst = max(worst, *_variety_residuals(
+            g.random_pure_gamma(1 + k % 8, seed=9100 + k)))
+    for rho in (0.5, 0.9, 0.99):
+        for n in (2, 6, 12):
+            worst = max(worst, *_variety_residuals(_normal_pure(n, rho, 9400 + n)))
+    assert worst <= 1e-13
+    # the shift pair (J, J^2) has a defect of rank 2 on each side
+    for n in (5, 8):
+        j = np.eye(n, k=-1, dtype=complex)
+        pair = g.validate(j, j @ j)
+        assert g.solve_fundamental(pair).defect_p_star.rank == 2
+        assert max(_variety_residuals(pair)) <= 1e-13
