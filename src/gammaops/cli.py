@@ -126,7 +126,7 @@ def matrix_from_json(node, name: str) -> np.ndarray:
 
 def matrix_to_json(m) -> list:
     m = np.atleast_2d(np.asarray(m, dtype=complex))
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
 def _read_json_doc(path: str) -> dict:

@@ -245,12 +245,14 @@ def _screened_ratios(polys: np.ndarray, s: np.ndarray, p: np.ndarray) -> np.ndar
         vals[part] = np.linalg.norm(values[part], 2, axis=(1, 2))
     del values  # freed before the grid blocks, to keep the peak low
     cand = vals > cut
+    ratios = np.full(len(polys), -np.inf)
+    if not cand.any():
+        return ratios
     sups = sup_norm_on_gamma(polys[cand])
     refine = vals[cand] > matcore.PROBE_REFINE_RATIO * np.maximum(sups, 1e-300)
     if refine.any():
         sups[refine] = np.maximum(sups[refine],
                                   sup_norm_on_gamma_refined(polys[cand][refine]))
-    ratios = np.full(len(polys), -np.inf)
     ratios[cand] = vals[cand] / np.maximum(sups, 1e-300)
     return ratios
 

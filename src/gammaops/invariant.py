@@ -7,14 +7,15 @@ characteristic functions.  This module is verification-first: a Witness
 carrying the defect unitaries is checked against both halves of the
 invariant, and a model-level confirmation is reported on success.  The
 witness search is a labeled heuristic whose only conclusive negative is the
-trace-word screen.  Both of its candidate families run through one polar
-ascent, one batched polar step per update for a whole block of starts;
-each update applies one linear map, built once per search with row-major
-vectorization (A X B).ravel() = kron(A, B.T) x, one product per start.
-The ambient family's ascent is skipped where the least singular value of
-the intertwiner system proves that the gate of witness_from_ambient would
-refuse every candidate.  That certificate saves work but does not yet
-decide the verdict: the search's outcome is the one it would have had.
+trace-word screen.  Its ambient family is one candidate read off the
+intertwiner system: the polar factor of a generic element of its nullspace
+or, where that is empty, of its least right singular vector, and none where
+its least singular value proves that the gate of witness_from_ambient
+refuses every matrix.  That certificate does not yet decide the verdict.
+The defect family runs a polar ascent, one batched polar step per update
+for a whole block of starts; each update applies one linear map, built once
+per search with row-major vectorization (A X B).ravel() = kron(A, B.T) x,
+one product per start.
 """
 
 from __future__ import annotations
@@ -327,24 +328,34 @@ def _intertwiner_system(pair_a: GammaPair, pair_b: GammaPair) -> np.ndarray:
                           (matcore.dagger(pair_a.p), matcore.dagger(pair_b.p)))])
 
 
-def _intertwiner_start(pair_a: GammaPair, pair_b: GammaPair,
+def _ambient_candidate(pair_a: GammaPair, pair_b: GammaPair,
                        rng: np.random.Generator
-                       ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Unitary polar factor of a generic joint *-intertwiner, or None, and
-    the singular values of the intertwiner system, largest first.
+                       ) -> tuple[np.ndarray | None, float, float]:
+    """The search's one ambient candidate, or None, the least singular value
+    of the intertwiner system and the bound above which it refuses every
+    candidate (:func:`_ambient_bound`).
 
-    A unitary conjugator solves K X_A = X_B K for X in {S, P, S*, P*}; for
-    any invertible K satisfying all four, K K* commutes with the second
-    pair, so the polar factor is itself a conjugator.  K is a random
-    combination of a nullspace basis: invertible if any element is
-    (Schwartz-Zippel), and a unitary start anyway.
+    A unitary conjugator solves M X_A = X_B M for X in {S, P, S*, P*}; for
+    any invertible M satisfying all four, M M* commutes with the second
+    pair, so the polar factor of M is itself a conjugator.  Where the
+    nullspace is not empty, M is a random combination of its basis, drawn
+    from ``rng``: invertible if any element is (Schwartz-Zippel).  Where it
+    is empty and sigma_min is at most the bound, vec M is the least right
+    singular vector: of the matrices of unit Frobenius norm, the one, up to
+    a phase where that singular value is simple, that comes closest to
+    intertwining the pairs.
     """
-    basis, sv = matcore.null_onb(_intertwiner_system(pair_a, pair_b))
-    if basis.size == 0:
-        return None, sv
-    dim = basis.shape[1]
-    vec = basis @ (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-    return matcore.polar_unitary(vec.reshape(pair_a.n, pair_a.n)), sv
+    basis, sv, v = matcore.null_onb(_intertwiner_system(pair_a, pair_b))
+    sigma_min, bound = float(sv[-1]), _ambient_bound(pair_a, pair_b, sv)
+    if basis.size:
+        dim = basis.shape[1]
+        vec = basis @ (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    elif sigma_min <= bound:
+        vec = v[:, -1]
+    else:
+        return None, sigma_min, bound
+    return (matcore.polar_unitary(vec.reshape(pair_a.n, pair_a.n)),
+            sigma_min, bound)
 
 
 def _ambient_bound(pair_a: GammaPair, pair_b: GammaPair, sv: np.ndarray
@@ -363,13 +374,9 @@ def _ambient_bound(pair_a: GammaPair, pair_b: GammaPair, sv: np.ndarray
     return float(np.linalg.norm(terms)) / (1.0 - tau) + rounding
 
 
-def _conj_map(*pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Row-major matrix of x -> sum over (b, a) in pairs of b x a* + b* x a.
-
-    (B X C).ravel() = kron(B, C.T) x; the terms are added left to right.
-    """
-    return sum(term for b, a in pairs
-               for term in (np.kron(b, a.conj()), np.kron(matcore.dagger(b), a.T)))
+def _conj_map(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Row-major matrix of x -> b x a* + b* x a: (B X C).ravel() = kron(B, C.T) x."""
+    return np.kron(b, a.conj()) + np.kron(matcore.dagger(b), a.T)
 
 
 def _apply(op: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -407,7 +414,8 @@ class SearchResult:
     always the trace-word screen of the two pairs.  ``ambient_sigma_min``
     is the least singular value of the intertwiner system and
     ``ambient_bound`` the bound above which it refuses every ambient
-    candidate; both are None for DISTINCT, which is decided before them.
+    candidate, so that the search has none; both are None for DISTINCT,
+    which is decided before them.
     """
 
     status: str
@@ -425,26 +433,33 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
     """Heuristic search for an equivalence witness.
 
     The conclusive trace screen runs first.  Candidates then come from two
-    families: ambient alternating Procrustes iterations compressed to the
-    defect spaces, and defect-level alternation on (eta1, sigma) directly.
-    Every candidate must pass verify_equivalence before it is returned, and
-    a refused one still counts as used.  NOT_FOUND reports the candidate
-    with the smallest miss, the larger of its two residuals over their
-    tolerances.  A candidate that passes both invariant halves but whose
-    model confirmation meets the truncation cap ends the search: the cap
-    depends only on the two pairs, so every later candidate would meet it.
+    families: one ambient candidate, read off the intertwiner system and
+    compressed to the defect spaces by witness_from_ambient, and
+    defect-level alternation on (eta1, sigma) directly.  Every candidate
+    must pass verify_equivalence before it is returned, and a refused one
+    still counts as used.  NOT_FOUND reports the candidate with the
+    smallest miss, the larger of its two residuals over their tolerances.
+    A candidate that passes both invariant halves but whose model
+    confirmation meets the truncation cap ends the search: the cap depends
+    only on the two pairs, so every later candidate would meet it.
 
-    The first ambient candidate is the warm start of _intertwiner_start,
-    checked as drawn: the polar factor of a generic joint intertwiner, which
-    is a conjugator whenever one exists.  Each family then runs its
-    remaining starts in blocks of at most BATCH_BYTES of iterates, every
-    start that runs for all SEARCH_ITERS sweeps.  Each start follows exactly
-    its own iterates, and starts are drawn and verified in restart order, so
-    the result does not depend on the blocks.
+    The ambient candidate comes from the one factorization of the
+    intertwiner system K that null_onb makes (_ambient_candidate): the
+    polar factor of a generic element of its nullspace, which is a
+    conjugator whenever one exists, drawn first from the search's
+    generator; where the nullspace is empty, the polar factor of K's least
+    right singular vector, if sigma_min(K) is at most ``ambient_bound``;
+    otherwise none, since then no matrix passes the gate of
+    witness_from_ambient (below).  Unless it is the witness, the ambient
+    family counts as ``restarts`` used candidates, so ``restarts_used`` is
+    1 for an ambient find, restarts + k + 1 for the defect family's k-th
+    start and 2 restarts for NOT_FOUND.  The defect family then runs its
+    starts in blocks of at most BATCH_BYTES of iterates, every start for
+    all SEARCH_ITERS sweeps.  Each start follows exactly its own iterates,
+    and starts are drawn and verified in restart order, so the result does
+    not depend on the blocks.
 
-    The ambient ascent runs only where a candidate could pass the gate of
-    witness_from_ambient.  Let K be the 4n^2 x n^2 intertwiner system and
-    u = vec U, so that |K u|^2 sums |X_B U - U X_A|_F^2 and
+    The bound.  Let u = vec U, so that |K u|^2 sums |X_B U - U X_A|_F^2 and
     |X_B* U - U X_A*|_F^2 over X in {S, P}.  A U that passes the gate has
     |U*U - I| <= tau = WITNESS_UNITARY_TOL + 2 n eps, the gate's bound on
     the computed defect plus its rounding, so |U| <= sqrt(1 + tau) and
@@ -467,13 +482,8 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
     (Golub & Van Loan, Matrix Computations, 8.6); the slack
     2 m k eps |K|_F = 4 m k u |K|_F covers both, |K|_F being the 2-norm of
     the singular values.  ``ambient_bound`` is the sum of bound and slack.
-    Where the nullspace is empty and ``ambient_sigma_min`` exceeds it, no
-    matrix passes the gate: the ambient family builds no map and runs no
-    ascent, but still draws its starts in restart order, so the defect
-    family's starts are unchanged, and counts each as a used, refused
-    candidate, as the gate would have.  The outcome is bitwise that of the
-    full search.  The certificate does not yet decide the verdict: without
-    a defect-family witness the search still ends NOT_FOUND, inconclusive
+    The certificate does not yet decide the verdict: without a
+    defect-family witness the search still ends NOT_FOUND, inconclusive
     (ROADMAP.md, items 1 and 4).
     """
     if restarts < 1:
@@ -487,20 +497,8 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
                             screen=screen, restarts_used=0)
 
     rng = np.random.default_rng(seed)
-    n, r, r_star = pair_a.n, fp_a.f.shape[0], fp_a.f_star.shape[0]
-    warm, sv = _intertwiner_start(pair_a, pair_b, rng)
-    sigma_min, bound = float(sv[-1]), _ambient_bound(pair_a, pair_b, sv)
-    refused = warm is None and sigma_min > bound
-
-    def defect_maps():
-        # K = sum_j kron(Theta_B(z_j), conj Theta_A(z_j)), the map of sigma ->
-        # sum_j Theta_B sigma Theta_A*, over every other coincidence grid point
-        ta, tb = fp_a.theta_grid[1::2], fp_b.theta_grid[1::2]
-        k_theta = np.tensordot(tb, ta.conj(), axes=(0, 0)).transpose(
-            0, 2, 1, 3).reshape(r_star * r_star, r * r)
-        return (np.hstack([_conj_map((fp_b.f_star, fp_a.f_star)), k_theta]),
-                np.hstack([_conj_map((fp_b.f, fp_a.f)),
-                           matcore.dagger(k_theta)]))
+    r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
+    u, sigma_min, bound = _ambient_candidate(pair_a, pair_b, rng)
 
     def defect_start(k):
         if k == 0:
@@ -508,41 +506,26 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
         sigma = matcore.haar_unitary(r, rng)
         return matcore.haar_unitary(r_star, rng), sigma
 
-    def ambient_witness(u):
-        return witness_from_ambient(u, fp_a, fp_b)[0]
-
     def candidates():
-        """(end point -> witness, end point) in restart order, or (None, ())
-        for a start refused by sigma_min; a block's ascent runs only once the
-        candidates before it are refused."""
-        if warm is not None:
-            yield ambient_witness, (warm,)
-        # maps (None: every start refused), starts, bytes per start, start k,
-        # end point -> witness
-        for maps, count, item_bytes, start, end in (
-                (None if refused else lambda: (
-                    _conj_map((pair_b.s, pair_a.s), (pair_b.p, pair_a.p)),),
-                 restarts - (warm is not None), 16 * n * n,
-                 lambda k: (np.eye(n, dtype=complex) if k == 0
-                            else matcore.haar_unitary(n, rng),),
-                 ambient_witness),
-                (defect_maps, restarts, 16 * (r * r + r_star * r_star),
-                 defect_start, Witness)):
-            blocks = matcore.batches(count, item_bytes)
-            ops = maps() if blocks and maps else None
-            for block in blocks:
-                starts = [start(k) for k in range(block.start, block.stop)]
-                if ops is None:
-                    yield from itertools.repeat((None, ()), len(starts))
-                    continue
-                ends = _polar_ascent(ops, tuple(map(np.stack, zip(*starts))))
-                yield from ((end, point) for point in zip(*ends))
+        """(restarts used, end point -> witness, end point) in restart order;
+        a block's ascent runs only once the candidates before it are refused."""
+        if u is not None:
+            yield 1, lambda m: witness_from_ambient(m, fp_a, fp_b)[0], (u,)
+        # K = sum_j kron(Theta_B(z_j), conj Theta_A(z_j)), the map of sigma ->
+        # sum_j Theta_B sigma Theta_A*, over every other coincidence grid point
+        ta, tb = fp_a.theta_grid[1::2], fp_b.theta_grid[1::2]
+        k_theta = np.tensordot(tb, ta.conj(), axes=(0, 0)).transpose(
+            0, 2, 1, 3).reshape(r_star * r_star, r * r)
+        ops = (np.hstack([_conj_map(fp_b.f_star, fp_a.f_star), k_theta]),
+               np.hstack([_conj_map(fp_b.f, fp_a.f), matcore.dagger(k_theta)]))
+        for block in matcore.batches(restarts, 16 * (r * r + r_star * r_star)):
+            ks = range(block.start, block.stop)
+            starts = tuple(map(np.stack, zip(*map(defect_start, ks))))
+            yield from ((restarts + k + 1, Witness, point) for k, point in
+                        zip(ks, zip(*_polar_ascent(ops, starts))))
 
     misses, used = [], 0
-    for end, point in candidates():
-        used += 1
-        if end is None:
-            continue
+    for used, end, point in candidates():
         try:
             witness = end(*point)
         except (NotIntertwining, ValueError):

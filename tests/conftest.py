@@ -8,6 +8,7 @@ from scipy.optimize import minimize
 
 import gammaops as g
 from gammaops import matcore
+from gammaops.exceptions import NotIntertwining
 
 
 @pytest.fixture(scope="session")
@@ -169,10 +170,34 @@ def _defect_alternation(fp_a, fp_b, samples, sigma0, eta0):
     return sigma, eta
 
 
+def _ambient_ascent_search(fp_a, fp_b, restarts, seed):
+    """Oracle: the ambient polar ascent that the witness search once ran.
+
+    ``restarts`` starts, the identity and then Haar unitaries drawn from
+    ``seed``, each run for all SEARCH_ITERS steps; each end point is checked
+    by ``witness_from_ambient`` and ``verify_equivalence``.  Returns the
+    number of the first start that gives a witness, or None.  The search's
+    warm start from the intertwiner nullspace is left out, so the oracle
+    is meant for pairs whose nullspace is empty.
+    """
+    rng = np.random.default_rng(seed)
+    n = fp_a.pair.n
+    for k in range(restarts):
+        u0 = np.eye(n, dtype=complex) if k == 0 else matcore.haar_unitary(n, rng)
+        u = _ambient_procrustes(fp_a.pair, fp_b.pair, u0)
+        try:
+            witness, _ = g.witness_from_ambient(u, fp_a, fp_b)
+        except (NotIntertwining, ValueError):
+            continue
+        if g.verify_equivalence(fp_a, fp_b, witness).equivalent:
+            return k + 1
+    return None
+
+
 @pytest.fixture(scope="session")
-def procrustes_oracle():
-    """The witness search's ambient iteration, one start at a time."""
-    return _ambient_procrustes
+def ambient_search_oracle():
+    """The ambient family as a polar ascent from identity and Haar starts."""
+    return _ambient_ascent_search
 
 
 @pytest.fixture(scope="session")

@@ -413,12 +413,14 @@ def test_default_probe_takes_few_exact_norms(monkeypatch):
     assert sum(rows) <= 60
 
 
-def test_later_blocks_reach_norms_and_grid_only_on_candidates(monkeypatch):
+def test_later_blocks_reach_norms_and_grid_only_on_candidates(
+        monkeypatch, probe_oracle):
     # past the first block only K = {v > PROBE_REFINE_RATIO low} takes an
-    # exact norm or a grid sup.  Measured at 1000 trials: 1 exact norm and
-    # 1 grid sup on the pure pair, 126 exact norms on the torus pair; the
-    # bounds allow about twice that, against 585, 6 and 661 if each block's
-    # own worst ratio were made exact
+    # exact norm or a grid sup, and a block whose K is empty calls no grid.
+    # Measured at 1000 trials: 1 exact norm and 1 grid call (the first
+    # block's constant) on the pure pair, 126 exact norms on the torus pair;
+    # the norm bounds allow about twice that, against 585 and 661 if each
+    # block's own worst ratio were made exact
     rows = _counted_norms(monkeypatch)
     grids = []
     grid = gamma_pair.sup_norm_on_gamma
@@ -428,8 +430,10 @@ def test_later_blocks_reach_norms_and_grid_only_on_candidates(monkeypatch):
         return grid(coeffs)
 
     monkeypatch.setattr(gamma_pair, "sup_norm_on_gamma", counted)
-    g.vn_probe(g.random_pure_gamma(12, seed=8), trials=1000)
-    assert 1 <= sum(rows) <= 3 and 1 <= sum(grids) <= 2
+    pair = g.random_pure_gamma(12, seed=8)
+    rep = g.vn_probe(pair, trials=1000)
+    assert 1 <= sum(rows) <= 3 and grids == [1]
+    assert _same_report(rep, probe_oracle(pair, 1000, 0))
     rows.clear()
     g.vn_probe(_torus_pair(12, seed=5), trials=1000)
     assert sum(rows) <= 250
