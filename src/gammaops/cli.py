@@ -420,9 +420,10 @@ def cmd_compare(args) -> int:
     report["witness_source"] = "search"
     report["search"] = {"status": result.status,
                         "restarts_used": result.restarts_used}
-    if result.ambient_bound is not None:
-        report["search"].update(ambient_sigma_min=result.ambient_sigma_min,
-                                ambient_bound=result.ambient_bound)
+    for key in ("ambient_sigma_min", "ambient_bound",
+                "defect_sigma_min", "defect_bound"):
+        if getattr(result, key) is not None:
+            report["search"][key] = getattr(result, key)
     if result.report is not None:
         report["equivalence"] = _equivalence_block(result.report)
     if result.status == SEARCH_FOUND:

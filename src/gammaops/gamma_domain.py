@@ -9,6 +9,7 @@ on the distinguished boundary, the image of the torus.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -164,23 +165,45 @@ def eval_matrix_sym_poly(coeffs, s_mat: np.ndarray, p_mat: np.ndarray) -> np.nda
     return out[0] if single else out
 
 
+@functools.cache
+def _binomial_columns(a: int) -> tuple[np.ndarray, ...]:
+    """C(j, l) for j = l ... a - 1, as a column, for each l < a; read-only."""
+    cols = tuple(np.array([[math.comb(j, l)] for j in range(l, a)],
+                          dtype=float) for l in range(a))
+    for col in cols:
+        col.flags.writeable = False
+    return cols
+
+
 def _z_coeffs(stack: np.ndarray) -> np.ndarray:
     """Coefficients (m, d, d) in (z1, z2), d = a + b - 1, of a stack (m, a, b).
 
-    Each monomial s^j p^k expands as sum_l C(j, l) z1^(l + k) z2^(j - l + k);
-    for fixed (j, l) the entries (l + k, j - l + k) lie on one diagonal, a
-    strided view of the flat coefficients, and the terms are added there
-    elementwise, so a polynomial's coefficients do not depend on the rest
+    Each monomial s^j p^k expands as sum_l C(j, l) z1^(l + k) z2^(j - l + k).
+    For fixed l the entries (l + k, j - l + k) of every j lie at the flat
+    indices l d + (j - l) + k (d + 1), a (b, a - l) strided view of the flat
+    coefficients padded by b entries, and the terms are added there
+    elementwise.  An entry takes at most one term per l, in increasing l
+    (for fixed entry, j - 2 l is fixed), so the sums are those of a loop
+    over (j, l), and a polynomial's coefficients do not depend on the rest
     of the stack.  Without coefficients, d is 0.
     """
     m, a, b = stack.shape
     d = max(a + b - 1, 0)
-    zc = np.zeros((m, d * d), dtype=complex)
-    for j in range(a):
-        for l in range(j + 1):
-            start = l * d + j - l
-            zc[:, start:start + b * (d + 1):d + 1] += math.comb(j, l) * stack[:, j]
-    return zc.reshape(m, d, d)
+    zc = np.zeros((m, d * d + b), dtype=complex)
+    for l, binom in enumerate(_binomial_columns(a)):
+        diag = zc[:, l * d:l * d + b * (d + 1)].reshape(m, b, d + 1)
+        diag[:, :, :a - l] += (binom * stack[:, l:]).swapaxes(1, 2)
+    return zc[:, :d * d].reshape(m, d, d)
+
+
+@functools.cache
+def _grid_powers(n: int, stride: int, d: int) -> np.ndarray:
+    """W[j, alpha] = z_j^alpha, z_j = e^{2 pi i stride j / n}, alpha < d,
+    read-only; see :func:`_torus_moduli`."""
+    z = np.exp(2j * np.pi * np.arange(n) / n)
+    w = z[np.outer(np.arange(0, n, stride), np.arange(d)) % n]
+    w.flags.writeable = False
+    return w
 
 
 def _torus_moduli(zc: np.ndarray, stride: int = 1):
@@ -190,14 +213,12 @@ def _torus_moduli(zc: np.ndarray, stride: int = 1):
     SUP_GRID_N and g = N / stride, from the separable product W C W^T with
     W[j, alpha] = z_j^alpha read off the N-th roots as the root of index
     stride j alpha mod N; every stride-th row of the full grid's W is the
-    same numbers.  A block is budgeted by all of its temporaries, 16 g d
-    bytes per polynomial for W C, 16 g^2 for the values and 8 g^2 for
-    their moduli.  The moduli of every block go to one buffer, so the
-    array yielded for a block is overwritten by the next one.
+    same numbers, built once per (N, stride, d).  A block is budgeted by all
+    of its temporaries, 16 g d bytes per polynomial for W C, 16 g^2 for the
+    values and 8 g^2 for their moduli.  The moduli of every block go to one
+    buffer, so the array yielded for a block is overwritten by the next one.
     """
-    n = matcore.SUP_GRID_N
-    z = np.exp(2j * np.pi * np.arange(n) / n)
-    w = z[np.outer(np.arange(0, n, stride), np.arange(zc.shape[-1])) % n]
+    w = _grid_powers(matcore.SUP_GRID_N, stride, zc.shape[-1])
     g, d = w.shape
     blocks = matcore.batches(len(zc), 16 * g * d + 24 * g * g)
     buf = np.empty((blocks[0].stop if blocks else 0, g, g))
@@ -218,8 +239,11 @@ def torus_grid_max(coeffs, stride: int) -> np.ndarray:
     """
     stack = _as_stack(coeffs)[0]
     sups = np.empty(len(stack))
-    for blk, vals in _torus_moduli(_z_coeffs(stack), stride):
-        sups[blk] = vals.max(axis=(1, 2))
+    d = max(sum(stack.shape[1:]) - 1, 0)
+    # the (z1, z2) coefficients, 16 d^2 bytes each, BATCH_BYTES at a time
+    for chunk in matcore.batches(len(stack), 16 * d * d):
+        for blk, vals in _torus_moduli(_z_coeffs(stack[chunk]), stride):
+            sups[chunk][blk] = vals.max(axis=(1, 2))
     return sups
 
 
@@ -294,23 +318,24 @@ def _refine(stack: np.ndarray) -> np.ndarray:
     """Refined sups of a stack of non-constant polynomials, see below."""
     n, r = matcore.SUP_GRID_N, matcore.REFINE_STARTS
     j, k = np.triu_indices(n)
-    zc = _z_coeffs(stack)
     best = np.empty(len(stack))
-    starts = np.empty((len(stack), r), dtype=int)
-    for blk, vals in _torus_moduli(zc):
-        best[blk] = vals.max(axis=(1, 2))
-        starts[blk] = np.argpartition(vals[:, j, k], -r, axis=1)[:, -r:]
     spacing = 2.0 * np.pi / n
     trust = 0.5 * spacing
     stop = np.sqrt(np.finfo(float).eps)
-    d = zc.shape[-1]
+    d = sum(stack.shape[1:]) - 1
     level = _JET_ROUNDING * d * (d + 2)
-    for blk in matcore.batches(len(stack), 16 * r * d * d):
+    # a batch holds its coefficients, their scaled copy and r d^2 of jets
+    for blk in matcore.batches(len(stack), 16 * (r + 2) * d * d):
+        zc = _z_coeffs(stack[blk])
+        starts = np.empty((len(zc), r), dtype=int)
+        for sub, vals in _torus_moduli(zc):
+            best[blk][sub] = vals.max(axis=(1, 2))
+            starts[sub] = np.argpartition(vals[:, j, k], -r, axis=1)[:, -r:]
         # dividing by a power of two near the grid sup is exact and keeps
         # |q|^2 and its derivatives in range for any size of coefficients
         scale = np.ldexp(1.0, np.frexp(best[blk])[1])
-        scaled = zc[blk] / scale[:, None, None]
-        theta = spacing * np.stack([j[starts[blk]], k[starts[blk]]], axis=-1)
+        scaled = zc / scale[:, None, None]
+        theta = spacing * np.stack([j[starts], k[starts]], axis=-1)
         active = np.ones(theta.shape[:2], dtype=bool)
         for it in range(matcore.REFINE_ITERS + 1):
             q, grad, h11, h12, h22 = _torus_jets(scaled, theta)
@@ -335,10 +360,10 @@ def sup_norm_on_gamma_refined(coeffs):
     Still a lower bound for the true sup: the result is the largest of the
     grid value of ``sup_norm_on_gamma`` and |q| at the torus points the
     iteration visits.  Grid values and iteration use the (z1, z2)
-    coefficients of each polynomial, converted once.  The iteration runs on
-    |q|^2 as a function of the angles (t1, t2), from the REFINE_STARTS best
-    points of the half grid (z1 <= z2, so no start is the mirror of
-    another), every start of every polynomial at once: a Newton
+    coefficients of each polynomial, converted once per batch.  The
+    iteration runs on |q|^2 as a function of the angles (t1, t2), from the
+    REFINE_STARTS best points of the half grid (z1 <= z2, so no start is
+    the mirror of another), every start of every polynomial at once: a Newton
     step where the Hessian is negative definite, otherwise a step along the
     gradient, each capped at half the grid spacing h.  A start stops once
     its step falls below sqrt(eps), where |q|^2 changes only at rounding

@@ -11,11 +11,14 @@ trace-word screen.  Its ambient family is one candidate read off the
 intertwiner system: the polar factor of a generic element of its nullspace
 or, where that is empty, of its least right singular vector, and none where
 its least singular value proves that the gate of witness_from_ambient
-refuses every matrix.  That certificate does not yet decide the verdict.
-The defect family runs a polar ascent, one batched polar step per update
-for a whole block of starts; each update applies one linear map, built once
-per search with row-major vectorization (A X B).ravel() = kron(A, B.T) x,
-one product per start.
+refuses every matrix.  The defect family first factors the gate's own
+rows in (eta1, sigma), with sigma eliminated; where their least singular
+value proves that verify_equivalence refuses every pair of unitaries, the
+family is one candidate.  Neither certificate yet decides the verdict.
+Otherwise the defect family runs a polar ascent, one batched polar step per
+update for a whole block of starts; each update applies one linear map,
+built once per search with row-major vectorization (A X B).ravel() =
+kron(A, B.T) x, one product per start.
 """
 
 from __future__ import annotations
@@ -318,14 +321,17 @@ def _intertwiner_system(pair_a: GammaPair, pair_b: GammaPair) -> np.ndarray:
     """The 4n^2 x n^2 system K x = 0 of K X_A = X_B K for X in {S, P, S*, P*}.
 
     Row-major vectorization: (A X).ravel() = kron(A, I) x and
-    (X B).ravel() = kron(I, B.T) x.
+    (X B).ravel() = kron(I, B.T) x.  Each block is written into K in place.
     """
-    eye = np.eye(pair_a.n, dtype=complex)
-    return np.vstack([np.kron(x_b, eye) - np.kron(eye, x_a.T)
-                      for x_a, x_b in (
-                          (pair_a.s, pair_b.s), (pair_a.p, pair_b.p),
-                          (matcore.dagger(pair_a.s), matcore.dagger(pair_b.s)),
-                          (matcore.dagger(pair_a.p), matcore.dagger(pair_b.p)))])
+    n = pair_a.n
+    eye = np.eye(n, dtype=complex)
+    k = np.empty((4, n * n, n * n), dtype=complex)
+    for block, (x_a, x_b) in zip(k, (
+            (pair_a.s, pair_b.s), (pair_a.p, pair_b.p),
+            (matcore.dagger(pair_a.s), matcore.dagger(pair_b.s)),
+            (matcore.dagger(pair_a.p), matcore.dagger(pair_b.p)))):
+        np.subtract(np.kron(x_b, eye), np.kron(eye, x_a.T), out=block)
+    return k.reshape(4 * n * n, n * n)
 
 
 def _ambient_candidate(pair_a: GammaPair, pair_b: GammaPair,
@@ -374,6 +380,71 @@ def _ambient_bound(pair_a: GammaPair, pair_b: GammaPair, sv: np.ndarray
     return float(np.linalg.norm(terms)) / (1.0 - tau) + rounding
 
 
+def _defect_certificate(fp_a: FundamentalPair, fp_b: FundamentalPair
+                        ) -> tuple[float, float, tuple[np.ndarray, ...]]:
+    """sigma_min of the defect system M with sigma eliminated, the bound
+    above which no (eta1, sigma) passes verify_equivalence
+    (:func:`_defect_bound`), and a point (eta, sigma): eta the least right
+    singular vector of M and sigma its least-squares partner.  The system
+    and the bound are derived in :func:`search_witness`.
+
+    Column k of the stacked coincidence gaps is H e_k - T_B sigma e_k, with
+    H = [eta1 Theta_A(z_j)]_j and T_B = [Theta_B(z_j)]_j, so with Q_perp the
+    columns past r of the full QR of T_B, min over sigma of the gaps is
+    |Q_perp* H|_F.  M holds the F_* rows over the rows of Q_perp* H, one
+    (J r* - r) x r*^2 block per column k, written in place.
+    """
+    r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
+    # theta_grid[1] = 0.3 and theta_grid[25] = -0.6: one point per inner circle
+    ta, tb = (fp.theta_grid[[1, 25]] for fp in (fp_a, fp_b))
+    weight = 1.0 / (np.sqrt(min(r, r_star)) * matcore.COINCIDE_TOL)
+    t_b = tb.reshape(-1, r)
+    q_perp = np.linalg.qr(t_b, mode="complete")[0][:, r:]
+    c = q_perp.shape[1]
+    system = np.zeros((r_star * r_star + r * c, r_star * r_star),
+                      dtype=complex)
+    top = system[:r_star * r_star]
+    # row (i, l), column (i', h): delta_ii' F_*A[h, l] - F_*B[i, i'] delta_lh
+    idx, blocks = np.arange(r_star), top.reshape((r_star,) * 4)
+    blocks[:, idx, :, idx] = -fp_b.f_star
+    blocks[idx, :, idx, :] += fp_a.f_star.T
+    top /= _fstar_bound(fp_a)
+    # row (k, c), column (i, h): sum_j conj Q_perp[j, i, c] Theta_A(z_j)[h, k]
+    np.einsum("jic,jhk->kcih", q_perp.conj().reshape(len(tb), r_star, c),
+              weight * ta,
+              out=system[r_star * r_star:].reshape(r, c, r_star, r_star))
+    k_norm = np.sqrt(np.linalg.norm(top) ** 2 + weight ** 2 * (
+        r_star * np.linalg.norm(ta) ** 2 + r * np.linalg.norm(tb) ** 2))
+    _, sv, v = matcore.null_onb(system)
+    eta = v[:, -1].reshape(r_star, r_star)
+    sigma = np.linalg.lstsq(t_b, (eta @ ta).reshape(-1, r), rcond=None)[0]
+    bound = _defect_bound(fp_a, fp_b, ta, tb, len(system), k_norm)
+    return float(sv[-1]), bound, (eta, sigma)
+
+
+def _defect_bound(fp_a: FundamentalPair, fp_b: FundamentalPair,
+                  ta: np.ndarray, tb: np.ndarray, rows: int, k_norm: float
+                  ) -> float:
+    """The bound above which sigma_min of the defect system, ``rows`` high
+    and of Frobenius norm ``k_norm`` before sigma is eliminated, refuses
+    every (eta1, sigma); derived in :func:`search_witness`."""
+    r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
+    n, eps = max(r, r_star), np.finfo(np.float64).eps
+    tau = matcore.WITNESS_UNITARY_TOL + 2 * n * eps
+    fro = np.linalg.norm
+    # each block's gap over its weight, with the rounding of the gate
+    terms = [1.0 + 2 * r_star * r_star * eps
+             + 2 * r_star * np.sqrt(r_star * (1.0 + tau)) * eps
+             * (fro(fp_a.f_star) + fro(fp_b.f_star)) / _fstar_bound(fp_a)]
+    for a, b in zip(ta, tb):
+        terms.append(1.0 + 2 * n * eps + 2 * n * np.sqrt(n * (1.0 + tau)) * eps
+                     * (fro(a) + fro(b)) / matcore.COINCIDE_TOL)
+    slack = (2 * rows * (r_star * r_star) * eps * k_norm
+             * np.sqrt((r + r_star) * (1.0 + tau)))
+    return float((np.linalg.norm(terms) + slack)
+                 / (np.sqrt(r_star) * (1.0 - tau)))
+
+
 def _conj_map(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Row-major matrix of x -> b x a* + b* x a: (B X C).ravel() = kron(B, C.T) x."""
     return np.kron(b, a.conj()) + np.kron(matcore.dagger(b), a.T)
@@ -415,7 +486,10 @@ class SearchResult:
     is the least singular value of the intertwiner system and
     ``ambient_bound`` the bound above which it refuses every ambient
     candidate, so that the search has none; both are None for DISTINCT,
-    which is decided before them.
+    which is decided before them.  ``defect_sigma_min`` and
+    ``defect_bound`` are the same pair for the defect system in
+    (eta1, sigma), built only once the ambient family has failed: None
+    where the screen, differing dimensions or the ambient candidate decide.
     """
 
     status: str
@@ -425,6 +499,8 @@ class SearchResult:
     restarts_used: int
     ambient_sigma_min: float | None = None
     ambient_bound: float | None = None
+    defect_sigma_min: float | None = None
+    defect_bound: float | None = None
 
 
 def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
@@ -434,8 +510,8 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
 
     The conclusive trace screen runs first.  Candidates then come from two
     families: one ambient candidate, read off the intertwiner system and
-    compressed to the defect spaces by witness_from_ambient, and
-    defect-level alternation on (eta1, sigma) directly.  Every candidate
+    compressed to the defect spaces by witness_from_ambient, and the
+    defect family on (eta1, sigma) directly.  Every candidate
     must pass verify_equivalence before it is returned, and a refused one
     still counts as used.  NOT_FOUND reports the candidate with the
     smallest miss, the larger of its two residuals over their tolerances.
@@ -453,7 +529,13 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
     witness_from_ambient (below).  Unless it is the witness, the ambient
     family counts as ``restarts`` used candidates, so ``restarts_used`` is
     1 for an ambient find, restarts + k + 1 for the defect family's k-th
-    start and 2 restarts for NOT_FOUND.  The defect family then runs its
+    start and 2 restarts for NOT_FOUND.  Once the ambient family has
+    failed, the defect system is factored once (_defect_certificate).
+    Where its sigma_min exceeds ``defect_bound``, no pair of unitaries
+    passes verify_equivalence (below), and the defect family is one
+    candidate, the polar factors of its point (eta, sigma), which still
+    counts as ``restarts`` used candidates: NOT_FOUND reports a real
+    nearest miss at 2 restarts.  Otherwise the defect family runs its
     starts in blocks of at most BATCH_BYTES of iterates, every start for
     all SEARCH_ITERS sweeps.  Each start follows exactly its own iterates,
     and starts are drawn and verified in restart order, so the result does
@@ -482,9 +564,43 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
     (Golub & Van Loan, Matrix Computations, 8.6); the slack
     2 m k eps |K|_F = 4 m k u |K|_F covers both, |K|_F being the 2-norm of
     the singular values.  ``ambient_bound`` is the sum of bound and slack.
-    The certificate does not yet decide the verdict: without a
-    defect-family witness the search still ends NOT_FOUND, inconclusive
-    (ROADMAP.md, items 1 and 4).
+
+    The defect bound.  K is the weighted system in x = (vec eta1, vec
+    sigma) with the rows of (eta1 F_*A - F_*B eta1) / f, f = _fstar_bound,
+    and, at J = 2 points z_j of the coincidence grid, of (eta1 Theta_A(z_j)
+    - Theta_B(z_j) sigma) / (sqrt(rho) c), rho = min(r, r*) and c =
+    COINCIDE_TOL; Theta_A(z_j), Theta_B(z_j) and F_* are the very arrays
+    verify_equivalence reads.  A witness it accepts has unitary eta1 and
+    sigma to tau = WITNESS_UNITARY_TOL + 2 n eps, n = max(r, r*), so
+    |vec eta1|_F >= sqrt(r*) (1 - tau) and |x| <= sqrt((r + r*)(1 + tau)).
+    Its computed F_* residual is at most f, so the exact one is at most
+    f (1 + 2 r*^2 eps) + 2 r* sqrt(r* (1 + tau)) eps (|F_*A|_F + |F_*B|_F),
+    with the rounding of the Frobenius norm and of the two products
+    (|fl(A B) - A B| <= gamma_k |A||B| entrywise, Higham, section 3.5).  Each
+    coincidence gap has computed spectral norm at most c, so the exact one
+    is at most c (1 + 2 n eps) + 2 n sqrt(n (1 + tau)) eps (|Theta_A(z_j)|_F
+    + |Theta_B(z_j)|_F), and its Frobenius norm at most sqrt(rho) times
+    that, the gap having rank at most rho.  Over their weights these are
+    J + 1 terms whose 2-norm beta, sqrt(1 + J) without rounding, bounds
+    |K x|.  Eliminating sigma (variable projection, Golub & Pereyra, SIAM
+    J. Numer. Anal. 10, 1973) leaves min over sigma of |K x| = |M vec eta1|,
+    M the (r*^2 + r (J r* - r)) x r*^2 system of _defect_certificate, 288 x
+    144 at r = r* = 12, so sigma_min(M) sqrt(r*) (1 - tau) <= beta.  Where
+    T_B is rank-deficient, Q_perp spans less than the complement of its
+    range, which only lowers sigma_min(M): the bound holds.  To first order
+    the computed sigma_min is exact for the M of some K + dK: the QR of T_B
+    and of M, the products with Q_perp and the SVD of R are backward
+    stable, and an error E in the rows Q_perp* H is the error Q_perp E in
+    K.  As for ``ambient_bound``, |dK|_F <= 2 m k eps |K|_F with m the rows
+    of M and k = r*^2, |K|_F the norm of the weighted system before
+    elimination, and |(K + dK) x| <= beta + |dK|_F |x|.  ``defect_bound``
+    is (beta + 2 m k eps |K|_F sqrt((r + r*)(1 + tau))) / (sqrt(r*) (1 - tau)).
+    The points are theta_grid[1] = 0.3 and theta_grid[25] = -0.6, one per
+    inner circle: on the benchmark's near pairs sigma_min clears
+    sqrt(1 + J) / sqrt(r*) by 1.13 or more.
+
+    Neither certificate yet decides the verdict: without a witness the
+    search still ends NOT_FOUND, inconclusive (ROADMAP.md, items 1 and 4).
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -500,6 +616,8 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
     r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
     u, sigma_min, bound = _ambient_candidate(pair_a, pair_b, rng)
 
+    certificate = {}  # sigma_min and bound, once the ambient family fails
+
     def defect_start(k):
         if k == 0:
             return np.eye(r_star, dtype=complex), np.eye(r, dtype=complex)
@@ -511,6 +629,14 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
         a block's ascent runs only once the candidates before it are refused."""
         if u is not None:
             yield 1, lambda m: witness_from_ambient(m, fp_a, fp_b)[0], (u,)
+        defect_sigma_min, defect_bound, point = _defect_certificate(fp_a, fp_b)
+        certificate.update(defect_sigma_min=defect_sigma_min,
+                           defect_bound=defect_bound)
+        if defect_sigma_min > defect_bound:
+            # no (eta1, sigma) passes the gate: one candidate, for the miss
+            yield 2 * restarts, lambda eta, sigma: Witness(
+                *map(matcore.polar_unitary, (eta, sigma))), point
+            return
         # K = sum_j kron(Theta_B(z_j), conj Theta_A(z_j)), the map of sigma ->
         # sum_j Theta_B sigma Theta_A*, over every other coincidence grid point
         ta, tb = fp_a.theta_grid[1::2], fp_b.theta_grid[1::2]
@@ -536,7 +662,7 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
                                 report=report, screen=screen,
                                 restarts_used=used,
                                 ambient_sigma_min=sigma_min,
-                                ambient_bound=bound)
+                                ambient_bound=bound, **certificate)
         misses.append(report)
         if (report.model_confirmation is None and report.coincidence.coincide
                 and report.fstar_residual <= _fstar_bound(fp_a)):
@@ -549,4 +675,5 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
     return SearchResult(status=SEARCH_NOT_FOUND, witness=None,
                         report=min(misses, key=miss, default=None),
                         screen=screen, restarts_used=used,
-                        ambient_sigma_min=sigma_min, ambient_bound=bound)
+                        ambient_sigma_min=sigma_min, ambient_bound=bound,
+                        **certificate)

@@ -190,6 +190,27 @@ def test_compare_search_reports_the_ambient_certificate(tmp_path, capsys):
     assert "search" not in _report(capsys.readouterr().out)
 
 
+def test_compare_search_reports_the_defect_certificate(tmp_path, capsys):
+    # the near pair has no ambient candidate, so the defect system is built,
+    # and its sigma_min clears its bound: one refused candidate for the
+    # family, NOT_FOUND after 2 restarts.  The ambient candidate decides a
+    # pair and itself before the defect system is built
+    pair = g.random_pure_gamma(3, seed=42, max_norm=0.8)
+    u = matcore.haar_unitary(3, np.random.default_rng(43))
+    ud = matcore.dagger(u)
+    a = _write(tmp_path, "a.json", _pair_doc(pair))
+    near = _write(tmp_path, "near.json", cli.pair_file_doc(
+        u @ (pair.s + 3e-7 * pair.p) @ ud, u @ pair.p @ ud))
+    assert cli.main(["compare", a, near, "--search", "2"]) == 5
+    search = _report(capsys.readouterr().out)["search"]
+    assert search["defect_sigma_min"] > search["defect_bound"] > 0.0
+    assert (search["status"], search["restarts_used"]) == ("NOT_FOUND", 4)
+    assert cli.main(["compare", a, a, "--search", "2"]) == 0
+    search = _report(capsys.readouterr().out)["search"]
+    assert "ambient_bound" in search
+    assert "defect_sigma_min" not in search and "defect_bound" not in search
+
+
 def _count_calls(monkeypatch, fn):
     """Count calls of a package function at every module attribute bound to it."""
     calls = []

@@ -348,6 +348,26 @@ def test_one_grid_sup_call_stays_inside_the_batch_budget():
             assert peak - held <= matcore.BATCH_BYTES, (m, peak - held)
 
 
+def test_grid_sup_memory_does_not_grow_with_the_stack():
+    # the (z1, z2) coefficients are converted one chunk of at most
+    # BATCH_BYTES at a time, so besides its input and output a call holds
+    # one chunk with its conversion temporaries and one block: about 2.6
+    # BATCH_BYTES for 1000 polynomials, whose coefficients alone would be
+    # 1.2 MiB (measured 1.5 MiB with the stack converted at once)
+    polys = g.gamma_pair._random_polys(np.random.default_rng(29), 1000,
+                                       matcore.PROBE_MAX_DEG)
+    for sup in (g.sup_norm_on_gamma,
+                lambda c: gamma_domain.torus_grid_max(c, 4)):
+        sup(polys)
+        tracemalloc.start()
+        try:
+            out = sup(polys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 3 * matcore.BATCH_BYTES
+
+
 def test_grid_sups_match_the_reference_bitwise(grid_sups_oracle):
     # the (z1, z2) coefficients add each term on a strided diagonal; the
     # reference adds it at fancy indices, and takes its products in stacks

@@ -290,8 +290,17 @@ def _near(n, seed, eps=None):
     return fp_a, near(eps)
 
 
+@functools.cache
+def _band(n):
+    """A near pair whose ambient sigma_min clears its bound while its defect
+    sigma_min does not (0.86 and 0.95 of the bound at n = 2 and 3): the
+    ambient family has no candidate, and the defect family runs its ascent,
+    which finds no witness.  At the default eps both certificates fire."""
+    return {2: _near(2, 6371, 1.5e-7), 3: _near(3, 6333, 1.5e-7)}[n]
+
+
 def test_search_not_found_reports_closest_candidate(monkeypatch):
-    fp_a, fp_b = _near(3, 5102)
+    fp_a, fp_b = _band(3)
     reports = []
 
     def recorded(*args):
@@ -417,7 +426,7 @@ def test_search_result_does_not_depend_on_the_blocks(monkeypatch):
     # blocks of 1 to 3 defect starts give bitwise the default result, on a
     # NOT_FOUND search and on a FOUND one whose first two candidates are
     # turned away, so the witness comes from a later defect start
-    fp_near = _near(3, 6300)
+    fp_near = _band(3)
     fp_planted = _planted(3, 6313, 6323)[:2]
     verify = invariant.verify_equivalence
     calls = []
@@ -485,7 +494,7 @@ def _property_pairs():
     # the planted search turns its first two candidates away, so its witness
     # comes from an ascent whenever the restarts leave room for one; the
     # near conjugate has no ambient candidate
-    return {"near": (_near(2, 6300), 0),
+    return {"near": (_band(2), 0),
             "planted": (tuple(_planted(2, 6311, 6321)[:2]), 2)}
 
 
@@ -515,7 +524,7 @@ def test_near_search_runs_every_sweep_of_one_block_per_family():
     # and the defect family runs one block of 20 starts, every start for
     # all sweeps: 2 SEARCH_ITERS polar steps in all; a stop test that ended
     # a start early would make fewer.  No candidate passes verification
-    fp_a, fp_b = _near(2, 6300)
+    fp_a, fp_b = _band(2)
     outcome, ascents, calls = _counted_search(fp_a, fp_b, 20, 0)
     assert outcome[:2] == (SEARCH_NOT_FOUND, 40)
     assert ascents == [(2, 2 * matcore.SEARCH_ITERS)]
@@ -536,7 +545,7 @@ def test_search_holds_one_block_of_starts(monkeypatch):
     # the defect maps are built once for all of their blocks
     maps = []
     sizes = _record_stacks(monkeypatch, maps)
-    fp_a, fp_b = _near(2, 6500)
+    fp_a, fp_b = _band(2)
     r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
     monkeypatch.setattr(matcore, "BATCH_BYTES", 2 ** 9)
     out = g.search_witness(fp_a, fp_b, restarts=40, seed=0)
@@ -661,7 +670,7 @@ def test_no_ambient_candidate_is_drawn_above_the_bound(monkeypatch):
     # above the bound the ambient family makes no polar step and takes
     # nothing from the generator: the defect starts are its first draws, and
     # NOT_FOUND counts the ambient family as restarts candidates
-    fp_a, fp_b = _near(3, 6830)
+    fp_a, fp_b = _band(3)
     for restarts in (1, 5):
         outcome, _, calls = _counted_search(fp_a, fp_b, restarts, 0)
         assert outcome[:2] == (SEARCH_NOT_FOUND, 2 * restarts)
@@ -730,3 +739,90 @@ def test_band_pairs_the_ascent_finds_are_found_by_one_candidate(
                 found += 1
                 assert (out.status, out.restarts_used) == (SEARCH_FOUND, 1)
     assert 12 <= found < by_candidate
+
+
+def _defect_ratio(fp_a, fp_b):
+    sigma_min, bound, _ = invariant._defect_certificate(fp_a, fp_b)
+    return sigma_min / bound
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
+def test_defect_certificate_never_fires_on_equivalent_pairs(n):
+    # a true witness leaves only rounding in the defect system, so sigma_min
+    # stays near 1e-8 of its bound (measured at most 5.5e-8) on planted
+    # conjugates, on Haar-turned symmetrized pairs of (J, I), of (J, J) and
+    # of a Jordan pair (defect ranks 1, 2 and n; J the shift) and on the
+    # turned pairs whose intertwiner nullspaces are larger
+    pairs = [_planted(n, 8000 + n + 10 * k, 8100 + n + 10 * k)[:2]
+             for k in range(3)]
+    shift = np.eye(n, k=-1, dtype=complex)
+    if n > 1:
+        ranks = []
+        for t1, t2 in ((shift, np.eye(n)), (shift, shift),
+                       (0.5 * np.eye(n) + 0.4 * shift, 0.3 * shift)):
+            pairs.append(_turned(t1, t2, 8200 + n))
+            ranks.append(pairs[-1][0].defect_p.rank)
+        assert ranks == [1, 2, n]
+    if n == 3:
+        nil = np.kron(np.eye(2), [[0.0, 1.0], [0.0, 0.0]])
+        pairs += [_turned(np.diag([0.3, 0.3, -0.5j, -0.5j]),
+                          np.diag([0.6, 0.6, 0.2 + 0.1j, 0.2 + 0.1j]), 6630),
+                  _turned(0.3 * np.eye(4) + 0.4 * nil,
+                          0.2 * np.eye(4) + 0.5 * nil, 6630)]
+    for fp_a, fp_b in pairs:
+        assert _defect_ratio(fp_a, fp_b) <= 1e-6
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2 ** 20),
+       max_norm=st.sampled_from([0.5, 0.75, 0.95]))
+def test_defect_certificate_never_fires_on_conjugates(n, seed, max_norm):
+    fp_a, fp_b, _ = _planted(n, seed, seed + 1, max_norm)
+    assert _defect_ratio(fp_a, fp_b) <= 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_defect_certificate_skips_only_ascents_the_gate_refuses(
+        n, monkeypatch):
+    # near pairs have defect sigma_min above its bound: the defect family is
+    # one candidate, from the least right singular vector, and runs no
+    # ascent.  With the bound turned off, the ascent runs and the gate
+    # refuses every end point: the status and restarts used are the same
+    for seed in (6840 + n, 6850 + n):
+        fp_a, fp_b = _near(n, seed)
+        with monkeypatch.context() as patch:
+            sizes = _record_stacks(patch)
+            on = g.search_witness(fp_a, fp_b, restarts=6, seed=seed)
+        assert on.defect_sigma_min > on.defect_bound and sizes == []
+        verify, reports = invariant.verify_equivalence, []
+        with monkeypatch.context() as patch:
+            sizes = _record_stacks(patch)
+            patch.setattr(invariant, "_defect_bound",
+                          lambda *args: float("inf"))
+            patch.setattr(invariant, "verify_equivalence", lambda *args: (
+                reports.append(verify(*args)) or reports[-1]))
+            off = g.search_witness(fp_a, fp_b, restarts=6, seed=seed)
+        assert sizes == [6] and len(reports) == 6
+        assert not any(rep.equivalent for rep in reports)
+        assert ((on.status, on.restarts_used) == (off.status, off.restarts_used)
+                == (SEARCH_NOT_FOUND, 12))
+
+
+def test_band_sweep_slice_keeps_every_find():
+    # 24 pairs of the band sweep, conjugates of (S + eps P, P): the search
+    # whose defect family always ran its ascent found the same 12 at one
+    # candidate and missed the same 12 after 2 x 20.  The certificate fires
+    # on 6 of the misses; on the other 6 the ascent runs as before
+    missed = {(7200, 1e-7), (7201, 1e-7), (7202, 1e-7), (7203, 1e-7),
+              (7204, 1e-7), (7205, 3e-8), (7205, 1e-7), (7206, 3e-8),
+              (7206, 1e-7), (7207, 1e-7), (7208, 1e-7), (7210, 1e-7)}
+    fired = 0
+    for seed in range(7200, 7212):
+        for eps in (3e-8, 1e-7):
+            out = g.search_witness(*_near(2, seed, eps), restarts=20)
+            assert (out.status, out.restarts_used) == (
+                (SEARCH_NOT_FOUND, 40) if (seed, eps) in missed
+                else (SEARCH_FOUND, 1))
+            fired += (out.defect_bound is not None
+                      and out.defect_sigma_min > out.defect_bound)
+    assert fired == 6
