@@ -99,8 +99,34 @@ def _num(x, path: str) -> float:
     return float(x)
 
 
+_PLAIN = (int, float)
+
+
+def _plain_cells(node: list) -> bool:
+    """Whether every row of ``node`` is a list as long as the first, with
+    at least one cell, and every cell a list of two plain ints or floats."""
+    width = len(node[0]) if type(node[0]) is list else 0
+    return width > 0 and all(
+        type(row) is list and len(row) == width
+        and all(type(cell) is list and len(cell) == 2
+                and type(cell[0]) in _PLAIN and type(cell[1]) in _PLAIN
+                for cell in row)
+        for row in node)
+
+
 def matrix_from_json(node, name: str) -> np.ndarray:
-    """Parse a nested array of [re, im] pairs, diagnosing the failing field."""
+    """Parse a nested array of [re, im] pairs, diagnosing the failing field.
+
+    A well-formed array is converted at once; the paths of a diagnostic are
+    built only where its types or finiteness fail.
+    """
+    if isinstance(node, list) and node and _plain_cells(node):
+        try:
+            parts = np.array(node, dtype=np.float64)
+        except OverflowError:  # an int beyond the float range: diagnosed below
+            parts = None
+        if parts is not None and np.isfinite(parts).all():
+            return parts.view(np.complex128)[..., 0]
     if not isinstance(node, list) or not node:
         raise PairFileError(f"{name}: expected a non-empty array of rows")
     rows = []
@@ -420,10 +446,14 @@ def cmd_compare(args) -> int:
     report["witness_source"] = "search"
     report["search"] = {"status": result.status,
                         "restarts_used": result.restarts_used}
-    for key in ("ambient_sigma_min", "ambient_bound",
+    for key in ("ambient_route", "ambient_gap", "ambient_gap_bound",
+                "ambient_sigma_min", "ambient_bound",
                 "defect_sigma_min", "defect_bound"):
         if getattr(result, key) is not None:
             report["search"][key] = getattr(result, key)
+    report["search"]["refusals"] = [
+        {"test": test, "value": value, "bound": bound}
+        for test, value, bound in result.refusals]
     if result.report is not None:
         report["equivalence"] = _equivalence_block(result.report)
     if result.status == SEARCH_FOUND:

@@ -315,42 +315,40 @@ def _ascent_step(grad, h11, h12, h22, trust: float) -> np.ndarray:
 
 
 def _refine(stack: np.ndarray) -> np.ndarray:
-    """Refined sups of a stack of non-constant polynomials, see below."""
+    """Refined sups of one block of non-constant polynomials, see below."""
     n, r = matcore.SUP_GRID_N, matcore.REFINE_STARTS
     j, k = np.triu_indices(n)
-    best = np.empty(len(stack))
     spacing = 2.0 * np.pi / n
     trust = 0.5 * spacing
     stop = np.sqrt(np.finfo(float).eps)
     d = sum(stack.shape[1:]) - 1
     level = _JET_ROUNDING * d * (d + 2)
-    # a batch holds its coefficients, their scaled copy and r d^2 of jets
-    for blk in matcore.batches(len(stack), 16 * (r + 2) * d * d):
-        zc = _z_coeffs(stack[blk])
-        starts = np.empty((len(zc), r), dtype=int)
-        for sub, vals in _torus_moduli(zc):
-            best[blk][sub] = vals.max(axis=(1, 2))
-            starts[sub] = np.argpartition(vals[:, j, k], -r, axis=1)[:, -r:]
-        # dividing by a power of two near the grid sup is exact and keeps
-        # |q|^2 and its derivatives in range for any size of coefficients
-        scale = np.ldexp(1.0, np.frexp(best[blk])[1])
-        scaled = zc / scale[:, None, None]
-        theta = spacing * np.stack([j[starts], k[starts]], axis=-1)
-        active = np.ones(theta.shape[:2], dtype=bool)
-        for it in range(matcore.REFINE_ITERS + 1):
-            q, grad, h11, h12, h22 = _torus_jets(scaled, theta)
-            best[blk] = np.maximum(best[blk], np.abs(q).max(axis=1) * scale)
-            # stationary to rounding: no step within trust gains above the
-            # level, by its gradient or by a positive curvature
-            top = 0.5 * (h11 + h22) + np.hypot(0.5 * (h11 - h22), h12)
-            active &= ~((np.hypot(grad[..., 0], grad[..., 1]) * trust <= level)
-                        & (0.5 * trust * trust * top <= level))
-            if it == matcore.REFINE_ITERS or not active.any():
-                break
-            step = _ascent_step(grad, h11, h12, h22, trust)
-            step[~active] = 0.0
-            theta = theta + step
-            active &= np.hypot(step[..., 0], step[..., 1]) > stop
+    zc = _z_coeffs(stack)
+    best = np.empty(len(zc))
+    starts = np.empty((len(zc), r), dtype=int)
+    for sub, vals in _torus_moduli(zc):
+        best[sub] = vals.max(axis=(1, 2))
+        starts[sub] = np.argpartition(vals[:, j, k], -r, axis=1)[:, -r:]
+    # dividing by a power of two near the grid sup is exact and keeps
+    # |q|^2 and its derivatives in range for any size of coefficients
+    scale = np.ldexp(1.0, np.frexp(best)[1])
+    scaled = zc / scale[:, None, None]
+    theta = spacing * np.stack([j[starts], k[starts]], axis=-1)
+    active = np.ones(theta.shape[:2], dtype=bool)
+    for it in range(matcore.REFINE_ITERS + 1):
+        q, grad, h11, h12, h22 = _torus_jets(scaled, theta)
+        best = np.maximum(best, np.abs(q).max(axis=1) * scale)
+        # stationary to rounding: no step within trust gains above the
+        # level, by its gradient or by a positive curvature
+        top = 0.5 * (h11 + h22) + np.hypot(0.5 * (h11 - h22), h12)
+        active &= ~((np.hypot(grad[..., 0], grad[..., 1]) * trust <= level)
+                    & (0.5 * trust * trust * top <= level))
+        if it == matcore.REFINE_ITERS or not active.any():
+            break
+        step = _ascent_step(grad, h11, h12, h22, trust)
+        step[~active] = 0.0
+        theta = theta + step
+        active &= np.hypot(step[..., 0], step[..., 1]) > stop
     return best
 
 
@@ -395,6 +393,10 @@ def sup_norm_on_gamma_refined(coeffs):
     if flat.shape[1]:
         sups[const] = np.hypot(flat[const, 0].real, flat[const, 0].imag)
     live = np.flatnonzero(~const)
-    if live.size:
-        sups[live] = _refine(stack[live])
+    d = a + b - 1
+    # a block holds its coefficients, their scaled copy and r d^2 of jets,
+    # and is the only part of the stack copied
+    for blk in matcore.batches(live.size,
+                               16 * (matcore.REFINE_STARTS + 2) * d * d):
+        sups[live[blk]] = _refine(stack[live[blk]])
     return float(sups[0]) if single else sups

@@ -7,14 +7,16 @@ characteristic functions.  This module is verification-first: a Witness
 carrying the defect unitaries is checked against both halves of the
 invariant, and a model-level confirmation is reported on success.  The
 witness search is a labeled heuristic whose only conclusive negative is the
-trace-word screen.  Its ambient family is one candidate read off the
-intertwiner system: the polar factor of a generic element of its nullspace
-or, where that is empty, of its least right singular vector, and none where
-its least singular value proves that the gate of witness_from_ambient
-refuses every matrix.  The defect family first factors the gate's own
-rows in (eta1, sigma), with sigma eliminated; where their least singular
-value proves that verify_equivalence refuses every pair of unitaries, the
-family is one candidate.  Neither certificate yet decides the verdict.
+trace-word screen.  Its ambient family is one candidate, read in O(n^3)
+off the eigenbases of a Hermitian mix of each pair where their spectra
+decide, and off the 4n^2 x n^2 intertwiner system otherwise: the polar
+factor of a generic element of a nullspace or of a least right singular
+vector, and none where a spectral gap or a least singular value proves
+that the gate of witness_from_ambient refuses every matrix.  The defect
+family first factors the gate's own rows in (eta1, sigma), with sigma
+eliminated; where their least singular value proves that
+verify_equivalence refuses every pair of unitaries, the family is one
+candidate.  No certificate yet decides the verdict.
 Otherwise the defect family runs a polar ascent, one batched polar step per
 update for a whole block of starts; each update applies one linear map,
 built once per search with row-major vectorization (A X B).ravel() =
@@ -42,6 +44,15 @@ VERDICT_NOT_EQUIVALENT = "NOT_EQUIVALENT"
 SEARCH_FOUND = "FOUND"
 SEARCH_NOT_FOUND = "NOT_FOUND"
 SEARCH_DISTINCT = "DISTINCT"
+
+_EPS = np.finfo(np.float64).eps
+
+# The weights (a, b) = (e^i, 0.7 e^2i) of the Hermitian mix of the ambient
+# route, h = Herm(a S + b P): real weights (Re a, -Im a, Re b, -Im b) on the
+# Hermitian and skew-Hermitian parts of S and P.  Any fixed weights that
+# give h a simple spectrum on a generic pair serve.
+_MIX = (0.5403023058681398 + 0.8414709848078965j,
+        -0.29130278558299966 + 0.6365081987779772j)
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -334,50 +345,180 @@ def _intertwiner_system(pair_a: GammaPair, pair_b: GammaPair) -> np.ndarray:
     return k.reshape(4 * n * n, n * n)
 
 
+def _reduced_system(pair_a: GammaPair, pair_b: GammaPair, v_a: np.ndarray,
+                    v_b: np.ndarray) -> np.ndarray:
+    """The 4n^2 x n system R d = 0 of D X~_A = X~_B D for X in {S, P, S*, P*},
+    with D = diag(d) and X~ = V* X V on the columns of ``v_a`` and ``v_b``:
+    row (k, l) of each block is d_k X~_A[k, l] - X~_B[k, l] d_l."""
+    eye = np.eye(pair_a.n)
+    t_a, t_b = ([matcore.restrict(v, pair.s), matcore.restrict(v, pair.p)]
+                for v, pair in ((v_a, pair_a), (v_b, pair_b)))
+    t_a, t_b = (np.stack(t + [matcore.dagger(m) for m in t]) for t in (t_a, t_b))
+    return (t_a[..., None] * eye[:, None]
+            - t_b[..., None] * eye).reshape(-1, pair_a.n)
+
+
+def _hermitian_mix(pair: GammaPair) -> np.ndarray:
+    """h = (M + M*) / 2 with M = a S + b P, (a, b) = _MIX."""
+    m = _MIX[0] * pair.s + _MIX[1] * pair.p
+    return 0.5 * (m + matcore.dagger(m))
+
+
+def _tau(n: int) -> float:
+    """WITNESS_UNITARY_TOL + 2 n eps: the gate's bound on the computed
+    unitarity defect of an n x n matrix plus its rounding.  A matrix X that
+    the gate passes has |X*X - I| <= tau, so |X| <= sqrt(1 + tau), its
+    singular values are at least 1 - tau and |X|_F >= sqrt(n) (1 - tau)."""
+    return matcore.WITNESS_UNITARY_TOL + 2 * n * _EPS
+
+
+def _gate_terms(pair_a: GammaPair, pair_b: GammaPair) -> list[float]:
+    """[g_S, g'_S, g_P, g'_P]: bounds on |X_B U - U X_A| (g_X) and on
+    |X_B* U - U X_A*| (g'_X), spectral norms, for X in {S, P} and every U
+    that passes the gate of witness_from_ambient.
+
+    g_X = t (1 + |X_A|)(1 + 8 n eps) + n (n + 1) eps sqrt(1 + tau)
+    (|X_A| + |X_B|), t = AMBIENT_INTERTWINE_TOL and tau = _tau(n): the
+    gate's bound on its computed residual plus the rounding of the two
+    products, of their difference and of the spectral norm.  Since
+    U*(X_B U - U X_A) U* = (U* X_B - X_A U*) + U* X_B (U U* - I)
+    - (U*U - I) X_A U*, the adjoint residual is at most
+    g'_X = (1 + tau) g_X + sqrt(1 + tau) tau (|X_A| + |X_B|).
+    """
+    n, tau = pair_a.n, _tau(pair_a.n)
+    terms = []
+    for a, b in ((pair_a.norm_s, pair_b.norm_s), (pair_a.norm_p, pair_b.norm_p)):
+        g = (matcore.AMBIENT_INTERTWINE_TOL * (1.0 + a) * (1.0 + 8 * n * _EPS)
+             + n * (n + 1) * _EPS * np.sqrt(1.0 + tau) * (a + b))
+        terms += [g, (1.0 + tau) * g + np.sqrt(1.0 + tau) * tau * (a + b)]
+    return terms
+
+
+def _certificate_bound(beta: float, rows: int, cols: int, k_norm: float,
+                       floor: float, reach: float | None = None) -> float:
+    """The bound above which the computed least singular value of a gate's
+    system K, ``rows`` x ``cols`` with |K|_F = ``k_norm``, proves that no
+    candidate passes the gate.
+
+    Each certificate of the search reads one such K: every candidate x that
+    the gate passes has |K x| <= ``beta``, and the unknowns of x that K
+    multiplies have norm at least ``floor``, so sigma_min(K) <= beta /
+    floor.  The computed sigma_min, the last singular value of the R that
+    null_onb factors, is exact for some K + dK.  Householder QR of K has
+    |dK|_F <= c m k u |K|_F to first order, m = rows, k = cols, c a small
+    constant and u = eps / 2 (Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm. 19.4), and the SVD of R adds a backward error of order
+    k u |K| (Golub & Van Loan, Matrix Computations, 8.6).  The slack
+    2 m k eps |K|_F = 4 m k u |K|_F covers both, and the rounding of K's
+    entries, of lower order.  By Weyl's inequality sigma_min moves by at
+    most |dK|, so the bound is beta / floor + slack.  Where K was reduced
+    by eliminating unknowns, dK lies in the system before the elimination
+    and the argument runs through x: |(K + dK) x| <= beta + |dK|_F reach,
+    ``reach`` bounding |x| over all the unknowns, and the bound is
+    (beta + slack reach) / floor.
+    """
+    slack = 2 * rows * cols * _EPS * k_norm
+    if reach is None:
+        return float(beta / floor + slack)
+    return float((beta + slack * reach) / floor)
+
+
 def _ambient_candidate(pair_a: GammaPair, pair_b: GammaPair,
                        rng: np.random.Generator
-                       ) -> tuple[np.ndarray | None, float, float]:
-    """The search's one ambient candidate, or None, the least singular value
-    of the intertwiner system and the bound above which it refuses every
-    candidate (:func:`_ambient_bound`).
+                       ) -> tuple[np.ndarray | None, dict]:
+    """The search's one ambient candidate, or None, and the SearchResult
+    fields that say how it was read: ``ambient_route``, the spectral gap
+    and its bound, and sigma_min of the system factored and its bound.
 
     A unitary conjugator solves M X_A = X_B M for X in {S, P, S*, P*}; for
     any invertible M satisfying all four, M M* commutes with the second
     pair, so the polar factor of M is itself a conjugator.  Where the
-    nullspace is not empty, M is a random combination of its basis, drawn
-    from ``rng``: invertible if any element is (Schwartz-Zippel).  Where it
-    is empty and sigma_min is at most the bound, vec M is the least right
-    singular vector: of the matrices of unit Frobenius norm, the one, up to
-    a phase where that singular value is simple, that comes closest to
-    intertwining the pairs.
+    system factored has a nullspace, M is a random combination of its
+    basis, drawn from ``rng``: invertible if any element is
+    (Schwartz-Zippel).  Where it is empty and sigma_min is at most its
+    bound, vec M is the least right singular vector: of the matrices of
+    unit Frobenius norm, the one, up to a phase where that singular value
+    is simple, that comes closest to intertwining the pairs.  Above the
+    bound there is none.
+
+    The reduced route comes first.  Let h = (M + M*) / 2, M = a S + b P
+    (_MIX), with eigenvalues lam ascending and eigenvectors V from one eigh
+    per pair.  A U that passes the gate has |U h_A - h_B U| <= delta =
+    (|a| (g_S + g'_S) + |b| (g_P + g'_P)) / 2 (_gate_terms), and its polar
+    factor W, |W - U| <= tau (_tau), has |W h_A W* - h_B| <= delta
+    + tau (|h_A| + |h_B|).  So by Weyl's inequality a gap
+    max_k |lam_A,k - lam_B,k| above delta + tau m + rho, m = |a| (|S_A|
+    + |S_B|) + |b| (|P_A| + |P_B|) >= |h_A| + |h_B| and rho = 2 n^2 eps m
+    the rounding of h and of eigh (the symmetric QR algorithm is backward
+    stable: Golub & Van Loan, Matrix Computations, ch. 8), refuses every
+    U, and no system is formed.  Otherwise U~ = V_B* U V_A has
+    |U~ Lam_A - Lam_B U~| <= delta + rho, and its entry (k, l), k != l, is
+    that entry of U~ Lam_A - Lam_B U~ over lam_A,l - lam_B,k.  So the part
+    O of U~ off its diagonal has |O|_F <= nu = sqrt(n) (delta + rho) / sep,
+    sep = min over k != l of |lam_A,l - lam_B,k| (Stewart & Sun, Matrix
+    Perturbation Theory, 1990, ch. V).  Where nu < sqrt(n) (1 - tau), the
+    eigenvalues are separated, and the diagonal d of U~ solves the 4n^2 x n
+    system R of _reduced_system: |R d| <= beta = the 2-norm over its four
+    blocks of sqrt(n) g + nu (|X_A| + |X_B|), g the gate term of the block
+    (g_X for X, g'_X for X*) and a Frobenius norm being at most sqrt(n)
+    times the spectral one, and |d|^2 =
+    |U~|_F^2 - |O|_F^2 >= n (1 - tau)^2 - nu^2, the floor; both are exact
+    to first order in eps.  A candidate from R is the polar factor of
+    V_B diag(d) V_A*.  R decides where it has a nullspace, as a conjugate
+    does, or where sigma_min exceeds its bound.  Between the two lie near
+    conjugates, whose passing U may need the O that R leaves out, and
+    where the eigenvalues are not separated (repeated eigenvalues of h, as
+    in a repeated summand or a sum of equal Jordan blocks) nothing is read
+    off R.  In both cases the full 4n^2 x n^2 system K of
+    _intertwiner_system decides.  For a unitary U, |K vec U|^2 sums
+    |X_B U - U X_A|_F^2 over the four X, so beta is sqrt(n) times the
+    2-norm of the four gate terms over the floor sqrt(n) (1 - tau): the
+    sqrt(n) cancels.  It is sqrt(2) AMBIENT_INTERTWINE_TOL
+    hypot(1 + |S_A|, 1 + |P_A|) when tau and rounding vanish.
     """
-    basis, sv, v = matcore.null_onb(_intertwiner_system(pair_a, pair_b))
-    sigma_min, bound = float(sv[-1]), _ambient_bound(pair_a, pair_b, sv)
+    n, tau = pair_a.n, _tau(pair_a.n)
+    terms = _gate_terms(pair_a, pair_b)
+    (lam_a, v_a), (lam_b, v_b) = (np.linalg.eigh(_hermitian_mix(pair))
+                                  for pair in (pair_a, pair_b))
+    a, b = np.abs(_MIX)
+    norms = np.array([pair_a.norm_s + pair_b.norm_s] * 2
+                     + [pair_a.norm_p + pair_b.norm_p] * 2)
+    m = a * norms[0] + b * norms[2]
+    rho = 2 * n * n * _EPS * m
+    delta = 0.5 * (a * (terms[0] + terms[1]) + b * (terms[2] + terms[3]))
+    fields = {"ambient_route": "reduced",
+              "ambient_gap": float(np.max(np.abs(lam_a - lam_b))),
+              "ambient_gap_bound": float(delta + tau * m + rho)}
+    if fields["ambient_gap"] > fields["ambient_gap_bound"]:
+        return None, fields
+    sep = np.min(np.abs(lam_a - lam_b[:, None])[~np.eye(n, dtype=bool)],
+                 initial=np.inf)
+    separated = delta + rho < (1.0 - tau) * sep
+    if separated:
+        nu = np.sqrt(n) * (delta + rho) / sep
+        system = _reduced_system(pair_a, pair_b, v_a, v_b)
+        basis, sv, v = matcore.null_onb(system)
+        bound = _certificate_bound(
+            np.linalg.norm(np.sqrt(n) * np.array(terms) + nu * norms),
+            *system.shape, float(np.linalg.norm(sv)),
+            np.sqrt(n * (1.0 - tau) ** 2 - nu * nu))
+    if not separated or not (basis.size or sv[-1] > bound):
+        fields["ambient_route"] = "full"
+        system = _intertwiner_system(pair_a, pair_b)
+        basis, sv, v = matcore.null_onb(system)
+        bound = _certificate_bound(float(np.linalg.norm(terms)), *system.shape,
+                                   float(np.linalg.norm(sv)), 1.0 - tau)
+    fields.update(ambient_sigma_min=float(sv[-1]), ambient_bound=bound)
     if basis.size:
         dim = basis.shape[1]
         vec = basis @ (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-    elif sigma_min <= bound:
+    elif sv[-1] <= bound:
         vec = v[:, -1]
     else:
-        return None, sigma_min, bound
-    return (matcore.polar_unitary(vec.reshape(pair_a.n, pair_a.n)),
-            sigma_min, bound)
-
-
-def _ambient_bound(pair_a: GammaPair, pair_b: GammaPair, sv: np.ndarray
-                   ) -> float:
-    """The bound above which sigma_min of the intertwiner system, whose
-    singular values are ``sv``, refuses every ambient candidate; derived in
-    :func:`search_witness`."""
-    n, eps = pair_a.n, np.finfo(np.float64).eps
-    tau = matcore.WITNESS_UNITARY_TOL + 2 * n * eps
-    terms = []
-    for a, b in ((pair_a.norm_s, pair_b.norm_s), (pair_a.norm_p, pair_b.norm_p)):
-        g = (matcore.AMBIENT_INTERTWINE_TOL * (1.0 + a) * (1.0 + 8 * n * eps)
-             + n * (n + 1) * eps * np.sqrt(1.0 + tau) * (a + b))
-        terms += [g, (1.0 + tau) * g + np.sqrt(1.0 + tau) * tau * (a + b)]
-    rounding = 2 * (4 * n * n) * (n * n) * eps * float(np.linalg.norm(sv))
-    return float(np.linalg.norm(terms)) / (1.0 - tau) + rounding
+        return None, fields
+    if fields["ambient_route"] == "full":
+        return matcore.polar_unitary(vec.reshape(n, n)), fields
+    return matcore.polar_unitary((v_b * vec) @ matcore.dagger(v_a)), fields
 
 
 def _defect_certificate(fp_a: FundamentalPair, fp_b: FundamentalPair
@@ -385,8 +526,7 @@ def _defect_certificate(fp_a: FundamentalPair, fp_b: FundamentalPair
     """sigma_min of the defect system M with sigma eliminated, the bound
     above which no (eta1, sigma) passes verify_equivalence
     (:func:`_defect_bound`), and a point (eta, sigma): eta the least right
-    singular vector of M and sigma its least-squares partner.  The system
-    and the bound are derived in :func:`search_witness`.
+    singular vector of M and sigma its least-squares partner.
 
     Column k of the stacked coincidence gaps is H e_k - T_B sigma e_k, with
     H = [eta1 Theta_A(z_j)]_j and T_B = [Theta_B(z_j)]_j, so with Q_perp the
@@ -427,10 +567,42 @@ def _defect_bound(fp_a: FundamentalPair, fp_b: FundamentalPair,
                   ) -> float:
     """The bound above which sigma_min of the defect system, ``rows`` high
     and of Frobenius norm ``k_norm`` before sigma is eliminated, refuses
-    every (eta1, sigma); derived in :func:`search_witness`."""
+    every (eta1, sigma).
+
+    K is the weighted system in x = (vec eta1, vec sigma) with the rows of
+    (eta1 F_*A - F_*B eta1) / f, f = _fstar_bound, and, at J = 2 points z_j
+    of the coincidence grid, of (eta1 Theta_A(z_j) - Theta_B(z_j) sigma)
+    / (sqrt(rho) c), rho = min(r, r*) and c = COINCIDE_TOL; Theta_A(z_j),
+    Theta_B(z_j) and F_* are the very arrays verify_equivalence reads.  A
+    witness it accepts has unitary eta1 and sigma to tau = _tau(max(r, r*)),
+    so |vec eta1|_F >= sqrt(r*) (1 - tau), the floor, and |x| <=
+    sqrt((r + r*)(1 + tau)), the reach.  Its computed F_* residual is at
+    most f, so the exact one is at most f (1 + 2 r*^2 eps)
+    + 2 r* sqrt(r* (1 + tau)) eps (|F_*A|_F + |F_*B|_F), with the rounding
+    of the Frobenius norm and of the two products (|fl(A B) - A B| <=
+    gamma_k |A||B| entrywise, Higham, section 3.5).  Each coincidence gap
+    has computed spectral norm at most c, so the exact one is at most
+    c (1 + 2 n eps) + 2 n sqrt(n (1 + tau)) eps (|Theta_A(z_j)|_F
+    + |Theta_B(z_j)|_F), n = max(r, r*), and its Frobenius norm at most
+    sqrt(rho) times that, the gap having rank at most rho.  Over their
+    weights these are J + 1 terms whose 2-norm beta, sqrt(1 + J) without
+    rounding, bounds |K x|.  Eliminating sigma (variable projection, Golub
+    & Pereyra, SIAM J. Numer. Anal. 10, 1973) leaves min over sigma of
+    |K x| = |M vec eta1|, M the (r*^2 + r (J r* - r)) x r*^2 system of
+    _defect_certificate, 288 x 144 at r = r* = 12, so sigma_min(M) <=
+    beta / floor.  Where T_B is rank-deficient, Q_perp spans less than the
+    complement of its range, which only lowers sigma_min(M): the bound
+    holds.  To first order the computed sigma_min is exact for the M of
+    some K + dK: the QR of T_B and of M, the products with Q_perp and the
+    SVD of R are backward stable, and an error E in the rows Q_perp* H is
+    the error Q_perp E in K, so the slack of _certificate_bound runs
+    through x.  The points are theta_grid[1] = 0.3 and theta_grid[25]
+    = -0.6, one per inner circle: on the benchmark's near pairs sigma_min
+    clears sqrt(1 + J) / sqrt(r*) by 1.13 or more.
+    """
     r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
-    n, eps = max(r, r_star), np.finfo(np.float64).eps
-    tau = matcore.WITNESS_UNITARY_TOL + 2 * n * eps
+    n, eps = max(r, r_star), _EPS
+    tau = _tau(n)
     fro = np.linalg.norm
     # each block's gap over its weight, with the rounding of the gate
     terms = [1.0 + 2 * r_star * r_star * eps
@@ -439,10 +611,9 @@ def _defect_bound(fp_a: FundamentalPair, fp_b: FundamentalPair,
     for a, b in zip(ta, tb):
         terms.append(1.0 + 2 * n * eps + 2 * n * np.sqrt(n * (1.0 + tau)) * eps
                      * (fro(a) + fro(b)) / matcore.COINCIDE_TOL)
-    slack = (2 * rows * (r_star * r_star) * eps * k_norm
-             * np.sqrt((r + r_star) * (1.0 + tau)))
-    return float((np.linalg.norm(terms) + slack)
-                 / (np.sqrt(r_star) * (1.0 - tau)))
+    return _certificate_bound(np.linalg.norm(terms), rows, r_star * r_star,
+                              k_norm, np.sqrt(r_star) * (1.0 - tau),
+                              np.sqrt((r + r_star) * (1.0 + tau)))
 
 
 def _conj_map(b: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -482,14 +653,19 @@ class SearchResult:
     FOUND carries a witness that passed full verification.  DISTINCT means
     the trace screen or a structural mismatch ruled equivalence out, which
     is conclusive.  NOT_FOUND is inconclusive by design.  ``screen`` is
-    always the trace-word screen of the two pairs.  ``ambient_sigma_min``
-    is the least singular value of the intertwiner system and
-    ``ambient_bound`` the bound above which it refuses every ambient
-    candidate, so that the search has none; both are None for DISTINCT,
-    which is decided before them.  ``defect_sigma_min`` and
-    ``defect_bound`` are the same pair for the defect system in
-    (eta1, sigma), built only once the ambient family has failed: None
-    where the screen, differing dimensions or the ambient candidate decide.
+    always the trace-word screen of the two pairs.  The ambient fields are
+    None for DISTINCT, which is decided before them: ``ambient_route`` is
+    "reduced" where the ambient family was read off the eigenbases of the
+    Hermitian mix and "full" where the intertwiner system K decided;
+    ``ambient_gap`` is the largest gap between the two mixes' eigenvalues
+    and ``ambient_gap_bound`` the bound above which it refuses every
+    ambient candidate; ``ambient_sigma_min`` is the least singular value
+    of the system factored, reduced or K, and ``ambient_bound`` the bound
+    above which it refuses every candidate, both None where the gap
+    refused.  ``defect_sigma_min`` and ``defect_bound`` are the same pair
+    for the defect system in (eta1, sigma), built only once the ambient
+    family has failed: None where the screen, differing dimensions or the
+    ambient candidate decide.
     """
 
     status: str
@@ -497,10 +673,24 @@ class SearchResult:
     report: EquivalenceReport | None
     screen: ScreenResult
     restarts_used: int
+    ambient_route: str | None = None
+    ambient_gap: float | None = None
+    ambient_gap_bound: float | None = None
     ambient_sigma_min: float | None = None
     ambient_bound: float | None = None
     defect_sigma_min: float | None = None
     defect_bound: float | None = None
+
+    @property
+    def refusals(self) -> list[tuple[str, float, float]]:
+        """(test, value, bound) of each certificate that fired, in the
+        order the search reads them: "ambient_gap", "ambient_sigma_min",
+        "defect_sigma_min"."""
+        return [(test, value, bound) for test, value, bound in (
+            ("ambient_gap", self.ambient_gap, self.ambient_gap_bound),
+            ("ambient_sigma_min", self.ambient_sigma_min, self.ambient_bound),
+            ("defect_sigma_min", self.defect_sigma_min, self.defect_bound))
+            if value is not None and value > bound]
 
 
 def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
@@ -509,98 +699,40 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
     """Heuristic search for an equivalence witness.
 
     The conclusive trace screen runs first.  Candidates then come from two
-    families: one ambient candidate, read off the intertwiner system and
-    compressed to the defect spaces by witness_from_ambient, and the
-    defect family on (eta1, sigma) directly.  Every candidate
-    must pass verify_equivalence before it is returned, and a refused one
-    still counts as used.  NOT_FOUND reports the candidate with the
-    smallest miss, the larger of its two residuals over their tolerances.
-    A candidate that passes both invariant halves but whose model
-    confirmation meets the truncation cap ends the search: the cap depends
-    only on the two pairs, so every later candidate would meet it.
+    families: one ambient candidate, compressed to the defect spaces by
+    witness_from_ambient, and the defect family on (eta1, sigma) directly.
+    Every candidate must pass verify_equivalence before it is returned, and
+    a refused one still counts as used.  NOT_FOUND reports the candidate
+    with the smallest miss, the larger of its two residuals over their
+    tolerances.  A candidate that passes both invariant halves but whose
+    model confirmation meets the truncation cap ends the search: the cap
+    depends only on the two pairs, so every later candidate would meet it.
 
-    The ambient candidate comes from the one factorization of the
-    intertwiner system K that null_onb makes (_ambient_candidate): the
-    polar factor of a generic element of its nullspace, which is a
+    The ambient candidate (_ambient_candidate) is read off the eigenbases
+    of a Hermitian mix of each pair in O(n^3), or, where those cannot
+    decide, off the 4n^2 x n^2 intertwiner system K: the polar factor of a
+    generic nullspace element of the system factored, which is a
     conjugator whenever one exists, drawn first from the search's
-    generator; where the nullspace is empty, the polar factor of K's least
-    right singular vector, if sigma_min(K) is at most ``ambient_bound``;
-    otherwise none, since then no matrix passes the gate of
-    witness_from_ambient (below).  Unless it is the witness, the ambient
-    family counts as ``restarts`` used candidates, so ``restarts_used`` is
-    1 for an ambient find, restarts + k + 1 for the defect family's k-th
-    start and 2 restarts for NOT_FOUND.  Once the ambient family has
-    failed, the defect system is factored once (_defect_certificate).
-    Where its sigma_min exceeds ``defect_bound``, no pair of unitaries
-    passes verify_equivalence (below), and the defect family is one
-    candidate, the polar factors of its point (eta, sigma), which still
-    counts as ``restarts`` used candidates: NOT_FOUND reports a real
-    nearest miss at 2 restarts.  Otherwise the defect family runs its
-    starts in blocks of at most BATCH_BYTES of iterates, every start for
-    all SEARCH_ITERS sweeps.  Each start follows exactly its own iterates,
-    and starts are drawn and verified in restart order, so the result does
-    not depend on the blocks.
+    generator, or of its least right singular vector; none where the
+    spectral gap of the mixes or the least singular value proves that no
+    matrix passes the gate of witness_from_ambient.  Unless it is the
+    witness, the ambient family counts as ``restarts`` used candidates, so
+    ``restarts_used`` is 1 for an ambient find, restarts + k + 1 for the
+    defect family's k-th start and 2 restarts for NOT_FOUND.  Once the
+    ambient family has failed, the defect system is factored once
+    (_defect_certificate).  Where its sigma_min exceeds ``defect_bound``
+    (_defect_bound), no pair of unitaries passes verify_equivalence, and
+    the defect family is one candidate, the polar factors of its point
+    (eta, sigma), which still counts as ``restarts`` used candidates:
+    NOT_FOUND reports a real nearest miss at 2 restarts.  Otherwise the
+    defect family runs its starts in blocks of at most BATCH_BYTES of
+    iterates, every start for all SEARCH_ITERS sweeps.  Each start follows
+    exactly its own iterates, and starts are drawn and verified in restart
+    order, so the result does not depend on the blocks.  Each certificate's
+    bound is derived in _certificate_bound and at its system.
 
-    The bound.  Let u = vec U, so that |K u|^2 sums |X_B U - U X_A|_F^2 and
-    |X_B* U - U X_A*|_F^2 over X in {S, P}.  A U that passes the gate has
-    |U*U - I| <= tau = WITNESS_UNITARY_TOL + 2 n eps, the gate's bound on
-    the computed defect plus its rounding, so |U| <= sqrt(1 + tau) and
-    |U|_F >= sqrt(n) (1 - tau), and it has |X_B U - U X_A| <= g_X =
-    t (1 + |X_A|)(1 + 8 n eps) + n (n + 1) eps sqrt(1 + tau)(|X_A| + |X_B|),
-    t = AMBIENT_INTERTWINE_TOL: the gate's bound on its computed residual
-    plus the rounding of the two products, of their difference and of the
-    spectral norm.  Since U*(X_B U - U X_A) U* = (U* X_B - X_A U*)
-    + U* X_B (U U* - I) - (U*U - I) X_A U*, the adjoint residual is at most
-    (1 + tau) g_X + sqrt(1 + tau) tau (|X_A| + |X_B|).  A Frobenius norm is
-    at most sqrt(n) times the spectral one, so sigma_min(K) |U|_F <= |K u|
-    bounds sigma_min(K) by the 2-norm of those four terms over 1 - tau:
-    sqrt(2) t hypot(1 + |S_A|, 1 + |P_A|) when tau and rounding vanish.  The
-    computed sigma_min, the last singular value of the R that null_onb
-    factors, is exact for some K + dK, and by Weyl's inequality it moves by
-    at most |dK|.  Householder QR of K, m = 4 n^2 rows by k = n^2 columns,
-    has |dK|_F <= c m k u |K|_F to first order, c a small constant and
-    u = eps / 2 (Higham, Accuracy and Stability of Numerical Algorithms,
-    Thm. 19.4), and the SVD of R adds a backward error of order k u |K|
-    (Golub & Van Loan, Matrix Computations, 8.6); the slack
-    2 m k eps |K|_F = 4 m k u |K|_F covers both, |K|_F being the 2-norm of
-    the singular values.  ``ambient_bound`` is the sum of bound and slack.
-
-    The defect bound.  K is the weighted system in x = (vec eta1, vec
-    sigma) with the rows of (eta1 F_*A - F_*B eta1) / f, f = _fstar_bound,
-    and, at J = 2 points z_j of the coincidence grid, of (eta1 Theta_A(z_j)
-    - Theta_B(z_j) sigma) / (sqrt(rho) c), rho = min(r, r*) and c =
-    COINCIDE_TOL; Theta_A(z_j), Theta_B(z_j) and F_* are the very arrays
-    verify_equivalence reads.  A witness it accepts has unitary eta1 and
-    sigma to tau = WITNESS_UNITARY_TOL + 2 n eps, n = max(r, r*), so
-    |vec eta1|_F >= sqrt(r*) (1 - tau) and |x| <= sqrt((r + r*)(1 + tau)).
-    Its computed F_* residual is at most f, so the exact one is at most
-    f (1 + 2 r*^2 eps) + 2 r* sqrt(r* (1 + tau)) eps (|F_*A|_F + |F_*B|_F),
-    with the rounding of the Frobenius norm and of the two products
-    (|fl(A B) - A B| <= gamma_k |A||B| entrywise, Higham, section 3.5).  Each
-    coincidence gap has computed spectral norm at most c, so the exact one
-    is at most c (1 + 2 n eps) + 2 n sqrt(n (1 + tau)) eps (|Theta_A(z_j)|_F
-    + |Theta_B(z_j)|_F), and its Frobenius norm at most sqrt(rho) times
-    that, the gap having rank at most rho.  Over their weights these are
-    J + 1 terms whose 2-norm beta, sqrt(1 + J) without rounding, bounds
-    |K x|.  Eliminating sigma (variable projection, Golub & Pereyra, SIAM
-    J. Numer. Anal. 10, 1973) leaves min over sigma of |K x| = |M vec eta1|,
-    M the (r*^2 + r (J r* - r)) x r*^2 system of _defect_certificate, 288 x
-    144 at r = r* = 12, so sigma_min(M) sqrt(r*) (1 - tau) <= beta.  Where
-    T_B is rank-deficient, Q_perp spans less than the complement of its
-    range, which only lowers sigma_min(M): the bound holds.  To first order
-    the computed sigma_min is exact for the M of some K + dK: the QR of T_B
-    and of M, the products with Q_perp and the SVD of R are backward
-    stable, and an error E in the rows Q_perp* H is the error Q_perp E in
-    K.  As for ``ambient_bound``, |dK|_F <= 2 m k eps |K|_F with m the rows
-    of M and k = r*^2, |K|_F the norm of the weighted system before
-    elimination, and |(K + dK) x| <= beta + |dK|_F |x|.  ``defect_bound``
-    is (beta + 2 m k eps |K|_F sqrt((r + r*)(1 + tau))) / (sqrt(r*) (1 - tau)).
-    The points are theta_grid[1] = 0.3 and theta_grid[25] = -0.6, one per
-    inner circle: on the benchmark's near pairs sigma_min clears
-    sqrt(1 + J) / sqrt(r*) by 1.13 or more.
-
-    Neither certificate yet decides the verdict: without a witness the
-    search still ends NOT_FOUND, inconclusive (ROADMAP.md, items 1 and 4).
+    No certificate yet decides the verdict: without a witness the search
+    still ends NOT_FOUND, inconclusive (ROADMAP.md, items 1 and 4).
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -614,7 +746,7 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
 
     rng = np.random.default_rng(seed)
     r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
-    u, sigma_min, bound = _ambient_candidate(pair_a, pair_b, rng)
+    u, ambient = _ambient_candidate(pair_a, pair_b, rng)
 
     certificate = {}  # sigma_min and bound, once the ambient family fails
 
@@ -660,9 +792,8 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
         if report.equivalent:
             return SearchResult(status=SEARCH_FOUND, witness=witness,
                                 report=report, screen=screen,
-                                restarts_used=used,
-                                ambient_sigma_min=sigma_min,
-                                ambient_bound=bound, **certificate)
+                                restarts_used=used, **ambient,
+                                **certificate)
         misses.append(report)
         if (report.model_confirmation is None and report.coincidence.coincide
                 and report.fstar_residual <= _fstar_bound(fp_a)):
@@ -674,6 +805,5 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
 
     return SearchResult(status=SEARCH_NOT_FOUND, witness=None,
                         report=min(misses, key=miss, default=None),
-                        screen=screen, restarts_used=used,
-                        ambient_sigma_min=sigma_min, ambient_bound=bound,
+                        screen=screen, restarts_used=used, **ambient,
                         **certificate)

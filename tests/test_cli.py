@@ -7,6 +7,7 @@ import pytest
 
 import gammaops as g
 from gammaops import cli, invariant, matcore
+from gammaops.exceptions import PairFileError
 from gammaops.matcore import MODEL_CONFIRM_TOL
 
 
@@ -36,6 +37,32 @@ def test_matrix_json_round_trip():
     m[0, 0], m[1, 2] = complex(-0.0, 5e-324), complex(-1e-310, -0.0)
     back = cli.matrix_from_json(json.loads(json.dumps(cli.matrix_to_json(m))), "M")
     assert back.tobytes() == m.tobytes()
+
+
+def test_matrix_from_json_converts_at_once_and_diagnoses_each_field():
+    # a well-formed array converts in one step, bitwise as the cell-by-cell
+    # parse; each malformed field keeps its message, path included
+    rng = np.random.default_rng(5)
+    node = cli.matrix_to_json(rng.standard_normal((5, 4))
+                              + 1j * rng.standard_normal((5, 4)))
+    node[0][0] = [2, -0.0]  # ints and signed zeros are plain numbers
+    want = np.array([[complex(re, im) for re, im in row] for row in node])
+    got = cli.matrix_from_json(node, "S")
+    assert got.dtype == complex and got.tobytes() == want.tobytes()
+    cases = [
+        ([[[True, 0.0]]], "S[0][0][0]: expected a number, got bool"),
+        ([[[0.0, "1"]]], "S[0][0][1]: expected a number, got str"),
+        ([[[0.0, 0.0]], [[float("nan"), 0.0]]], "S[1][0][0]: non-finite value"),
+        ([[[0, 0], [0, 0]], [[0, 0]]],
+         "S[1]: ragged row, expected 2 entries, got 1"),
+        ([[[0, 0, 0]]], "S[0][0]: expected [re, im] pair"),
+        ([[[0, 0]], 3], "S[1]: expected a non-empty row array"),
+        ([], "S: expected a non-empty array of rows"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(PairFileError) as err:
+            cli.matrix_from_json(bad, "S")
+        assert str(err.value) == message
 
 
 def test_generate_round_trips_and_validates(tmp_path, capsys):
@@ -169,25 +196,64 @@ def test_compare_search_self_equivalent(tmp_path, capsys):
 
 
 def test_compare_search_reports_the_ambient_certificate(tmp_path, capsys):
-    # a near pair's sigma_min clears its bound, so no ambient ascent can
-    # pass the gate; a pair and itself share a nullspace; where the screen
-    # decides there is no search block
+    # a near pair's Hermitian mixes have a spectral gap above its bound, so
+    # no ambient candidate can pass the gate and no system is factored: the
+    # search block names the reduced route and each refusal that fired,
+    # with its value and bound.  A pair and itself share a reduced
+    # nullspace; a conjugate perturbed by 1e-8 is decided by K; where the
+    # screen decides there is no search block
     pair = g.random_pure_gamma(3, seed=42, max_norm=0.8)
     u = matcore.haar_unitary(3, np.random.default_rng(43))
     ud = matcore.dagger(u)
     a = _write(tmp_path, "a.json", _pair_doc(pair))
-    near = _write(tmp_path, "near.json", cli.pair_file_doc(
-        u @ (pair.s + 3e-7 * pair.p) @ ud, u @ pair.p @ ud))
+    near, band = (_write(tmp_path, f"{name}.json", cli.pair_file_doc(
+        u @ (pair.s + eps * pair.p) @ ud, u @ pair.p @ ud))
+        for name, eps in (("near", 3e-7), ("band", 1e-8)))
     assert cli.main(["compare", a, near, "--search", "2"]) == 5
     search = _report(capsys.readouterr().out)["search"]
-    assert search["ambient_sigma_min"] > search["ambient_bound"] > 0.0
+    assert search["ambient_route"] == "reduced"
+    assert "ambient_sigma_min" not in search and "ambient_bound" not in search
+    gap, defect = search["refusals"]
+    assert gap == {"test": "ambient_gap", "value": search["ambient_gap"],
+                   "bound": search["ambient_gap_bound"]}
+    assert gap["value"] > gap["bound"] > 0.0
+    assert defect == {"test": "defect_sigma_min",
+                      "value": search["defect_sigma_min"],
+                      "bound": search["defect_bound"]}
     assert cli.main(["compare", a, a, "--search", "2"]) == 0
     search = _report(capsys.readouterr().out)["search"]
+    assert (search["ambient_route"], search["refusals"]) == ("reduced", [])
+    assert search["ambient_gap"] <= search["ambient_gap_bound"]
+    assert search["ambient_sigma_min"] < search["ambient_bound"]
+    assert cli.main(["compare", a, band, "--search", "2"]) == 0
+    search = _report(capsys.readouterr().out)["search"]
+    assert (search["ambient_route"], search["refusals"]) == ("full", [])
     assert search["ambient_sigma_min"] < search["ambient_bound"]
     scalars = [_write(tmp_path, f"{p}.json", cli.pair_file_doc(
         np.array([[1.0]]), np.array([[p]]))) for p in (0.25, 0.5)]
     assert cli.main(["compare", *scalars, "--search", "2"]) == 4
     assert "search" not in _report(capsys.readouterr().out)
+
+
+def test_planted_compare_at_n24_needs_no_intertwiner_system(
+        tmp_path, capsys, monkeypatch):
+    # a planted conjugate at n = 24, whose 2304 x 576 intertwiner system
+    # took most of a second to factor, is found on the reduced route alone
+    def refused(*args):
+        raise AssertionError("the intertwiner system was formed")
+
+    monkeypatch.setattr(invariant, "_intertwiner_system", refused)
+    pair = g.random_pure_gamma(24, seed=44, max_norm=0.75)
+    u = matcore.haar_unitary(24, np.random.default_rng(45))
+    ud = matcore.dagger(u)
+    a = _write(tmp_path, "a.json", _pair_doc(pair))
+    b = _write(tmp_path, "b.json", cli.pair_file_doc(
+        u @ pair.s @ ud, u @ pair.p @ ud))
+    assert cli.main(["compare", a, b, "--search", "20"]) == 0
+    report = _report(capsys.readouterr().out)
+    assert report["verdict"] == "EQUIVALENT"
+    assert report["search"]["ambient_route"] == "reduced"
+    assert report["search"]["restarts_used"] == 1
 
 
 def test_compare_search_reports_the_defect_certificate(tmp_path, capsys):

@@ -368,6 +368,26 @@ def test_grid_sup_memory_does_not_grow_with_the_stack():
         assert peak - out.nbytes <= 3 * matcore.BATCH_BYTES
 
 
+def test_refined_sup_memory_does_not_grow_with_the_stack():
+    # the refined sup copies one block of non-constant polynomials at a
+    # time, not all of them: besides its input and output a call over 1000
+    # polynomials holds about 2.6 BATCH_BYTES (measured 5.1 with the live
+    # polynomials copied at once), as it does over 203
+    rng = np.random.default_rng(29)
+    for m in (203, 1000):
+        polys = g.gamma_pair._random_polys(rng, m, matcore.PROBE_MAX_DEG)
+        polys[::7] = 0.0
+        polys[::7, 0, 0] = 1.5  # constants take no iteration
+        g.sup_norm_on_gamma_refined(polys)
+        tracemalloc.start()
+        try:
+            out = g.sup_norm_on_gamma_refined(polys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 3 * matcore.BATCH_BYTES, (m, peak)
+
+
 def test_grid_sups_match_the_reference_bitwise(grid_sups_oracle):
     # the (z1, z2) coefficients add each term on a strided diagonal; the
     # reference adds it at fancy indices, and takes its products in stacks

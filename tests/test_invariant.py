@@ -574,7 +574,8 @@ def test_warm_start_alone_finds_conjugates_with_larger_nullspaces(
         kind, dim, monkeypatch):
     # the polar factor of a generic intertwiner is a conjugator when one
     # exists (Schwartz-Zippel), however large the nullspace: repeated normal
-    # joint eigenvalues give M_2 (+) M_2, J (+) J gives I_2 (x) M_2
+    # joint eigenvalues give M_2 (+) M_2, J (+) J gives I_2 (x) M_2.  Both
+    # give the Hermitian mix repeated eigenvalues, so K decides
     if kind == "repeated-normal":
         t1 = np.diag([0.3, 0.3, -0.5j, -0.5j])
         t2 = np.diag([0.6, 0.6, 0.2 + 0.1j, 0.2 + 0.1j])
@@ -590,15 +591,16 @@ def test_warm_start_alone_finds_conjugates_with_larger_nullspaces(
             out = g.search_witness(fp_a, fp_b, restarts=restarts, seed=seed)
             assert (out.status, out.restarts_used) == (SEARCH_FOUND, 1)
             assert out.report.fstar_residual <= 1e-13
+            assert out.ambient_route == "full"
     assert sizes == []
 
 
-def _near_with_common_summand(seed):
+def _near_with_common_summand(seed, eps=None):
     """A near pair whose intertwiner nullspace is not empty: X (+) Y and
     X (+) Y', with (Y, Y') a pair of ``_near``.  Every joint intertwiner is
     singular, so no unitary conjugates the two pairs."""
     x = g.random_pure_gamma(1, seed=seed, max_norm=0.8)
-    fp_y, fp_y_near = _near(2, seed + 1)
+    fp_y, fp_y_near = _near(2, seed + 1, eps)
 
     def summed(y):
         return g.solve_fundamental(g.validate(
@@ -643,24 +645,41 @@ def _gate_checks(patch):
     return checks
 
 
+def _ambient_refusals(out):
+    return [test for test, _, _ in out.refusals if test.startswith("ambient")]
+
+
+def _no_certificates(patch):
+    """Infinite gate terms: no ambient certificate can fire, the mixes never
+    separate, and K decides with an infinite bound."""
+    patch.setattr(invariant, "_gate_terms", lambda *args: [float("inf")] * 4)
+
+
+def _full_route(patch):
+    """A zero mix has no spectral gap and no separation: K decides, as it
+    did before the reduced route."""
+    patch.setattr(invariant, "_hermitian_mix",
+                  lambda pair: np.zeros((pair.n, pair.n), dtype=complex))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_sigma_min_skips_only_ambient_starts_the_gate_refuses(n, monkeypatch):
-    # near pairs have sigma_min above its bound: the search has no ambient
-    # candidate.  With the bound turned off, its one candidate, from the
-    # least right singular vector, is refused by the gate, and the outcome
-    # is bitwise the same
+    # near pairs are refused by an ambient certificate, the spectral gap of
+    # the Hermitian mixes or a least singular value: the search has no
+    # ambient candidate.  With every certificate turned off, K's one
+    # candidate, from its least right singular vector, is refused by the
+    # gate, and the outcome is bitwise the same
     for seed in (6800 + n, 6810 + n, 6820 + n):
         fp_a, fp_b = _near(n, seed)
         with monkeypatch.context() as patch:
             checks = _gate_checks(patch)
             on = g.search_witness(fp_a, fp_b, restarts=6, seed=seed)
-        assert on.ambient_sigma_min > on.ambient_bound
-        assert checks == []
+        assert _ambient_refusals(on) and checks == []
         with monkeypatch.context() as patch:
             checks = _gate_checks(patch)
-            patch.setattr(invariant, "_ambient_bound",
-                          lambda *args: float("inf"))
+            _no_certificates(patch)
             off = g.search_witness(fp_a, fp_b, restarts=6, seed=seed)
+        assert off.ambient_route == "full" and _ambient_refusals(off) == []
         assert [passed for _, passed in checks] == [False]
         assert _outcome(on) == _outcome(off)
         assert (on.status, on.restarts_used) == (SEARCH_NOT_FOUND, 12)
@@ -679,7 +698,7 @@ def test_no_ambient_candidate_is_drawn_above_the_bound(monkeypatch):
     monkeypatch.setattr(invariant, "_polar_ascent", lambda ops, stack: (
         starts.append(stack) or kernel(ops, stack)))
     out = g.search_witness(fp_a, fp_b, restarts=5, seed=3)
-    assert out.ambient_sigma_min > out.ambient_bound
+    assert _ambient_refusals(out) == ["ambient_gap"]
     (eta0, sigma0), = starts
     r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
     assert np.array_equal(eta0[0], np.eye(r_star))
@@ -691,10 +710,12 @@ def test_no_ambient_candidate_is_drawn_above_the_bound(monkeypatch):
 
 
 def test_band_and_singular_pairs_get_one_ambient_candidate(monkeypatch):
-    # a conjugate perturbed by 1e-8 has sigma_min between the rank cut and
-    # its bound: its one ambient candidate is the polar factor of the least
-    # right singular vector.  A near pair with a common summand has a
-    # nullspace, from which its candidate is drawn.  No ambient ascent runs
+    # a conjugate perturbed by 1e-8 has its reduced sigma_min between the
+    # rank cut and its bound, so K decides: its one ambient candidate is the
+    # polar factor of K's least right singular vector.  A near pair with a
+    # common summand, at an eps the spectral gap does not refuse, has a
+    # reduced nullspace, from which its candidate is drawn.  No ambient
+    # ascent runs
     sizes = _record_stacks(monkeypatch)
     for fp_a, fp_b in (_near(2, 6802, 1e-8), _near(6, 6806, 1e-8)):
         basis, sv, v = matcore.null_onb(invariant._intertwiner_system(
@@ -703,6 +724,7 @@ def test_band_and_singular_pairs_get_one_ambient_candidate(monkeypatch):
         with monkeypatch.context() as patch:
             checks = _gate_checks(patch)
             out = g.search_witness(fp_a, fp_b, restarts=2, seed=0)
+        assert out.ambient_route == "full"
         assert out.ambient_sigma_min == sv[-1] < out.ambient_bound
         (u, passed), = checks
         n = fp_a.pair.n
@@ -710,13 +732,13 @@ def test_band_and_singular_pairs_get_one_ambient_candidate(monkeypatch):
         assert passed and (out.status, out.restarts_used) == (SEARCH_FOUND, 1)
         assert np.array_equal(out.witness.u_ambient, u)
     assert sizes == []
-    near = _near_with_common_summand(6620)
+    near = _near_with_common_summand(6620, 5e-8)
     with monkeypatch.context() as patch:
         checks = _gate_checks(patch)
         out = g.search_witness(*near, restarts=2, seed=0)
-    assert out.ambient_sigma_min < out.ambient_bound
+    assert out.ambient_route == "reduced" and out.refusals == []
     assert (out.status, out.restarts_used) == (SEARCH_NOT_FOUND, 4)
-    assert len(checks) == 1 and sizes == [2]
+    assert [passed for _, passed in checks] == [False] and sizes == [2]
 
 
 def test_band_pairs_the_ascent_finds_are_found_by_one_candidate(
@@ -826,3 +848,150 @@ def test_band_sweep_slice_keeps_every_find():
             fired += (out.defect_bound is not None
                       and out.defect_sigma_min > out.defect_bound)
     assert fired == 6
+
+
+def test_reduced_system_is_k_on_the_diagonal_of_the_eigenbases():
+    # R d stacks D X~_A - X~_B D over X in {S, P, S*, P*}, X~ = V* X V, and
+    # has the norm of K vec(V_B D V_A*), V_A and V_B being unitary
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 5):
+        fp_a, fp_b = _near(n, 6900 + n)
+        pairs = fp_a.pair, fp_b.pair
+        (_, v_a), (_, v_b) = (np.linalg.eigh(invariant._hermitian_mix(pair))
+                              for pair in pairs)
+        system = invariant._reduced_system(*pairs, v_a, v_b)
+        k = invariant._intertwiner_system(*pairs)
+        assert system.shape == (4 * n * n, n)
+        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        rows = []
+        for x_a, x_b in ((p.s for p in pairs), (p.p for p in pairs)):
+            t_a, t_b = matcore.restrict(v_a, x_a), matcore.restrict(v_b, x_b)
+            rows += [np.diag(d) @ t_a - t_b @ np.diag(d),
+                     np.diag(d) @ matcore.dagger(t_a)
+                     - matcore.dagger(t_b) @ np.diag(d)]
+        want = np.concatenate([r.ravel() for r in (rows[0], rows[2],
+                                                     rows[1], rows[3])])
+        assert np.allclose(system @ d, want, rtol=0.0, atol=1e-14)
+        u = (v_b * d) @ matcore.dagger(v_a)
+        assert abs(np.linalg.norm(system @ d) - np.linalg.norm(k @ u.ravel())
+                   ) <= 1e-14 * np.linalg.norm(d)
+
+
+def _old_ambient_bound(pair_a, pair_b, sv):
+    """The ambient bound as it was computed before _certificate_bound."""
+    n, eps = pair_a.n, np.finfo(np.float64).eps
+    tau = matcore.WITNESS_UNITARY_TOL + 2 * n * eps
+    terms = []
+    for a, b in ((pair_a.norm_s, pair_b.norm_s), (pair_a.norm_p, pair_b.norm_p)):
+        gx = (matcore.AMBIENT_INTERTWINE_TOL * (1.0 + a) * (1.0 + 8 * n * eps)
+              + n * (n + 1) * eps * np.sqrt(1.0 + tau) * (a + b))
+        terms += [gx, (1.0 + tau) * gx + np.sqrt(1.0 + tau) * tau * (a + b)]
+    rounding = 2 * (4 * n * n) * (n * n) * eps * float(np.linalg.norm(sv))
+    return float(np.linalg.norm(terms)) / (1.0 - tau) + rounding
+
+
+def _old_defect_bound(fp_a, fp_b, ta, tb, rows, k_norm):
+    """The defect bound as it was computed before _certificate_bound."""
+    r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
+    n, eps = max(r, r_star), np.finfo(np.float64).eps
+    tau = matcore.WITNESS_UNITARY_TOL + 2 * n * eps
+    fro = np.linalg.norm
+    terms = [1.0 + 2 * r_star * r_star * eps
+             + 2 * r_star * np.sqrt(r_star * (1.0 + tau)) * eps
+             * (fro(fp_a.f_star) + fro(fp_b.f_star))
+             / (FSTAR_MATCH_TOL * (1.0 + fp_a.norm_f_star))]
+    for a, b in zip(ta, tb):
+        terms.append(1.0 + 2 * n * eps + 2 * n * np.sqrt(n * (1.0 + tau)) * eps
+                     * (fro(a) + fro(b)) / COINCIDE_TOL)
+    slack = (2 * rows * (r_star * r_star) * eps * k_norm
+             * np.sqrt((r + r_star) * (1.0 + tau)))
+    return float((np.linalg.norm(terms) + slack)
+                 / (np.sqrt(r_star) * (1.0 - tau)))
+
+
+def test_certificate_bound_keeps_the_bounds_it_replaces(monkeypatch):
+    # the full route's ambient bound and the defect bound, through the one
+    # helper, are the values of the formulas they replaced, to 1 ulp
+    _full_route(monkeypatch)
+    for n in (1, 2, 3, 6):
+        for fp_a, fp_b in (_near(n, 6940 + n), _planted(n, 6950 + n, 6960 + n)[:2]):
+            _, fields = invariant._ambient_candidate(
+                fp_a.pair, fp_b.pair, np.random.default_rng(0))
+            sv = matcore.null_onb(invariant._intertwiner_system(
+                fp_a.pair, fp_b.pair))[1]
+            want = _old_ambient_bound(fp_a.pair, fp_b.pair, sv)
+            assert abs(fields["ambient_bound"] - want) <= np.spacing(want)
+            ta, tb = (fp.theta_grid[[1, 25]] for fp in (fp_a, fp_b))
+            for rows, k_norm in ((7, 3.0), (288, 1e9)):
+                want = _old_defect_bound(fp_a, fp_b, ta, tb, rows, k_norm)
+                got = invariant._defect_bound(fp_a, fp_b, ta, tb, rows, k_norm)
+                assert abs(got - want) <= np.spacing(want)
+
+
+def _route_facts(out):
+    return (out.status, out.restarts_used, bool(_ambient_refusals(out)),
+            out.defect_sigma_min, out.defect_bound)
+
+
+def test_routes_agree_on_every_find_and_certificate(monkeypatch):
+    # criterion 09's searches and the band slice of
+    # test_band_sweep_slice_keeps_every_find, read off the eigenbases where
+    # they decide and off K alone: the same finds, the same restarts, an
+    # ambient refusal on the same pairs (by the gap or by either sigma_min)
+    # and the same defect certificate
+    cases = []
+    for n in range(1, 7):
+        fp_a, fp_b, _ = _planted(n, 4300 + n, 5300 + n)
+        cases.append(((fp_a, fp_b), 8, n))
+    for seed in range(7200, 7212):
+        for eps in (3e-8, 1e-7):
+            cases.append((_near(2, seed, eps), 20, 0))
+    routes = set()
+    for pairs, restarts, seed in cases:
+        out = g.search_witness(*pairs, restarts=restarts, seed=seed)
+        with monkeypatch.context() as patch:
+            _full_route(patch)
+            full = g.search_witness(*pairs, restarts=restarts, seed=seed)
+        assert full.ambient_route == "full"
+        assert _route_facts(out) == _route_facts(full)
+        routes.add(out.ambient_route)
+    assert routes == {"reduced", "full"}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 20),
+       max_norm=st.sampled_from([0.5, 0.75, 0.95]))
+def test_reduced_route_never_refuses_a_planted_conjugate(n, seed, max_norm):
+    # the spectral gap and the reduced sigma_min stay below their bounds on
+    # a conjugate, and the reduced candidate passes the gate; only n = 1,
+    # where K is rounding alone, has no reduced nullspace and goes to K
+    fp_a, fp_b, _ = _planted(n, seed, seed + 1, max_norm)
+    u, fields = invariant._ambient_candidate(
+        fp_a.pair, fp_b.pair, np.random.default_rng(seed))
+    assert fields["ambient_gap"] <= fields["ambient_gap_bound"]
+    assert fields["ambient_sigma_min"] <= fields["ambient_bound"]
+    assert fields["ambient_route"] == ("full" if n == 1 else "reduced")
+    g.witness_from_ambient(u, fp_a, fp_b)
+
+
+def test_summands_fall_back_to_k_only_where_they_repeat(monkeypatch):
+    # a repeated summand X (+) X repeats eigenvalues of the Hermitian mix,
+    # so K decides and finds the conjugate.  A common summand X (+) Y
+    # against X (+) Y' needs no K: the spectral gap refuses all ten of
+    # these near pairs, with the outcome of the full route
+    x = g.random_pure_gamma(2, seed=6640, max_norm=0.8)
+    fp_a, fp_b = _turned(scipy.linalg.block_diag(x.s, x.s),
+                         scipy.linalg.block_diag(x.p, x.p), 6641)
+    out = g.search_witness(fp_a, fp_b, restarts=2, seed=0)
+    assert out.ambient_route == "full"
+    assert (out.status, out.restarts_used) == (SEARCH_FOUND, 1)
+    for seed in range(6620, 6630):
+        near = _near_with_common_summand(seed)
+        out = g.search_witness(*near, restarts=1, seed=0)
+        assert out.ambient_route == "reduced"
+        assert _ambient_refusals(out) == ["ambient_gap"]
+        with monkeypatch.context() as patch:
+            _full_route(patch)
+            full = g.search_witness(*near, restarts=1, seed=0)
+        assert (out.status, out.restarts_used) == (
+            full.status, full.restarts_used) == (SEARCH_NOT_FOUND, 2)
