@@ -7,20 +7,19 @@ characteristic functions.  This module is verification-first: a Witness
 carrying the defect unitaries is checked against both halves of the
 invariant, and a model-level confirmation is reported on success.  The
 witness search is a labeled heuristic whose only conclusive negative is the
-trace-word screen.  Its ambient family is one candidate, read in O(n^3)
-off the eigenbases of a Hermitian mix of each pair where their spectra
-decide, and off the 4n^2 x n^2 intertwiner system otherwise: the polar
-factor of a generic element of a nullspace or of a least right singular
-vector, and none where a spectral gap or a least singular value proves
-that the gate of witness_from_ambient refuses every matrix.  The defect
-family first factors the gate's own rows in (eta1, sigma), with sigma
-eliminated; where their least singular value proves that
-verify_equivalence refuses every pair of unitaries, the family is one
-candidate.  No certificate yet decides the verdict.
-Otherwise the defect family runs a polar ascent, one batched polar step per
-update for a whole block of starts; each update applies one linear map,
-built once per search with row-major vectorization (A X B).ravel() =
-kron(A, B.T) x, one product per start.
+trace-word screen; none of its candidates is iterated.  Its ambient family
+is one candidate, read in O(n^3) off the eigenbases of a Hermitian mix of
+each pair where their spectra decide, and off the 4n^2 x n^2 intertwiner
+system otherwise: the polar factor of a generic element of a nullspace or
+of a least right singular vector, and none where a spectral gap or a least
+singular value proves that the gate of witness_from_ambient refuses every
+matrix.  The defect family factors the gate's own rows in (eta1, sigma)
+once, with sigma eliminated.  Its candidates are the polar factors of the
+least right singular vector and, unless the least singular value proves
+that verify_equivalence refuses every pair of unitaries, of generic
+elements of the span of the right singular vectors that the gate admits,
+each eta1 with its least-squares sigma.  No certificate yet decides the
+verdict.
 """
 
 from __future__ import annotations
@@ -423,23 +422,28 @@ def _certificate_bound(beta: float, rows: int, cols: int, k_norm: float,
     return float((beta + slack * reach) / floor)
 
 
+def _generic(basis: np.ndarray, rng: np.random.Generator, *count: int
+             ) -> np.ndarray:
+    """basis z for a complex Gaussian z drawn from ``rng``, a vector, or
+    ``count`` columns where that is given: generic elements of the span of
+    the columns of ``basis``, of the largest rank in that span with
+    probability 1 (Schwartz-Zippel)."""
+    shape = (basis.shape[1], *count)
+    return basis @ (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
 def _ambient_candidate(pair_a: GammaPair, pair_b: GammaPair,
                        rng: np.random.Generator
                        ) -> tuple[np.ndarray | None, dict]:
     """The search's one ambient candidate, or None, and the SearchResult
     fields that say how it was read: ``ambient_route``, the spectral gap
-    and its bound, and sigma_min of the system factored and its bound.
+    and its bound, and, where K was factored, its sigma_min and bound.
 
     A unitary conjugator solves M X_A = X_B M for X in {S, P, S*, P*}; for
     any invertible M satisfying all four, M M* commutes with the second
     pair, so the polar factor of M is itself a conjugator.  Where the
-    system factored has a nullspace, M is a random combination of its
-    basis, drawn from ``rng``: invertible if any element is
-    (Schwartz-Zippel).  Where it is empty and sigma_min is at most its
-    bound, vec M is the least right singular vector: of the matrices of
-    unit Frobenius norm, the one, up to a phase where that singular value
-    is simple, that comes closest to intertwining the pairs.  Above the
-    bound there is none.
+    system factored has a nullspace, M is a generic element of it, drawn
+    from ``rng`` (_generic): invertible if any element is.
 
     The reduced route comes first.  Let h = (M + M*) / 2, M = a S + b P
     (_MIX), with eigenvalues lam ascending and eigenvectors V from one eigh
@@ -453,37 +457,34 @@ def _ambient_candidate(pair_a: GammaPair, pair_b: GammaPair,
     stable: Golub & Van Loan, Matrix Computations, ch. 8), refuses every
     U, and no system is formed.  Otherwise U~ = V_B* U V_A has
     |U~ Lam_A - Lam_B U~| <= delta + rho, and its entry (k, l), k != l, is
-    that entry of U~ Lam_A - Lam_B U~ over lam_A,l - lam_B,k.  So the part
-    O of U~ off its diagonal has |O|_F <= nu = sqrt(n) (delta + rho) / sep,
-    sep = min over k != l of |lam_A,l - lam_B,k| (Stewart & Sun, Matrix
-    Perturbation Theory, 1990, ch. V).  Where nu < sqrt(n) (1 - tau), the
-    eigenvalues are separated, and the diagonal d of U~ solves the 4n^2 x n
-    system R of _reduced_system: |R d| <= beta = the 2-norm over its four
-    blocks of sqrt(n) g + nu (|X_A| + |X_B|), g the gate term of the block
-    (g_X for X, g'_X for X*) and a Frobenius norm being at most sqrt(n)
-    times the spectral one, and |d|^2 =
-    |U~|_F^2 - |O|_F^2 >= n (1 - tau)^2 - nu^2, the floor; both are exact
-    to first order in eps.  A candidate from R is the polar factor of
-    V_B diag(d) V_A*.  R decides where it has a nullspace, as a conjugate
-    does, or where sigma_min exceeds its bound.  Between the two lie near
-    conjugates, whose passing U may need the O that R leaves out, and
-    where the eigenvalues are not separated (repeated eigenvalues of h, as
-    in a repeated summand or a sum of equal Jordan blocks) nothing is read
-    off R.  In both cases the full 4n^2 x n^2 system K of
-    _intertwiner_system decides.  For a unitary U, |K vec U|^2 sums
-    |X_B U - U X_A|_F^2 over the four X, so beta is sqrt(n) times the
-    2-norm of the four gate terms over the floor sqrt(n) (1 - tau): the
-    sqrt(n) cancels.  It is sqrt(2) AMBIENT_INTERTWINE_TOL
-    hypot(1 + |S_A|, 1 + |P_A|) when tau and rounding vanish.
+    that entry of U~ Lam_A - Lam_B U~ over lam_A,l - lam_B,k.  Where the
+    eigenvalues are separated, delta + rho < (1 - tau) sep with sep = min
+    over k != l of |lam_A,l - lam_B,k|, each such entry is below 1 - tau,
+    and a conjugator is diagonal: its diagonal d solves the 4n^2 x n
+    system R of _reduced_system.  Where R has a nullspace, as a conjugate's
+    does, the candidate is the polar factor of V_B diag(d) V_A* for a
+    generic d in it.  Everything else falls to the full 4n^2 x n^2 system
+    K of _intertwiner_system: near conjugates, whose passing U may need the
+    part of U~ off its diagonal that R leaves out, and eigenvalues that are
+    not separated (repeated eigenvalues of h, as in a repeated summand or a
+    sum of equal Jordan blocks).  Where K's nullspace is empty and its
+    sigma_min is at most its bound, vec M is its least right singular
+    vector: of the matrices of unit Frobenius norm, the one, up to a phase
+    where that singular value is simple, that comes closest to
+    intertwining the pairs.  Above the bound there is no candidate.  For a
+    unitary U, |K vec U|^2 sums |X_B U - U X_A|_F^2 over the four X, so
+    the bound's beta is sqrt(n) times the 2-norm of the four gate terms
+    over the floor sqrt(n) (1 - tau): the sqrt(n) cancels.  It is sqrt(2)
+    AMBIENT_INTERTWINE_TOL hypot(1 + |S_A|, 1 + |P_A|) when tau and
+    rounding vanish.
     """
     n, tau = pair_a.n, _tau(pair_a.n)
     terms = _gate_terms(pair_a, pair_b)
     (lam_a, v_a), (lam_b, v_b) = (np.linalg.eigh(_hermitian_mix(pair))
                                   for pair in (pair_a, pair_b))
     a, b = np.abs(_MIX)
-    norms = np.array([pair_a.norm_s + pair_b.norm_s] * 2
-                     + [pair_a.norm_p + pair_b.norm_p] * 2)
-    m = a * norms[0] + b * norms[2]
+    m = (a * (pair_a.norm_s + pair_b.norm_s)
+         + b * (pair_a.norm_p + pair_b.norm_p))
     rho = 2 * n * n * _EPS * m
     delta = 0.5 * (a * (terms[0] + terms[1]) + b * (terms[2] + terms[3]))
     fields = {"ambient_route": "reduced",
@@ -493,46 +494,46 @@ def _ambient_candidate(pair_a: GammaPair, pair_b: GammaPair,
         return None, fields
     sep = np.min(np.abs(lam_a - lam_b[:, None])[~np.eye(n, dtype=bool)],
                  initial=np.inf)
-    separated = delta + rho < (1.0 - tau) * sep
-    if separated:
-        nu = np.sqrt(n) * (delta + rho) / sep
-        system = _reduced_system(pair_a, pair_b, v_a, v_b)
-        basis, sv, v = matcore.null_onb(system)
-        bound = _certificate_bound(
-            np.linalg.norm(np.sqrt(n) * np.array(terms) + nu * norms),
-            *system.shape, float(np.linalg.norm(sv)),
-            np.sqrt(n * (1.0 - tau) ** 2 - nu * nu))
-    if not separated or not (basis.size or sv[-1] > bound):
-        fields["ambient_route"] = "full"
-        system = _intertwiner_system(pair_a, pair_b)
-        basis, sv, v = matcore.null_onb(system)
-        bound = _certificate_bound(float(np.linalg.norm(terms)), *system.shape,
-                                   float(np.linalg.norm(sv)), 1.0 - tau)
+    if delta + rho < (1.0 - tau) * sep:
+        basis = matcore.null_onb(_reduced_system(pair_a, pair_b, v_a, v_b))[0]
+        if basis.size:
+            return matcore.polar_unitary(
+                (v_b * _generic(basis, rng)) @ matcore.dagger(v_a)), fields
+    fields["ambient_route"] = "full"
+    system = _intertwiner_system(pair_a, pair_b)
+    basis, sv, v = matcore.null_onb(system)
+    bound = _certificate_bound(float(np.linalg.norm(terms)), *system.shape,
+                               float(np.linalg.norm(sv)), 1.0 - tau)
     fields.update(ambient_sigma_min=float(sv[-1]), ambient_bound=bound)
     if basis.size:
-        dim = basis.shape[1]
-        vec = basis @ (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        vec = _generic(basis, rng)
     elif sv[-1] <= bound:
         vec = v[:, -1]
     else:
         return None, fields
-    if fields["ambient_route"] == "full":
-        return matcore.polar_unitary(vec.reshape(n, n)), fields
-    return matcore.polar_unitary((v_b * vec) @ matcore.dagger(v_a)), fields
+    return matcore.polar_unitary(vec.reshape(n, n)), fields
 
 
-def _defect_certificate(fp_a: FundamentalPair, fp_b: FundamentalPair
-                        ) -> tuple[float, float, tuple[np.ndarray, ...]]:
+def _defect_family(fp_a: FundamentalPair, fp_b: FundamentalPair,
+                   count: int, rng: np.random.Generator
+                   ) -> tuple[float, float, tuple[np.ndarray, np.ndarray]]:
     """sigma_min of the defect system M with sigma eliminated, the bound
     above which no (eta1, sigma) passes verify_equivalence
-    (:func:`_defect_bound`), and a point (eta, sigma): eta the least right
-    singular vector of M and sigma its least-squares partner.
+    (:func:`_defect_bound`), and the defect family's points (eta, sigma) as
+    two stacks, each eta with its least-squares partner sigma.
 
     Column k of the stacked coincidence gaps is H e_k - T_B sigma e_k, with
     H = [eta1 Theta_A(z_j)]_j and T_B = [Theta_B(z_j)]_j, so with Q_perp the
     columns past r of the full QR of T_B, min over sigma of the gaps is
     |Q_perp* H|_F.  M holds the F_* rows over the rows of Q_perp* H, one
     (J r* - r) x r*^2 block per column k, written in place.
+
+    The first eta is the least right singular vector of M.  Where sigma_min
+    is at most the bound, ``count`` - 1 more follow: generic elements
+    (_generic) of the gate subspace, the span of the right singular vectors
+    whose singular values are at most the bound: the directions x in which
+    |M x| / |x| is as small as a passing vec eta1 keeps it.  Above the bound
+    the family is its first point alone.
     """
     r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
     # theta_grid[1] = 0.3 and theta_grid[25] = -0.6: one point per inner circle
@@ -556,10 +557,16 @@ def _defect_certificate(fp_a: FundamentalPair, fp_b: FundamentalPair
     k_norm = np.sqrt(np.linalg.norm(top) ** 2 + weight ** 2 * (
         r_star * np.linalg.norm(ta) ** 2 + r * np.linalg.norm(tb) ** 2))
     _, sv, v = matcore.null_onb(system)
-    eta = v[:, -1].reshape(r_star, r_star)
-    sigma = np.linalg.lstsq(t_b, (eta @ ta).reshape(-1, r), rcond=None)[0]
     bound = _defect_bound(fp_a, fp_b, ta, tb, len(system), k_norm)
-    return float(sv[-1]), bound, (eta, sigma)
+    etas = v[:, -1:]
+    if sv[-1] <= bound:
+        etas = np.hstack([etas, _generic(v[:, sv <= bound], rng, count - 1)])
+    etas = etas.T.reshape(-1, r_star, r_star)
+    # one least-squares solve for every sigma: column block k of the right
+    # side stacks eta_k Theta_A(z_j) over j
+    rhs = (etas[:, None] @ ta).transpose(1, 2, 0, 3).reshape(-1, len(etas) * r)
+    sigmas = np.linalg.lstsq(t_b, rhs, rcond=None)[0]
+    return float(sv[-1]), bound, (etas, sigmas.reshape(r, -1, r).swapaxes(0, 1))
 
 
 def _defect_bound(fp_a: FundamentalPair, fp_b: FundamentalPair,
@@ -589,7 +596,7 @@ def _defect_bound(fp_a: FundamentalPair, fp_b: FundamentalPair,
     rounding, bounds |K x|.  Eliminating sigma (variable projection, Golub
     & Pereyra, SIAM J. Numer. Anal. 10, 1973) leaves min over sigma of
     |K x| = |M vec eta1|, M the (r*^2 + r (J r* - r)) x r*^2 system of
-    _defect_certificate, 288 x 144 at r = r* = 12, so sigma_min(M) <=
+    _defect_family, 288 x 144 at r = r* = 12, so sigma_min(M) <=
     beta / floor.  Where T_B is rank-deficient, Q_perp spans less than the
     complement of its range, which only lowers sigma_min(M): the bound
     holds.  To first order the computed sigma_min is exact for the M of
@@ -616,36 +623,6 @@ def _defect_bound(fp_a: FundamentalPair, fp_b: FundamentalPair,
                               np.sqrt((r + r_star) * (1.0 + tau)))
 
 
-def _conj_map(b: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Row-major matrix of x -> b x a* + b* x a: (B X C).ravel() = kron(B, C.T) x."""
-    return np.kron(b, a.conj()) + np.kron(matcore.dagger(b), a.T)
-
-
-def _apply(op: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """op @ x_k.ravel() for each matrix x_k of the stack x, as rows.
-
-    One product per start, so a start gets bitwise the same row in any stack.
-    """
-    return (x.reshape(len(x), 1, -1) @ op.T).reshape(len(x), -1)
-
-
-def _polar_ascent(ops: tuple[np.ndarray, ...], starts: tuple[np.ndarray, ...]
-                  ) -> list[np.ndarray]:
-    """SEARCH_ITERS sweeps of polar updates over the unknowns x_0, ..., x_m-1.
-
-    ``starts`` holds one stack per unknown.  Unknown i becomes polar(ops[i]
-    (x_i, x_i+1, ..., x_i-1)) from the others' latest values.  Every start
-    runs every sweep, one batched polar step per unknown, so each follows
-    bitwise the iterates it follows alone.
-    """
-    cur = list(starts)
-    for _ in range(matcore.SEARCH_ITERS):
-        for i, op in enumerate(ops):
-            x = np.concatenate([c.reshape(len(c), -1) for c in cur[i:] + cur[:i]], 1)
-            cur[i] = matcore.polar_unitary(_apply(op, x).reshape(cur[i].shape))
-    return cur
-
-
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of the heuristic witness search.
@@ -660,12 +637,12 @@ class SearchResult:
     ``ambient_gap`` is the largest gap between the two mixes' eigenvalues
     and ``ambient_gap_bound`` the bound above which it refuses every
     ambient candidate; ``ambient_sigma_min`` is the least singular value
-    of the system factored, reduced or K, and ``ambient_bound`` the bound
-    above which it refuses every candidate, both None where the gap
-    refused.  ``defect_sigma_min`` and ``defect_bound`` are the same pair
-    for the defect system in (eta1, sigma), built only once the ambient
-    family has failed: None where the screen, differing dimensions or the
-    ambient candidate decide.
+    of K and ``ambient_bound`` the bound above which it refuses every
+    candidate, both None where K was not factored.  ``defect_sigma_min``
+    and ``defect_bound`` are the same pair for the defect system in
+    (eta1, sigma), built only once the ambient family has failed: None
+    where the screen, differing dimensions or the ambient candidate
+    decide.
     """
 
     status: str
@@ -713,26 +690,25 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
     decide, off the 4n^2 x n^2 intertwiner system K: the polar factor of a
     generic nullspace element of the system factored, which is a
     conjugator whenever one exists, drawn first from the search's
-    generator, or of its least right singular vector; none where the
-    spectral gap of the mixes or the least singular value proves that no
-    matrix passes the gate of witness_from_ambient.  Unless it is the
-    witness, the ambient family counts as ``restarts`` used candidates, so
+    generator, or of K's least right singular vector; none where the
+    spectral gap of the mixes or K's least singular value proves that no
+    matrix passes the gate of witness_from_ambient.  Once the ambient
+    candidate has failed, the defect system is factored once
+    (_defect_family).  Its candidates are the polar factors of the least
+    right singular vector, with its least-squares sigma, and then, unless
+    its sigma_min exceeds ``defect_bound`` (_defect_bound) and so proves
+    that no pair of unitaries passes verify_equivalence, restarts - 1
+    generic elements of its gate subspace drawn from the generator, each
+    with its sigma.  The ambient family counts as ``restarts`` used
+    candidates unless it is the witness, and so does the defect family, so
     ``restarts_used`` is 1 for an ambient find, restarts + k + 1 for the
-    defect family's k-th start and 2 restarts for NOT_FOUND.  Once the
-    ambient family has failed, the defect system is factored once
-    (_defect_certificate).  Where its sigma_min exceeds ``defect_bound``
-    (_defect_bound), no pair of unitaries passes verify_equivalence, and
-    the defect family is one candidate, the polar factors of its point
-    (eta, sigma), which still counts as ``restarts`` used candidates:
-    NOT_FOUND reports a real nearest miss at 2 restarts.  Otherwise the
-    defect family runs its starts in blocks of at most BATCH_BYTES of
-    iterates, every start for all SEARCH_ITERS sweeps.  Each start follows
-    exactly its own iterates, and starts are drawn and verified in restart
-    order, so the result does not depend on the blocks.  Each certificate's
-    bound is derived in _certificate_bound and at its system.
+    defect family's k-th candidate and 2 restarts for NOT_FOUND; where the
+    certificate fires, the defect family's one candidate counts as all of
+    its restarts, and NOT_FOUND reports a real nearest miss.  Each
+    certificate's bound is derived in _certificate_bound and at its system.
 
     No certificate yet decides the verdict: without a witness the search
-    still ends NOT_FOUND, inconclusive (ROADMAP.md, items 1 and 4).
+    still ends NOT_FOUND, inconclusive (ROADMAP.md, items 1 and 2).
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -745,42 +721,24 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
                             screen=screen, restarts_used=0)
 
     rng = np.random.default_rng(seed)
-    r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
     u, ambient = _ambient_candidate(pair_a, pair_b, rng)
 
     certificate = {}  # sigma_min and bound, once the ambient family fails
 
-    def defect_start(k):
-        if k == 0:
-            return np.eye(r_star, dtype=complex), np.eye(r, dtype=complex)
-        sigma = matcore.haar_unitary(r, rng)
-        return matcore.haar_unitary(r_star, rng), sigma
-
     def candidates():
         """(restarts used, end point -> witness, end point) in restart order;
-        a block's ascent runs only once the candidates before it are refused."""
+        the defect family is built only once the ambient candidate is
+        refused."""
         if u is not None:
             yield 1, lambda m: witness_from_ambient(m, fp_a, fp_b)[0], (u,)
-        defect_sigma_min, defect_bound, point = _defect_certificate(fp_a, fp_b)
+        defect_sigma_min, defect_bound, points = _defect_family(
+            fp_a, fp_b, restarts, rng)
         certificate.update(defect_sigma_min=defect_sigma_min,
                            defect_bound=defect_bound)
-        if defect_sigma_min > defect_bound:
-            # no (eta1, sigma) passes the gate: one candidate, for the miss
-            yield 2 * restarts, lambda eta, sigma: Witness(
-                *map(matcore.polar_unitary, (eta, sigma))), point
-            return
-        # K = sum_j kron(Theta_B(z_j), conj Theta_A(z_j)), the map of sigma ->
-        # sum_j Theta_B sigma Theta_A*, over every other coincidence grid point
-        ta, tb = fp_a.theta_grid[1::2], fp_b.theta_grid[1::2]
-        k_theta = np.tensordot(tb, ta.conj(), axes=(0, 0)).transpose(
-            0, 2, 1, 3).reshape(r_star * r_star, r * r)
-        ops = (np.hstack([_conj_map(fp_b.f_star, fp_a.f_star), k_theta]),
-               np.hstack([_conj_map(fp_b.f, fp_a.f), matcore.dagger(k_theta)]))
-        for block in matcore.batches(restarts, 16 * (r * r + r_star * r_star)):
-            ks = range(block.start, block.stop)
-            starts = tuple(map(np.stack, zip(*map(defect_start, ks))))
-            yield from ((restarts + k + 1, Witness, point) for k, point in
-                        zip(ks, zip(*_polar_ascent(ops, starts))))
+        # where the certificate fires, the one candidate counts as restarts
+        first = 2 * restarts - len(points[0])
+        yield from ((first + k + 1, Witness, point) for k, point in
+                    enumerate(zip(*map(matcore.polar_unitary, points))))
 
     misses, used = [], 0
     for used, end, point in candidates():

@@ -100,8 +100,6 @@ SCREEN_TOL = 1e-6
 SCREEN_MAX_LEN = 6
 #: Restarts of each candidate family of the witness search.
 SEARCH_RESTARTS = 20
-#: Sweeps of polar updates that every witness-search start that runs makes.
-SEARCH_ITERS = 150
 
 # Command-line verdicts (cli).
 #: analyze, compare: fundamental (analyze: and intertwining) residual bound, times 1 + |S|.

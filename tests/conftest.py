@@ -139,42 +139,27 @@ def dense_toeplitz():
     return _dense_toeplitz
 
 
+#: Polar steps that the ambient ascent oracle runs from each start.
+_AMBIENT_SWEEPS = 150
+
+
 def _ambient_procrustes(pair_a, pair_b, u0):
-    """Oracle: all SEARCH_ITERS ambient Procrustes steps for one start (n, n)."""
+    """Oracle: all _AMBIENT_SWEEPS ambient Procrustes steps for one start (n, n)."""
     sa, pa, sb, pb = pair_a.s, pair_a.p, pair_b.s, pair_b.p
     sa_h, pa_h = matcore.dagger(sa), matcore.dagger(pa)
     sb_h, pb_h = matcore.dagger(sb), matcore.dagger(pb)
     u = u0
-    for _ in range(matcore.SEARCH_ITERS):
+    for _ in range(_AMBIENT_SWEEPS):
         u = matcore.polar_unitary(sb @ u @ sa_h + sb_h @ u @ sa
                                   + pb @ u @ pa_h + pb_h @ u @ pa)
     return u
-
-
-def _defect_alternation(fp_a, fp_b, samples, sigma0, eta0):
-    """Oracle: the defect alternation for one start, samples as (Theta_A, Theta_B) pairs."""
-    fa, fb = fp_a.f, fp_b.f
-    fas, fbs = fp_a.f_star, fp_b.f_star
-    sigma, eta = sigma0, eta0
-    for _ in range(matcore.SEARCH_ITERS):
-        m_eta = (fbs @ eta @ matcore.dagger(fas)
-                 + matcore.dagger(fbs) @ eta @ fas)
-        for ta, tb in samples:
-            m_eta = m_eta + tb @ sigma @ matcore.dagger(ta)
-        eta = matcore.polar_unitary(m_eta)
-        m_sig = (fb @ sigma @ matcore.dagger(fa)
-                 + matcore.dagger(fb) @ sigma @ fa)
-        for ta, tb in samples:
-            m_sig = m_sig + matcore.dagger(tb) @ eta @ ta
-        sigma = matcore.polar_unitary(m_sig)
-    return sigma, eta
 
 
 def _ambient_ascent_search(fp_a, fp_b, restarts, seed):
     """Oracle: the ambient polar ascent that the witness search once ran.
 
     ``restarts`` starts, the identity and then Haar unitaries drawn from
-    ``seed``, each run for all SEARCH_ITERS steps; each end point is checked
+    ``seed``, each run for all _AMBIENT_SWEEPS steps; each end point is checked
     by ``witness_from_ambient`` and ``verify_equivalence``.  Returns the
     number of the first start that gives a witness, or None.  The search's
     warm start from the intertwiner nullspace is left out, so the oracle
@@ -198,12 +183,6 @@ def _ambient_ascent_search(fp_a, fp_b, restarts, seed):
 def ambient_search_oracle():
     """The ambient family as a polar ascent from identity and Haar starts."""
     return _ambient_ascent_search
-
-
-@pytest.fixture(scope="session")
-def alternation_oracle():
-    """The witness search's defect alternation, one start at a time."""
-    return _defect_alternation
 
 
 def _trace_word_screen(fp_a, fp_b):

@@ -200,8 +200,10 @@ def test_compare_search_reports_the_ambient_certificate(tmp_path, capsys):
     # no ambient candidate can pass the gate and no system is factored: the
     # search block names the reduced route and each refusal that fired,
     # with its value and bound.  A pair and itself share a reduced
-    # nullspace; a conjugate perturbed by 1e-8 is decided by K; where the
-    # screen decides there is no search block
+    # nullspace, which decides with no K factored, so no sigma_min is
+    # reported; a conjugate perturbed by 1e-8 is decided by K, whose
+    # sigma_min and bound are; where the screen decides there is no search
+    # block
     pair = g.random_pure_gamma(3, seed=42, max_norm=0.8)
     u = matcore.haar_unitary(3, np.random.default_rng(43))
     ud = matcore.dagger(u)
@@ -224,7 +226,7 @@ def test_compare_search_reports_the_ambient_certificate(tmp_path, capsys):
     search = _report(capsys.readouterr().out)["search"]
     assert (search["ambient_route"], search["refusals"]) == ("reduced", [])
     assert search["ambient_gap"] <= search["ambient_gap_bound"]
-    assert search["ambient_sigma_min"] < search["ambient_bound"]
+    assert "ambient_sigma_min" not in search and "ambient_bound" not in search
     assert cli.main(["compare", a, band, "--search", "2"]) == 0
     search = _report(capsys.readouterr().out)["search"]
     assert (search["ambient_route"], search["refusals"]) == ("full", [])
@@ -273,7 +275,7 @@ def test_compare_search_reports_the_defect_certificate(tmp_path, capsys):
     assert (search["status"], search["restarts_used"]) == ("NOT_FOUND", 4)
     assert cli.main(["compare", a, a, "--search", "2"]) == 0
     search = _report(capsys.readouterr().out)["search"]
-    assert "ambient_bound" in search
+    assert (search["status"], search["ambient_route"]) == ("FOUND", "reduced")
     assert "defect_sigma_min" not in search and "defect_bound" not in search
 
 

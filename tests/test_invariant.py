@@ -292,10 +292,11 @@ def _near(n, seed, eps=None):
 
 @functools.cache
 def _band(n):
-    """A near pair whose ambient sigma_min clears its bound while its defect
-    sigma_min does not (0.86 and 0.95 of the bound at n = 2 and 3): the
-    ambient family has no candidate, and the defect family runs its ascent,
-    which finds no witness.  At the default eps both certificates fire."""
+    """A near pair whose ambient family a certificate refuses while its
+    defect sigma_min does not clear its bound (0.86 and 0.95 of the bound
+    at n = 2 and 3): the ambient family has no candidate, and the defect
+    family draws its candidates, none of them a witness.  At the default
+    eps both certificates fire."""
     return {2: _near(2, 6371, 1.5e-7), 3: _near(3, 6333, 1.5e-7)}[n]
 
 
@@ -329,67 +330,66 @@ def test_search_witness_rejects_restarts_below_one():
             g.search_witness(fp, fp, restarts=restarts, seed=0)
 
 
-def _record_stacks(monkeypatch, maps=None):
-    """Record the stack size each polar ascent receives, and its maps in
-    ``maps`` when that is given.  Only the defect family, of two unknowns,
-    runs an ascent."""
+def _record_stacks(monkeypatch, points=None):
+    """Record the number of candidates of each defect family that a search
+    builds, and the family's points in ``points`` when that is given."""
     sizes = []
-    kernel = invariant._polar_ascent
+    family = invariant._defect_family
 
-    def recorded(ops, starts):
-        assert len(ops) == 2
-        sizes.append(len(starts[0]))
-        if maps is not None:
-            maps.append(ops)
-        return kernel(ops, starts)
+    def recorded(*args):
+        out = family(*args)
+        sizes.append(len(out[2][0]))
+        if points is not None:
+            points.append(out[2])
+        return out
 
-    monkeypatch.setattr(invariant, "_polar_ascent", recorded)
+    monkeypatch.setattr(invariant, "_defect_family", recorded)
     return sizes
 
 
-def _defect_maps(monkeypatch, fp_a, fp_b):
-    """The maps of the defect family of one search in which every
-    candidate is turned away."""
-    maps = []
-    verify = invariant.verify_equivalence
-    with monkeypatch.context() as patch:
-        _record_stacks(patch, maps)
-        patch.setattr(invariant, "verify_equivalence", lambda *args: (
-            dataclasses.replace(verify(*args), verdict=VERDICT_NOT_EQUIVALENT)))
-        g.search_witness(fp_a, fp_b, restarts=1, seed=0)
-    ops, = maps
-    return ops
-
-
-def _starts(n, count, rng):
-    return np.stack([np.eye(n, dtype=complex)]
-                    + [matcore.haar_unitary(n, rng) for _ in range(count - 1)])
+def _partner(fp_a, fp_b, eta):
+    """Oracle: the sigma that minimizes |eta Theta_A(z) - Theta_B(z) sigma|_F
+    summed over the defect system's two points, for one eta."""
+    r = fp_a.f.shape[0]
+    ta, tb = (fp.theta_grid[[1, 25]] for fp in (fp_a, fp_b))
+    return np.linalg.lstsq(tb.reshape(-1, r), (eta @ ta).reshape(-1, r),
+                           rcond=None)[0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
-def test_stacked_iterations_match_the_per_start_oracle(
-        n, monkeypatch, alternation_oracle):
-    # a stacked start follows bitwise the iterates it follows alone; the
-    # per-start oracle sums the same terms in another order, so they agree
-    # to rounding
-    planted = _planted(n, 6000 + n, 6100 + n)[:2]
-    for fp_a, fp_b in (planted, _near(n, 6200 + n, 1e-8)):
-        defect = _defect_maps(monkeypatch, fp_a, fp_b)
-        rng = np.random.default_rng(n)
-        r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
-        sigma0, eta0 = _starts(r, 3, rng), _starts(r_star, 3, rng)
-        samples = [(g.theta_at(fp_a, z), g.theta_at(fp_b, z))
-                   for z in g.default_coincidence_grid()[1::2]]
-        etas, sigmas = invariant._polar_ascent(defect, (eta0, sigma0))
-        for k in range(len(sigma0)):
-            eta, sigma = invariant._polar_ascent(
-                defect, (eta0[k:k + 1], sigma0[k:k + 1]))
-            assert np.array_equal(sigmas[k], sigma[0])
-            assert np.array_equal(etas[k], eta[0])
-            sigma, eta = alternation_oracle(fp_a, fp_b, samples,
-                                            sigma0[k], eta0[k])
-            assert matcore.fro_norm(sigmas[k] - sigma) <= 1e-13
-            assert matcore.fro_norm(etas[k] - eta) <= 1e-13
+def test_stacked_iterations_match_the_per_start_oracle(n, monkeypatch):
+    # the defect family, drawn and solved as one stack, is the per-start
+    # oracle's: the least right singular vector of the defect system, then
+    # generic elements of its gate subspace drawn from the generator, each
+    # sigma its own least-squares solve.  One batched polar step gives each
+    # candidate bitwise the factor it has alone
+    null_onb, factored, sizes = matcore.null_onb, [], []
+    monkeypatch.setattr(matcore, "null_onb", lambda k: (
+        factored.append(null_onb(k)) or factored[-1]))
+    for fp_a, fp_b in (_planted(n, 6000 + n, 6100 + n)[:2],
+                       _near(n, 6200 + n, 1e-8), _near(n, 6200 + n)):
+        sigma_min, bound, (etas, sigmas) = invariant._defect_family(
+            fp_a, fp_b, 4, np.random.default_rng(n))
+        (_, sv, v), = factored
+        factored.clear()
+        assert sigma_min == sv[-1]
+        sizes.append(len(etas))
+        want = v[:, -1:]
+        if sigma_min <= bound:
+            rng, gate = np.random.default_rng(n), v[:, sv <= bound]
+            want = np.hstack([want, gate @ (
+                rng.standard_normal((gate.shape[1], 3))
+                + 1j * rng.standard_normal((gate.shape[1], 3)))])
+        assert np.array_equal(etas, want.T.reshape(etas.shape))
+        for eta, sigma in zip(etas, sigmas):
+            assert matcore.fro_norm(sigma - _partner(fp_a, fp_b, eta)) <= (
+                1e-12 * max(1.0, matcore.fro_norm(sigma)))
+        for stack in (etas, sigmas):
+            polar = matcore.polar_unitary(stack)
+            for k, m in enumerate(stack):
+                assert np.array_equal(polar[k], matcore.polar_unitary(m))
+    # the planted pair draws; at the default eps the certificate fires
+    assert sizes[0] == 4 and sizes[2] == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
@@ -423,9 +423,11 @@ def _outcome(out):
 
 
 def test_search_result_does_not_depend_on_the_blocks(monkeypatch):
-    # blocks of 1 to 3 defect starts give bitwise the default result, on a
-    # NOT_FOUND search and on a FOUND one whose first two candidates are
-    # turned away, so the witness comes from a later defect start
+    # the search holds each defect family as one stack, whatever the block
+    # size of the stacked kernels: blocks of 1 to 3 starts' worth give
+    # bitwise the default result, on a NOT_FOUND search and on a FOUND one
+    # whose first two candidates are turned away, so the witness is the
+    # defect family's first draw
     fp_near = _band(3)
     fp_planted = _planted(3, 6313, 6323)[:2]
     verify = invariant.verify_equivalence
@@ -450,24 +452,24 @@ def test_search_result_does_not_depend_on_the_blocks(monkeypatch):
     sizes = _record_stacks(monkeypatch)
     r, r_star = fp_near[0].f.shape[0], fp_near[0].f_star.shape[0]
     item = 16 * (r * r + r_star * r_star)
-    for budget, largest in ((1, 1), (2 * item, 2), (3 * item, 3)):
+    for budget in (1, 2 * item, 3 * item):
         monkeypatch.setattr(matcore, "BATCH_BYTES", budget)
         sizes.clear()
         assert run() == default
-        assert max(sizes) == largest
+        assert sizes == [7, 8]
 
 
 def _counted_search(fp_a, fp_b, restarts, refuse):
     """Outcome of a search whose first ``refuse`` candidates are turned away,
-    (unknowns, polar_unitary calls) of each of its polar ascents, and its
-    polar_unitary calls in all."""
-    verify, kernel, polar = (invariant.verify_equivalence,
-                             invariant._polar_ascent, matcore.polar_unitary)
-    checked, calls, ascents = [], [], []
+    and its own polar_unitary calls, those of verify_equivalence's model
+    confirmation left out."""
+    verify, polar = invariant.verify_equivalence, matcore.polar_unitary
+    checked, calls = [], []
 
     def late_verify(*args):
         checked.append(1)
-        rep = verify(*args)
+        with mock.patch.object(matcore, "polar_unitary", polar):
+            rep = verify(*args)
         if len(checked) > refuse:
             return rep
         return dataclasses.replace(rep, verdict=VERDICT_NOT_EQUIVALENT)
@@ -476,24 +478,17 @@ def _counted_search(fp_a, fp_b, restarts, refuse):
         calls.append(1)
         return polar(m)
 
-    def counted_ascent(ops, starts):
-        before = len(calls)
-        ends = kernel(ops, starts)
-        ascents.append((len(ops), len(calls) - before))
-        return ends
-
     with mock.patch.object(invariant, "verify_equivalence", late_verify), \
-            mock.patch.object(invariant, "_polar_ascent", counted_ascent), \
             mock.patch.object(matcore, "polar_unitary", counted_polar):
         out = g.search_witness(fp_a, fp_b, restarts=restarts, seed=3)
-    return _outcome(out), ascents, len(calls)
+    return _outcome(out), len(calls)
 
 
 @functools.cache
 def _property_pairs():
     # the planted search turns its first two candidates away, so its witness
-    # comes from an ascent whenever the restarts leave room for one; the
-    # near conjugate has no ambient candidate
+    # comes from a draw whenever the restarts leave room for one; the near
+    # conjugate has no ambient candidate
     return {"near": (_band(2), 0),
             "planted": (tuple(_planted(2, 6311, 6321)[:2]), 2)}
 
@@ -508,31 +503,19 @@ def _default_outcome(name, restarts):
 @given(name=st.sampled_from(["near", "planted"]), restarts=st.integers(1, 8),
        budget=st.sampled_from([1, 2 * 16 * 8, 3 * 16 * 8, matcore.BATCH_BYTES]))
 def test_polar_calls_depend_only_on_restarts_and_blocks(name, restarts, budget):
-    # every ascent runs all SEARCH_ITERS sweeps, one polar step per unknown,
-    # whatever the block; the outcome is the default block size's.  A defect
-    # start of these n = 2 pairs holds 16 (2^2 + 2^2) bytes of iterates
+    # one polar step for the ambient candidate, where there is one, and one
+    # batched step per unknown of the defect family, whatever the restarts
+    # and the block; the outcome is the default block size's.  A defect
+    # start of these n = 2 pairs holds 16 (2^2 + 2^2) bytes
     (fp_a, fp_b), refuse = _property_pairs()[name]
     with mock.patch.object(matcore, "BATCH_BYTES", budget):
-        outcome, ascents, _ = _counted_search(fp_a, fp_b, restarts, refuse)
+        outcome, calls = _counted_search(fp_a, fp_b, restarts, refuse)
     assert outcome == _default_outcome(name, restarts)
-    assert all(calls == matcore.SEARCH_ITERS * unknowns
-               for unknowns, calls in ascents)
-
-
-def test_near_search_runs_every_sweep_of_one_block_per_family():
-    # the ambient family has no candidate, as sigma_min exceeds its bound,
-    # and the defect family runs one block of 20 starts, every start for
-    # all sweeps: 2 SEARCH_ITERS polar steps in all; a stop test that ended
-    # a start early would make fewer.  No candidate passes verification
-    fp_a, fp_b = _band(2)
-    outcome, ascents, calls = _counted_search(fp_a, fp_b, 20, 0)
-    assert outcome[:2] == (SEARCH_NOT_FOUND, 40)
-    assert ascents == [(2, 2 * matcore.SEARCH_ITERS)]
-    assert calls == 2 * matcore.SEARCH_ITERS
+    assert calls == (3 if name == "planted" else 2)
 
 
 def test_planted_conjugate_runs_one_start(monkeypatch):
-    # the warm start, checked as drawn, is the witness: no ascent runs
+    # the warm start, checked as drawn, is the witness: no defect family
     sizes = _record_stacks(monkeypatch)
     fp_a, fp_b, _ = _planted(6, 6400, 6410)
     out = g.search_witness(fp_a, fp_b, restarts=20, seed=0)
@@ -541,20 +524,15 @@ def test_planted_conjugate_runs_one_start(monkeypatch):
 
 
 def test_search_holds_one_block_of_starts(monkeypatch):
-    # however many restarts are asked for, no stack outgrows one block, and
-    # the defect maps are built once for all of their blocks
-    maps = []
-    sizes = _record_stacks(monkeypatch, maps)
+    # however many restarts are asked for, the defect family is one stack
+    # of candidates from one factorization of its system, polar factored
+    # in one batched step per unknown, and each candidate is verified
+    sizes = _record_stacks(monkeypatch)
     fp_a, fp_b = _band(2)
-    r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
     monkeypatch.setattr(matcore, "BATCH_BYTES", 2 ** 9)
-    out = g.search_witness(fp_a, fp_b, restarts=40, seed=0)
-    assert (out.status, out.restarts_used) == (SEARCH_NOT_FOUND, 80)
-    # one block holds BATCH_BYTES of iterates, sigma and eta
-    blocks = matcore.batches(40, 16 * (r * r + r_star * r_star))
-    assert 1 < blocks[0].stop < 40
-    assert sizes == [b.stop - b.start for b in blocks]
-    assert len(maps) > 2 and all(ops is maps[0] for ops in maps)
+    outcome, calls = _counted_search(fp_a, fp_b, 40, 0)
+    assert outcome[:2] == (SEARCH_NOT_FOUND, 80)
+    assert sizes == [40] and calls == 2
 
 
 def _turned(t1, t2, seed):
@@ -612,7 +590,7 @@ def _near_with_common_summand(seed, eps=None):
 def test_one_restart_checks_the_warm_start_as_the_only_ambient_candidate(
         monkeypatch):
     # one restart: the warm start is the ambient family's one candidate, and
-    # the defect family runs its one start only where it is refused
+    # the defect family, one candidate, is built only where it is refused
     sizes = _record_stacks(monkeypatch)
     fp_a, fp_b, _ = _planted(3, 6600, 6610)
     found = g.search_witness(fp_a, fp_b, restarts=1, seed=0)
@@ -687,35 +665,30 @@ def test_sigma_min_skips_only_ambient_starts_the_gate_refuses(n, monkeypatch):
 
 def test_no_ambient_candidate_is_drawn_above_the_bound(monkeypatch):
     # above the bound the ambient family makes no polar step and takes
-    # nothing from the generator: the defect starts are its first draws, and
-    # NOT_FOUND counts the ambient family as restarts candidates
+    # nothing from the generator: the defect family's draws are its first
+    # draws, and NOT_FOUND counts the ambient family as restarts candidates
     fp_a, fp_b = _band(3)
     for restarts in (1, 5):
-        outcome, _, calls = _counted_search(fp_a, fp_b, restarts, 0)
+        outcome, calls = _counted_search(fp_a, fp_b, restarts, 0)
         assert outcome[:2] == (SEARCH_NOT_FOUND, 2 * restarts)
-        assert calls == 2 * matcore.SEARCH_ITERS
-    starts, kernel = [], invariant._polar_ascent
-    monkeypatch.setattr(invariant, "_polar_ascent", lambda ops, stack: (
-        starts.append(stack) or kernel(ops, stack)))
+        assert calls == 2
+    points = []
+    sizes = _record_stacks(monkeypatch, points)
     out = g.search_witness(fp_a, fp_b, restarts=5, seed=3)
-    assert _ambient_refusals(out) == ["ambient_gap"]
-    (eta0, sigma0), = starts
-    r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
-    assert np.array_equal(eta0[0], np.eye(r_star))
-    assert np.array_equal(sigma0[0], np.eye(r))
-    rng = np.random.default_rng(3)
-    for k in range(1, 5):
-        assert np.array_equal(sigma0[k], matcore.haar_unitary(r, rng))
-        assert np.array_equal(eta0[k], matcore.haar_unitary(r_star, rng))
+    assert _ambient_refusals(out) == ["ambient_gap"] and sizes == [5]
+    (etas, sigmas), = points
+    _, _, (want_etas, want_sigmas) = invariant._defect_family(
+        fp_a, fp_b, 5, np.random.default_rng(3))
+    assert np.array_equal(etas, want_etas)
+    assert np.array_equal(sigmas, want_sigmas)
 
 
 def test_band_and_singular_pairs_get_one_ambient_candidate(monkeypatch):
-    # a conjugate perturbed by 1e-8 has its reduced sigma_min between the
-    # rank cut and its bound, so K decides: its one ambient candidate is the
-    # polar factor of K's least right singular vector.  A near pair with a
-    # common summand, at an eps the spectral gap does not refuse, has a
-    # reduced nullspace, from which its candidate is drawn.  No ambient
-    # ascent runs
+    # a conjugate perturbed by 1e-8 has no reduced nullspace, so K decides:
+    # its one ambient candidate is the polar factor of K's least right
+    # singular vector.  A near pair with a common summand, at an eps the
+    # spectral gap does not refuse, has a reduced nullspace, from which its
+    # candidate is drawn
     sizes = _record_stacks(monkeypatch)
     for fp_a, fp_b in (_near(2, 6802, 1e-8), _near(6, 6806, 1e-8)):
         basis, sv, v = matcore.null_onb(invariant._intertwiner_system(
@@ -741,6 +714,32 @@ def test_band_and_singular_pairs_get_one_ambient_candidate(monkeypatch):
     assert [passed for _, passed in checks] == [False] and sizes == [2]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
+def test_defect_family_alone_finds_planted_conjugates(n, monkeypatch):
+    # with no ambient candidate, the defect family's first candidate, the
+    # least right singular vector of its system with its least-squares
+    # sigma, is a witness of a planted conjugate
+    monkeypatch.setattr(invariant, "_ambient_candidate", lambda *args: (None, {}))
+    for k in range(2):
+        fp_a, fp_b, _ = _planted(n, 8300 + 10 * n + k, 8400 + 10 * n + k)
+        out = g.search_witness(fp_a, fp_b, restarts=20, seed=k)
+        assert (out.status, out.restarts_used) == (SEARCH_FOUND, 21)
+        assert out.defect_sigma_min <= out.defect_bound
+
+
+def test_defect_draws_find_common_summand_pairs():
+    # X (+) Y against X (+) Y' at eps = 1e-8: the spectral gap does not
+    # refuse, and the ambient candidate, drawn from a nullspace whose
+    # elements are all singular, fails the gate.  So does the defect
+    # system's least right singular vector, but its first draw from the
+    # gate subspace passes verify_equivalence
+    for seed in (6640, 6642, 6645):
+        out = g.search_witness(*_near_with_common_summand(seed, 1e-8),
+                               restarts=20, seed=0)
+        assert out.ambient_route == "reduced" and out.refusals == []
+        assert (out.status, out.restarts_used) == (SEARCH_FOUND, 22)
+
+
 def test_band_pairs_the_ascent_finds_are_found_by_one_candidate(
         ambient_search_oracle):
     # conjugates of (S + eps P, P) at eps from 1e-9 to 3e-8 lie in the band:
@@ -764,7 +763,8 @@ def test_band_pairs_the_ascent_finds_are_found_by_one_candidate(
 
 
 def _defect_ratio(fp_a, fp_b):
-    sigma_min, bound, _ = invariant._defect_certificate(fp_a, fp_b)
+    sigma_min, bound, _ = invariant._defect_family(
+        fp_a, fp_b, 1, np.random.default_rng(0))
     return sigma_min / bound
 
 
@@ -807,15 +807,16 @@ def test_defect_certificate_never_fires_on_conjugates(n, seed, max_norm):
 def test_defect_certificate_skips_only_ascents_the_gate_refuses(
         n, monkeypatch):
     # near pairs have defect sigma_min above its bound: the defect family is
-    # one candidate, from the least right singular vector, and runs no
-    # ascent.  With the bound turned off, the ascent runs and the gate
-    # refuses every end point: the status and restarts used are the same
+    # one candidate, from the least right singular vector, and draws
+    # nothing.  With the bound turned off, the family draws its other
+    # restarts - 1 candidates and the gate refuses every one: the status
+    # and restarts used are the same
     for seed in (6840 + n, 6850 + n):
         fp_a, fp_b = _near(n, seed)
         with monkeypatch.context() as patch:
             sizes = _record_stacks(patch)
             on = g.search_witness(fp_a, fp_b, restarts=6, seed=seed)
-        assert on.defect_sigma_min > on.defect_bound and sizes == []
+        assert on.defect_sigma_min > on.defect_bound and sizes == [1]
         verify, reports = invariant.verify_equivalence, []
         with monkeypatch.context() as patch:
             sizes = _record_stacks(patch)
@@ -831,20 +832,22 @@ def test_defect_certificate_skips_only_ascents_the_gate_refuses(
 
 
 def test_band_sweep_slice_keeps_every_find():
-    # 24 pairs of the band sweep, conjugates of (S + eps P, P): the search
-    # whose defect family always ran its ascent found the same 12 at one
-    # candidate and missed the same 12 after 2 x 20.  The certificate fires
-    # on 6 of the misses; on the other 6 the ascent runs as before
+    # 24 pairs of the band sweep, conjugates of (S + eps P, P): 12 are found
+    # at one candidate, the ambient one, and (7205, 3e-8) by the defect
+    # family's first candidate; the other 11 are missed after 2 x 20.  The
+    # defect certificate fires on 6 of the misses; on the other 5 the
+    # family's draws are refused too
     missed = {(7200, 1e-7), (7201, 1e-7), (7202, 1e-7), (7203, 1e-7),
-              (7204, 1e-7), (7205, 3e-8), (7205, 1e-7), (7206, 3e-8),
-              (7206, 1e-7), (7207, 1e-7), (7208, 1e-7), (7210, 1e-7)}
+              (7204, 1e-7), (7205, 1e-7), (7206, 3e-8), (7206, 1e-7),
+              (7207, 1e-7), (7208, 1e-7), (7210, 1e-7)}
     fired = 0
     for seed in range(7200, 7212):
         for eps in (3e-8, 1e-7):
             out = g.search_witness(*_near(2, seed, eps), restarts=20)
-            assert (out.status, out.restarts_used) == (
-                (SEARCH_NOT_FOUND, 40) if (seed, eps) in missed
-                else (SEARCH_FOUND, 1))
+            want = ((SEARCH_NOT_FOUND, 40) if (seed, eps) in missed
+                    else (SEARCH_FOUND, 21) if (seed, eps) == (7205, 3e-8)
+                    else (SEARCH_FOUND, 1))
+            assert (out.status, out.restarts_used) == want
             fired += (out.defect_bound is not None
                       and out.defect_sigma_min > out.defect_bound)
     assert fired == 6
@@ -962,15 +965,20 @@ def test_routes_agree_on_every_find_and_certificate(monkeypatch):
 @given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 20),
        max_norm=st.sampled_from([0.5, 0.75, 0.95]))
 def test_reduced_route_never_refuses_a_planted_conjugate(n, seed, max_norm):
-    # the spectral gap and the reduced sigma_min stay below their bounds on
-    # a conjugate, and the reduced candidate passes the gate; only n = 1,
-    # where K is rounding alone, has no reduced nullspace and goes to K
+    # the spectral gap stays below its bound on a conjugate, and the
+    # candidate from the reduced nullspace passes the gate without K being
+    # factored; only n = 1, where K is rounding alone and so is R, has no
+    # reduced nullspace and goes to K, whose sigma_min stays below its bound
     fp_a, fp_b, _ = _planted(n, seed, seed + 1, max_norm)
     u, fields = invariant._ambient_candidate(
         fp_a.pair, fp_b.pair, np.random.default_rng(seed))
     assert fields["ambient_gap"] <= fields["ambient_gap_bound"]
-    assert fields["ambient_sigma_min"] <= fields["ambient_bound"]
-    assert fields["ambient_route"] == ("full" if n == 1 else "reduced")
+    if n == 1:
+        assert fields["ambient_route"] == "full"
+        assert fields["ambient_sigma_min"] <= fields["ambient_bound"]
+    else:
+        assert fields["ambient_route"] == "reduced"
+        assert "ambient_sigma_min" not in fields
     g.witness_from_ambient(u, fp_a, fp_b)
 
 

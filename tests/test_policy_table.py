@@ -74,8 +74,8 @@ def _other_modules():
 
 def test_table_is_documented_and_assigned_once():
     table = _table()
-    assert {"PURITY_TOL", "POINT_TOL", "TRUNCATION_CAP", "SEARCH_ITERS",
-            "RESOLVENT_FLOOR", "COINCIDE_TOL", "POWER_ITERS"} <= set(table)
+    assert {"PURITY_TOL", "POINT_TOL", "TRUNCATION_CAP", "RESOLVENT_FLOOR",
+            "COINCIDE_TOL", "POWER_ITERS"} <= set(table)
     # the table is one block: no code between its first and last entry
     first, last = min(table.values()), max(table.values())
     tree = _parse(SRC / "matcore.py")
