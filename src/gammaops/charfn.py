@@ -140,8 +140,8 @@ def kernel_identity_residual(fp: FundamentalPair, zs, ws) -> float:
 def default_coincidence_grid() -> np.ndarray:
     """Default evaluation grid: the origin, then radii 0.3, 0.6, 0.9 by 16 angles.
 
-    Radius-major, so ``grid[1::2]`` is the radii by eight angles 2 pi k / 8,
-    the witness search's samples.  Theta = N / det(I - z P*) with deg N <= n,
+    Radius-major, so ``grid[1]`` = 0.3 and ``grid[25]`` = -0.6, the witness
+    search's defect-family points.  Theta = N / det(I - z P*) with deg N <= n,
     so sigma_* Theta_A - Theta_B sigma has a numerator of degree <= 2n, and in
     exact arithmetic its vanishing at 2n + 1 points forces coincidence on the
     disc: these 49 points decide it for n <= 24.

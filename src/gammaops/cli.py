@@ -91,63 +91,43 @@ EXIT_BY_ERROR = ((NotPure, EXIT_NOT_PURE), (NumericalContractBreach, EXIT_BREACH
                  (MemoryError, EXIT_INPUT))
 
 
-def _num(x, path: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise PairFileError(f"{path}: expected a number, got {type(x).__name__}")
-    if not math.isfinite(x):
-        raise PairFileError(f"{path}: non-finite value")
-    return float(x)
-
-
-_PLAIN = (int, float)
-
-
-def _plain_cells(node: list) -> bool:
-    """Whether every row of ``node`` is a list as long as the first, with
-    at least one cell, and every cell a list of two plain ints or floats."""
-    width = len(node[0]) if type(node[0]) is list else 0
-    return width > 0 and all(
-        type(row) is list and len(row) == width
-        and all(type(cell) is list and len(cell) == 2
-                and type(cell[0]) in _PLAIN and type(cell[1]) in _PLAIN
-                for cell in row)
-        for row in node)
+#: The largest finite float: -MAX <= x <= MAX fails for NaN, for the
+#: infinities and for an int beyond the float range alike.
+_FLOAT_MAX = sys.float_info.max
+_NUMBER = (int, float)
 
 
 def matrix_from_json(node, name: str) -> np.ndarray:
-    """Parse a nested array of [re, im] pairs, diagnosing the failing field.
+    """Parse a nested array of [re, im] pairs, diagnosing the first failing field.
 
-    A well-formed array is converted at once; the paths of a diagnostic are
-    built only where its types or finiteness fail.
+    One row-major walk checks each row, cell and number once; a number is a
+    JSON int or float (not a bool) of modulus at most the largest float.  The
+    checked array is then converted at once.
     """
-    if isinstance(node, list) and node and _plain_cells(node):
-        try:
-            parts = np.array(node, dtype=np.float64)
-        except OverflowError:  # an int beyond the float range: diagnosed below
-            parts = None
-        if parts is not None and np.isfinite(parts).all():
-            return parts.view(np.complex128)[..., 0]
     if not isinstance(node, list) or not node:
         raise PairFileError(f"{name}: expected a non-empty array of rows")
-    rows = []
-    width = None
+    width = len(node[0]) if isinstance(node[0], list) else 0
     for i, row in enumerate(node):
         if not isinstance(row, list) or not row:
             raise PairFileError(f"{name}[{i}]: expected a non-empty row array")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise PairFileError(
-                f"{name}[{i}]: ragged row, expected {width} entries, "
-                f"got {len(row)}")
-        out = []
+        if len(row) != width:
+            raise PairFileError(f"{name}[{i}]: ragged row, expected {width} "
+                                f"entries, got {len(row)}")
         for j, cell in enumerate(row):
             if not isinstance(cell, list) or len(cell) != 2:
                 raise PairFileError(f"{name}[{i}][{j}]: expected [re, im] pair")
-            out.append(complex(_num(cell[0], f"{name}[{i}][{j}][0]"),
-                               _num(cell[1], f"{name}[{i}][{j}][1]")))
-        rows.append(out)
-    return np.array(rows, dtype=complex)
+            re, im = cell  # unrolled: a loop over the pair costs 3x
+            if type(re) not in _NUMBER:
+                raise PairFileError(f"{name}[{i}][{j}][0]: expected a number, "
+                                    f"got {type(re).__name__}")
+            if not -_FLOAT_MAX <= re <= _FLOAT_MAX:
+                raise PairFileError(f"{name}[{i}][{j}][0]: non-finite value")
+            if type(im) not in _NUMBER:
+                raise PairFileError(f"{name}[{i}][{j}][1]: expected a number, "
+                                    f"got {type(im).__name__}")
+            if not -_FLOAT_MAX <= im <= _FLOAT_MAX:
+                raise PairFileError(f"{name}[{i}][{j}][1]: non-finite value")
+    return np.array(node, np.float64).view(np.complex128)[..., 0]
 
 
 def matrix_to_json(m) -> list:

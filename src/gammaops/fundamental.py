@@ -112,14 +112,16 @@ class FundamentalPair:
 
 
 def _solve_side(s: np.ndarray, p: np.ndarray, dd: DefectData
-                ) -> tuple[np.ndarray, float]:
-    """Least-squares F = Q* (S - S*P) Q / (sv sv^T) of S - S*P = D Q F Q* D."""
-    rhs = s - matcore.dagger(s) @ p
-    f = matcore.restrict(dd.q, rhs) / np.outer(dd.sv, dd.sv)
-    # an overflowing residual is reported as a breach, written as null
+                ) -> tuple[np.ndarray, float, float]:
+    """Least-squares F = Q* (S - S*P) Q / (sv sv^T) of S - S*P = D Q F Q* D,
+    its residual and its numerical radius; an overflowing solve gives an inf
+    or NaN residual and radius inf, a breach written as null."""
     with np.errstate(over="ignore", invalid="ignore"):
+        rhs = s - matcore.dagger(s) @ p
+        f = matcore.restrict(dd.q, rhs) / np.outer(dd.sv, dd.sv)
         resid = matcore.fro_norm(dd.dq @ f @ matcore.dagger(dd.dq) - rhs)
-    return f, resid
+    radius = matcore.numerical_radius(f) if np.isfinite(f).all() else np.inf
+    return f, resid, radius
 
 
 def solve_fundamental(pair: GammaPair) -> FundamentalPair:
@@ -130,13 +132,11 @@ def solve_fundamental(pair: GammaPair) -> FundamentalPair:
     zero exactly when the pair has unitary structure.
     """
     dp, dps, theta_0 = defect_pair(pair)
-    f, res_f = _solve_side(pair.s, pair.p, dp)
-    f_star, res_fs = _solve_side(matcore.dagger(pair.s), matcore.dagger(pair.p), dps)
+    f, res_f, w_f = _solve_side(pair.s, pair.p, dp)
+    f_star, res_fs, w_fs = _solve_side(matcore.dagger(pair.s), matcore.dagger(pair.p), dps)
     return FundamentalPair(
         pair=pair, f=f, f_star=f_star,
-        residual_f=res_f, residual_f_star=res_fs,
-        w_f=matcore.numerical_radius(f),
-        w_f_star=matcore.numerical_radius(f_star),
+        residual_f=res_f, residual_f_star=res_fs, w_f=w_f, w_f_star=w_fs,
         defect_p=dp, defect_p_star=dps, theta_0=theta_0,
     )
 
@@ -146,10 +146,12 @@ def check_pf_intertwining(fp: FundamentalPair) -> float:
 
     Returns |P Q F + Q_* F_*^adj Theta_0|_F with the pair's ``theta_0``, the
     residual of the ambient lifts on Ran D_P without their right factor Q*.
+    An F or F_* that overflowed gives an inf or NaN residual, a breach.
     """
     q, q_star, p = fp.defect_p.q, fp.defect_p_star.q, fp.pair.p
-    return matcore.fro_norm(p @ q @ fp.f
-                            + q_star @ matcore.dagger(fp.f_star) @ fp.theta_0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return matcore.fro_norm(p @ q @ fp.f
+                                + q_star @ matcore.dagger(fp.f_star) @ fp.theta_0)
 
 
 def fstar_defect_identity_residual(fp: FundamentalPair) -> float:

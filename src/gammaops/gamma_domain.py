@@ -8,6 +8,7 @@ on the distinguished boundary, the image of the torus.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import functools
 import math
@@ -81,8 +82,10 @@ def roots_of_sym_point(pt: SymPoint) -> tuple[complex, complex]:
 def classify_point(pt: SymPoint) -> Region:
     """Classify a symmetrized point by the moduli of its roots, to POINT_TOL."""
     z1, z2 = roots_of_sym_point(pt)
-    big, small = max(abs(z1), abs(z2)), min(abs(z1), abs(z2))
-    if not big <= 1.0 + matcore.POINT_TOL:  # also a root that overflowed
+    if not (cmath.isfinite(z1) and cmath.isfinite(z2)):  # a root that overflowed
+        return Region.OUTSIDE
+    small, big = sorted(math.hypot(z.real, z.imag) for z in (z1, z2))
+    if big > 1.0 + matcore.POINT_TOL:
         return Region.OUTSIDE
     if big < 1.0 - matcore.POINT_TOL:
         return Region.INTERIOR_G

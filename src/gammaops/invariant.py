@@ -56,11 +56,14 @@ _MIX = (0.5403023058681398 + 0.8414709848078965j,
 
 def unitarity_defect(u: np.ndarray) -> float:
     """|U*U - I| in operator norm, inf unless u is square; for square U it
-    equals |UU* - I|, both being max |s^2 - 1| over the singular values s."""
+    equals |UU* - I|, both max |s^2 - 1| over the singular values s; inf too
+    where U*U overflows."""
     u = np.asarray(u, dtype=complex)
     if u.shape[0] != u.shape[1]:
         return float("inf")
-    return matcore.op_norm(matcore.dagger(u) @ u - np.eye(u.shape[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = matcore.dagger(u) @ u - np.eye(u.shape[0])
+    return matcore.op_norm(gap) if np.isfinite(gap).all() else float("inf")
 
 
 @dataclass(frozen=True)

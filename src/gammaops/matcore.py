@@ -8,6 +8,8 @@ once, and every module reads it as ``matcore.NAME``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -145,7 +147,16 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def op_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, 2)) if a.size else 0.0
+    """Spectral norm; inf, not LAPACK's NaN, where a finite ``a`` has a norm
+    or an entry modulus beyond the float range."""
+    if not a.size:
+        return 0.0
+    norm = float(np.linalg.norm(a, 2))
+    if math.isnan(norm) and np.isfinite(a).all():
+        scaled, e = _pow2_scaled(a)
+        with np.errstate(over="ignore"):
+            norm = float(np.ldexp(np.linalg.norm(scaled, 2), e))
+    return norm
 
 
 def _pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:

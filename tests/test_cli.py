@@ -1,9 +1,13 @@
+import importlib
 import json
+import math
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gammaops as g
 from gammaops import cli, invariant, matcore
@@ -628,6 +632,103 @@ def test_overflowing_pair_ends_in_a_documented_code(tmp_path, capsys):
         assert cli.main(["compare", path, path]) == 1
         assert "not a usable pair" in capsys.readouterr().err
 
+
+
+def _set_erange():
+    """Leave errno at ERANGE, as any earlier overflow in the process may."""
+    with pytest.raises(OverflowError):
+        math.exp(1000.0)
+
+
+def test_out_of_range_values_end_in_documented_codes(tmp_path, capsys):
+    # an int beyond the float range is non-finite, in a pair or witness file
+    ok = _write(tmp_path, "ok.json", _pair_doc(g.random_pure_gamma(1, seed=3)))
+    for key, doc in (("S", {"schema_version": "1", "S": [[[10 ** 400, 0]]],
+                            "P": [[[0.5, 0]]]}),
+                     ("eta1", {"eta1": [[[1, -10 ** 400]]], "sigma": [[[1, 0]]]})):
+        path = _write(tmp_path, f"{key}.json", doc)
+        argv = (["analyze", path] if key == "S"
+                else ["compare", ok, ok, "--witness", path])
+        assert cli.main(argv) == cli.EXIT_INPUT
+        want = "S[0][0][0]" if key == "S" else "eta1[0][0][1]"
+        assert capsys.readouterr().err == f"error: {want}: non-finite value\n"
+    # S = P = [[1e300 + 1e300j]]: s^2 overflows and the joint spectrum point
+    # has NaN roots; abs() of a NaN complex keeps a stale errno, so after an
+    # earlier overflow it raised "absolute value too large"
+    huge = np.array([[1e300 + 1e300j]])
+    path = _write(tmp_path, "huge.json", cli.pair_file_doc(huge, huge))
+    _set_erange()
+    assert cli.main(["analyze", path]) == cli.EXIT_NOT_GAMMA
+    report = _report(capsys.readouterr().out)
+    assert report["flags"]["spectrum_in_gamma"] is False
+    _set_erange()
+    assert cli.main(["compare", path, path]) == cli.EXIT_INPUT
+    assert "exceeds 2" in capsys.readouterr().err
+    # S - S*P, or F = (S - S*P) / (1 - |P|^2), overflows: F is non-finite,
+    # its radii are inf and its residuals NaN, all written as null
+    for s in (1.2e308 + 1.2e308j, 0.28 + 3e307j):
+        path = _write(tmp_path, "solve.json", cli.pair_file_doc(
+            np.array([[s]]), np.array([[0.875]])))
+        assert cli.main(["analyze", path]) == cli.EXIT_NOT_GAMMA
+        fund = _report(capsys.readouterr().out)["fundamental"]
+        for key in ("residual_f", "residual_f_star", "pf_intertwine",
+                    "w_f", "w_f_star"):
+            assert fund[key] is None, (s, key)
+
+
+_ORDINARY = st.integers(-1, 1) | st.floats(-1.0, 1.0)
+_EXTREME = (st.integers(-10 ** 400, 10 ** 400) | st.floats(1e-320, 1.7e308)
+            | st.floats(-1.7e308, -1e-320)
+            | st.sampled_from([math.nan, math.inf, -math.inf]))
+_NOT_A_NUMBER = st.booleans() | st.text(max_size=2) | st.none()
+
+
+@st.composite
+def _pair_file_text(draw) -> str:
+    """Pair files of ordinary, extreme or malformed entries, a third each,
+    so that many of them reach the solve, the model and the search."""
+    kind = draw(st.integers(0, 2))
+    number = (_ORDINARY, _ORDINARY | _EXTREME,
+              _ORDINARY | _EXTREME | _NOT_A_NUMBER)[kind]
+    cell = st.lists(number, min_size=2, max_size=2)
+    if kind == 2:
+        cell = cell | st.lists(number, max_size=3) | number
+    n = draw(st.integers(1, 3))
+    diagonal = draw(st.booleans())  # diagonal pairs commute
+    doc = {"schema_version": "1"}
+    for key in ("S", "P"):
+        doc[key] = [[draw(cell) if i == j or not diagonal else [0, 0]
+                     for j in range(n)] for i in range(n)]
+        if kind == 2 and draw(st.booleans()):  # a missing, short or bad row
+            doc[key][-1:] = draw(st.sampled_from([[], [[[0, 0]]], [3]]))
+    return json.dumps(doc)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_pair_file_text())
+def test_every_pair_file_ends_in_a_documented_code(text, tmp_path, capsys):
+    # RuntimeWarnings are errors in tier 1, so a warning fails here too
+    path = _write(tmp_path, "pair.json", text)
+    assert cli.main(["analyze", path, "--vn-trials", "4"]) in range(7)
+    assert cli.main(["compare", path, path, "--search", "1"]) in range(7)
+    capsys.readouterr()
+
+
+def test_console_script_target_is_the_cli_entry_point(monkeypatch, capsys):
+    # tier 1 runs from the source tree, so the installed script is never
+    # called; its [project.scripts] target must still resolve and run
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    scripts = dict(line.split(" = ", 1) for line in section.strip().splitlines())
+    module, _, attr = scripts["gammaops"].strip('"').partition(":")
+    target = getattr(importlib.import_module(module), attr)
+    assert callable(target)
+    monkeypatch.setattr(sys, "argv", ["gammaops", "--version"])
+    with pytest.raises(SystemExit) as exc:
+        target()
+    assert exc.value.code == cli.EXIT_OK
+    assert capsys.readouterr().out == f"gammaops {g.__version__}\n"
 
 def _raise(exc):
     def fail(*args, **kwargs):

@@ -61,6 +61,12 @@ def test_unitarity_defect_is_the_two_sided_defect():
 def test_witness_rejects_non_unitary_blocks():
     with pytest.raises(ValueError):
         g.Witness(eta1=np.array([[1.1]]), sigma=np.eye(1))
+    # U*U overflows to inf and NaN entries: the defect is inf, not a NaN
+    # that the unitarity test would let through
+    for big in (1e200, 1e308 + 1e308j):
+        assert invariant.unitarity_defect(np.diag([big, 1.0])) == float("inf")
+        with pytest.raises(ValueError, match="eta1 is not unitary"):
+            g.Witness(eta1=np.diag([big, 1.0]), sigma=np.eye(2))
     w = g.Witness(eta1=np.eye(2), sigma=np.eye(2))
     with pytest.raises(ValueError):
         w.eta1[0, 0] = 3.0
@@ -165,19 +171,25 @@ def test_verify_equivalence_rejects_bad_witness():
 
 
 def test_verify_equivalence_structural_rank_mismatch():
-    # a gamma-unitary direct summand changes the defect rank
-    pure = g.random_pure_gamma(2, seed=4500, max_norm=0.75)
-    s = np.block([[pure.s, np.zeros((2, 1))], [np.zeros((1, 2)), 0.9 * np.eye(1)]])
-    p = np.block([[pure.p, np.zeros((2, 1))], [np.zeros((1, 2)), 0.2 * np.eye(1)]])
-    other = g.validate(s, p)
-    probe = g.random_pure_gamma(3, seed=4501, max_norm=0.75)
-    fp_o, fp_p = g.solve_fundamental(other), g.solve_fundamental(probe)
-    if fp_o.f_star.shape != fp_p.f_star.shape:
-        w = g.Witness(eta1=np.eye(fp_p.f_star.shape[0]),
-                      sigma=np.eye(fp_p.f.shape[0]))
-        rep = g.verify_equivalence(fp_p, fp_o, w)
-        assert rep.verdict == VERDICT_NOT_EQUIVALENT
-        assert rep.conclusive
+    # (I + J, J) with J nilpotent has defect ranks (1, 1); a generic pure
+    # pair on the same space has (2, 2), so no witness is read at all
+    j = np.array([[0.0, 1.0], [0.0, 0.0]])
+    fp_j, fp_g = _solved(g.validate(np.eye(2) + j, j), g.random_pure_gamma(2, seed=1))
+    assert (fp_j.defect_p.rank, fp_j.defect_p_star.rank) == (1, 1)
+    assert (fp_g.defect_p.rank, fp_g.defect_p_star.rank) == (2, 2)
+    w = g.Witness(eta1=np.eye(1), sigma=np.eye(1))
+    rep = g.verify_equivalence(fp_j, fp_g, w)
+    assert rep.verdict == VERDICT_NOT_EQUIVALENT and rep.conclusive
+    assert rep.reason == "defect ranks differ: (1, 1) vs (2, 2)"
+    assert rep.fstar_residual == float("inf") and rep.coincidence is None
+
+
+def test_verify_equivalence_structural_dimension_mismatch():
+    fp_2, fp_3 = _solved(g.random_pure_gamma(2, seed=1), g.random_pure_gamma(3, seed=1))
+    rep = g.verify_equivalence(fp_2, fp_3, g.Witness(eta1=np.eye(1), sigma=np.eye(1)))
+    assert rep.verdict == VERDICT_NOT_EQUIVALENT and rep.conclusive
+    assert rep.reason == "ambient dimensions differ: 2 vs 3"
+    assert rep.fstar_residual == float("inf") and rep.coincidence is None
 
 
 def test_verify_equivalence_requires_purity():

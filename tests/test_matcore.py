@@ -412,6 +412,14 @@ def test_joint_eigs_commuting_diagonal_oracle():
         assert abs(gp - wp) <= 1e-9
 
 
+def test_op_norm_is_inf_not_nan_beyond_the_float_range():
+    # LAPACK's SVD gives NaN where an entry's modulus overflows; a NaN |P|
+    # passed the |P| > 1 test of defect_pair and overflowed its Gramians
+    assert matcore.op_norm(np.array([[1e308 + 1e308j, 0.0], [0.0, 0.1]])) \
+        == pytest.approx(np.sqrt(2.0) * 1e308)
+    assert matcore.op_norm(np.array([[1.6e308 + 1.3e308j]])) == np.inf
+
+
 def test_op_norm_hermitian_matches_dense():
     # at dim <= POWER_ITERS the Krylov space is exhausted: exact to rounding
     rng = np.random.default_rng(7)
