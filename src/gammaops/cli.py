@@ -230,7 +230,7 @@ def _finite_or_null(node):
 
 
 def _emit(report: dict, json_path: str | None) -> None:
-    text = json.dumps(_finite_or_null(report), indent=2, sort_keys=True,
+    text = json.dumps(_finite_or_null(report), sort_keys=True,
                       allow_nan=False) + "\n"
     if json_path:
         try:
@@ -426,8 +426,7 @@ def cmd_compare(args) -> int:
     report["witness_source"] = "search"
     report["search"] = {"status": result.status,
                         "restarts_used": result.restarts_used}
-    for key in ("ambient_route", "ambient_gap", "ambient_gap_bound",
-                "ambient_sigma_min", "ambient_bound",
+    for key in ("ambient_gap", "ambient_gap_bound",
                 "defect_sigma_min", "defect_bound"):
         if getattr(result, key) is not None:
             report["search"][key] = getattr(result, key)

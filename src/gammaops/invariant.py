@@ -8,18 +8,18 @@ carrying the defect unitaries is checked against both halves of the
 invariant, and a model-level confirmation is reported on success.  The
 witness search is a labeled heuristic whose only conclusive negative is the
 trace-word screen; none of its candidates is iterated.  Its ambient family
-is one candidate, read in O(n^3) off the eigenbases of a Hermitian mix of
-each pair where their spectra decide, and off the 4n^2 x n^2 intertwiner
-system otherwise: the polar factor of a generic element of a nullspace or
-of a least right singular vector, and none where a spectral gap or a least
-singular value proves that the gate of witness_from_ambient refuses every
-matrix.  The defect family factors the gate's own rows in (eta1, sigma)
-once, with sigma eliminated.  Its candidates are the polar factors of the
-least right singular vector and, unless the least singular value proves
-that verify_equivalence refuses every pair of unitaries, of generic
-elements of the span of the right singular vectors that the gate admits,
-each eta1 with its least-squares sigma.  No certificate yet decides the
-verdict.
+is at most one candidate, read in O(n^3) off the eigenbases of a Hermitian
+mix of each pair: the polar factor of a generic element of the nullspace
+of the reduced system in the conjugator's diagonal, and none where a
+spectral gap proves that the gate of witness_from_ambient refuses every
+matrix or where the eigenbases cannot decide.  The defect family factors
+the gate's own rows in (eta1, sigma) once, with sigma eliminated, and
+takes every pair that the ambient family leaves.  Its candidates are the
+polar factors of the least right singular vector and, where the least
+singular value does not prove that verify_equivalence refuses every pair
+of unitaries and the right singular vectors that the gate admits span two
+or more dimensions, of generic elements of that span, each eta1 with its
+least-squares sigma.  No certificate yet decides the verdict.
 """
 
 from __future__ import annotations
@@ -330,23 +330,6 @@ def trace_word_screen(fp_a: FundamentalPair, fp_b: FundamentalPair
                         worst_word=words[k] if max_gap > 0.0 else "")
 
 
-def _intertwiner_system(pair_a: GammaPair, pair_b: GammaPair) -> np.ndarray:
-    """The 4n^2 x n^2 system K x = 0 of K X_A = X_B K for X in {S, P, S*, P*}.
-
-    Row-major vectorization: (A X).ravel() = kron(A, I) x and
-    (X B).ravel() = kron(I, B.T) x.  Each block is written into K in place.
-    """
-    n = pair_a.n
-    eye = np.eye(n, dtype=complex)
-    k = np.empty((4, n * n, n * n), dtype=complex)
-    for block, (x_a, x_b) in zip(k, (
-            (pair_a.s, pair_b.s), (pair_a.p, pair_b.p),
-            (matcore.dagger(pair_a.s), matcore.dagger(pair_b.s)),
-            (matcore.dagger(pair_a.p), matcore.dagger(pair_b.p)))):
-        np.subtract(np.kron(x_b, eye), np.kron(eye, x_a.T), out=block)
-    return k.reshape(4 * n * n, n * n)
-
-
 def _reduced_system(pair_a: GammaPair, pair_b: GammaPair, v_a: np.ndarray,
                     v_b: np.ndarray) -> np.ndarray:
     """The 4n^2 x n system R d = 0 of D X~_A = X~_B D for X in {S, P, S*, P*},
@@ -396,35 +379,6 @@ def _gate_terms(pair_a: GammaPair, pair_b: GammaPair) -> list[float]:
     return terms
 
 
-def _certificate_bound(beta: float, rows: int, cols: int, k_norm: float,
-                       floor: float, reach: float | None = None) -> float:
-    """The bound above which the computed least singular value of a gate's
-    system K, ``rows`` x ``cols`` with |K|_F = ``k_norm``, proves that no
-    candidate passes the gate.
-
-    Each certificate of the search reads one such K: every candidate x that
-    the gate passes has |K x| <= ``beta``, and the unknowns of x that K
-    multiplies have norm at least ``floor``, so sigma_min(K) <= beta /
-    floor.  The computed sigma_min, the last singular value of the R that
-    null_onb factors, is exact for some K + dK.  Householder QR of K has
-    |dK|_F <= c m k u |K|_F to first order, m = rows, k = cols, c a small
-    constant and u = eps / 2 (Higham, Accuracy and Stability of Numerical
-    Algorithms, Thm. 19.4), and the SVD of R adds a backward error of order
-    k u |K| (Golub & Van Loan, Matrix Computations, 8.6).  The slack
-    2 m k eps |K|_F = 4 m k u |K|_F covers both, and the rounding of K's
-    entries, of lower order.  By Weyl's inequality sigma_min moves by at
-    most |dK|, so the bound is beta / floor + slack.  Where K was reduced
-    by eliminating unknowns, dK lies in the system before the elimination
-    and the argument runs through x: |(K + dK) x| <= beta + |dK|_F reach,
-    ``reach`` bounding |x| over all the unknowns, and the bound is
-    (beta + slack reach) / floor.
-    """
-    slack = 2 * rows * cols * _EPS * k_norm
-    if reach is None:
-        return float(beta / floor + slack)
-    return float((beta + slack * reach) / floor)
-
-
 def _generic(basis: np.ndarray, rng: np.random.Generator, *count: int
              ) -> np.ndarray:
     """basis z for a complex Gaussian z drawn from ``rng``, a vector, or
@@ -439,47 +393,35 @@ def _ambient_candidate(pair_a: GammaPair, pair_b: GammaPair,
                        rng: np.random.Generator
                        ) -> tuple[np.ndarray | None, dict]:
     """The search's one ambient candidate, or None, and the SearchResult
-    fields that say how it was read: ``ambient_route``, the spectral gap
-    and its bound, and, where K was factored, its sigma_min and bound.
+    fields of its spectral gap: ``ambient_gap`` and ``ambient_gap_bound``.
 
     A unitary conjugator solves M X_A = X_B M for X in {S, P, S*, P*}; for
     any invertible M satisfying all four, M M* commutes with the second
-    pair, so the polar factor of M is itself a conjugator.  Where the
-    system factored has a nullspace, M is a generic element of it, drawn
-    from ``rng`` (_generic): invertible if any element is.
-
-    The reduced route comes first.  Let h = (M + M*) / 2, M = a S + b P
-    (_MIX), with eigenvalues lam ascending and eigenvectors V from one eigh
-    per pair.  A U that passes the gate has |U h_A - h_B U| <= delta =
-    (|a| (g_S + g'_S) + |b| (g_P + g'_P)) / 2 (_gate_terms), and its polar
-    factor W, |W - U| <= tau (_tau), has |W h_A W* - h_B| <= delta
-    + tau (|h_A| + |h_B|).  So by Weyl's inequality a gap
-    max_k |lam_A,k - lam_B,k| above delta + tau m + rho, m = |a| (|S_A|
-    + |S_B|) + |b| (|P_A| + |P_B|) >= |h_A| + |h_B| and rho = 2 n^2 eps m
-    the rounding of h and of eigh (the symmetric QR algorithm is backward
-    stable: Golub & Van Loan, Matrix Computations, ch. 8), refuses every
-    U, and no system is formed.  Otherwise U~ = V_B* U V_A has
-    |U~ Lam_A - Lam_B U~| <= delta + rho, and its entry (k, l), k != l, is
-    that entry of U~ Lam_A - Lam_B U~ over lam_A,l - lam_B,k.  Where the
-    eigenvalues are separated, delta + rho < (1 - tau) sep with sep = min
-    over k != l of |lam_A,l - lam_B,k|, each such entry is below 1 - tau,
-    and a conjugator is diagonal: its diagonal d solves the 4n^2 x n
-    system R of _reduced_system.  Where R has a nullspace, as a conjugate's
-    does, the candidate is the polar factor of V_B diag(d) V_A* for a
-    generic d in it.  Everything else falls to the full 4n^2 x n^2 system
-    K of _intertwiner_system: near conjugates, whose passing U may need the
-    part of U~ off its diagonal that R leaves out, and eigenvalues that are
-    not separated (repeated eigenvalues of h, as in a repeated summand or a
-    sum of equal Jordan blocks).  Where K's nullspace is empty and its
-    sigma_min is at most its bound, vec M is its least right singular
-    vector: of the matrices of unit Frobenius norm, the one, up to a phase
-    where that singular value is simple, that comes closest to
-    intertwining the pairs.  Above the bound there is no candidate.  For a
-    unitary U, |K vec U|^2 sums |X_B U - U X_A|_F^2 over the four X, so
-    the bound's beta is sqrt(n) times the 2-norm of the four gate terms
-    over the floor sqrt(n) (1 - tau): the sqrt(n) cancels.  It is sqrt(2)
-    AMBIENT_INTERTWINE_TOL hypot(1 + |S_A|, 1 + |P_A|) when tau and
-    rounding vanish.
+    pair, so the polar factor of M is itself a conjugator.  Let h = (M + M*)
+    / 2, M = a S + b P (_MIX), with eigenvalues lam ascending and
+    eigenvectors V from one eigh per pair.  A U that passes the gate has
+    |U h_A - h_B U| <= delta = (|a| (g_S + g'_S) + |b| (g_P + g'_P)) / 2
+    (_gate_terms), and its polar factor W, |W - U| <= tau (_tau), has
+    |W h_A W* - h_B| <= delta + tau (|h_A| + |h_B|).  So by Weyl's
+    inequality a gap max_k |lam_A,k - lam_B,k| above delta + tau m + rho,
+    m = |a| (|S_A| + |S_B|) + |b| (|P_A| + |P_B|) >= |h_A| + |h_B| and
+    rho = 2 n^2 eps m the rounding of h and of eigh (the symmetric QR
+    algorithm is backward stable: Golub & Van Loan, Matrix Computations,
+    ch. 8), refuses every U, and no system is formed.  Otherwise U~ = V_B*
+    U V_A has |U~ Lam_A - Lam_B U~| <= delta + rho, and its entry (k, l),
+    k != l, is that entry of U~ Lam_A - Lam_B U~ over lam_A,l - lam_B,k.
+    Where the eigenvalues are separated, delta + rho < (1 - tau) sep with
+    sep = min over k != l of |lam_A,l - lam_B,k|, each such entry is below
+    1 - tau, and a conjugator is diagonal: its diagonal d solves the
+    4n^2 x n system R of _reduced_system.  Where R has a nullspace, as a
+    conjugate's does, M is V_B diag(d) V_A* for a generic d in it, drawn
+    from ``rng`` (_generic): invertible if any element is.  There is no
+    candidate where the eigenvalues are not separated (repeated eigenvalues
+    of h, as in a repeated summand or a sum of equal Jordan blocks) or
+    where R has no nullspace: near conjugates, whose passing U may need the
+    part of U~ off its diagonal that R leaves out, and n = 1, where R is
+    rounding alone unless the pairs are equal.  The defect family decides
+    those pairs.
     """
     n, tau = pair_a.n, _tau(pair_a.n)
     terms = _gate_terms(pair_a, pair_b)
@@ -490,31 +432,18 @@ def _ambient_candidate(pair_a: GammaPair, pair_b: GammaPair,
          + b * (pair_a.norm_p + pair_b.norm_p))
     rho = 2 * n * n * _EPS * m
     delta = 0.5 * (a * (terms[0] + terms[1]) + b * (terms[2] + terms[3]))
-    fields = {"ambient_route": "reduced",
-              "ambient_gap": float(np.max(np.abs(lam_a - lam_b))),
+    fields = {"ambient_gap": float(np.max(np.abs(lam_a - lam_b))),
               "ambient_gap_bound": float(delta + tau * m + rho)}
-    if fields["ambient_gap"] > fields["ambient_gap_bound"]:
-        return None, fields
     sep = np.min(np.abs(lam_a - lam_b[:, None])[~np.eye(n, dtype=bool)],
                  initial=np.inf)
-    if delta + rho < (1.0 - tau) * sep:
-        basis = matcore.null_onb(_reduced_system(pair_a, pair_b, v_a, v_b))[0]
-        if basis.size:
-            return matcore.polar_unitary(
-                (v_b * _generic(basis, rng)) @ matcore.dagger(v_a)), fields
-    fields["ambient_route"] = "full"
-    system = _intertwiner_system(pair_a, pair_b)
-    basis, sv, v = matcore.null_onb(system)
-    bound = _certificate_bound(float(np.linalg.norm(terms)), *system.shape,
-                               float(np.linalg.norm(sv)), 1.0 - tau)
-    fields.update(ambient_sigma_min=float(sv[-1]), ambient_bound=bound)
-    if basis.size:
-        vec = _generic(basis, rng)
-    elif sv[-1] <= bound:
-        vec = v[:, -1]
-    else:
+    if (fields["ambient_gap"] > fields["ambient_gap_bound"]
+            or not delta + rho < (1.0 - tau) * sep):
         return None, fields
-    return matcore.polar_unitary(vec.reshape(n, n)), fields
+    basis = matcore.null_onb(_reduced_system(pair_a, pair_b, v_a, v_b))[0]
+    if not basis.size:
+        return None, fields
+    return matcore.polar_unitary(
+        (v_b * _generic(basis, rng)) @ matcore.dagger(v_a)), fields
 
 
 def _defect_family(fp_a: FundamentalPair, fp_b: FundamentalPair,
@@ -531,12 +460,14 @@ def _defect_family(fp_a: FundamentalPair, fp_b: FundamentalPair,
     |Q_perp* H|_F.  M holds the F_* rows over the rows of Q_perp* H, one
     (J r* - r) x r*^2 block per column k, written in place.
 
-    The first eta is the least right singular vector of M.  Where sigma_min
-    is at most the bound, ``count`` - 1 more follow: generic elements
-    (_generic) of the gate subspace, the span of the right singular vectors
-    whose singular values are at most the bound: the directions x in which
-    |M x| / |x| is as small as a passing vec eta1 keeps it.  Above the bound
-    the family is its first point alone.
+    The first eta is the least right singular vector of M.  Where the gate
+    subspace, the span of the right singular vectors whose singular values
+    are at most the bound, has two or more dimensions, ``count`` - 1 more
+    follow: generic elements (_generic) of it, the directions x in which
+    |M x| / |x| is as small as a passing vec eta1 keeps it.  Otherwise the
+    family is its first point alone: above the bound the subspace is empty,
+    and on one dimension every draw is a phase multiple of the first point,
+    which verify_equivalence judges alike.
     """
     r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
     # theta_grid[1] = 0.3 and theta_grid[25] = -0.6: one point per inner circle
@@ -561,9 +492,9 @@ def _defect_family(fp_a: FundamentalPair, fp_b: FundamentalPair,
         r_star * np.linalg.norm(ta) ** 2 + r * np.linalg.norm(tb) ** 2))
     _, sv, v = matcore.null_onb(system)
     bound = _defect_bound(fp_a, fp_b, ta, tb, len(system), k_norm)
-    etas = v[:, -1:]
-    if sv[-1] <= bound:
-        etas = np.hstack([etas, _generic(v[:, sv <= bound], rng, count - 1)])
+    etas, gate = v[:, -1:], v[:, sv <= bound]
+    if gate.shape[1] > 1:
+        etas = np.hstack([etas, _generic(gate, rng, count - 1)])
     etas = etas.T.reshape(-1, r_star, r_star)
     # one least-squares solve for every sigma: column block k of the right
     # side stacks eta_k Theta_A(z_j) over j
@@ -605,10 +536,18 @@ def _defect_bound(fp_a: FundamentalPair, fp_b: FundamentalPair,
     holds.  To first order the computed sigma_min is exact for the M of
     some K + dK: the QR of T_B and of M, the products with Q_perp and the
     SVD of R are backward stable, and an error E in the rows Q_perp* H is
-    the error Q_perp E in K, so the slack of _certificate_bound runs
-    through x.  The points are theta_grid[1] = 0.3 and theta_grid[25]
-    = -0.6, one per inner circle: on the benchmark's near pairs sigma_min
-    clears sqrt(1 + J) / sqrt(r*) by 1.13 or more.
+    the error Q_perp E in K.  Householder QR of K, m = ``rows`` x k = r*^2,
+    has |dK|_F <= c m k u |K|_F to first order, c a small constant and
+    u = eps / 2 (Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm. 19.4), and the SVD of R adds a backward error of order k u |K|
+    (Golub & Van Loan, Matrix Computations, 8.6).  The slack 2 m k eps |K|_F
+    = 4 m k u |K|_F covers both, and the rounding of K's entries, of lower
+    order.  dK lies in the system before sigma is eliminated, so the
+    argument runs through x: |(K + dK) x| <= beta + |dK|_F reach, and by
+    Weyl's inequality the bound is (beta + slack reach) / floor.  The points
+    are theta_grid[1] = 0.3 and theta_grid[25] = -0.6, one per inner circle:
+    on the benchmark's near pairs sigma_min clears sqrt(1 + J) / sqrt(r*) by
+    1.13 or more.
     """
     r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
     n, eps = max(r, r_star), _EPS
@@ -621,9 +560,10 @@ def _defect_bound(fp_a: FundamentalPair, fp_b: FundamentalPair,
     for a, b in zip(ta, tb):
         terms.append(1.0 + 2 * n * eps + 2 * n * np.sqrt(n * (1.0 + tau)) * eps
                      * (fro(a) + fro(b)) / matcore.COINCIDE_TOL)
-    return _certificate_bound(np.linalg.norm(terms), rows, r_star * r_star,
-                              k_norm, np.sqrt(r_star) * (1.0 - tau),
-                              np.sqrt((r + r_star) * (1.0 + tau)))
+    slack = 2 * rows * r_star * r_star * eps * k_norm
+    return float((np.linalg.norm(terms)
+                  + slack * np.sqrt((r + r_star) * (1.0 + tau)))
+                 / (np.sqrt(r_star) * (1.0 - tau)))
 
 
 @dataclass(frozen=True)
@@ -633,19 +573,14 @@ class SearchResult:
     FOUND carries a witness that passed full verification.  DISTINCT means
     the trace screen or a structural mismatch ruled equivalence out, which
     is conclusive.  NOT_FOUND is inconclusive by design.  ``screen`` is
-    always the trace-word screen of the two pairs.  The ambient fields are
-    None for DISTINCT, which is decided before them: ``ambient_route`` is
-    "reduced" where the ambient family was read off the eigenbases of the
-    Hermitian mix and "full" where the intertwiner system K decided;
-    ``ambient_gap`` is the largest gap between the two mixes' eigenvalues
-    and ``ambient_gap_bound`` the bound above which it refuses every
-    ambient candidate; ``ambient_sigma_min`` is the least singular value
-    of K and ``ambient_bound`` the bound above which it refuses every
-    candidate, both None where K was not factored.  ``defect_sigma_min``
-    and ``defect_bound`` are the same pair for the defect system in
-    (eta1, sigma), built only once the ambient family has failed: None
-    where the screen, differing dimensions or the ambient candidate
-    decide.
+    always the trace-word screen of the two pairs.  ``ambient_gap`` is the
+    largest gap between the eigenvalues of the two pairs' Hermitian mixes
+    and ``ambient_gap_bound`` the bound above which it refuses every ambient
+    candidate, both None for DISTINCT, which is decided before them.
+    ``defect_sigma_min`` and ``defect_bound`` are the same pair for the
+    defect system in (eta1, sigma), built only once the ambient family has
+    failed: None where the screen, differing dimensions or the ambient
+    candidate decide.
     """
 
     status: str
@@ -653,22 +588,17 @@ class SearchResult:
     report: EquivalenceReport | None
     screen: ScreenResult
     restarts_used: int
-    ambient_route: str | None = None
     ambient_gap: float | None = None
     ambient_gap_bound: float | None = None
-    ambient_sigma_min: float | None = None
-    ambient_bound: float | None = None
     defect_sigma_min: float | None = None
     defect_bound: float | None = None
 
     @property
     def refusals(self) -> list[tuple[str, float, float]]:
         """(test, value, bound) of each certificate that fired, in the
-        order the search reads them: "ambient_gap", "ambient_sigma_min",
-        "defect_sigma_min"."""
+        order the search reads them: "ambient_gap", "defect_sigma_min"."""
         return [(test, value, bound) for test, value, bound in (
             ("ambient_gap", self.ambient_gap, self.ambient_gap_bound),
-            ("ambient_sigma_min", self.ambient_sigma_min, self.ambient_bound),
             ("defect_sigma_min", self.defect_sigma_min, self.defect_bound))
             if value is not None and value > bound]
 
@@ -679,36 +609,37 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
     """Heuristic search for an equivalence witness.
 
     The conclusive trace screen runs first.  Candidates then come from two
-    families: one ambient candidate, compressed to the defect spaces by
-    witness_from_ambient, and the defect family on (eta1, sigma) directly.
-    Every candidate must pass verify_equivalence before it is returned, and
-    a refused one still counts as used.  NOT_FOUND reports the candidate
-    with the smallest miss, the larger of its two residuals over their
-    tolerances.  A candidate that passes both invariant halves but whose
-    model confirmation meets the truncation cap ends the search: the cap
-    depends only on the two pairs, so every later candidate would meet it.
+    families: at most one ambient candidate, compressed to the defect spaces
+    by witness_from_ambient, and the defect family on (eta1, sigma)
+    directly.  Every candidate must pass verify_equivalence before it is
+    returned, and a refused one still counts as used.  NOT_FOUND reports
+    the candidate with the smallest miss, the larger of its two residuals
+    over their tolerances.  A candidate that passes both invariant halves
+    but whose model confirmation meets the truncation cap ends the search:
+    the cap depends only on the two pairs, so every later candidate would
+    meet it.
 
     The ambient candidate (_ambient_candidate) is read off the eigenbases
-    of a Hermitian mix of each pair in O(n^3), or, where those cannot
-    decide, off the 4n^2 x n^2 intertwiner system K: the polar factor of a
-    generic nullspace element of the system factored, which is a
+    of a Hermitian mix of each pair in O(n^3): the polar factor of a
+    generic element of the reduced system's nullspace, which is a
     conjugator whenever one exists, drawn first from the search's
-    generator, or of K's least right singular vector; none where the
-    spectral gap of the mixes or K's least singular value proves that no
-    matrix passes the gate of witness_from_ambient.  Once the ambient
-    candidate has failed, the defect system is factored once
-    (_defect_family).  Its candidates are the polar factors of the least
-    right singular vector, with its least-squares sigma, and then, unless
-    its sigma_min exceeds ``defect_bound`` (_defect_bound) and so proves
-    that no pair of unitaries passes verify_equivalence, restarts - 1
-    generic elements of its gate subspace drawn from the generator, each
-    with its sigma.  The ambient family counts as ``restarts`` used
-    candidates unless it is the witness, and so does the defect family, so
-    ``restarts_used`` is 1 for an ambient find, restarts + k + 1 for the
-    defect family's k-th candidate and 2 restarts for NOT_FOUND; where the
-    certificate fires, the defect family's one candidate counts as all of
-    its restarts, and NOT_FOUND reports a real nearest miss.  Each
-    certificate's bound is derived in _certificate_bound and at its system.
+    generator; none where the spectral gap of the mixes proves that no
+    matrix passes the gate of witness_from_ambient, and none where the
+    eigenbases cannot decide.  Once the ambient family has failed, the
+    defect system is factored once (_defect_family).  Its candidates are
+    the polar factors of the least right singular vector, with its
+    least-squares sigma, and then, where its gate subspace has two or more
+    dimensions, restarts - 1 generic elements of it drawn from the
+    generator, each with its sigma; the subspace is empty where sigma_min
+    exceeds ``defect_bound`` (_defect_bound) and so proves that no pair of
+    unitaries passes verify_equivalence.  The ambient family counts as
+    ``restarts`` used candidates unless it is the witness, and so does the
+    defect family, however few candidates it has, so ``restarts_used`` is 1
+    for an ambient find, restarts + k + 1 for the defect family's k-th
+    candidate and 2 restarts for NOT_FOUND, except where the truncation
+    cap ends the search: there it counts the candidates up to the one that
+    met the cap.  Where the certificate fires, NOT_FOUND still reports a
+    real nearest miss, the family's one candidate.
 
     No certificate yet decides the verdict: without a witness the search
     still ends NOT_FOUND, inconclusive (ROADMAP.md, items 1 and 2).
@@ -738,12 +669,10 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
             fp_a, fp_b, restarts, rng)
         certificate.update(defect_sigma_min=defect_sigma_min,
                            defect_bound=defect_bound)
-        # where the certificate fires, the one candidate counts as restarts
-        first = 2 * restarts - len(points[0])
-        yield from ((first + k + 1, Witness, point) for k, point in
+        yield from ((restarts + k + 1, Witness, point) for k, point in
                     enumerate(zip(*map(matcore.polar_unitary, points))))
 
-    misses, used = [], 0
+    misses = []
     for used, end, point in candidates():
         try:
             witness = end(*point)
@@ -759,6 +688,8 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
         if (report.model_confirmation is None and report.coincidence.coincide
                 and report.fstar_residual <= _fstar_bound(fp_a)):
             break  # the truncation cap: it holds for every later candidate
+    else:
+        used = 2 * restarts
 
     def miss(rep: EquivalenceReport) -> float:
         return max(rep.fstar_residual / _fstar_bound(fp_a),

@@ -139,6 +139,24 @@ def dense_toeplitz():
     return _dense_toeplitz
 
 
+def _intertwiner_system(pair_a, pair_b):
+    """Oracle: the 4n^2 x n^2 system K x = 0 of K X_A = X_B K for X in
+    {S, P, S*, P*}, row-major: (A X).ravel() = kron(A, I) x and
+    (X B).ravel() = kron(I, B.T) x."""
+    eye = np.eye(pair_a.n)
+    return np.concatenate([
+        np.kron(x_b, eye) - np.kron(eye, x_a.T) for x_a, x_b in (
+            (pair_a.s, pair_b.s), (pair_a.p, pair_b.p),
+            (matcore.dagger(pair_a.s), matcore.dagger(pair_b.s)),
+            (matcore.dagger(pair_a.p), matcore.dagger(pair_b.p)))])
+
+
+@pytest.fixture(scope="session")
+def intertwiner_system():
+    """The full intertwiner system K of two pairs, by Kronecker products."""
+    return _intertwiner_system
+
+
 #: Polar steps that the ambient ascent oracle runs from each start.
 _AMBIENT_SWEEPS = 150
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gammaops as g
@@ -202,12 +203,12 @@ def test_compare_search_self_equivalent(tmp_path, capsys):
 def test_compare_search_reports_the_ambient_certificate(tmp_path, capsys):
     # a near pair's Hermitian mixes have a spectral gap above its bound, so
     # no ambient candidate can pass the gate and no system is factored: the
-    # search block names the reduced route and each refusal that fired,
-    # with its value and bound.  A pair and itself share a reduced
-    # nullspace, which decides with no K factored, so no sigma_min is
-    # reported; a conjugate perturbed by 1e-8 is decided by K, whose
-    # sigma_min and bound are; where the screen decides there is no search
-    # block
+    # search block lists each refusal that fired, with its value and bound.
+    # A pair and itself share a reduced nullspace, which decides; a
+    # conjugate perturbed by 1e-8 has no reduced nullspace and is found by
+    # the defect family's first candidate, with no refusal.  Neither
+    # reports a route or an intertwiner sigma_min.  Where the screen
+    # decides there is no search block
     pair = g.random_pure_gamma(3, seed=42, max_norm=0.8)
     u = matcore.haar_unitary(3, np.random.default_rng(43))
     ud = matcore.dagger(u)
@@ -217,8 +218,6 @@ def test_compare_search_reports_the_ambient_certificate(tmp_path, capsys):
         for name, eps in (("near", 3e-7), ("band", 1e-8)))
     assert cli.main(["compare", a, near, "--search", "2"]) == 5
     search = _report(capsys.readouterr().out)["search"]
-    assert search["ambient_route"] == "reduced"
-    assert "ambient_sigma_min" not in search and "ambient_bound" not in search
     gap, defect = search["refusals"]
     assert gap == {"test": "ambient_gap", "value": search["ambient_gap"],
                    "bound": search["ambient_gap_bound"]}
@@ -228,13 +227,15 @@ def test_compare_search_reports_the_ambient_certificate(tmp_path, capsys):
                       "bound": search["defect_bound"]}
     assert cli.main(["compare", a, a, "--search", "2"]) == 0
     search = _report(capsys.readouterr().out)["search"]
-    assert (search["ambient_route"], search["refusals"]) == ("reduced", [])
+    assert (search["restarts_used"], search["refusals"]) == (1, [])
     assert search["ambient_gap"] <= search["ambient_gap_bound"]
-    assert "ambient_sigma_min" not in search and "ambient_bound" not in search
     assert cli.main(["compare", a, band, "--search", "2"]) == 0
     search = _report(capsys.readouterr().out)["search"]
-    assert (search["ambient_route"], search["refusals"]) == ("full", [])
-    assert search["ambient_sigma_min"] < search["ambient_bound"]
+    assert (search["restarts_used"], search["refusals"]) == (3, [])
+    assert search["defect_sigma_min"] <= search["defect_bound"]
+    assert set(search) == {"status", "restarts_used", "refusals", "ambient_gap",
+                           "ambient_gap_bound", "defect_sigma_min",
+                           "defect_bound"}
     scalars = [_write(tmp_path, f"{p}.json", cli.pair_file_doc(
         np.array([[1.0]]), np.array([[p]]))) for p in (0.25, 0.5)]
     assert cli.main(["compare", *scalars, "--search", "2"]) == 4
@@ -244,11 +245,11 @@ def test_compare_search_reports_the_ambient_certificate(tmp_path, capsys):
 def test_planted_compare_at_n24_needs_no_intertwiner_system(
         tmp_path, capsys, monkeypatch):
     # a planted conjugate at n = 24, whose 2304 x 576 intertwiner system
-    # took most of a second to factor, is found on the reduced route alone
-    def refused(*args):
-        raise AssertionError("the intertwiner system was formed")
-
-    monkeypatch.setattr(invariant, "_intertwiner_system", refused)
+    # took most of a second to factor, is found on the reduced route alone:
+    # the one system factored is the 2304 x 24 reduced system
+    shapes, null_onb = [], matcore.null_onb
+    monkeypatch.setattr(matcore, "null_onb", lambda k: (
+        shapes.append(k.shape) or null_onb(k)))
     pair = g.random_pure_gamma(24, seed=44, max_norm=0.75)
     u = matcore.haar_unitary(24, np.random.default_rng(45))
     ud = matcore.dagger(u)
@@ -258,8 +259,8 @@ def test_planted_compare_at_n24_needs_no_intertwiner_system(
     assert cli.main(["compare", a, b, "--search", "20"]) == 0
     report = _report(capsys.readouterr().out)
     assert report["verdict"] == "EQUIVALENT"
-    assert report["search"]["ambient_route"] == "reduced"
     assert report["search"]["restarts_used"] == 1
+    assert shapes == [(4 * 24 * 24, 24)]
 
 
 def test_compare_search_reports_the_defect_certificate(tmp_path, capsys):
@@ -279,7 +280,7 @@ def test_compare_search_reports_the_defect_certificate(tmp_path, capsys):
     assert (search["status"], search["restarts_used"]) == ("NOT_FOUND", 4)
     assert cli.main(["compare", a, a, "--search", "2"]) == 0
     search = _report(capsys.readouterr().out)["search"]
-    assert (search["status"], search["ambient_route"]) == ("FOUND", "reduced")
+    assert (search["status"], search["restarts_used"]) == ("FOUND", 1)
     assert "defect_sigma_min" not in search and "defect_bound" not in search
 
 
@@ -320,14 +321,18 @@ def test_compare_search_solves_and_screens_each_pair_once(
 
 def test_compare_search_takes_one_f_star_norm_per_pair(
         tmp_path, capsys, monkeypatch):
-    # (S + eps P, P) conjugated passes the screen but has no witness, so
-    # the search verifies every candidate against the F_* bound
-    pair = g.random_pure_gamma(3, seed=42, max_norm=0.8)
-    u = matcore.haar_unitary(3, np.random.default_rng(43))
+    # X (+) Y against X (+) Y', Y' a conjugate of (S_Y + eps P_Y, P_Y),
+    # passes the screen but has no witness, and the defect family's gate
+    # subspace is two-dimensional, so the search verifies each of its
+    # candidates against the F_* bound
+    x = g.random_pure_gamma(1, seed=6624, max_norm=0.8)
+    y = g.random_pure_gamma(2, seed=6625, max_norm=0.8)
+    u = matcore.haar_unitary(2, np.random.default_rng(6626))
     ud = matcore.dagger(u)
-    a = _write(tmp_path, "a.json", _pair_doc(pair))
-    b = _write(tmp_path, "b.json", cli.pair_file_doc(
-        u @ (pair.s + 1e-7 * pair.p) @ ud, u @ pair.p @ ud))
+    a, b = (_write(tmp_path, name, cli.pair_file_doc(
+        scipy.linalg.block_diag(x.s, s), scipy.linalg.block_diag(x.p, p)))
+        for name, s, p in (("a.json", y.s, y.p),
+                           ("b.json", u @ (y.s + 3e-8 * y.p) @ ud, u @ y.p @ ud)))
     solved, normed = [], []
     solve, op_norm = g.solve_fundamental, matcore.op_norm
 
@@ -344,7 +349,7 @@ def test_compare_search_takes_one_f_star_norm_per_pair(
     verifies = _count_calls(monkeypatch, g.verify_equivalence)
     assert cli.main(["compare", a, b, "--search", "4"]) == 5
     assert _report(capsys.readouterr().out)["search"]["status"] == "NOT_FOUND"
-    assert len(solved) == 2 and len(verifies) > 2
+    assert len(solved) == 2 and len(verifies) == 4
     fp_a, fp_b = solved
     assert sum(m is fp_a.f_star for m in normed) == 1
     assert sum(m is fp_b.f_star for m in normed) <= 1
@@ -766,6 +771,25 @@ def test_rank_mismatch_gap_is_null(tmp_path, capsys):
                                 "worst_word": "rank"}
 
 
+def test_report_is_one_line_of_the_same_json(tmp_path, capsys):
+    # the report is written compact, one line, to stdout and to --json
+    # alike, and parses to the report an indented dump gives, its
+    # non-finite values null and its keys sorted
+    report = {"b": [1.5, float("inf"), {"y": float("nan"), "x": -0.0}],
+              "a": {"n": None, "s": "text", "t": (1, 2)}}
+    path = str(tmp_path / "report.json")
+    cli._emit(report, None)
+    cli._emit(report, path)
+    out = capsys.readouterr().out
+    assert out == open(path, encoding="utf-8").read()
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert out.index('"a"') < out.index('"b"')
+    want = json.loads(json.dumps(cli._finite_or_null(report), indent=2))
+    assert _report(out) == want
+    assert want == {"a": {"n": None, "s": "text", "t": [1, 2]},
+                    "b": [1.5, None, {"x": -0.0, "y": None}]}
+
+
 #: The exit code of each verdict, as the README and the cli docstring give it.
 DOCUMENTED_EXIT = {
     "ok": 0, "not-gamma-contraction": 2, "numerical-contract-breach": 3,
@@ -968,7 +992,10 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
 def test_search_stops_at_the_first_candidate_past_the_truncation_cap(
         tmp_path, capsys, monkeypatch):
     # the cap depends only on the two pairs: after the first candidate that
-    # passes both invariant halves meets it, every later one would too
+    # passes both invariant halves meets it, every later one would too.
+    # The pair is normal, so its reduced system is rounding alone and has
+    # no nullspace: that candidate is the defect family's first, restarts
+    # + 1
     rng = np.random.default_rng(47)
     u = matcore.haar_unitary(2, rng)
     t1 = u @ np.diag([0.9995, -0.5j]) @ matcore.dagger(u)
@@ -991,4 +1018,4 @@ def test_search_stops_at_the_first_candidate_past_the_truncation_cap(
     assert report["equivalence"]["reason"].endswith(
         f"|P^N| did not reach 1.0e-12 for N <= {matcore.TRUNCATION_CAP}")
     assert len(attempts) == 1
-    assert report["search"]["restarts_used"] == 1
+    assert report["search"]["restarts_used"] == 21

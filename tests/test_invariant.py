@@ -307,13 +307,23 @@ def _band(n):
     """A near pair whose ambient family a certificate refuses while its
     defect sigma_min does not clear its bound (0.86 and 0.95 of the bound
     at n = 2 and 3): the ambient family has no candidate, and the defect
-    family draws its candidates, none of them a witness.  At the default
-    eps both certificates fire."""
+    family's gate subspace is one-dimensional, so the family is its first
+    candidate alone, not a witness.  At the default eps both certificates
+    fire."""
     return {2: _near(2, 6371, 1.5e-7), 3: _near(3, 6333, 1.5e-7)}[n]
 
 
+@functools.cache
+def _drawing():
+    """A near pair with a common summand whose defect family draws: its gate
+    subspace is two-dimensional.  The ambient candidate, from a reduced
+    nullspace whose elements are all singular, fails the gate, and so does
+    every defect candidate."""
+    return _near_with_common_summand(6624, 3e-8)
+
+
 def test_search_not_found_reports_closest_candidate(monkeypatch):
-    fp_a, fp_b = _band(3)
+    fp_a, fp_b = _drawing()
     reports = []
 
     def recorded(*args):
@@ -379,16 +389,17 @@ def test_stacked_iterations_match_the_per_start_oracle(n, monkeypatch):
     monkeypatch.setattr(matcore, "null_onb", lambda k: (
         factored.append(null_onb(k)) or factored[-1]))
     for fp_a, fp_b in (_planted(n, 6000 + n, 6100 + n)[:2],
-                       _near(n, 6200 + n, 1e-8), _near(n, 6200 + n)):
+                       _near(n, 6200 + n, 1e-8), _near(n, 6200 + n),
+                       _drawing()):
         sigma_min, bound, (etas, sigmas) = invariant._defect_family(
             fp_a, fp_b, 4, np.random.default_rng(n))
         (_, sv, v), = factored
         factored.clear()
         assert sigma_min == sv[-1]
         sizes.append(len(etas))
-        want = v[:, -1:]
-        if sigma_min <= bound:
-            rng, gate = np.random.default_rng(n), v[:, sv <= bound]
+        want, gate = v[:, -1:], v[:, sv <= bound]
+        if gate.shape[1] > 1:
+            rng = np.random.default_rng(n)
             want = np.hstack([want, gate @ (
                 rng.standard_normal((gate.shape[1], 3))
                 + 1j * rng.standard_normal((gate.shape[1], 3)))])
@@ -400,18 +411,20 @@ def test_stacked_iterations_match_the_per_start_oracle(n, monkeypatch):
             polar = matcore.polar_unitary(stack)
             for k, m in enumerate(stack):
                 assert np.array_equal(polar[k], matcore.polar_unitary(m))
-    # the planted pair draws; at the default eps the certificate fires
-    assert sizes[0] == 4 and sizes[2] == 1
+    # only the common-summand pair has a gate subspace of two dimensions:
+    # the planted pair's is one-dimensional, and at the default eps the
+    # certificate fires
+    assert sizes == [1, 1, 1, 4]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
-def test_intertwiner_nullspace_matches_scipy(n):
+def test_intertwiner_nullspace_matches_scipy(n, intertwiner_system):
     # QR then an SVD of R gives the nullspace of the full SVD, rank rule
     # included: the same dimension and the same projector
     dims = []
     for fp_a, fp_b in (_planted(n, 6700 + n, 6710 + n)[:2],
                        _near(n, 6720 + n)):
-        k = invariant._intertwiner_system(fp_a.pair, fp_b.pair)
+        k = intertwiner_system(fp_a.pair, fp_b.pair)
         basis, sv, _ = matcore.null_onb(k)
         want = scipy.linalg.null_space(k, rcond=matcore.REL_RANK_TOL)
         assert basis.shape == want.shape
@@ -438,10 +451,10 @@ def test_search_result_does_not_depend_on_the_blocks(monkeypatch):
     # the search holds each defect family as one stack, whatever the block
     # size of the stacked kernels: blocks of 1 to 3 starts' worth give
     # bitwise the default result, on a NOT_FOUND search and on a FOUND one
-    # whose first two candidates are turned away, so the witness is the
-    # defect family's first draw
-    fp_near = _band(3)
-    fp_planted = _planted(3, 6313, 6323)[:2]
+    # whose first two verified candidates are turned away, so the witness
+    # is the defect family's second draw
+    fp_near = _drawing()
+    fp_planted = _near_with_common_summand(6640, 1e-8)
     verify = invariant.verify_equivalence
     calls = []
 
@@ -460,7 +473,7 @@ def test_search_result_does_not_depend_on_the_blocks(monkeypatch):
     monkeypatch.setattr(invariant, "verify_equivalence", late_verify)
     default = run()
     assert default[0][:2] == (SEARCH_NOT_FOUND, 14)
-    assert default[1][:2] == (SEARCH_FOUND, 10)
+    assert default[1][:2] == (SEARCH_FOUND, 11)
     sizes = _record_stacks(monkeypatch)
     r, r_star = fp_near[0].f.shape[0], fp_near[0].f_star.shape[0]
     item = 16 * (r * r + r_star * r_star)
@@ -498,11 +511,11 @@ def _counted_search(fp_a, fp_b, restarts, refuse):
 
 @functools.cache
 def _property_pairs():
-    # the planted search turns its first two candidates away, so its witness
-    # comes from a draw whenever the restarts leave room for one; the near
-    # conjugate has no ambient candidate
-    return {"near": (_band(2), 0),
-            "planted": (tuple(_planted(2, 6311, 6321)[:2]), 2)}
+    # common-summand pairs, whose one ambient candidate fails the gate: the
+    # found search turns its first verified candidate away, so its witness
+    # comes from a draw whenever the restarts leave room for one
+    return {"near": (_drawing(), 0),
+            "found": (_near_with_common_summand(6640, 1e-8), 1)}
 
 
 @functools.cache
@@ -512,18 +525,18 @@ def _default_outcome(name, restarts):
 
 
 @settings(max_examples=24, deadline=None, derandomize=True, database=None)
-@given(name=st.sampled_from(["near", "planted"]), restarts=st.integers(1, 8),
-       budget=st.sampled_from([1, 2 * 16 * 8, 3 * 16 * 8, matcore.BATCH_BYTES]))
+@given(name=st.sampled_from(["near", "found"]), restarts=st.integers(1, 8),
+       budget=st.sampled_from([1, 2 * 288, 3 * 288, matcore.BATCH_BYTES]))
 def test_polar_calls_depend_only_on_restarts_and_blocks(name, restarts, budget):
-    # one polar step for the ambient candidate, where there is one, and one
-    # batched step per unknown of the defect family, whatever the restarts
-    # and the block; the outcome is the default block size's.  A defect
-    # start of these n = 2 pairs holds 16 (2^2 + 2^2) bytes
+    # one polar step for the ambient candidate and one batched step per
+    # unknown of the defect family, whatever the restarts and the block;
+    # the outcome is the default block size's.  A defect start of these
+    # n = 3 pairs holds 288 = 16 (3^2 + 3^2) bytes
     (fp_a, fp_b), refuse = _property_pairs()[name]
     with mock.patch.object(matcore, "BATCH_BYTES", budget):
         outcome, calls = _counted_search(fp_a, fp_b, restarts, refuse)
     assert outcome == _default_outcome(name, restarts)
-    assert calls == (3 if name == "planted" else 2)
+    assert calls == 3
 
 
 def test_planted_conjugate_runs_one_start(monkeypatch):
@@ -538,13 +551,14 @@ def test_planted_conjugate_runs_one_start(monkeypatch):
 def test_search_holds_one_block_of_starts(monkeypatch):
     # however many restarts are asked for, the defect family is one stack
     # of candidates from one factorization of its system, polar factored
-    # in one batched step per unknown, and each candidate is verified
+    # in one batched step per unknown after the ambient candidate's one,
+    # and each candidate is verified
     sizes = _record_stacks(monkeypatch)
-    fp_a, fp_b = _band(2)
+    fp_a, fp_b = _drawing()
     monkeypatch.setattr(matcore, "BATCH_BYTES", 2 ** 9)
     outcome, calls = _counted_search(fp_a, fp_b, 40, 0)
     assert outcome[:2] == (SEARCH_NOT_FOUND, 80)
-    assert sizes == [40] and calls == 2
+    assert sizes == [40] and calls == 3
 
 
 def _turned(t1, t2, seed):
@@ -559,30 +573,61 @@ def _turned(t1, t2, seed):
     return _solved(*pairs)
 
 
-@pytest.mark.parametrize("kind, dim", [("repeated-normal", 8), ("jordan-sum", 4)])
-def test_warm_start_alone_finds_conjugates_with_larger_nullspaces(
-        kind, dim, monkeypatch):
-    # the polar factor of a generic intertwiner is a conjugator when one
-    # exists (Schwartz-Zippel), however large the nullspace: repeated normal
-    # joint eigenvalues give M_2 (+) M_2, J (+) J gives I_2 (x) M_2.  Both
-    # give the Hermitian mix repeated eigenvalues, so K decides
+def _no_intertwiner_system(patch, n):
+    """Record the shape of every system the search factors, and refuse the
+    4n^2 x n^2 intertwiner system K of n x n pairs.  The reduced system is
+    4n^2 x n, so at n = 1 the two have one shape, and K is refused for
+    n >= 2."""
+    shapes, null_onb = [], matcore.null_onb
+
+    def recorded(k):
+        shapes.append(k.shape)
+        assert n == 1 or k.shape != (4 * n * n, n * n), "K was formed"
+        return null_onb(k)
+
+    patch.setattr(matcore, "null_onb", recorded)
+    return shapes
+
+
+def _family(kind, n):
+    """A conjugate pair of each exact-conjugate family, and the restarts
+    used by its find at 20 restarts: 1 where the reduced route decides, 21
+    where the defect family's first candidate is the witness."""
+    shift = np.eye(n, k=-1, dtype=complex)
+    if kind == "planted":
+        return _planted(n, 8300 + 10 * n, 8400 + 10 * n)[:2], 21 if n == 1 else 1
+    if kind == "jordan":
+        return _turned(0.5 * np.eye(n) + 0.4 * shift, 0.3 * shift, 8200 + n), 1
+    # the sums repeat eigenvalues of the Hermitian mix
     if kind == "repeated-normal":
         t1 = np.diag([0.3, 0.3, -0.5j, -0.5j])
         t2 = np.diag([0.6, 0.6, 0.2 + 0.1j, 0.2 + 0.1j])
-    else:
+    elif kind == "jordan-sum":
         nil = np.kron(np.eye(2), [[0.0, 1.0], [0.0, 0.0]])
         t1, t2 = 0.3 * np.eye(4) + 0.4 * nil, 0.2 * np.eye(4) + 0.5 * nil
-    fp_a, fp_b = _turned(t1, t2, 6630)
-    assert matcore.null_onb(invariant._intertwiner_system(
-        fp_a.pair, fp_b.pair))[0].shape[1] == dim
-    sizes = _record_stacks(monkeypatch)
-    for restarts in (1, 2, 20):
-        for seed in range(3):
-            out = g.search_witness(fp_a, fp_b, restarts=restarts, seed=seed)
-            assert (out.status, out.restarts_used) == (SEARCH_FOUND, 1)
-            assert out.report.fstar_residual <= 1e-13
-            assert out.ambient_route == "full"
-    assert sizes == []
+    else:
+        x = g.random_pure_gamma(2, seed=6640, max_norm=0.8)
+        t1, t2 = (scipy.linalg.block_diag(m, m) for m in (x.s, x.p))
+    return _turned(t1, t2, 6630), 21
+
+
+@pytest.mark.parametrize("kind, n", [
+    *(("planted", n) for n in (1, 2, 3, 6, 12)),
+    ("repeated-normal", 4), ("jordan-sum", 4), ("repeated-summand", 4),
+    *(("jordan", n) for n in (2, 3, 4, 5))])
+def test_exact_conjugates_are_found_without_the_intertwiner_system(
+        kind, n, monkeypatch):
+    # planted conjugates and single Jordan blocks are found by the reduced
+    # route, except at n = 1, where the reduced system is rounding alone;
+    # Haar-turned sums with a repeated summand, J (+) J or repeated normal
+    # joint eigenvalues, by the defect family's first candidate
+    (fp_a, fp_b), used = _family(kind, n)
+    shapes = _no_intertwiner_system(monkeypatch, n)
+    for seed in range(2):
+        out = g.search_witness(fp_a, fp_b, restarts=20, seed=seed)
+        assert (out.status, out.restarts_used) == (SEARCH_FOUND, used)
+        assert out.report.fstar_residual <= 1e-12
+    assert shapes
 
 
 def _near_with_common_summand(seed, eps=None):
@@ -600,7 +645,7 @@ def _near_with_common_summand(seed, eps=None):
 
 
 def test_one_restart_checks_the_warm_start_as_the_only_ambient_candidate(
-        monkeypatch):
+        monkeypatch, intertwiner_system):
     # one restart: the warm start is the ambient family's one candidate, and
     # the defect family, one candidate, is built only where it is refused
     sizes = _record_stacks(monkeypatch)
@@ -609,7 +654,7 @@ def test_one_restart_checks_the_warm_start_as_the_only_ambient_candidate(
     assert (found.status, found.restarts_used) == (SEARCH_FOUND, 1)
     assert sizes == []
     near = _near_with_common_summand(6620)
-    assert matcore.null_onb(invariant._intertwiner_system(
+    assert matcore.null_onb(intertwiner_system(
         near[0].pair, near[1].pair))[0].shape[1] >= 1
     assert not g.trace_word_screen(*near).mismatch
     missed = g.search_witness(*near, restarts=1, seed=0)
@@ -639,89 +684,48 @@ def _ambient_refusals(out):
     return [test for test, _, _ in out.refusals if test.startswith("ambient")]
 
 
-def _no_certificates(patch):
-    """Infinite gate terms: no ambient certificate can fire, the mixes never
-    separate, and K decides with an infinite bound."""
-    patch.setattr(invariant, "_gate_terms", lambda *args: [float("inf")] * 4)
-
-
-def _full_route(patch):
-    """A zero mix has no spectral gap and no separation: K decides, as it
-    did before the reduced route."""
-    patch.setattr(invariant, "_hermitian_mix",
-                  lambda pair: np.zeros((pair.n, pair.n), dtype=complex))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 6])
-def test_sigma_min_skips_only_ambient_starts_the_gate_refuses(n, monkeypatch):
-    # near pairs are refused by an ambient certificate, the spectral gap of
-    # the Hermitian mixes or a least singular value: the search has no
-    # ambient candidate.  With every certificate turned off, K's one
-    # candidate, from its least right singular vector, is refused by the
-    # gate, and the outcome is bitwise the same
-    for seed in (6800 + n, 6810 + n, 6820 + n):
-        fp_a, fp_b = _near(n, seed)
-        with monkeypatch.context() as patch:
-            checks = _gate_checks(patch)
-            on = g.search_witness(fp_a, fp_b, restarts=6, seed=seed)
-        assert _ambient_refusals(on) and checks == []
-        with monkeypatch.context() as patch:
-            checks = _gate_checks(patch)
-            _no_certificates(patch)
-            off = g.search_witness(fp_a, fp_b, restarts=6, seed=seed)
-        assert off.ambient_route == "full" and _ambient_refusals(off) == []
-        assert [passed for _, passed in checks] == [False]
-        assert _outcome(on) == _outcome(off)
-        assert (on.status, on.restarts_used) == (SEARCH_NOT_FOUND, 12)
-
-
 def test_no_ambient_candidate_is_drawn_above_the_bound(monkeypatch):
     # above the bound the ambient family makes no polar step and takes
-    # nothing from the generator: the defect family's draws are its first
-    # draws, and NOT_FOUND counts the ambient family as restarts candidates
+    # nothing from the generator: the defect family gets it as seeded, and
+    # NOT_FOUND counts the ambient family as restarts candidates
     fp_a, fp_b = _band(3)
     for restarts in (1, 5):
         outcome, calls = _counted_search(fp_a, fp_b, restarts, 0)
         assert outcome[:2] == (SEARCH_NOT_FOUND, 2 * restarts)
         assert calls == 2
-    points = []
-    sizes = _record_stacks(monkeypatch, points)
+    states, family = [], invariant._defect_family
+
+    def recorded(fp_a, fp_b, count, rng):
+        states.append(rng.bit_generator.state)
+        return family(fp_a, fp_b, count, rng)
+
+    monkeypatch.setattr(invariant, "_defect_family", recorded)
     out = g.search_witness(fp_a, fp_b, restarts=5, seed=3)
-    assert _ambient_refusals(out) == ["ambient_gap"] and sizes == [5]
-    (etas, sigmas), = points
-    _, _, (want_etas, want_sigmas) = invariant._defect_family(
-        fp_a, fp_b, 5, np.random.default_rng(3))
-    assert np.array_equal(etas, want_etas)
-    assert np.array_equal(sigmas, want_sigmas)
+    assert _ambient_refusals(out) == ["ambient_gap"]
+    assert states == [np.random.default_rng(3).bit_generator.state]
 
 
-def test_band_and_singular_pairs_get_one_ambient_candidate(monkeypatch):
-    # a conjugate perturbed by 1e-8 has no reduced nullspace, so K decides:
-    # its one ambient candidate is the polar factor of K's least right
-    # singular vector.  A near pair with a common summand, at an eps the
-    # spectral gap does not refuse, has a reduced nullspace, from which its
-    # candidate is drawn
+def test_band_and_singular_pairs_get_at_most_one_ambient_candidate(
+        monkeypatch):
+    # a conjugate perturbed by 1e-8 has no reduced nullspace, so it has no
+    # ambient candidate: the defect family's first candidate is its
+    # witness.  A near pair with a common summand, at an eps the spectral
+    # gap does not refuse, has a reduced nullspace, from which its one
+    # candidate is drawn, and the gate refuses it
     sizes = _record_stacks(monkeypatch)
     for fp_a, fp_b in (_near(2, 6802, 1e-8), _near(6, 6806, 1e-8)):
-        basis, sv, v = matcore.null_onb(invariant._intertwiner_system(
-            fp_a.pair, fp_b.pair))
-        assert basis.shape[1] == 0 and sv[-1] > matcore.REL_RANK_TOL * sv[0]
         with monkeypatch.context() as patch:
             checks = _gate_checks(patch)
             out = g.search_witness(fp_a, fp_b, restarts=2, seed=0)
-        assert out.ambient_route == "full"
-        assert out.ambient_sigma_min == sv[-1] < out.ambient_bound
-        (u, passed), = checks
-        n = fp_a.pair.n
-        assert np.array_equal(u, matcore.polar_unitary(v[:, -1].reshape(n, n)))
-        assert passed and (out.status, out.restarts_used) == (SEARCH_FOUND, 1)
-        assert np.array_equal(out.witness.u_ambient, u)
-    assert sizes == []
+        assert checks == [] and out.refusals == []
+        assert (out.status, out.restarts_used) == (SEARCH_FOUND, 3)
+    assert sizes == [1, 1]
+    sizes.clear()
     near = _near_with_common_summand(6620, 5e-8)
     with monkeypatch.context() as patch:
         checks = _gate_checks(patch)
         out = g.search_witness(*near, restarts=2, seed=0)
-    assert out.ambient_route == "reduced" and out.refusals == []
+    assert out.refusals == []
     assert (out.status, out.restarts_used) == (SEARCH_NOT_FOUND, 4)
     assert [passed for _, passed in checks] == [False] and sizes == [2]
 
@@ -748,30 +752,46 @@ def test_defect_draws_find_common_summand_pairs():
     for seed in (6640, 6642, 6645):
         out = g.search_witness(*_near_with_common_summand(seed, 1e-8),
                                restarts=20, seed=0)
-        assert out.ambient_route == "reduced" and out.refusals == []
+        assert out.refusals == []
         assert (out.status, out.restarts_used) == (SEARCH_FOUND, 22)
 
 
 def test_band_pairs_the_ascent_finds_are_found_by_one_candidate(
         ambient_search_oracle):
     # conjugates of (S + eps P, P) at eps from 1e-9 to 3e-8 lie in the band:
-    # an empty nullspace and sigma_min at most its bound.  Every such pair
-    # on which the ambient ascent, run from the identity and Haar starts,
-    # finds a witness, the search finds with its one ambient candidate.
-    # Measured: the ascent finds 16 of these 24, the candidate 21
+    # no reduced nullspace and no certificate.  Every such pair on which the
+    # ambient ascent, run from the identity and Haar starts, finds a
+    # witness, the search finds with one candidate, the defect family's
+    # first.  Measured: the ascent finds 16 of these 24, the candidate 21
     found, by_candidate = 0, 0
     for n in (2, 3):
         for seed in range(4):
             for eps in (1e-9, 1e-8, 3e-8):
                 fp_a, fp_b = _near(n, 6900 + 10 * n + seed, eps)
                 out = g.search_witness(fp_a, fp_b, restarts=4, seed=seed)
-                assert out.ambient_sigma_min <= out.ambient_bound
-                by_candidate += (out.status, out.restarts_used) == (SEARCH_FOUND, 1)
+                assert out.refusals == []
+                by_candidate += (out.status, out.restarts_used) == (SEARCH_FOUND, 5)
                 if ambient_search_oracle(fp_a, fp_b, 4, seed) is None:
                     continue
                 found += 1
-                assert (out.status, out.restarts_used) == (SEARCH_FOUND, 1)
+                assert (out.status, out.restarts_used) == (SEARCH_FOUND, 5)
     assert 12 <= found < by_candidate
+
+
+def test_one_dimensional_gate_subspace_is_verified_once(monkeypatch):
+    # the certificate does not fire on these band pairs, but their gate
+    # subspace is one-dimensional, so every draw would be a phase multiple
+    # of the first candidate: the family is that candidate alone, verified
+    # once, and NOT_FOUND still counts 2 x 20 restarts
+    verify = invariant.verify_equivalence
+    for n in (2, 3):
+        reports = []
+        with monkeypatch.context() as patch:
+            patch.setattr(invariant, "verify_equivalence", lambda *args: (
+                reports.append(verify(*args)) or reports[-1]))
+            out = g.search_witness(*_band(n), restarts=20, seed=0)
+        assert out.defect_sigma_min <= out.defect_bound and len(reports) == 1
+        assert (out.status, out.restarts_used) == (SEARCH_NOT_FOUND, 40)
 
 
 def _defect_ratio(fp_a, fp_b):
@@ -821,8 +841,9 @@ def test_defect_certificate_skips_only_ascents_the_gate_refuses(
     # near pairs have defect sigma_min above its bound: the defect family is
     # one candidate, from the least right singular vector, and draws
     # nothing.  With the bound turned off, the family draws its other
-    # restarts - 1 candidates and the gate refuses every one: the status
-    # and restarts used are the same
+    # restarts - 1 candidates, except at n = 1, where the gate subspace has
+    # r*^2 = 1 dimension, and the gate refuses every one: the status and
+    # restarts used are the same
     for seed in (6840 + n, 6850 + n):
         fp_a, fp_b = _near(n, seed)
         with monkeypatch.context() as patch:
@@ -837,18 +858,19 @@ def test_defect_certificate_skips_only_ascents_the_gate_refuses(
             patch.setattr(invariant, "verify_equivalence", lambda *args: (
                 reports.append(verify(*args)) or reports[-1]))
             off = g.search_witness(fp_a, fp_b, restarts=6, seed=seed)
-        assert sizes == [6] and len(reports) == 6
+        draws = 1 if n == 1 else 6
+        assert sizes == [draws] and len(reports) == draws
         assert not any(rep.equivalent for rep in reports)
         assert ((on.status, on.restarts_used) == (off.status, off.restarts_used)
                 == (SEARCH_NOT_FOUND, 12))
 
 
 def test_band_sweep_slice_keeps_every_find():
-    # 24 pairs of the band sweep, conjugates of (S + eps P, P): 12 are found
-    # at one candidate, the ambient one, and (7205, 3e-8) by the defect
-    # family's first candidate; the other 11 are missed after 2 x 20.  The
-    # defect certificate fires on 6 of the misses; on the other 5 the
-    # family's draws are refused too
+    # 24 pairs of the band sweep, conjugates of (S + eps P, P): 13 are found
+    # by the defect family's first candidate; the other 11 are missed after
+    # 2 x 20.  The defect certificate fires on 6 of the misses; on the
+    # other 5 the family's one candidate, its gate subspace being
+    # one-dimensional, is refused too
     missed = {(7200, 1e-7), (7201, 1e-7), (7202, 1e-7), (7203, 1e-7),
               (7204, 1e-7), (7205, 1e-7), (7206, 3e-8), (7206, 1e-7),
               (7207, 1e-7), (7208, 1e-7), (7210, 1e-7)}
@@ -857,15 +879,15 @@ def test_band_sweep_slice_keeps_every_find():
         for eps in (3e-8, 1e-7):
             out = g.search_witness(*_near(2, seed, eps), restarts=20)
             want = ((SEARCH_NOT_FOUND, 40) if (seed, eps) in missed
-                    else (SEARCH_FOUND, 21) if (seed, eps) == (7205, 3e-8)
-                    else (SEARCH_FOUND, 1))
+                    else (SEARCH_FOUND, 21))
             assert (out.status, out.restarts_used) == want
             fired += (out.defect_bound is not None
                       and out.defect_sigma_min > out.defect_bound)
     assert fired == 6
 
 
-def test_reduced_system_is_k_on_the_diagonal_of_the_eigenbases():
+def test_reduced_system_is_k_on_the_diagonal_of_the_eigenbases(
+        intertwiner_system):
     # R d stacks D X~_A - X~_B D over X in {S, P, S*, P*}, X~ = V* X V, and
     # has the norm of K vec(V_B D V_A*), V_A and V_B being unitary
     rng = np.random.default_rng(31)
@@ -875,7 +897,7 @@ def test_reduced_system_is_k_on_the_diagonal_of_the_eigenbases():
         (_, v_a), (_, v_b) = (np.linalg.eigh(invariant._hermitian_mix(pair))
                               for pair in pairs)
         system = invariant._reduced_system(*pairs, v_a, v_b)
-        k = invariant._intertwiner_system(*pairs)
+        k = intertwiner_system(*pairs)
         assert system.shape == (4 * n * n, n)
         d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         rows = []
@@ -892,21 +914,8 @@ def test_reduced_system_is_k_on_the_diagonal_of_the_eigenbases():
                    ) <= 1e-14 * np.linalg.norm(d)
 
 
-def _old_ambient_bound(pair_a, pair_b, sv):
-    """The ambient bound as it was computed before _certificate_bound."""
-    n, eps = pair_a.n, np.finfo(np.float64).eps
-    tau = matcore.WITNESS_UNITARY_TOL + 2 * n * eps
-    terms = []
-    for a, b in ((pair_a.norm_s, pair_b.norm_s), (pair_a.norm_p, pair_b.norm_p)):
-        gx = (matcore.AMBIENT_INTERTWINE_TOL * (1.0 + a) * (1.0 + 8 * n * eps)
-              + n * (n + 1) * eps * np.sqrt(1.0 + tau) * (a + b))
-        terms += [gx, (1.0 + tau) * gx + np.sqrt(1.0 + tau) * tau * (a + b)]
-    rounding = 2 * (4 * n * n) * (n * n) * eps * float(np.linalg.norm(sv))
-    return float(np.linalg.norm(terms)) / (1.0 - tau) + rounding
-
-
 def _old_defect_bound(fp_a, fp_b, ta, tb, rows, k_norm):
-    """The defect bound as it was computed before _certificate_bound."""
+    """The defect bound as it was computed before its slack was shared."""
     r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
     n, eps = max(r, r_star), np.finfo(np.float64).eps
     tau = matcore.WITNESS_UNITARY_TOL + 2 * n * eps
@@ -924,18 +933,11 @@ def _old_defect_bound(fp_a, fp_b, ta, tb, rows, k_norm):
                  / (np.sqrt(r_star) * (1.0 - tau)))
 
 
-def test_certificate_bound_keeps_the_bounds_it_replaces(monkeypatch):
-    # the full route's ambient bound and the defect bound, through the one
-    # helper, are the values of the formulas they replaced, to 1 ulp
-    _full_route(monkeypatch)
+def test_certificate_bound_keeps_the_bounds_it_replaces():
+    # the defect bound, its slack folded in, is the value of the formula it
+    # replaced, to 1 ulp
     for n in (1, 2, 3, 6):
         for fp_a, fp_b in (_near(n, 6940 + n), _planted(n, 6950 + n, 6960 + n)[:2]):
-            _, fields = invariant._ambient_candidate(
-                fp_a.pair, fp_b.pair, np.random.default_rng(0))
-            sv = matcore.null_onb(invariant._intertwiner_system(
-                fp_a.pair, fp_b.pair))[1]
-            want = _old_ambient_bound(fp_a.pair, fp_b.pair, sv)
-            assert abs(fields["ambient_bound"] - want) <= np.spacing(want)
             ta, tb = (fp.theta_grid[[1, 25]] for fp in (fp_a, fp_b))
             for rows, k_norm in ((7, 3.0), (288, 1e9)):
                 want = _old_defect_bound(fp_a, fp_b, ta, tb, rows, k_norm)
@@ -943,75 +945,28 @@ def test_certificate_bound_keeps_the_bounds_it_replaces(monkeypatch):
                 assert abs(got - want) <= np.spacing(want)
 
 
-def _route_facts(out):
-    return (out.status, out.restarts_used, bool(_ambient_refusals(out)),
-            out.defect_sigma_min, out.defect_bound)
-
-
-def test_routes_agree_on_every_find_and_certificate(monkeypatch):
-    # criterion 09's searches and the band slice of
-    # test_band_sweep_slice_keeps_every_find, read off the eigenbases where
-    # they decide and off K alone: the same finds, the same restarts, an
-    # ambient refusal on the same pairs (by the gap or by either sigma_min)
-    # and the same defect certificate
-    cases = []
-    for n in range(1, 7):
-        fp_a, fp_b, _ = _planted(n, 4300 + n, 5300 + n)
-        cases.append(((fp_a, fp_b), 8, n))
-    for seed in range(7200, 7212):
-        for eps in (3e-8, 1e-7):
-            cases.append((_near(2, seed, eps), 20, 0))
-    routes = set()
-    for pairs, restarts, seed in cases:
-        out = g.search_witness(*pairs, restarts=restarts, seed=seed)
-        with monkeypatch.context() as patch:
-            _full_route(patch)
-            full = g.search_witness(*pairs, restarts=restarts, seed=seed)
-        assert full.ambient_route == "full"
-        assert _route_facts(out) == _route_facts(full)
-        routes.add(out.ambient_route)
-    assert routes == {"reduced", "full"}
-
-
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 20),
        max_norm=st.sampled_from([0.5, 0.75, 0.95]))
 def test_reduced_route_never_refuses_a_planted_conjugate(n, seed, max_norm):
     # the spectral gap stays below its bound on a conjugate, and the
-    # candidate from the reduced nullspace passes the gate without K being
-    # factored; only n = 1, where K is rounding alone and so is R, has no
-    # reduced nullspace and goes to K, whose sigma_min stays below its bound
+    # candidate from the reduced nullspace passes the gate; only n = 1,
+    # where R is rounding alone, has no reduced nullspace and no candidate
     fp_a, fp_b, _ = _planted(n, seed, seed + 1, max_norm)
     u, fields = invariant._ambient_candidate(
         fp_a.pair, fp_b.pair, np.random.default_rng(seed))
     assert fields["ambient_gap"] <= fields["ambient_gap_bound"]
-    if n == 1:
-        assert fields["ambient_route"] == "full"
-        assert fields["ambient_sigma_min"] <= fields["ambient_bound"]
-    else:
-        assert fields["ambient_route"] == "reduced"
-        assert "ambient_sigma_min" not in fields
-    g.witness_from_ambient(u, fp_a, fp_b)
+    assert (u is None) == (n == 1)
+    if n > 1:
+        g.witness_from_ambient(u, fp_a, fp_b)
 
 
-def test_summands_fall_back_to_k_only_where_they_repeat(monkeypatch):
-    # a repeated summand X (+) X repeats eigenvalues of the Hermitian mix,
-    # so K decides and finds the conjugate.  A common summand X (+) Y
-    # against X (+) Y' needs no K: the spectral gap refuses all ten of
-    # these near pairs, with the outcome of the full route
-    x = g.random_pure_gamma(2, seed=6640, max_norm=0.8)
-    fp_a, fp_b = _turned(scipy.linalg.block_diag(x.s, x.s),
-                         scipy.linalg.block_diag(x.p, x.p), 6641)
-    out = g.search_witness(fp_a, fp_b, restarts=2, seed=0)
-    assert out.ambient_route == "full"
-    assert (out.status, out.restarts_used) == (SEARCH_FOUND, 1)
+def test_common_summand_pairs_are_refused_by_the_spectral_gap():
+    # a common summand X (+) Y against X (+) Y' needs no system: the
+    # spectral gap refuses all ten of these near pairs, and the defect
+    # family's one candidate is refused too
     for seed in range(6620, 6630):
-        near = _near_with_common_summand(seed)
-        out = g.search_witness(*near, restarts=1, seed=0)
-        assert out.ambient_route == "reduced"
+        out = g.search_witness(*_near_with_common_summand(seed), restarts=1,
+                               seed=0)
         assert _ambient_refusals(out) == ["ambient_gap"]
-        with monkeypatch.context() as patch:
-            _full_route(patch)
-            full = g.search_witness(*near, restarts=1, seed=0)
-        assert (out.status, out.restarts_used) == (
-            full.status, full.restarts_used) == (SEARCH_NOT_FOUND, 2)
+        assert (out.status, out.restarts_used) == (SEARCH_NOT_FOUND, 2)
