@@ -9,22 +9,24 @@ invariant, and a model-level confirmation is reported on success.  The
 witness search is a labeled heuristic whose only conclusive negative is the
 trace-word screen; none of its candidates is iterated.  Its ambient family
 is at most one candidate, read in O(n^3) off the eigenbases of a Hermitian
-mix of each pair: the polar factor of a generic element of the nullspace
-of the reduced system in the conjugator's diagonal, and none where a
-spectral gap proves that the gate of witness_from_ambient refuses every
-matrix or where the eigenbases cannot decide.  The defect family factors
-the gate's own rows in (eta1, sigma) once, with sigma eliminated, and
-takes every pair that the ambient family leaves.  Its candidates are the
-polar factors of the least right singular vector and, where the least
-singular value does not prove that verify_equivalence refuses every pair
-of unitaries and the right singular vectors that the gate admits span two
-or more dimensions, of generic elements of that span, each eta1 with its
+mix of each pair: the polar factor of a generic element of the nullspace,
+on the pairs' scale, of the reduced system in the conjugator's diagonal,
+and none where a spectral gap proves that the gate of witness_from_ambient
+refuses every matrix or where that system has no nullspace.  The defect
+family factors the gate's own rows in (eta1, sigma) once, with sigma
+eliminated, and takes every pair that the ambient family leaves.  Its
+candidates, each built only when the search reads it, are the polar
+factors of the least right singular vector and, where the least singular
+value does not prove that verify_equivalence refuses every pair of
+unitaries and the right singular vectors that the gate admits span two or
+more dimensions, of generic elements of that span, each eta1 with its
 least-squares sigma.  No certificate yet decides the verdict.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -379,14 +381,12 @@ def _gate_terms(pair_a: GammaPair, pair_b: GammaPair) -> list[float]:
     return terms
 
 
-def _generic(basis: np.ndarray, rng: np.random.Generator, *count: int
-             ) -> np.ndarray:
-    """basis z for a complex Gaussian z drawn from ``rng``, a vector, or
-    ``count`` columns where that is given: generic elements of the span of
-    the columns of ``basis``, of the largest rank in that span with
-    probability 1 (Schwartz-Zippel)."""
-    shape = (basis.shape[1], *count)
-    return basis @ (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+def _generic(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """basis z for a complex Gaussian z drawn from ``rng``: a generic element
+    of the span of the columns of ``basis``, of the largest rank in that
+    span with probability 1 (Schwartz-Zippel)."""
+    k = basis.shape[1]
+    return basis @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
 
 
 def _ambient_candidate(pair_a: GammaPair, pair_b: GammaPair,
@@ -407,21 +407,19 @@ def _ambient_candidate(pair_a: GammaPair, pair_b: GammaPair,
     m = |a| (|S_A| + |S_B|) + |b| (|P_A| + |P_B|) >= |h_A| + |h_B| and
     rho = 2 n^2 eps m the rounding of h and of eigh (the symmetric QR
     algorithm is backward stable: Golub & Van Loan, Matrix Computations,
-    ch. 8), refuses every U, and no system is formed.  Otherwise U~ = V_B*
-    U V_A has |U~ Lam_A - Lam_B U~| <= delta + rho, and its entry (k, l),
-    k != l, is that entry of U~ Lam_A - Lam_B U~ over lam_A,l - lam_B,k.
-    Where the eigenvalues are separated, delta + rho < (1 - tau) sep with
-    sep = min over k != l of |lam_A,l - lam_B,k|, each such entry is below
-    1 - tau, and a conjugator is diagonal: its diagonal d solves the
-    4n^2 x n system R of _reduced_system.  Where R has a nullspace, as a
-    conjugate's does, M is V_B diag(d) V_A* for a generic d in it, drawn
-    from ``rng`` (_generic): invertible if any element is.  There is no
-    candidate where the eigenvalues are not separated (repeated eigenvalues
-    of h, as in a repeated summand or a sum of equal Jordan blocks) or
-    where R has no nullspace: near conjugates, whose passing U may need the
-    part of U~ off its diagonal that R leaves out, and n = 1, where R is
-    rounding alone unless the pairs are equal.  The defect family decides
-    those pairs.
+    ch. 8), refuses every U, and no system is formed.  Otherwise the
+    candidate is diagonal in the two eigenbases, as a conjugator is where h
+    has a simple spectrum (it maps each eigenspace of h_A onto that of h_B):
+    its diagonal d solves the 4n^2 x n system R of _reduced_system, whose
+    nullspace is taken at REL_RANK_TOL m, on the pairs' scale, so that the
+    R of a normal pair or of n = 1, rounding alone, keeps its nullspace.
+    M is V_B diag(d) V_A* for a generic d in it, drawn from ``rng``
+    (_generic): invertible if any element is.  Repeated eigenvalues need no
+    test of their own, since the gate of witness_from_ambient judges the
+    candidate.  There is no candidate where the gap refuses or where R has
+    no nullspace at that cut: near conjugates, whose passing U may need the
+    part of V_B* U V_A off its diagonal that R leaves out, and sums of equal
+    summands whose eigenbases mix them.  The defect family decides those.
     """
     n, tau = pair_a.n, _tau(pair_a.n)
     terms = _gate_terms(pair_a, pair_b)
@@ -434,12 +432,10 @@ def _ambient_candidate(pair_a: GammaPair, pair_b: GammaPair,
     delta = 0.5 * (a * (terms[0] + terms[1]) + b * (terms[2] + terms[3]))
     fields = {"ambient_gap": float(np.max(np.abs(lam_a - lam_b))),
               "ambient_gap_bound": float(delta + tau * m + rho)}
-    sep = np.min(np.abs(lam_a - lam_b[:, None])[~np.eye(n, dtype=bool)],
-                 initial=np.inf)
-    if (fields["ambient_gap"] > fields["ambient_gap_bound"]
-            or not delta + rho < (1.0 - tau) * sep):
+    if fields["ambient_gap"] > fields["ambient_gap_bound"]:
         return None, fields
-    basis = matcore.null_onb(_reduced_system(pair_a, pair_b, v_a, v_b))[0]
+    basis = matcore.null_onb(_reduced_system(pair_a, pair_b, v_a, v_b),
+                             matcore.REL_RANK_TOL * m)[0]
     if not basis.size:
         return None, fields
     return matcore.polar_unitary(
@@ -448,11 +444,11 @@ def _ambient_candidate(pair_a: GammaPair, pair_b: GammaPair,
 
 def _defect_family(fp_a: FundamentalPair, fp_b: FundamentalPair,
                    count: int, rng: np.random.Generator
-                   ) -> tuple[float, float, tuple[np.ndarray, np.ndarray]]:
+                   ) -> tuple[float, float, Iterator]:
     """sigma_min of the defect system M with sigma eliminated, the bound
     above which no (eta1, sigma) passes verify_equivalence
-    (:func:`_defect_bound`), and the defect family's points (eta, sigma) as
-    two stacks, each eta with its least-squares partner sigma.
+    (:func:`_defect_bound`), and the defect family: its candidates, pairs
+    of unitaries (eta1, sigma), each built only when the search reads it.
 
     Column k of the stacked coincidence gaps is H e_k - T_B sigma e_k, with
     H = [eta1 Theta_A(z_j)]_j and T_B = [Theta_B(z_j)]_j, so with Q_perp the
@@ -467,7 +463,8 @@ def _defect_family(fp_a: FundamentalPair, fp_b: FundamentalPair,
     |M x| / |x| is as small as a passing vec eta1 keeps it.  Otherwise the
     family is its first point alone: above the bound the subspace is empty,
     and on one dimension every draw is a phase multiple of the first point,
-    which verify_equivalence judges alike.
+    which verify_equivalence judges alike.  Each candidate is the pair of
+    polar factors of eta and of its least-squares sigma against T_B.
     """
     r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
     # theta_grid[1] = 0.3 and theta_grid[25] = -0.6: one point per inner circle
@@ -490,17 +487,18 @@ def _defect_family(fp_a: FundamentalPair, fp_b: FundamentalPair,
               out=system[r_star * r_star:].reshape(r, c, r_star, r_star))
     k_norm = np.sqrt(np.linalg.norm(top) ** 2 + weight ** 2 * (
         r_star * np.linalg.norm(ta) ** 2 + r * np.linalg.norm(tb) ** 2))
-    _, sv, v = matcore.null_onb(system)
     bound = _defect_bound(fp_a, fp_b, ta, tb, len(system), k_norm)
-    etas, gate = v[:, -1:], v[:, sv <= bound]
-    if gate.shape[1] > 1:
-        etas = np.hstack([etas, _generic(gate, rng, count - 1)])
-    etas = etas.T.reshape(-1, r_star, r_star)
-    # one least-squares solve for every sigma: column block k of the right
-    # side stacks eta_k Theta_A(z_j) over j
-    rhs = (etas[:, None] @ ta).transpose(1, 2, 0, 3).reshape(-1, len(etas) * r)
-    sigmas = np.linalg.lstsq(t_b, rhs, rcond=None)[0]
-    return float(sv[-1]), bound, (etas, sigmas.reshape(r, -1, r).swapaxes(0, 1))
+    gate, sv, v = matcore.null_onb(system, bound)
+
+    def points():
+        for k in range(count if gate.shape[1] > 1 else 1):
+            eta = _generic(gate, rng) if k else v[:, -1]
+            eta = eta.reshape(r_star, r_star)
+            sigma = np.linalg.lstsq(t_b, (eta @ ta).reshape(-1, r),
+                                    rcond=None)[0]
+            yield matcore.polar_unitary(eta), matcore.polar_unitary(sigma)
+
+    return float(sv[-1]), bound, points()
 
 
 def _defect_bound(fp_a: FundamentalPair, fp_b: FundamentalPair,
@@ -576,11 +574,12 @@ class SearchResult:
     always the trace-word screen of the two pairs.  ``ambient_gap`` is the
     largest gap between the eigenvalues of the two pairs' Hermitian mixes
     and ``ambient_gap_bound`` the bound above which it refuses every ambient
-    candidate, both None for DISTINCT, which is decided before them.
-    ``defect_sigma_min`` and ``defect_bound`` are the same pair for the
-    defect system in (eta1, sigma), built only once the ambient family has
-    failed: None where the screen, differing dimensions or the ambient
-    candidate decide.
+    candidate, both None for DISTINCT, which is decided before them; below
+    it only a reduced system without nullspace on the pairs' scale leaves
+    the ambient family empty.  ``defect_sigma_min`` and ``defect_bound`` are
+    the same pair for the defect system in (eta1, sigma), built only once
+    the ambient family has failed: None where the screen, differing
+    dimensions or the ambient candidate decide.
     """
 
     status: str
@@ -619,27 +618,28 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
     the cap depends only on the two pairs, so every later candidate would
     meet it.
 
-    The ambient candidate (_ambient_candidate) is read off the eigenbases
-    of a Hermitian mix of each pair in O(n^3): the polar factor of a
-    generic element of the reduced system's nullspace, which is a
-    conjugator whenever one exists, drawn first from the search's
-    generator; none where the spectral gap of the mixes proves that no
-    matrix passes the gate of witness_from_ambient, and none where the
-    eigenbases cannot decide.  Once the ambient family has failed, the
-    defect system is factored once (_defect_family).  Its candidates are
-    the polar factors of the least right singular vector, with its
-    least-squares sigma, and then, where its gate subspace has two or more
-    dimensions, restarts - 1 generic elements of it drawn from the
-    generator, each with its sigma; the subspace is empty where sigma_min
-    exceeds ``defect_bound`` (_defect_bound) and so proves that no pair of
-    unitaries passes verify_equivalence.  The ambient family counts as
-    ``restarts`` used candidates unless it is the witness, and so does the
-    defect family, however few candidates it has, so ``restarts_used`` is 1
-    for an ambient find, restarts + k + 1 for the defect family's k-th
-    candidate and 2 restarts for NOT_FOUND, except where the truncation
-    cap ends the search: there it counts the candidates up to the one that
-    met the cap.  Where the certificate fires, NOT_FOUND still reports a
-    real nearest miss, the family's one candidate.
+    The ambient candidate (_ambient_candidate) is read off the eigenbases of
+    a Hermitian mix of each pair in O(n^3): the polar factor of a generic
+    element of the reduced system's nullspace on the pairs' scale, a
+    conjugator whenever one exists and the mix has a simple spectrum, drawn
+    first from the search's generator.  There is none where the spectral gap
+    of the mixes proves that no matrix passes the gate of
+    witness_from_ambient, and none where the reduced system has no
+    nullspace.  Once the ambient family has failed, the defect system is
+    factored once (_defect_family).  Its candidates, each built when the
+    search reads it, are the polar factors of the least right singular
+    vector, with its least-squares sigma, and then, where its gate subspace
+    has two or more dimensions, up to restarts - 1 generic elements of it
+    drawn from the generator, each with its sigma; the subspace is empty
+    where sigma_min exceeds ``defect_bound`` (_defect_bound) and so proves
+    that no pair of unitaries passes verify_equivalence.  The ambient family
+    counts as ``restarts`` used candidates unless it is the witness, and so
+    does the defect family, however few candidates it has, so
+    ``restarts_used`` is 1 for an ambient find, restarts + k + 1 for the
+    defect family's k-th candidate and 2 restarts for NOT_FOUND, except
+    where the truncation cap ends the search: there it counts the candidates
+    up to the one that met the cap.  Where the certificate fires, NOT_FOUND
+    still reports a real nearest miss, the family's one candidate.
 
     No certificate yet decides the verdict: without a witness the search
     still ends NOT_FOUND, inconclusive (ROADMAP.md, items 1 and 2).
@@ -669,10 +669,14 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
             fp_a, fp_b, restarts, rng)
         certificate.update(defect_sigma_min=defect_sigma_min,
                            defect_bound=defect_bound)
-        yield from ((restarts + k + 1, Witness, point) for k, point in
-                    enumerate(zip(*map(matcore.polar_unitary, points))))
+        yield from ((restarts + k + 1, Witness, point)
+                    for k, point in enumerate(points))
 
-    misses = []
+    def miss(rep: EquivalenceReport) -> float:
+        return max(rep.fstar_residual / _fstar_bound(fp_a),
+                   rep.coincidence.max_residual / matcore.COINCIDE_TOL)
+
+    nearest = None  # the first refused report of the smallest miss
     for used, end, point in candidates():
         try:
             witness = end(*point)
@@ -684,18 +688,13 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
                                 report=report, screen=screen,
                                 restarts_used=used, **ambient,
                                 **certificate)
-        misses.append(report)
+        if nearest is None or miss(report) < miss(nearest):
+            nearest = report
         if (report.model_confirmation is None and report.coincidence.coincide
                 and report.fstar_residual <= _fstar_bound(fp_a)):
             break  # the truncation cap: it holds for every later candidate
     else:
         used = 2 * restarts
-
-    def miss(rep: EquivalenceReport) -> float:
-        return max(rep.fstar_residual / _fstar_bound(fp_a),
-                   rep.coincidence.max_residual / matcore.COINCIDE_TOL)
-
-    return SearchResult(status=SEARCH_NOT_FOUND, witness=None,
-                        report=min(misses, key=miss, default=None),
+    return SearchResult(status=SEARCH_NOT_FOUND, witness=None, report=nearest,
                         screen=screen, restarts_used=used, **ambient,
                         **certificate)

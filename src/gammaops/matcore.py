@@ -299,19 +299,20 @@ def psd_eigh(a, clamp: float) -> tuple[np.ndarray, np.ndarray]:
     return np.where(w <= clamp * scale, 0.0, w), v
 
 
-def null_onb(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal columns spanning the numerical nullspace of a tall matrix,
-    the singular values of the matrix, largest first, and its right singular
-    vectors as columns in the same order.
+def null_onb(k: np.ndarray, bound: float
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal columns spanning the nullspace of a tall matrix at the
+    caller's ``bound``, the singular values of the matrix, largest first,
+    and its right singular vectors as columns in the same order.
 
     By QR and an SVD of R, which has the singular values and right singular
     vectors of k at min(rows, cols) rows instead of all of them; the right
-    singular vectors past the numerical rank, the count of singular values
-    above REL_RANK_TOL times the largest, span the nullspace.
+    singular vectors past the count of singular values above ``bound``, a
+    cut on the scale of what k stands for, span the nullspace.
     """
     _, s, vh = np.linalg.svd(np.linalg.qr(k, mode="r"))
     v = dagger(vh)
-    return v[:, np.count_nonzero(s > REL_RANK_TOL * s[0]):], s, v
+    return v[:, np.count_nonzero(s > bound):], s, v
 
 
 def _top_eigs(a: np.ndarray, angles: np.ndarray) -> np.ndarray:

@@ -248,8 +248,8 @@ def test_planted_compare_at_n24_needs_no_intertwiner_system(
     # took most of a second to factor, is found on the reduced route alone:
     # the one system factored is the 2304 x 24 reduced system
     shapes, null_onb = [], matcore.null_onb
-    monkeypatch.setattr(matcore, "null_onb", lambda k: (
-        shapes.append(k.shape) or null_onb(k)))
+    monkeypatch.setattr(matcore, "null_onb", lambda k, bound: (
+        shapes.append(k.shape) or null_onb(k, bound)))
     pair = g.random_pure_gamma(24, seed=44, max_norm=0.75)
     u = matcore.haar_unitary(24, np.random.default_rng(45))
     ud = matcore.dagger(u)
@@ -993,9 +993,9 @@ def test_search_stops_at_the_first_candidate_past_the_truncation_cap(
         tmp_path, capsys, monkeypatch):
     # the cap depends only on the two pairs: after the first candidate that
     # passes both invariant halves meets it, every later one would too.
-    # The pair is normal, so its reduced system is rounding alone and has
-    # no nullspace: that candidate is the defect family's first, restarts
-    # + 1
+    # The pair is normal, so its reduced system is rounding alone, and its
+    # nullspace, taken on the pairs' scale, gives the ambient candidate:
+    # that candidate is the first, restarts_used 1
     rng = np.random.default_rng(47)
     u = matcore.haar_unitary(2, rng)
     t1 = u @ np.diag([0.9995, -0.5j]) @ matcore.dagger(u)
@@ -1018,4 +1018,4 @@ def test_search_stops_at_the_first_candidate_past_the_truncation_cap(
     assert report["equivalence"]["reason"].endswith(
         f"|P^N| did not reach 1.0e-12 for N <= {matcore.TRUNCATION_CAP}")
     assert len(attempts) == 1
-    assert report["search"]["restarts_used"] == 21
+    assert report["search"]["restarts_used"] == 1

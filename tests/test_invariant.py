@@ -1,5 +1,8 @@
 import dataclasses
 import functools
+import importlib
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,6 +19,8 @@ from gammaops.invariant import (SEARCH_DISTINCT, SEARCH_FOUND,
                                 VERDICT_NOT_EQUIVALENT)
 from gammaops.matcore import (COINCIDE_TOL, FSTAR_MATCH_TOL,
                               MODEL_CONFIRM_TOL, SCREEN_TOL)
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 def _planted(n, seed, haar_seed, max_norm=0.75):
@@ -352,21 +357,25 @@ def test_search_witness_rejects_restarts_below_one():
             g.search_witness(fp, fp, restarts=restarts, seed=0)
 
 
-def _record_stacks(monkeypatch, points=None):
-    """Record the number of candidates of each defect family that a search
-    builds, and the family's points in ``points`` when that is given."""
-    sizes = []
+def _record_reads(monkeypatch):
+    """Record, for each defect family that a search builds, the number of
+    its candidates that the search reads."""
+    reads = []
     family = invariant._defect_family
 
     def recorded(*args):
-        out = family(*args)
-        sizes.append(len(out[2][0]))
-        if points is not None:
-            points.append(out[2])
-        return out
+        sigma_min, bound, points = family(*args)
+        reads.append(0)
+
+        def counted():
+            for point in points:
+                reads[-1] += 1
+                yield point
+
+        return sigma_min, bound, counted()
 
     monkeypatch.setattr(invariant, "_defect_family", recorded)
-    return sizes
+    return reads
 
 
 def _partner(fp_a, fp_b, eta):
@@ -380,37 +389,38 @@ def _partner(fp_a, fp_b, eta):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_stacked_iterations_match_the_per_start_oracle(n, monkeypatch):
-    # the defect family, drawn and solved as one stack, is the per-start
-    # oracle's: the least right singular vector of the defect system, then
-    # generic elements of its gate subspace drawn from the generator, each
-    # sigma its own least-squares solve.  One batched polar step gives each
-    # candidate bitwise the factor it has alone
+    # the defect family is the per-candidate oracle's: the least right
+    # singular vector of the defect system, then generic elements of its
+    # gate subspace, each drawn from the generator only when the search
+    # reads it, each sigma its own least-squares solve, and each candidate
+    # the pair of their polar factors
     null_onb, factored, sizes = matcore.null_onb, [], []
-    monkeypatch.setattr(matcore, "null_onb", lambda k: (
-        factored.append(null_onb(k)) or factored[-1]))
+    monkeypatch.setattr(matcore, "null_onb", lambda k, bound: (
+        factored.append(null_onb(k, bound)) or factored[-1]))
     for fp_a, fp_b in (_planted(n, 6000 + n, 6100 + n)[:2],
                        _near(n, 6200 + n, 1e-8), _near(n, 6200 + n),
                        _drawing()):
-        sigma_min, bound, (etas, sigmas) = invariant._defect_family(
-            fp_a, fp_b, 4, np.random.default_rng(n))
-        (_, sv, v), = factored
+        rng = np.random.default_rng(n)
+        sigma_min, bound, points = invariant._defect_family(fp_a, fp_b, 4, rng)
+        (gate, sv, v), = factored
         factored.clear()
         assert sigma_min == sv[-1]
-        sizes.append(len(etas))
-        want, gate = v[:, -1:], v[:, sv <= bound]
-        if gate.shape[1] > 1:
-            rng = np.random.default_rng(n)
-            want = np.hstack([want, gate @ (
-                rng.standard_normal((gate.shape[1], 3))
-                + 1j * rng.standard_normal((gate.shape[1], 3)))])
-        assert np.array_equal(etas, want.T.reshape(etas.shape))
-        for eta, sigma in zip(etas, sigmas):
-            assert matcore.fro_norm(sigma - _partner(fp_a, fp_b, eta)) <= (
-                1e-12 * max(1.0, matcore.fro_norm(sigma)))
-        for stack in (etas, sigmas):
-            polar = matcore.polar_unitary(stack)
-            for k, m in enumerate(stack):
-                assert np.array_equal(polar[k], matcore.polar_unitary(m))
+        assert np.array_equal(gate, v[:, sv <= bound])
+        oracle, r_star = np.random.default_rng(n), fp_a.f_star.shape[0]
+        dim = gate.shape[1]
+        for k in range(4 if dim > 1 else 1):
+            # nothing is drawn before the search reads the candidate
+            assert rng.bit_generator.state == oracle.bit_generator.state
+            eta = v[:, -1] if k == 0 else gate @ (
+                oracle.standard_normal(dim) + 1j * oracle.standard_normal(dim))
+            eta = eta.reshape(r_star, r_star)
+            eta1, sigma = next(points)
+            assert np.array_equal(eta1, matcore.polar_unitary(eta))
+            # the oracle's solve, on the same arrays: bitwise its sigma
+            assert np.array_equal(sigma, matcore.polar_unitary(
+                _partner(fp_a, fp_b, eta)))
+        sizes.append(k + 1)
+        assert next(points, None) is None
     # only the common-summand pair has a gate subspace of two dimensions:
     # the planted pair's is one-dimensional, and at the default eps the
     # certificate fires
@@ -419,23 +429,25 @@ def test_stacked_iterations_match_the_per_start_oracle(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
 def test_intertwiner_nullspace_matches_scipy(n, intertwiner_system):
-    # QR then an SVD of R gives the nullspace of the full SVD, rank rule
-    # included: the same dimension and the same projector
+    # QR then an SVD of R gives the nullspace of the full SVD, at the
+    # caller's bound (here scipy's relative cut, REL_RANK_TOL times the
+    # largest singular value): the same dimension and the same projector
     dims = []
     for fp_a, fp_b in (_planted(n, 6700 + n, 6710 + n)[:2],
                        _near(n, 6720 + n)):
         k = intertwiner_system(fp_a.pair, fp_b.pair)
-        basis, sv, _ = matcore.null_onb(k)
+        want_sv = scipy.linalg.svdvals(k)
+        basis, sv, _ = matcore.null_onb(k, matcore.REL_RANK_TOL * want_sv[0])
         want = scipy.linalg.null_space(k, rcond=matcore.REL_RANK_TOL)
         assert basis.shape == want.shape
         assert matcore.fro_norm(basis @ matcore.dagger(basis)
                                 - want @ matcore.dagger(want)) <= 1e-12
         # the singular values of K, sigma_min included, to rounding of |K|
-        want_sv = scipy.linalg.svdvals(k)
         assert sv.shape == want_sv.shape
         assert np.max(np.abs(sv - want_sv)) <= 1e-13 * want_sv[0]
         dims.append(basis.shape[1])
-    # at n = 1, K is pure rounding for the conjugate, so its rank is 1
+    # at n = 1, K is pure rounding for the conjugate, so its rank at a
+    # cut relative to its own largest singular value is 1
     assert dims == ([0, 0] if n == 1 else [1, 0])
 
 
@@ -447,12 +459,11 @@ def _outcome(out):
                                       rep.coincidence.max_residual))
 
 
-def test_search_result_does_not_depend_on_the_blocks(monkeypatch):
-    # the search holds each defect family as one stack, whatever the block
-    # size of the stacked kernels: blocks of 1 to 3 starts' worth give
-    # bitwise the default result, on a NOT_FOUND search and on a FOUND one
-    # whose first two verified candidates are turned away, so the witness
-    # is the defect family's second draw
+def test_search_builds_only_the_defect_candidates_it_reads(monkeypatch):
+    # the defect family is built as the search reads it: a NOT_FOUND search
+    # reads every candidate, and a FOUND one whose first two verified
+    # candidates are turned away, so that the witness is the defect
+    # family's second draw, reads three of its eight
     fp_near = _drawing()
     fp_planted = _near_with_common_summand(6640, 1e-8)
     verify = invariant.verify_equivalence
@@ -465,23 +476,14 @@ def test_search_result_does_not_depend_on_the_blocks(monkeypatch):
             return rep
         return dataclasses.replace(rep, verdict=VERDICT_NOT_EQUIVALENT)
 
-    def run():
-        out = [_outcome(g.search_witness(*fp_near, restarts=7, seed=3))]
-        calls.clear()
-        return out + [_outcome(g.search_witness(*fp_planted, restarts=8, seed=3))]
-
     monkeypatch.setattr(invariant, "verify_equivalence", late_verify)
-    default = run()
-    assert default[0][:2] == (SEARCH_NOT_FOUND, 14)
-    assert default[1][:2] == (SEARCH_FOUND, 11)
-    sizes = _record_stacks(monkeypatch)
-    r, r_star = fp_near[0].f.shape[0], fp_near[0].f_star.shape[0]
-    item = 16 * (r * r + r_star * r_star)
-    for budget in (1, 2 * item, 3 * item):
-        monkeypatch.setattr(matcore, "BATCH_BYTES", budget)
-        sizes.clear()
-        assert run() == default
-        assert sizes == [7, 8]
+    reads = _record_reads(monkeypatch)
+    out = [_outcome(g.search_witness(*fp_near, restarts=7, seed=3))]
+    calls.clear()
+    out.append(_outcome(g.search_witness(*fp_planted, restarts=8, seed=3)))
+    assert out[0][:2] == (SEARCH_NOT_FOUND, 14)
+    assert out[1][:2] == (SEARCH_FOUND, 11)
+    assert reads == [7, 3]
 
 
 def _counted_search(fp_a, fp_b, restarts, refuse):
@@ -518,47 +520,63 @@ def _property_pairs():
             "found": (_near_with_common_summand(6640, 1e-8), 1)}
 
 
-@functools.cache
-def _default_outcome(name, restarts):
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(["near", "found"]), restarts=st.integers(1, 8))
+def test_polar_calls_follow_the_candidates_read(name, restarts):
+    # one polar step for the ambient candidate and one per unknown for each
+    # defect candidate the search reads: every candidate of the near pair,
+    # and up to the first draw, the witness, of the found one
     (fp_a, fp_b), refuse = _property_pairs()[name]
-    return _counted_search(fp_a, fp_b, restarts, refuse)[0]
+    outcome, calls = _counted_search(fp_a, fp_b, restarts, refuse)
+    if name == "found" and restarts > refuse:
+        assert outcome[:2] == (SEARCH_FOUND, restarts + 2)
+        assert calls == 1 + 2 * 2
+    else:
+        assert outcome[:2] == (SEARCH_NOT_FOUND, 2 * restarts)
+        assert calls == 1 + 2 * restarts
 
 
-@settings(max_examples=24, deadline=None, derandomize=True, database=None)
-@given(name=st.sampled_from(["near", "found"]), restarts=st.integers(1, 8),
-       budget=st.sampled_from([1, 2 * 288, 3 * 288, matcore.BATCH_BYTES]))
-def test_polar_calls_depend_only_on_restarts_and_blocks(name, restarts, budget):
-    # one polar step for the ambient candidate and one batched step per
-    # unknown of the defect family, whatever the restarts and the block;
-    # the outcome is the default block size's.  A defect start of these
-    # n = 3 pairs holds 288 = 16 (3^2 + 3^2) bytes
-    (fp_a, fp_b), refuse = _property_pairs()[name]
-    with mock.patch.object(matcore, "BATCH_BYTES", budget):
-        outcome, calls = _counted_search(fp_a, fp_b, restarts, refuse)
-    assert outcome == _default_outcome(name, restarts)
-    assert calls == 3
+def test_search_memory_does_not_grow_with_restarts():
+    # the defect family is built as it is read: a search whose witness is
+    # the family's first draw holds one candidate at a time, so 20,000
+    # restarts peak within twice of 20
+    fp_a, fp_b = _near_with_common_summand(6640, 1e-8)
+    g.search_witness(fp_a, fp_b, restarts=20)  # fill the pairs' caches
+    peaks = []
+    for restarts in (20, 20000):
+        tracemalloc.start()
+        try:
+            out = g.search_witness(fp_a, fp_b, restarts=restarts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (out.status, out.restarts_used) == (SEARCH_FOUND, restarts + 2)
+    assert peaks[1] <= 2 * peaks[0]
 
 
 def test_planted_conjugate_runs_one_start(monkeypatch):
     # the warm start, checked as drawn, is the witness: no defect family
-    sizes = _record_stacks(monkeypatch)
+    sizes = _record_reads(monkeypatch)
     fp_a, fp_b, _ = _planted(6, 6400, 6410)
     out = g.search_witness(fp_a, fp_b, restarts=20, seed=0)
     assert (out.status, out.restarts_used) == (SEARCH_FOUND, 1)
     assert sizes == []
 
 
-def test_search_holds_one_block_of_starts(monkeypatch):
-    # however many restarts are asked for, the defect family is one stack
-    # of candidates from one factorization of its system, polar factored
-    # in one batched step per unknown after the ambient candidate's one,
-    # and each candidate is verified
-    sizes = _record_stacks(monkeypatch)
-    fp_a, fp_b = _drawing()
-    monkeypatch.setattr(matcore, "BATCH_BYTES", 2 ** 9)
-    outcome, calls = _counted_search(fp_a, fp_b, 40, 0)
+def test_search_factors_the_defect_system_once(monkeypatch):
+    # however many restarts are asked for, the defect family comes from one
+    # factorization of its system after the reduced system's, its
+    # candidates are built one at a time as the search reads them, each
+    # polar factored once per unknown after the ambient candidate's one
+    # step, and each candidate is verified
+    reads = _record_reads(monkeypatch)
+    factored, null_onb = [], matcore.null_onb
+    monkeypatch.setattr(matcore, "null_onb", lambda k, bound: (
+        factored.append(k.shape) or null_onb(k, bound)))
+    outcome, calls = _counted_search(*_drawing(), 40, 0)
     assert outcome[:2] == (SEARCH_NOT_FOUND, 80)
-    assert sizes == [40] and calls == 3
+    assert reads == [40] and calls == 1 + 2 * 40
+    assert factored == [(4 * 9, 3), (9 + 3 * 3, 9)]
 
 
 def _turned(t1, t2, seed):
@@ -580,29 +598,33 @@ def _no_intertwiner_system(patch, n):
     n >= 2."""
     shapes, null_onb = [], matcore.null_onb
 
-    def recorded(k):
+    def recorded(k, bound):
         shapes.append(k.shape)
         assert n == 1 or k.shape != (4 * n * n, n * n), "K was formed"
-        return null_onb(k)
+        return null_onb(k, bound)
 
     patch.setattr(matcore, "null_onb", recorded)
     return shapes
 
 
-def _family(kind, n):
+def _family(kind, n, workloads):
     """A conjugate pair of each exact-conjugate family, and the restarts
     used by its find at 20 restarts: 1 where the reduced route decides, 21
     where the defect family's first candidate is the witness."""
     shift = np.eye(n, k=-1, dtype=complex)
     if kind == "planted":
-        return _planted(n, 8300 + 10 * n, 8400 + 10 * n)[:2], 21 if n == 1 else 1
+        return _planted(n, 8300 + 10 * n, 8400 + 10 * n)[:2], 1
     if kind == "jordan":
         return _turned(0.5 * np.eye(n) + 0.4 * shift, 0.3 * shift, 8200 + n), 1
+    if kind == "normal":
+        t1, t2 = workloads._normal_pure_pair(
+            n, 0.9, np.random.default_rng(8500 + n))
+        return _turned(t1, t2, 8600 + n), 1
     # the sums repeat eigenvalues of the Hermitian mix
     if kind == "repeated-normal":
-        t1 = np.diag([0.3, 0.3, -0.5j, -0.5j])
-        t2 = np.diag([0.6, 0.6, 0.2 + 0.1j, 0.2 + 0.1j])
-    elif kind == "jordan-sum":
+        return _turned(np.diag([0.3, 0.3, -0.5j, -0.5j]),
+                       np.diag([0.6, 0.6, 0.2 + 0.1j, 0.2 + 0.1j]), 6630), 1
+    if kind == "jordan-sum":
         nil = np.kron(np.eye(2), [[0.0, 1.0], [0.0, 0.0]])
         t1, t2 = 0.3 * np.eye(4) + 0.4 * nil, 0.2 * np.eye(4) + 0.5 * nil
     else:
@@ -611,17 +633,26 @@ def _family(kind, n):
     return _turned(t1, t2, 6630), 21
 
 
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    return importlib.import_module("workloads")
+
+
 @pytest.mark.parametrize("kind, n", [
     *(("planted", n) for n in (1, 2, 3, 6, 12)),
+    *(("normal", n) for n in (2, 6, 12)),
     ("repeated-normal", 4), ("jordan-sum", 4), ("repeated-summand", 4),
     *(("jordan", n) for n in (2, 3, 4, 5))])
 def test_exact_conjugates_are_found_without_the_intertwiner_system(
-        kind, n, monkeypatch):
-    # planted conjugates and single Jordan blocks are found by the reduced
-    # route, except at n = 1, where the reduced system is rounding alone;
-    # Haar-turned sums with a repeated summand, J (+) J or repeated normal
-    # joint eigenvalues, by the defect family's first candidate
-    (fp_a, fp_b), used = _family(kind, n)
+        kind, n, monkeypatch, workloads):
+    # planted conjugates, n = 1 included, single Jordan blocks and normal
+    # pairs, with a simple spectrum or repeated joint eigenvalues, are found
+    # by the reduced route, its nullspace taken on the pairs' scale; the
+    # Haar-turned sums J (+) J and X (+) X, whose eigenbases of the
+    # Hermitian mix mix the two summands, by the defect family's first
+    # candidate
+    (fp_a, fp_b), used = _family(kind, n, workloads)
     shapes = _no_intertwiner_system(monkeypatch, n)
     for seed in range(2):
         out = g.search_witness(fp_a, fp_b, restarts=20, seed=seed)
@@ -648,14 +679,15 @@ def test_one_restart_checks_the_warm_start_as_the_only_ambient_candidate(
         monkeypatch, intertwiner_system):
     # one restart: the warm start is the ambient family's one candidate, and
     # the defect family, one candidate, is built only where it is refused
-    sizes = _record_stacks(monkeypatch)
+    sizes = _record_reads(monkeypatch)
     fp_a, fp_b, _ = _planted(3, 6600, 6610)
     found = g.search_witness(fp_a, fp_b, restarts=1, seed=0)
     assert (found.status, found.restarts_used) == (SEARCH_FOUND, 1)
     assert sizes == []
     near = _near_with_common_summand(6620)
-    assert matcore.null_onb(intertwiner_system(
-        near[0].pair, near[1].pair))[0].shape[1] >= 1
+    k = intertwiner_system(near[0].pair, near[1].pair)
+    assert matcore.null_onb(
+        k, matcore.REL_RANK_TOL * matcore.op_norm(k))[0].shape[1] >= 1
     assert not g.trace_word_screen(*near).mismatch
     missed = g.search_witness(*near, restarts=1, seed=0)
     assert (missed.status, missed.restarts_used) == (SEARCH_NOT_FOUND, 2)
@@ -712,7 +744,7 @@ def test_band_and_singular_pairs_get_at_most_one_ambient_candidate(
     # witness.  A near pair with a common summand, at an eps the spectral
     # gap does not refuse, has a reduced nullspace, from which its one
     # candidate is drawn, and the gate refuses it
-    sizes = _record_stacks(monkeypatch)
+    sizes = _record_reads(monkeypatch)
     for fp_a, fp_b in (_near(2, 6802, 1e-8), _near(6, 6806, 1e-8)):
         with monkeypatch.context() as patch:
             checks = _gate_checks(patch)
@@ -759,23 +791,27 @@ def test_defect_draws_find_common_summand_pairs():
 def test_band_pairs_the_ascent_finds_are_found_by_one_candidate(
         ambient_search_oracle):
     # conjugates of (S + eps P, P) at eps from 1e-9 to 3e-8 lie in the band:
-    # no reduced nullspace and no certificate.  Every such pair on which the
-    # ambient ascent, run from the identity and Haar starts, finds a
-    # witness, the search finds with one candidate, the defect family's
-    # first.  Measured: the ascent finds 16 of these 24, the candidate 21
-    found, by_candidate = 0, 0
+    # no certificate fires.  Every such pair on which the ambient ascent,
+    # run from the identity and Haar starts, finds a witness, the search
+    # finds with one candidate: the ambient candidate where the reduced
+    # system has a nullspace on the pairs' scale, else the defect family's
+    # first.  Measured: the ascent finds 16 of these 24, the search 21, 3
+    # of them with the ambient candidate
+    found, by_candidate, by_ambient = 0, 0, 0
+    one_candidate = {(SEARCH_FOUND, 1), (SEARCH_FOUND, 5)}
     for n in (2, 3):
         for seed in range(4):
             for eps in (1e-9, 1e-8, 3e-8):
                 fp_a, fp_b = _near(n, 6900 + 10 * n + seed, eps)
                 out = g.search_witness(fp_a, fp_b, restarts=4, seed=seed)
                 assert out.refusals == []
-                by_candidate += (out.status, out.restarts_used) == (SEARCH_FOUND, 5)
+                by_candidate += (out.status, out.restarts_used) in one_candidate
+                by_ambient += (out.status, out.restarts_used) == (SEARCH_FOUND, 1)
                 if ambient_search_oracle(fp_a, fp_b, 4, seed) is None:
                     continue
                 found += 1
-                assert (out.status, out.restarts_used) == (SEARCH_FOUND, 5)
-    assert 12 <= found < by_candidate
+                assert (out.status, out.restarts_used) in one_candidate
+    assert 12 <= found < by_candidate and by_ambient >= 1
 
 
 def test_one_dimensional_gate_subspace_is_verified_once(monkeypatch):
@@ -847,12 +883,12 @@ def test_defect_certificate_skips_only_ascents_the_gate_refuses(
     for seed in (6840 + n, 6850 + n):
         fp_a, fp_b = _near(n, seed)
         with monkeypatch.context() as patch:
-            sizes = _record_stacks(patch)
+            sizes = _record_reads(patch)
             on = g.search_witness(fp_a, fp_b, restarts=6, seed=seed)
         assert on.defect_sigma_min > on.defect_bound and sizes == [1]
         verify, reports = invariant.verify_equivalence, []
         with monkeypatch.context() as patch:
-            sizes = _record_stacks(patch)
+            sizes = _record_reads(patch)
             patch.setattr(invariant, "_defect_bound",
                           lambda *args: float("inf"))
             patch.setattr(invariant, "verify_equivalence", lambda *args: (
@@ -950,15 +986,13 @@ def test_certificate_bound_keeps_the_bounds_it_replaces():
        max_norm=st.sampled_from([0.5, 0.75, 0.95]))
 def test_reduced_route_never_refuses_a_planted_conjugate(n, seed, max_norm):
     # the spectral gap stays below its bound on a conjugate, and the
-    # candidate from the reduced nullspace passes the gate; only n = 1,
-    # where R is rounding alone, has no reduced nullspace and no candidate
+    # candidate from the reduced nullspace passes the gate, n = 1 included,
+    # where R is rounding alone: its nullspace is taken on the pairs' scale
     fp_a, fp_b, _ = _planted(n, seed, seed + 1, max_norm)
     u, fields = invariant._ambient_candidate(
         fp_a.pair, fp_b.pair, np.random.default_rng(seed))
     assert fields["ambient_gap"] <= fields["ambient_gap_bound"]
-    assert (u is None) == (n == 1)
-    if n > 1:
-        g.witness_from_ambient(u, fp_a, fp_b)
+    g.witness_from_ambient(u, fp_a, fp_b)
 
 
 def test_common_summand_pairs_are_refused_by_the_spectral_gap():

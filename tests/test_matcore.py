@@ -62,10 +62,11 @@ def test_psd_eigh_zeroes_eigenvalues_inside_its_clamp():
 def test_null_onb_rank_and_orthonormality():
     # the singular values come back too, those of k itself, largest first,
     # and the right singular vectors, the nullspace basis their last columns
+    # past the singular values above the caller's bound
     rng = np.random.default_rng(4)
     for rows, n, r in ((8, 4, 2), (12, 6, 6), (5, 5, 1)):
         k = crandn(rng, rows, r) @ crandn(rng, r, n)
-        q, s, v = matcore.null_onb(k)
+        q, s, v = matcore.null_onb(k, 1e-10 * matcore.fro_norm(k))
         assert q.shape == (n, n - r)
         assert np.allclose(matcore.dagger(q) @ q, np.eye(n - r), atol=1e-12)
         assert matcore.fro_norm(k @ q) <= 1e-12 * matcore.fro_norm(k)
@@ -75,9 +76,16 @@ def test_null_onb_rank_and_orthonormality():
         assert np.array_equal(v[:, r:], q)
         assert np.allclose(matcore.dagger(v) @ v, np.eye(n), atol=1e-12)
         assert np.allclose(np.linalg.norm(k @ v, axis=0), s, atol=1e-12 * s[0])
-    # a zero matrix has rank 0
-    q, s, v = matcore.null_onb(np.zeros((6, 3)))
-    assert q.shape == v.shape == (3, 3) and np.array_equal(s, np.zeros(3))
+    # a matrix of rounding alone has rank 0 at a bound on the scale of what
+    # it stands for, though a cut relative to its largest singular value
+    # would find it full rank
+    k = 1e-15 * crandn(rng, 12, 3)
+    q, s, v = matcore.null_onb(k, 1e-10)
+    assert q.shape == v.shape == (3, 3) and np.all(s > 1e-10 * s[0])
+    # a zero matrix has rank 0 at any bound, zero included
+    for bound in (0.0, 1e-10):
+        q, s, v = matcore.null_onb(np.zeros((6, 3)), bound)
+        assert q.shape == v.shape == (3, 3) and np.array_equal(s, np.zeros(3))
 
 
 def test_numerical_radius_normal_equals_spectral_radius():
