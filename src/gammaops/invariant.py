@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .charfn import CoincidenceResult, coincide_check
+from .charfn import CoincidenceResult, coincide_check, theta_coeffs
 from .exceptions import (DimensionMismatch, NotIntertwining, NotPure,
                          TruncationCapExceeded)
 from .fundamental import FundamentalPair
@@ -176,12 +176,18 @@ def _structural_report(reason: str) -> EquivalenceReport:
 
 
 def _model_confirmation(fp_a: FundamentalPair, fp_b: FundamentalPair,
-                        eta1: np.ndarray) -> dict:
+                        sigma: np.ndarray, eta1: np.ndarray) -> dict:
     """Compression of I (x) eta1 between the two model spaces.
 
     For a true witness this compression is the unitary conjugating the model
     operators of A onto those of B, so its unitarity defect and conjugation
     residual certify equivalence end to end, not only at the defect level.
+    Only the bases and compressions of ``model_space`` are read, not a
+    verification ledger.  ``theta_coefficients`` is the sum over k < N of
+    |eta1 Theta_A,k - Theta_B,k sigma|_F; by the triangle inequality it
+    bounds the gap between the two N-term Taylor polynomials of the
+    characteristic functions everywhere on the closed disc |z| <= 1.  The
+    tail k >= N is not included, and the number is reported, not gated.
     """
     n_common = max(auto_truncation(fp_a.pair), auto_truncation(fp_b.pair))
     md_a, md_b = (model_space(fp, n_common) for fp in (fp_a, fp_b))
@@ -192,10 +198,13 @@ def _model_confirmation(fp_a: FundamentalPair, fp_b: FundamentalPair,
     conj = max(
         matcore.fro_norm(u_hat @ md_a.s1 @ matcore.dagger(u_hat) - md_b.s1),
         matcore.fro_norm(u_hat @ md_a.p1 @ matcore.dagger(u_hat) - md_b.p1))
+    gaps = (eta1 @ theta_coeffs(fp_a, md_a.w)
+            - theta_coeffs(fp_b, md_b.w) @ sigma)
     return {
         "n_trunc": float(n_common),
         "unitarity": unitarity_defect(u_hat),
         "conjugation": conj,
+        "theta_coefficients": float(np.linalg.norm(gaps, axis=(1, 2)).sum()),
     }
 
 
@@ -222,7 +231,9 @@ def verify_equivalence(fp_a: FundamentalPair, fp_b: FundamentalPair,
     at most MODEL_CONFIRM_TOL.  A confirmation above that bound gives an
     inconclusive NOT_EQUIVALENT that still carries the confirmation; one
     that cannot run, because auto truncation reaches TRUNCATION_CAP, gives
-    an inconclusive NOT_EQUIVALENT whose reason names the cap.
+    an inconclusive NOT_EQUIVALENT whose reason names the cap.  The
+    confirmation's theta_coefficients, a bound on the N-term Taylor gap
+    over the closed disc, is reported and gates nothing.
     Witness matrices that do not fit the defect ranks raise DimensionMismatch.
     """
     _require_pure(fp_a, fp_b)
@@ -248,7 +259,7 @@ def verify_equivalence(fp_a: FundamentalPair, fp_b: FundamentalPair,
     if fstar_ok and coincidence.coincide:
         confirmation, miss = None, ""
         try:
-            confirmation = _model_confirmation(fp_a, fp_b, w.eta1)
+            confirmation = _model_confirmation(fp_a, fp_b, w.sigma, w.eta1)
         except TruncationCapExceeded as exc:
             miss = f", but the model confirmation cannot run: {exc}"
         else:

@@ -264,9 +264,7 @@ def polar_unitary(m: np.ndarray) -> np.ndarray:
     """Isometric factor of the polar decomposition (closest isometry to m).
 
     ``m`` is one (k, l) matrix with k >= l, whose factor has orthonormal
-    columns (the symmetric, Loewdin, orthonormalization of its columns), or
-    a stack (s, k, l); a stack gives the stack of factors, each bitwise the
-    factor of its matrix alone, from one batched SVD.
+    columns: the symmetric, Loewdin, orthonormalization of its columns.
     """
     if m.size == 0:
         return m.copy()

@@ -12,7 +12,7 @@ to the embedded copy.  Truncation at N leaves tails of order |P^N|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ class ModelData:
 
     ``w`` is the embedding, ``model_basis`` its orthonormalization (n columns),
     ``s1``/``p1`` the compressions of T/V to the model space, and
-    ``residuals`` collects the verification ledger.
+    ``residuals`` the residual ledger, which ``verify_model`` completes.
     """
 
     n_trunc: int
@@ -128,9 +128,11 @@ def _complement_identity_residual(b: np.ndarray, t_theta) -> float:
 
 
 def model_space(fp: FundamentalPair, n_trunc: int | None = None) -> ModelData:
-    """Embedding, orthonormal model basis, compressions and residual ledger.
+    """Embedding, orthonormal model basis, tail and compressions of the model.
 
-    ``n_trunc`` None takes the block count N from ``auto_truncation``.
+    The ledger holds isometry_defect and the intertwining residuals of the
+    compressions; ``verify_model`` adds the verification rows.  ``n_trunc``
+    None takes the block count N from ``auto_truncation``.
     """
     pair = fp.pair
     n_val = _resolve_trunc(pair, n_trunc)
@@ -138,13 +140,9 @@ def model_space(fp: FundamentalPair, n_trunc: int | None = None) -> ModelData:
     basis = matcore.flush_subnormals(matcore.polar_unitary(w))
     tail = matcore.op_norm(np.linalg.matrix_power(pair.p, n_val))
     iso = matcore.op_norm(matcore.dagger(w) @ w - np.eye(pair.n, dtype=complex))
-    complement = _complement_identity_residual(
-        basis, toeplitz_mult(theta_coeffs(fp, w)))
     s1, p1, intertwine = model_operators(fp, w, basis)
     return ModelData(n_trunc=n_val, w=w, model_basis=basis, tail=tail, s1=s1,
-                     p1=p1, residuals={"isometry_defect": iso,
-                                       "complement_identity": complement,
-                                       **intertwine})
+                     p1=p1, residuals={"isometry_defect": iso, **intertwine})
 
 
 def model_operators(fp: FundamentalPair, w: np.ndarray, b: np.ndarray
@@ -175,11 +173,18 @@ def model_operators(fp: FundamentalPair, w: np.ndarray, b: np.ndarray
 
 
 def verify_model(fp: FundamentalPair, n_trunc: int | None = None) -> ModelData:
-    """The model of ``model_space`` with fstar_defect_identity added to its ledger.
+    """The model of ``model_space`` with its ledger completed.
 
-    For genuine pure pairs every residual sits at the truncation-tail or
-    rounding level.
+    complement_identity, |B B* + T_Theta T_Theta* - I| from the Theta
+    coefficients on the embedding, goes after isometry_defect and
+    fstar_defect_identity last.  For genuine pure pairs every residual sits
+    at the truncation-tail or rounding level.
     """
     md = model_space(fp, n_trunc)
-    md.residuals["fstar_defect_identity"] = fstar_defect_identity_residual(fp)
-    return md
+    complement = _complement_identity_residual(
+        md.model_basis, toeplitz_mult(theta_coeffs(fp, md.w)))
+    # isometry_defect keeps its first place when the ledger is unpacked
+    return replace(md, residuals={
+        "isometry_defect": md.residuals["isometry_defect"],
+        "complement_identity": complement, **md.residuals,
+        "fstar_defect_identity": fstar_defect_identity_residual(fp)})

@@ -96,7 +96,7 @@ def test_criterion_07_kernel_and_complement(announce, pure100):
         fp = g.solve_fundamental(pair)
         assert g.kernel_identity_residual(fp, grid, grid) <= 1e-9
     for pair in pure100:
-        md = g.model_space(g.solve_fundamental(pair))
+        md = g.verify_model(g.solve_fundamental(pair))
         assert md.residuals["complement_identity"] <= 1e-8
     announce(7, "kernel identity on a 64-point grid, complement on 100 pairs")
 
@@ -163,7 +163,7 @@ def test_criterion_10_truncation_convergence(announce):
     fp = g.solve_fundamental(pair)
     worst = []
     for n_val in (16, 32, 64, 128):
-        md = g.model_space(fp, n_val)
+        md = g.verify_model(fp, n_val)
         worst.append(max(md.residuals.values()))
     for prev, nxt in zip(worst, worst[1:]):
         assert prev <= 1e-12 or nxt <= prev / 10.0

@@ -319,6 +319,29 @@ def test_compare_search_solves_and_screens_each_pair_once(
     assert len(defects) == 2
 
 
+def test_compare_confirmation_reads_no_verification_ledger(
+        tmp_path, capsys, monkeypatch):
+    # the model confirmation reads the two bases, compressions and Theta
+    # coefficients; the complement identity's Lanczos and FFT products run
+    # only where a report shows them
+    pair_a = g.random_pure_gamma(4, seed=48, max_norm=0.8)
+    u = matcore.haar_unitary(4, np.random.default_rng(49))
+    ud = matcore.dagger(u)
+    a = _write(tmp_path, "a.json", _pair_doc(pair_a))
+    b = _write(tmp_path, "b.json", cli.pair_file_doc(
+        u @ pair_a.s @ ud, u @ pair_a.p @ ud))
+    counts = {fn.__name__: _count_calls(monkeypatch, fn)
+              for fn in (matcore.op_norm_hermitian, g.toeplitz_mult,
+                         g.theta_coeffs, g.model_space)}
+    assert cli.main(["compare", a, b, "--search", "2"]) == 0
+    report = _report(capsys.readouterr().out)
+    assert {name: len(calls) for name, calls in counts.items()} == {
+        "op_norm_hermitian": 0, "toeplitz_mult": 0, "theta_coeffs": 2,
+        "model_space": 2}
+    assert report["verdict"] == "EQUIVALENT"
+    assert report["equivalence"]["model_confirmation"]["theta_coefficients"] <= 1e-13
+
+
 def test_compare_search_takes_one_f_star_norm_per_pair(
         tmp_path, capsys, monkeypatch):
     # X (+) Y against X (+) Y', Y' a conjugate of (S_Y + eps P_Y, P_Y),

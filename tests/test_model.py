@@ -107,7 +107,7 @@ def test_embed_w_gram_identity():
 
 def test_model_space_auto_residuals(pure100):
     for pair in pure100[:30]:
-        md = g.model_space(g.solve_fundamental(pair))
+        md = g.verify_model(g.solve_fundamental(pair))
         assert md.residuals["isometry_defect"] <= 1e-10
         assert md.residuals["complement_identity"] <= 1e-8
         b = md.model_basis
@@ -124,8 +124,8 @@ def test_model_space_returns_complete_model():
     md = g.model_space(fp, 10)
     assert md.n_trunc == 10 and md.w.shape == (10 * fp.f_star.shape[0], 3)
     assert md.s1.shape == md.p1.shape == (3, 3)
-    assert list(md.residuals) == ["isometry_defect", "complement_identity",
-                                  "intertwine_s", "intertwine_p"]
+    assert list(md.residuals) == ["isometry_defect", "intertwine_s",
+                                  "intertwine_p"]
     # the model basis is the closest isometry to the embedding
     assert np.array_equal(md.model_basis, matcore.polar_unitary(g.embed_w(fp, 10)))
     assert md.model_basis.shape[1] == 3
@@ -134,15 +134,24 @@ def test_model_space_returns_complete_model():
     assert intertwine == {k: md.residuals[k]
                           for k in ("intertwine_s", "intertwine_p")}
     full = g.verify_model(fp, 10)
-    assert list(full.residuals) == list(md.residuals) + ["fstar_defect_identity"]
+    assert list(full.residuals) == ["isometry_defect", "complement_identity",
+                                    "intertwine_s", "intertwine_p",
+                                    "fstar_defect_identity"]
+    assert {k: full.residuals[k] for k in md.residuals} == md.residuals
     assert np.array_equal(full.s1, md.s1)
+    # the verification rows are exactly their own functions of the model
+    complement = model._complement_identity_residual(
+        full.model_basis, g.toeplitz_mult(g.theta_coeffs(fp, full.w)))
+    assert full.residuals["complement_identity"] == complement
+    assert (full.residuals["fstar_defect_identity"]
+            == g.fstar_defect_identity_residual(fp))
 
 
 def test_model_space_zeroes_subnormal_parts():
     # P*^k underflows for this pair at N = 263: without the flush, about
     # 3,700 parts of W and as many of its polar factor are subnormal
     fp = g.solve_fundamental(g.random_pure_gamma(12, seed=5, max_norm=0.9))
-    md = g.model_space(fp, 263)
+    md = g.verify_model(fp, 263)
     for a in (md.w, md.model_basis):
         parts = np.abs(a.view(np.float64))
         assert not np.any((parts > 0.0) & (parts < np.finfo(np.float64).tiny))
@@ -181,10 +190,12 @@ def test_model_confirmation_matches_kronecker_form():
     # u_hat = B_b* (I (x) eta1) B_a; a non-witness eta1 keeps both residuals O(1)
     fp_a, fp_b = (g.solve_fundamental(g.random_pure_gamma(3, seed=s))
                   for s in (917, 918))
-    r_star = fp_a.f_star.shape[0]
-    assert fp_b.f_star.shape[0] == r_star
-    eta1 = matcore.haar_unitary(r_star, np.random.default_rng(919))
-    got = invariant._model_confirmation(fp_a, fp_b, eta1)
+    r_star, r = fp_a.f_star.shape[0], fp_a.defect_p.rank
+    assert (fp_b.f_star.shape[0], fp_b.defect_p.rank) == (r_star, r)
+    rng = np.random.default_rng(919)
+    eta1 = matcore.haar_unitary(r_star, rng)
+    sigma = matcore.haar_unitary(r, rng)
+    got = invariant._model_confirmation(fp_a, fp_b, sigma, eta1)
     n_val = int(got["n_trunc"])
     compressed = []
     for fp in (fp_a, fp_b):
@@ -200,6 +211,24 @@ def test_model_confirmation_matches_kronecker_form():
     assert want_conj >= 1e-3
     assert abs(got["unitarity"] - invariant.unitarity_defect(u_hat)) <= 1e-13
     assert abs(got["conjugation"] - want_conj) <= 1e-13
+    # per-k oracle of the coefficient gap sum over k < N
+    th_a, th_b = (g.theta_coeffs(fp, g.embed_w(fp, n_val))
+                  for fp in (fp_a, fp_b))
+    want_theta = sum(matcore.fro_norm(eta1 @ th_a[k] - th_b[k] @ sigma)
+                     for k in range(n_val))
+    assert want_theta >= 1e-3
+    assert abs(got["theta_coefficients"] - want_theta) <= 1e-13
+    # on planted conjugates the coefficient gap is rounding
+    for n in range(1, 7):
+        pair_a = g.random_pure_gamma(n, seed=4300 + n, max_norm=0.75)
+        u = matcore.haar_unitary(n, np.random.default_rng(5300 + n))
+        pair_b = g.validate(u @ pair_a.s @ matcore.dagger(u),
+                            u @ pair_a.p @ matcore.dagger(u))
+        fp_a, fp_b = g.solve_fundamental(pair_a), g.solve_fundamental(pair_b)
+        witness, _ = g.witness_from_ambient(u, fp_a, fp_b)
+        got = invariant._model_confirmation(fp_a, fp_b, witness.sigma,
+                                            witness.eta1)
+        assert got["theta_coefficients"] <= 1e-13
 
 
 def test_complement_residual_matches_dense(dense_toeplitz):
