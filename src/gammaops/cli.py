@@ -58,7 +58,7 @@ from .invariant import (
     trace_word_screen,
     verify_equivalence,
 )
-from .model import verify_model
+from .model import model_space, verify_model
 
 SCHEMA_VERSION = "1"
 DEFAULT_SEED = 0
@@ -329,13 +329,14 @@ def cmd_analyze(args) -> int:
     if (fp is not None and pair.flags.pure and pair.necessary_ok
             and not probe.certified_not_gamma):
         try:
-            md = verify_model(fp, n_trunc=args.trunc)
+            md = model_space(fp, n_trunc=args.trunc)
+            tail, ledger = verify_model(fp, md)
             # explicit shallow truncations legitimately carry O(tail) error
             limit = (matcore.MODEL_BREACH_TOL * scale
-                     + matcore.TAIL_SLACK * md.tail * scale)
+                     + matcore.TAIL_SLACK * tail * scale)
             rows = [(key, "model residual", value, limit)
-                    for key, value in md.residuals.items()]
-            report["model"] = {"n_trunc": md.n_trunc, "tail": md.tail,
+                    for key, value in ledger.items()]
+            report["model"] = {"n_trunc": md.n_trunc, "tail": tail,
                                "residuals": _checked(rows, breaches)}
         except TruncationCapExceeded as exc:
             breaches.append(str(exc))

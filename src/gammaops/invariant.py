@@ -182,8 +182,8 @@ def _model_confirmation(fp_a: FundamentalPair, fp_b: FundamentalPair,
     For a true witness this compression is the unitary conjugating the model
     operators of A onto those of B, so its unitarity defect and conjugation
     residual certify equivalence end to end, not only at the defect level.
-    Only the bases and compressions of ``model_space`` are read, not a
-    verification ledger.  ``theta_coefficients`` is the sum over k < N of
+    It reads what ``model_space`` builds and runs no ``verify_model`` row.
+    ``theta_coefficients`` is the sum over k < N of
     |eta1 Theta_A,k - Theta_B,k sigma|_F; by the triangle inequality it
     bounds the gap between the two N-term Taylor polynomials of the
     characteristic functions everywhere on the closed disc |z| <= 1.  The

@@ -12,7 +12,7 @@ to the embedded copy.  Truncation at N leaves tails of order |P^N|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,18 +27,16 @@ from .gamma_pair import GammaPair
 class ModelData:
     """Truncated model of one pure pair.
 
-    ``w`` is the embedding, ``model_basis`` its orthonormalization (n columns),
-    ``s1``/``p1`` the compressions of T/V to the model space, and
-    ``residuals`` the residual ledger, which ``verify_model`` completes.
+    ``w`` is the embedding, ``model_basis`` its orthonormalization (n columns)
+    and ``s1``/``p1`` the compressions of T/V to the model space.  The
+    residual ledger is not part of the model; ``verify_model`` computes it.
     """
 
     n_trunc: int
     w: np.ndarray
     model_basis: np.ndarray
-    tail: float
     s1: np.ndarray
     p1: np.ndarray
-    residuals: dict
 
 
 def auto_truncation(pair: GammaPair) -> int:
@@ -128,63 +126,63 @@ def _complement_identity_residual(b: np.ndarray, t_theta) -> float:
 
 
 def model_space(fp: FundamentalPair, n_trunc: int | None = None) -> ModelData:
-    """Embedding, orthonormal model basis, tail and compressions of the model.
+    """Embedding, orthonormal model basis and compressions of the model.
 
-    The ledger holds isometry_defect and the intertwining residuals of the
-    compressions; ``verify_model`` adds the verification rows.  ``n_trunc``
-    None takes the block count N from ``auto_truncation``.
+    Builds the model only; ``verify_model`` computes its residual ledger.
+    ``n_trunc`` None takes the block count N from ``auto_truncation``.
     """
-    pair = fp.pair
-    n_val = _resolve_trunc(pair, n_trunc)
+    n_val = _resolve_trunc(fp.pair, n_trunc)
     w = embed_w(fp, n_val)
     basis = matcore.flush_subnormals(matcore.polar_unitary(w))
-    tail = matcore.op_norm(np.linalg.matrix_power(pair.p, n_val))
-    iso = matcore.op_norm(matcore.dagger(w) @ w - np.eye(pair.n, dtype=complex))
-    s1, p1, intertwine = model_operators(fp, w, basis)
-    return ModelData(n_trunc=n_val, w=w, model_basis=basis, tail=tail, s1=s1,
-                     p1=p1, residuals={"isometry_defect": iso, **intertwine})
+    s1, p1 = model_operators(fp, basis)
+    return ModelData(n_trunc=n_val, w=w, model_basis=basis, s1=s1, p1=p1)
 
 
-def model_operators(fp: FundamentalPair, w: np.ndarray, b: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Compressions s1 = B* T B, p1 = B* V B and the intertwining residuals.
+def model_operators(fp: FundamentalPair, b: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Compressions s1 = B* T B and p1 = B* V B.
 
-    T and V act on the N row blocks of B and W without being formed:
-    (T B)_k = F_*^adj B_k + F_* B_{k-1}, (V B)_k = B_{k-1},
-    (T* W)_k = F_* W_k + F_*^adj W_{k+1} and (V* W)_k = W_{k+1}, W_N = 0.
+    T and V act on the N row blocks of B without being formed:
+    (T B)_k = F_*^adj B_k + F_* B_{k-1} and (V B)_k = B_{k-1}.
     """
+    f_star = fp.f_star
+    r_star = f_star.shape[0]
+    blocks = (b.shape[0] // r_star, r_star, b.shape[1])
+    t_b = matcore.dagger(f_star) @ b.reshape(blocks)
+    t_b[1:] += f_star @ b.reshape(blocks)[:-1]
+    return (matcore.dagger(b) @ t_b.reshape(b.shape),
+            matcore.dagger(b[r_star:]) @ b[:-r_star])
+
+
+def _intertwining_residuals(fp: FundamentalPair, w: np.ndarray) -> dict:
+    """|W S* - T* W|_F and |W P* - V* W|_F on the row blocks of W:
+    (T* W)_k = F_* W_k + F_*^adj W_{k+1} and (V* W)_k = W_{k+1}, W_N = 0."""
     pair, f_star = fp.pair, fp.f_star
-    f_star_adj = matcore.dagger(f_star)
     r_star = f_star.shape[0]
     blocks = (w.shape[0] // r_star, r_star, pair.n)
-    t_b = f_star_adj @ b.reshape(blocks)
-    t_b[1:] += f_star @ b.reshape(blocks)[:-1]
     t_adj_w = f_star @ w.reshape(blocks)
-    t_adj_w[:-1] += f_star_adj @ w.reshape(blocks)[1:]
+    t_adj_w[:-1] += matcore.dagger(f_star) @ w.reshape(blocks)[1:]
     res_p = w @ matcore.dagger(pair.p)
     res_p[:-r_star] -= w[r_star:]
-    residuals = {
-        "intertwine_s": matcore.fro_norm(
-            w @ matcore.dagger(pair.s) - t_adj_w.reshape(w.shape)),
-        "intertwine_p": matcore.fro_norm(res_p),
-    }
-    return (matcore.dagger(b) @ t_b.reshape(b.shape),
-            matcore.dagger(b[r_star:]) @ b[:-r_star], residuals)
+    return {"intertwine_s": matcore.fro_norm(
+                w @ matcore.dagger(pair.s) - t_adj_w.reshape(w.shape)),
+            "intertwine_p": matcore.fro_norm(res_p)}
 
 
-def verify_model(fp: FundamentalPair, n_trunc: int | None = None) -> ModelData:
-    """The model of ``model_space`` with its ledger completed.
+def verify_model(fp: FundamentalPair, md: ModelData) -> tuple[float, dict]:
+    """Truncation tail |P^N| and residual ledger of the model ``md`` of ``fp``.
 
-    complement_identity, |B B* + T_Theta T_Theta* - I| from the Theta
-    coefficients on the embedding, goes after isometry_defect and
-    fstar_defect_identity last.  For genuine pure pairs every residual sits
-    at the truncation-tail or rounding level.
+    Each row is computed in ledger order, after the one before it: |W*W - I|,
+    |B B* + T_Theta T_Theta* - I| from the Theta coefficients on W, the
+    intertwining residuals and the F_* defect identity.  For genuine pure
+    pairs every residual sits at the truncation-tail or rounding level.
     """
-    md = model_space(fp, n_trunc)
-    complement = _complement_identity_residual(
-        md.model_basis, toeplitz_mult(theta_coeffs(fp, md.w)))
-    # isometry_defect keeps its first place when the ledger is unpacked
-    return replace(md, residuals={
-        "isometry_defect": md.residuals["isometry_defect"],
-        "complement_identity": complement, **md.residuals,
-        "fstar_defect_identity": fstar_defect_identity_residual(fp)})
+    w = md.w
+    tail = matcore.op_norm(np.linalg.matrix_power(fp.pair.p, md.n_trunc))
+    return tail, {
+        "isometry_defect": matcore.op_norm(
+            matcore.dagger(w) @ w - np.eye(w.shape[1], dtype=complex)),
+        "complement_identity": _complement_identity_residual(
+            md.model_basis, toeplitz_mult(theta_coeffs(fp, w))),
+        **_intertwining_residuals(fp, w),
+        "fstar_defect_identity": fstar_defect_identity_residual(fp)}

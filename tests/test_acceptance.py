@@ -96,8 +96,9 @@ def test_criterion_07_kernel_and_complement(announce, pure100):
         fp = g.solve_fundamental(pair)
         assert g.kernel_identity_residual(fp, grid, grid) <= 1e-9
     for pair in pure100:
-        md = g.verify_model(g.solve_fundamental(pair))
-        assert md.residuals["complement_identity"] <= 1e-8
+        fp = g.solve_fundamental(pair)
+        _, ledger = g.verify_model(fp, g.model_space(fp))
+        assert ledger["complement_identity"] <= 1e-8
     announce(7, "kernel identity on a 64-point grid, complement on 100 pairs")
 
 
@@ -105,9 +106,10 @@ def test_criterion_08_model_equivalence(announce, pure100):
     for pair in pure100:
         fp = g.solve_fundamental(pair)
         md = g.model_space(fp)
+        _, ledger = g.verify_model(fp, md)
         bound = 1e-8 * (1.0 + pair.norm_s)
-        assert md.residuals["intertwine_s"] <= bound
-        assert md.residuals["intertwine_p"] <= bound
+        assert ledger["intertwine_s"] <= bound
+        assert ledger["intertwine_p"] <= bound
         assert matcore.fro_norm(md.s1 - pair.s) <= 1e-7
         assert matcore.fro_norm(md.p1 - pair.p) <= 1e-7
         assert g.fstar_defect_identity_residual(fp) <= 1e-9
@@ -163,8 +165,8 @@ def test_criterion_10_truncation_convergence(announce):
     fp = g.solve_fundamental(pair)
     worst = []
     for n_val in (16, 32, 64, 128):
-        md = g.verify_model(fp, n_val)
-        worst.append(max(md.residuals.values()))
+        _, ledger = g.verify_model(fp, g.model_space(fp, n_val))
+        worst.append(max(ledger.values()))
     for prev, nxt in zip(worst, worst[1:]):
         assert prev <= 1e-12 or nxt <= prev / 10.0
     assert worst[-1] <= 1e-12

@@ -285,7 +285,8 @@ def test_compare_search_reports_the_defect_certificate(tmp_path, capsys):
 
 
 def _count_calls(monkeypatch, fn):
-    """Count calls of a package function at every module attribute bound to it."""
+    """Count calls of a function at every attribute bound to it in the package
+    and in numpy.linalg, which the model calls through ``np.linalg``."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -293,7 +294,8 @@ def _count_calls(monkeypatch, fn):
         return fn(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if module is None or not name.startswith("gammaops"):
+        if module is None or not (name.startswith("gammaops")
+                                  or module is np.linalg):
             continue
         for attr, value in list(vars(module).items()):
             if value is fn:
@@ -322,8 +324,8 @@ def test_compare_search_solves_and_screens_each_pair_once(
 def test_compare_confirmation_reads_no_verification_ledger(
         tmp_path, capsys, monkeypatch):
     # the model confirmation reads the two bases, compressions and Theta
-    # coefficients; the complement identity's Lanczos and FFT products run
-    # only where a report shows them
+    # coefficients; verify_model's ledger, with the complement identity's
+    # Lanczos and FFT products, runs only where a report shows it
     pair_a = g.random_pure_gamma(4, seed=48, max_norm=0.8)
     u = matcore.haar_unitary(4, np.random.default_rng(49))
     ud = matcore.dagger(u)
@@ -332,12 +334,13 @@ def test_compare_confirmation_reads_no_verification_ledger(
         u @ pair_a.s @ ud, u @ pair_a.p @ ud))
     counts = {fn.__name__: _count_calls(monkeypatch, fn)
               for fn in (matcore.op_norm_hermitian, g.toeplitz_mult,
-                         g.theta_coeffs, g.model_space)}
+                         g.theta_coeffs, g.model_space, g.verify_model,
+                         np.linalg.matrix_power)}
     assert cli.main(["compare", a, b, "--search", "2"]) == 0
     report = _report(capsys.readouterr().out)
     assert {name: len(calls) for name, calls in counts.items()} == {
         "op_norm_hermitian": 0, "toeplitz_mult": 0, "theta_coeffs": 2,
-        "model_space": 2}
+        "model_space": 2, "verify_model": 0, "matrix_power": 0}
     assert report["verdict"] == "EQUIVALENT"
     assert report["equivalence"]["model_confirmation"]["theta_coefficients"] <= 1e-13
 

@@ -107,43 +107,48 @@ def test_embed_w_gram_identity():
 
 def test_model_space_auto_residuals(pure100):
     for pair in pure100[:30]:
-        md = g.verify_model(g.solve_fundamental(pair))
-        assert md.residuals["isometry_defect"] <= 1e-10
-        assert md.residuals["complement_identity"] <= 1e-8
+        fp = g.solve_fundamental(pair)
+        md = g.model_space(fp)
+        tail, ledger = g.verify_model(fp, md)
+        assert ledger["isometry_defect"] <= 1e-10
+        assert ledger["complement_identity"] <= 1e-8
         b = md.model_basis
         assert matcore.op_norm(matcore.dagger(b) @ b - np.eye(pair.n)) <= 1e-12
-        assert md.tail <= 1e-12
+        assert tail <= 1e-12
 
 
 def test_model_space_returns_complete_model():
+    # model_space builds the model alone; verify_model writes the ledger
+    fields = dataclasses.fields(g.ModelData)
+    assert [f.name for f in fields] == ["n_trunc", "w", "model_basis", "s1",
+                                        "p1"]
     assert all(f.default is dataclasses.MISSING
-               and f.default_factory is dataclasses.MISSING
-               for f in dataclasses.fields(g.ModelData))
+               and f.default_factory is dataclasses.MISSING for f in fields)
     pair = g.random_pure_gamma(3, seed=922, max_norm=0.8)
     fp = g.solve_fundamental(pair)
     md = g.model_space(fp, 10)
     assert md.n_trunc == 10 and md.w.shape == (10 * fp.f_star.shape[0], 3)
     assert md.s1.shape == md.p1.shape == (3, 3)
-    assert list(md.residuals) == ["isometry_defect", "intertwine_s",
-                                  "intertwine_p"]
     # the model basis is the closest isometry to the embedding
     assert np.array_equal(md.model_basis, matcore.polar_unitary(g.embed_w(fp, 10)))
     assert md.model_basis.shape[1] == 3
-    s1, p1, intertwine = g.model_operators(fp, md.w, md.model_basis)
+    s1, p1 = g.model_operators(fp, md.model_basis)
     assert np.array_equal(s1, md.s1) and np.array_equal(p1, md.p1)
-    assert intertwine == {k: md.residuals[k]
-                          for k in ("intertwine_s", "intertwine_p")}
-    full = g.verify_model(fp, 10)
-    assert list(full.residuals) == ["isometry_defect", "complement_identity",
-                                    "intertwine_s", "intertwine_p",
-                                    "fstar_defect_identity"]
-    assert {k: full.residuals[k] for k in md.residuals} == md.residuals
-    assert np.array_equal(full.s1, md.s1)
-    # the verification rows are exactly their own functions of the model
+    tail, ledger = g.verify_model(fp, md)
+    assert list(ledger) == ["isometry_defect", "complement_identity",
+                            "intertwine_s", "intertwine_p",
+                            "fstar_defect_identity"]
+    assert tail == matcore.op_norm(np.linalg.matrix_power(pair.p, 10))
+    # each row is exactly its own function of the model
+    assert ledger["isometry_defect"] == matcore.op_norm(
+        matcore.dagger(md.w) @ md.w - np.eye(3))
     complement = model._complement_identity_residual(
-        full.model_basis, g.toeplitz_mult(g.theta_coeffs(fp, full.w)))
-    assert full.residuals["complement_identity"] == complement
-    assert (full.residuals["fstar_defect_identity"]
+        md.model_basis, g.toeplitz_mult(g.theta_coeffs(fp, md.w)))
+    assert ledger["complement_identity"] == complement
+    intertwine = model._intertwining_residuals(fp, md.w)
+    assert list(intertwine) == ["intertwine_s", "intertwine_p"]
+    assert intertwine == {k: ledger[k] for k in intertwine}
+    assert (ledger["fstar_defect_identity"]
             == g.fstar_defect_identity_residual(fp))
 
 
@@ -151,11 +156,11 @@ def test_model_space_zeroes_subnormal_parts():
     # P*^k underflows for this pair at N = 263: without the flush, about
     # 3,700 parts of W and as many of its polar factor are subnormal
     fp = g.solve_fundamental(g.random_pure_gamma(12, seed=5, max_norm=0.9))
-    md = g.verify_model(fp, 263)
+    md = g.model_space(fp, 263)
     for a in (md.w, md.model_basis):
         parts = np.abs(a.view(np.float64))
         assert not np.any((parts > 0.0) & (parts < np.finfo(np.float64).tiny))
-    assert max(md.residuals.values()) <= 1e-13
+    assert max(g.verify_model(fp, md)[1].values()) <= 1e-13
 
 
 def _dense_t_v(fp, n_val):
@@ -167,7 +172,8 @@ def _dense_t_v(fp, n_val):
 
 
 def test_model_operator_structure():
-    # blockwise compressions and residuals against the dense Kronecker forms
+    # blockwise compressions and intertwining residuals against the dense
+    # Kronecker forms
     for n_val, seed in ((1, 911), (6, 911), (9, 915)):
         pair = g.random_pure_gamma(3, seed=seed)
         fp = g.solve_fundamental(pair)
@@ -181,8 +187,9 @@ def test_model_operator_structure():
             w @ matcore.dagger(pair.s) - matcore.dagger(t) @ w)
         want_p = matcore.fro_norm(
             w @ matcore.dagger(pair.p) - matcore.dagger(v) @ w)
-        assert abs(md.residuals["intertwine_s"] - want_s) <= 1e-13
-        assert abs(md.residuals["intertwine_p"] - want_p) <= 1e-13
+        got = model._intertwining_residuals(fp, w)
+        assert abs(got["intertwine_s"] - want_s) <= 1e-13
+        assert abs(got["intertwine_p"] - want_p) <= 1e-13
         assert not hasattr(md, "t") and not hasattr(md, "v")
 
 
@@ -253,12 +260,14 @@ def test_complement_residual_matches_dense(dense_toeplitz):
 
 def test_compressions_recover_pair(pure100):
     for pair in pure100[:20]:
-        md = g.model_space(g.solve_fundamental(pair))
+        fp = g.solve_fundamental(pair)
+        md = g.model_space(fp)
         scale = 1.0 + pair.norm_s
         assert matcore.fro_norm(md.s1 - pair.s) <= 1e-9 * scale
         assert matcore.fro_norm(md.p1 - pair.p) <= 1e-9 * scale
-        assert md.residuals["intertwine_s"] <= 1e-8 * scale
-        assert md.residuals["intertwine_p"] <= 1e-8 * scale
+        intertwine = model._intertwining_residuals(fp, md.w)
+        assert intertwine["intertwine_s"] <= 1e-8 * scale
+        assert intertwine["intertwine_p"] <= 1e-8 * scale
 
 
 def test_fstar_defect_identity(corpus500):
@@ -268,11 +277,12 @@ def test_fstar_defect_identity(corpus500):
 
 def test_verify_model_ledger_complete():
     pair = g.random_pure_gamma(4, seed=912, max_norm=0.8)
-    md = g.verify_model(g.solve_fundamental(pair))
+    fp = g.solve_fundamental(pair)
+    _, ledger = g.verify_model(fp, g.model_space(fp))
     for key in ("isometry_defect", "complement_identity",
                 "intertwine_s", "intertwine_p", "fstar_defect_identity"):
-        assert key in md.residuals
-        assert md.residuals[key] <= 1e-7
+        assert key in ledger
+        assert ledger[key] <= 1e-7
 
 
 def test_shallow_truncation_dominated_by_tail():
@@ -282,8 +292,8 @@ def test_shallow_truncation_dominated_by_tail():
     fp = g.solve_fundamental(pair)
     defects = []
     for n_val in (8, 16, 32):
-        md = g.model_space(fp, n_val)
-        defects.append(md.residuals["intertwine_s"])
+        w = g.model_space(fp, n_val).w
+        defects.append(model._intertwining_residuals(fp, w)["intertwine_s"])
     # tail is 0.8^N, so each extra 8 levels shrinks the defect by ~0.17
     assert defects[1] <= 0.25 * defects[0]
     assert defects[2] <= 0.25 * defects[1]
