@@ -427,8 +427,8 @@ def cmd_compare(args) -> int:
     report["witness_source"] = "search"
     report["search"] = {"status": result.status,
                         "restarts_used": result.restarts_used}
-    for key in ("ambient_gap", "ambient_gap_bound",
-                "defect_sigma_min", "defect_bound"):
+    for key in ("ambient_gap", "ambient_gap_bound", "fstar_gap",
+                "fstar_gap_bound", "defect_sigma_min", "defect_bound"):
         if getattr(result, key) is not None:
             report["search"][key] = getattr(result, key)
     report["search"]["refusals"] = [

@@ -13,14 +13,18 @@ mix of each pair: the polar factor of a generic element of the nullspace,
 on the pairs' scale, of the reduced system in the conjugator's diagonal,
 and none where a spectral gap proves that the gate of witness_from_ambient
 refuses every matrix or where that system has no nullspace.  The defect
-family factors the gate's own rows in (eta1, sigma) once, with sigma
-eliminated, and takes every pair that the ambient family leaves.  Its
-candidates, each built only when the search reads it, are the polar
-factors of the least right singular vector and, where the least singular
-value does not prove that verify_equivalence refuses every pair of
-unitaries and the right singular vectors that the gate admits span two or
-more dimensions, of generic elements of that span, each eta1 with its
-least-squares sigma.  No certificate yet decides the verdict.
+side mirrors it in O(r*^3): a spectral gap of the Hermitian parts of
+e^i F_* and one reduced defect candidate, eta1 diagonal in their
+eigenbases.  Where that gap proves that verify_equivalence refuses every
+eta1, the reduced candidate only supplies the nearest miss.  Elsewhere,
+once it is refused, the defect family factors the gate's own rows in
+(eta1, sigma) once, with sigma eliminated.  Its candidates, each built
+only when the search reads it, are the polar factors of the least right
+singular vector and, where the least singular value does not prove that
+verify_equivalence refuses every pair of unitaries and the right singular
+vectors that the gate admits span two or more dimensions, of generic
+elements of that span, each eta1 with its least-squares sigma.  No
+certificate yet decides the verdict.
 """
 
 from __future__ import annotations
@@ -343,23 +347,35 @@ def trace_word_screen(fp_a: FundamentalPair, fp_b: FundamentalPair
                         worst_word=words[k] if max_gap > 0.0 else "")
 
 
+def _diagonal_rows(t_a: np.ndarray, t_b: np.ndarray) -> np.ndarray:
+    """The rows R d of D T_A = T_B D, D = diag(d), for stacks ``t_a`` and
+    ``t_b`` of k x k blocks: row (x, k, l) is d_k t_a[x, k, l] - t_b[x, k, l]
+    d_l.  The reduced systems of the ambient family and of the defect side
+    both stack them."""
+    eye = np.eye(t_a.shape[-1])
+    return (t_a[..., None] * eye[:, None]
+            - t_b[..., None] * eye).reshape(-1, t_a.shape[-1])
+
+
 def _reduced_system(pair_a: GammaPair, pair_b: GammaPair, v_a: np.ndarray,
                     v_b: np.ndarray) -> np.ndarray:
     """The 4n^2 x n system R d = 0 of D X~_A = X~_B D for X in {S, P, S*, P*},
-    with D = diag(d) and X~ = V* X V on the columns of ``v_a`` and ``v_b``:
-    row (k, l) of each block is d_k X~_A[k, l] - X~_B[k, l] d_l."""
-    eye = np.eye(pair_a.n)
+    with D = diag(d) and X~ = V* X V on the columns of ``v_a`` and ``v_b``
+    (:func:`_diagonal_rows`)."""
     t_a, t_b = ([matcore.restrict(v, pair.s), matcore.restrict(v, pair.p)]
                 for v, pair in ((v_a, pair_a), (v_b, pair_b)))
-    t_a, t_b = (np.stack(t + [matcore.dagger(m) for m in t]) for t in (t_a, t_b))
-    return (t_a[..., None] * eye[:, None]
-            - t_b[..., None] * eye).reshape(-1, pair_a.n)
+    return _diagonal_rows(*(np.stack(t + [matcore.dagger(m) for m in t])
+                            for t in (t_a, t_b)))
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M*) / 2."""
+    return 0.5 * (m + matcore.dagger(m))
 
 
 def _hermitian_mix(pair: GammaPair) -> np.ndarray:
     """h = (M + M*) / 2 with M = a S + b P, (a, b) = _MIX."""
-    m = _MIX[0] * pair.s + _MIX[1] * pair.p
-    return 0.5 * (m + matcore.dagger(m))
+    return _hermitian_part(_MIX[0] * pair.s + _MIX[1] * pair.p)
 
 
 def _tau(n: int) -> float:
@@ -400,6 +416,27 @@ def _generic(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return basis @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
 
 
+def _weyl_gap(h_a: np.ndarray, h_b: np.ndarray, delta: float, m: float
+              ) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(gap, bound, V_A, V_B): the largest gap max_k |lam_A,k - lam_B,k|
+    between the ascending eigenvalues of the k x k Hermitian h_A and h_B,
+    from one eigh each, the bound above which it refuses every matrix U with
+    |U h_A - h_B U| <= delta that a gate passes as unitary to tau = _tau(k),
+    and the eigenvectors as columns.
+
+    The polar factor W of such a U, |W - U| <= tau (_tau), has |W h_A W*
+    - h_B| = |W h_A - h_B W| <= delta + tau (|h_A| + |h_B|), so by Weyl's
+    inequality no such U exists where the gap exceeds delta + tau m + rho,
+    with ``m`` >= |h_A| + |h_B| and rho = 2 k^2 eps m the rounding of h and
+    of eigh (the symmetric QR algorithm is backward stable: Golub & Van
+    Loan, Matrix Computations, ch. 8).
+    """
+    k = len(h_a)
+    (lam_a, v_a), (lam_b, v_b) = np.linalg.eigh(h_a), np.linalg.eigh(h_b)
+    gap = float(np.max(np.abs(lam_a - lam_b), initial=0.0))
+    return gap, float(delta + _tau(k) * m + 2 * k * k * _EPS * m), v_a, v_b
+
+
 def _ambient_candidate(pair_a: GammaPair, pair_b: GammaPair,
                        rng: np.random.Generator
                        ) -> tuple[np.ndarray | None, dict]:
@@ -412,13 +449,9 @@ def _ambient_candidate(pair_a: GammaPair, pair_b: GammaPair,
     / 2, M = a S + b P (_MIX), with eigenvalues lam ascending and
     eigenvectors V from one eigh per pair.  A U that passes the gate has
     |U h_A - h_B U| <= delta = (|a| (g_S + g'_S) + |b| (g_P + g'_P)) / 2
-    (_gate_terms), and its polar factor W, |W - U| <= tau (_tau), has
-    |W h_A W* - h_B| <= delta + tau (|h_A| + |h_B|).  So by Weyl's
-    inequality a gap max_k |lam_A,k - lam_B,k| above delta + tau m + rho,
-    m = |a| (|S_A| + |S_B|) + |b| (|P_A| + |P_B|) >= |h_A| + |h_B| and
-    rho = 2 n^2 eps m the rounding of h and of eigh (the symmetric QR
-    algorithm is backward stable: Golub & Van Loan, Matrix Computations,
-    ch. 8), refuses every U, and no system is formed.  Otherwise the
+    (_gate_terms), so a gap above delta + tau m + rho (_weyl_gap), m = |a|
+    (|S_A| + |S_B|) + |b| (|P_A| + |P_B|) >= |h_A| + |h_B|, refuses every
+    U, and no system is formed.  Otherwise the
     candidate is diagonal in the two eigenbases, as a conjugator is where h
     has a simple spectrum (it maps each eigenspace of h_A onto that of h_B):
     its diagonal d solves the 4n^2 x n system R of _reduced_system, whose
@@ -432,18 +465,15 @@ def _ambient_candidate(pair_a: GammaPair, pair_b: GammaPair,
     part of V_B* U V_A off its diagonal that R leaves out, and sums of equal
     summands whose eigenbases mix them.  The defect family decides those.
     """
-    n, tau = pair_a.n, _tau(pair_a.n)
     terms = _gate_terms(pair_a, pair_b)
-    (lam_a, v_a), (lam_b, v_b) = (np.linalg.eigh(_hermitian_mix(pair))
-                                  for pair in (pair_a, pair_b))
     a, b = np.abs(_MIX)
     m = (a * (pair_a.norm_s + pair_b.norm_s)
          + b * (pair_a.norm_p + pair_b.norm_p))
-    rho = 2 * n * n * _EPS * m
     delta = 0.5 * (a * (terms[0] + terms[1]) + b * (terms[2] + terms[3]))
-    fields = {"ambient_gap": float(np.max(np.abs(lam_a - lam_b))),
-              "ambient_gap_bound": float(delta + tau * m + rho)}
-    if fields["ambient_gap"] > fields["ambient_gap_bound"]:
+    gap, bound, v_a, v_b = _weyl_gap(_hermitian_mix(pair_a),
+                                     _hermitian_mix(pair_b), delta, m)
+    fields = {"ambient_gap": gap, "ambient_gap_bound": bound}
+    if gap > bound:
         return None, fields
     basis = matcore.null_onb(_reduced_system(pair_a, pair_b, v_a, v_b),
                              matcore.REL_RANK_TOL * m)[0]
@@ -451,6 +481,92 @@ def _ambient_candidate(pair_a: GammaPair, pair_b: GammaPair,
         return None, fields
     return matcore.polar_unitary(
         (v_b * _generic(basis, rng)) @ matcore.dagger(v_a)), fields
+
+
+def _coincidence_frame(fp_a: FundamentalPair, fp_b: FundamentalPair
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(Theta_A(z_j), T_B, Q_perp, weight) of the defect systems: Theta_A at
+    the J = 2 grid points z_j, T_B = [Theta_B(z_j)]_j stacked (J r* x r),
+    the columns past r of the full QR of T_B as a (J, r*, c) array, and the
+    coincidence rows' weight 1 / (sqrt(min(r, r*)) COINCIDE_TOL)."""
+    r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
+    # theta_grid[1] = 0.3 and theta_grid[25] = -0.6: one point per inner circle
+    ta, tb = (fp.theta_grid[[1, 25]] for fp in (fp_a, fp_b))
+    t_b = tb.reshape(-1, r)
+    q_perp = np.linalg.qr(t_b, mode="complete")[0][:, r:]
+    weight = 1.0 / (np.sqrt(min(r, r_star)) * matcore.COINCIDE_TOL)
+    return ta, t_b, q_perp.reshape(len(tb), r_star, -1), weight
+
+
+def _coincidence_rows(q_perp: np.ndarray, ta: np.ndarray, weight: float,
+                      diagonal: bool = False, out: np.ndarray | None = None
+                      ) -> np.ndarray:
+    """The weighted coincidence rows in vec eta1 with sigma eliminated:
+    row (k, c), column (i, h), is weight sum_j conj Q_perp[j, i, c]
+    Theta_A(z_j)[h, k], written to ``out`` if given.  With ``diagonal``,
+    only the columns i = h: the rows in d of eta1 = diag(d), which are those
+    of eta1 = V_B diag(d) V_A* for Q_perp and Theta_A(z_j) given as V_B*
+    Q_perp and V_A* Theta_A(z_j)."""
+    return np.einsum("jic,jik->kci" if diagonal else "jic,jhk->kcih",
+                     q_perp.conj(), weight * ta, out=out)
+
+
+def _defect_point(eta: np.ndarray, ta: np.ndarray, t_b: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The defect candidate of ``eta``: the polar factors of eta and of its
+    least-squares sigma against T_B."""
+    sigma = np.linalg.lstsq(t_b, (eta @ ta).reshape(-1, t_b.shape[1]),
+                            rcond=None)[0]
+    return matcore.polar_unitary(eta), matcore.polar_unitary(sigma)
+
+
+def _reduced_defect(fp_a: FundamentalPair, fp_b: FundamentalPair
+                    ) -> tuple[dict, tuple[np.ndarray, np.ndarray]]:
+    """The SearchResult fields of the F_* spectral gap, ``fstar_gap`` and
+    ``fstar_gap_bound``, and the reduced defect candidate, in O(r*^3).
+
+    Let h = (M + M*) / 2, M = a F_* with a = _MIX[0], and f = _fstar_bound.
+    An eta1 that verify_equivalence accepts is unitary to tau = _tau(r*),
+    and its computed F_* residual is at most f, so the exact E = eta1 F_*A
+    - F_*B eta1 has |E| <= e = f t, t from _fstar_term (the rounding of
+    the two products and of the Frobenius norm).  As in
+    _gate_terms, E' = eta1 F_*A* - F_*B* eta1 then has |E'| <= e' =
+    (1 + tau) e + sqrt(1 + tau) tau (|F_*A| + |F_*B|), and eta1 h_A - h_B
+    eta1 = (a E + conj(a) E') / 2 is at most delta = |a| (e + e') / 2.  So
+    a gap above delta + tau m + rho (_weyl_gap), m = |a| (|F_*A| + |F_*B|),
+    proves that no eta1 passes verify_equivalence.
+
+    The candidate is diagonal in the two eigenbases, as an eta1 that
+    conjugates F_*A onto F_*B is where h has a simple spectrum: eta1 = V_B
+    diag(d) V_A*, with d the least right singular vector of the (2 r*^2
+    + r c) x r* system of the F_* and F_** rows, D F~_A = F~_B D with F~ =
+    V* F_* V (_diagonal_rows) over f, and the coincidence rows of the defect
+    system (_coincidence_rows) restricted to that diagonal.  It is paired
+    with its least-squares sigma (_defect_point).  Where the gap fires, this
+    candidate supplies only the nearest miss, which may exceed the miss of
+    the defect family's first candidate.
+    """
+    r_star = fp_a.f_star.shape[0]
+    tau, f, a = _tau(r_star), _fstar_bound(fp_a), abs(_MIX[0])
+    norms = fp_a.norm_f_star + fp_b.norm_f_star
+    e = f * _fstar_term(fp_a, fp_b, tau)
+    e_adj = (1.0 + tau) * e + np.sqrt(1.0 + tau) * tau * norms
+    gap, bound, v_a, v_b = _weyl_gap(
+        *(_hermitian_part(_MIX[0] * fp.f_star) for fp in (fp_a, fp_b)),
+        0.5 * a * (e + e_adj), a * norms)
+    f_a, f_b = (matcore.restrict(v, fp.f_star)
+                for v, fp in ((v_a, fp_a), (v_b, fp_b)))
+    ta, t_b, q_perp, weight = _coincidence_frame(fp_a, fp_b)
+    system = np.concatenate([
+        _diagonal_rows(np.stack([f_a, matcore.dagger(f_a)]),
+                       np.stack([f_b, matcore.dagger(f_b)])) / f,
+        _coincidence_rows(matcore.dagger(v_b) @ q_perp,
+                          matcore.dagger(v_a) @ ta, weight,
+                          diagonal=True).reshape(-1, r_star)])
+    d = matcore.null_onb(system, 0.0)[2][:, -1]
+    eta = (v_b * d) @ matcore.dagger(v_a)
+    return ({"fstar_gap": gap, "fstar_gap_bound": bound},
+            _defect_point(eta, ta, t_b))
 
 
 def _defect_family(fp_a: FundamentalPair, fp_b: FundamentalPair,
@@ -478,12 +594,8 @@ def _defect_family(fp_a: FundamentalPair, fp_b: FundamentalPair,
     polar factors of eta and of its least-squares sigma against T_B.
     """
     r, r_star = fp_a.f.shape[0], fp_a.f_star.shape[0]
-    # theta_grid[1] = 0.3 and theta_grid[25] = -0.6: one point per inner circle
-    ta, tb = (fp.theta_grid[[1, 25]] for fp in (fp_a, fp_b))
-    weight = 1.0 / (np.sqrt(min(r, r_star)) * matcore.COINCIDE_TOL)
-    t_b = tb.reshape(-1, r)
-    q_perp = np.linalg.qr(t_b, mode="complete")[0][:, r:]
-    c = q_perp.shape[1]
+    ta, t_b, q_perp, weight = _coincidence_frame(fp_a, fp_b)
+    c = q_perp.shape[2]
     system = np.zeros((r_star * r_star + r * c, r_star * r_star),
                       dtype=complex)
     top = system[:r_star * r_star]
@@ -492,24 +604,33 @@ def _defect_family(fp_a: FundamentalPair, fp_b: FundamentalPair,
     blocks[:, idx, :, idx] = -fp_b.f_star
     blocks[idx, :, idx, :] += fp_a.f_star.T
     top /= _fstar_bound(fp_a)
-    # row (k, c), column (i, h): sum_j conj Q_perp[j, i, c] Theta_A(z_j)[h, k]
-    np.einsum("jic,jhk->kcih", q_perp.conj().reshape(len(tb), r_star, c),
-              weight * ta,
-              out=system[r_star * r_star:].reshape(r, c, r_star, r_star))
+    _coincidence_rows(q_perp, ta, weight, out=system[r_star * r_star:].reshape(
+        r, c, r_star, r_star))
     k_norm = np.sqrt(np.linalg.norm(top) ** 2 + weight ** 2 * (
-        r_star * np.linalg.norm(ta) ** 2 + r * np.linalg.norm(tb) ** 2))
-    bound = _defect_bound(fp_a, fp_b, ta, tb, len(system), k_norm)
+        r_star * np.linalg.norm(ta) ** 2 + r * np.linalg.norm(t_b) ** 2))
+    bound = _defect_bound(fp_a, fp_b, ta, t_b.reshape(ta.shape[0], r_star, r),
+                          len(system), k_norm)
     gate, sv, v = matcore.null_onb(system, bound)
 
     def points():
         for k in range(count if gate.shape[1] > 1 else 1):
             eta = _generic(gate, rng) if k else v[:, -1]
-            eta = eta.reshape(r_star, r_star)
-            sigma = np.linalg.lstsq(t_b, (eta @ ta).reshape(-1, r),
-                                    rcond=None)[0]
-            yield matcore.polar_unitary(eta), matcore.polar_unitary(sigma)
+            yield _defect_point(eta.reshape(r_star, r_star), ta, t_b)
 
     return float(sv[-1]), bound, points()
+
+
+def _fstar_term(fp_a: FundamentalPair, fp_b: FundamentalPair, tau: float
+                ) -> float:
+    """t with |eta1 F_*A - F_*B eta1|_F <= f t, f = _fstar_bound, for every
+    eta1 with |eta1| <= sqrt(1 + tau) whose computed residual is at most f:
+    t = 1 + 2 r*^2 eps + 2 r* sqrt(r* (1 + tau)) eps (|F_*A|_F + |F_*B|_F)
+    / f, the rounding of the Frobenius norm and of the two products
+    (|fl(A B) - A B| <= gamma_k |A||B| entrywise, Higham, section 3.5)."""
+    r_star, fro = fp_a.f_star.shape[0], np.linalg.norm
+    return (1.0 + 2 * r_star * r_star * _EPS
+            + 2 * r_star * np.sqrt(r_star * (1.0 + tau)) * _EPS
+            * (fro(fp_a.f_star) + fro(fp_b.f_star)) / _fstar_bound(fp_a))
 
 
 def _defect_bound(fp_a: FundamentalPair, fp_b: FundamentalPair,
@@ -527,10 +648,7 @@ def _defect_bound(fp_a: FundamentalPair, fp_b: FundamentalPair,
     witness it accepts has unitary eta1 and sigma to tau = _tau(max(r, r*)),
     so |vec eta1|_F >= sqrt(r*) (1 - tau), the floor, and |x| <=
     sqrt((r + r*)(1 + tau)), the reach.  Its computed F_* residual is at
-    most f, so the exact one is at most f (1 + 2 r*^2 eps)
-    + 2 r* sqrt(r* (1 + tau)) eps (|F_*A|_F + |F_*B|_F), with the rounding
-    of the Frobenius norm and of the two products (|fl(A B) - A B| <=
-    gamma_k |A||B| entrywise, Higham, section 3.5).  Each coincidence gap
+    most f, so the exact one is at most f t (_fstar_term).  Each coincidence gap
     has computed spectral norm at most c, so the exact one is at most
     c (1 + 2 n eps) + 2 n sqrt(n (1 + tau)) eps (|Theta_A(z_j)|_F
     + |Theta_B(z_j)|_F), n = max(r, r*), and its Frobenius norm at most
@@ -563,9 +681,7 @@ def _defect_bound(fp_a: FundamentalPair, fp_b: FundamentalPair,
     tau = _tau(n)
     fro = np.linalg.norm
     # each block's gap over its weight, with the rounding of the gate
-    terms = [1.0 + 2 * r_star * r_star * eps
-             + 2 * r_star * np.sqrt(r_star * (1.0 + tau)) * eps
-             * (fro(fp_a.f_star) + fro(fp_b.f_star)) / _fstar_bound(fp_a)]
+    terms = [_fstar_term(fp_a, fp_b, tau)]
     for a, b in zip(ta, tb):
         terms.append(1.0 + 2 * n * eps + 2 * n * np.sqrt(n * (1.0 + tau)) * eps
                      * (fro(a) + fro(b)) / matcore.COINCIDE_TOL)
@@ -587,10 +703,16 @@ class SearchResult:
     and ``ambient_gap_bound`` the bound above which it refuses every ambient
     candidate, both None for DISTINCT, which is decided before them; below
     it only a reduced system without nullspace on the pairs' scale leaves
-    the ambient family empty.  ``defect_sigma_min`` and ``defect_bound`` are
-    the same pair for the defect system in (eta1, sigma), built only once
-    the ambient family has failed: None where the screen, differing
-    dimensions or the ambient candidate decide.
+    the ambient family empty.  ``fstar_gap`` and ``fstar_gap_bound`` are
+    the same pair for the Hermitian parts of e^i F_* (_reduced_defect),
+    read once the ambient family has failed; above the bound no eta1
+    passes verify_equivalence, and the defect system is not built.
+    ``defect_sigma_min`` and ``defect_bound`` are the pair of that system
+    in (eta1, sigma), built only once the reduced defect candidate is
+    refused and the F_* gap does not fire.  Each pair is None where the
+    screen, differing dimensions or an earlier candidate decide, and
+    ``refusals`` lists those that fire in the order ambient_gap, fstar_gap,
+    defect_sigma_min.
     """
 
     status: str
@@ -600,15 +722,19 @@ class SearchResult:
     restarts_used: int
     ambient_gap: float | None = None
     ambient_gap_bound: float | None = None
+    fstar_gap: float | None = None
+    fstar_gap_bound: float | None = None
     defect_sigma_min: float | None = None
     defect_bound: float | None = None
 
     @property
     def refusals(self) -> list[tuple[str, float, float]]:
         """(test, value, bound) of each certificate that fired, in the
-        order the search reads them: "ambient_gap", "defect_sigma_min"."""
+        order the search reads them: "ambient_gap", "fstar_gap",
+        "defect_sigma_min"."""
         return [(test, value, bound) for test, value, bound in (
             ("ambient_gap", self.ambient_gap, self.ambient_gap_bound),
+            ("fstar_gap", self.fstar_gap, self.fstar_gap_bound),
             ("defect_sigma_min", self.defect_sigma_min, self.defect_bound))
             if value is not None and value > bound]
 
@@ -620,7 +746,7 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
 
     The conclusive trace screen runs first.  Candidates then come from two
     families: at most one ambient candidate, compressed to the defect spaces
-    by witness_from_ambient, and the defect family on (eta1, sigma)
+    by witness_from_ambient, and the defect side on (eta1, sigma)
     directly.  Every candidate must pass verify_equivalence before it is
     returned, and a refused one still counts as used.  NOT_FOUND reports
     the candidate with the smallest miss, the larger of its two residuals
@@ -636,21 +762,31 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
     first from the search's generator.  There is none where the spectral gap
     of the mixes proves that no matrix passes the gate of
     witness_from_ambient, and none where the reduced system has no
-    nullspace.  Once the ambient family has failed, the defect system is
-    factored once (_defect_family).  Its candidates, each built when the
-    search reads it, are the polar factors of the least right singular
-    vector, with its least-squares sigma, and then, where its gate subspace
-    has two or more dimensions, up to restarts - 1 generic elements of it
-    drawn from the generator, each with its sigma; the subspace is empty
-    where sigma_min exceeds ``defect_bound`` (_defect_bound) and so proves
-    that no pair of unitaries passes verify_equivalence.  The ambient family
-    counts as ``restarts`` used candidates unless it is the witness, and so
-    does the defect family, however few candidates it has, so
-    ``restarts_used`` is 1 for an ambient find, restarts + k + 1 for the
-    defect family's k-th candidate and 2 restarts for NOT_FOUND, except
-    where the truncation cap ends the search: there it counts the candidates
-    up to the one that met the cap.  Where the certificate fires, NOT_FOUND
-    still reports a real nearest miss, the family's one candidate.
+    nullspace.  Once the ambient family has failed, the defect side is read
+    in O(r*^3) (_reduced_defect): the F_* gap, ``fstar_gap`` against
+    ``fstar_gap_bound``, and the reduced defect candidate, eta1 diagonal in
+    the eigenbases of the Hermitian parts of e^i F_*, with its
+    least-squares sigma.  Where the gap fires, no eta1 passes
+    verify_equivalence, and that candidate is the whole defect family: it
+    only supplies the nearest miss, which can be larger than the defect
+    system's first candidate would give.  Elsewhere it is read first, and
+    only once it is refused is the defect system factored, once
+    (_defect_family).  Its candidates, each built when the search reads
+    it, are the polar factors of the least right singular vector, with its
+    least-squares sigma, and then, where its gate subspace has two or more
+    dimensions, up to restarts - 1 generic elements of it drawn from the
+    generator, each with its sigma; the subspace is empty where sigma_min
+    exceeds ``defect_bound`` (_defect_bound) and so proves that no pair of
+    unitaries passes verify_equivalence.  The ambient family counts as
+    ``restarts`` used candidates unless it is the witness, and so does the
+    defect side, however few candidates it has, so ``restarts_used`` is 1
+    for an ambient find, restarts + 1 for the reduced defect candidate,
+    restarts + k + 1 for the defect family's candidate k, counted from 0,
+    so that its first counts as the reduced candidate does, and 2 restarts
+    for NOT_FOUND, except where the truncation cap ends the search: there
+    it counts the candidates up to the one that met the cap.  Where a
+    certificate fires, NOT_FOUND still reports a real nearest miss, that of
+    a candidate the search read.
 
     No certificate yet decides the verdict: without a witness the search
     still ends NOT_FOUND, inconclusive (ROADMAP.md, items 1 and 2).
@@ -668,14 +804,20 @@ def search_witness(fp_a: FundamentalPair, fp_b: FundamentalPair,
     rng = np.random.default_rng(seed)
     u, ambient = _ambient_candidate(pair_a, pair_b, rng)
 
-    certificate = {}  # sigma_min and bound, once the ambient family fails
+    certificate = {}  # the defect side's gap and sigma_min, as they are read
 
     def candidates():
         """(restarts used, end point -> witness, end point) in restart order;
-        the defect family is built only once the ambient candidate is
-        refused."""
+        the defect side is read only once the ambient candidate is refused,
+        and the defect system is built only once the reduced defect
+        candidate is refused and the F_* gap does not fire."""
         if u is not None:
             yield 1, lambda m: witness_from_ambient(m, fp_a, fp_b)[0], (u,)
+        gap, point = _reduced_defect(fp_a, fp_b)
+        certificate.update(gap)
+        yield restarts + 1, Witness, point
+        if gap["fstar_gap"] > gap["fstar_gap_bound"]:
+            return
         defect_sigma_min, defect_bound, points = _defect_family(
             fp_a, fp_b, restarts, rng)
         certificate.update(defect_sigma_min=defect_sigma_min,

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .exceptions import (
     DimensionMismatch,
@@ -364,7 +365,11 @@ def numerical_radius(a) -> float:
     POINT_TOL of the unit circle of ([[0, I], [-A*, 2 level I]], [[I, 0],
     [0, A]]).  The best lambda_max at their midpoints, wrap-around included,
     is the next level, until none beats the best value by RADIUS_TOL; that
-    value is returned, a lower bound up to eigvalsh rounding.
+    value is returned, a lower bound up to eigvalsh rounding.  Each pass is
+    one QZ, LAPACK's zggev called straight on a pencil built once in place
+    (:func:`_level_set_max`): its eigenvalues are bit for bit those of
+    ``scipy.linalg.eigvals``, a non-finite pencil raises ValueError as
+    eigvals does, and a QZ that fails to converge raises LinAlgError.
 
     The start is the best of f(theta) = lambda_max(Re(e^{i theta} A)) at
     theta = 0 and at the negated arguments of A's eigenvalues (the peaks of
@@ -385,35 +390,51 @@ def numerical_radius(a) -> float:
     if not a.any():
         return 0.0
     a, e = _pow2_scaled(a)
-    ah, n = dagger(a), a.shape[0]
-    best, peak = float(abs(a[0, 0])), True
-    if n > 1:
-        starts = np.append(0.0, -np.angle(np.linalg.eigvals(a)))
-        best, peak = _newton_peak(a, float(starts[np.argmax(_top_eigs(a, starts))]))
-    eye, zero = np.eye(n), np.zeros((n, n))
-    left = np.block([[zero, eye], [-ah, zero]])
-    right = np.block([[eye, zero], [zero, a]])
+    best = float(abs(a[0, 0])) if len(a) == 1 else _level_set_max(a)
+    with np.errstate(over="ignore"):  # a radius beyond the float range is inf
+        return float(np.ldexp(best, e))
+
+
+def _level_set_max(a: np.ndarray) -> float:
+    """The level-set passes of :func:`numerical_radius` on a scaled A, n > 1.
+
+    The pencil is built once, in place, and only its level block changes
+    between passes.  Each zggev call takes the workspace that
+    ``scipy.linalg.eigvals`` queries, with eigenvectors on, and follows its
+    finite-input check, so the eigenvalues are eigvals' own, without its
+    wrapper's Python overhead.
+    """
+    n, zggev = len(a), scipy.linalg.lapack.zggev
+    starts = np.append(0.0, -np.angle(np.linalg.eigvals(a)))
+    best, peak = _newton_peak(a, float(starts[np.argmax(_top_eigs(a, starts))]))
+    left, right = np.zeros((2, 2 * n, 2 * n), dtype=complex)
+    eye = np.eye(n)
+    left[:n, n:] = right[:n, :n] = eye
+    left[n:, :n], right[n:, n:] = -dagger(a), a
+    lwork = int(zggev(left, right, lwork=-1)[-2][0].real)
     level = best + RADIUS_TOL
-    while n > 1:
+    while True:
         left[n:, n:] = 2.0 * level * eye
+        if not (np.isfinite(left).all() and np.isfinite(right).all()):
+            raise ValueError("array must not contain infs or NaNs")
         # z = alpha / beta, tested without dividing: beta is 0 where z = inf
-        alpha, beta = scipy.linalg.eigvals(left, right, homogeneous_eigvals=True)
+        alpha, beta, _, _, _, info = zggev(left, right, compute_vl=0,
+                                           compute_vr=0, lwork=lwork)
+        if info:
+            raise np.linalg.LinAlgError(f"zggev failed (LAPACK info={info})")
         mod_a, mod_b = np.abs(alpha), np.abs(beta)
         on = (mod_b > 0) & (np.abs(mod_a - mod_b) <= POINT_TOL * mod_b)
         theta = np.sort(np.angle(alpha[on] * np.conj(beta[on])))
         if theta.size == 0:
             if peak or level == best:
-                break
+                return best
             level = best  # the max lies within RADIUS_TOL: refine from best
             continue
         mids = 0.5 * (theta + np.append(theta[1:], theta[0] + 2.0 * np.pi))
         top = float(_top_eigs(a, mids).max())
         if not top > best + RADIUS_TOL:
-            best = max(best, top)
-            break
+            return max(best, top)
         best = level = top
-    with np.errstate(over="ignore"):  # a radius beyond the float range is inf
-        return float(np.ldexp(best, e))
 
 
 def _common_schur(s: np.ndarray, p: np.ndarray):

@@ -99,6 +99,51 @@ def ambient_oracles():
             "theta": _theta_ambient, "reassembly": _reassembly_residual}
 
 
+def _radius_by_eigvals(a):
+    """Oracle: ``matcore.numerical_radius`` with each level-set pencil built
+    by ``np.block`` and solved by ``scipy.linalg.eigvals``; the start, the
+    Newton polish and the level rule are the library's own."""
+    a = matcore.as_cmatrix(a, square=True, name="A")
+    if not a.any():
+        return 0.0
+    a, e = matcore._pow2_scaled(a)
+    ah, n = matcore.dagger(a), a.shape[0]
+    best, peak = float(abs(a[0, 0])), True
+    if n > 1:
+        starts = np.append(0.0, -np.angle(np.linalg.eigvals(a)))
+        best, peak = matcore._newton_peak(
+            a, float(starts[np.argmax(matcore._top_eigs(a, starts))]))
+    eye, zero = np.eye(n), np.zeros((n, n))
+    left = np.block([[zero, eye], [-ah, zero]])
+    right = np.block([[eye, zero], [zero, a]])
+    level = best + matcore.RADIUS_TOL
+    while n > 1:
+        left[n:, n:] = 2.0 * level * eye
+        alpha, beta = scipy.linalg.eigvals(left, right, homogeneous_eigvals=True)
+        mod_a, mod_b = np.abs(alpha), np.abs(beta)
+        on = (mod_b > 0) & (np.abs(mod_a - mod_b) <= matcore.POINT_TOL * mod_b)
+        theta = np.sort(np.angle(alpha[on] * np.conj(beta[on])))
+        if theta.size == 0:
+            if peak or level == best:
+                break
+            level = best
+            continue
+        mids = 0.5 * (theta + np.append(theta[1:], theta[0] + 2.0 * np.pi))
+        top = float(matcore._top_eigs(a, mids).max())
+        if not top > best + matcore.RADIUS_TOL:
+            best = max(best, top)
+            break
+        best = level = top
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(best, e))
+
+
+@pytest.fixture(scope="session")
+def eigvals_radius():
+    """The numerical radius by the ``scipy.linalg.eigvals`` pencil route."""
+    return _radius_by_eigvals
+
+
 def _kernel_identity_loop(fp, zs, ws):
     """Oracle: the kernel identity residual, one point pair (w, z) at a time."""
     p, q_star = fp.pair.p, fp.defect_p_star.q

@@ -202,13 +202,14 @@ def test_compare_search_self_equivalent(tmp_path, capsys):
 
 def test_compare_search_reports_the_ambient_certificate(tmp_path, capsys):
     # a near pair's Hermitian mixes have a spectral gap above its bound, so
-    # no ambient candidate can pass the gate and no system is factored: the
-    # search block lists each refusal that fired, with its value and bound.
-    # A pair and itself share a reduced nullspace, which decides; a
-    # conjugate perturbed by 1e-8 has no reduced nullspace and is found by
-    # the defect family's first candidate, with no refusal.  Neither
-    # reports a route or an intertwiner sigma_min.  Where the screen
-    # decides there is no search block
+    # no ambient candidate can pass the gate and no system is factored, and
+    # so have the Hermitian parts of e^i F_*, so the defect system is not
+    # built either: the search block lists each refusal that fired, with its
+    # value and bound.  A pair and itself share a reduced nullspace, which
+    # decides; a conjugate perturbed by 1e-8 has no reduced nullspace and is
+    # found by the reduced defect candidate, with no refusal and no defect
+    # system.  Neither reports a route or an intertwiner sigma_min.  Where
+    # the screen decides there is no search block
     pair = g.random_pure_gamma(3, seed=42, max_norm=0.8)
     u = matcore.haar_unitary(3, np.random.default_rng(43))
     ud = matcore.dagger(u)
@@ -218,13 +219,15 @@ def test_compare_search_reports_the_ambient_certificate(tmp_path, capsys):
         for name, eps in (("near", 3e-7), ("band", 1e-8)))
     assert cli.main(["compare", a, near, "--search", "2"]) == 5
     search = _report(capsys.readouterr().out)["search"]
-    gap, defect = search["refusals"]
+    gap, fstar = search["refusals"]
     assert gap == {"test": "ambient_gap", "value": search["ambient_gap"],
                    "bound": search["ambient_gap_bound"]}
     assert gap["value"] > gap["bound"] > 0.0
-    assert defect == {"test": "defect_sigma_min",
-                      "value": search["defect_sigma_min"],
-                      "bound": search["defect_bound"]}
+    assert fstar == {"test": "fstar_gap", "value": search["fstar_gap"],
+                     "bound": search["fstar_gap_bound"]}
+    assert fstar["value"] > fstar["bound"] > 0.0
+    assert "defect_sigma_min" not in search and "defect_bound" not in search
+    assert (search["status"], search["restarts_used"]) == ("NOT_FOUND", 4)
     assert cli.main(["compare", a, a, "--search", "2"]) == 0
     search = _report(capsys.readouterr().out)["search"]
     assert (search["restarts_used"], search["refusals"]) == (1, [])
@@ -232,10 +235,9 @@ def test_compare_search_reports_the_ambient_certificate(tmp_path, capsys):
     assert cli.main(["compare", a, band, "--search", "2"]) == 0
     search = _report(capsys.readouterr().out)["search"]
     assert (search["restarts_used"], search["refusals"]) == (3, [])
-    assert search["defect_sigma_min"] <= search["defect_bound"]
+    assert search["fstar_gap"] <= search["fstar_gap_bound"]
     assert set(search) == {"status", "restarts_used", "refusals", "ambient_gap",
-                           "ambient_gap_bound", "defect_sigma_min",
-                           "defect_bound"}
+                           "ambient_gap_bound", "fstar_gap", "fstar_gap_bound"}
     scalars = [_write(tmp_path, f"{p}.json", cli.pair_file_doc(
         np.array([[1.0]]), np.array([[p]]))) for p in (0.25, 0.5)]
     assert cli.main(["compare", *scalars, "--search", "2"]) == 4
@@ -263,25 +265,68 @@ def test_planted_compare_at_n24_needs_no_intertwiner_system(
     assert shapes == [(4 * 24 * 24, 24)]
 
 
+def _near_files(tmp_path, n, seed):
+    """A pair and a Haar conjugate of (S + eps P, P), eps putting the
+    screen's gap at 0.4 SCREEN_TOL: the screen passes, no witness exists."""
+    pair = g.random_pure_gamma(n, seed=seed, max_norm=0.8)
+    u = matcore.haar_unitary(n, np.random.default_rng(seed + 1))
+    ud = matcore.dagger(u)
+
+    def near(eps):
+        return u @ (pair.s + eps * pair.p) @ ud, u @ pair.p @ ud
+
+    fp_a = g.solve_fundamental(pair)
+    eps = 1e-6 * 0.4 * matcore.SCREEN_TOL / g.trace_word_screen(
+        fp_a, g.solve_fundamental(g.validate(*near(1e-6)))).max_gap
+    return (_write(tmp_path, f"a{n}.json", _pair_doc(pair)),
+            _write(tmp_path, f"near{n}.json", cli.pair_file_doc(*near(eps))))
+
+
+@pytest.mark.parametrize("n", [12, 24])
+def test_near_compare_where_the_fstar_gap_fires_needs_no_defect_system(
+        n, tmp_path, capsys, monkeypatch):
+    # on a near pair both spectral gaps fire: no ambient system is formed,
+    # the one defect candidate read is the reduced one, from its
+    # (2 r*^2 + r c) x r* system, and the r*^2-column defect system M,
+    # 288 x 144 at n = 12 and 1152 x 576 at n = 24, is not built
+    shapes, null_onb = [], matcore.null_onb
+    monkeypatch.setattr(matcore, "null_onb", lambda k, bound: (
+        shapes.append(k.shape) or null_onb(k, bound)))
+    a, near = _near_files(tmp_path, n, 9100 + n)
+    verifies = _count_calls(monkeypatch, g.verify_equivalence)
+    assert cli.main(["compare", a, near, "--search", "20"]) == 5
+    search = _report(capsys.readouterr().out)["search"]
+    assert [row["test"] for row in search["refusals"]] == ["ambient_gap",
+                                                           "fstar_gap"]
+    assert (search["status"], search["restarts_used"]) == ("NOT_FOUND", 40)
+    # r = r* = n and c = 2 r* - r = n for these pairs
+    assert shapes == [(3 * n * n, n)] and len(verifies) == 1
+
+
 def test_compare_search_reports_the_defect_certificate(tmp_path, capsys):
-    # the near pair has no ambient candidate, so the defect system is built,
-    # and its sigma_min clears its bound: one refused candidate for the
-    # family, NOT_FOUND after 2 restarts.  The ambient candidate decides a
-    # pair and itself before the defect system is built
-    pair = g.random_pure_gamma(3, seed=42, max_norm=0.8)
-    u = matcore.haar_unitary(3, np.random.default_rng(43))
+    # the near pair has no ambient candidate and no F_* gap above its bound,
+    # so the reduced defect candidate is read and refused, the defect system
+    # is built, and its sigma_min clears its bound: one refused candidate for
+    # the family, NOT_FOUND after 2 restarts.  The ambient candidate decides
+    # a pair and itself before the defect side is read
+    pair = g.random_pure_gamma(6, seed=8102, max_norm=0.8)
+    u = matcore.haar_unitary(6, np.random.default_rng(8103))
     ud = matcore.dagger(u)
     a = _write(tmp_path, "a.json", _pair_doc(pair))
     near = _write(tmp_path, "near.json", cli.pair_file_doc(
-        u @ (pair.s + 3e-7 * pair.p) @ ud, u @ pair.p @ ud))
+        u @ (pair.s + 1e-7 * pair.p) @ ud, u @ pair.p @ ud))
     assert cli.main(["compare", a, near, "--search", "2"]) == 5
     search = _report(capsys.readouterr().out)["search"]
     assert search["defect_sigma_min"] > search["defect_bound"] > 0.0
+    assert search["fstar_gap"] <= search["fstar_gap_bound"]
+    assert search["refusals"] == [{"test": "defect_sigma_min",
+                                   "value": search["defect_sigma_min"],
+                                   "bound": search["defect_bound"]}]
     assert (search["status"], search["restarts_used"]) == ("NOT_FOUND", 4)
     assert cli.main(["compare", a, a, "--search", "2"]) == 0
     search = _report(capsys.readouterr().out)["search"]
     assert (search["status"], search["restarts_used"]) == ("FOUND", 1)
-    assert "defect_sigma_min" not in search and "defect_bound" not in search
+    assert not {"fstar_gap", "defect_sigma_min"} & set(search)
 
 
 def _count_calls(monkeypatch, fn):
@@ -348,8 +393,9 @@ def test_compare_confirmation_reads_no_verification_ledger(
 def test_compare_search_takes_one_f_star_norm_per_pair(
         tmp_path, capsys, monkeypatch):
     # X (+) Y against X (+) Y', Y' a conjugate of (S_Y + eps P_Y, P_Y),
-    # passes the screen but has no witness, and the defect family's gate
-    # subspace is two-dimensional, so the search verifies each of its
+    # passes the screen but has no witness, the F_* gap does not fire, and
+    # the defect family's gate subspace is two-dimensional, so the search
+    # verifies the reduced defect candidate and each of the family's four
     # candidates against the F_* bound
     x = g.random_pure_gamma(1, seed=6624, max_norm=0.8)
     y = g.random_pure_gamma(2, seed=6625, max_norm=0.8)
@@ -375,7 +421,7 @@ def test_compare_search_takes_one_f_star_norm_per_pair(
     verifies = _count_calls(monkeypatch, g.verify_equivalence)
     assert cli.main(["compare", a, b, "--search", "4"]) == 5
     assert _report(capsys.readouterr().out)["search"]["status"] == "NOT_FOUND"
-    assert len(solved) == 2 and len(verifies) == 4
+    assert len(solved) == 2 and len(verifies) == 1 + 4
     fp_a, fp_b = solved
     assert sum(m is fp_a.f_star for m in normed) == 1
     assert sum(m is fp_b.f_star for m in normed) <= 1
@@ -783,6 +829,19 @@ def test_lapack_and_memory_failures_end_in_documented_codes(
     err = capsys.readouterr().err
     assert err == "error: MemoryError\n" * 2
     assert "Traceback" not in err
+    # a QZ of the numerical radius's level-set pencil that fails to converge
+    monkeypatch.undo()
+    zggev = scipy.linalg.lapack.zggev
+
+    def failing(*args, **kwargs):
+        out = zggev(*args, **kwargs)
+        return out if kwargs.get("lwork") == -1 else (*out[:-1], 1)
+
+    monkeypatch.setattr(matcore.scipy.linalg.lapack, "zggev", failing)
+    assert cli.main(["analyze", path]) == cli.EXIT_BREACH
+    assert cli.main(["compare", path, path]) == cli.EXIT_BREACH
+    err = capsys.readouterr().err
+    assert err == "error: zggev failed (LAPACK info=1)\n" * 2
 
 
 def test_rank_mismatch_gap_is_null(tmp_path, capsys):

@@ -309,13 +309,20 @@ def _near(n, seed, eps=None):
 
 @functools.cache
 def _band(n):
-    """A near pair whose ambient family a certificate refuses while its
-    defect sigma_min does not clear its bound (0.86 and 0.95 of the bound
-    at n = 2 and 3): the ambient family has no candidate, and the defect
-    family's gate subspace is one-dimensional, so the family is its first
-    candidate alone, not a witness.  At the default eps both certificates
-    fire."""
+    """A near pair on which the F_* gap fires while the defect sigma_min
+    stays under its bound (0.86 and 0.95 of it at n = 2 and 3): the gap
+    alone refuses every defect candidate, and the defect system is not
+    built.  At n = 3 the ambient gap fires too."""
     return {2: _near(2, 6371, 1.5e-7), 3: _near(3, 6333, 1.5e-7)}[n]
+
+
+@functools.cache
+def _quiet(n):
+    """A near pair on which no certificate fires (the F_* gap at 0.59 and
+    0.89 of its bound at n = 2 and 3, sigma_min at 0.70 and 0.65) and whose
+    defect family's gate subspace is one-dimensional, so that the family
+    is its first candidate alone, not a witness."""
+    return {2: _near(2, 7704, 1e-7), 3: _near(3, 7800, 3e-8)}[n]
 
 
 @functools.cache
@@ -461,9 +468,10 @@ def _outcome(out):
 
 def test_search_builds_only_the_defect_candidates_it_reads(monkeypatch):
     # the defect family is built as the search reads it: a NOT_FOUND search
-    # reads every candidate, and a FOUND one whose first two verified
-    # candidates are turned away, so that the witness is the defect
-    # family's second draw, reads three of its eight
+    # reads every candidate, and a FOUND one whose first three verified
+    # candidates, the reduced defect candidate and the family's first two,
+    # are turned away, so that the witness is the defect family's second
+    # draw, reads three of its eight
     fp_near = _drawing()
     fp_planted = _near_with_common_summand(6640, 1e-8)
     verify = invariant.verify_equivalence
@@ -472,7 +480,7 @@ def test_search_builds_only_the_defect_candidates_it_reads(monkeypatch):
     def late_verify(fp_a, fp_b, w):
         calls.append(1)
         rep = verify(fp_a, fp_b, w)
-        if len(calls) > 2:
+        if len(calls) > 3:
             return rep
         return dataclasses.replace(rep, verdict=VERDICT_NOT_EQUIVALENT)
 
@@ -523,17 +531,18 @@ def _property_pairs():
 @settings(max_examples=16, deadline=None, derandomize=True, database=None)
 @given(name=st.sampled_from(["near", "found"]), restarts=st.integers(1, 8))
 def test_polar_calls_follow_the_candidates_read(name, restarts):
-    # one polar step for the ambient candidate and one per unknown for each
-    # defect candidate the search reads: every candidate of the near pair,
-    # and up to the first draw, the witness, of the found one
+    # one polar step for the ambient candidate and one per unknown for the
+    # reduced defect candidate and for each candidate of the defect family
+    # the search reads: every candidate of the near pair, and up to the
+    # first draw, the witness, of the found one
     (fp_a, fp_b), refuse = _property_pairs()[name]
     outcome, calls = _counted_search(fp_a, fp_b, restarts, refuse)
     if name == "found" and restarts > refuse:
         assert outcome[:2] == (SEARCH_FOUND, restarts + 2)
-        assert calls == 1 + 2 * 2
+        assert calls == 1 + 2 + 2 * 2
     else:
         assert outcome[:2] == (SEARCH_NOT_FOUND, 2 * restarts)
-        assert calls == 1 + 2 * restarts
+        assert calls == 1 + 2 + 2 * restarts
 
 
 def test_search_memory_does_not_grow_with_restarts():
@@ -565,18 +574,20 @@ def test_planted_conjugate_runs_one_start(monkeypatch):
 
 def test_search_factors_the_defect_system_once(monkeypatch):
     # however many restarts are asked for, the defect family comes from one
-    # factorization of its system after the reduced system's, its
+    # factorization of its system after the ambient reduced system's and
+    # the reduced defect system's, 2 r*^2 + r c = 27 by r* = 3, its
     # candidates are built one at a time as the search reads them, each
     # polar factored once per unknown after the ambient candidate's one
-    # step, and each candidate is verified
+    # step and the reduced defect candidate's two, and each candidate is
+    # verified
     reads = _record_reads(monkeypatch)
     factored, null_onb = [], matcore.null_onb
     monkeypatch.setattr(matcore, "null_onb", lambda k, bound: (
         factored.append(k.shape) or null_onb(k, bound)))
     outcome, calls = _counted_search(*_drawing(), 40, 0)
     assert outcome[:2] == (SEARCH_NOT_FOUND, 80)
-    assert reads == [40] and calls == 1 + 2 * 40
-    assert factored == [(4 * 9, 3), (9 + 3 * 3, 9)]
+    assert reads == [40] and calls == 1 + 2 + 2 * 40
+    assert factored == [(4 * 9, 3), (2 * 9 + 3 * 3, 3), (9 + 3 * 3, 9)]
 
 
 def _turned(t1, t2, seed):
@@ -678,7 +689,11 @@ def _near_with_common_summand(seed, eps=None):
 def test_one_restart_checks_the_warm_start_as_the_only_ambient_candidate(
         monkeypatch, intertwiner_system):
     # one restart: the warm start is the ambient family's one candidate, and
-    # the defect family, one candidate, is built only where it is refused
+    # the defect side is read only where it is refused.  On the first near
+    # pair the F_* gap fires, so the reduced defect candidate is read alone
+    # and the defect family is not built; on the second it does not, and
+    # the family, built once the reduced candidate is refused, is one
+    # candidate
     sizes = _record_reads(monkeypatch)
     fp_a, fp_b, _ = _planted(3, 6600, 6610)
     found = g.search_witness(fp_a, fp_b, restarts=1, seed=0)
@@ -691,7 +706,12 @@ def test_one_restart_checks_the_warm_start_as_the_only_ambient_candidate(
     assert not g.trace_word_screen(*near).mismatch
     missed = g.search_witness(*near, restarts=1, seed=0)
     assert (missed.status, missed.restarts_used) == (SEARCH_NOT_FOUND, 2)
-    assert sizes == [1]
+    assert [test for test, _, _ in missed.refusals] == ["ambient_gap",
+                                                        "fstar_gap"]
+    assert sizes == []
+    missed = g.search_witness(*_near(2, 6313, 1.5e-7), restarts=1, seed=0)
+    assert (missed.status, missed.restarts_used) == (SEARCH_NOT_FOUND, 2)
+    assert missed.fstar_gap <= missed.fstar_gap_bound and sizes == [1]
 
 
 def _gate_checks(patch):
@@ -718,13 +738,17 @@ def _ambient_refusals(out):
 
 def test_no_ambient_candidate_is_drawn_above_the_bound(monkeypatch):
     # above the bound the ambient family makes no polar step and takes
-    # nothing from the generator: the defect family gets it as seeded, and
-    # NOT_FOUND counts the ambient family as restarts candidates
-    fp_a, fp_b = _band(3)
-    for restarts in (1, 5):
-        outcome, calls = _counted_search(fp_a, fp_b, restarts, 0)
-        assert outcome[:2] == (SEARCH_NOT_FOUND, 2 * restarts)
-        assert calls == 2
+    # nothing from the generator, nor does the reduced defect candidate: the
+    # defect family gets it as seeded, and NOT_FOUND counts the ambient
+    # family as restarts candidates.  On _band(3) the F_* gap fires too, so
+    # the reduced defect candidate's two polar steps are all; on the other
+    # near pair it does not, and the family's one candidate adds two
+    fp_a, fp_b = _near(2, 6313, 1.5e-7)
+    for pair, polar in ((_band(3), 2), ((fp_a, fp_b), 4)):
+        for restarts in (1, 5):
+            outcome, calls = _counted_search(*pair, restarts, 0)
+            assert outcome[:2] == (SEARCH_NOT_FOUND, 2 * restarts)
+            assert calls == polar
     states, family = [], invariant._defect_family
 
     def recorded(fp_a, fp_b, count, rng):
@@ -740,10 +764,10 @@ def test_no_ambient_candidate_is_drawn_above_the_bound(monkeypatch):
 def test_band_and_singular_pairs_get_at_most_one_ambient_candidate(
         monkeypatch):
     # a conjugate perturbed by 1e-8 has no reduced nullspace, so it has no
-    # ambient candidate: the defect family's first candidate is its
-    # witness.  A near pair with a common summand, at an eps the spectral
-    # gap does not refuse, has a reduced nullspace, from which its one
-    # candidate is drawn, and the gate refuses it
+    # ambient candidate: the reduced defect candidate is its witness, and
+    # the defect family is not built.  A near pair with a common summand,
+    # at an eps the spectral gaps do not refuse, has a reduced nullspace,
+    # from which its one candidate is drawn, and the gate refuses it
     sizes = _record_reads(monkeypatch)
     for fp_a, fp_b in (_near(2, 6802, 1e-8), _near(6, 6806, 1e-8)):
         with monkeypatch.context() as patch:
@@ -751,7 +775,7 @@ def test_band_and_singular_pairs_get_at_most_one_ambient_candidate(
             out = g.search_witness(fp_a, fp_b, restarts=2, seed=0)
         assert checks == [] and out.refusals == []
         assert (out.status, out.restarts_used) == (SEARCH_FOUND, 3)
-    assert sizes == [1, 1]
+    assert sizes == []
     sizes.clear()
     near = _near_with_common_summand(6620, 5e-8)
     with monkeypatch.context() as patch:
@@ -764,13 +788,28 @@ def test_band_and_singular_pairs_get_at_most_one_ambient_candidate(
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
 def test_defect_family_alone_finds_planted_conjugates(n, monkeypatch):
-    # with no ambient candidate, the defect family's first candidate, the
+    # with no ambient candidate, the reduced defect candidate is a witness
+    # of a planted conjugate, and the defect system is not built.  Where
+    # that candidate is turned away, -eta1 keeping the F_* half and
+    # breaking the coincidence, the defect family's first candidate, the
     # least right singular vector of its system with its least-squares
-    # sigma, is a witness of a planted conjugate
+    # sigma, is one, counted in the same place
     monkeypatch.setattr(invariant, "_ambient_candidate", lambda *args: (None, {}))
+    reduced = invariant._reduced_defect
+
+    def turned_away(fp_a, fp_b):
+        fields, (eta1, sigma) = reduced(fp_a, fp_b)
+        return fields, (-eta1, sigma)
+
     for k in range(2):
         fp_a, fp_b, _ = _planted(n, 8300 + 10 * n + k, 8400 + 10 * n + k)
         out = g.search_witness(fp_a, fp_b, restarts=20, seed=k)
+        assert (out.status, out.restarts_used) == (SEARCH_FOUND, 21)
+        assert out.fstar_gap <= out.fstar_gap_bound
+        assert out.defect_sigma_min is None
+        with monkeypatch.context() as patch:
+            patch.setattr(invariant, "_reduced_defect", turned_away)
+            out = g.search_witness(fp_a, fp_b, restarts=20, seed=k)
         assert (out.status, out.restarts_used) == (SEARCH_FOUND, 21)
         assert out.defect_sigma_min <= out.defect_bound
 
@@ -791,20 +830,23 @@ def test_defect_draws_find_common_summand_pairs():
 def test_band_pairs_the_ascent_finds_are_found_by_one_candidate(
         ambient_search_oracle):
     # conjugates of (S + eps P, P) at eps from 1e-9 to 3e-8 lie in the band:
-    # no certificate fires.  Every such pair on which the ambient ascent,
-    # run from the identity and Haar starts, finds a witness, the search
-    # finds with one candidate: the ambient candidate where the reduced
-    # system has a nullspace on the pairs' scale, else the defect family's
-    # first.  Measured: the ascent finds 16 of these 24, the search 21, 3
-    # of them with the ambient candidate
-    found, by_candidate, by_ambient = 0, 0, 0
+    # no certificate fires on a pair the search finds, and only the F_* gap
+    # fires, on one of the three it misses.  Every such pair on which the
+    # ambient ascent, run from the identity and Haar starts, finds a
+    # witness, the search finds with one candidate: the ambient candidate
+    # where the reduced system has a nullspace on the pairs' scale, else the
+    # defect side's first.  Measured: the ascent finds 16 of these 24, the
+    # search 21, 3 of them with the ambient candidate
+    found, by_candidate, by_ambient, fired = 0, 0, 0, []
     one_candidate = {(SEARCH_FOUND, 1), (SEARCH_FOUND, 5)}
     for n in (2, 3):
         for seed in range(4):
             for eps in (1e-9, 1e-8, 3e-8):
                 fp_a, fp_b = _near(n, 6900 + 10 * n + seed, eps)
                 out = g.search_witness(fp_a, fp_b, restarts=4, seed=seed)
-                assert out.refusals == []
+                if out.refusals:
+                    assert out.status == SEARCH_NOT_FOUND
+                    fired += [test for test, _, _ in out.refusals]
                 by_candidate += (out.status, out.restarts_used) in one_candidate
                 by_ambient += (out.status, out.restarts_used) == (SEARCH_FOUND, 1)
                 if ambient_search_oracle(fp_a, fp_b, 4, seed) is None:
@@ -812,21 +854,26 @@ def test_band_pairs_the_ascent_finds_are_found_by_one_candidate(
                 found += 1
                 assert (out.status, out.restarts_used) in one_candidate
     assert 12 <= found < by_candidate and by_ambient >= 1
+    assert fired == ["fstar_gap"]
 
 
 def test_one_dimensional_gate_subspace_is_verified_once(monkeypatch):
-    # the certificate does not fire on these band pairs, but their gate
-    # subspace is one-dimensional, so every draw would be a phase multiple
-    # of the first candidate: the family is that candidate alone, verified
-    # once, and NOT_FOUND still counts 2 x 20 restarts
+    # no certificate fires on these band pairs, but their gate subspace is
+    # one-dimensional, so every draw would be a phase multiple of the first
+    # candidate: after the reduced defect candidate, the family is that
+    # candidate alone, verified once, and NOT_FOUND still counts 2 x 20
+    # restarts
     verify = invariant.verify_equivalence
     for n in (2, 3):
         reports = []
         with monkeypatch.context() as patch:
+            sizes = _record_reads(patch)
             patch.setattr(invariant, "verify_equivalence", lambda *args: (
                 reports.append(verify(*args)) or reports[-1]))
-            out = g.search_witness(*_band(n), restarts=20, seed=0)
-        assert out.defect_sigma_min <= out.defect_bound and len(reports) == 1
+            out = g.search_witness(*_quiet(n), restarts=20, seed=0)
+        assert out.fstar_gap <= out.fstar_gap_bound
+        assert out.defect_sigma_min <= out.defect_bound and out.refusals == []
+        assert sizes == [1] and len(reports) == 2
         assert (out.status, out.restarts_used) == (SEARCH_NOT_FOUND, 40)
 
 
@@ -871,55 +918,134 @@ def test_defect_certificate_never_fires_on_conjugates(n, seed, max_norm):
     assert _defect_ratio(fp_a, fp_b) <= 1e-6
 
 
+def _without_fstar_gap(patch):
+    """Turn the F_* gap off: its bound becomes inf, and the reduced defect
+    candidate is read as before."""
+    reduced = invariant._reduced_defect
+
+    def unbounded(fp_a, fp_b):
+        fields, point = reduced(fp_a, fp_b)
+        return {**fields, "fstar_gap_bound": float("inf")}, point
+
+    patch.setattr(invariant, "_reduced_defect", unbounded)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_defect_certificate_skips_only_ascents_the_gate_refuses(
         n, monkeypatch):
-    # near pairs have defect sigma_min above its bound: the defect family is
-    # one candidate, from the least right singular vector, and draws
-    # nothing.  With the bound turned off, the family draws its other
-    # restarts - 1 candidates, except at n = 1, where the gate subspace has
-    # r*^2 = 1 dimension, and the gate refuses every one: the status and
-    # restarts used are the same
+    # on near pairs the F_* gap fires, so the defect system is not built and
+    # the reduced defect candidate is the defect side's one candidate.  With
+    # the gap turned off, the defect system is built, and its sigma_min is
+    # above its bound too: the family is one candidate, from the least right
+    # singular vector, and draws nothing.  With the bound turned off as
+    # well, the family draws its other restarts - 1 candidates, except at
+    # n = 1, where the gate subspace has r*^2 = 1 dimension, and the gate
+    # refuses every one: the status and restarts used are the same
     for seed in (6840 + n, 6850 + n):
         fp_a, fp_b = _near(n, seed)
-        with monkeypatch.context() as patch:
-            sizes = _record_reads(patch)
-            on = g.search_witness(fp_a, fp_b, restarts=6, seed=seed)
-        assert on.defect_sigma_min > on.defect_bound and sizes == [1]
-        verify, reports = invariant.verify_equivalence, []
-        with monkeypatch.context() as patch:
-            sizes = _record_reads(patch)
-            patch.setattr(invariant, "_defect_bound",
-                          lambda *args: float("inf"))
-            patch.setattr(invariant, "verify_equivalence", lambda *args: (
-                reports.append(verify(*args)) or reports[-1]))
-            off = g.search_witness(fp_a, fp_b, restarts=6, seed=seed)
-        draws = 1 if n == 1 else 6
-        assert sizes == [draws] and len(reports) == draws
-        assert not any(rep.equivalent for rep in reports)
-        assert ((on.status, on.restarts_used) == (off.status, off.restarts_used)
-                == (SEARCH_NOT_FOUND, 12))
+        runs, verify = [], invariant.verify_equivalence
+        for turned_off in ((), ("fstar",), ("fstar", "sigma_min")):
+            reports = []
+            with monkeypatch.context() as patch:
+                sizes = _record_reads(patch)
+                if "fstar" in turned_off:
+                    _without_fstar_gap(patch)
+                if "sigma_min" in turned_off:
+                    patch.setattr(invariant, "_defect_bound",
+                                  lambda *args: float("inf"))
+                patch.setattr(invariant, "verify_equivalence", lambda *args: (
+                    reports.append(verify(*args)) or reports[-1]))
+                out = g.search_witness(fp_a, fp_b, restarts=6, seed=seed)
+            runs.append((out.status, out.restarts_used))
+            assert not any(rep.equivalent for rep in reports)
+            if not turned_off:
+                assert out.refusals[-1][0] == "fstar_gap"
+                assert out.defect_sigma_min is None and sizes == []
+            elif len(turned_off) == 1:
+                assert out.defect_sigma_min > out.defect_bound
+                assert sizes == [1] and len(reports) == 2
+            else:
+                draws = 1 if n == 1 else 6
+                assert sizes == [draws] and len(reports) == 1 + draws
+        assert runs == [(SEARCH_NOT_FOUND, 12)] * 3
+
+
+def _fstar_ratio(fp_a, fp_b):
+    fields, _ = invariant._reduced_defect(fp_a, fp_b)
+    return fields["fstar_gap"] / fields["fstar_gap_bound"]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 20),
+       max_norm=st.sampled_from([0.5, 0.75, 0.95]))
+def test_fstar_gap_never_fires_on_conjugates(n, seed, max_norm):
+    # a conjugate's Hermitian parts of e^i F_* have the same spectrum, so
+    # the gap is rounding alone: measured at most 7.2e-8 of its bound
+    fp_a, fp_b, _ = _planted(n, seed, seed + 1, max_norm)
+    assert _fstar_ratio(fp_a, fp_b) <= 1e-6
+
+
+@pytest.mark.parametrize("kind, n", [
+    *(("jordan", n) for n in (2, 3, 4, 5)),
+    *(("normal", n) for n in (2, 6, 12)),
+    ("repeated-normal", 4), ("jordan-sum", 4), ("repeated-summand", 4)])
+def test_fstar_gap_never_fires_on_turned_pairs(kind, n, workloads):
+    # Haar-turned Jordan pairs, normal pure pairs and sums with repeated
+    # summands or joint eigenvalues: measured at most 1e-7 of the bound
+    (fp_a, fp_b), _ = _family(kind, n, workloads)
+    assert _fstar_ratio(fp_a, fp_b) <= 1e-6
+
+
+def test_fstar_gap_fires_on_a_named_near_pair(monkeypatch):
+    # on _band(2) the F_* gap is 1.47 times its bound while the defect
+    # system's sigma_min is 0.86 of its own: the gap alone refuses every
+    # defect candidate, the search reads the reduced defect candidate for
+    # its nearest miss, and the defect system is never built
+    fp_a, fp_b = _band(2)
+    assert _defect_ratio(fp_a, fp_b) <= 1.0
+    sizes = _record_reads(monkeypatch)
+    out = g.search_witness(fp_a, fp_b, restarts=20, seed=0)
+    assert out.refusals == [("fstar_gap", out.fstar_gap, out.fstar_gap_bound)]
+    assert 1.4 <= out.fstar_gap / out.fstar_gap_bound <= 1.5
+    assert out.defect_sigma_min is None and sizes == []
+    assert (out.status, out.restarts_used) == (SEARCH_NOT_FOUND, 40)
+    assert out.report is not None and not out.report.equivalent
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 20),
+       max_norm=st.sampled_from([0.5, 0.75, 0.95]))
+def test_reduced_defect_route_never_refuses_a_planted_conjugate(
+        n, seed, max_norm):
+    # a planted conjugate's h = Herm(e^i F_*) has a simple spectrum, so its
+    # eta1 is diagonal in the two eigenbases: the reduced defect candidate
+    # passes verify_equivalence, n = 1 included
+    fp_a, fp_b, _ = _planted(n, seed, seed + 1, max_norm)
+    fields, (eta1, sigma) = invariant._reduced_defect(fp_a, fp_b)
+    assert fields["fstar_gap"] <= fields["fstar_gap_bound"]
+    assert g.verify_equivalence(
+        fp_a, fp_b, g.Witness(eta1=eta1, sigma=sigma)).equivalent
 
 
 def test_band_sweep_slice_keeps_every_find():
     # 24 pairs of the band sweep, conjugates of (S + eps P, P): 13 are found
-    # by the defect family's first candidate; the other 11 are missed after
-    # 2 x 20.  The defect certificate fires on 6 of the misses; on the
-    # other 5 the family's one candidate, its gate subspace being
-    # one-dimensional, is refused too
+    # by the defect side's first candidate; the other 11 are missed after 2 x 20.
+    # The F_* gap fires on 3 of the misses and the defect certificate on 3
+    # others; on the other 5 the family's one candidate, its gate subspace
+    # being one-dimensional, is refused too
     missed = {(7200, 1e-7), (7201, 1e-7), (7202, 1e-7), (7203, 1e-7),
               (7204, 1e-7), (7205, 1e-7), (7206, 3e-8), (7206, 1e-7),
               (7207, 1e-7), (7208, 1e-7), (7210, 1e-7)}
-    fired = 0
+    fired = []
     for seed in range(7200, 7212):
         for eps in (3e-8, 1e-7):
             out = g.search_witness(*_near(2, seed, eps), restarts=20)
             want = ((SEARCH_NOT_FOUND, 40) if (seed, eps) in missed
                     else (SEARCH_FOUND, 21))
             assert (out.status, out.restarts_used) == want
-            fired += (out.defect_bound is not None
-                      and out.defect_sigma_min > out.defect_bound)
-    assert fired == 6
+            fired += [test for test, _, _ in out.refusals
+                      if test != "ambient_gap"]
+    assert sorted(fired) == ["defect_sigma_min"] * 3 + ["fstar_gap"] * 3
 
 
 def test_reduced_system_is_k_on_the_diagonal_of_the_eigenbases(

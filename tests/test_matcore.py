@@ -299,19 +299,50 @@ def test_level_set_flat_f():
 
 def test_level_set_radius_takes_about_one_pencil_per_call(corpus500, monkeypatch):
     # the start is a local maximum on nearly every corpus F and F_*, so the
-    # first pencil has no crossing and certifies the radius; counts calls,
-    # times nothing
-    eigvals, solves = scipy.linalg.eigvals, []
+    # first pencil has no crossing and certifies the radius; counts QZ
+    # calls, the workspace queries left out, and times nothing
+    zggev, solves = scipy.linalg.lapack.zggev, []
 
     def spy(*args, **kwargs):
-        solves.append(len(args))
-        return eigvals(*args, **kwargs)
+        if kwargs.get("lwork") != -1:
+            solves.append(len(args))
+        return zggev(*args, **kwargs)
 
-    monkeypatch.setattr(matcore.scipy.linalg, "eigvals", spy)
+    monkeypatch.setattr(matcore.scipy.linalg.lapack, "zggev", spy)
     mats = [m for _, fp in corpus500 for m in (fp.f, fp.f_star) if m.shape[0] > 1]
     for m in mats:
         matcore.numerical_radius(m)
-    assert len(solves) <= 1.2 * len(mats)
+    assert 0 < len(solves) <= 1.2 * len(mats)
+
+
+def test_level_set_radius_is_bitwise_the_eigvals_route(
+        corpus500, eigvals_radius):
+    # the pencil built in place and solved by zggev with eigvals' workspace
+    # gives every radius of the corpus F and F_* bit for bit, the 1 x 1 and
+    # zero matrices included
+    mats = [m for _, fp in corpus500 for m in (fp.f, fp.f_star)]
+    got = np.array([matcore.numerical_radius(m) for m in mats])
+    want = np.array([eigvals_radius(m) for m in mats])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_level_set_radius_refuses_what_eigvals_refuses(monkeypatch):
+    # a non-finite pencil raises eigvals' ValueError before LAPACK sees it,
+    # and a QZ that fails to converge raises LinAlgError, as eigvals does
+    a = np.array([[0.5, 0.2], [0.1j, -0.3]])
+    monkeypatch.setattr(matcore, "_newton_peak", lambda *args: (np.nan, True))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        matcore.numerical_radius(a)
+    monkeypatch.undo()
+    zggev = scipy.linalg.lapack.zggev
+
+    def failing(*args, **kwargs):
+        out = zggev(*args, **kwargs)
+        return out if kwargs.get("lwork") == -1 else (*out[:-1], 2)
+
+    monkeypatch.setattr(matcore.scipy.linalg.lapack, "zggev", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="info=2"):
+        matcore.numerical_radius(a)
 
 
 def test_level_set_radius_matches_the_reference_to_rounding(corpus500):
