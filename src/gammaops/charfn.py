@@ -21,6 +21,8 @@ from .exceptions import OutsideLambdaP
 if TYPE_CHECKING:
     from .fundamental import FundamentalPair
 
+_EPS = np.finfo(np.float64).eps
+
 
 def theta_coeffs(fp: FundamentalPair, w: np.ndarray) -> np.ndarray:
     """Taylor coefficients Theta_0 ... Theta_{N-1}, stacked as (N, r*, r).
@@ -43,20 +45,34 @@ def theta_at(fp: FundamentalPair, z) -> np.ndarray:
     """Theta at a point z, or stacked over an array z with its shape in front.
 
     Theta(z) = Theta_0 + z dq_*^adj (I - z P*)^(-1) dq with the pair's
-    ``theta_0``, one batched sigma_min test of I - z P* and one batched
-    solve; each value is bitwise the value at its point alone.
-    Valid wherever I - z P* is numerically invertible, which extends past
-    the closed disc whenever the spectrum of P permits; the first point
-    where it is not is refused.
+    ``theta_0``, from one batched solve; each value is bitwise the value at
+    its point alone.  Valid wherever I - z P* is numerically invertible,
+    which extends past the closed disc whenever the spectrum of P permits;
+    the first point where sigma_min(I - z P*) <= RESOLVENT_FLOOR is refused.
+
+    Most points are certified without an SVD: sigma_min(I - z P*) >=
+    1 - r with r = |z| |P|, |P| the validated pair's ``norm_p``.  Where
+    1 - r - 16 (n + 1)^2 eps (1 + r) clears the floor, so does the
+    computed sigma_min: the slack covers the rounding of I - z P* (at most
+    4 sqrt(n) eps (1 + r) in norm, Weyl), of |P| and of the SVD's singular
+    values (each within a modest multiple of n eps of the norm, LAPACK
+    Users' Guide, section 4.9) and of r itself.  The other points, NaN and
+    inf included, take one batched SVD, so the refusals are those of an
+    SVD at every point.  On the default grid, |z| <= 0.9, of a validated
+    contraction no point takes it.
     """
     z = np.asarray(z, dtype=complex)
-    p, dp, dps = fp.pair.p, fp.defect_p, fp.defect_p_star
-    m = np.eye(fp.pair.n, dtype=complex) - z[..., None, None] * matcore.dagger(p)
-    smin = np.linalg.svd(m, compute_uv=False)[..., -1]
-    bad = np.flatnonzero(smin <= matcore.RESOLVENT_FLOOR)
-    if bad.size:
-        raise OutsideLambdaP(f"I - z P* has sigma_min = {smin.flat[bad[0]]:.3e} "
-                             f"at z = {complex(z.flat[bad[0]])}")
+    p, dp, dps, n = fp.pair.p, fp.defect_p, fp.defect_p_star, fp.pair.n
+    m = np.eye(n, dtype=complex) - z[..., None, None] * matcore.dagger(p)
+    reach = np.abs(z) * fp.pair.norm_p
+    slack = 16 * (n + 1) ** 2 * _EPS * (1.0 + reach)
+    unsure = np.flatnonzero(~(1.0 - reach - slack > matcore.RESOLVENT_FLOOR))
+    if unsure.size:
+        smin = np.linalg.svd(m.reshape(-1, n, n)[unsure], compute_uv=False)[:, -1]
+        bad = np.flatnonzero(smin <= matcore.RESOLVENT_FLOOR)
+        if bad.size:
+            raise OutsideLambdaP(f"I - z P* has sigma_min = {smin[bad[0]]:.3e} "
+                                 f"at z = {complex(z.flat[unsure[bad[0]]])}")
     return fp.theta_0 + z[..., None, None] * (
         matcore.dagger(dps.dq) @ np.linalg.solve(m, dp.dq))
 

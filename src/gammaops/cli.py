@@ -41,7 +41,7 @@ from .exceptions import (
     PairFileError,
     TruncationCapExceeded,
 )
-from .fundamental import check_pf_intertwining, solve_fundamental
+from .fundamental import check_pf_intertwining, residual_bound, solve_fundamental
 from .gamma_pair import (
     random_gamma_unitary,
     random_pure_gamma,
@@ -230,8 +230,13 @@ def _finite_or_null(node):
 
 
 def _emit(report: dict, json_path: str | None) -> None:
-    text = json.dumps(_finite_or_null(report), sort_keys=True,
-                      allow_nan=False) + "\n"
+    """Write a report as one line of strict JSON; only a report that holds a
+    non-finite float, which the strict dump refuses, is walked for nulls."""
+    try:
+        text = json.dumps(report, sort_keys=True, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_finite_or_null(report), sort_keys=True, allow_nan=False)
+    text += "\n"
     if json_path:
         try:
             with open(json_path, "w", encoding="utf-8") as fh:
@@ -253,10 +258,11 @@ def _tool_block() -> dict:
     return {"name": "gammaops", "version": __version__}
 
 
-def _residual_rows(fp, scale: float, *more) -> list:
+def _residual_rows(fp, *more) -> list:
     """Rows of S - S*P = D_P F D_P, of its adjoint and of each (key, label,
-    value) in ``more``, all bounded by RESIDUAL_BREACH_TOL * scale, 1 + |S|."""
-    bound = matcore.RESIDUAL_BREACH_TOL * scale
+    value) in ``more``, all bounded by RESIDUAL_BREACH_TOL (1 + |S|), the
+    bound under which ``solve_fundamental`` shares one radius."""
+    bound = residual_bound(fp.pair)
     return [(key, label, value, bound) for key, label, value in (
         ("residual_f", "fundamental equation residual", fp.residual_f),
         ("residual_f_star", "adjoint fundamental equation residual",
@@ -313,8 +319,8 @@ def cmd_analyze(args) -> int:
     try:
         fp = solve_fundamental(pair)
         radius = 1.0 + matcore.RADIUS_BREACH_TOL
-        rows = _residual_rows(fp, scale, ("pf_intertwine", "PF intertwining residual",
-                                          check_pf_intertwining(fp))) + [
+        rows = _residual_rows(fp, ("pf_intertwine", "PF intertwining residual",
+                                   check_pf_intertwining(fp))) + [
             ("w_f", "numerical radius of F", fp.w_f, radius),
             ("w_f_star", "numerical radius of F_star", fp.w_f_star, radius)]
         report["fundamental"] = {"F": matrix_to_json(fp.f),
@@ -394,7 +400,7 @@ def cmd_compare(args) -> int:
     # (F_*, Theta) is a pair's invariant only where F, F_* solve their equations
     for path, fp in ((args.input_a, fp_a), (args.input_b, fp_b)):
         breaches = []
-        _checked(_residual_rows(fp, 1.0 + fp.pair.norm_s), breaches)
+        _checked(_residual_rows(fp), breaches)
         if breaches:
             raise PairFileError(f"not a usable pair: {path}: {'; '.join(breaches)}")
     if not (pair_a.flags.pure and pair_b.flags.pure):

@@ -85,8 +85,11 @@ class FundamentalPair:
     of ``defect_p``, ``f_star`` is r* x r* on that of ``defect_p_star``, and
     ``theta_0`` = -Q_*^adj P Q is the r* x r value of Theta at the origin.
     Residuals are |dq F dq^adj - (S - S*P)|_F and its adjoint twin, the
-    defining equations reassembled; ``w_f`` and ``w_f_star`` are numerical
-    radii.  ``theta_grid`` comes from one batched ``theta_at`` call.
+    defining equations reassembled.  ``w_f`` and ``w_f_star`` are the
+    numerical radii of F and F_*, inf where one overflowed; on a pure pair
+    that solves both equations w(F_*) = w(F) (see :func:`solve_fundamental`)
+    and ``w_f_star`` is the computed ``w_f`` itself.  ``theta_grid`` comes
+    from one batched ``theta_at`` call.
     """
 
     pair: GammaPair
@@ -112,31 +115,74 @@ class FundamentalPair:
 
 
 def _solve_side(s: np.ndarray, p: np.ndarray, dd: DefectData
-                ) -> tuple[np.ndarray, float, float]:
-    """Least-squares F = Q* (S - S*P) Q / (sv sv^T) of S - S*P = D Q F Q* D,
-    its residual and its numerical radius; an overflowing solve gives an inf
-    or NaN residual and radius inf, a breach written as null."""
+                ) -> tuple[np.ndarray, float]:
+    """Least-squares F = Q* (S - S*P) Q / (sv sv^T) of S - S*P = D Q F Q* D
+    and its residual; an overflowing solve gives a non-finite F and an inf
+    or NaN residual, a breach written as null."""
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = s - matcore.dagger(s) @ p
         f = matcore.restrict(dd.q, rhs) / np.outer(dd.sv, dd.sv)
         resid = matcore.fro_norm(dd.dq @ f @ matcore.dagger(dd.dq) - rhs)
-    radius = matcore.numerical_radius(f) if np.isfinite(f).all() else np.inf
-    return f, resid, radius
+    return f, resid
+
+
+def residual_bound(pair: GammaPair) -> float:
+    """RESIDUAL_BREACH_TOL (1 + |S|), the bound on both equation residuals."""
+    return matcore.RESIDUAL_BREACH_TOL * (1.0 + pair.norm_s)
+
+
+def _radius(f: np.ndarray) -> float:
+    """Numerical radius of a solved operator; inf where the solve overflowed."""
+    return matcore.numerical_radius(f) if np.isfinite(f).all() else np.inf
 
 
 def solve_fundamental(pair: GammaPair) -> FundamentalPair:
-    """Both fundamental operators of a validated pair.
+    """Both fundamental operators of a validated pair, and their numerical radii.
 
     Rank-zero defects (P unitary) yield empty operators; the recorded
     residual is then the full norm of the left side, which must be about
     zero exactly when the pair has unitary structure.
+
+    A pure pair takes one numerical radius for both operators: for
+    commuting matrices S, P with P a pure contraction, w(F) = w(F_*).
+    Write D_* = D_P*, with F_* acting on Ran D_*.
+
+    1. From S* - S P* = D_* F_* D_* and SP = PS alone,
+       D_* F_*^adj D_* + P D_* F_* D_* = (S - P S*) + (P S* - P S P*)
+       = S - S P P* = S D_*^2, so S D_* = D_* F_*^adj + P D_* F_* on
+       Ran D_*; on Ker D_* both sides vanish.
+    2. Hence W S* = T_phi* W with phi(z) = F_*^adj + z F_*, where
+       W h = sum_k z^k D_* P*^k h maps H into H^2(Ran D_*) with
+       W P* = T_z* W, isometrically since P*^k -> 0 (P is pure): the
+       adjoint of 1, D_* S* = F_* D_* + F_*^adj D_* P*, at each P*^k h.
+    3. If t > 0 and w(t F_*) <= 1, then (T_{t phi}, T_z) is a Gamma-isometry
+       (Agler and Young, J. Operator Theory 2003).  Its adjoint restricted
+       to the invariant subspace W(H) is, through W, the pair (t S*, P*),
+       so (t S*, P*) is a Gamma-contraction, and so is (t S, P).
+    4. The fundamental operator of (t S, P) is t F, and a
+       Gamma-contraction's has numerical radius at most one (Bhattacharyya,
+       Pal and Shyam Roy, Adv. Math. 2012): w(t F) <= 1.  With
+       t = 1 / w(F_*) (any t if F_* = 0), w(F) <= w(F_*).
+    5. In finite dimensions P* is pure too, and (S*, P*) has the
+       fundamental operator F_* and the adjoint-side one F, so the same
+       argument with the roles swapped gives w(F_*) <= w(F).
+
+    The radius of F is therefore taken for F_* where the hypotheses hold as
+    the report checks them: the pair is pure, F and F_* are finite, and
+    both residuals are at most :func:`residual_bound`.  Everywhere
+    else (a pair that is not pure, a breached equation, an overflow), F_*
+    gets its own radius.
     """
     dp, dps, theta_0 = defect_pair(pair)
-    f, res_f, w_f = _solve_side(pair.s, pair.p, dp)
-    f_star, res_fs, w_fs = _solve_side(matcore.dagger(pair.s), matcore.dagger(pair.p), dps)
+    f, res_f = _solve_side(pair.s, pair.p, dp)
+    f_star, res_fs = _solve_side(matcore.dagger(pair.s), matcore.dagger(pair.p), dps)
+    w_f, bound = _radius(f), residual_bound(pair)
+    shared = (pair.flags.pure and res_f <= bound and res_fs <= bound
+              and np.isfinite(f).all() and np.isfinite(f_star).all())
     return FundamentalPair(
         pair=pair, f=f, f_star=f_star,
-        residual_f=res_f, residual_f_star=res_fs, w_f=w_f, w_f_star=w_fs,
+        residual_f=res_f, residual_f_star=res_fs,
+        w_f=w_f, w_f_star=w_f if shared else _radius(f_star),
         defect_p=dp, defect_p_star=dps, theta_0=theta_0,
     )
 

@@ -105,7 +105,8 @@ SCREEN_MAX_LEN = 6
 SEARCH_RESTARTS = 20
 
 # Command-line verdicts (cli).
-#: analyze, compare: fundamental (analyze: and intertwining) residual bound, times 1 + |S|.
+#: analyze, compare: fundamental (analyze: and intertwining) residual bound, times 1 + |S|;
+#: below it on both sides a pure pair's solve takes one radius for F and F_*.
 RESIDUAL_BREACH_TOL = 1e-8
 #: analyze: slack of the numerical radii of F and F_* above 1.
 RADIUS_BREACH_TOL = 1e-8

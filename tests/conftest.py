@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 
 import gammaops as g
 from gammaops import matcore
-from gammaops.exceptions import NotIntertwining
+from gammaops.exceptions import NotIntertwining, OutsideLambdaP
 
 
 @pytest.fixture(scope="session")
@@ -83,6 +83,27 @@ def _theta_ambient(fp, z):
     core = -p + z * _defect(matcore.dagger(p)) @ np.linalg.solve(
         np.eye(len(p)) - z * matcore.dagger(p), _defect(p))
     return matcore.dagger(fp.defect_p_star.q) @ core @ fp.defect_p.q
+
+
+def _theta_at_svd_guard(fp, z):
+    """Oracle: ``theta_at`` with a batched sigma_min SVD of I - z P* at every
+    point, refusing the first at or below RESOLVENT_FLOOR."""
+    z = np.asarray(z, dtype=complex)
+    p, dp, dps = fp.pair.p, fp.defect_p, fp.defect_p_star
+    m = np.eye(fp.pair.n, dtype=complex) - z[..., None, None] * matcore.dagger(p)
+    smin = np.linalg.svd(m, compute_uv=False)[..., -1]
+    bad = np.flatnonzero(smin <= matcore.RESOLVENT_FLOOR)
+    if bad.size:
+        raise OutsideLambdaP(f"I - z P* has sigma_min = {smin.flat[bad[0]]:.3e} "
+                             f"at z = {complex(z.flat[bad[0]])}")
+    return fp.theta_0 + z[..., None, None] * (
+        matcore.dagger(dps.dq) @ np.linalg.solve(m, dp.dq))
+
+
+@pytest.fixture(scope="session")
+def svd_guard_theta():
+    """Theta with the SVD guard at every point, the reference for the norm bound."""
+    return _theta_at_svd_guard
 
 
 def _reassembly_residual(s, p, dd, f):

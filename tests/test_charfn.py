@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gammaops as g
 from gammaops import charfn, matcore
@@ -242,3 +243,81 @@ def test_theta_grid_built_once_per_pair():
     for z, th in zip(zs, grid):
         assert np.array_equal(th, g.theta_at(fp, z))
     assert fp.theta_grid is grid
+
+
+def test_theta_grid_of_a_validated_pair_takes_no_svd(monkeypatch):
+    # sigma_min(I - z P*) >= 1 - |z| |P| >= 0.1 on the grid |z| <= 0.9 of a
+    # contraction, |P| = 1 included; a point at |z| = 1 / |P| takes the SVD
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    shift = np.eye(3, k=1, dtype=complex)
+    for fp in (g.solve_fundamental(g.random_pure_gamma(6, seed=71)),
+               g.solve_fundamental(g.validate(0.4 * shift, shift))):
+        assert fp.pair.flags.pure
+        assert fp.theta_grid.shape[0] == len(g.default_coincidence_grid())
+        assert calls == []
+    g.theta_at(fp, [0.5, 1.0, 0.9j])
+    assert len(calls) == 1 and calls[0][0].shape == (1, 3, 3)
+
+
+def _contraction(kind, n, rng):
+    """P of norm below 1, of norm 1, or normal with a unimodular eigenvalue."""
+    if kind == "unimodular":
+        mods = np.append(1.0, rng.uniform(0.0, 1.0, n - 1))
+        u = matcore.haar_unitary(n, rng)
+        eig = mods * np.exp(2j * np.pi * rng.uniform(size=n))
+        return u @ np.diag(eig) @ matcore.dagger(u)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    scale = rng.uniform(0.2, 1.0) if kind == "inside" else 1.0
+    return scale * m / matcore.op_norm(m)
+
+
+def _outcome(theta, fp, z):
+    try:
+        return "value", theta(fp, z).tobytes()
+    except OutsideLambdaP as exc:
+        return "refused", str(exc)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["inside", "unit", "unimodular"]),
+       n=st.integers(1, 5), seed=st.integers(0, 2 ** 20),
+       points=st.lists(st.tuples(
+           st.sampled_from(["inside", "on", "beyond", "eigenvalue"]),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(-3, 3)),
+           min_size=1, max_size=6))
+def test_theta_at_refuses_exactly_where_the_svd_guard_does(
+        svd_guard_theta, kind, n, seed, points):
+    # the norm bound sends every point it does not certify to the SVD, so
+    # the refusals, their messages and the values are the SVD guard's own;
+    # z is drawn inside, on (to a few ulps) and beyond |z| = 1 / |P|, and
+    # at 1 / conj(lambda) for an eigenvalue lambda, where I - z P* is
+    # singular, nudged by multiples of 5e-13
+    rng = np.random.default_rng(seed)
+    fp = _bare(_contraction(kind, n, rng))
+    eigs, reach = np.linalg.eigvals(fp.pair.p), 1.0 / fp.pair.norm_p
+    zs = []
+    for where, u, v, k in points:
+        if where == "eigenvalue":
+            lam = eigs[int(u * n) % n]
+            if lam == 0:
+                continue
+            zs.append(1.0 / np.conj(lam) + k * 5e-13 * np.exp(2j * np.pi * v))
+            continue
+        if where == "on":
+            r = reach
+            for _ in range(abs(k)):
+                r = np.nextafter(r, np.inf if k > 0 else 0.0)
+        else:
+            r = reach * (u if where == "inside" else 1.0 + 2.0 * u)
+        zs.append(r * np.exp(2j * np.pi * v))
+    for z in zs:
+        assert _outcome(g.theta_at, fp, z) == _outcome(svd_guard_theta, fp, z)
+    assert (_outcome(g.theta_at, fp, np.array(zs))
+            == _outcome(svd_guard_theta, fp, np.array(zs)))

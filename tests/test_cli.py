@@ -875,6 +875,31 @@ def test_report_is_one_line_of_the_same_json(tmp_path, capsys):
                     "b": [1.5, None, {"x": -0.0, "y": None}]}
 
 
+def test_a_finite_report_is_dumped_without_the_null_walk(
+        tmp_path, capsys, monkeypatch):
+    # the strict dump refuses only a non-finite float, so a finite report is
+    # written as it is, and only a refused one is walked for nulls
+    walks = []
+    walk = cli._finite_or_null
+
+    def counted(node):
+        walks.append(node)
+        return walk(node)
+
+    monkeypatch.setattr(cli, "_finite_or_null", counted)
+    path = _write(tmp_path, "pair.json", _pair_doc(g.random_pure_gamma(3, seed=52)))
+    assert cli.main(["analyze", path, "--vn-trials", "8"]) == 0
+    assert cli.main(["compare", path, path, "--search", "2"]) == 0
+    assert walks == []
+    finite = {"b": [1.5, -0.0], "a": {"t": (1, 2)}}
+    cli._emit(finite, None)
+    refused = {"x": float("inf")}
+    cli._emit(refused, None)
+    assert walks[0] is refused
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        '{"a": {"t": [1, 2]}, "b": [1.5, -0.0]}', '{"x": null}']
+
+
 #: The exit code of each verdict, as the README and the cli docstring give it.
 DOCUMENTED_EXIT = {
     "ok": 0, "not-gamma-contraction": 2, "numerical-contract-breach": 3,

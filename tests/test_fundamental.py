@@ -3,9 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import gammaops as g
-from gammaops import matcore
+from gammaops import fundamental, matcore
 from gammaops.exceptions import NotContraction, NumericalContractBreach
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -260,3 +261,119 @@ def test_model_deep_pairs_lie_on_the_distinguished_variety(monkeypatch):
                 assert pair.spectral_radius_p == pytest.approx(rho, abs=1e-12)
                 worst = max(worst, *_variety_residuals(g.solve_fundamental(pair)))
     assert worst <= 1e-13
+
+
+def _poly(p, coeffs):
+    """sum_k c_k P^k, a polynomial in P, which commutes with P."""
+    out, power = np.zeros_like(p), np.eye(len(p), dtype=complex)
+    for c in coeffs:
+        out, power = out + c * power, power @ p
+    return out
+
+
+def _jordan(lam, c, n):
+    """lam I + c J, J the n x n shift: |lam| + |c| <= 1 bounds its norm."""
+    return lam * np.eye(n, dtype=complex) + c * np.eye(n, k=1)
+
+
+def _radius_pairs(rng):
+    """Pure pairs of four kinds beyond the generated corpus, as (S, P)."""
+    def disc(r):
+        return r * np.exp(2j * np.pi * rng.uniform())
+
+    for _ in range(25):
+        # one Jordan block, S a polynomial in P
+        n = int(rng.integers(2, 7))
+        lam = disc(rng.uniform(0.0, 0.9))
+        p = _jordan(lam, (1.0 - abs(lam)) * rng.uniform(0.2, 1.0), n)
+        yield _poly(p, [disc(rng.uniform(0.0, 1.0)) for _ in range(3)]), p
+    for _ in range(25):
+        # derogatory P: Jordan blocks of one eigenvalue, S a different
+        # polynomial on each block, so S is not a polynomial in P
+        lam, c = disc(rng.uniform(0.0, 0.8)), rng.uniform(0.05, 0.2)
+        blocks = [_jordan(lam, c, int(k)) for k in rng.integers(1, 4, size=3)]
+        s_blocks = [_poly(b, [disc(rng.uniform(0.0, 1.0)) for _ in range(2)])
+                    for b in blocks]
+        yield scipy.linalg.block_diag(*s_blocks), scipy.linalg.block_diag(*blocks)
+    for delta in (1e-2, 1e-4, 1e-6):
+        # normal pairs (z1 + z2, z1 z2) with |z1| = 1 - delta, |z2| = 1
+        for _ in range(10):
+            n = int(rng.integers(1, 6))
+            z1 = (1.0 - delta) * np.exp(2j * np.pi * rng.uniform(size=n))
+            z2 = np.exp(2j * np.pi * rng.uniform(size=n))
+            u = matcore.haar_unitary(n, rng)
+            ud = matcore.dagger(u)
+            yield u @ np.diag(z1 + z2) @ ud, u @ np.diag(z1 * z2) @ ud
+    for _ in range(50):
+        # far outside Gamma: |S| up to about 5 and w(F) well above 1
+        n = int(rng.integers(2, 7))
+        t = matcore.haar_unitary(n, rng) @ np.triu(
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        p = rng.uniform(0.3, 0.95) * t / matcore.op_norm(t)
+        s = _poly(p, [disc(rng.uniform(0.0, 2.0)) for _ in range(3)])
+        yield 5.0 * rng.uniform() * s / max(matcore.op_norm(s), 1e-300), p
+
+
+def test_one_radius_serves_both_operators_of_a_pure_pair(corpus500):
+    # w(F) = w(F_*) on pure pairs (proof in solve_fundamental): the oracle
+    # takes the numerical radius of each operator, and the two agree within
+    # the level-set stop test, each a lower bound within RADIUS_TOL 2^e of
+    # the radius, 2^e the scale of the larger operator; the solve reports
+    # that one radius for both
+    rng = np.random.default_rng(9500)
+    fps = [fp for _, fp in corpus500] + [
+        g.solve_fundamental(g.validate(s, p)) for s, p in _radius_pairs(rng)]
+    for fp in fps:
+        assert fp.pair.flags.pure
+        w, w_star = (matcore.numerical_radius(m) for m in (fp.f, fp.f_star))
+        scale = max(np.ldexp(1.0, matcore._pow2_scaled(m)[1])
+                    for m in (fp.f, fp.f_star) if m.any())
+        # measured: at most 0.32 of the bound and 6.4e-11 relative, at the
+        # near-unitary pairs of delta = 1e-6; w up to 33 outside Gamma
+        assert abs(w - w_star) <= 2.0 * matcore.RADIUS_TOL * scale
+        assert fp.w_f == fp.w_f_star == w
+    assert max(fp.w_f for fp in fps) > 10.0
+
+
+def test_f_star_gets_its_own_radius_where_the_identity_is_not_shown(monkeypatch):
+    # the copy needs a pure pair, finite F and F_* and both equations solved;
+    # a Gamma-unitary block makes P not pure, P = J with S = I/2 + 0.3 J
+    # leaves a residual of 0.28, and a NaN in F_* stands for an overflow
+    radii = []
+    radius = matcore.numerical_radius
+
+    def recorded(a):
+        radii.append(a)
+        return radius(a)
+
+    monkeypatch.setattr(matcore, "numerical_radius", recorded)
+    z1, z2 = np.exp(0.7j), np.exp(-2.1j)
+    jordan = np.eye(2, k=1, dtype=complex)
+    pure = g.random_pure_gamma(3, seed=9600)
+    not_pure = g.validate(np.diag([z1 + z2, 0.3]), np.diag([z1 * z2, 0.5]))
+    breached = g.validate(0.5 * np.eye(2) + 0.3 * jordan, jordan)
+    assert not not_pure.flags.pure and breached.flags.pure
+    for pair, shared in ((pure, True), (not_pure, False), (breached, False)):
+        radii.clear()
+        fp = g.solve_fundamental(pair)
+        assert fp.defect_p_star.rank > 0 and radii[0] is fp.f
+        if shared:
+            assert len(radii) == 1 and fp.w_f_star == fp.w_f
+        else:
+            assert len(radii) == 2 and radii[1] is fp.f_star
+    assert fp.pair is breached and fp.residual_f > 0.1
+
+    solve_side = fundamental._solve_side
+
+    def nan_on_the_adjoint_side(s, p, dd):
+        f, resid = solve_side(s, p, dd)
+        if s is not pure.s:
+            f = f.copy()
+            f[0, 0] = np.nan
+        return f, resid
+
+    monkeypatch.setattr(fundamental, "_solve_side", nan_on_the_adjoint_side)
+    radii.clear()
+    fp = g.solve_fundamental(pure)
+    assert fp.residual_f_star <= 1e-9 and fp.w_f_star == np.inf
+    assert len(radii) == 1 and radii[0] is fp.f
