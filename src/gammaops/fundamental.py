@@ -28,8 +28,8 @@ from .gamma_pair import GammaPair
 class DefectData:
     """Defect operator D_P = (I - P*P)^(1/2) or D_P* = (I - PP*)^(1/2) in spectral form.
 
-    The orthonormal columns ``q`` are the eigenvectors of the Gramian with
-    eigenvalues ``sv``^2 > 0, from one eigendecomposition in
+    The orthonormal columns ``q`` are the right (for D_P) or left (for D_P*)
+    singular vectors of P with defect values ``sv`` > 0, from the one SVD in
     :func:`defect_pair`, so they span Ran D and D Q = Q diag(sv).  The
     ambient D is never formed: all else meets the defect space through
     ``q``, ``sv`` and ``dq``.  Rank 0 has an empty ``q``.
@@ -51,29 +51,27 @@ class DefectData:
 def defect_pair(pair: GammaPair) -> tuple[DefectData, DefectData, np.ndarray]:
     """Defects D_P, D_P* of a validated pair in spectral form, and Theta_0.
 
-    One ``psd_eigh`` per Gramian, clamped at DEFECT_EIG_CLAMP, gives the
-    eigenbases V, V_* and eigenvalues w, w_*.  From M = V_*^adj P V, formed
-    once, P D_P = D_P* P is checked as |M diag(sqrt w) - diag(sqrt w_*) M|_F
-    (V, V_* are unitary) and Theta_0 = -Q_*^adj P Q is -M on w_* > 0, w > 0.
+    One SVD P = U diag(sigma) V^adj gives D_P = V diag(sv) V^adj and
+    D_P* = U diag(sv) U^adj, sv = ((1 - sigma)(1 + sigma))^(1/2) zeroed where
+    sv^2 <= DEFECT_EIG_CLAMP: one kept index set, so r = r*.  From
+    M = U^adj P V, formed once, P D_P = D_P* P is checked as
+    |M diag(sv) - diag(sv) M|_F, the SVD's off-diagonal backward error, and
+    Theta_0 = -Q_*^adj P Q is -M on the kept indices.
     """
     if pair.norm_p > 1.0 + matcore.CONTRACTION_TOL:
         raise NotContraction(f"|P| = {pair.norm_p:.12g} exceeds 1")
-    p, p_h, eye = pair.p, matcore.dagger(pair.p), np.eye(pair.n)
-    # each Gramian is Hermitian in exact arithmetic; symmetrize so roundoff in
-    # a near-zero one (P close to unitary) cannot trip the relative check
-    (w, v), (w_star, v_star) = eigs = [
-        matcore.psd_eigh(0.5 * (gram + matcore.dagger(gram)),
-                         matcore.DEFECT_EIG_CLAMP)
-        for gram in (eye - p_h @ p, eye - p @ p_h)]
-    m = matcore.dagger(v_star) @ p @ v
-    resid = matcore.fro_norm(m * np.sqrt(w) - np.sqrt(w_star)[:, None] * m)
+    u, sigma, vh = np.linalg.svd(pair.p)
+    w = (1.0 - sigma) * (1.0 + sigma)  # 1 - sigma^2, to relative accuracy
+    sv = np.sqrt(np.where(w <= matcore.DEFECT_EIG_CLAMP, 0.0, w))
+    v = matcore.dagger(vh)
+    m = matcore.dagger(u) @ pair.p @ v
+    resid = matcore.fro_norm(m * sv - sv[:, None] * m)
     if resid > matcore.DEFECT_INTERTWINE_TOL:
         raise NumericalContractBreach(
             f"|P D_P - D_P* P| = {resid:.3e} exceeds "
             f"{matcore.DEFECT_INTERTWINE_TOL:.1e}")
-    dp, dps = (DefectData(q=vs[:, ws > 0], sv=np.sqrt(ws[ws > 0]))
-               for ws, vs in eigs)
-    return dp, dps, -m[np.ix_(w_star > 0, w > 0)]
+    dp, dps = (DefectData(q=b[:, sv > 0], sv=sv[sv > 0]) for b in (v, u))
+    return dp, dps, -m[np.ix_(sv > 0, sv > 0)]
 
 
 @dataclass(frozen=True)
@@ -81,15 +79,15 @@ class FundamentalPair:
     """A pair with its fundamental operators, solve residuals and radii.
 
     This is the per-pair object everything downstream takes: ``pair`` is the
-    validated pair it was solved for, ``f`` is r x r on the eigenbasis ``q``
-    of ``defect_p``, ``f_star`` is r* x r* on that of ``defect_p_star``, and
-    ``theta_0`` = -Q_*^adj P Q is the r* x r value of Theta at the origin.
-    Residuals are |dq F dq^adj - (S - S*P)|_F and its adjoint twin, the
-    defining equations reassembled.  ``w_f`` and ``w_f_star`` are the
-    numerical radii of F and F_*, inf where one overflowed; on a pure pair
-    that solves both equations w(F_*) = w(F) (see :func:`solve_fundamental`)
-    and ``w_f_star`` is the computed ``w_f`` itself.  ``theta_grid`` comes
-    from one batched ``theta_at`` call.
+    validated pair it was solved for, ``f`` is r x r on the singular-vector
+    basis ``q`` of ``defect_p``, ``f_star`` is r* x r* on that of
+    ``defect_p_star``, and ``theta_0`` = -Q_*^adj P Q is the r* x r value of
+    Theta at the origin.  Residuals are |dq F dq^adj - (S - S*P)|_F and its
+    adjoint twin, the defining equations reassembled.  ``w_f`` and
+    ``w_f_star`` are the numerical radii of F and F_*, inf where one
+    overflowed; on a pure pair that solves both equations w(F_*) = w(F) (see
+    :func:`solve_fundamental`) and ``w_f_star`` is the computed ``w_f``
+    itself.  ``theta_grid`` comes from one batched ``theta_at`` call.
     """
 
     pair: GammaPair

@@ -59,17 +59,19 @@ class GammaPair:
 def validate(s, p) -> GammaPair:
     """Build a GammaPair, checking the necessary conditions only.
 
-    Commutation beyond tolerance is a hard error (``joint_eigs_commuting``);
-    the norm bounds and the joint-spectrum position are recorded as flags.
-    A fully passing pair is still not certified, see the module docstring.
+    |S| and |P|, computed once, also set the commutation tolerance; beyond
+    it is a hard error (``joint_eigs_commuting``).  The norm bounds, the
+    joint spectrum's position and purity, rho(P) = max |p| over it, are
+    flags.  A passing pair is still not certified, see the module docstring.
     """
     s = matcore.as_cmatrix(s, square=True, allow_empty=False, name="S")
     p = matcore.as_cmatrix(p, square=True, allow_empty=False, name="P")
     if s.shape != p.shape:
         raise DimensionMismatch(f"S is {s.shape} but P is {p.shape}")
-    points = tuple(SymPoint(*t) for t in matcore.joint_eigs_commuting(s, p))
     norm_s, norm_p = matcore.op_norm(s), matcore.op_norm(p)
-    rho_p = float(np.max(np.abs(np.linalg.eigvals(p))))
+    points = tuple(SymPoint(*t)
+                   for t in matcore.joint_eigs_commuting(s, p, norm_s, norm_p))
+    rho_p = max(abs(pt.p) for pt in points)
     in_gamma = all(classify_point(pt) is not Region.OUTSIDE for pt in points)
     flags = PairFlags(
         contraction=norm_p <= 1.0 + matcore.CONTRACTION_TOL,
@@ -93,9 +95,9 @@ def symmetrized_pair(t1, t2) -> GammaPair:
     t2 = matcore.as_cmatrix(t2, square=True, allow_empty=False, name="T2")
     if t1.shape != t2.shape:
         raise DimensionMismatch(f"T1 is {t1.shape} but T2 is {t2.shape}")
-    matcore.require_commuting(t1, t2)
-    for name, t in (("T1", t1), ("T2", t2)):
-        nt = matcore.op_norm(t)
+    norms = matcore.op_norm(t1), matcore.op_norm(t2)
+    matcore.require_commuting(t1, t2, *norms)
+    for name, nt in zip(("T1", "T2"), norms):
         if nt > 1.0 + matcore.CONTRACTION_TOL:
             raise NotContraction(f"|{name}| = {nt:.12g} exceeds 1")
     return validate(t1 + t2, t1 @ t2)

@@ -74,7 +74,7 @@ PROBE_REFINE_RATIO = 0.98
 PROBE_CERT_MARGIN = 1e-6
 
 # Defects, transport, characteristic function and model.
-#: Eigenvalue clamp of the defect Gramians; |P| may reach 1 + CONTRACTION_TOL.
+#: Zero clamp on 1 - sigma^2, sigma a singular value of P; |P| <= 1 + CONTRACTION_TOL.
 DEFECT_EIG_CLAMP = 1e-9
 #: The commuting-lift identity P D_P = D_P* P must hold to this accuracy.
 DEFECT_INTERTWINE_TOL = 1e-9
@@ -206,23 +206,23 @@ def batches(count: int, item_bytes: int) -> list[slice]:
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
-def comm_tol(s: np.ndarray, p: np.ndarray) -> float:
+def comm_tol(norm_s: float, norm_p: float) -> float:
     """Commutation tolerance COMM_REL_TOL * (1 + |S| |P|), operator norms."""
-    return COMM_REL_TOL * (1.0 + op_norm(s) * op_norm(p))
+    return COMM_REL_TOL * (1.0 + norm_s * norm_p)
 
 
 def commutation_defect(s: np.ndarray, p: np.ndarray) -> float:
     return fro_norm(s @ p - p @ s)
 
 
-def require_commuting(s: np.ndarray, p: np.ndarray) -> None:
-    """Raise NotCommuting unless the commutator is within ``comm_tol``.
+def require_commuting(s, p, norm_s: float, norm_p: float) -> None:
+    """Raise NotCommuting unless the commutator is within ``comm_tol`` of |S|, |P|.
 
-    Where it is not finite, the rule is tested on S' = S 2^-a, P' = P 2^-b
+    Where that is not finite, the rule is tested on S' = S 2^-a, P' = P 2^-b
     (see ``_pow2_scaled``) as |[S', P']| <= COMM_REL_TOL (2^-(a+b) + |S'| |P'|).
     A commutator that overflows to a non-finite defect fails.
     """
-    tol, unit = comm_tol(s, p), ""
+    tol, unit = comm_tol(norm_s, norm_p), ""
     if not np.isfinite(tol):
         (s, a), (p, b) = _pow2_scaled(s), _pow2_scaled(p)
         tol = COMM_REL_TOL * (np.ldexp(1.0, -(a + b)) + op_norm(s) * op_norm(p))
@@ -471,12 +471,12 @@ def _common_schur(s: np.ndarray, p: np.ndarray):
     return best
 
 
-def joint_eigs_commuting(s, p) -> list[tuple[complex, complex]]:
+def joint_eigs_commuting(s, p, norm_s, norm_p) -> list[tuple[complex, complex]]:
     """Paired joint eigenvalues of a commuting (possibly non-normal) pair.
 
     Computed from a simultaneous unitary upper-triangularization driven by
-    the Schur form of a generic linear combination.  Pairs are sorted
-    lexicographically by (Re s, Im s, Re p, Im p).
+    the Schur form of a generic linear combination, once ``require_commuting``
+    passes at the caller's |S|, |P|.  Sorted by (Re s, Im s, Re p, Im p).
     """
     s = as_cmatrix(s, square=True, name="S")
     p = as_cmatrix(p, square=True, name="P")
@@ -485,7 +485,7 @@ def joint_eigs_commuting(s, p) -> list[tuple[complex, complex]]:
     n = s.shape[0]
     if n == 0:
         return []
-    require_commuting(s, p)
+    require_commuting(s, p, norm_s, norm_p)
     if n == 1:
         return [(complex(s[0, 0]), complex(p[0, 0]))]
     ms, mp, _ = _common_schur(s, p)

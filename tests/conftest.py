@@ -46,6 +46,31 @@ def svd_range_onb():
     return _svd_range_onb
 
 
+def _defect_pair_two_gramians(pair):
+    """Oracle: ``defect_pair`` by one clamped eigendecomposition each of
+    I - P*P and I - PP*, eigenvalues w, w_* and eigenbases V, V_*.
+
+    Q and Q_* are the eigenvectors with w, w_* > 0, ``sv`` their square
+    roots, and Theta_0 the block of -V_*^adj P V on w_* > 0, w > 0; the two
+    ranks are decided separately.
+    """
+    p, p_h, eye = pair.p, matcore.dagger(pair.p), np.eye(pair.n)
+    (w, v), (w_star, v_star) = eigs = [
+        matcore.psd_eigh(0.5 * (gram + matcore.dagger(gram)),
+                         matcore.DEFECT_EIG_CLAMP)
+        for gram in (eye - p_h @ p, eye - p @ p_h)]
+    m = matcore.dagger(v_star) @ p @ v
+    dp, dps = (g.DefectData(q=vs[:, ws > 0], sv=np.sqrt(ws[ws > 0]))
+               for ws, vs in eigs)
+    return dp, dps, -m[np.ix_(w_star > 0, w > 0)]
+
+
+@pytest.fixture(scope="session")
+def two_gramian_defects():
+    """The defects from the two Gramians, the reference for the one SVD of P."""
+    return _defect_pair_two_gramians
+
+
 def _defect(p):
     """Oracle: the ambient D_P = (I - P*P)^(1/2) by ``scipy.linalg.sqrtm``.
 

@@ -31,9 +31,11 @@ def test_scalar_matches_blaschke_on_disc():
         p = 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         z = 0.98 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         want = (z - p) / (1.0 - np.conj(p) * z)
-        got = g.theta_at(_bare([[p]]), z)[0, 0]
-        # defect-basis phases cancel, the scalar value is basis free
-        assert got == pytest.approx(want, abs=1e-12)
+        fp = _bare([[p]])
+        # Q and Q_* are the singular vectors of p, which differ by its phase;
+        # the lift Q_* Theta Q^adj is basis free
+        got = fp.defect_p_star.q @ g.theta_at(fp, z) @ matcore.dagger(fp.defect_p.q)
+        assert got[0, 0] == pytest.approx(want, abs=1e-12)
 
 
 def test_taylor_series_resums_to_resolvent():
@@ -255,10 +257,12 @@ def test_theta_grid_of_a_validated_pair_takes_no_svd(monkeypatch):
         calls.append(args)
         return svd(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
     shift = np.eye(3, k=1, dtype=complex)
-    for fp in (g.solve_fundamental(g.random_pure_gamma(6, seed=71)),
-               g.solve_fundamental(g.validate(0.4 * shift, shift))):
+    fps = (g.solve_fundamental(g.random_pure_gamma(6, seed=71)),
+           g.solve_fundamental(g.validate(0.4 * shift, shift)))
+    # counted while Theta is read: defect_pair's SVD of P comes before
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for fp in fps:
         assert fp.pair.flags.pure
         assert fp.theta_grid.shape[0] == len(g.default_coincidence_grid())
         assert calls == []

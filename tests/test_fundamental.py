@@ -85,16 +85,77 @@ def test_defect_pair_spectral_form_keeps_the_svd_rank(corpus500, svd_range_onb):
              + [(np.eye(4, dtype=complex), 0)])
     for p, rank in cases:
         dp, dps, _ = _defects(p)
-        eye, p_h = np.eye(p.shape[0]), matcore.dagger(p)
-        for dd, gram in ((dp, eye - p_h @ p), (dps, eye - p @ p_h)):
-            assert dd.q.shape == (p.shape[0], dd.rank) == (p.shape[0], len(dd.sv))
-            # Q are eigenvectors of the Gramian D^2 with eigenvalues sv^2
-            assert matcore.fro_norm(gram @ dd.q - dd.q * dd.sv ** 2) <= 1e-14
+        n = p.shape[0]
+        # Q and Q_* are right and left singular vectors of P for the kept
+        # singular values sigma, ascending, with sv^2 = 1 - sigma^2; Q_* is
+        # checked against the Gramian route in the test below
+        sigma = np.linalg.svd(p, compute_uv=False)[n - dp.rank:]
+        assert matcore.fro_norm(p @ dp.q - dps.q * sigma) <= 1e-14
+        for dd in (dp, dps):
+            assert dd.q.shape == (n, dd.rank) == (n, len(dd.sv))
+            assert np.abs(dd.sv ** 2 - (1.0 - sigma) * (1.0 + sigma)).max(
+                initial=0.0) <= 1e-14
             assert (dd.sv > 0).all()
             assert np.allclose(matcore.dagger(dd.q) @ dd.q, np.eye(dd.rank),
                                atol=1e-14)
             assert dd.rank == svd_range_onb(dd.dq).shape[1]
             assert rank is None or dd.rank == rank
+
+
+def _lifts(dp, dps, theta_0):
+    """The basis-free lifts Q diag(sv) Q^adj, Q_* diag(sv_*) Q_*^adj, Q_* Theta_0 Q^adj."""
+    return (_ambient(dp), _ambient(dps), dps.q @ theta_0 @ matcore.dagger(dp.q))
+
+
+def test_defect_pair_matches_the_two_gramian_route(corpus500, two_gramian_defects):
+    rng = np.random.default_rng(10)
+    cases = ([pair.p for pair, _ in corpus500]
+             + [p for p, _ in _partial_contractions(rng)]
+             + [p for p, _ in _near_unitary(rng)])
+    eps = np.finfo(float).eps
+    for p in cases:
+        pair = g.validate(np.zeros_like(p), p)
+        got, ref = g.defect_pair(pair), two_gramian_defects(pair)
+        assert got[0].rank == got[1].rank == ref[0].rank == ref[1].rank
+        # near a unitary P both routes lose digits: a kept singular value
+        # 1 - delta lies delta from the dropped ones, so a backward error of a
+        # few n eps turns its singular or eigenvector by about n eps / delta
+        # (Wedin; Davis and Kahan), and moves its defect value (2 delta)^(1/2)
+        # by about n eps / (8 delta)^(1/2); delta = 1 - sigma_min bounds both
+        delta = 1.0 - np.linalg.svd(p, compute_uv=False)[-1]
+        tol = 1e-13 + 32 * len(p) * eps / delta
+        for a, b in zip(_lifts(*got), _lifts(*ref)):
+            assert matcore.fro_norm(a - b) <= tol
+
+
+def test_one_factorization_per_pair(monkeypatch, corpus500):
+    # validate takes |S| and |P| once and rho(P) from the joint spectrum;
+    # defect_pair takes both defects from one SVD of P
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(matcore, "op_norm")
+    for name in ("eigvals", "eigh", "svd"):
+        count(np.linalg, name)
+    rng = np.random.default_rng(12)
+    cases = ([(pair.s, pair.p) for pair, _ in corpus500[:24]]
+             + [(np.zeros_like(p), p) for p, _ in _partial_contractions(rng)]
+             + [(np.zeros_like(p), p) for p, _ in _near_unitary(rng)])
+    for s, p in cases:
+        calls.clear()
+        pair = g.validate(s, p)
+        assert calls == {"op_norm": 2}
+        calls.clear()
+        dp, dps, _ = g.defect_pair(pair)
+        assert calls == {"svd": 1}
+        assert dp.rank == dps.rank
 
 
 def test_defect_coordinates_match_the_ambient_formulas(corpus500, ambient_oracles):

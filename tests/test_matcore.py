@@ -386,26 +386,31 @@ def test_polar_unitary_properties():
     assert np.allclose(matcore.polar_unitary(v), v, atol=1e-12)
 
 
+def _require_commuting(s, p):
+    """``require_commuting`` at the operator norms of S and P."""
+    matcore.require_commuting(s, p, matcore.op_norm(s), matcore.op_norm(p))
+
+
 def test_commutation_defect_and_guard():
     rng = np.random.default_rng(5)
     a = crandn(rng, 4, 4)
     assert matcore.commutation_defect(a, a @ a) <= 1e-13
     b = crandn(rng, 4, 4)
     with pytest.raises(NotCommuting):
-        matcore.require_commuting(a, b)
+        _require_commuting(a, b)
     # |S| |P| overflows comm_tol; the rule is tested on S 2^-a and P 2^-b
     s = 1e155 * np.array([[1.0, 0.0], [0.0, 0.0]])
     p = 1e154 * np.array([[0.0, 0.01], [0.0, 1.0]])
-    assert matcore.comm_tol(s, p) == np.inf
+    assert matcore.comm_tol(matcore.op_norm(s), matcore.op_norm(p)) == np.inf
     with pytest.raises(NotCommuting) as err:
-        matcore.require_commuting(s, p)  # the commutator is 1% of |S| |P|
+        _require_commuting(s, p)  # the commutator is 1% of |S| |P|
     assert "inf" not in str(err.value) and "nan" not in str(err.value)
     assert "in units of 2^" in str(err.value)
     huge = np.diag([0.0, 1.7e308])
-    matcore.require_commuting(huge, huge)
+    _require_commuting(huge, huge)
     # relative commutator 1e-200
-    matcore.require_commuting(np.diag([1e200, 0.0]),
-                              np.array([[0.0, 1.0], [0.0, 1e200]]))
+    _require_commuting(np.diag([1e200, 0.0]),
+                       np.array([[0.0, 1.0], [0.0, 1e200]]))
 
 
 def test_is_normal_decides_on_a_finite_defect():
@@ -443,7 +448,7 @@ def test_joint_eigs_commuting_diagonal_oracle():
     u = matcore.haar_unitary(5, rng)
     s = u @ d1 @ matcore.dagger(u)
     p = u @ d2 @ matcore.dagger(u)
-    got = matcore.joint_eigs_commuting(s, p)
+    got = matcore.joint_eigs_commuting(s, p, matcore.op_norm(s), matcore.op_norm(p))
     want = sorted(zip(np.diagonal(d1), np.diagonal(d2)),
                   key=lambda t: (t[0].real, t[0].imag, t[1].real, t[1].imag))
     for (gs, gp), (ws, wp) in zip(got, want):
